@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test lint lint-chime model-check chaos serve serve-smoke perf-smoke baseline explain clean
+.PHONY: verify build test lint lint-chime model-check chaos serve serve-smoke perf-smoke baseline explain bench-harness loc clean
 
 # Tier-1 gate (build + tests) plus the clippy lint wall, the protocol-aware
 # chime-lint pass, the chime-model exhaustive protocol check, a fixed-seed
@@ -64,6 +64,25 @@ OLD ?= results/baseline.json
 NEW ?= results/BENCH_perf_smoke.json
 explain:
 	$(CARGO) run --release -p bench --bin explain -- $(OLD) $(NEW)
+
+# The out-of-tree benchmark harness (benchmark/, its own workspace) links
+# the crates through their public items only: build it and run its tests so
+# a refactor that breaks that surface fails here, not in the benchmark.
+bench-harness:
+	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
+
+# Non-test Rust lines per crate: src/ and benches/ of every crate and
+# vendored shim, minus `tests.rs` files and everything from an inline
+# `#[cfg(test)] mod … {` to the end of its file.
+loc:
+	@for d in crates/* vendor/*; do \
+		find $$d/src $$d/benches -name '*.rs' ! -name tests.rs 2>/dev/null | sort | xargs -r awk \
+			'FNR == 1 { skip = 0 } \
+			 skip { next } \
+			 /^#\[cfg\(test\)\]$$/ { if ((getline nx) > 0 && nx ~ /^mod [a-z_]+ \{/) { skip = 1; next } n++ } \
+			 { n++ } \
+			 END { printf "%-22s %6d\n", d, n }' d=$$d; \
+	done | awk '{ print; t += $$2 } END { printf "%-22s %6d\n", "total", t }'
 
 clean:
 	$(CARGO) clean

@@ -23,7 +23,6 @@ pub mod maskconsistency;
 pub mod phase;
 pub mod tracecontext;
 pub mod unsafety;
-pub mod verbproto;
 
 /// Rule identifiers, in registry order. `suppression` (malformed
 /// suppression comments) is emitted by the engine itself.
@@ -33,7 +32,6 @@ pub const RULES: &[&str] = &[
     "lock-discipline",
     "unsafe-comment",
     "lockword-layout",
-    "verb-protocol",
     "cq-discipline",
     "async-block",
     "epoch-discipline",
@@ -49,7 +47,6 @@ pub fn run_file(file: &SourceFile, out: &mut Vec<Finding>) {
     lockdiscipline::check_loops(file, out);
     unsafety::check(file, out);
     layout::check(file, out);
-    verbproto::check(file, out);
     asyncblock::check(file, out);
     epoch::check(file, out);
 }

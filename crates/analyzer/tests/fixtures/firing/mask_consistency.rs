@@ -1,6 +1,5 @@
 //! Fixture for R12: hand-written literal masks that are not lock-word
-//! field masks. The compare/swap operands are runtime values, so R6
-//! (verb-protocol) skips these calls and only `mask-consistency` fires.
+//! field masks (the compare/swap operands are runtime values).
 //! Not compiled — consumed as text by `tests/lint.rs`.
 
 pub fn epoch_slice_probe(ep: &mut Endpoint, addr: GlobalAddr, old: u64, next: u64) -> u64 {

@@ -90,13 +90,6 @@ fn lockword_layout_fires_and_suppresses() {
 }
 
 #[test]
-fn verb_protocol_fires_and_suppresses() {
-    let r = assert_fires("firing/verb_protocol.rs", "verb-protocol", 1);
-    assert!(r.findings[0].message.contains("neither the acquire protocol"));
-    assert_suppressed("suppressed/verb_protocol.rs", 1);
-}
-
-#[test]
 fn mask_consistency_fires_and_suppresses() {
     let r = assert_fires("firing/mask_consistency.rs", "mask-consistency", 2);
     assert!(r.findings.iter().any(|f| f.message.contains("cmask 0xffffffff")));

@@ -158,7 +158,7 @@ pub struct BenchResult {
     pub metrics: MetricsSnapshot,
     /// Windowed time series of the measured phase, merged over every
     /// participating client (shared virtual time base; all client clocks
-    /// start at zero). Empty for indexes without endpoint telemetry.
+    /// start at zero).
     pub timeline: TimeSeries,
     /// Anomalies the in-run detector found in [`Self::timeline`].
     pub anomalies: Vec<Anomaly>,
@@ -170,147 +170,97 @@ pub struct BenchResult {
     pub perfetto: Option<String>,
 }
 
+/// One boxed client handle, as the measured loops drive it.
+type Handle = Box<dyn RangeIndex + Send>;
+
+/// A per-CN probe of cumulative `(cache hits, cache misses)`.
+type CacheProbe = Box<dyn Fn() -> (u64, u64) + Send>;
+
 /// Builds the pool, index and per-CN client handles for a setup.
 pub struct Deployment {
     /// The memory pool.
     pub pool: Arc<Pool>,
     /// Per-CN lists of client handles.
-    pub cns: Vec<Vec<Box<dyn RangeIndex + Send>>>,
+    pub cns: Vec<Vec<Handle>>,
     /// Hotspot-stat probe (CHIME only; per-partition states for Part).
     hotspot_probe: Option<Vec<Arc<chime::CnState>>>,
     /// Per-CN `(cache hits, cache misses)` probes (CHIME and Sherman).
-    cache_probe: Vec<Box<dyn Fn() -> (u64, u64) + Send>>,
+    cache_probe: Vec<CacheProbe>,
     /// Routing/migration counters (partitioned deployments only).
     router_probe: Option<Arc<part::RouterStats>>,
+}
+
+/// Handles per CN: one per logical client, times K lanes in pipelined runs.
+fn handles_per_cn(setup: &BenchSetup) -> usize {
+    setup.clients.div_ceil(setup.num_cns) * setup.coroutines.max(1)
+}
+
+/// The deploy step every CN-structured index shares: box `client(cn)`
+/// handles for each CN, then preload through a throwaway client of CN 0.
+/// The loader is created *after* the measured handles: a partitioned
+/// cluster gives the rebalancer role to its first client, which must be a
+/// measured handle so the migration policy never evaluates preload traffic.
+fn populate<Cn, C: RangeIndex + Send + 'static>(
+    setup: &BenchSetup,
+    cns: &[Cn],
+    client: impl Fn(&Cn) -> C,
+) -> Vec<Vec<Handle>> {
+    let per_cn = handles_per_cn(setup);
+    let handles = cns
+        .iter()
+        .map(|cn| (0..per_cn).map(|_| Box::new(client(cn)) as Handle).collect())
+        .collect();
+    let value = vec![0xABu8; setup.value_size];
+    let mut loader = client(&cns[0]);
+    for seq in 0..setup.preload {
+        loader
+            .insert(KeySpace::key(seq), &value)
+            .expect("preload insert");
+    }
+    handles
+}
+
+/// One cache probe per CN, reading `stats` off a clone of its state.
+fn cache_probes<Cn: Clone + Send + 'static>(
+    cns: &[Cn],
+    stats: impl Fn(&Cn) -> (u64, u64) + Copy + Send + 'static,
+) -> Vec<CacheProbe> {
+    cns.iter()
+        .map(|cn| {
+            let cn = cn.clone();
+            Box::new(move || stats(&cn)) as CacheProbe
+        })
+        .collect()
 }
 
 /// Creates the index and preloads `setup.preload` keys.
 pub fn deploy(setup: &BenchSetup) -> Deployment {
     let pool = Pool::with_defaults(setup.num_mns, setup.mn_capacity);
-    // Pipelined runs need one handle per lane: K per logical client.
-    let per_cn = setup.clients.div_ceil(setup.num_cns) * setup.coroutines.max(1);
-    let value = vec![0xABu8; setup.value_size];
+    let mut dep = Deployment {
+        pool: Arc::clone(&pool),
+        cns: Vec::new(),
+        hotspot_probe: None,
+        cache_probe: Vec::new(),
+        router_probe: None,
+    };
     match &setup.kind {
         IndexKind::Chime(cfg) => {
             let t = chime::Chime::create(&pool, *cfg, 0);
-            let cns: Vec<Arc<chime::CnState>> = (0..setup.num_cns).map(|_| t.new_cn()).collect();
-            {
-                let mut loader = t.client(&cns[0]);
-                for seq in 0..setup.preload {
-                    loader
-                        .insert(KeySpace::key(seq), &value)
-                        .expect("preload insert");
-                }
-            }
-            let handles = cns
-                .iter()
-                .map(|cn| {
-                    (0..per_cn)
-                        .map(|_| Box::new(t.client(cn)) as Box<dyn RangeIndex + Send>)
-                        .collect()
-                })
-                .collect();
-            let cache_probe = cns
-                .iter()
-                .map(|cn| {
-                    let cn = Arc::clone(cn);
-                    Box::new(move || cn.cache_stats()) as Box<dyn Fn() -> (u64, u64) + Send>
-                })
-                .collect();
-            Deployment {
-                pool,
-                cns: handles,
-                hotspot_probe: Some(cns),
-                cache_probe,
-                router_probe: None,
-            }
+            let cns: Vec<_> = (0..setup.num_cns).map(|_| t.new_cn()).collect();
+            dep.cns = populate(setup, &cns, |cn| t.client(cn));
+            dep.cache_probe = cache_probes(&cns, |cn| cn.cache_stats());
+            dep.hotspot_probe = Some(cns);
         }
         IndexKind::Sherman(cfg) => {
             let t = sherman::Sherman::create(&pool, *cfg, 0);
             let cns: Vec<_> = (0..setup.num_cns).map(|_| t.new_cn()).collect();
-            {
-                let mut loader = t.client(&cns[0]);
-                for seq in 0..setup.preload {
-                    loader
-                        .insert(KeySpace::key(seq), &value)
-                        .expect("preload insert");
-                }
-            }
-            let handles = cns
-                .iter()
-                .map(|cn| {
-                    (0..per_cn)
-                        .map(|_| Box::new(t.client(cn)) as Box<dyn RangeIndex + Send>)
-                        .collect()
-                })
-                .collect();
-            let cache_probe = cns
-                .iter()
-                .map(|cn| {
-                    let cn = Arc::clone(cn);
-                    Box::new(move || cn.cache_stats()) as Box<dyn Fn() -> (u64, u64) + Send>
-                })
-                .collect();
-            Deployment {
-                pool,
-                cns: handles,
-                hotspot_probe: None,
-                cache_probe,
-                router_probe: None,
-            }
-        }
-        IndexKind::Rolex(cfg) => {
-            let mut items: Vec<(u64, Vec<u8>)> = (0..setup.preload)
-                .map(|seq| (KeySpace::key(seq), value.clone()))
-                .collect();
-            items.sort_by_key(|&(k, _)| k);
-            items.dedup_by_key(|&mut (k, _)| k);
-            let mk_clients = |f: &mut dyn FnMut() -> Box<dyn RangeIndex + Send>| {
-                (0..setup.num_cns)
-                    .map(|_| (0..per_cn).map(|_| f()).collect())
-                    .collect::<Vec<Vec<_>>>()
-            };
-            let handles = if cfg.hopscotch_leaves {
-                let t = rolex::ChimeLearned::create(&pool, *cfg, &items);
-                mk_clients(&mut || Box::new(t.client()))
-            } else {
-                let t = rolex::Rolex::create(&pool, *cfg, &items);
-                mk_clients(&mut || Box::new(t.client()))
-            };
-            Deployment {
-                pool,
-                cns: handles,
-                hotspot_probe: None,
-                cache_probe: Vec::new(),
-                router_probe: None,
-            }
+            dep.cns = populate(setup, &cns, |cn| t.client(cn));
+            dep.cache_probe = cache_probes(&cns, |cn| cn.cache_stats());
         }
         IndexKind::Smart(cfg) => {
             let t = smart::Smart::create(&pool, *cfg, 0);
             let cns: Vec<_> = (0..setup.num_cns).map(|_| t.new_cn()).collect();
-            {
-                let mut loader = t.client(&cns[0]);
-                for seq in 0..setup.preload {
-                    loader
-                        .insert(KeySpace::key(seq), &value)
-                        .expect("preload insert");
-                }
-            }
-            let handles = cns
-                .iter()
-                .map(|cn| {
-                    (0..per_cn)
-                        .map(|_| Box::new(t.client(cn)) as Box<dyn RangeIndex + Send>)
-                        .collect()
-                })
-                .collect();
-            Deployment {
-                pool,
-                cns: handles,
-                hotspot_probe: None,
-                cache_probe: Vec::new(),
-                router_probe: None,
-            }
+            dep.cns = populate(setup, &cns, |cn| t.client(cn));
         }
         IndexKind::Part(cfg) => {
             assert_eq!(
@@ -318,61 +268,94 @@ pub fn deploy(setup: &BenchSetup) -> Deployment {
                 "partitioned runs are serial: each router client multiplexes one endpoint"
             );
             let cluster = part::Cluster::create(&pool, *cfg);
-            let cns: Vec<part::PartCn> = (0..setup.num_cns).map(|_| cluster.new_cn()).collect();
-            let handles: Vec<Vec<Box<dyn RangeIndex + Send>>> = cns
-                .iter()
-                .map(|cn| {
-                    (0..per_cn)
-                        .map(|_| Box::new(cluster.client(cn)) as Box<dyn RangeIndex + Send>)
-                        .collect()
-                })
+            let cns: Vec<Arc<part::PartCn>> = (0..setup.num_cns)
+                .map(|_| Arc::new(cluster.new_cn()))
                 .collect();
-            // Preload through a throwaway client created *after* the
-            // measured handles: the rebalancer role (first client
-            // cluster-wide) stays on a measured handle, so the migration
-            // policy never evaluates preload traffic. The window is
-            // cleared afterwards so the measured phase starts clean.
-            {
-                let mut loader = cluster.client(&cns[0]);
-                for seq in 0..setup.preload {
-                    loader
-                        .insert(KeySpace::key(seq), &value)
-                        .expect("preload insert");
-                }
-            }
+            dep.cns = populate(setup, &cns, |cn| cluster.client(cn));
+            // The measured phase starts from a clean migration window.
             cluster.stats().reset_window();
-            let hotspot_probe = cns
-                .iter()
-                .flat_map(|cn| cn.states().iter().cloned())
+            dep.cache_probe = cache_probes(&cns, |cn| {
+                cn.states()
+                    .iter()
+                    .map(|s| s.cache_stats())
+                    .fold((0, 0), |(h, m), (a, b)| (h + a, m + b))
+            });
+            dep.hotspot_probe = Some(
+                cns.iter()
+                    .flat_map(|cn| cn.states().iter().cloned())
+                    .collect(),
+            );
+            dep.router_probe = Some(Arc::clone(cluster.stats()));
+        }
+        // ROLEX is bulk-loaded from the sorted key set (its models are
+        // trained on it) and has no per-CN state.
+        IndexKind::Rolex(cfg) => {
+            let value = vec![0xABu8; setup.value_size];
+            let mut items: Vec<(u64, Vec<u8>)> = (0..setup.preload)
+                .map(|seq| (KeySpace::key(seq), value.clone()))
                 .collect();
-            let cache_probe = cns
-                .iter()
-                .map(|cn| {
-                    let states: Vec<Arc<chime::CnState>> = cn.states().to_vec();
-                    Box::new(move || {
-                        states
-                            .iter()
-                            .map(|s| s.cache_stats())
-                            .fold((0, 0), |(h, m), (a, b)| (h + a, m + b))
-                    }) as Box<dyn Fn() -> (u64, u64) + Send>
-                })
-                .collect();
-            let router_probe = Some(Arc::clone(cluster.stats()));
-            Deployment {
-                pool,
-                cns: handles,
-                hotspot_probe: Some(hotspot_probe),
-                cache_probe,
-                router_probe,
-            }
+            items.sort_by_key(|&(k, _)| k);
+            items.dedup_by_key(|&mut (k, _)| k);
+            let mk_clients = |f: &mut dyn FnMut() -> Handle| {
+                (0..setup.num_cns)
+                    .map(|_| (0..handles_per_cn(setup)).map(|_| f()).collect())
+                    .collect::<Vec<Vec<_>>>()
+            };
+            dep.cns = if cfg.hopscotch_leaves {
+                let t = rolex::ChimeLearned::create(&pool, *cfg, &items);
+                mk_clients(&mut || Box::new(t.client()))
+            } else {
+                let t = rolex::Rolex::create(&pool, *cfg, &items);
+                mk_clients(&mut || Box::new(t.client()))
+            };
         }
     }
+    dep
 }
 
 /// Runs the measured phase and models the outcome.
 pub fn run(setup: &BenchSetup) -> BenchResult {
     let mut dep = deploy(setup);
     run_deployed(setup, &mut dep)
+}
+
+/// The RDWC discriminant of an op: its index into [`OP_NAMES`].
+fn op_disc(op: &Op) -> u8 {
+    match op {
+        Op::Read(_) => 0,
+        Op::Update(_) => 1,
+        Op::Insert(_) => 2,
+        Op::Scan(..) => 3,
+    }
+}
+
+/// Dispatches one op on `c` under causal trace id `trace` and returns its
+/// latency on the client's virtual clock.
+fn exec_op(
+    c: &mut dyn RangeIndex,
+    op: Op,
+    value: &[u8],
+    scan_buf: &mut Vec<(u64, Vec<u8>)>,
+    trace: u64,
+) -> u64 {
+    c.endpoint_mut().set_trace_id(trace);
+    let t0 = c.clock_ns();
+    match op {
+        Op::Read(k) => {
+            let _ = c.search(k);
+        }
+        Op::Update(k) => {
+            let _ = c.update(k, value).expect("update");
+        }
+        Op::Insert(k) => {
+            c.insert(k, value).expect("insert");
+        }
+        Op::Scan(k, n) => {
+            scan_buf.clear();
+            c.scan(k, n, scan_buf);
+        }
+    }
+    c.clock_ns() - t0
 }
 
 /// Runs the measured phase on an existing deployment.
@@ -384,26 +367,7 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
     let value = vec![0xCDu8; setup.value_size];
     let num_cns = dep.cns.len();
     let ops_per_cn = setup.ops / num_cns as u64;
-    let mut hist = Histogram::new();
-    // Per-op-type virtual-latency histograms (read/update/insert/scan).
-    let mut op_hists: Vec<LatencyHist> = (0..OP_NAMES.len()).map(|_| LatencyHist::default()).collect();
-    let mut profile_delta = OpProfile::default();
-    let mut total_msgs = 0u64;
-    let mut total_wire = 0u64;
-    let mut total_app = 0u64;
-    let mut total_rtts = 0u64;
-    let mut sum_latency = 0u64;
-    let mut executed = 0u64;
-    let mut stats_delta = ClientStats::default();
-    // Measured-phase deltas: deployments are reused across sweep points, so
-    // every cumulative source is snapshotted before and diffed after.
-    let mn_before = dep.pool.traffic();
-    let cache_before: Vec<(u64, u64)> = dep.cache_probe.iter().map(|p| p()).collect();
-    let hotspot_before = probe_hotspot(dep);
-    let router_before = probe_router(dep);
-    let mut timeline = TimeSeries::default();
-    let mut flight: Vec<(u32, FlightRecorder)> = Vec::new();
-    let mut tracers: Vec<Tracer> = Vec::new();
+    let mut agg = Agg::begin(dep);
     // Per-op trace ids: a deterministic counter minted at op dispatch and
     // carried through the index, the scheduler and the queue pair.
     let mut next_trace = 1u64;
@@ -425,13 +389,7 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                 )
             })
             .collect();
-        let before: Vec<dmem::ClientStats> = clients.iter().map(|c| c.stats().clone()).collect();
-        let prof_before: Vec<Option<OpProfile>> =
-            clients.iter().map(|c| c.profile().cloned()).collect();
-        let telem_before: Vec<Option<TimeSeries>> = clients
-            .iter()
-            .map(|c| c.telemetry().map(|t| t.series.clone()))
-            .collect();
+        let before: Vec<HandleSnap> = clients.iter().map(|c| HandleSnap::of(c.as_ref())).collect();
         for (i, c) in clients.iter_mut().enumerate() {
             let gid = (cn_id * active_per_cn + i) as u32;
             if (gid as usize) < setup.trace_clients {
@@ -448,106 +406,30 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                     break;
                 }
                 let op = gens[i].next_op();
-                let disc = match &op {
-                    Op::Read(_) => 0u8,
-                    Op::Update(_) => 1,
-                    Op::Insert(_) => 2,
-                    Op::Scan(..) => 3,
-                };
-                let key = op.key();
+                let (disc, key) = (op_disc(&op), op.key());
+                done += 1;
                 if setup.rdwc && disc <= 1 {
                     if let Some(&lat) = combined.get(&(disc, key)) {
                         // Combined with an in-flight same-key op: the
                         // client pays the same latency, no new traffic.
-                        hist.record(lat);
-                        op_hists[disc as usize].record(lat);
-                        sum_latency += lat;
-                        done += 1;
-                        executed += 1;
+                        agg.record(disc, lat);
                         continue;
                     }
                 }
-                c.set_trace_id(next_trace);
+                let lat = exec_op(c.as_mut(), op, &value, &mut scan_buf, next_trace);
                 next_trace += 1;
-                let t0 = c.clock_ns();
-                match op {
-                    Op::Read(k) => {
-                        let _ = c.search(k);
-                    }
-                    Op::Update(k) => {
-                        let _ = c.update(k, &value).expect("update");
-                    }
-                    Op::Insert(k) => {
-                        c.insert(k, &value).expect("insert");
-                    }
-                    Op::Scan(k, n) => {
-                        scan_buf.clear();
-                        c.scan(k, n, &mut scan_buf);
-                    }
-                }
-                let lat = c.clock_ns() - t0;
-                hist.record(lat);
-                op_hists[disc as usize].record(lat);
-                sum_latency += lat;
+                agg.record(disc, lat);
                 if setup.rdwc && disc <= 1 {
                     combined.insert((disc, key), lat);
                 }
-                done += 1;
-                executed += 1;
             }
         }
         for (i, c) in clients.iter_mut().enumerate() {
-            let d = c.stats().since(&before[i]);
-            total_msgs += d.msgs;
-            total_wire += d.wire_bytes;
-            total_app += d.app_bytes;
-            total_rtts += d.rtts;
-            stats_delta.merge(&d);
-            if let (Some(p), Some(p0)) = (c.profile(), &prof_before[i]) {
-                profile_delta.merge(&p.since(p0));
-            }
-            if let Some(t) = c.telemetry() {
-                let delta = match &telem_before[i] {
-                    Some(prev) => t.series.since(prev),
-                    None => t.series.clone(),
-                };
-                timeline.merge(&delta);
-                flight.push(((cn_id * active_per_cn + i) as u32, t.flight.clone()));
-            }
             let gid = cn_id * active_per_cn + i;
-            if gid < setup.trace_clients {
-                if let Some(tr) = c.take_tracer() {
-                    tracers.push(tr);
-                }
-            }
+            agg.collect(gid as u32, c.as_mut(), &before[i], gid < setup.trace_clients);
         }
     }
-    assemble(
-        setup,
-        dep,
-        Agg {
-            hist,
-            op_hists,
-            profile_delta,
-            total_msgs,
-            total_wire,
-            total_app,
-            total_rtts,
-            sum_latency,
-            executed,
-            stats_delta,
-            sum_busy: 0,
-            qp: None,
-            lanes: Vec::new(),
-            mn_before,
-            cache_before,
-            hotspot_before,
-            router_before,
-            timeline,
-            flight,
-            tracers,
-        },
-    )
+    assemble(setup, dep, agg)
 }
 
 /// Per-lane-index aggregates, merged over every client's lane of that
@@ -562,15 +444,32 @@ struct LaneAgg {
     cq_wait_ns: u64,
 }
 
+/// A handle's cumulative sources at the start of a measured phase.
+/// Deployments are reused across sweep points, so every cumulative source
+/// is snapshotted before and diffed after.
+struct HandleSnap {
+    stats: ClientStats,
+    profile: OpProfile,
+    series: TimeSeries,
+}
+
+impl HandleSnap {
+    fn of(c: &dyn RangeIndex) -> Self {
+        let ep = c.endpoint();
+        HandleSnap {
+            stats: ep.stats().clone(),
+            profile: ep.profile().clone(),
+            series: ep.telemetry().series.clone(),
+        }
+    }
+}
+
 /// Everything a measured loop (serial or pipelined) hands to [`assemble`].
 struct Agg {
     hist: Histogram,
+    /// Per-op-type virtual-latency histograms (read/update/insert/scan).
     op_hists: Vec<LatencyHist>,
     profile_delta: OpProfile,
-    total_msgs: u64,
-    total_wire: u64,
-    total_app: u64,
-    total_rtts: u64,
     sum_latency: u64,
     executed: u64,
     stats_delta: ClientStats,
@@ -592,6 +491,62 @@ struct Agg {
     /// Tracers taken back from the traced clients (empty unless
     /// `trace_clients > 0`).
     tracers: Vec<Tracer>,
+}
+
+impl Agg {
+    /// Empty aggregates, with the deployment-wide cumulative sources
+    /// (per-MN traffic, cache/hotspot/router probes) snapshotted.
+    fn begin(dep: &Deployment) -> Self {
+        Agg {
+            hist: Histogram::new(),
+            op_hists: (0..OP_NAMES.len()).map(|_| LatencyHist::default()).collect(),
+            profile_delta: OpProfile::default(),
+            sum_latency: 0,
+            executed: 0,
+            stats_delta: ClientStats::default(),
+            sum_busy: 0,
+            qp: None,
+            lanes: Vec::new(),
+            mn_before: dep.pool.traffic(),
+            cache_before: dep.cache_probe.iter().map(|p| p()).collect(),
+            hotspot_before: probe_hotspot(dep),
+            router_before: probe_router(dep),
+            timeline: TimeSeries::default(),
+            flight: Vec::new(),
+            tracers: Vec::new(),
+        }
+    }
+
+    /// Records one completed (or RDWC-combined) op of type `disc`.
+    fn record(&mut self, disc: u8, lat: u64) {
+        self.hist.record(lat);
+        self.op_hists[disc as usize].record(lat);
+        self.sum_latency += lat;
+        self.executed += 1;
+    }
+
+    /// Folds handle `id`'s measured-phase deltas in — verb counters, phase
+    /// profile, time series — plus its flight ring and, when `traced`, its
+    /// tracer. Returns the counter and profile deltas.
+    fn collect(
+        &mut self,
+        id: u32,
+        c: &mut dyn RangeIndex,
+        before: &HandleSnap,
+        traced: bool,
+    ) -> (ClientStats, OpProfile) {
+        let ep = c.endpoint();
+        let stats = ep.stats().since(&before.stats);
+        let profile = ep.profile().since(&before.profile);
+        self.stats_delta.merge(&stats);
+        self.profile_delta.merge(&profile);
+        self.timeline.merge(&ep.telemetry().series.since(&before.series));
+        self.flight.push((id, ep.telemetry().flight.clone()));
+        if traced {
+            self.tracers.extend(c.take_tracer());
+        }
+        (stats, profile)
+    }
 }
 
 /// Cumulative routing/migration counters at a point in time. Zeroed (with
@@ -634,27 +589,9 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
     let value = vec![0xCDu8; setup.value_size];
     let num_cns = dep.cns.len();
     let ops_per_cn = setup.ops / num_cns as u64;
-    let mut hist = Histogram::new();
-    let mut op_hists: Vec<LatencyHist> =
-        (0..OP_NAMES.len()).map(|_| LatencyHist::default()).collect();
-    let mut profile_delta = OpProfile::default();
-    let mut total_msgs = 0u64;
-    let mut total_wire = 0u64;
-    let mut total_app = 0u64;
-    let mut total_rtts = 0u64;
-    let mut sum_latency = 0u64;
-    let mut sum_busy = 0u64;
-    let mut executed = 0u64;
-    let mut stats_delta = ClientStats::default();
+    let mut agg = Agg::begin(dep);
+    agg.lanes = vec![LaneAgg::default(); k];
     let mut qp_total = QpStats::default();
-    let mut lanes_agg: Vec<LaneAgg> = vec![LaneAgg::default(); k];
-    let mut timeline = TimeSeries::default();
-    let mut flight: Vec<(u32, FlightRecorder)> = Vec::new();
-    let mut tracers: Vec<Tracer> = Vec::new();
-    let mn_before = dep.pool.traffic();
-    let cache_before: Vec<(u64, u64)> = dep.cache_probe.iter().map(|p| p()).collect();
-    let hotspot_before = probe_hotspot(dep);
-    let router_before = probe_router(dep);
     let net = *dep.pool.net();
     let engine = Engine::new(EngineConfig {
         lanes: k,
@@ -665,36 +602,27 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
         let n_clients = active_per_cn.min(all_clients.len() / k);
         // Lane bodies run on parked coroutine threads, so the active
         // handles move out of the deployment and back in afterwards.
-        let mut slots: Vec<Option<Box<dyn RangeIndex + Send>>> =
+        let mut slots: Vec<Option<Handle>> =
             std::mem::take(all_clients).into_iter().map(Some).collect();
         for ci in 0..n_clients {
             let client_ops = ops_per_cn / n_clients as u64
                 + u64::from((ci as u64) < ops_per_cn % n_clients as u64);
-            let stats_before: Vec<ClientStats> = (0..k)
-                .map(|l| slots[ci * k + l].as_ref().unwrap().stats().clone())
-                .collect();
-            let prof_before: Vec<Option<OpProfile>> = (0..k)
-                .map(|l| slots[ci * k + l].as_ref().unwrap().profile().cloned())
-                .collect();
             // RDWC across the client's lanes: a same-key read/update issued
             // while a lane's identical op is still in flight shares its
             // result (and latency) instead of issuing verbs.
             type Combined = Arc<Mutex<HashMap<(u8, u64), (u64, u64)>>>;
             // What a lane hands back: its client handle, the (op, latency)
-            // samples it measured, its busy time, and its timeline delta.
-            type LaneReturn = (
-                Box<dyn RangeIndex + Send>,
-                Vec<(u8, u64)>,
-                u64,
-                Option<TimeSeries>,
-            );
+            // samples it measured, and its busy time.
+            type LaneReturn = (Handle, Vec<(u8, u64)>, u64);
             let combined: Combined = Arc::new(Mutex::new(HashMap::new()));
             let mut bodies: Vec<LaneBody<LaneReturn>> = Vec::with_capacity(k);
+            let mut before: Vec<HandleSnap> = Vec::with_capacity(k);
             // Logical-client index across CNs; traced clients get one
             // tracer per lane so every lane is its own Perfetto track.
             let gci = cn_id * active_per_cn + ci;
             for l in 0..k {
                 let mut handle = slots[ci * k + l].take().unwrap();
+                before.push(HandleSnap::of(handle.as_ref()));
                 if gci < setup.trace_clients {
                     handle.set_tracer(Tracer::new((gci * k + l) as u32, 1 << 16));
                 }
@@ -714,18 +642,11 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                 let trace_base = ((gci * k + l) as u64 + 1) << 32;
                 bodies.push(Box::new(move || {
                     let t_start = handle.clock_ns();
-                    let telem0 = handle.telemetry().map(|t| t.series.clone());
                     let mut lats: Vec<(u8, u64)> = Vec::with_capacity(lane_ops as usize);
                     let mut scan_buf = Vec::new();
                     for opno in 0..lane_ops {
                         let op = gen.next_op();
-                        let disc = match &op {
-                            Op::Read(_) => 0u8,
-                            Op::Update(_) => 1,
-                            Op::Insert(_) => 2,
-                            Op::Scan(..) => 3,
-                        };
-                        let key = op.key();
+                        let (disc, key) = (op_disc(&op), op.key());
                         if rdwc && disc <= 1 {
                             let now = handle.clock_ns();
                             // chime-lint: allow(async-block): the engine runs exactly one lane at a time, so this cross-lane combining map is uncontended by construction.
@@ -737,24 +658,8 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                                 continue;
                             }
                         }
-                        handle.set_trace_id(trace_base | opno);
-                        let t0 = handle.clock_ns();
-                        match op {
-                            Op::Read(kk) => {
-                                let _ = handle.search(kk);
-                            }
-                            Op::Update(kk) => {
-                                let _ = handle.update(kk, &value).expect("update");
-                            }
-                            Op::Insert(kk) => {
-                                handle.insert(kk, &value).expect("insert");
-                            }
-                            Op::Scan(kk, n) => {
-                                scan_buf.clear();
-                                handle.scan(kk, n, &mut scan_buf);
-                            }
-                        }
-                        let lat = handle.clock_ns() - t0;
+                        let lat =
+                            exec_op(handle.as_mut(), op, &value, &mut scan_buf, trace_base | opno);
                         if rdwc && disc <= 1 {
                             let done = (handle.clock_ns(), lat);
                             // chime-lint: allow(async-block): single-lane-at-a-time engine; see the read-side note above.
@@ -763,89 +668,41 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                         lats.push((disc, lat));
                     }
                     let busy = handle.clock_ns() - t_start;
-                    let telem_delta = handle.telemetry().map(|t| match &telem0 {
-                        Some(prev) => t.series.since(prev),
-                        None => t.series.clone(),
-                    });
-                    (handle, lats, busy, telem_delta)
+                    (handle, lats, busy)
                 }));
             }
             let run = engine.run_client(net, setup.num_mns, bodies);
             qp_total.merge(&run.qp);
             let mut client_busy = 0u64;
             for (l, res) in run.lanes.into_iter().enumerate() {
-                let (mut handle, lats, busy, telem_delta) = match res {
+                let (mut handle, lats, busy) = match res {
                     Ok(v) => v,
                     Err(p) => std::panic::resume_unwind(p),
                 };
                 client_busy = client_busy.max(busy);
-                if let Some(d) = &telem_delta {
-                    timeline.merge(d);
-                }
-                if let Some(t) = handle.telemetry() {
-                    flight.push(((gci * k + l) as u32, t.flight.clone()));
-                }
-                if gci < setup.trace_clients {
-                    if let Some(tr) = handle.take_tracer() {
-                        tracers.push(tr);
-                    }
-                }
                 for &(disc, lat) in &lats {
-                    hist.record(lat);
-                    op_hists[disc as usize].record(lat);
-                    sum_latency += lat;
-                    executed += 1;
+                    agg.record(disc, lat);
                 }
-                let d = handle.stats().since(&stats_before[l]);
-                total_msgs += d.msgs;
-                total_wire += d.wire_bytes;
-                total_app += d.app_bytes;
-                total_rtts += d.rtts;
-                lanes_agg[l].ops += lats.len() as u64;
-                lanes_agg[l].op_retries += d.op_retries;
-                lanes_agg[l].lock_retries += d.lock_retries;
-                stats_delta.merge(&d);
-                if let (Some(p), Some(p0)) = (handle.profile(), &prof_before[l]) {
-                    let dp = p.since(p0);
-                    lanes_agg[l].backoff_ns += dp.phase(Phase::RetryBackoff).ns;
-                    lanes_agg[l].cq_wait_ns += dp.phase(Phase::CqWait).ns;
-                    profile_delta.merge(&dp);
-                }
+                let traced = gci < setup.trace_clients;
+                let id = (gci * k + l) as u32;
+                let (d, dp) = agg.collect(id, handle.as_mut(), &before[l], traced);
+                let lane = &mut agg.lanes[l];
+                lane.ops += lats.len() as u64;
+                lane.op_retries += d.op_retries;
+                lane.lock_retries += d.lock_retries;
+                lane.backoff_ns += dp.phase(Phase::RetryBackoff).ns;
+                lane.cq_wait_ns += dp.phase(Phase::CqWait).ns;
                 slots[ci * k + l] = Some(handle);
             }
-            sum_busy += client_busy;
+            agg.sum_busy += client_busy;
         }
         *all_clients = slots
             .into_iter()
             .map(|s| s.expect("lane handle returned"))
             .collect();
     }
-    assemble(
-        setup,
-        dep,
-        Agg {
-            hist,
-            op_hists,
-            profile_delta,
-            total_msgs,
-            total_wire,
-            total_app,
-            total_rtts,
-            sum_latency,
-            executed,
-            stats_delta,
-            sum_busy,
-            qp: Some(qp_total),
-            lanes: lanes_agg,
-            mn_before,
-            cache_before,
-            hotspot_before,
-            router_before,
-            timeline,
-            flight,
-            tracers,
-        },
-    )
+    agg.qp = Some(qp_total);
+    assemble(setup, dep, agg)
 }
 
 /// Integer histogram → metrics summary (values are counts, not ns; the
@@ -868,10 +725,6 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         hist,
         op_hists,
         profile_delta,
-        total_msgs,
-        total_wire,
-        total_app,
-        total_rtts,
         sum_latency,
         executed,
         stats_delta,
@@ -920,8 +773,8 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         ops: executed,
         clients: setup.clients as u64,
         mns: setup.num_mns as u64,
-        total_msgs: if part_run { pool_msgs } else { total_msgs },
-        total_wire_bytes: if part_run { pool_wire } else { total_wire },
+        total_msgs: if part_run { pool_msgs } else { stats_delta.msgs },
+        total_wire_bytes: if part_run { pool_wire } else { stats_delta.wire_bytes },
         max_mn_msgs,
         max_mn_wire_bytes,
         sum_latency_ns: sum_latency,
@@ -1087,12 +940,8 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         bound: est.bound,
         bytes_per_op: est.bytes_per_op,
         msgs_per_op: est.msgs_per_op,
-        rtts_per_op: total_rtts as f64 / executed as f64,
-        read_amp: if total_app == 0 {
-            0.0
-        } else {
-            total_wire as f64 / total_app as f64
-        },
+        rtts_per_op: stats_delta.rtts as f64 / executed as f64,
+        read_amp: ratio(stats_delta.wire_bytes, stats_delta.app_bytes),
         cache_bytes,
         hotspot_hit_ratio: hit_ratio,
         cache_hit_ratio: ratio(cache_hits, cache_hits + cache_misses),

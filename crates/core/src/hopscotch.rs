@@ -96,6 +96,15 @@ impl Window {
         self.keys[r] == 0
     }
 
+    /// The `(key, value)` pairs held by the covered slots, in window order.
+    pub fn occupied(&self) -> Vec<(u64, Vec<u8>)> {
+        let slots = self.keys.iter().zip(&self.values);
+        slots
+            .filter(|(&k, _)| k != 0)
+            .map(|(&k, v)| (k, v.clone()))
+            .collect()
+    }
+
     /// Absolute indices of the slots modified since the window was filled.
     pub fn dirty_slots(&self) -> Vec<usize> {
         (0..self.len())

@@ -165,6 +165,16 @@ impl LeafOps {
         self
     }
 
+    /// Leaf metadata for this layout: the `(low, high)` fence keys are kept
+    /// only when the layout stores fences (sibling validation disabled).
+    pub fn meta(&self, sibling: GlobalAddr, valid: bool, fences: (u64, u64)) -> LeafMeta {
+        LeafMeta {
+            sibling,
+            valid,
+            fences: self.layout.fences.then_some(fences),
+        }
+    }
+
     fn object_at(&self, l: usize) -> Object {
         let e = self.layout.entry_size();
         let r = self.layout.replica_size();

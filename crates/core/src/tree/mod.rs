@@ -1,0 +1,460 @@
+//! The CHIME tree: search / insert / update / delete / scan.
+//!
+//! A [`Chime`] handle owns the shared description of one remote tree
+//! (geometry, root-pointer slot). Each compute node creates one [`CnState`]
+//! (internal-node cache + hotspot buffer, shared by its clients) and any
+//! number of [`ChimeClient`]s, each with its own verb endpoint.
+//!
+//! The operation protocols follow §4.4 of the paper, including sibling-based
+//! validation with the `argmax_keys` corner case, Sherman-style node splits
+//! with up-propagation, and hotness-aware speculative reads. The client's
+//! methods are split along the phases of an operation — `traverse`, `point`
+//! (search and the write path), `smo` (split / merge), `scan`, `migrate` —
+//! over the phase-frame step helpers in this file, with one definition of
+//! each protocol step (module map: DESIGN.md §3.1).
+
+mod migrate;
+mod point;
+mod scan;
+mod smo;
+mod traverse;
+
+#[cfg(test)]
+mod tests;
+
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
+use dmem::{
+    indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex, RetryCause,
+};
+
+use crate::backoff::Backoff;
+use crate::cache::NodeCache;
+use crate::config::ChimeConfig;
+use crate::hopscotch::Window;
+use crate::hotspot::HotspotBuffer;
+use crate::internal::{InternalNode, InternalOps};
+use crate::layout::{InternalLayout, LeafLayout};
+use crate::leaf::{LeafMeta, LeafOps, LockedRead};
+use crate::lockword::LockWord;
+
+const OP_RETRY_LIMIT: usize = 100_000;
+
+/// Shared description of one remote CHIME tree.
+pub struct Shared {
+    pool: Arc<Pool>,
+    /// The tree configuration.
+    pub cfg: ChimeConfig,
+    root_slot: GlobalAddr,
+    leaf: LeafOps,
+    internal: InternalOps,
+}
+
+/// A handle to a CHIME tree on the memory pool.
+///
+/// # Examples
+///
+/// ```
+/// use chime::{Chime, ChimeConfig};
+/// use dmem::{Pool, RangeIndex};
+///
+/// let pool = Pool::with_defaults(1, 64 << 20);
+/// let tree = Chime::create(&pool, ChimeConfig::default(), 0);
+/// let cn = tree.new_cn();
+/// let mut client = tree.client(&cn);
+/// client.insert(7, b"hello").unwrap();
+/// assert_eq!(client.search(7).unwrap()[..5], *b"hello");
+/// assert!(client.delete(7).unwrap());
+/// ```
+#[derive(Clone)]
+pub struct Chime {
+    shared: Arc<Shared>,
+}
+
+/// Per-compute-node shared state: the internal-node cache and the hotspot
+/// buffer, shared by all clients of that CN.
+pub struct CnState {
+    cache: Mutex<NodeCache>,
+    hotspot: Mutex<HotspotBuffer>,
+    root_hint: Mutex<GlobalAddr>,
+    lock_table: Arc<dmem::LocalLockTable>,
+}
+
+impl CnState {
+    /// Bytes of compute-side memory this CN spends on the index.
+    pub fn cache_bytes(&self) -> u64 {
+        self.cache.lock().bytes() + self.hotspot.lock().bytes()
+    }
+
+    /// `(hits, lookups)` of the hotspot buffer.
+    pub fn hotspot_stats(&self) -> (u64, u64) {
+        self.hotspot.lock().hit_stats()
+    }
+
+    /// `(hits, misses)` of the internal-node cache.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        self.cache.lock().hit_stats()
+    }
+}
+
+/// Per-client operation counters beyond the raw verb statistics.
+#[derive(Debug, Default, Clone)]
+pub struct OpCounters {
+    /// Speculative reads attempted.
+    pub spec_attempts: u64,
+    /// Speculative reads that returned the correct value.
+    pub spec_hits: u64,
+    /// Leaf splits this client performed.
+    pub splits: u64,
+    /// Sibling chases (half-split windows observed).
+    pub chases: u64,
+    /// Leaf merges this client performed.
+    pub merges: u64,
+    /// Compute-side cache invalidations triggered by sibling validation.
+    pub invalidations: u64,
+}
+
+/// One client of a CHIME tree (implements [`RangeIndex`]).
+pub struct ChimeClient {
+    shared: Arc<Shared>,
+    cn: Arc<CnState>,
+    ep: Endpoint,
+    alloc: ChunkAlloc,
+    /// Operation counters.
+    pub counters: OpCounters,
+    /// Backoff state for whole-operation optimistic retries; the conflict
+    /// streak resets at the start of each operation.
+    retry_backoff: Backoff,
+    /// One-shot descent override installed by a migration forwarding
+    /// tombstone: the next traversal starts from this internal node (the
+    /// moved subtree's root) instead of the live root slot.
+    forward: Option<GlobalAddr>,
+}
+
+impl Chime {
+    /// Creates a new empty tree whose root pointer lives in well-known slot
+    /// `slot` of memory node 0.
+    pub fn create(pool: &Arc<Pool>, cfg: ChimeConfig, slot: u64) -> Self {
+        let t = Self::open(pool, cfg, slot);
+        t.bootstrap(ChunkAlloc::with_defaults());
+        t
+    }
+
+    /// Like [`Chime::create`], but every bootstrap allocation is pinned to
+    /// memory node `mn` (partitioned deployments place each partition's
+    /// subtree on its home MN). Uses the simulation-scaled chunk size so a
+    /// fleet of partition trees does not exhaust the pool on reservation.
+    pub fn create_pinned(pool: &Arc<Pool>, cfg: ChimeConfig, slot: u64, mn: u16) -> Self {
+        let t = Self::open(pool, cfg, slot);
+        t.bootstrap(ChunkAlloc::pinned(dmem::alloc::SIM_CHUNK_SIZE, mn));
+        t
+    }
+
+    /// Attaches to an existing tree whose root pointer lives in slot `slot`
+    /// (no bootstrap writes; the creator already published the root).
+    pub fn open(pool: &Arc<Pool>, cfg: ChimeConfig, slot: u64) -> Self {
+        cfg.validate();
+        let leaf = LeafOps::new(leaf_layout(&cfg)).with_lease_spins(cfg.lock_lease_spins);
+        let internal = InternalOps {
+            layout: InternalLayout {
+                span: cfg.internal_span,
+            },
+        };
+        let shared = Arc::new(Shared {
+            pool: Arc::clone(pool),
+            cfg,
+            root_slot: dmem::root_slot(slot),
+            leaf,
+            internal,
+        });
+        Chime { shared }
+    }
+
+    fn bootstrap(&self, mut alloc: ChunkAlloc) {
+        let s = &self.shared;
+        let mut ep = Endpoint::new(Arc::clone(&s.pool));
+        let leaf_addr = alloc
+            .alloc(&mut ep, s.leaf.layout.node_size() as u64)
+            .expect("pool too small for bootstrap");
+        let w = Window::new(s.cfg.span, s.cfg.neighborhood, 0, s.cfg.span);
+        let meta = s.leaf.meta(GlobalAddr::NULL, true, (0, u64::MAX));
+        s.leaf.write_new(&mut ep, leaf_addr, &w, &meta);
+        let root_addr = alloc
+            .alloc(&mut ep, s.internal.layout.node_size() as u64)
+            .expect("pool too small for bootstrap");
+        let root = InternalNode {
+            addr: root_addr,
+            level: 1,
+            valid: true,
+            fence_low: 0,
+            fence_high: u64::MAX,
+            sibling: GlobalAddr::NULL,
+            entries: vec![(0, leaf_addr)],
+            nv: 0,
+        };
+        s.internal.write_new(&mut ep, &root);
+        ep.write(s.root_slot, &root_addr.raw().to_le_bytes());
+    }
+
+    /// Creates the shared state for one compute node.
+    pub fn new_cn(&self) -> Arc<CnState> {
+        Arc::new(CnState {
+            cache: Mutex::new(NodeCache::new(self.shared.cfg.cache_bytes)),
+            hotspot: Mutex::new(HotspotBuffer::new(self.shared.cfg.hotspot_bytes)),
+            root_hint: Mutex::new(GlobalAddr::NULL),
+            lock_table: Arc::new(dmem::LocalLockTable::new()),
+        })
+    }
+
+    /// Creates a client attached to compute node `cn`.
+    pub fn client(&self, cn: &Arc<CnState>) -> ChimeClient {
+        self.client_with_endpoint(cn, Endpoint::new(Arc::clone(&self.shared.pool)))
+    }
+
+    /// Creates a client whose node allocations (splits, indirect values)
+    /// are pinned to memory node `mn` — see [`ChunkAlloc::pinned`].
+    pub fn client_pinned(&self, cn: &Arc<CnState>, mn: u16) -> ChimeClient {
+        let mut c = self.client(cn);
+        c.alloc = ChunkAlloc::pinned(dmem::alloc::SIM_CHUNK_SIZE, mn);
+        c
+    }
+
+    /// Creates a client over a pre-built endpoint (e.g. one wired to a
+    /// [`dmem::FaultSession`] for fault-injection runs).
+    pub fn client_with_endpoint(&self, cn: &Arc<CnState>, mut ep: Endpoint) -> ChimeClient {
+        if self.shared.cfg.trace_events > 0 && ep.tracer().is_none() {
+            ep.set_tracer(dmem::Tracer::new(
+                ep.client_id(),
+                self.shared.cfg.trace_events,
+            ));
+        }
+        let seed = 0xC1BE_u64 ^ ((ep.client_id() as u64) << 32);
+        ChimeClient {
+            shared: Arc::clone(&self.shared),
+            cn: Arc::clone(cn),
+            ep,
+            alloc: ChunkAlloc::sim_scaled(),
+            counters: OpCounters::default(),
+            retry_backoff: Backoff::new(seed),
+            forward: None,
+        }
+    }
+
+    /// Builds a detached [`TreeBinding`] for this tree. `home` pins the
+    /// binding's allocator to that memory node (partitioned deployments);
+    /// `None` round-robins allocations as usual.
+    pub fn binding(&self, cn: &Arc<CnState>, home: Option<u16>) -> TreeBinding {
+        TreeBinding {
+            shared: Arc::clone(&self.shared),
+            cn: Arc::clone(cn),
+            alloc: match home {
+                Some(mn) => ChunkAlloc::pinned(dmem::alloc::SIM_CHUNK_SIZE, mn),
+                None => ChunkAlloc::sim_scaled(),
+            },
+        }
+    }
+}
+
+/// A client's attachment to one tree: the root slot and geometry, the
+/// CN-local cache state, and the allocator that places the tree's new
+/// nodes. A partition router holds one binding per partition and swaps
+/// them through a single [`ChimeClient`] (see [`ChimeClient::rebind`]),
+/// so one endpoint — one clock, one statistics block, one phase profile —
+/// serves the whole key space.
+pub struct TreeBinding {
+    shared: Arc<Shared>,
+    cn: Arc<CnState>,
+    alloc: ChunkAlloc,
+}
+
+/// Derives the leaf geometry from a configuration.
+pub fn leaf_layout(cfg: &ChimeConfig) -> LeafLayout {
+    LeafLayout {
+        span: cfg.span,
+        h: cfg.neighborhood,
+        key_size: cfg.key_size,
+        value_size: if cfg.indirect_values {
+            8
+        } else {
+            cfg.value_size
+        },
+        replication: cfg.metadata_replication,
+        fences: !cfg.sibling_validation,
+        piggyback: cfg.vacancy_piggyback,
+    }
+}
+
+impl ChimeClient {
+    /// Advances this client's virtual clock by `ns`, attributing the time
+    /// to `phase`. The serve layer charges request decode, admission waits,
+    /// backpressure deferrals and response encoding through this, so those
+    /// costs land in the same phase taxonomy (and, under the coroutine
+    /// engine, park the lane like any other virtual-time advance).
+    pub fn advance_phase(&mut self, phase: Phase, ns: u64) {
+        self.in_phase(phase, |me| me.ep.advance_clock(ns));
+    }
+
+    fn leaf(&self) -> LeafOps {
+        self.shared.leaf
+    }
+
+    fn span(&self) -> usize {
+        self.shared.cfg.span
+    }
+
+    fn h(&self) -> usize {
+        self.shared.cfg.neighborhood
+    }
+
+    /// Queues locally for a remote node lock (Sherman's local lock table):
+    /// contending clients of one CN hand the lock over locally instead of
+    /// hammering the MN with CAS retries.
+    fn local_lock(&mut self, addr: GlobalAddr) -> dmem::LocalLockGuard {
+        let table = Arc::clone(&self.cn.lock_table);
+        table.acquire_with(addr.raw(), &mut self.ep)
+    }
+
+    /// Runs `f` with `phase` as the active attribution phase.
+    fn in_phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
+        let fr = self.ep.phase_begin(phase);
+        let r = f(self);
+        self.ep.phase_end(fr);
+        r
+    }
+
+    /// Records a whole-operation optimistic retry attributed to its root
+    /// `cause` and backs off with seeded jitter before the next attempt.
+    fn on_op_conflict(&mut self, cause: RetryCause) {
+        self.ep.note_op_retry(cause);
+        self.in_phase(Phase::RetryBackoff, |me| me.retry_backoff.wait(&mut me.ep));
+    }
+
+    // Step helpers: each owns exactly one phase frame.
+
+    /// Reads the whole leaf under its lock (split prep, delete-of-max, the
+    /// placement fallback).
+    fn read_whole(&mut self, addr: GlobalAddr, word: LockWord) -> LockedRead {
+        self.in_phase(Phase::LeafRead, |me| {
+            me.leaf().read_full_locked(&mut me.ep, addr, word)
+        })
+    }
+
+    /// Writes the dirty part of the window back and releases the leaf lock
+    /// with `word` as the new lock word (vacancy + argmax).
+    fn write_back(&mut self, addr: GlobalAddr, lr: &LockedRead, word: LockWord) {
+        self.in_phase(Phase::WriteBack, |me| {
+            me.leaf()
+                .write_window_and_unlock(&mut me.ep, addr, &lr.w, &lr.evs, lr.nv, &lr.meta, word)
+        });
+    }
+
+    /// Releases leaf locks without writing entries (abort paths); the locks
+    /// go in one frame, in the order given.
+    fn unlock(&mut self, held: &[(GlobalAddr, LockWord)]) {
+        self.in_phase(Phase::WriteBack, |me| {
+            for &(addr, word) in held {
+                me.leaf().unlock(&mut me.ep, addr, word);
+            }
+        });
+    }
+
+    /// Rewrites a whole locked leaf (new content, bumped node version) and
+    /// releases its lock: the publish point of splits, merges and moves.
+    fn rewrite(&mut self, addr: GlobalAddr, w: &Window, nv: u8, meta: &LeafMeta) {
+        self.in_phase(Phase::WriteBack, |me| {
+            me.leaf().rewrite_and_unlock(&mut me.ep, addr, w, nv, meta)
+        });
+    }
+
+    /// Allocates `size` bytes of remote memory for a new node or block.
+    fn alloc_remote(&mut self, size: usize) -> Result<GlobalAddr, IndexError> {
+        Ok(self.in_phase(Phase::WriteBack, |me| {
+            me.alloc.alloc(&mut me.ep, size as u64)
+        })?)
+    }
+
+    /// Reads an internal node from remote memory, bypassing the CN cache.
+    fn read_internal(&mut self, addr: GlobalAddr) -> InternalNode {
+        self.in_phase(Phase::Traversal, |me| {
+            me.shared.internal.read(&mut me.ep, addr)
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Indirect values (§4.5)
+    // ------------------------------------------------------------------
+
+    /// Converts an application value into the stored leaf-entry bytes
+    /// (inline value, or a pointer to a freshly written value block).
+    fn store_value(&mut self, key: u64, value: &[u8]) -> Result<Vec<u8>, IndexError> {
+        let cfg = self.shared.cfg;
+        if !cfg.indirect_values {
+            return Ok(indirect::inline(value, cfg.value_size));
+        }
+        let addr = self.alloc_remote(indirect::block_len(cfg.value_size))?;
+        let block = indirect::encode(key, value, cfg.value_size);
+        self.in_phase(Phase::WriteBack, |me| me.ep.write(addr, &block));
+        Ok(indirect::pointer(addr))
+    }
+
+    /// Converts stored leaf-entry bytes back into the application value.
+    fn resolve_value(&mut self, stored: Vec<u8>) -> Vec<u8> {
+        let cfg = self.shared.cfg;
+        if !cfg.indirect_values {
+            return stored;
+        }
+        self.in_phase(Phase::LeafRead, |me| {
+            indirect::load(&mut me.ep, &stored, cfg.value_size)
+        })
+    }
+}
+
+impl RangeIndex for ChimeClient {
+    fn insert(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
+        let sp = self.ep.span_begin("insert", key);
+        let r = self.insert_impl(key, value);
+        self.ep.span_end(sp, r.is_ok());
+        r
+    }
+
+    fn search(&mut self, key: u64) -> Option<Vec<u8>> {
+        let sp = self.ep.span_begin("search", key);
+        let r = self.search_impl(key);
+        self.ep.span_end(sp, r.is_some());
+        r
+    }
+
+    fn update(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
+        let sp = self.ep.span_begin("update", key);
+        let r = self.update_impl(key, value);
+        self.ep.span_end(sp, matches!(r, Ok(true)));
+        r
+    }
+
+    fn delete(&mut self, key: u64) -> Result<bool, IndexError> {
+        let sp = self.ep.span_begin("delete", key);
+        let r = self.delete_impl(key);
+        self.ep.span_end(sp, matches!(r, Ok(true)));
+        r
+    }
+
+    fn scan(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+        let sp = self.ep.span_begin("scan", start);
+        self.scan_impl(start, count, out);
+        self.ep.span_end(sp, true);
+    }
+
+    fn endpoint(&self) -> &Endpoint {
+        &self.ep
+    }
+
+    fn endpoint_mut(&mut self) -> &mut Endpoint {
+        &mut self.ep
+    }
+
+    fn cache_bytes(&self) -> u64 {
+        self.cn.cache_bytes()
+    }
+}

@@ -1,0 +1,476 @@
+//! Point operations: search, and the write path shared by insert, update
+//! and delete (§4.2/§4.4): masked-CAS lock piggybacking the vacancy bitmap
+//! → window read → ownership check → write-back + unlock.
+
+use dmem::hash::{fingerprint16, home_entry};
+use dmem::{GlobalAddr, IndexError, LocalLockGuard, Phase, RetryCause};
+
+use super::{ChimeClient, OP_RETRY_LIMIT};
+use crate::leaf::LockedRead;
+use crate::lockword::{LockWord, ARGMAX_NONE};
+
+/// Result of a sibling chase: either the operation finished, or the chase hit
+/// an invalidated node and the whole operation must restart from the root.
+enum ChaseOutcome {
+    Done(Option<Vec<u8>>),
+    Restart,
+}
+
+/// What a write wants from the leaf it locks.
+#[derive(Clone, Copy, PartialEq)]
+enum Intent {
+    /// Place a key: read the hop window (the whole leaf without the
+    /// vacancy bitmap, or when the bitmap shows no vacancy).
+    Insert,
+    /// Update or delete a key: read its neighborhood.
+    Modify,
+}
+
+/// The locked leaf that owns the key of a write, with its window read.
+struct Held {
+    addr: GlobalAddr,
+    word: LockWord,
+    lr: LockedRead,
+    /// `lr` is a whole-node read (see [`Intent::Insert`]).
+    whole: bool,
+    /// The CN-local slot for `addr`, held until the write completes.
+    slot: LocalLockGuard,
+}
+
+/// Decides whether the locked leaf still owns `key`; on a half-split it
+/// returns the sibling the caller should move to.
+fn owns_key(key: u64, expected: Option<GlobalAddr>, lr: &LockedRead) -> Option<GlobalAddr> {
+    if let Some((lo, hi)) = lr.meta.fences {
+        // Fence mode: exact ownership.
+        if !dmem::hash::in_range(key, lo, hi) {
+            return Some(lr.meta.sibling);
+        }
+        assert!(key >= lo, "routed below fence_low");
+        return None;
+    }
+    match expected {
+        Some(e) if lr.meta.sibling == e => None,
+        _ if lr.meta.sibling.is_null() => None,
+        _ => match lr.max_key {
+            // Empty node ⇒ no split happened ⇒ routing was valid.
+            None => None,
+            // key <= max is always sound: a split leaves only keys
+            // below the propagated pivot behind, so max < pivot.
+            Some(mx) if key <= mx => None,
+            // key > max: the key is definitely NOT here. Searches,
+            // updates and deletes may chase the chain (presence checks
+            // are sound); inserts must NOT place the key by this
+            // heuristic — deletes can open a gap below the pivot — and
+            // instead re-traverse from a fresh parent (see lock_owner).
+            Some(_) => Some(lr.meta.sibling),
+        },
+    }
+}
+
+impl ChimeClient {
+    // ------------------------------------------------------------------
+    // Search
+    // ------------------------------------------------------------------
+
+    pub(super) fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
+        assert_ne!(key, 0, "key 0 is reserved");
+        self.retry_backoff.reset();
+        let cfg = self.shared.cfg;
+        let fp = fingerprint16(key);
+        for attempt in 0..OP_RETRY_LIMIT {
+            let loc = self.locate_leaf(key);
+            // Hotness-aware speculative read (§4.3).
+            if cfg.speculative_read && cfg.hotspot_bytes > 0 {
+                if let Some(v) = self.try_speculative_read(loc.addr, key, fp) {
+                    return Some(v);
+                }
+            }
+            let r = self.in_phase(Phase::LeafRead, |me| {
+                me.leaf().read_neighborhood(&mut me.ep, loc.addr, key)
+            });
+            if !r.meta.valid {
+                self.on_invalid_leaf(loc.parent, r.meta.sibling, true);
+                continue;
+            }
+            // Fence-key validation path (sibling validation disabled).
+            if let Some((lo, hi)) = r.meta.fences {
+                if key < lo {
+                    self.reroute(loc.parent);
+                    continue;
+                }
+                if !dmem::hash::in_range(key, lo, hi) {
+                    self.counters.chases += 1;
+                    self.cn.cache.lock().invalidate(loc.parent);
+                    let out =
+                        self.in_phase(Phase::Validate, |me| me.chase_fences(r.meta.sibling, key));
+                    return self.finish_chase(out, key);
+                }
+            }
+            if let Some((idx, v)) = r.found {
+                self.ep.note_app_bytes(cfg.value_size as u64 + 8);
+                if cfg.hotspot_bytes > 0 {
+                    self.cn.hotspot.lock().on_access(loc.addr, idx as u16, fp);
+                }
+                return Some(self.resolve_value(v));
+            }
+            if r.meta.fences.is_some() {
+                return None; // fences proved ownership; the key is absent
+            }
+            // Sibling-based validation (§4.2.3).
+            match loc.expected {
+                Some(e) if r.meta.sibling == e => return None,
+                None if r.meta.sibling.is_null() => return None,
+                _ => {
+                    if loc.via_cache && attempt == 0 {
+                        // Cache validation: refresh the parent and retry.
+                        self.counters.invalidations += 1;
+                        self.cn.cache.lock().invalidate(loc.parent);
+                        self.on_op_conflict(RetryCause::StaleSibling);
+                        continue;
+                    }
+                    // Half-split window: chase the sibling chain.
+                    self.counters.chases += 1;
+                    let out = self.in_phase(Phase::Validate, |me| me.chase(loc.addr, key));
+                    return self.finish_chase(out, key);
+                }
+            }
+        }
+        panic!("search retry limit for key {key}");
+    }
+
+    /// Ends a search on its chase result. A restart re-runs the whole
+    /// operation outside the validate phase, so it is attributed to its
+    /// own phases.
+    fn finish_chase(&mut self, out: ChaseOutcome, key: u64) -> Option<Vec<u8>> {
+        match out {
+            ChaseOutcome::Done(v) => v,
+            ChaseOutcome::Restart => self.search_impl(key),
+        }
+    }
+
+    /// Reads the slot the hotspot buffer predicts for `key`, if any,
+    /// directly (the speculative read), returning the value on a hit.
+    fn try_speculative_read(&mut self, addr: GlobalAddr, key: u64, fp: u16) -> Option<Vec<u8>> {
+        let (span, h) = (self.span(), self.h());
+        let home = home_entry(key, span);
+        let nbh = (0..h).map(|d| ((home + d) % span) as u16);
+        let idx = self.cn.hotspot.lock().lookup(addr, nbh, fp)?;
+        self.in_phase(Phase::SpeculativeRead, |me| {
+            me.counters.spec_attempts += 1;
+            let v = me.leaf().spec_read(&mut me.ep, addr, idx as usize, key)?;
+            me.counters.spec_hits += 1;
+            me.ep.note_app_bytes(me.shared.cfg.value_size as u64 + 8);
+            me.cn.hotspot.lock().on_access(addr, idx, fp);
+            Some(me.resolve_value(v))
+        })
+    }
+
+    /// Sibling chase with whole-node reads (sibling-validation mode).
+    fn chase(&mut self, mut addr: GlobalAddr, key: u64) -> ChaseOutcome {
+        for _ in 0..OP_RETRY_LIMIT {
+            let snap = self.leaf().read_full(&mut self.ep, addr);
+            if !snap.meta.valid {
+                return ChaseOutcome::Restart;
+            }
+            if let Some((_, v)) = snap.find(key, self.h()) {
+                let v = v.to_vec();
+                return ChaseOutcome::Done(Some(self.resolve_value(v)));
+            }
+            match snap.max_key() {
+                Some(mx) if mx >= key => return ChaseOutcome::Done(None),
+                _ => {}
+            }
+            if snap.meta.sibling.is_null() {
+                return ChaseOutcome::Done(None);
+            }
+            addr = snap.meta.sibling;
+        }
+        panic!("chase retry limit for key {key}");
+    }
+
+    /// Sibling chase guided by fence keys (fence mode).
+    fn chase_fences(&mut self, mut addr: GlobalAddr, key: u64) -> ChaseOutcome {
+        for _ in 0..OP_RETRY_LIMIT {
+            if addr.is_null() {
+                return ChaseOutcome::Done(None);
+            }
+            let r = self.leaf().read_neighborhood(&mut self.ep, addr, key);
+            if !r.meta.valid {
+                return ChaseOutcome::Restart;
+            }
+            let (lo, hi) = r.meta.fences.expect("fence mode");
+            if key < lo {
+                return ChaseOutcome::Restart;
+            }
+            if !dmem::hash::in_range(key, lo, hi) {
+                addr = r.meta.sibling;
+                continue;
+            }
+            let v = r.found.map(|(_, v)| v).map(|v| self.resolve_value(v));
+            return ChaseOutcome::Done(v);
+        }
+        panic!("fence chase retry limit for key {key}");
+    }
+
+    // ------------------------------------------------------------------
+    // Writes
+    // ------------------------------------------------------------------
+
+    /// The preamble of every write: locates the leaf for `key`, queues on
+    /// its CN-local slot, locks it, reads the window `intent` needs and
+    /// checks that the leaf is live and still owns `key` — retrying until
+    /// it does. `None` means the key's chain ended: it is in no leaf.
+    ///
+    /// On an ownership miss, updates and deletes detour to the sibling
+    /// (presence checks along the chain are sound). Inserts do that only
+    /// under fence keys; under sibling validation they must not trust the
+    /// rightward heuristic (unsound under deletes) — they drop the cached
+    /// parent and re-traverse until the pending split has propagated.
+    fn lock_owner(&mut self, key: u64, home: usize, intent: Intent) -> Option<Held> {
+        let piggyback = self.shared.cfg.vacancy_piggyback;
+        let mut detour: Option<GlobalAddr> = None;
+        for _ in 0..OP_RETRY_LIMIT {
+            let (addr, expected, parent) = match detour.take() {
+                Some(a) => (a, None, GlobalAddr::NULL),
+                None => {
+                    let loc = self.locate_leaf(key);
+                    (loc.addr, loc.expected, loc.parent)
+                }
+            };
+            let slot = self.local_lock(addr);
+            let word = self.in_phase(Phase::LockAcquire, |me| {
+                if piggyback {
+                    me.leaf().lock(&mut me.ep, addr)
+                } else {
+                    me.leaf().lock_plain(&mut me.ep, addr)
+                }
+            });
+            let (lr, whole) = match intent {
+                Intent::Modify => {
+                    let lr = self.in_phase(Phase::LeafRead, |me| {
+                        me.leaf().read_nbh_window(&mut me.ep, addr, home, word)
+                    });
+                    (lr, false)
+                }
+                // Without the vacancy bitmap the insert cannot identify the
+                // hop range remotely: fetch the entire leaf (the paper's
+                // pre-piggybacking baseline).
+                Intent::Insert if !piggyback => (self.read_whole(addr, word), true),
+                Intent::Insert => {
+                    let hop = self.in_phase(Phase::LeafRead, |me| {
+                        me.leaf().read_hop_window(&mut me.ep, addr, home, word)
+                    });
+                    match hop {
+                        Some(lr) => (lr, false),
+                        // Vacancy bitmap shows a full node: read everything.
+                        None => (self.read_whole(addr, word), true),
+                    }
+                }
+            };
+            if !lr.meta.valid {
+                // The leaf was merged away or migrated: drop the stale route.
+                self.unlock(&[(addr, word)]);
+                self.on_invalid_leaf(parent, lr.meta.sibling, intent == Intent::Modify);
+                continue;
+            }
+            let Some(next) = owns_key(key, expected, &lr) else {
+                return Some(Held {
+                    addr,
+                    word,
+                    lr,
+                    whole,
+                    slot,
+                });
+            };
+            self.counters.chases += 1;
+            self.unlock(&[(addr, word)]);
+            match intent {
+                Intent::Modify if next.is_null() => return None,
+                Intent::Modify => detour = Some(next),
+                Intent::Insert if lr.meta.fences.is_some() => detour = Some(next),
+                Intent::Insert => {
+                    self.cn.cache.lock().invalidate(parent);
+                    self.refresh_root();
+                }
+            }
+            self.on_op_conflict(RetryCause::StaleSibling);
+        }
+        panic!("write retry limit for key {key}");
+    }
+
+    pub(super) fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
+        assert_ne!(key, 0, "key 0 is reserved");
+        self.retry_backoff.reset();
+        let stored = self.store_value(key, value)?;
+        let home = home_entry(key, self.span());
+        for _ in 0..OP_RETRY_LIMIT {
+            let held = self
+                .lock_owner(key, home, Intent::Insert)
+                .expect("inserts re-traverse instead of running off the chain");
+            if held.whole && self.shared.cfg.vacancy_piggyback {
+                // The vacancy bitmap showed a full node: split, then retry.
+                self.split_leaf(held.addr, held.lr)?;
+            } else if self.place(held, key, home, &stored)? {
+                return Ok(());
+            }
+        }
+        panic!("insert retry limit for key {key}");
+    }
+
+    /// Places `key` into the locked window and writes it back; `Ok(false)`
+    /// means the leaf was split instead (and unlocked) and the insert must
+    /// retry. A hop window that cannot take the key falls back to the whole
+    /// node before deciding to split.
+    fn place(
+        &mut self,
+        mut held: Held,
+        key: u64,
+        home: usize,
+        stored: &[u8],
+    ) -> Result<bool, IndexError> {
+        let (addr, word, span) = (held.addr, held.word, self.span());
+        let w = &mut held.lr.w;
+        // Duplicate: update in place.
+        if let Some(pos) = w.find_in_neighborhood(key) {
+            w.set_value(pos, stored.to_vec());
+            self.write_back(addr, &held.lr, word);
+            return Ok(true);
+        }
+        // The true first empty slot at/after home in the window.
+        let empty = if held.whole {
+            (0..span)
+                .map(|d| (home + d) % span)
+                .find(|&i| w.slot_empty(i))
+        } else {
+            w.first_empty_from(home)
+        };
+        if let Some(empty) = empty {
+            if let Ok(pos) = w.insert(key, stored.to_vec(), empty) {
+                let new_word = self.word_after_insert(&held.lr, word, key, pos, empty);
+                self.write_back(addr, &held.lr, new_word);
+                return Ok(true);
+            }
+        } else if !held.whole {
+            // The vacant group's empties sat before `home` (conservative
+            // bitmap): fall back to a full-node window.
+            held.lr = self.read_whole(addr, word);
+            held.whole = true;
+            return self.place(held, key, home, stored);
+        }
+        // No room, or no feasible hopping: split the whole node.
+        if !held.whole {
+            held.lr = self.read_whole(addr, word);
+        }
+        self.split_leaf(addr, held.lr)?;
+        Ok(false)
+    }
+
+    /// Computes the post-insert lock word (vacancy + argmax).
+    fn word_after_insert(
+        &self,
+        lr: &LockedRead,
+        word: LockWord,
+        key: u64,
+        pos: usize,
+        empty: usize,
+    ) -> LockWord {
+        let w = &lr.w;
+        let vm = self.leaf().vm;
+        // Only `empty`'s occupancy changed; recompute its group exactly.
+        let g = vm.group_of(empty);
+        let (gs, ge) = vm.group_range(g);
+        let any_empty = (gs..=ge).any(|i| w.rel(i).map(|_| w.slot_empty(i)).unwrap_or(false));
+        let mut new_word = word.with_vacancy_bit(g, any_empty);
+        // Track the maximum key's position.
+        let new_max = match lr.max_key {
+            None => Some(pos),
+            Some(mx) if key > mx => Some(pos),
+            Some(mx) => {
+                // The old max may have been hopped to a new slot.
+                let old_am = word.argmax() as usize % self.span();
+                if w.rel(old_am).is_some() && w.slot(old_am).0 != mx {
+                    Some(
+                        (0..self.span())
+                            .filter(|&i| w.rel(i).is_some())
+                            .find(|&i| w.slot(i).0 == mx)
+                            .expect("max key vanished during hop"),
+                    )
+                } else {
+                    None
+                }
+            }
+        };
+        if let Some(am) = new_max {
+            new_word = new_word.with_argmax(am as u16);
+        }
+        new_word
+    }
+
+    pub(super) fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
+        assert_ne!(key, 0, "key 0 is reserved");
+        self.retry_backoff.reset();
+        let stored = self.store_value(key, value)?;
+        let home = home_entry(key, self.span());
+        let Some(mut held) = self.lock_owner(key, home, Intent::Modify) else {
+            return Ok(false);
+        };
+        let Some(pos) = held.lr.w.find_in_neighborhood(key) else {
+            self.unlock(&[(held.addr, held.word)]);
+            return Ok(false);
+        };
+        held.lr.w.set_value(pos, stored);
+        self.write_back(held.addr, &held.lr, held.word);
+        Ok(true)
+    }
+
+    pub(super) fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
+        assert_ne!(key, 0, "key 0 is reserved");
+        self.retry_backoff.reset();
+        let span = self.span();
+        let home = home_entry(key, span);
+        let Some(Held {
+            addr,
+            word,
+            mut lr,
+            slot,
+            ..
+        }) = self.lock_owner(key, home, Intent::Modify)
+        else {
+            return Ok(false);
+        };
+        if lr.w.find_in_neighborhood(key).is_none() {
+            self.unlock(&[(addr, word)]);
+            return Ok(false);
+        }
+        // Deleting the maximum key requires recomputing argmax from the
+        // whole node.
+        let deleting_max = lr.max_key == Some(key);
+        if deleting_max {
+            lr = self.read_whole(addr, word);
+        }
+        let pos =
+            lr.w.find_in_neighborhood(key)
+                .expect("key vanished under lock");
+        lr.w.remove(pos);
+        let vm = self.leaf().vm;
+        let mut new_word = word.with_vacancy_bit(vm.group_of(pos), true);
+        let left = || (0..span).filter(|&i| !lr.w.slot_empty(i));
+        if deleting_max {
+            let am = left().max_by_key(|&i| lr.w.slot(i).0);
+            new_word = new_word.with_argmax(am.map(|i| i as u16).unwrap_or(ARGMAX_NONE));
+        }
+        // Underflow check (§4.4 Delete): when the whole node was in
+        // hand and it dropped below a quarter full, attempt a merge
+        // with the right sibling after the delete completes.
+        let underflow = deleting_max && left().count() <= span / 4;
+        self.write_back(addr, &lr, new_word);
+        if underflow {
+            // Best-effort merge; drop the local guard first so the
+            // merge can take locks in parent-first order.
+            drop(slot);
+            let probe = left().map(|i| lr.w.slot(i).0).next().unwrap_or(key);
+            self.try_merge(addr, probe);
+        }
+        Ok(true)
+    }
+}

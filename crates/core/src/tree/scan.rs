@@ -1,0 +1,280 @@
+//! Range scan over the leaf level, and the whole-tree integrity walk.
+
+use dmem::{GlobalAddr, Phase};
+
+use super::{ChimeClient, OP_RETRY_LIMIT};
+use crate::internal::InternalNode;
+use crate::leaf::LeafSnapshot;
+use crate::lockword::ARGMAX_NONE;
+
+/// Max split-off leaves a scan will bridge via sibling pointers between two
+/// consecutive parent entries before declaring the parent view stale.
+const SCAN_BRIDGE_LIMIT: usize = 64;
+
+/// `(key, stored value)` rows gathered by a scan attempt, unsorted.
+type Rows = Vec<(u64, Vec<u8>)>;
+
+/// Appends `leaf`'s rows with keys `>= start`.
+fn gather(rows: &mut Rows, leaf: &LeafSnapshot, start: u64) {
+    rows.extend(leaf.items().into_iter().filter(|&(k, _)| k >= start));
+}
+
+impl ChimeClient {
+    pub(super) fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+        assert_ne!(start, 0, "key 0 is reserved");
+        if count == 0 {
+            return;
+        }
+        self.retry_backoff.reset();
+        for _ in 0..OP_RETRY_LIMIT {
+            let mut parent = self.locate_parent(start);
+            let mut rows = Rows::new();
+            if self.scan_from(&mut parent, start, count, &mut rows) {
+                rows.sort_by_key(|&(k, _)| k);
+                rows.truncate(count);
+                for (k, v) in rows {
+                    let v = self.resolve_value(v);
+                    out.push((k, v));
+                }
+                return;
+            }
+            // The parent view proved stale (a retired leaf, or a sibling
+            // chain that does not reconnect): drop it and start over.
+            self.counters.invalidations += 1;
+            self.reroute(parent.addr);
+        }
+        panic!("scan retry limit from key {start}");
+    }
+
+    /// One pass over the leaf level: batch-reads the children of `parent`
+    /// and of its right siblings (advancing `parent`), following the leaf
+    /// sibling chain wherever it runs ahead of the parents. Returns `false`
+    /// when the current `parent` no longer matches the leaf level.
+    fn scan_from(
+        &mut self,
+        parent: &mut InternalNode,
+        start: u64,
+        count: usize,
+        rows: &mut Rows,
+    ) -> bool {
+        let per_leaf = (self.span() * 3) / 4; // load-factor estimate
+        let mut idx = match parent.entries.binary_search_by_key(&start, |e| e.0) {
+            Ok(i) => i,
+            Err(0) => 0,
+            Err(i) => i - 1,
+        };
+        // Right sibling of the previously consumed leaf: every further
+        // leaf must continue this chain. A half-split leaf may be linked
+        // in the chain before its pivot reaches the parent (B-link), so
+        // a gap is bridged by walking the sibling pointers; only a chain
+        // that cannot reconnect means the parent view is stale.
+        let mut chain: Option<GlobalAddr> = None;
+        loop {
+            // Batch-read the next group of candidate leaves in one RTT.
+            let need = count.saturating_sub(rows.len());
+            let take = need
+                .div_ceil(per_leaf)
+                .max(1)
+                .min(parent.entries.len() - idx);
+            let addrs: Vec<GlobalAddr> = parent.entries[idx..idx + take]
+                .iter()
+                .map(|e| e.1)
+                .collect();
+            let snaps = self.in_phase(Phase::LeafRead, |me| {
+                me.leaf().read_full_batch(&mut me.ep, &addrs)
+            });
+            for (snap, &addr) in snaps.iter().zip(&addrs) {
+                if !snap.meta.valid {
+                    return false; // deprecated leaf
+                }
+                // Bridge split-off leaves the parent does not know yet.
+                if !chain.is_none_or(|c| self.walk_chain(c, Some(addr), start, count, rows)) {
+                    return false;
+                }
+                chain = Some(snap.meta.sibling);
+                gather(rows, snap, start);
+            }
+            idx += take;
+            if rows.len() >= count {
+                return true;
+            }
+            if idx >= parent.entries.len() {
+                if parent.sibling.is_null() {
+                    // Drain trailing split-off leaves past the parent's
+                    // last known child before concluding the tree ends.
+                    let c = chain.unwrap_or(GlobalAddr::NULL);
+                    return self.walk_chain(c, None, start, count, rows);
+                }
+                let next = self.read_internal(parent.sibling);
+                if !next.valid {
+                    return false;
+                }
+                *parent = next;
+                idx = 0;
+            }
+        }
+    }
+
+    /// Walks the leaf sibling chain from `c`, one leaf per round trip.
+    /// With a `target` (the parent's next known child) the walk bridges
+    /// the gap up to it and a chain that ends first is stale; without one
+    /// it drains the tail until the chain ends or `count` rows are in hand.
+    /// A chain that wanders past the bridge limit is stale either way
+    /// (`false`).
+    fn walk_chain(
+        &mut self,
+        mut c: GlobalAddr,
+        target: Option<GlobalAddr>,
+        start: u64,
+        count: usize,
+        rows: &mut Rows,
+    ) -> bool {
+        for hops in 0.. {
+            let arrived = match target {
+                Some(t) => c == t,
+                None => c.is_null() || rows.len() >= count,
+            };
+            if arrived {
+                break;
+            }
+            if c.is_null() || hops >= SCAN_BRIDGE_LIMIT {
+                return false;
+            }
+            let leaf = self.in_phase(Phase::ScanChain, |me| {
+                me.leaf().read_full_batch(&mut me.ep, &[c]).swap_remove(0)
+            });
+            if !leaf.meta.valid {
+                return false;
+            }
+            gather(rows, &leaf, start);
+            c = leaf.meta.sibling;
+        }
+        true
+    }
+
+    /// Walks the whole remote tree and verifies its structural invariants
+    /// (test/debug aid; issues many READs):
+    ///
+    /// * internal fences tile the key space and children respect pivots;
+    /// * the leaf sibling chain is reachable left-to-right with strictly
+    ///   ascending key ranges and no duplicates;
+    /// * every leaf satisfies the hopscotch bitmap/occupancy bijection
+    ///   (checked by the validated read itself);
+    /// * the lock word's argmax names the true maximum key.
+    ///
+    /// Returns the total number of keys, or a description of the first
+    /// violation.
+    pub fn check_integrity(&mut self) -> Result<u64, String> {
+        let root = self.refresh_root();
+        let node = self.shared.internal.read(&mut self.ep, root);
+        if node.fence_low != 0 || node.fence_high != u64::MAX {
+            return Err(format!(
+                "root fences not unbounded: [{}, {}]",
+                node.fence_low, node.fence_high
+            ));
+        }
+        let leftmost_leaf = self.check_internal_level(&node)?;
+        // Walk the leaf chain.
+        let mut addr = leftmost_leaf;
+        let mut prev_max: Option<u64> = None;
+        let mut total = 0u64;
+        let mut seen = std::collections::HashSet::new();
+        while !addr.is_null() {
+            if !seen.insert(addr.raw()) {
+                return Err(format!("leaf chain cycle at {addr:?}"));
+            }
+            let snap = self.leaf().read_full(&mut self.ep, addr);
+            if !snap.meta.valid {
+                return Err(format!("invalid leaf {addr:?} in chain"));
+            }
+            let keys: Vec<u64> = snap.keys.iter().copied().filter(|&k| k != 0).collect();
+            if let (Some(pmax), Some(&min)) = (prev_max, keys.iter().min()) {
+                if min <= pmax {
+                    return Err(format!(
+                        "leaf {addr:?} min {min} <= previous leaf max {pmax}"
+                    ));
+                }
+            }
+            // argmax in the lock word must name the true maximum. A leaf
+            // with keys is re-read under the lock (the snapshot may have
+            // raced a writer).
+            let true_max = keys.iter().max().copied();
+            let _lk = self.local_lock(addr);
+            let word = self.leaf().lock(&mut self.ep, addr);
+            let named = word.argmax() != ARGMAX_NONE;
+            let locked_max = match true_max {
+                Some(_) if named => self.read_whole(addr, word).max_key,
+                _ => None,
+            };
+            self.unlock(&[(addr, word)]);
+            match true_max {
+                Some(mx) if named && locked_max.is_none() => {
+                    return Err(format!("leaf {addr:?} argmax empty but max {mx}"));
+                }
+                mx if mx.is_some() != named => {
+                    let am = word.argmax();
+                    return Err(format!("leaf {addr:?} argmax {am} vs max {mx:?}"));
+                }
+                _ => {}
+            }
+            prev_max = true_max.or(prev_max);
+            total += keys.len() as u64;
+            addr = snap.meta.sibling;
+        }
+        Ok(total)
+    }
+
+    /// Recursively checks one internal node and its subtree; returns the
+    /// leftmost leaf address under it.
+    fn check_internal_level(&mut self, node: &InternalNode) -> Result<GlobalAddr, String> {
+        if node.entries.is_empty() {
+            return Err(format!("internal {:?} has no entries", node.addr));
+        }
+        if node.entries[0].0 != node.fence_low {
+            return Err(format!(
+                "internal {:?} first pivot {} != fence_low {}",
+                node.addr, node.entries[0].0, node.fence_low
+            ));
+        }
+        for w in node.entries.windows(2) {
+            if w[0].0 >= w[1].0 {
+                return Err(format!("internal {:?} pivots not ascending", node.addr));
+            }
+        }
+        if node.level == 1 {
+            return Ok(node.entries[0].1);
+        }
+        let mut leftmost = GlobalAddr::NULL;
+        for (i, &(pivot, child)) in node.entries.iter().enumerate() {
+            let c = self.shared.internal.read(&mut self.ep, child);
+            if c.level != node.level - 1 {
+                return Err(format!(
+                    "child {child:?} level {} under level {}",
+                    c.level, node.level
+                ));
+            }
+            if c.fence_low != pivot {
+                return Err(format!(
+                    "child {child:?} fence_low {} != pivot {pivot}",
+                    c.fence_low
+                ));
+            }
+            let hi = node
+                .entries
+                .get(i + 1)
+                .map(|e| e.0)
+                .unwrap_or(node.fence_high);
+            if c.fence_high > hi && (hi != u64::MAX) {
+                return Err(format!(
+                    "child {child:?} fence_high {} beyond parent bound {hi}",
+                    c.fence_high
+                ));
+            }
+            let lm = self.check_internal_level(&c)?;
+            if i == 0 {
+                leftmost = lm;
+            }
+        }
+        Ok(leftmost)
+    }
+}

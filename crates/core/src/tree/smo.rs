@@ -1,0 +1,290 @@
+//! Structure-modifying operations: leaf split with pivot up-propagation
+//! (Sherman's Steps 1–3), internal split / root growth, and leaf merge.
+
+use dmem::{GlobalAddr, IndexError, Phase, RetryCause};
+
+use super::{ChimeClient, OP_RETRY_LIMIT};
+use crate::hopscotch::{build_table, Window};
+use crate::internal::InternalNode;
+use crate::leaf::LockedRead;
+
+/// One built leaf chunk: its hopscotch window plus the items it holds.
+type Chunk = (Window, Vec<(u64, Vec<u8>)>);
+
+/// Recursively builds hopscotch tables for `items`, splitting chunks that
+/// do not fit. Returns `(window, sorted items)` per chunk, in key order.
+fn build_chunks(span: usize, h: usize, items: &[(u64, Vec<u8>)]) -> Vec<Chunk> {
+    if let Some(w) = build_table(span, h, items) {
+        return vec![(w, items.to_vec())];
+    }
+    assert!(items.len() >= 2, "cannot split a single unfittable item");
+    let mid = items.len() / 2;
+    let mut out = build_chunks(span, h, &items[..mid]);
+    out.extend(build_chunks(span, h, &items[mid..]));
+    out
+}
+
+impl ChimeClient {
+    /// Releases an internal node's lock without writing it (abort paths).
+    fn unlock_internal(&mut self, addr: GlobalAddr) {
+        self.in_phase(Phase::WriteBack, |me| {
+            me.shared.internal.unlock(&mut me.ep, addr)
+        });
+    }
+
+    /// Allocates and writes a fresh internal node; returns its address.
+    fn new_internal(
+        &mut self,
+        level: u8,
+        (fence_low, fence_high): (u64, u64),
+        sibling: GlobalAddr,
+        entries: Vec<(u64, GlobalAddr)>,
+    ) -> Result<GlobalAddr, IndexError> {
+        let node = InternalNode {
+            addr: self.alloc_remote(self.shared.internal.layout.node_size())?,
+            level,
+            valid: true,
+            fence_low,
+            fence_high,
+            sibling,
+            entries,
+            nv: 0,
+        };
+        self.in_phase(Phase::WriteBack, |me| {
+            me.shared.internal.write_new(&mut me.ep, &node)
+        });
+        Ok(node.addr)
+    }
+
+    /// Splits the locked leaf `addr` (whose full content is in `lr`),
+    /// releases its lock and up-propagates the new pivots.
+    pub(super) fn split_leaf(
+        &mut self,
+        addr: GlobalAddr,
+        lr: LockedRead,
+    ) -> Result<(), IndexError> {
+        self.counters.splits += 1;
+        let cfg = self.shared.cfg;
+        let mut items = lr.w.occupied();
+        items.sort_by_key(|&(k, _)| k);
+        assert!(items.len() >= 2, "splitting a near-empty node");
+        let mid = items.len() / 2;
+        // Build chains (usually exactly one chunk per half).
+        let chunks = {
+            let mut c = build_chunks(cfg.span, cfg.neighborhood, &items[..mid]);
+            c.extend(build_chunks(cfg.span, cfg.neighborhood, &items[mid..]));
+            c
+        };
+        assert!(chunks.len() >= 2);
+        // Boundary pivots: max of previous chunk + 1 (argmax-corner rule).
+        let mut pivots = Vec::with_capacity(chunks.len());
+        pivots.push(0u64); // unused for chunk 0 (keeps the old low bound)
+        for pair in chunks.windows(2) {
+            let prev_max = pair[0].1.last().expect("chunk cannot be empty").0;
+            pivots.push(prev_max + 1);
+        }
+        // Allocate the new nodes (all but chunk 0, which reuses `addr`).
+        let node_size = self.leaf().layout.node_size();
+        let mut addrs = vec![addr];
+        for _ in 1..chunks.len() {
+            addrs.push(self.alloc_remote(node_size)?);
+        }
+        let (old_lo, old_hi) = lr.meta.fences.unwrap_or((0, u64::MAX));
+        // Write new nodes right-to-left so each points at an already
+        // written sibling; the old node is rewritten last (publish point).
+        for i in (1..chunks.len()).rev() {
+            let (sibling, hi) = match addrs.get(i + 1) {
+                Some(&next) => (next, pivots[i + 1]),
+                None => (lr.meta.sibling, old_hi),
+            };
+            let meta = self.leaf().meta(sibling, true, (pivots[i], hi));
+            self.in_phase(Phase::WriteBack, |me| {
+                me.leaf()
+                    .write_new(&mut me.ep, addrs[i], &chunks[i].0, &meta)
+            });
+        }
+        let meta0 = self.leaf().meta(addrs[1], true, (old_lo, pivots[1]));
+        self.rewrite(addr, &chunks[0].0, lr.nv, &meta0);
+        // Up-propagate every new pivot.
+        for i in 1..chunks.len() {
+            self.insert_into_parent(1, pivots[i], addrs[i])?;
+        }
+        Ok(())
+    }
+
+    /// Reads down from the live root to the valid node at `level` covering
+    /// `pivot` (uncached: the authoritative copies are about to change).
+    /// `None` when the walk raced a root growth or fell off a stale route.
+    fn find_at_level(&mut self, root: GlobalAddr, level: u8, pivot: u64) -> Option<InternalNode> {
+        let mut node = self.read_internal(root);
+        if node.level < level {
+            return None; // racing root growth; re-read the slot
+        }
+        // Descend to `level`, then move laterally there.
+        while node.level > level || (node.valid && !node.covers(pivot)) {
+            let next = if node.covers(pivot) {
+                node.select(pivot).0
+            } else if pivot >= node.fence_high && !node.sibling.is_null() {
+                node.sibling
+            } else {
+                return None;
+            };
+            node = self.read_internal(next);
+        }
+        (node.valid && node.level == level).then_some(node)
+    }
+
+    /// Inserts `(pivot, child)` into the internal node at `level` covering
+    /// `pivot`, splitting upward as needed (Sherman's Steps 1–3).
+    fn insert_into_parent(
+        &mut self,
+        level: u8,
+        pivot: u64,
+        child: GlobalAddr,
+    ) -> Result<(), IndexError> {
+        for _ in 0..OP_RETRY_LIMIT {
+            let root_addr = self.refresh_root();
+            let Some(node) = self.find_at_level(root_addr, level, pivot) else {
+                continue;
+            };
+            // Lock and re-read the authoritative copy.
+            let addr = node.addr;
+            let _lk = self.local_lock(addr);
+            self.in_phase(Phase::LockAcquire, |me| {
+                me.shared.internal.lock(&mut me.ep, addr)
+            });
+            let mut fresh = self.read_internal(addr);
+            if !fresh.valid || !fresh.covers(pivot) {
+                self.unlock_internal(addr);
+                self.on_op_conflict(RetryCause::StaleRoute);
+                continue;
+            }
+            match fresh.entries.binary_search_by_key(&pivot, |e| e.0) {
+                Ok(i) => {
+                    // Idempotent re-insert of the same pivot.
+                    assert_eq!(fresh.entries[i].1, child, "pivot collision");
+                    self.unlock_internal(addr);
+                    return Ok(());
+                }
+                Err(i) if fresh.entries.len() < self.shared.cfg.internal_span => {
+                    fresh.entries.insert(i, (pivot, child));
+                    // Deliberately frameless: this write-back has always
+                    // been attributed to the ambient phase.
+                    self.shared.internal.write_and_unlock(&mut self.ep, &fresh);
+                    self.cn.cache.lock().invalidate(addr);
+                    return Ok(());
+                }
+                // Node full: split it (unlocks), then retry this insert.
+                Err(_) => self.split_internal(&mut fresh, root_addr)?,
+            }
+        }
+        panic!("insert_into_parent retry limit (pivot {pivot})");
+    }
+
+    /// Splits a locked, full internal node and up-propagates (or grows a
+    /// new root). Leaves the node unlocked.
+    fn split_internal(
+        &mut self,
+        node: &mut InternalNode,
+        root_addr: GlobalAddr,
+    ) -> Result<(), IndexError> {
+        let mid = node.entries.len() / 2;
+        let split_key = node.entries[mid].0;
+        let upper: Vec<_> = node.entries.split_off(mid);
+        let fences = (split_key, node.fence_high);
+        let new_addr = self.new_internal(node.level, fences, node.sibling, upper)?;
+        node.fence_high = split_key;
+        node.sibling = new_addr;
+        self.in_phase(Phase::WriteBack, |me| {
+            me.shared.internal.write_and_unlock(&mut me.ep, node)
+        });
+        self.cn.cache.lock().invalidate(node.addr);
+        if node.addr == root_addr {
+            // Grow a new root.
+            let entries = vec![(node.fence_low, node.addr), (split_key, new_addr)];
+            let new_root_addr =
+                self.new_internal(node.level + 1, (0, u64::MAX), GlobalAddr::NULL, entries)?;
+            let old = self.in_phase(Phase::WriteBack, |me| {
+                me.ep
+                    .cas(me.shared.root_slot, root_addr.raw(), new_root_addr.raw())
+            });
+            if old == root_addr.raw() {
+                *self.cn.root_hint.lock() = new_root_addr;
+                return Ok(());
+            }
+            // Someone else grew the root first: insert into the new tree.
+        }
+        self.insert_into_parent(node.level + 1, split_key, new_addr)
+    }
+
+    /// Best-effort merge of the underflowed leaf `addr` with its right
+    /// sibling *under the same parent* (merging across parent boundaries
+    /// would break routing).
+    ///
+    /// Lock order: parent -> left leaf -> right leaf. Holding the parent
+    /// throughout pins both pivots (no racing parent split can move them),
+    /// so the pivot removal is a plain in-place rewrite. Leaf locks are
+    /// taken without the CN-local table here: remote holders always release
+    /// their leaf lock before waiting on a parent, so the spin is bounded
+    /// and the parent-first order introduces no cycle.
+    pub(super) fn try_merge(&mut self, addr: GlobalAddr, probe_key: u64) {
+        let cfg = self.shared.cfg;
+        let span = cfg.span;
+        // Find and lock the (fresh) parent of `addr`.
+        let parent_addr = self.locate_parent(probe_key).addr;
+        let _pk = self.local_lock(parent_addr);
+        self.in_phase(Phase::LockAcquire, |me| {
+            me.shared.internal.lock(&mut me.ep, parent_addr)
+        });
+        let mut parent = self.read_internal(parent_addr);
+        // The right partner and its pivot; a last child's partner lives
+        // under another parent.
+        let partner = parent
+            .entries
+            .iter()
+            .position(|e| e.1 == addr)
+            .filter(|_| parent.valid)
+            .and_then(|i| Some((i + 1, *parent.entries.get(i + 1)?)));
+        let Some((sib_idx, (sib_pivot, sib))) = partner else {
+            return self.unlock_internal(parent_addr);
+        };
+        // Lock and re-validate the left leaf.
+        let xword = self.in_phase(Phase::LockAcquire, |me| me.leaf().lock(&mut me.ep, addr));
+        let xlr = self.read_whole(addr, xword);
+        let mut items = xlr.w.occupied();
+        if !xlr.meta.valid || xlr.meta.sibling != sib || items.len() > span / 4 {
+            self.unlock(&[(addr, xword)]);
+            return self.unlock_internal(parent_addr);
+        }
+        // Lock the right leaf and check the combined fit.
+        let sword = self.in_phase(Phase::LockAcquire, |me| me.leaf().lock(&mut me.ep, sib));
+        let slr = self.read_whole(sib, sword);
+        items.extend(slr.w.occupied());
+        let merged = if !slr.meta.valid || items.len() > (span * 2) / 3 {
+            None
+        } else {
+            build_table(span, cfg.neighborhood, &items)
+        };
+        let Some(merged) = merged else {
+            self.unlock(&[(sib, sword), (addr, xword)]);
+            return self.unlock_internal(parent_addr);
+        };
+        self.counters.merges += 1;
+        // Publish order: merged left node (all keys stay reachable) ->
+        // invalidate the right node -> drop its pivot from the parent.
+        let (old_lo, _) = xlr.meta.fences.unwrap_or((0, u64::MAX));
+        let (_, sib_hi) = slr.meta.fences.unwrap_or((0, u64::MAX));
+        let meta = self.leaf().meta(slr.meta.sibling, true, (old_lo, sib_hi));
+        self.rewrite(addr, &merged, xlr.nv, &meta);
+        let empty = Window::new(span, cfg.neighborhood, 0, span);
+        let dead = self
+            .leaf()
+            .meta(GlobalAddr::NULL, false, (sib_pivot, sib_pivot));
+        self.rewrite(sib, &empty, slr.nv, &dead);
+        parent.entries.remove(sib_idx);
+        self.in_phase(Phase::WriteBack, |me| {
+            me.shared.internal.write_and_unlock(&mut me.ep, &parent)
+        });
+        self.cn.cache.lock().invalidate(parent_addr);
+    }
+}

@@ -50,7 +50,9 @@ pub fn fingerprint(key: &[u8]) -> u64 {
 impl VarKeyTree {
     /// Creates a variable-length-key tree rooted at slot `slot`.
     ///
-    /// `cfg.indirect_values` is forced on (entries hold block pointers).
+    /// `cfg.indirect_values` is forced *off* and `cfg.value_size` to 8: the
+    /// inline leaf value is the pointer to the key's block chain, which
+    /// this wrapper (not the tree) reads and writes.
     pub fn create(pool: &Arc<Pool>, mut cfg: ChimeConfig, slot: u64) -> Self {
         cfg.indirect_values = false;
         cfg.value_size = 8; // the stored "value" is the chain-head pointer

@@ -2,11 +2,14 @@
 //!
 //! Each *client* — one logical thread of execution on a compute node — holds
 //! its own handle implementing [`RangeIndex`]. The handle owns a verb
-//! [`crate::verbs::Endpoint`] and shares CN-wide state (index cache, hotspot
-//! buffer) with the other clients of its compute node.
+//! [`Endpoint`] and shares CN-wide state (index cache, hotspot buffer) with
+//! the other clients of its compute node. The trait is the five data
+//! operations plus that endpoint: everything measured about a client
+//! (clock, counters, profile, traces, telemetry) is read off the endpoint.
 
 use crate::alloc::OutOfMemory;
 use crate::stats::ClientStats;
+use crate::verbs::Endpoint;
 
 /// Errors surfaced by index operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,48 +57,41 @@ pub trait RangeIndex {
     /// Appends up to `count` items with keys `>= start`, in key order.
     fn scan(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>);
 
-    /// Returns this client's verb counters.
-    fn stats(&self) -> &ClientStats;
+    /// The verb endpoint this client issues its operations through: its
+    /// virtual clock, verb counters, phase profile, tracer and telemetry.
+    fn endpoint(&self) -> &Endpoint;
 
-    /// Returns this client's virtual clock, in nanoseconds.
-    fn clock_ns(&self) -> u64;
+    /// Mutable access to the endpoint, for harnesses that stamp trace ids,
+    /// attach tracers or record serve-layer observations on this client's
+    /// virtual clock.
+    fn endpoint_mut(&mut self) -> &mut Endpoint;
 
     /// Bytes of compute-side cache this client's CN currently uses for the
     /// index (shared structures are counted once per CN).
     fn cache_bytes(&self) -> u64;
 
-    /// This client's phase/retry attribution profile, when the index keeps
-    /// one (every index routing verbs through an [`crate::verbs::Endpoint`]
-    /// does — the default exists only for exotic implementations).
+    /// This client's verb counters (shorthand over [`Self::endpoint`]).
+    fn stats(&self) -> &ClientStats {
+        self.endpoint().stats()
+    }
+
+    /// This client's virtual clock, in nanoseconds.
+    fn clock_ns(&self) -> u64 {
+        self.endpoint().clock_ns()
+    }
+
+    /// This client's phase/retry attribution profile.
     fn profile(&self) -> Option<&obs::OpProfile> {
-        None
+        Some(self.endpoint().profile())
     }
 
-    /// This client's continuous telemetry (windowed time series + flight
-    /// recorder), when the index keeps one. Like [`RangeIndex::profile`],
-    /// indexes routing verbs through an [`crate::verbs::Endpoint`] override
-    /// this to expose the endpoint's state.
-    fn telemetry(&self) -> Option<&crate::verbs::Telemetry> {
-        None
+    /// Attaches a span/event tracer to this client's endpoint.
+    fn set_tracer(&mut self, tracer: obs::Tracer) {
+        self.endpoint_mut().set_tracer(tracer);
     }
-
-    /// Mutable telemetry access, for harnesses recording serve-layer
-    /// observations (shed/served decisions, CQ depth) against this client's
-    /// virtual clock.
-    fn telemetry_mut(&mut self) -> Option<&mut crate::verbs::Telemetry> {
-        None
-    }
-
-    /// Sets the causal trace id stamped on subsequent operations (minted at
-    /// the serve/bench entry point; 0 = untraced). The default ignores it.
-    fn set_trace_id(&mut self, _id: u64) {}
-
-    /// Attaches a span/event tracer to this client's endpoint, when it has
-    /// one. The default drops the tracer.
-    fn set_tracer(&mut self, _tracer: obs::Tracer) {}
 
     /// Detaches and returns this client's tracer, if one is attached.
     fn take_tracer(&mut self) -> Option<obs::Tracer> {
-        None
+        self.endpoint_mut().take_tracer()
     }
 }

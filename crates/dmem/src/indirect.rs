@@ -1,0 +1,99 @@
+//! Out-of-line value blocks (§4.5 of the CHIME paper).
+//!
+//! An index configured for indirect values keeps an 8-byte pointer in the
+//! leaf entry and the value itself in a remote block:
+//!
+//! ```text
+//! [key: u64 LE][len: u64 LE][value, zero-padded to value_size]
+//! ```
+//!
+//! This module is the only place that knows the format. [`store`] and
+//! [`load`] do the whole job; [`block_len`], [`encode`] and [`pointer`] let
+//! an index issue the allocation and the WRITE inside phase frames of its
+//! own.
+
+use crate::addr::GlobalAddr;
+use crate::alloc::{ChunkAlloc, OutOfMemory};
+use crate::verbs::Endpoint;
+
+/// Bytes of the `[key][len]` block header.
+const HEADER: usize = 16;
+
+/// Size of the block holding values of up to `value_size` bytes.
+pub fn block_len(value_size: usize) -> usize {
+    HEADER + value_size
+}
+
+/// The inline leaf entry for `value`: zero-padded (or cut) to `value_size`.
+pub fn inline(value: &[u8], value_size: usize) -> Vec<u8> {
+    let mut v = value.to_vec();
+    v.resize(value_size, 0);
+    v
+}
+
+/// Encodes the block for `(key, value)`.
+pub fn encode(key: u64, value: &[u8], value_size: usize) -> Vec<u8> {
+    let mut block = Vec::with_capacity(block_len(value_size));
+    block.extend_from_slice(&key.to_le_bytes());
+    block.extend_from_slice(&(value.len() as u64).to_le_bytes());
+    block.extend_from_slice(value);
+    block.resize(block_len(value_size), 0);
+    block
+}
+
+/// The value held by `block` (its recorded length, capped at the block).
+fn decode(block: &[u8]) -> Vec<u8> {
+    let len = u64::from_le_bytes(block[8..HEADER].try_into().expect("block header")) as usize;
+    block[HEADER..HEADER + len.min(block.len() - HEADER)].to_vec()
+}
+
+/// The 8-byte leaf entry pointing at the block at `addr`.
+pub fn pointer(addr: GlobalAddr) -> Vec<u8> {
+    addr.raw().to_le_bytes().to_vec()
+}
+
+/// The block address a leaf entry written by [`pointer`] names.
+fn target(stored: &[u8]) -> GlobalAddr {
+    GlobalAddr::from_raw(u64::from_le_bytes(
+        stored[..8].try_into().expect("pointer entry"),
+    ))
+}
+
+/// Allocates and writes the block for `(key, value)`; returns the leaf
+/// entry pointing at it.
+pub fn store(
+    ep: &mut Endpoint,
+    alloc: &mut ChunkAlloc,
+    key: u64,
+    value: &[u8],
+    value_size: usize,
+) -> Result<Vec<u8>, OutOfMemory> {
+    let addr = alloc.alloc(ep, block_len(value_size) as u64)?;
+    ep.write(addr, &encode(key, value, value_size));
+    Ok(pointer(addr))
+}
+
+/// Reads the block the leaf entry `stored` points at and returns its value.
+pub fn load(ep: &mut Endpoint, stored: &[u8], value_size: usize) -> Vec<u8> {
+    let mut block = vec![0u8; block_len(value_size)];
+    ep.read(target(stored), &mut block);
+    decode(&block)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn encode_decode_roundtrip_and_padding() {
+        let b = encode(7, b"abc", 8);
+        assert_eq!(b.len(), block_len(8));
+        assert_eq!(&b[..8], &7u64.to_le_bytes());
+        assert_eq!(decode(&b), b"abc");
+        // A value longer than the slot is cut to the block, never overrun.
+        assert_eq!(decode(&encode(7, b"0123456789", 4)), b"0123");
+        assert_eq!(inline(b"ab", 4), [b'a', b'b', 0, 0]);
+        let a = GlobalAddr::from_raw(0xABCD_0123);
+        assert_eq!(target(&pointer(a)), a);
+    }
+}

@@ -14,6 +14,7 @@
 //!   Sherman-style and CHIME-style nodes;
 //! * [`alloc::ChunkAlloc`] — RPC chunk allocation with client-side bumping;
 //! * [`index::RangeIndex`] — the interface every evaluated index implements;
+//! * [`indirect`] — the out-of-line value block format (§4.5) they share;
 //! * [`fault`] — a seeded, scriptable fault engine intercepting every verb
 //!   (latency spikes, torn writes, failed/duplicated atomics, labeled crash
 //!   points) with a deterministic, replayable fault trace.
@@ -28,6 +29,7 @@ pub mod alloc;
 pub mod fault;
 pub mod hash;
 pub mod index;
+pub mod indirect;
 pub mod locktable;
 pub mod net;
 pub mod node;

@@ -87,18 +87,8 @@ impl Endpoint {
     /// session; `client` identifies this endpoint in rules and traces.
     pub fn with_faults(pool: Arc<Pool>, session: Arc<FaultSession>, client: u32) -> Self {
         Endpoint {
-            pool,
-            stats: ClientStats::default(),
-            clock_ns: 0,
             fault: Some(FaultClient::new(session, client)),
-            tracer: None,
-            prof: Box::default(),
-            phase: Phase::Other,
-            fault_mark: 0,
-            telem: Box::default(),
-            trace_id: 0,
-            span_depth: 0,
-            op_t0: 0,
+            ..Endpoint::new(pool)
         }
     }
 

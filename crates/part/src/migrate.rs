@@ -96,9 +96,7 @@ pub enum RecoveryOutcome {
 fn note_step(ctl: &mut Endpoint, src: &mut ChimeClient, label: &str) {
     ctl.note_event(label);
     let t = ctl.clock_ns().max(src.clock_ns());
-    if let Some(tm) = src.telemetry_mut() {
-        tm.series.event(t, label);
-    }
+    src.endpoint_mut().telemetry_mut().series.event(t, label);
 }
 
 /// The migration journal: a 32-byte record in MN 0's reserved region.

@@ -477,39 +477,15 @@ impl RangeIndex for RouterClient {
         self.scan_routed(start, count, out)
     }
 
-    fn stats(&self) -> &dmem::ClientStats {
-        self.client.stats()
+    fn endpoint(&self) -> &dmem::Endpoint {
+        self.client.endpoint()
     }
 
-    fn clock_ns(&self) -> u64 {
-        self.client.clock_ns()
+    fn endpoint_mut(&mut self) -> &mut dmem::Endpoint {
+        self.client.endpoint_mut()
     }
 
     fn cache_bytes(&self) -> u64 {
         self.cns.iter().map(|cn| cn.cache_bytes()).sum()
-    }
-
-    fn profile(&self) -> Option<&obs::OpProfile> {
-        self.client.profile()
-    }
-
-    fn telemetry(&self) -> Option<&dmem::Telemetry> {
-        self.client.telemetry()
-    }
-
-    fn telemetry_mut(&mut self) -> Option<&mut dmem::Telemetry> {
-        self.client.telemetry_mut()
-    }
-
-    fn set_trace_id(&mut self, id: u64) {
-        self.client.set_trace_id(id);
-    }
-
-    fn set_tracer(&mut self, tracer: obs::Tracer) {
-        self.client.set_tracer(tracer);
-    }
-
-    fn take_tracer(&mut self) -> Option<obs::Tracer> {
-        RangeIndex::take_tracer(&mut self.client)
     }
 }

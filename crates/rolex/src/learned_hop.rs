@@ -17,7 +17,7 @@ use chime::hopscotch::build_table;
 use chime::layout::LeafLayout;
 use chime::leaf::{LeafMeta, LeafOps};
 use dmem::hash::home_entry;
-use dmem::{ChunkAlloc, ClientStats, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
 
 use crate::plr::PlrModel;
 use crate::tree::RolexConfig;
@@ -383,16 +383,12 @@ impl RangeIndex for ChimeLearnedClient {
         out.extend(collected);
     }
 
-    fn stats(&self) -> &ClientStats {
-        self.ep.stats()
+    fn endpoint(&self) -> &Endpoint {
+        &self.ep
     }
 
-    fn profile(&self) -> Option<&dmem::OpProfile> {
-        Some(self.ep.profile())
-    }
-
-    fn clock_ns(&self) -> u64 {
-        self.ep.clock_ns()
+    fn endpoint_mut(&mut self) -> &mut Endpoint {
+        &mut self.ep
     }
 
     fn cache_bytes(&self) -> u64 {

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use dmem::{ChunkAlloc, ClientStats, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
 use sherman::leaf::{LeafSnapshot, ShermanLeafLayout, ShermanLeafOps};
 
 use crate::plr::PlrModel;
@@ -110,21 +110,11 @@ impl Rolex {
             let mut vs = Vec::with_capacity(chunk.len());
             for (k, v) in chunk {
                 ks.push(*k);
-                if cfg.indirect_values {
-                    let block_len = 16 + cfg.value_size;
-                    let addr = alloc.alloc(&mut ep, block_len as u64).expect("pool");
-                    let mut block = Vec::with_capacity(block_len);
-                    block.extend_from_slice(&k.to_le_bytes());
-                    block.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                    block.extend_from_slice(v);
-                    block.resize(block_len, 0);
-                    ep.write(addr, &block);
-                    vs.push(addr.raw().to_le_bytes().to_vec());
+                vs.push(if cfg.indirect_values {
+                    indirect::store(&mut ep, &mut alloc, *k, v, cfg.value_size).expect("pool")
                 } else {
-                    let mut v = v.clone();
-                    v.resize(cfg.value_size, 0);
-                    vs.push(v);
-                }
+                    indirect::inline(v, cfg.value_size)
+                });
             }
             shared.leaf.write_full(
                 &mut ep,
@@ -210,19 +200,9 @@ impl RolexClient {
     fn store_value(&mut self, key: u64, value: &[u8]) -> Result<Vec<u8>, IndexError> {
         let cfg = self.shared.cfg;
         if !cfg.indirect_values {
-            let mut v = value.to_vec();
-            v.resize(cfg.value_size, 0);
-            return Ok(v);
+            return Ok(indirect::inline(value, cfg.value_size));
         }
-        let block_len = 16 + cfg.value_size;
-        let addr = self.alloc.alloc(&mut self.ep, block_len as u64)?;
-        let mut block = Vec::with_capacity(block_len);
-        block.extend_from_slice(&key.to_le_bytes());
-        block.extend_from_slice(&(value.len() as u64).to_le_bytes());
-        block.extend_from_slice(value);
-        block.resize(block_len, 0);
-        self.ep.write(addr, &block);
-        Ok(addr.raw().to_le_bytes().to_vec())
+        Ok(indirect::store(&mut self.ep, &mut self.alloc, key, value, cfg.value_size)?)
     }
 
     fn resolve_value(&mut self, stored: Vec<u8>) -> Vec<u8> {
@@ -230,11 +210,7 @@ impl RolexClient {
         if !cfg.indirect_values {
             return stored;
         }
-        let addr = GlobalAddr::from_raw(u64::from_le_bytes(stored[..8].try_into().unwrap()));
-        let mut block = vec![0u8; 16 + cfg.value_size];
-        self.ep.read(addr, &mut block);
-        let len = u64::from_le_bytes(block[8..16].try_into().unwrap()) as usize;
-        block[16..16 + len.min(cfg.value_size)].to_vec()
+        indirect::load(&mut self.ep, &stored, cfg.value_size)
     }
 }
 
@@ -470,16 +446,12 @@ impl RangeIndex for RolexClient {
         }
     }
 
-    fn stats(&self) -> &ClientStats {
-        self.ep.stats()
+    fn endpoint(&self) -> &Endpoint {
+        &self.ep
     }
 
-    fn profile(&self) -> Option<&dmem::OpProfile> {
-        Some(self.ep.profile())
-    }
-
-    fn clock_ns(&self) -> u64 {
-        self.ep.clock_ns()
+    fn endpoint_mut(&mut self) -> &mut Endpoint {
+        &mut self.ep
     }
 
     fn cache_bytes(&self) -> u64 {

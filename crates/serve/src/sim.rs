@@ -335,13 +335,10 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
             aborted: false,
             discarded_bytes: 0,
             resyncs: 0,
-            profile: client.profile().cloned().unwrap_or_default(),
+            profile: client.endpoint().profile().clone(),
             hist,
             end_ns: client.clock_ns(),
-            timeline: client
-                .telemetry()
-                .map(|t| t.series.clone())
-                .unwrap_or_default(),
+            timeline: client.endpoint().telemetry().series.clone(),
             trace_jsonl: client.take_tracer().map(|t| t.to_jsonl()),
         };
     }
@@ -428,13 +425,10 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
         aborted,
         discarded_bytes: conn.decoder.pending_bytes() as u64,
         resyncs: conn.decoder.resyncs(),
-        profile: client.profile().cloned().unwrap_or_default(),
+        profile: client.endpoint().profile().clone(),
         hist,
         end_ns: client.clock_ns(),
-        timeline: client
-            .telemetry()
-            .map(|t| t.series.clone())
-            .unwrap_or_default(),
+        timeline: client.endpoint().telemetry().series.clone(),
         trace_jsonl: client.take_tracer().map(|t| t.to_jsonl()),
     }
 }
@@ -454,14 +448,14 @@ fn serve_one(
     // The causal trace id is minted here, at request decode — the serve
     // entry point — and rides the op through the tree, the scheduler and
     // the queue pair: connection in the high half, request seq in the low.
-    client.set_trace_id(((conn.id as u64 + 1) << 32) | conn.counters.requests);
+    client
+        .endpoint_mut()
+        .set_trace_id(((conn.id as u64 + 1) << 32) | conn.counters.requests);
     client.advance_phase(Phase::Decode, cfg.decode_ns);
 
     let depth = gauge.depth();
     let now = client.clock_ns();
-    if let Some(tm) = client.telemetry_mut() {
-        tm.series.cq_depth(now, depth);
-    }
+    client.endpoint_mut().telemetry_mut().series.cq_depth(now, depth);
     let mut over = depth > cfg.cq_watermark;
     if over && cfg.policy == OverloadPolicy::Defer {
         conn.counters.deferred += 1;
@@ -477,9 +471,7 @@ fn serve_one(
         conn.respond(&crate::proto::Response::Busy);
         client.advance_phase(Phase::Respond, cfg.respond_ns);
         let now = client.clock_ns();
-        if let Some(tm) = client.telemetry_mut() {
-            tm.series.shed(now);
-        }
+        client.endpoint_mut().telemetry_mut().series.shed(now);
         return;
     }
 
@@ -489,9 +481,7 @@ fn serve_one(
     hist.record(client.clock_ns() - t0);
     *served += 1;
     let now = client.clock_ns();
-    if let Some(tm) = client.telemetry_mut() {
-        tm.series.served(now);
-    }
+    client.endpoint_mut().telemetry_mut().series.served(now);
 }
 
 /// Runs one deterministic serving simulation.

@@ -8,7 +8,7 @@ use parking_lot::Mutex;
 use chime::cache::NodeCache;
 use chime::internal::{InternalNode, InternalOps};
 use chime::layout::InternalLayout;
-use dmem::{ChunkAlloc, ClientStats, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
 
 use crate::leaf::{LeafSnapshot, ShermanLeafLayout, ShermanLeafOps};
 
@@ -481,19 +481,9 @@ impl ShermanClient {
     fn store_value(&mut self, key: u64, value: &[u8]) -> Result<Vec<u8>, IndexError> {
         let cfg = self.shared.cfg;
         if !cfg.indirect_values {
-            let mut v = value.to_vec();
-            v.resize(cfg.value_size, 0);
-            return Ok(v);
+            return Ok(indirect::inline(value, cfg.value_size));
         }
-        let block_len = 16 + cfg.value_size;
-        let addr = self.alloc.alloc(&mut self.ep, block_len as u64)?;
-        let mut block = Vec::with_capacity(block_len);
-        block.extend_from_slice(&key.to_le_bytes());
-        block.extend_from_slice(&(value.len() as u64).to_le_bytes());
-        block.extend_from_slice(value);
-        block.resize(block_len, 0);
-        self.ep.write(addr, &block);
-        Ok(addr.raw().to_le_bytes().to_vec())
+        Ok(indirect::store(&mut self.ep, &mut self.alloc, key, value, cfg.value_size)?)
     }
 
     fn resolve_value(&mut self, stored: Vec<u8>) -> Vec<u8> {
@@ -501,11 +491,7 @@ impl ShermanClient {
         if !cfg.indirect_values {
             return stored;
         }
-        let addr = GlobalAddr::from_raw(u64::from_le_bytes(stored[..8].try_into().unwrap()));
-        let mut block = vec![0u8; 16 + cfg.value_size];
-        self.ep.read(addr, &mut block);
-        let len = u64::from_le_bytes(block[8..16].try_into().unwrap()) as usize;
-        block[16..16 + len.min(cfg.value_size)].to_vec()
+        indirect::load(&mut self.ep, &stored, cfg.value_size)
     }
 }
 
@@ -637,40 +623,16 @@ impl RangeIndex for ShermanClient {
         }
     }
 
-    fn stats(&self) -> &ClientStats {
-        self.ep.stats()
+    fn endpoint(&self) -> &Endpoint {
+        &self.ep
     }
 
-    fn profile(&self) -> Option<&dmem::OpProfile> {
-        Some(self.ep.profile())
-    }
-
-    fn clock_ns(&self) -> u64 {
-        self.ep.clock_ns()
+    fn endpoint_mut(&mut self) -> &mut Endpoint {
+        &mut self.ep
     }
 
     fn cache_bytes(&self) -> u64 {
         self.cn.cache_bytes()
-    }
-
-    fn telemetry(&self) -> Option<&dmem::Telemetry> {
-        Some(self.ep.telemetry())
-    }
-
-    fn telemetry_mut(&mut self) -> Option<&mut dmem::Telemetry> {
-        Some(self.ep.telemetry_mut())
-    }
-
-    fn set_trace_id(&mut self, id: u64) {
-        self.ep.set_trace_id(id);
-    }
-
-    fn set_tracer(&mut self, tracer: dmem::Tracer) {
-        self.ep.set_tracer(tracer);
-    }
-
-    fn take_tracer(&mut self) -> Option<dmem::Tracer> {
-        self.ep.take_tracer()
     }
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dmem::{ChunkAlloc, ClientStats, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
 
 use crate::node::{ArtNode, ArtOps, Child, NodeType};
 
@@ -652,16 +652,12 @@ impl RangeIndex for SmartClient {
         out.extend(collected);
     }
 
-    fn stats(&self) -> &ClientStats {
-        self.ep.stats()
+    fn endpoint(&self) -> &Endpoint {
+        &self.ep
     }
 
-    fn profile(&self) -> Option<&dmem::OpProfile> {
-        Some(self.ep.profile())
-    }
-
-    fn clock_ns(&self) -> u64 {
-        self.ep.clock_ns()
+    fn endpoint_mut(&mut self) -> &mut Endpoint {
+        &mut self.ep
     }
 
     fn cache_bytes(&self) -> u64 {
