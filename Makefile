@@ -8,9 +8,10 @@ CARGO ?= cargo
 # chime-lint pass, the chime-model exhaustive protocol check, a fixed-seed
 # chaos smoke run (deterministic fault injection with a
 # crash-while-holding-a-leaf-lock scenario, serial and pipelined), the
-# serving-layer determinism/chaos suite, and the perf gate (including the
-# K=4 coroutine points and the serve point).
-verify: build test lint lint-chime model-check chaos serve perf-smoke
+# serving-layer determinism/chaos suite, the perf gate (including the
+# K=4 coroutine points and the serve point), and the out-of-tree benchmark
+# harness's public-surface build and tests.
+verify: build test lint lint-chime model-check chaos serve perf-smoke bench-harness
 
 build:
 	$(CARGO) build --release

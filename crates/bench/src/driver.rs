@@ -398,9 +398,11 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
         }
         let mut done = 0u64;
         let mut scan_buf = Vec::new();
+        // RDWC: the reads/updates in flight in the current round.
+        let mut combined: HashMap<(u8, u64), u64> = HashMap::new();
         while done < ops_per_cn {
             // One round: each client issues one op.
-            let mut combined: HashMap<(u8, u64), u64> = HashMap::new();
+            combined.clear();
             for (i, c) in clients.iter_mut().enumerate() {
                 if done >= ops_per_cn {
                     break;

@@ -6,6 +6,7 @@
 //! indexes.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use dmem::GlobalAddr;
 
@@ -13,7 +14,7 @@ use crate::internal::InternalNode;
 
 /// An LRU cache of internal nodes with a byte budget.
 pub struct NodeCache {
-    map: HashMap<u64, (InternalNode, u64)>,
+    map: HashMap<u64, (Arc<InternalNode>, u64)>,
     lru: VecDeque<(u64, u64)>,
     tick: u64,
     bytes: u64,
@@ -36,15 +37,16 @@ impl NodeCache {
         }
     }
 
-    /// Looks up the node at `addr`, refreshing its recency.
-    pub fn get(&mut self, addr: GlobalAddr) -> Option<InternalNode> {
+    /// Looks up the node at `addr`, refreshing its recency. A hit shares
+    /// the cached node instead of copying its entries.
+    pub fn get(&mut self, addr: GlobalAddr) -> Option<Arc<InternalNode>> {
         self.tick += 1;
         match self.map.get_mut(&addr.raw()) {
             Some((node, stamp)) => {
                 *stamp = self.tick;
                 self.lru.push_back((addr.raw(), self.tick));
                 self.hits += 1;
-                let node = node.clone();
+                let node = Arc::clone(node);
                 self.compact_lru();
                 Some(node)
             }
@@ -71,7 +73,7 @@ impl NodeCache {
     }
 
     /// Inserts (or replaces) a node, evicting LRU victims over budget.
-    pub fn insert(&mut self, node: InternalNode) {
+    pub fn insert(&mut self, node: Arc<InternalNode>) {
         let key = node.addr.raw();
         let sz = node.cached_bytes();
         if sz > self.budget {
@@ -137,8 +139,8 @@ impl NodeCache {
 mod tests {
     use super::*;
 
-    fn node(off: u64, entries: usize) -> InternalNode {
-        InternalNode {
+    fn node(off: u64, entries: usize) -> Arc<InternalNode> {
+        Arc::new(InternalNode {
             addr: GlobalAddr::new(0, off),
             level: 1,
             valid: true,
@@ -147,7 +149,7 @@ mod tests {
             sibling: GlobalAddr::NULL,
             entries: vec![(0, GlobalAddr::NULL); entries],
             nv: 0,
-        }
+        })
     }
 
     #[test]

@@ -88,7 +88,7 @@ impl InternalNode {
     }
 
     fn parse(layout: &InternalLayout, addr: GlobalAddr, fetch: &Fetched) -> Option<InternalNode> {
-        let nv = fetch.check_nv(&[f::VER])?;
+        let nv = fetch.check_nv([f::VER])?;
         let count = fetch.u16_at(f::COUNT) as usize;
         if count > layout.span {
             return None; // torn beyond NV detection granularity; retry

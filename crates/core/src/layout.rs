@@ -15,6 +15,8 @@
 //! Internal node (Fig. 6): header with level/valid/fence keys/sibling
 //! followed by `span` pivot entries and the lock word.
 
+use std::ops::Range;
+
 use dmem::versioned::Layout;
 
 /// Geometry of a hopscotch leaf node.
@@ -94,6 +96,16 @@ impl LeafLayout {
         }
     }
 
+    /// Logical offsets of entries `0..span` in order, without the division
+    /// per entry [`Self::entry_off`] pays.
+    pub fn entry_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        let run = if self.replication { self.h } else { self.span };
+        (0..self.span / run).flat_map(move |b| {
+            let first = self.entry_off(b * run);
+            (0..run).map(move |j| first + j * self.entry_size())
+        })
+    }
+
     /// Logical offset of the metadata replica of block `b`.
     pub fn replica_off(&self, b: usize) -> usize {
         if self.replication {
@@ -111,6 +123,14 @@ impl LeafLayout {
     /// `[a, b)` pairs, two of them when the neighborhood wraps around the
     /// table (fetched with one doorbell batch).
     pub fn neighborhood_ranges(&self, home: usize) -> Vec<(usize, usize)> {
+        let (first, wrap) = self.neighborhood_range_pair(home);
+        std::iter::once(first).chain(wrap).collect()
+    }
+
+    /// [`Self::neighborhood_ranges`] without the `Vec`: the range holding
+    /// `home`, and the one from the start of the table when the
+    /// neighborhood wraps around.
+    pub fn neighborhood_range_pair(&self, home: usize) -> ((usize, usize), Option<(usize, usize)>) {
         debug_assert!(home < self.span);
         let last = home + self.h - 1;
         if last < self.span {
@@ -119,19 +139,19 @@ impl LeafLayout {
             } else {
                 self.entry_off(home)
             };
-            vec![(start, self.entry_off(last) + self.entry_size())]
+            ((start, self.entry_off(last) + self.entry_size()), None)
         } else {
             // Wrap-around: [home, span) plus [0, last % span].
-            vec![
+            (
                 (
                     self.entry_off(home),
                     self.entry_off(self.span - 1) + self.entry_size(),
                 ),
-                (
+                Some((
                     self.replica_off(0),
                     self.entry_off(last % self.span) + self.entry_size(),
-                ),
-            ]
+                )),
+            )
         }
     }
 
@@ -162,16 +182,33 @@ impl LeafLayout {
     }
 
     /// Block indices whose replica is fully covered by logical `[a, b)`.
-    pub fn replicas_in(&self, a: usize, b: usize) -> Vec<usize> {
+    pub fn replicas_in(&self, a: usize, b: usize) -> Range<usize> {
         if !self.replication {
-            return if a == 0 { vec![0] } else { vec![] };
+            return 0..usize::from(a == 0 && b >= self.replica_size());
         }
-        (0..self.span / self.h)
-            .filter(|&blk| {
-                let r = self.replica_off(blk);
-                r >= a && r + self.replica_size() <= b
-            })
-            .collect()
+        let first = a.div_ceil(self.block_size());
+        let end = (b + self.h * self.entry_size()) / self.block_size();
+        first..end.max(first)
+    }
+
+    /// Indices of the entries fully covered by logical `[a, b)`.
+    pub fn entries_in(&self, a: usize, b: usize) -> Range<usize> {
+        // How many entries end at or before `l`, and whether the next one
+        // starts at or after `l` (`l` is not strictly inside an entry).
+        let locate = |l: usize| {
+            let (blocks, within) = if self.replication {
+                (l / self.block_size(), l % self.block_size())
+            } else {
+                (0, l)
+            };
+            let body = within.saturating_sub(self.replica_size());
+            let ended = (blocks * self.h + body / self.entry_size()).min(self.span);
+            (ended, body.is_multiple_of(self.entry_size()))
+        };
+        let (ended, on_boundary) = locate(a);
+        let first = if on_boundary { ended } else { ended + 1 };
+        let end = locate(b).0;
+        first.min(end)..end
     }
 
     /// Metadata bytes per node (everything that is not key/value payload),
@@ -298,6 +335,7 @@ mod tests {
     #[test]
     fn entry_offsets_monotone_and_disjoint() {
         let l = default_leaf();
+        assert!(l.entry_offsets().eq((0..l.span).map(|i| l.entry_off(i))));
         let mut prev_end = 0;
         for i in 0..l.span {
             if i % l.h == 0 {
@@ -323,6 +361,34 @@ mod tests {
             // Exactly one replica must be fully covered per read.
             let covered: usize = ranges.iter().map(|&(a, b)| l.replicas_in(a, b).len()).sum();
             assert!(covered >= 1, "home {home} covers no replica");
+        }
+    }
+
+    #[test]
+    fn covered_objects_match_a_brute_force_filter() {
+        let small = LeafLayout {
+            span: 16,
+            h: 4,
+            ..default_leaf()
+        };
+        for l in [
+            small,
+            LeafLayout { replication: false, ..small },
+            LeafLayout { fences: true, ..small },
+        ] {
+            let blocks = if l.replication { l.span / l.h } else { 1 };
+            for a in 0..l.payload_len() {
+                for b in a + 1..=l.payload_len() {
+                    let entries: Vec<usize> = (0..l.span)
+                        .filter(|&i| l.entry_off(i) >= a && l.entry_off(i) + l.entry_size() <= b)
+                        .collect();
+                    assert_eq!(l.entries_in(a, b).collect::<Vec<_>>(), entries, "[{a}, {b})");
+                    let replicas: Vec<usize> = (0..blocks)
+                        .filter(|&k| l.replica_off(k) >= a && l.replica_off(k) + l.replica_size() <= b)
+                        .collect();
+                    assert_eq!(l.replicas_in(a, b).collect::<Vec<_>>(), replicas, "[{a}, {b})");
+                }
+            }
         }
     }
 

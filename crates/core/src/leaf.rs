@@ -45,34 +45,46 @@ pub struct NbhRead {
     pub found: Option<(usize, Vec<u8>)>,
 }
 
-/// A consistent whole-leaf snapshot.
+/// A consistent whole-leaf snapshot: the validated, de-striped node image
+/// plus its decoded keys. Values, bitmaps and EVs are read from the image.
 #[derive(Debug)]
 pub struct LeafSnapshot {
     /// Per-entry keys (0 = empty).
     pub keys: Vec<u64>,
-    /// Per-entry values.
-    pub values: Vec<Vec<u8>>,
-    /// Per-entry hopscotch bitmaps.
-    pub bitmaps: Vec<u16>,
-    /// Per-entry entry-level versions.
-    pub evs: Vec<u8>,
     /// Node-level version.
     pub nv: u8,
     /// Leaf metadata.
     pub meta: LeafMeta,
+    layout: LeafLayout,
+    image: Fetched,
 }
 
 impl LeafSnapshot {
+    /// Stored value bytes of entry `i`.
+    pub fn value(&self, i: usize) -> &[u8] {
+        entry_value(&self.layout, &self.image, i)
+    }
+
+    /// Hopscotch bitmap of entry `i`.
+    pub fn bitmap(&self, i: usize) -> u16 {
+        entry_bitmap(&self.layout, &self.image, i)
+    }
+
+    /// Entry-level version of entry `i`.
+    pub fn ev(&self, i: usize) -> u8 {
+        entry_ev(&self.layout, &self.image, i)
+    }
+
     /// Looks `key` up via its home entry's bitmap.
-    pub fn find(&self, key: u64, h: usize) -> Option<(usize, &[u8])> {
+    pub fn find(&self, key: u64) -> Option<(usize, &[u8])> {
         let span = self.keys.len();
         let home = home_entry(key, span);
-        let bm = self.bitmaps[home];
-        (0..h)
+        let bm = self.bitmap(home);
+        (0..self.layout.h)
             .filter(|&d| bm & (1 << d) != 0)
             .map(|d| (home + d) % span)
             .find(|&p| self.keys[p] == key)
-            .map(|p| (p, &self.values[p][..]))
+            .map(|p| (p, self.value(p)))
     }
 
     /// The maximum stored key, if any.
@@ -91,25 +103,40 @@ impl LeafSnapshot {
             .unwrap_or(ARGMAX_NONE)
     }
 
-    /// All `(key, value)` items, unsorted.
-    pub fn items(&self) -> Vec<(u64, Vec<u8>)> {
+    /// All `(key, value)` items in slot order (unsorted by key).
+    pub fn items(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
         self.keys
             .iter()
-            .zip(self.values.iter())
-            .filter(|(&k, _)| k != 0)
-            .map(|(&k, v)| (k, v.clone()))
-            .collect()
+            .enumerate()
+            .filter(|(_, &k)| k != 0)
+            .map(|(i, &k)| (k, self.value(i)))
     }
 
     /// Converts the snapshot into a full-span hopscotch window.
-    pub fn into_window(self, h: usize) -> (Window, Vec<u8>) {
+    pub fn into_window(self) -> (Window, Vec<u8>) {
         let span = self.keys.len();
-        let mut w = Window::new(span, h, 0, span);
+        let mut w = Window::new(span, self.layout.h, 0, span);
         for i in 0..span {
-            w.set_slot(i, self.keys[i], self.values[i].clone(), self.bitmaps[i]);
+            w.set_slot(i, self.keys[i], self.value(i).to_vec(), self.bitmap(i));
         }
-        (w, self.evs)
+        (w, (0..span).map(|i| self.ev(i)).collect())
     }
+}
+
+fn entry_key(l: &LeafLayout, f: &Fetched, i: usize) -> u64 {
+    f.u64_at(l.entry_off(i) + entry_field::KEY)
+}
+
+fn entry_bitmap(l: &LeafLayout, f: &Fetched, i: usize) -> u16 {
+    f.u16_at(l.entry_off(i) + entry_field::BITMAP)
+}
+
+fn entry_value<'a>(l: &LeafLayout, f: &'a Fetched, i: usize) -> &'a [u8] {
+    f.bytes(l.entry_off(i) + entry_field::KEY + l.key_size, l.value_size)
+}
+
+fn entry_ev(l: &LeafLayout, f: &Fetched, i: usize) -> u8 {
+    ev(f.get(l.entry_off(i)))
 }
 
 /// A window read performed while holding the node lock.
@@ -209,23 +236,6 @@ impl LeafOps {
         }
     }
 
-    fn entry_key(&self, fetch: &Fetched, i: usize) -> u64 {
-        fetch.u64_at(self.layout.entry_off(i) + entry_field::KEY)
-    }
-
-    fn entry_bitmap(&self, fetch: &Fetched, i: usize) -> u16 {
-        fetch.u16_at(self.layout.entry_off(i) + entry_field::BITMAP)
-    }
-
-    fn entry_value(&self, fetch: &Fetched, i: usize) -> Vec<u8> {
-        let off = self.layout.entry_off(i) + entry_field::KEY + self.layout.key_size;
-        fetch.copy(off, self.layout.value_size)
-    }
-
-    fn entry_ev(&self, fetch: &Fetched, i: usize) -> u8 {
-        ev(fetch.get(self.layout.entry_off(i)))
-    }
-
     /// Serializes one entry into its logical bytes.
     fn entry_bytes(&self, nv: u8, entry_ev: u8, bitmap: u16, key: u64, value: &[u8]) -> Vec<u8> {
         let mut b = vec![0u8; self.layout.entry_size()];
@@ -254,44 +264,25 @@ impl LeafOps {
         b
     }
 
-    /// Entries fully covered by logical `[a, b)`.
-    fn entries_in(&self, a: usize, b: usize) -> Vec<usize> {
-        (0..self.layout.span)
-            .filter(|&i| {
-                let off = self.layout.entry_off(i);
-                off >= a && off + self.layout.entry_size() <= b
-            })
-            .collect()
-    }
-
     /// Checks NV uniformity across all fetched pieces; returns the NV.
     fn check_all_nv(&self, pieces: &[Fetched]) -> Option<u8> {
-        let mut expect = None;
-        for p in pieces {
-            let mut leads: Vec<usize> = self
-                .entries_in(p.lstart(), p.lend())
-                .iter()
-                .map(|&i| self.layout.entry_off(i))
-                .collect();
-            for b in self.layout.replicas_in(p.lstart(), p.lend()) {
-                leads.push(self.layout.replica_off(b));
-            }
-            let nv = p.check_nv(&leads)?;
-            match expect {
-                None => expect = Some(nv),
-                Some(e) if e != nv => return None,
-                _ => {}
-            }
-        }
-        expect
+        let l = &self.layout;
+        let mut nvs = pieces.iter().map(|p| {
+            let (a, b) = (p.lstart(), p.lend());
+            let entries = l.entries_in(a, b).map(|i| l.entry_off(i));
+            p.check_nv(entries.chain(l.replicas_in(a, b).map(|k| l.replica_off(k))))
+        });
+        let nv = nvs.next()??;
+        nvs.all(|other| other == Some(nv)).then_some(nv)
     }
 
     /// Checks EV consistency of every entry covered by every piece.
     fn check_all_ev(&self, pieces: &[Fetched]) -> bool {
+        let l = &self.layout;
         pieces.iter().all(|p| {
-            self.entries_in(p.lstart(), p.lend()).iter().all(|&i| {
-                let off = self.layout.entry_off(i);
-                p.check_ev(off, off + self.layout.entry_size())
+            l.entries_in(p.lstart(), p.lend()).all(|i| {
+                let off = l.entry_off(i);
+                p.check_ev(off, off + l.entry_size())
             })
         })
     }
@@ -307,12 +298,57 @@ impl LeafOps {
 
     /// First covered replica across pieces.
     fn meta_from(&self, pieces: &[Fetched]) -> Option<LeafMeta> {
-        for p in pieces {
-            if let Some(&b) = self.layout.replicas_in(p.lstart(), p.lend()).first() {
-                return Some(self.parse_meta(p, self.layout.replica_off(b)));
+        pieces.iter().find_map(|p| {
+            let k = self.layout.replicas_in(p.lstart(), p.lend()).next()?;
+            Some(self.parse_meta(p, self.layout.replica_off(k)))
+        })
+    }
+
+    /// Validates a whole-leaf image and decodes it: every version byte
+    /// carries one NV, every entry is EV-consistent, and bitmaps and
+    /// occupancy are a bijection — each set bit lies below H and names a
+    /// key homed at that entry, and every key is named. `None` is a torn or
+    /// intermediate image.
+    fn decode(&self, image: Fetched) -> Option<LeafSnapshot> {
+        let l = &self.layout;
+        debug_assert_eq!((image.lstart(), image.lend()), (0, l.payload_len()));
+        let replicas = l.replicas_in(0, l.payload_len()).map(|k| l.replica_off(k));
+        let nv = image.check_nv(replicas.chain(l.entry_offsets()))?;
+        let mut keys = Vec::with_capacity(l.span);
+        for off in l.entry_offsets() {
+            if !image.check_ev(off, off + l.entry_size()) {
+                return None;
+            }
+            keys.push(image.u64_at(off + entry_field::KEY));
+        }
+        let mut named = 0;
+        for (home, off) in l.entry_offsets().enumerate() {
+            let mut bits = image.u16_at(off + entry_field::BITMAP);
+            if u32::from(bits) >> l.h != 0 {
+                return None;
+            }
+            while bits != 0 {
+                let pos = home + bits.trailing_zeros() as usize;
+                let k = keys[if pos < l.span { pos } else { pos - l.span }];
+                if k == 0 || home_entry(k, l.span) != home {
+                    return None;
+                }
+                bits &= bits - 1;
+                named += 1;
             }
         }
-        None
+        // Set bits name distinct occupied slots, so equal counts mean every
+        // key is named by its home.
+        if named != keys.iter().filter(|&&k| k != 0).count() {
+            return None;
+        }
+        Some(LeafSnapshot {
+            nv,
+            meta: self.parse_meta(&image, l.replica_off(0)),
+            keys,
+            layout: *l,
+            image,
+        })
     }
 
     // ----- lock-free reads -------------------------------------------------
@@ -325,17 +361,22 @@ impl LeafOps {
         let span = self.layout.span;
         let h = self.layout.h;
         let home = home_entry(key, span);
-        let mut ranges = self.layout.neighborhood_ranges(home);
-        if !self.layout.replication {
-            // Dedicated leaf-metadata access (Fig. 4b), same doorbell.
-            ranges.push((0, self.layout.replica_size()));
+        let (first, wrap) = self.layout.neighborhood_range_pair(home);
+        // Dedicated leaf-metadata access (Fig. 4b), same doorbell.
+        let header = (!self.layout.replication).then(|| (0, self.layout.replica_size()));
+        let mut ranges = [first; 3];
+        let mut n = 1;
+        for r in [wrap, header].into_iter().flatten() {
+            ranges[n] = r;
+            n += 1;
         }
+        let ranges = &ranges[..n];
         let mut spins = 0u32;
         let mut backoff = Backoff::new(ep.client_id() as u64 ^ addr.raw());
         loop {
             spins += 1;
             assert!(spins < 1_000_000, "neighborhood read livelock at {addr:?}");
-            let pieces = self.layout.versioned().fetch_many(ep, addr, &ranges);
+            let pieces = self.layout.versioned().fetch_many(ep, addr, ranges);
             if self.check_all_nv(&pieces).is_none() || !self.check_all_ev(&pieces) {
                 ep.note_torn_read();
                 backoff.wait(ep);
@@ -344,7 +385,7 @@ impl LeafOps {
             let meta = self.meta_from(&pieces).expect("no replica covered");
             // Third level: reconstruct the home bitmap from actual keys.
             let hp = self.piece_for(&pieces, home);
-            let bm = self.entry_bitmap(hp, home);
+            let bm = entry_bitmap(&self.layout, hp, home);
             let mut consistent = true;
             let mut found = None;
             for d in 0..h {
@@ -353,13 +394,13 @@ impl LeafOps {
                 }
                 let pos = (home + d) % span;
                 let p = self.piece_for(&pieces, pos);
-                let k = self.entry_key(p, pos);
+                let k = entry_key(&self.layout, p, pos);
                 if k == 0 || home_entry(k, span) != home {
                     consistent = false;
                     break;
                 }
                 if k == key {
-                    found = Some((pos, self.entry_value(p, pos)));
+                    found = Some((pos, entry_value(&self.layout, p, pos).to_vec()));
                 }
             }
             if !consistent {
@@ -391,8 +432,8 @@ impl LeafOps {
                 ep.note_torn_read();
                 continue;
             }
-            if self.entry_key(&f, idx) == key {
-                return Some(self.entry_value(&f, idx));
+            if entry_key(&self.layout, &f, idx) == key {
+                return Some(entry_value(&self.layout, &f, idx).to_vec());
             }
             return None;
         }
@@ -401,131 +442,51 @@ impl LeafOps {
 
     /// Whole-leaf read with full validation (chases, scans).
     pub fn read_full(&self, ep: &mut Endpoint, addr: GlobalAddr) -> LeafSnapshot {
-        let mut spins = 0u32;
-        let mut backoff = Backoff::new(ep.client_id() as u64 ^ addr.raw());
-        loop {
-            spins += 1;
-            assert!(spins < 1_000_000, "full leaf read livelock at {addr:?}");
-            let pieces = self
-                .layout
-                .versioned()
-                .fetch_many(ep, addr, &[(0, self.layout.payload_len())]);
-            if let Some(nv) = self.check_all_nv(&pieces) {
-                if self.check_all_ev(&pieces) {
-                    let snap = self.snapshot_from(&pieces[0], nv);
-                    if self.bitmaps_consistent(&snap) {
-                        return snap;
-                    }
-                }
-            }
-            ep.note_torn_read();
-            backoff.wait(ep);
-        }
+        let mut snaps = self.read_full_rounds(ep, &[addr], addr.raw());
+        snaps.pop().expect("one snapshot per address")
     }
 
     /// Whole-leaf reads of several nodes with one doorbell batch per round;
     /// torn leaves are re-fetched in follow-up rounds (scans).
     pub fn read_full_batch(&self, ep: &mut Endpoint, addrs: &[GlobalAddr]) -> Vec<LeafSnapshot> {
-        let n = addrs.len();
-        let mut out: Vec<Option<LeafSnapshot>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..n).collect();
-        let mut spins = 0u32;
-        let mut backoff = Backoff::new(ep.client_id() as u64 ^ n as u64);
-        while !pending.is_empty() {
-            spins += 1;
-            assert!(spins < 1_000_000, "batched leaf read livelock");
-            if spins > 1 {
+        self.read_full_rounds(ep, addrs, addrs.len() as u64)
+    }
+
+    /// The whole-leaf read loop: each round READs every still-pending leaf
+    /// in one doorbell batch and keeps the images that decode; `site`
+    /// seeds the backoff between rounds.
+    fn read_full_rounds(&self, ep: &mut Endpoint, addrs: &[GlobalAddr], site: u64) -> Vec<LeafSnapshot> {
+        let layout = self.layout.versioned();
+        let (pstart, pend) = layout.phys_range(0, layout.payload_len());
+        let mut out: Vec<Option<LeafSnapshot>> = addrs.iter().map(|_| None).collect();
+        let mut backoff = Backoff::new(ep.client_id() as u64 ^ site);
+        for round in 0.. {
+            assert!(round < 1_000_000, "full leaf read livelock at {addrs:?}");
+            // The leaves still without a snapshot, each with a READ buffer.
+            let undecoded = out.iter().enumerate().filter(|(_, snap)| snap.is_none());
+            let mut raw: Vec<(usize, Vec<u8>)> =
+                undecoded.map(|(i, _)| (i, vec![0u8; pend - pstart])).collect();
+            if raw.is_empty() {
+                break;
+            }
+            if round > 0 {
                 backoff.wait(ep);
             }
-            // One READ per pending leaf, all in one doorbell batch.
-            let full = (0usize, self.layout.payload_len());
-            let mut bufs: Vec<Vec<Fetched>> = Vec::with_capacity(pending.len());
             {
-                // fetch_many targets a single node; issue per-node fetches
-                // but charge one round-trip by batching at the verb layer.
-                let layout = self.layout.versioned();
-                let mut raw: Vec<(GlobalAddr, Vec<u8>)> = pending
-                    .iter()
-                    .map(|&i| {
-                        let ps = layout.phys_start(full.0);
-                        let pe = layout.phys_of(full.1 - 1) + 1;
-                        (addrs[i].add(ps as u64), vec![0u8; pe - ps])
-                    })
+                let mut reqs: Vec<(GlobalAddr, &mut [u8])> = raw
+                    .iter_mut()
+                    .map(|(i, buf)| (addrs[*i].add(pstart as u64), &mut buf[..]))
                     .collect();
-                {
-                    let mut reqs: Vec<(GlobalAddr, &mut [u8])> = raw
-                        .iter_mut()
-                        .map(|(a, b)| (*a, &mut b[..]))
-                        .collect();
-                    ep.read_batch(&mut reqs);
-                }
-                for (_, buf) in raw {
-                    bufs.push(vec![layout.from_raw(full.0, full.1, buf)]);
-                }
+                ep.read_batch(&mut reqs);
             }
-            let mut still = Vec::new();
-            for (slot, pieces) in pending.iter().zip(bufs.iter()) {
-                let ok = self.check_all_nv(pieces).is_some() && self.check_all_ev(pieces);
-                if ok {
-                    let nv = self.check_all_nv(pieces).unwrap();
-                    let snap = self.snapshot_from(&pieces[0], nv);
-                    if self.bitmaps_consistent(&snap) {
-                        out[*slot] = Some(snap);
-                        continue;
-                    }
-                }
-                ep.note_torn_read();
-                still.push(*slot);
-            }
-            pending = still;
-        }
-        out.into_iter().map(|s| s.unwrap()).collect()
-    }
-
-    fn snapshot_from(&self, f: &Fetched, nv: u8) -> LeafSnapshot {
-        let span = self.layout.span;
-        let mut snap = LeafSnapshot {
-            keys: Vec::with_capacity(span),
-            values: Vec::with_capacity(span),
-            bitmaps: Vec::with_capacity(span),
-            evs: Vec::with_capacity(span),
-            nv,
-            meta: self.parse_meta(f, self.layout.replica_off(0)),
-        };
-        for i in 0..span {
-            snap.keys.push(self.entry_key(f, i));
-            snap.values.push(self.entry_value(f, i));
-            snap.bitmaps.push(self.entry_bitmap(f, i));
-            snap.evs.push(self.entry_ev(f, i));
-        }
-        snap
-    }
-
-    /// Full bitmap/occupancy cross-check of a snapshot.
-    fn bitmaps_consistent(&self, s: &LeafSnapshot) -> bool {
-        let span = self.layout.span;
-        // Every claimed slot holds a key homed there...
-        for i in 0..span {
-            for d in 0..16 {
-                if s.bitmaps[i] & (1 << d) != 0 {
-                    let pos = (i + d) % span;
-                    if s.keys[pos] == 0 || home_entry(s.keys[pos], span) != i {
-                        return false;
-                    }
+            for (i, buf) in raw {
+                out[i] = self.decode(layout.from_raw(0, layout.payload_len(), buf));
+                if out[i].is_none() {
+                    ep.note_torn_read();
                 }
             }
         }
-        // ...and every key is claimed by its home.
-        for (pos, &k) in s.keys.iter().enumerate() {
-            if k != 0 {
-                let hm = home_entry(k, span);
-                let d = cyc_dist(hm, pos, span);
-                if d >= 16 || s.bitmaps[hm] & (1 << d) == 0 {
-                    return false;
-                }
-            }
-        }
-        true
+        out.into_iter().map(|s| s.expect("every leaf decoded")).collect()
     }
 
     // ----- locking ---------------------------------------------------------
@@ -700,6 +661,28 @@ impl LeafOps {
         }
         let pieces = self.layout.versioned().fetch_many(ep, addr, &ranges);
         // Under the lock no writer races us; the checks are sanity asserts.
+        if a == 0 && e == span - 1 {
+            // Whole node: the body, preceded by the separately fetched
+            // header when replication is off.
+            let mut pieces = pieces.into_iter();
+            let body = pieces.next().expect("fetch_many returns a piece per range");
+            let image = match pieces.next() {
+                Some(header) => header.join(body),
+                None => body,
+            };
+            let snap = self
+                .decode(image)
+                .expect("locked leaf read observed a torn image");
+            let (nv, meta, max_key) = (snap.nv, snap.meta, snap.max_key());
+            let (w, evs) = snap.into_window();
+            return LockedRead {
+                w,
+                evs,
+                nv,
+                meta,
+                max_key,
+            };
+        }
         let nv = self
             .check_all_nv(&pieces)
             .expect("locked leaf read observed torn NV");
@@ -713,8 +696,9 @@ impl LeafOps {
         for (r, ev) in evs.iter_mut().enumerate() {
             let i = (a + r) % span;
             let p = self.piece_for(&pieces, i);
-            w.set_slot(i, self.entry_key(p, i), self.entry_value(p, i), self.entry_bitmap(p, i));
-            *ev = self.entry_ev(p, i);
+            let l = &self.layout;
+            w.set_slot(i, entry_key(l, p, i), entry_value(l, p, i).to_vec(), entry_bitmap(l, p, i));
+            *ev = entry_ev(l, p, i);
         }
         let max_key = if len == span {
             // Full-node window: compute the true maximum directly (also
@@ -728,7 +712,7 @@ impl LeafOps {
         } else {
             let i = argmax as usize % span;
             let p = self.piece_for(&pieces, i);
-            Some(self.entry_key(p, i))
+            Some(entry_key(&self.layout, p, i))
         };
         LockedRead {
             w,
@@ -924,179 +908,4 @@ fn cyclic_segments(a: usize, e: usize, span: usize) -> Vec<(usize, usize)> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::hopscotch::build_table;
-    use dmem::node::RESERVED_BYTES;
-    use dmem::Pool;
-
-    fn ops() -> LeafOps {
-        LeafOps::new(LeafLayout {
-            span: 64,
-            h: 8,
-            key_size: 8,
-            value_size: 8,
-            replication: true,
-            fences: false,
-            piggyback: true,
-        })
-    }
-
-    fn setup() -> (Endpoint, LeafOps, GlobalAddr) {
-        let pool = Pool::with_defaults(1, 4 << 20);
-        (Endpoint::new(pool), ops(), GlobalAddr::new(0, RESERVED_BYTES))
-    }
-
-    fn meta() -> LeafMeta {
-        LeafMeta {
-            sibling: GlobalAddr::new(0, 0xBEEF00),
-            valid: true,
-            fences: None,
-        }
-    }
-
-    fn populated(ep: &mut Endpoint, ops: &LeafOps, addr: GlobalAddr, n: u64) -> Vec<(u64, Vec<u8>)> {
-        let items: Vec<(u64, Vec<u8>)> =
-            (1..=n).map(|k| (k * 7, (k * 7).to_le_bytes().to_vec())).collect();
-        let w = build_table(64, 8, &items).unwrap();
-        ops.write_new(ep, addr, &w, &meta());
-        items
-    }
-
-    #[test]
-    fn write_new_then_neighborhood_reads() {
-        let (mut ep, ops, addr) = setup();
-        let items = populated(&mut ep, &ops, addr, 40);
-        for (k, v) in &items {
-            let r = ops.read_neighborhood(&mut ep, addr, *k);
-            let (_, got) = r.found.expect("key must be found");
-            assert_eq!(&got, v);
-            assert_eq!(r.meta.sibling.offset(), 0xBEEF00);
-            assert!(r.meta.valid);
-        }
-        // Absent keys miss cleanly.
-        assert!(ops.read_neighborhood(&mut ep, addr, 999_999).found.is_none());
-    }
-
-    #[test]
-    fn full_read_matches_items() {
-        let (mut ep, ops, addr) = setup();
-        let items = populated(&mut ep, &ops, addr, 40);
-        let snap = ops.read_full(&mut ep, addr);
-        let mut got = snap.items();
-        got.sort();
-        let mut want = items.clone();
-        want.sort();
-        assert_eq!(got, want);
-        assert_eq!(snap.max_key(), Some(40 * 7));
-        assert_eq!(snap.keys[snap.argmax() as usize], 40 * 7);
-    }
-
-    #[test]
-    fn lock_piggybacks_vacancy_and_argmax() {
-        let (mut ep, ops, addr) = setup();
-        populated(&mut ep, &ops, addr, 30);
-        let word = ops.lock(&mut ep, addr);
-        // 30 of 64 entries used: every group must still report vacancy in
-        // aggregate, and argmax must point at the true maximum.
-        assert!(ops.vm.first_vacant_group(word, 0).is_some());
-        let snap = ops.read_full(&mut ep, addr);
-        assert_eq!(word.argmax(), snap.argmax());
-        ops.unlock(&mut ep, addr, word);
-        // Lock can be re-acquired after release.
-        let w2 = ops.lock(&mut ep, addr);
-        ops.unlock(&mut ep, addr, w2);
-    }
-
-    #[test]
-    fn hop_insert_roundtrip() {
-        let (mut ep, ops, addr) = setup();
-        populated(&mut ep, &ops, addr, 30);
-        let key = 424_242u64;
-        let home = home_entry(key, 64);
-        let word = ops.lock(&mut ep, addr);
-        let mut lr = ops
-            .read_hop_window(&mut ep, addr, home, word)
-            .expect("node not full");
-        assert_eq!(lr.max_key, Some(30 * 7), "argmax entry piggybacked");
-        let empty = lr.w.first_empty_from(home).expect("space available");
-        let pos = lr.w.insert(key, vec![9u8; 8], empty).unwrap();
-        let w = &lr.w;
-        let new_word = ops
-            .vm
-            .recompute(word, w.start(), empty, |i| !w.slot_empty(i))
-            .with_argmax(if key > lr.max_key.unwrap() {
-                pos as u16
-            } else {
-                word.argmax()
-            });
-        ops.write_window_and_unlock(&mut ep, addr, &lr.w, &lr.evs, lr.nv, &lr.meta, new_word);
-        let r = ops.read_neighborhood(&mut ep, addr, key);
-        assert_eq!(r.found.expect("inserted key readable").1, vec![9u8; 8]);
-        // All earlier keys are still readable.
-        for k in 1..=30u64 {
-            assert!(ops.read_neighborhood(&mut ep, addr, k * 7).found.is_some());
-        }
-    }
-
-    #[test]
-    fn spec_read_hit_and_miss() {
-        let (mut ep, ops, addr) = setup();
-        let items = populated(&mut ep, &ops, addr, 40);
-        let (k, v) = &items[3];
-        let snap = ops.read_full(&mut ep, addr);
-        let (idx, _) = snap.find(*k, 8).unwrap();
-        assert_eq!(ops.spec_read(&mut ep, addr, idx, *k), Some(v.clone()));
-        // Wrong slot: speculation fails, no false positive.
-        let wrong = (idx + 1) % 64;
-        assert_eq!(ops.spec_read(&mut ep, addr, wrong, *k), None);
-    }
-
-    #[test]
-    fn rewrite_bumps_nv_and_preserves_content() {
-        let (mut ep, ops, addr) = setup();
-        let items = populated(&mut ep, &ops, addr, 20);
-        let snap0 = ops.read_full(&mut ep, addr);
-        let word = ops.lock(&mut ep, addr);
-        let _ = word;
-        let (w, _evs) = ops.read_full(&mut ep, addr).into_window(8);
-        ops.rewrite_and_unlock(&mut ep, addr, &w, snap0.nv, &meta());
-        let snap1 = ops.read_full(&mut ep, addr);
-        assert_eq!(snap1.nv, bump(snap0.nv));
-        let mut got = snap1.items();
-        got.sort();
-        let mut want = items;
-        want.sort();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn no_piggyback_uses_separate_vacancy_word() {
-        let pool = Pool::with_defaults(1, 4 << 20);
-        let mut ep = Endpoint::new(pool);
-        let ops = LeafOps::new(LeafLayout {
-            span: 64,
-            h: 8,
-            key_size: 8,
-            value_size: 8,
-            replication: true,
-            fences: false,
-            piggyback: false,
-        });
-        let addr = GlobalAddr::new(0, RESERVED_BYTES);
-        let items: Vec<(u64, Vec<u8>)> = (1..=10).map(|k| (k, vec![k as u8; 8])).collect();
-        let w = build_table(64, 8, &items).unwrap();
-        ops.write_new(&mut ep, addr, &w, &meta());
-        let r0 = ep.stats().reads;
-        let word = ops.lock(&mut ep, addr);
-        assert_eq!(ep.stats().reads, r0 + 1, "dedicated vacancy READ");
-        assert!(ops.vm.first_vacant_group(word, 0).is_some());
-        ops.unlock(&mut ep, addr, word);
-    }
-
-    #[test]
-    fn cyclic_segment_helper() {
-        assert_eq!(cyclic_segments(3, 10, 64), vec![(3, 10)]);
-        assert_eq!(cyclic_segments(60, 2, 64), vec![(60, 63), (0, 2)]);
-    }
-}
+mod tests;

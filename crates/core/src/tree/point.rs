@@ -172,7 +172,7 @@ impl ChimeClient {
             if !snap.meta.valid {
                 return ChaseOutcome::Restart;
             }
-            if let Some((_, v)) = snap.find(key, self.h()) {
+            if let Some((_, v)) = snap.find(key) {
                 let v = v.to_vec();
                 return ChaseOutcome::Done(Some(self.resolve_value(v)));
             }

@@ -1,5 +1,7 @@
 //! Range scan over the leaf level, and the whole-tree integrity walk.
 
+use std::sync::Arc;
+
 use dmem::{GlobalAddr, Phase};
 
 use super::{ChimeClient, OP_RETRY_LIMIT};
@@ -11,12 +13,25 @@ use crate::lockword::ARGMAX_NONE;
 /// consecutive parent entries before declaring the parent view stale.
 const SCAN_BRIDGE_LIMIT: usize = 64;
 
-/// `(key, stored value)` rows gathered by a scan attempt, unsorted.
-type Rows = Vec<(u64, Vec<u8>)>;
+/// What one scan attempt has gathered: the leaf snapshots it read, and a
+/// `(key, leaf, slot)` reference for every row with a key `>= start`,
+/// unsorted. Values stay in the snapshots until the rows to return are
+/// known.
+#[derive(Default)]
+struct Gathered {
+    leaves: Vec<LeafSnapshot>,
+    rows: Vec<(u64, u32, u16)>,
+}
 
-/// Appends `leaf`'s rows with keys `>= start`.
-fn gather(rows: &mut Rows, leaf: &LeafSnapshot, start: u64) {
-    rows.extend(leaf.items().into_iter().filter(|&(k, _)| k >= start));
+impl Gathered {
+    fn push(&mut self, leaf: LeafSnapshot, start: u64) {
+        let at = self.leaves.len() as u32;
+        let slots = leaf.keys.iter().enumerate();
+        self.rows.reserve(leaf.keys.len());
+        self.rows
+            .extend(slots.filter(|&(_, &k)| k >= start).map(|(slot, &k)| (k, at, slot as u16)));
+        self.leaves.push(leaf);
+    }
 }
 
 impl ChimeClient {
@@ -28,13 +43,19 @@ impl ChimeClient {
         self.retry_backoff.reset();
         for _ in 0..OP_RETRY_LIMIT {
             let mut parent = self.locate_parent(start);
-            let mut rows = Rows::new();
-            if self.scan_from(&mut parent, start, count, &mut rows) {
-                rows.sort_by_key(|&(k, _)| k);
-                rows.truncate(count);
-                for (k, v) in rows {
-                    let v = self.resolve_value(v);
-                    out.push((k, v));
+            let mut got = Gathered::default();
+            if self.scan_from(&mut parent, start, count, &mut got) {
+                // Ties (a key seen in two leaves mid-split) keep gather order.
+                let Gathered { leaves, mut rows } = got;
+                if rows.len() > count {
+                    rows.select_nth_unstable(count);
+                    rows.truncate(count);
+                }
+                rows.sort_unstable();
+                out.reserve(rows.len());
+                for (k, leaf, slot) in rows {
+                    let stored = leaves[leaf as usize].value(slot as usize).to_vec();
+                    out.push((k, self.resolve_value(stored)));
                 }
                 return;
             }
@@ -52,10 +73,10 @@ impl ChimeClient {
     /// when the current `parent` no longer matches the leaf level.
     fn scan_from(
         &mut self,
-        parent: &mut InternalNode,
+        parent: &mut Arc<InternalNode>,
         start: u64,
         count: usize,
-        rows: &mut Rows,
+        got: &mut Gathered,
     ) -> bool {
         let per_leaf = (self.span() * 3) / 4; // load-factor estimate
         let mut idx = match parent.entries.binary_search_by_key(&start, |e| e.0) {
@@ -71,7 +92,7 @@ impl ChimeClient {
         let mut chain: Option<GlobalAddr> = None;
         loop {
             // Batch-read the next group of candidate leaves in one RTT.
-            let need = count.saturating_sub(rows.len());
+            let need = count.saturating_sub(got.rows.len());
             let take = need
                 .div_ceil(per_leaf)
                 .max(1)
@@ -83,19 +104,19 @@ impl ChimeClient {
             let snaps = self.in_phase(Phase::LeafRead, |me| {
                 me.leaf().read_full_batch(&mut me.ep, &addrs)
             });
-            for (snap, &addr) in snaps.iter().zip(&addrs) {
+            for (snap, &addr) in snaps.into_iter().zip(&addrs) {
                 if !snap.meta.valid {
                     return false; // deprecated leaf
                 }
                 // Bridge split-off leaves the parent does not know yet.
-                if !chain.is_none_or(|c| self.walk_chain(c, Some(addr), start, count, rows)) {
+                if !chain.is_none_or(|c| self.walk_chain(c, Some(addr), start, count, got)) {
                     return false;
                 }
                 chain = Some(snap.meta.sibling);
-                gather(rows, snap, start);
+                got.push(snap, start);
             }
             idx += take;
-            if rows.len() >= count {
+            if got.rows.len() >= count {
                 return true;
             }
             if idx >= parent.entries.len() {
@@ -103,13 +124,13 @@ impl ChimeClient {
                     // Drain trailing split-off leaves past the parent's
                     // last known child before concluding the tree ends.
                     let c = chain.unwrap_or(GlobalAddr::NULL);
-                    return self.walk_chain(c, None, start, count, rows);
+                    return self.walk_chain(c, None, start, count, got);
                 }
                 let next = self.read_internal(parent.sibling);
                 if !next.valid {
                     return false;
                 }
-                *parent = next;
+                *parent = Arc::new(next);
                 idx = 0;
             }
         }
@@ -127,12 +148,12 @@ impl ChimeClient {
         target: Option<GlobalAddr>,
         start: u64,
         count: usize,
-        rows: &mut Rows,
+        got: &mut Gathered,
     ) -> bool {
         for hops in 0.. {
             let arrived = match target {
                 Some(t) => c == t,
-                None => c.is_null() || rows.len() >= count,
+                None => c.is_null() || got.rows.len() >= count,
             };
             if arrived {
                 break;
@@ -146,8 +167,8 @@ impl ChimeClient {
             if !leaf.meta.valid {
                 return false;
             }
-            gather(rows, &leaf, start);
             c = leaf.meta.sibling;
+            got.push(leaf, start);
         }
         true
     }

@@ -403,11 +403,10 @@ fn leaf_addrs_under_enumerates_every_leaf() {
     for addr in &leaves {
         let snap = c.leaf().read_full(&mut c.ep, *addr);
         assert!(snap.meta.valid);
-        let items = snap.items();
-        let min = items.iter().map(|&(k, _)| k).min().unwrap();
+        let min = snap.items().map(|(k, _)| k).min().unwrap();
         assert!(min > prev_max, "leaves out of order");
-        prev_max = items.iter().map(|&(k, _)| k).max().unwrap();
-        total += items.len() as u64;
+        prev_max = snap.max_key().unwrap();
+        total += snap.items().count() as u64;
     }
     assert_eq!(total, n);
 }

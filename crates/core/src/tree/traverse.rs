@@ -1,5 +1,7 @@
 //! Root/route maintenance and the descent through the internal levels.
 
+use std::sync::Arc;
+
 use dmem::{GlobalAddr, Phase, RetryCause};
 
 use super::{ChimeClient, OP_RETRY_LIMIT};
@@ -82,16 +84,16 @@ impl ChimeClient {
     }
 
     /// Reads an internal node through the CN cache; remote reads populate it.
-    fn read_internal_cached(&mut self, addr: GlobalAddr, key: u64) -> (InternalNode, bool) {
+    fn read_internal_cached(&mut self, addr: GlobalAddr, key: u64) -> (Arc<InternalNode>, bool) {
         let hit = self.in_phase(Phase::CacheLookup, |me| {
             me.cn.cache.lock().get(addr).filter(|n| n.covers(key))
         });
         if let Some(n) = hit {
             return (n, true);
         }
-        let n = self.shared.internal.read(&mut self.ep, addr);
+        let n = Arc::new(self.shared.internal.read(&mut self.ep, addr));
         if n.valid {
-            self.cn.cache.lock().insert(n.clone());
+            self.cn.cache.lock().insert(Arc::clone(&n));
         }
         (n, false)
     }
@@ -100,7 +102,7 @@ impl ChimeClient {
     /// laterally over half-split levels (B-link) and restarting from a
     /// fresh root when the route proves stale. Returns the node and whether
     /// it came from the CN cache. Runs inside the caller's traversal frame.
-    fn descend(&mut self, key: u64) -> (InternalNode, bool) {
+    fn descend(&mut self, key: u64) -> (Arc<InternalNode>, bool) {
         let mut addr = self.descent_origin();
         for _ in 0..OP_RETRY_LIMIT {
             let (node, via_cache) = self.read_internal_cached(addr, key);
@@ -150,17 +152,18 @@ impl ChimeClient {
         if let Some(n) = self.cn.cache.lock().get(addr) {
             return n.entries.first().map(|e| e.1);
         }
-        let n = self.shared.internal.read(&mut self.ep, addr);
+        let n = Arc::new(self.shared.internal.read(&mut self.ep, addr));
         if !n.valid {
             return None;
         }
-        self.cn.cache.lock().insert(n.clone());
-        n.entries.first().map(|e| e.1)
+        let first = n.entries.first().map(|e| e.1);
+        self.cn.cache.lock().insert(n);
+        first
     }
 
     /// Like [`Self::locate_leaf`] but returns the parent node itself
     /// (scans batch-read its consecutive leaves; merges lock it).
-    pub(super) fn locate_parent(&mut self, key: u64) -> InternalNode {
+    pub(super) fn locate_parent(&mut self, key: u64) -> Arc<InternalNode> {
         self.in_phase(Phase::Traversal, |me| me.descend(key).0)
     }
 }

@@ -67,7 +67,7 @@ fn reader_waits_out_torn_nv_and_returns_correct_value() {
     // Find the entry index so we can tear exactly the fetched range.
     let mut ep = Endpoint::new(Arc::clone(&pool));
     let snap = ops.read_full(&mut ep, addr);
-    let (idx, _) = snap.find(target_key, 8).unwrap();
+    let (idx, _) = snap.find(target_key).unwrap();
     // Tear the entry: a stalled node write bumped this NV only.
     let orig = tear_nv(&pool, &ops, addr, idx);
     let healed = Arc::new(AtomicBool::new(false));
@@ -104,7 +104,7 @@ fn reader_rejects_intermediate_hop_state() {
     let (target_key, target_val) = items[5].clone();
     let mut ep = Endpoint::new(Arc::clone(&pool));
     let snap = ops.read_full(&mut ep, addr);
-    let (idx, _) = snap.find(target_key, 8).unwrap();
+    let (idx, _) = snap.find(target_key).unwrap();
     let home = dmem::hash::home_entry(target_key, 64);
     // Simulate: the key moved out of `idx` (zeroed) but the home bitmap
     // still claims it — exactly the middle row of the paper's Fig. 7b.
@@ -144,7 +144,7 @@ fn speculative_read_fails_closed_on_torn_entry() {
     let (target_key, _) = items[3];
     let mut ep = Endpoint::new(Arc::clone(&pool));
     let snap = ops.read_full(&mut ep, addr);
-    let (idx, _) = snap.find(target_key, 8).unwrap();
+    let (idx, _) = snap.find(target_key).unwrap();
     // Tear the entry's EV (lead byte bumped, line slots not).
     let layout = ops.layout.versioned();
     let off = ops.layout.entry_off(idx);
@@ -153,7 +153,7 @@ fn speculative_read_fails_closed_on_torn_entry() {
     ep.read(addr.add(p as u64), &mut orig);
     // Entries straddling a line have interior version slots; bumping only
     // the lead byte makes them disagree.
-    let slots = layout.line_ver_slots(off, off + ops.layout.entry_size());
+    let slots = layout.slot_lines(off, off + ops.layout.entry_size());
     if slots.is_empty() {
         // Entry fits one line: a torn EV is impossible by construction;
         // nothing to inject (that is itself the guarantee).
@@ -166,4 +166,46 @@ fn speculative_read_fails_closed_on_torn_entry() {
         "speculation must fail closed on EV mismatch"
     );
     ep.write(addr.add(p as u64), &orig);
+}
+
+/// A displacement bit at or above H (here H = 8, bit 9) names a key that
+/// searches never probe. The whole-leaf read must treat the image as torn
+/// and retry until a writer repairs it, not hand out a snapshot in which
+/// the key is unreachable.
+#[test]
+fn whole_leaf_read_retries_on_a_displacement_bit_beyond_h() {
+    let (pool, ops, addr, items) = setup(40);
+    let meta = LeafMeta {
+        sibling: GlobalAddr::NULL,
+        valid: true,
+        fences: None,
+    };
+    let key = 1_000_003u64;
+    let home = dmem::hash::home_entry(key, 64);
+    let mut w = chime::hopscotch::Window::new(64, 8, 0, 64);
+    w.set_slot((home + 9) % 64, key, vec![7u8; 8], 0);
+    w.set_slot(home, 0, vec![0u8; 8], 1 << 9);
+    let mut ep = Endpoint::new(Arc::clone(&pool));
+    ops.write_new(&mut ep, addr, &w, &meta);
+    let healed = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let pool = Arc::clone(&pool);
+        let healed = Arc::clone(&healed);
+        std::thread::spawn(move || {
+            let mut ep = Endpoint::new(pool);
+            let snap = ops.read_full(&mut ep, addr);
+            assert!(
+                healed.load(Ordering::SeqCst),
+                "reader accepted a bitmap bit beyond H"
+            );
+            (snap.items().count(), ep.stats().torn_reads_detected)
+        })
+    };
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    assert!(!reader.is_finished(), "the decoder must force retries");
+    healed.store(true, Ordering::SeqCst);
+    ops.write_new(&mut ep, addr, &build_table(64, 8, &items).unwrap(), &meta);
+    let (count, torn_reads) = reader.join().unwrap();
+    assert_eq!(count, items.len());
+    assert!(torn_reads > 0, "the retries must be counted as torn reads");
 }

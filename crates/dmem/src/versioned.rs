@@ -17,6 +17,8 @@
 //! logical space, so a fetch that starts at an object boundary always carries
 //! enough version information to detect cross-line tearing.
 
+use std::ops::Range;
+
 use crate::addr::GlobalAddr;
 use crate::verbs::Endpoint;
 
@@ -115,6 +117,22 @@ impl Layout {
         }
     }
 
+    /// Physical byte range `[pstart, pend)` an access to logical
+    /// `[lstart, lend)` covers.
+    pub fn phys_range(&self, lstart: usize, lend: usize) -> (usize, usize) {
+        assert!(lstart < lend && lend <= self.payload_len);
+        (self.phys_start(lstart), self.phys_of(lend - 1) + 1)
+    }
+
+    /// Lines whose version slot an access to logical `[lstart, lend)`
+    /// covers: every line the range enters, plus the line it starts on when
+    /// it starts on a line-payload boundary ([`Layout::phys_start`]).
+    #[inline]
+    pub fn slot_lines(&self, lstart: usize, lend: usize) -> Range<usize> {
+        debug_assert!(lstart < lend && lend <= self.payload_len);
+        lstart.div_ceil(LINE_PAYLOAD)..(lend - 1) / LINE_PAYLOAD + 1
+    }
+
     /// Fetches logical range `[lstart, lend)` with one READ.
     ///
     /// The physical fetch starts at [`Layout::phys_start`]`(lstart)` — by
@@ -127,110 +145,75 @@ impl Layout {
         lstart: usize,
         lend: usize,
     ) -> Fetched {
-        assert!(lstart < lend && lend <= self.payload_len);
-        let pstart = self.phys_start(lstart);
-        let pend = self.phys_of(lend - 1) + 1;
+        let (pstart, pend) = self.phys_range(lstart, lend);
         let mut buf = vec![0u8; pend - pstart];
         ep.read(node.add(pstart as u64), &mut buf);
-        Fetched {
-            layout: *self,
-            lstart,
-            lend,
-            pstart,
-            buf,
-        }
-    }
-
-    /// Fetches two logical ranges with one doorbell batch (wrap-around case).
-    pub fn fetch2(
-        &self,
-        ep: &mut Endpoint,
-        node: GlobalAddr,
-        r1: (usize, usize),
-        r2: (usize, usize),
-    ) -> (Fetched, Fetched) {
-        let mk = |(ls, le): (usize, usize)| {
-            assert!(ls < le && le <= self.payload_len);
-            let ps = self.phys_start(ls);
-            let pe = self.phys_of(le - 1) + 1;
-            (ps, vec![0u8; pe - ps])
-        };
-        let (p1, mut b1) = mk(r1);
-        let (p2, mut b2) = mk(r2);
-        {
-            let mut reqs = [
-                (node.add(p1 as u64), &mut b1[..]),
-                (node.add(p2 as u64), &mut b2[..]),
-            ];
-            ep.read_batch(&mut reqs);
-        }
-        (
-            Fetched {
-                layout: *self,
-                lstart: r1.0,
-                lend: r1.1,
-                pstart: p1,
-                buf: b1,
-            },
-            Fetched {
-                layout: *self,
-                lstart: r2.0,
-                lend: r2.1,
-                pstart: p2,
-                buf: b2,
-            },
-        )
+        self.from_raw(lstart, lend, buf)
     }
 
     /// Wraps raw physical bytes (read by the caller, starting at
-    /// [`Layout::phys_start`]`(lstart)`) into a [`Fetched`] view.
-    pub fn from_raw(&self, lstart: usize, lend: usize, buf: Vec<u8>) -> Fetched {
-        assert!(lstart < lend && lend <= self.payload_len);
-        let pstart = self.phys_start(lstart);
-        let pend = self.phys_of(lend - 1) + 1;
+    /// [`Layout::phys_start`]`(lstart)`) into a [`Fetched`] view,
+    /// de-striping them in place.
+    pub fn from_raw(&self, lstart: usize, lend: usize, mut buf: Vec<u8>) -> Fetched {
+        let (pstart, pend) = self.phys_range(lstart, lend);
         assert_eq!(buf.len(), pend - pstart, "raw buffer size mismatch");
+        // Stash the covered version bytes (on the stack for nodes up to
+        // 4 KiB), close the payload up over their slots, then park them
+        // behind the payload.
+        let lines = self.slot_lines(lstart, lend);
+        let (mut stash, mut spill) = ([0u8; 64], Vec::new());
+        let vers = match stash.get_mut(..lines.len()) {
+            Some(vers) => vers,
+            None => {
+                spill.resize(lines.len(), 0);
+                &mut spill[..]
+            }
+        };
+        // Payload in front of the first slot (all of it, if none) stays put.
+        let mut w = (lines.start * LINE - pstart).min(buf.len());
+        for (ver, line) in vers.iter_mut().zip(lines.clone()) {
+            let slot = line * LINE - pstart;
+            let end = (slot + LINE).min(buf.len());
+            *ver = buf[slot];
+            buf.copy_within(slot + 1..end, w);
+            w += end - slot - 1;
+        }
+        buf[w..].copy_from_slice(vers);
+        debug_assert_eq!(w, lend - lstart);
         Fetched {
-            layout: *self,
             lstart,
-            lend,
-            pstart,
+            len: w,
+            first_line: lines.start,
             buf,
         }
     }
 
-    /// Fetches any number of logical ranges with one doorbell batch.
+    /// Fetches up to [`MAX_RANGES`] logical ranges with one doorbell batch.
     pub fn fetch_many(
         &self,
         ep: &mut Endpoint,
         node: GlobalAddr,
         ranges: &[(usize, usize)],
     ) -> Vec<Fetched> {
-        assert!(!ranges.is_empty());
-        let mut bufs: Vec<(usize, Vec<u8>)> = ranges
-            .iter()
-            .map(|&(ls, le)| {
-                assert!(ls < le && le <= self.payload_len);
-                let ps = self.phys_start(ls);
-                let pe = self.phys_of(le - 1) + 1;
-                (ps, vec![0u8; pe - ps])
-            })
-            .collect();
-        {
-            let mut reqs: Vec<(GlobalAddr, &mut [u8])> = bufs
-                .iter_mut()
-                .map(|(ps, buf)| (node.add(*ps as u64), &mut buf[..]))
-                .collect();
-            ep.read_batch(&mut reqs);
+        assert!(!ranges.is_empty() && ranges.len() <= MAX_RANGES);
+        // Buffers and work requests sit on the stack; unused slots stay
+        // empty and are not posted.
+        let mut bufs: [Vec<u8>; MAX_RANGES] = Default::default();
+        for (buf, &(ls, le)) in bufs.iter_mut().zip(ranges) {
+            let (ps, pe) = self.phys_range(ls, le);
+            *buf = vec![0u8; pe - ps];
         }
-        bufs.into_iter()
-            .zip(ranges.iter())
-            .map(|((ps, buf), &(ls, le))| Fetched {
-                layout: *self,
-                lstart: ls,
-                lend: le,
-                pstart: ps,
-                buf,
-            })
+        let mut slots = bufs.iter_mut();
+        let mut reqs: [(GlobalAddr, &mut [u8]); MAX_RANGES] = std::array::from_fn(|i| {
+            let ls = ranges.get(i).map_or(0, |r| r.0);
+            let buf = slots.next().expect("MAX_RANGES buffers");
+            (node.add(self.phys_start(ls) as u64), &mut buf[..])
+        });
+        ep.read_batch(&mut reqs[..ranges.len()]);
+        ranges
+            .iter()
+            .zip(bufs)
+            .map(|(&(ls, le), buf)| self.from_raw(ls, le, buf))
             .collect()
     }
 
@@ -278,29 +261,23 @@ impl Layout {
         let (pstart, img) = self.build_phys(lstart, data, line_ver);
         ep.write(node.add(pstart as u64), &img);
     }
-
-    /// Logical offsets (following positions) of the line-version slots that
-    /// fall strictly inside physical range of logical `[lstart, lend)`.
-    pub fn line_ver_slots(&self, lstart: usize, lend: usize) -> Vec<usize> {
-        let pstart = self.phys_start(lstart);
-        let pend = self.phys_of(lend - 1) + 1;
-        let mut v = Vec::new();
-        for line in pstart / LINE..=(pend - 1) / LINE {
-            let p = line * LINE;
-            if p >= pstart && p < pend {
-                v.push(line * LINE_PAYLOAD);
-            }
-        }
-        v
-    }
 }
 
-/// The result of a versioned fetch: raw physical bytes plus accessors.
+/// Most ranges one [`Layout::fetch_many`] doorbell batch takes (a wrapped
+/// hop window, the leaf header and the argmax entry).
+pub const MAX_RANGES: usize = 4;
+
+/// The result of a versioned fetch, de-striped once on arrival: the logical
+/// payload bytes of `[lstart, lend)` as one contiguous slice, followed in
+/// the same buffer by the version bytes of the covered line slots
+/// ([`Layout::slot_lines`]) in line order.
+#[derive(Debug)]
 pub struct Fetched {
-    layout: Layout,
     lstart: usize,
-    lend: usize,
-    pstart: usize,
+    /// Payload length; `buf[len..]` holds the line versions.
+    len: usize,
+    /// Line index of the first covered version slot.
+    first_line: usize,
     buf: Vec<u8>,
 }
 
@@ -312,79 +289,77 @@ impl Fetched {
 
     /// One past the last logical offset covered.
     pub fn lend(&self) -> usize {
-        self.lend
+        self.lstart + self.len
+    }
+
+    /// Joins this fetch with the fetch of the logical range right after it
+    /// into the view one fetch of both ranges would have given.
+    pub fn join(self, next: Fetched) -> Fetched {
+        assert_eq!(self.lend(), next.lstart, "ranges are not adjacent");
+        let (payload, vers) = self.buf.split_at(self.len);
+        let (next_payload, next_vers) = next.buf.split_at(next.len);
+        Fetched {
+            lstart: self.lstart,
+            len: self.len + next.len,
+            first_line: self.first_line,
+            buf: [payload, next_payload, vers, next_vers].concat(),
+        }
+    }
+
+    /// The `len` logical bytes starting at absolute logical offset `l`.
+    #[inline]
+    pub fn bytes(&self, l: usize, len: usize) -> &[u8] {
+        let at = l - self.lstart;
+        &self.buf[..self.len][at..at + len]
     }
 
     /// Returns the logical byte at absolute logical offset `l`.
     #[inline]
     pub fn get(&self, l: usize) -> u8 {
-        debug_assert!(l >= self.lstart && l < self.lend);
-        self.buf[self.layout.phys_of(l) - self.pstart]
+        self.bytes(l, 1)[0]
     }
 
     /// Copies `len` logical bytes starting at absolute logical offset `l`.
     pub fn copy(&self, l: usize, len: usize) -> Vec<u8> {
-        (l..l + len).map(|i| self.get(i)).collect()
+        self.bytes(l, len).to_vec()
     }
 
     /// Reads a little-endian `u64` at absolute logical offset `l`.
+    #[inline]
     pub fn u64_at(&self, l: usize) -> u64 {
-        let mut b = [0u8; 8];
-        for (i, x) in b.iter_mut().enumerate() {
-            *x = self.get(l + i);
-        }
-        u64::from_le_bytes(b)
+        u64::from_le_bytes(self.bytes(l, 8).try_into().expect("8 bytes"))
     }
 
     /// Reads a little-endian `u16` at absolute logical offset `l`.
+    #[inline]
     pub fn u16_at(&self, l: usize) -> u16 {
-        u16::from_le_bytes([self.get(l), self.get(l + 1)])
+        u16::from_le_bytes(self.bytes(l, 2).try_into().expect("2 bytes"))
     }
 
     /// Version bytes of the line slots inside logical `[a, b)` (both bounds
     /// absolute), i.e. the interleaved cache-line versions a reader must
     /// check for an object spanning that range.
-    pub fn line_versions(&self, a: usize, b: usize) -> Vec<u8> {
-        self.layout
-            .line_ver_slots(a, b)
-            .iter()
-            .map(|&slot| {
-                let p = (slot / LINE_PAYLOAD) * LINE;
-                self.buf[p - self.pstart]
-            })
-            .collect()
+    #[inline]
+    pub fn line_versions(&self, a: usize, b: usize) -> &[u8] {
+        debug_assert!(self.lstart <= a && a < b && b <= self.lend());
+        let first = a.div_ceil(LINE_PAYLOAD);
+        let end = ((b - 1) / LINE_PAYLOAD + 1).max(first);
+        &self.buf[self.len..][first - self.first_line..end - self.first_line]
     }
 
     /// Checks that every version byte in the fetch (line slots plus the
     /// object-leading bytes at `object_leads`, absolute logical offsets)
     /// agrees on NV. Returns that NV on success.
-    pub fn check_nv(&self, object_leads: &[usize]) -> Option<u8> {
-        let mut expect: Option<u8> = None;
-        let mut probe = |b: u8| -> bool {
-            let n = nv(b);
-            match expect {
-                None => {
-                    expect = Some(n);
-                    true
-                }
-                Some(e) => e == n,
-            }
-        };
-        for b in self.line_versions(self.lstart, self.lend) {
-            if !probe(b) {
-                return None;
-            }
-        }
-        for &l in object_leads {
-            if !probe(self.get(l)) {
-                return None;
-            }
-        }
-        expect
+    pub fn check_nv(&self, object_leads: impl IntoIterator<Item = usize>) -> Option<u8> {
+        let leads = object_leads.into_iter().map(|l| self.get(l));
+        let mut vers = self.buf[self.len..].iter().copied().chain(leads).map(nv);
+        let expect = vers.next()?;
+        vers.all(|n| n == expect).then_some(expect)
     }
 
     /// Checks that the object spanning logical `[a, b)` with leading version
     /// byte at `a` is EV-consistent (no concurrent entry write observed).
+    #[inline]
     pub fn check_ev(&self, a: usize, b: usize) -> bool {
         let lead = ev(self.get(a));
         self.line_versions(a, b).iter().all(|&v| ev(v) == lead)
@@ -440,10 +415,7 @@ mod tests {
         let f = layout.fetch(&mut e, node, 40, 240);
         assert_eq!(f.copy(40, 200), data);
         // All interleaved line versions must be what we wrote.
-        for v in f.line_versions(40, 240) {
-            assert_eq!(nv(v), 3);
-            assert_eq!(ev(v), 1);
-        }
+        assert_eq!(f.line_versions(40, 240), [pack_ver(3, 1); 3]);
     }
 
     #[test]
@@ -470,10 +442,10 @@ mod tests {
         // Overwrite the second line only, with a different NV.
         layout.write(&mut e, node, 63, &[7u8; 63], |_| pack_ver(3, 0));
         let f = layout.fetch(&mut e, node, 0, 150);
-        assert_eq!(f.check_nv(&[]), None);
+        assert_eq!(f.check_nv([]), None);
         // A fetch confined to the second line is self-consistent.
         let f2 = layout.fetch(&mut e, node, 63, 126);
-        assert_eq!(f2.check_nv(&[]), Some(3));
+        assert_eq!(f2.check_nv([]), Some(3));
     }
 
     #[test]
@@ -496,27 +468,100 @@ mod tests {
     }
 
     #[test]
-    fn line_ver_slots_positions() {
+    fn slot_lines_positions() {
         let layout = Layout::new(300);
         // A range starting on a line-payload boundary owns that line's slot.
-        assert_eq!(layout.line_ver_slots(0, 63), vec![0]);
+        assert_eq!(layout.slot_lines(0, 63), 0..1);
         // Range [0, 64) crosses into line 1: also the slot guarding 63.
-        assert_eq!(layout.line_ver_slots(0, 64), vec![0, 63]);
+        assert_eq!(layout.slot_lines(0, 64), 0..2);
         // A mid-line start does not own the slot before it.
-        assert_eq!(layout.line_ver_slots(50, 130), vec![63, 126]);
+        assert_eq!(layout.slot_lines(50, 130), 1..3);
+        // An object inside one line covers no slot.
+        assert!(layout.slot_lines(5, 40).is_empty());
     }
 
     #[test]
-    fn fetch2_doorbell() {
+    fn fetch_many_is_one_doorbell() {
         let mut e = ep();
         let node = GlobalAddr::new(0, RESERVED_BYTES);
         let layout = Layout::new(300);
         layout.write(&mut e, node, 0, &[9u8; 20], |_| 0);
         layout.write(&mut e, node, 200, &[8u8; 20], |_| 0);
         let before = e.stats().rtts;
-        let (f1, f2) = layout.fetch2(&mut e, node, (0, 20), (200, 220));
+        let f = layout.fetch_many(&mut e, node, &[(0, 20), (200, 220)]);
         assert_eq!(e.stats().rtts, before + 1);
-        assert_eq!(f1.copy(0, 20), vec![9u8; 20]);
-        assert_eq!(f2.copy(200, 20), vec![8u8; 20]);
+        assert_eq!(f[0].copy(0, 20), vec![9u8; 20]);
+        assert_eq!(f[1].copy(200, 20), vec![8u8; 20]);
+    }
+
+    /// The per-byte view this module used to serve every access through:
+    /// kept as the oracle the de-striped [`Fetched`] is checked against.
+    struct PerByte {
+        layout: Layout,
+        pstart: usize,
+        raw: Vec<u8>,
+    }
+
+    impl PerByte {
+        fn get(&self, l: usize) -> u8 {
+            self.raw[self.layout.phys_of(l) - self.pstart]
+        }
+
+        fn line_versions(&self, a: usize, b: usize) -> Vec<u8> {
+            let pstart = self.layout.phys_start(a);
+            let pend = self.layout.phys_of(b - 1) + 1;
+            (pstart / LINE..=(pend - 1) / LINE)
+                .map(|line| line * LINE)
+                .filter(|&p| p >= pstart && p < pend)
+                .map(|p| self.raw[p - self.pstart])
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        /// De-striping keeps every logical byte and every covered line
+        /// version where the per-byte mapping finds them, for any range and
+        /// any sub-object of it.
+        #[test]
+        fn destriped_view_matches_per_byte_mapping(
+            // Up to 96 lines: past the 64 version bytes `from_raw` stashes
+            // on the stack.
+            payload_len in 1usize..6000,
+            cut in (0usize..6000, 0usize..6000, 0usize..6000, 0usize..6000),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let layout = Layout::new(payload_len);
+            let (x, y) = (cut.0 % payload_len, cut.1 % payload_len);
+            let (lstart, lend) = (x.min(y), x.max(y) + 1);
+            let (pstart, pend) = layout.phys_range(lstart, lend);
+            let mut rng = seed | 1;
+            let raw: Vec<u8> = (pstart..pend)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng as u8
+                })
+                .collect();
+            let old = PerByte { layout, pstart, raw: raw.clone() };
+            let new = layout.from_raw(lstart, lend, raw);
+            proptest::prop_assert_eq!((new.lstart(), new.lend()), (lstart, lend));
+            for l in lstart..lend {
+                proptest::prop_assert_eq!(new.get(l), old.get(l));
+            }
+            proptest::prop_assert_eq!(
+                new.line_versions(lstart, lend),
+                &old.line_versions(lstart, lend)[..]
+            );
+            // A sub-object, including ones that begin on a 63-byte boundary.
+            let (u, v) = (lstart + cut.2 % (lend - lstart), lstart + cut.3 % (lend - lstart));
+            let (a, b) = (u.min(v), u.max(v) + 1);
+            proptest::prop_assert_eq!(new.line_versions(a, b), &old.line_versions(a, b)[..]);
+            proptest::prop_assert_eq!(new.bytes(a, b - a), &(a..b).map(|l| old.get(l)).collect::<Vec<_>>()[..]);
+            let a63 = a / LINE_PAYLOAD * LINE_PAYLOAD;
+            if a63 >= lstart && a63 < b {
+                proptest::prop_assert_eq!(new.line_versions(a63, b), &old.line_versions(a63, b)[..]);
+            }
+        }
     }
 }

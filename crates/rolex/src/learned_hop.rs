@@ -360,7 +360,7 @@ impl RangeIndex for ChimeLearnedClient {
             let snap = leaf.read_full(&mut self.ep, addr);
             for (k, v) in snap.items() {
                 if k >= start {
-                    collected.push((k, v));
+                    collected.push((k, v.to_vec()));
                 }
             }
             let mut syn = snap.meta.sibling;
@@ -368,7 +368,7 @@ impl RangeIndex for ChimeLearnedClient {
                 let s = leaf.read_full(&mut self.ep, syn);
                 for (k, v) in s.items() {
                     if k >= start {
-                        collected.push((k, v));
+                        collected.push((k, v.to_vec()));
                     }
                 }
                 syn = s.meta.sibling;

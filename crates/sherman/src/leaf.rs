@@ -117,11 +117,8 @@ pub struct ShermanLeafOps {
 impl ShermanLeafOps {
     fn parse(&self, f: &Fetched) -> Option<LeafSnapshot> {
         let l = self.layout;
-        let mut leads = vec![header::VER];
-        for i in 0..l.span {
-            leads.push(l.entry_off(i));
-        }
-        let nv = f.check_nv(&leads)?;
+        let leads = (0..l.span).map(|i| l.entry_off(i));
+        let nv = f.check_nv(std::iter::once(header::VER).chain(leads))?;
         if !f.check_ev(0, header::SIZE) {
             return None;
         }

@@ -192,15 +192,15 @@ impl ShermanClient {
         }
     }
 
-    fn read_internal_cached(&mut self, addr: GlobalAddr, key: u64) -> InternalNode {
+    fn read_internal_cached(&mut self, addr: GlobalAddr, key: u64) -> Arc<InternalNode> {
         if let Some(n) = self.cn.cache.lock().get(addr) {
             if n.covers(key) {
                 return n;
             }
         }
-        let n = self.shared.internal.read(&mut self.ep, addr);
+        let n = Arc::new(self.shared.internal.read(&mut self.ep, addr));
         if n.valid {
-            self.cn.cache.lock().insert(n.clone());
+            self.cn.cache.lock().insert(Arc::clone(&n));
         }
         n
     }
@@ -231,7 +231,7 @@ impl ShermanClient {
         panic!("sherman locate retry limit for key {key}");
     }
 
-    fn locate_parent(&mut self, key: u64) -> InternalNode {
+    fn locate_parent(&mut self, key: u64) -> Arc<InternalNode> {
         let mut addr = self.root();
         for _ in 0..OP_RETRY_LIMIT {
             let node = self.read_internal_cached(addr, key);
@@ -608,7 +608,7 @@ impl RangeIndex for ShermanClient {
                 if parent.sibling.is_null() {
                     break;
                 }
-                parent = self.shared.internal.read(&mut self.ep, parent.sibling);
+                parent = Arc::new(self.shared.internal.read(&mut self.ep, parent.sibling));
                 if !parent.valid {
                     break;
                 }

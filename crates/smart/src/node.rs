@@ -232,7 +232,7 @@ impl ArtOps {
             }
             assert!(spins < 1_000_000, "leaf read livelock");
             let f = l.fetch(ep, addr, 0, 9 + self.value_size);
-            if f.check_nv(&[0]).is_none() || !f.check_ev(0, 9 + self.value_size) {
+            if f.check_nv([0]).is_none() || !f.check_ev(0, 9 + self.value_size) {
                 continue;
             }
             let key = f.u64_at(1);
