@@ -24,7 +24,10 @@
 //! real-TCP serve mode) simply don't name lane types, so they are out of
 //! scope by construction. Genuinely safe uses (e.g. a lock that is
 //! uncontended because only one lane runs at a time) take a reasoned
-//! `chime-lint: allow(async-block)` suppression.
+//! `chime-lint: allow(async-block)` suppression. The engine itself is the
+//! one *named exemption*, scoped to its path: parking a lane's OS thread
+//! is its job, and its lock is only ever taken by the lane holding the
+//! baton. The same code anywhere else — a lane body included — still fires.
 
 use crate::report::Finding;
 use crate::source::SourceFile;
@@ -32,13 +35,18 @@ use crate::source::SourceFile;
 /// Markers that make a file lane-context.
 const LANE_MARKERS: &[&str] = &["LaneBody", "install_lane_hook"];
 
+/// Documented exemption: (entry name, path prefix). Files under the prefix
+/// implement lane parking rather than run on lanes.
+const EXEMPT: &[(&str, &str)] = &[("lane-engine", "crates/sched/src/")];
+
 /// Runs the rule.
 pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
     let toks = &file.toks;
     let lane_context = toks
         .iter()
         .any(|t| LANE_MARKERS.iter().any(|m| t.is_ident(m)));
-    if !lane_context {
+    let exempt = EXEMPT.iter().any(|&(_, prefix)| file.rel_path.starts_with(prefix));
+    if !lane_context || exempt {
         return;
     }
     let uses_condvar = toks.iter().any(|t| t.is_ident("Condvar"));

@@ -123,6 +123,20 @@ fn async_block_fires_and_suppresses() {
 }
 
 #[test]
+fn async_block_exempts_the_engine_by_path_only() {
+    // One text, two places: in a file of lane bodies both the parking loop
+    // and the body's `.lock()` fire; under the engine's own path it is the
+    // named exemption, with no inline suppression involved.
+    let r = assert_fires("firing/async_block_engine.rs", "async-block", 2);
+    assert!(r.findings[1].message.contains("`counting_lane` calls a blocking `.lock()`"));
+    let root = fixtures_root().join("suppressed");
+    let engine = root.join("crates/sched/src/engine.rs");
+    let r = analyzer::lint_files(&root, &[engine]).unwrap();
+    assert!(r.findings.is_empty(), "expected clean, got:\n{}", r.to_text());
+    assert_eq!(r.suppressions_honored, 0);
+}
+
+#[test]
 fn epoch_discipline_fires_and_suppresses() {
     let r = assert_fires("firing/epoch.rs", "epoch-discipline", 1);
     assert!(r.findings[0].message.contains("without the partition lock"));

@@ -10,7 +10,7 @@
 //! * every verb a lane issues becomes a WQE on the client's shared
 //!   [`dmem::Qp`] (via the [`dmem::LaneHook`] seam) and the lane **parks**
 //!   until the scheduler delivers its completion;
-//! * the scheduler is a discrete-event loop: it always resumes the lane
+//! * scheduling is discrete-event: the lane resumed next is always the one
 //!   with the **earliest pending completion timestamp** (lane index breaks
 //!   ties), so exactly one lane executes at any instant and the global
 //!   interleaving is a pure function of the lanes' virtual-time behaviour;
@@ -18,23 +18,23 @@
 //!   quantum share a doorbell — one round trip — which is where pipelining's
 //!   modeled throughput gain comes from.
 //!
-//! Lanes are hosted on parked OS threads purely as a coroutine mechanism:
-//! no two lane threads are ever runnable simultaneously, nothing reads a
-//! wall clock, and handoff happens over rendezvous channels, so runs are
-//! deterministic regardless of OS scheduling.
+//! Lanes are hosted on parked OS threads purely as a coroutine mechanism.
+//! There is no scheduler thread: the right to run is a **baton**. The lane
+//! that parks or finishes takes the scheduler lock, makes the next
+//! scheduling decision itself and either keeps running (the completion it
+//! just delivered is its own — no thread switch) or leaves the payload in
+//! the chosen lane's mailbox, drops the lock and only then wakes that lane.
+//! Only the baton holder ever touches scheduler state and nothing reads a
+//! wall clock, so runs are deterministic regardless of OS scheduling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{self, Thread};
 
 use dmem::qp::{self, LaneHook, WqeOutcome, WqeTicket};
 use dmem::{NetConfig, Qp, QpConfig, QpStats};
@@ -51,6 +51,10 @@ pub struct ClientRun<T> {
     /// The client's queue-pair statistics (doorbells, batch sizes, CQ
     /// depths) accumulated across all lanes.
     pub qp: QpStats,
+    /// Times the baton moved from one lane's thread to another's: at most
+    /// one per park and one per finished lane, and 0 at K = 1. A host-side
+    /// cost count — exact and repeatable, but no part of the virtual model.
+    pub handoffs: u64,
 }
 
 impl<T> ClientRun<T> {
@@ -91,87 +95,172 @@ impl Default for EngineConfig {
 /// lane at the scheduler.
 pub type LaneBody<T> = Box<dyn FnOnce() -> T + Send>;
 
-/// What a parked lane is waiting for.
-enum Parked {
-    /// A posted WQE (ticket reaped at delivery).
-    Verb(WqeTicket),
-    /// A verb-free virtual-time advance (backoff, RPC service, fault delay).
-    Timer,
+/// Why the running lane gives up the baton.
+enum Yield {
+    /// It posts a WQE (the arguments of [`Qp::post_wqe`], in order) and
+    /// waits for the completion.
+    Verb(u64, u16, u64, u64, u64),
+    /// It waits until this virtual time without posting (backoff, RPC
+    /// service, fault delay).
+    Timer(u64),
+    /// Its body returned or panicked.
+    Finished,
 }
 
-/// Scheduler-to-lane resumption payload.
-enum LaneResume {
-    Verb(WqeOutcome),
-    Timer,
+/// What resumes a lane: the completion of the WQE it posted, or `None`
+/// when all it waited for was its first turn or a timer.
+type Resume = Option<WqeOutcome>;
+
+/// The scheduler state of one client run. Only the baton holder locks it.
+struct Sched {
+    qp: Qp,
+    /// Per lane, the virtual time the event it is parked on completes, and
+    /// the ticket to reap then if that event is a WQE. A lane has at most
+    /// one.
+    pending: Vec<Option<(u64, Option<WqeTicket>)>>,
+    /// Per lane, the payload left by whoever handed it the baton.
+    mailbox: Vec<Option<Resume>>,
+    /// Lanes `0..started` have been given their first turn.
+    started: usize,
+    handoffs: u64,
+    gauge: Option<Arc<CqDepthGauge>>,
+    gate: Option<Arc<LaneGate>>,
 }
 
-/// Lane-to-scheduler events. Exactly one lane is ever running, so these
-/// arrive strictly ordered.
-enum Event<T> {
-    Post {
-        lane: usize,
-        now_ns: u64,
-        mn: u16,
-        msgs: u64,
-        wire_bytes: u64,
-        trace: u64,
-    },
-    Timer {
-        lane: usize,
-        now_ns: u64,
-        dt_ns: u64,
-    },
-    Finished {
-        lane: usize,
-        result: LaneResult<T>,
-    },
+impl Sched {
+    /// The one scheduling step: books what the lane `from` (if any) yielded
+    /// for, then picks who runs next — the next unstarted lane unless a
+    /// [`LaneGate`] is held, else the earliest pending completion (lane
+    /// index breaks ties; a gate owner goes before everyone) — and reaps
+    /// that completion. `None`: every lane has finished. Post and poll stay
+    /// together here so `cq-discipline` sees the pair: no `return`/`?` below.
+    fn step(&mut self, from: Option<(usize, Yield)>) -> Option<(usize, Resume)> {
+        match from {
+            Some((lane, Yield::Verb(now_ns, mn, msgs, wire_bytes, trace))) => {
+                let ticket = self.qp.post_wqe(now_ns, mn, msgs, wire_bytes, trace);
+                self.pending[lane] = Some((ticket.completion(), Some(ticket)));
+                if let Some(g) = &self.gauge {
+                    g.publish(self.qp.outstanding_len());
+                }
+            }
+            Some((lane, Yield::Timer(until_ns))) => {
+                self.pending[lane] = Some((until_ns, None));
+            }
+            Some((lane, Yield::Finished)) => {
+                // A finished (or crashed) owner must release its gate
+                // claim, else the remaining lanes would never resume.
+                if let Some(g) = &self.gate {
+                    g.clear_if(lane);
+                }
+            }
+            None => {}
+        }
+        // Nothing runs during a step, so a live owner is parked. While it
+        // is, only it resumes, and new lanes stay unstarted: their first
+        // instructions must not interleave with the guarded section.
+        let owner = self
+            .gate
+            .as_ref()
+            .and_then(|g| g.owner())
+            .filter(|&o| self.pending.get(o).is_some_and(Option::is_some));
+        let earliest = || {
+            let parked = self.pending.iter().enumerate();
+            parked
+                .filter_map(|(lane, p)| p.as_ref().map(|&(t, _)| (t, lane)))
+                .min()
+                .map(|(_, lane)| lane)
+        };
+        if owner.is_none() && self.started < self.pending.len() {
+            self.started += 1;
+            Some((self.started - 1, None))
+        } else if let Some(lane) = owner.or_else(earliest) {
+            let (t, ticket) = self.pending[lane].take().expect("chosen lane is parked");
+            let resume = ticket.map(|ticket| self.qp.poll_wqe(ticket));
+            if let Some(g) = &self.gauge {
+                // The global frontier advances to `t`: completions at or
+                // before it are delivered, so the resumed lane sees a
+                // decayed depth.
+                self.qp.expire_before(t);
+                g.publish(self.qp.outstanding_len());
+            }
+            Some((lane, resume))
+        } else {
+            None
+        }
+    }
 }
 
-/// The [`LaneHook`] installed on each lane thread: forwards verb and timer
-/// boundaries to the scheduler and blocks until resumed.
-struct EngineHook<T: Send + 'static> {
-    lane: usize,
-    events: Sender<Event<T>>,
-    resume: Receiver<LaneResume>,
+/// The baton: the scheduler state plus the lane threads to wake.
+struct Baton {
+    sched: Mutex<Sched>,
+    /// The lane threads, set once they are all spawned and before the
+    /// baton is first passed.
+    threads: OnceLock<Vec<Thread>>,
 }
 
-impl<T: Send + 'static> LaneHook for EngineHook<T> {
-    fn post(
-        &mut self,
-        now_ns: u64,
-        mn: u16,
-        msgs: u64,
-        wire_bytes: u64,
-        trace: u64,
-    ) -> WqeOutcome {
-        self.events
-            .send(Event::Post {
-                lane: self.lane,
-                now_ns,
-                mn,
-                msgs,
-                wire_bytes,
-                trace,
-            })
-            .expect("scheduler gone while lane runs");
-        match self.resume.recv().expect("scheduler gone while lane parked") {
-            LaneResume::Verb(out) => out,
-            LaneResume::Timer => unreachable!("timer resume for a posted WQE"),
+impl Baton {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Sched> {
+        self.sched
+            .lock()
+            .expect("a lane panicked inside the scheduler")
+    }
+
+    /// Runs a scheduling step on behalf of `from` — a lane giving up the
+    /// baton, or `None` for the thread that starts the run — and hands the
+    /// baton to the lane it picks. Returns the payload instead when that
+    /// lane is the caller itself, which then simply keeps running.
+    fn pass(&self, from: Option<(usize, Yield)>) -> Option<Resume> {
+        let from_lane = from.as_ref().map(|&(lane, _)| lane);
+        let mut sched = self.lock();
+        let (next, resume) = sched.step(from)?;
+        if from_lane == Some(next) {
+            return Some(resume);
+        }
+        sched.mailbox[next] = Some(resume);
+        sched.handoffs += u64::from(from_lane.is_some());
+        // Wake only after unlocking: a lane woken while the waker still
+        // holds the lock pre-empts it, blocks on that lock and turns one
+        // thread switch into three.
+        drop(sched);
+        self.threads.get().expect("lane threads registered")[next].unpark();
+        None
+    }
+
+    /// Blocks lane `lane`'s thread until the baton reaches it.
+    fn wait(&self, lane: usize) -> Resume {
+        loop {
+            // The wake-up token makes an `unpark` that came first return
+            // at once; the mailbox check absorbs spurious wake-ups.
+            thread::park();
+            if let Some(resume) = self.lock().mailbox[lane].take() {
+                return resume;
+            }
         }
     }
 
+    /// Parks lane `lane` on `event` and returns what resumes it.
+    fn park(&self, lane: usize, event: Yield) -> Resume {
+        self.pass(Some((lane, event)))
+            .unwrap_or_else(|| self.wait(lane))
+    }
+}
+
+/// The [`LaneHook`] installed on each lane thread: turns verb and timer
+/// boundaries into baton passes.
+struct EngineHook {
+    lane: usize,
+    baton: Arc<Baton>,
+}
+
+impl LaneHook for EngineHook {
+    fn post(&mut self, now_ns: u64, mn: u16, msgs: u64, wire_bytes: u64, trace: u64) -> WqeOutcome {
+        let event = Yield::Verb(now_ns, mn, msgs, wire_bytes, trace);
+        let resume = self.baton.park(self.lane, event);
+        resume.expect("a posted WQE resumes with its completion")
+    }
+
     fn timer(&mut self, now_ns: u64, dt_ns: u64) {
-        self.events
-            .send(Event::Timer {
-                lane: self.lane,
-                now_ns,
-                dt_ns,
-            })
-            .expect("scheduler gone while lane runs");
-        match self.resume.recv().expect("scheduler gone while lane parked") {
-            LaneResume::Timer => {}
-            LaneResume::Verb(_) => unreachable!("verb resume for a timer wait"),
-        }
+        self.baton.park(self.lane, Yield::Timer(now_ns + dt_ns));
     }
 }
 
@@ -272,33 +361,6 @@ impl LaneGate {
     }
 }
 
-/// Pops the next completion to deliver. With a held [`LaneGate`], the
-/// owner's earliest pending completion wins (the heap pops in ascending
-/// order, so the first owner entry found is its earliest; skipped entries
-/// are pushed back). Without one — or when the owner has nothing pending —
-/// the globally earliest completion is delivered.
-fn pop_ready(
-    ready: &mut BinaryHeap<Reverse<(u64, usize)>>,
-    gate: Option<&LaneGate>,
-) -> Option<Reverse<(u64, usize)>> {
-    let Some(owner) = gate.and_then(|g| g.owner()) else {
-        return ready.pop();
-    };
-    let mut skipped = Vec::new();
-    let mut found = None;
-    while let Some(e) = ready.pop() {
-        if e.0 .1 == owner {
-            found = Some(e);
-            break;
-        }
-        skipped.push(e);
-    }
-    for e in skipped {
-        ready.push(e);
-    }
-    found.or_else(|| ready.pop())
-}
-
 /// The deterministic coroutine engine.
 pub struct Engine {
     cfg: EngineConfig,
@@ -320,11 +382,11 @@ impl Engine {
     /// statistics.
     ///
     /// Strict turn-taking: lanes start in index order, each running until
-    /// its first verb/timer park; thereafter the scheduler repeatedly
-    /// delivers the earliest pending completion (ties broken by lane
-    /// index) and waits for the resumed lane to park again or finish. A
-    /// lane that panics (e.g. an injected crash point) simply finishes
-    /// with the payload as its result; the remaining lanes keep running.
+    /// its first verb/timer park; thereafter every park or finish delivers
+    /// the earliest pending completion (ties broken by lane index) and the
+    /// lane it belongs to runs until it parks again or finishes. A lane
+    /// that panics (e.g. an injected crash point) simply finishes with the
+    /// payload as its result; the remaining lanes keep running.
     pub fn run_client<T: Send + 'static>(
         &self,
         net: NetConfig,
@@ -373,118 +435,58 @@ impl Engine {
     ) -> ClientRun<T> {
         let lanes = bodies.len();
         assert!(lanes > 0, "a client needs at least one lane");
-        let mut qp = Qp::new(net, self.cfg.qp, mns);
-        let (event_tx, event_rx) = mpsc::channel::<Event<T>>();
-        let mut resume_txs: Vec<Sender<LaneResume>> = Vec::with_capacity(lanes);
-        let mut joins = Vec::with_capacity(lanes);
-        let mut parked: Vec<Option<Parked>> = Vec::with_capacity(lanes);
-        let mut results: Vec<Option<LaneResult<T>>> = Vec::with_capacity(lanes);
-        for _ in 0..lanes {
-            parked.push(None);
-            results.push(None);
-        }
-        // Earliest-completion-first event queue; `Reverse` turns the std
-        // max-heap into a min-heap and the lane index breaks timestamp ties
-        // deterministically.
-        let mut ready: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut bodies = bodies.into_iter();
-        let mut spawned = 0usize;
-        // Exactly one lane is running whenever `running` is true; the
-        // scheduler blocks on the event channel until it parks or finishes.
-        let mut running = false;
-        loop {
-            if !running {
-                // While a gate is held, new lanes stay unspawned: their
-                // first instructions must not interleave with the guarded
-                // section. They start once the owner releases (or dies).
-                let gated = gate.as_deref().and_then(|g| g.owner()).is_some();
-                let next_body = if gated { None } else { bodies.next() };
-                if let Some(body) = next_body {
-                    // Start the next lane and run it to its first park.
-                    let lane = spawned;
-                    spawned += 1;
-                    let (resume_tx, resume_rx) = mpsc::channel::<LaneResume>();
-                    resume_txs.push(resume_tx);
-                    let events = event_tx.clone();
-                    let hook_events = event_tx.clone();
-                    let handle = thread::Builder::new()
-                        .name(format!("lane-{lane}"))
-                        .spawn(move || {
-                            qp::install_lane_hook(Box::new(EngineHook {
-                                lane,
-                                events: hook_events,
-                                resume: resume_rx,
-                            }));
-                            let result = catch_unwind(AssertUnwindSafe(body));
-                            drop(qp::uninstall_lane_hook());
-                            let _ = events.send(Event::Finished { lane, result });
-                        })
-                        .expect("spawn lane thread");
-                    joins.push(handle);
-                    running = true;
-                } else if let Some(Reverse((t, lane))) = pop_ready(&mut ready, gate.as_deref()) {
-                    // Deliver the earliest completion and resume its lane.
-                    let resume = match parked[lane].take().expect("ready lane not parked") {
-                        Parked::Verb(ticket) => LaneResume::Verb(qp.poll_wqe(ticket)),
-                        Parked::Timer => LaneResume::Timer,
-                    };
-                    if let Some(g) = &gauge {
-                        // The global frontier advances to `t`: completions
-                        // at or before it are delivered, so the resumed
-                        // lane sees a decayed depth.
-                        qp.expire_before(t);
-                        g.publish(qp.outstanding_len());
-                    }
-                    resume_txs[lane].send(resume).expect("lane gone");
-                    running = true;
-                } else {
-                    // No runnable lane, nothing pending: all lanes finished.
-                    break;
-                }
-                continue;
-            }
-            // A lane is executing: wait for it to park or finish.
-            match event_rx.recv().expect("running lane vanished") {
-                Event::Post {
-                    lane,
-                    now_ns,
-                    mn,
-                    msgs,
-                    wire_bytes,
-                    trace,
-                } => {
-                    let ticket = qp.post_wqe(now_ns, mn, msgs, wire_bytes, trace);
-                    ready.push(Reverse((ticket.completion(), lane)));
-                    parked[lane] = Some(Parked::Verb(ticket));
-                    if let Some(g) = &gauge {
-                        g.publish(qp.outstanding_len());
-                    }
-                }
-                Event::Timer { lane, now_ns, dt_ns } => {
-                    ready.push(Reverse((now_ns + dt_ns, lane)));
-                    parked[lane] = Some(Parked::Timer);
-                }
-                Event::Finished { lane, result } => {
-                    // A finished (or crashed) owner must release its gate
-                    // claim, else the remaining lanes would never resume.
-                    if let Some(g) = &gate {
-                        g.clear_if(lane);
-                    }
-                    results[lane] = Some(result);
-                }
-            }
-            running = false;
-        }
-        for handle in joins {
-            handle.join().expect("lane thread poisoned past catch_unwind");
-        }
-        qp.finish();
+        let baton = Arc::new(Baton {
+            sched: Mutex::new(Sched {
+                qp: Qp::new(net, self.cfg.qp, mns),
+                pending: (0..lanes).map(|_| None).collect(),
+                mailbox: (0..lanes).map(|_| None).collect(),
+                started: 0,
+                handoffs: 0,
+                gauge,
+                gate,
+            }),
+            threads: OnceLock::new(),
+        });
+        // Every lane thread starts out waiting for the baton.
+        let joins: Vec<_> = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(lane, body)| {
+                let baton = Arc::clone(&baton);
+                thread::Builder::new()
+                    .name(format!("lane-{lane}"))
+                    .spawn(move || {
+                        baton.wait(lane);
+                        let hook = EngineHook {
+                            lane,
+                            baton: Arc::clone(&baton),
+                        };
+                        qp::install_lane_hook(Box::new(hook));
+                        let result = catch_unwind(AssertUnwindSafe(body));
+                        drop(qp::uninstall_lane_hook());
+                        // Outside `catch_unwind`, so a crashed lane hands
+                        // the baton on like any other.
+                        baton.pass(Some((lane, Yield::Finished)));
+                        result
+                    })
+                    .expect("spawn lane thread")
+            })
+            .collect();
+        let threads = joins.iter().map(|j| j.thread().clone()).collect();
+        baton.threads.set(threads).expect("threads registered once");
+        baton.pass(None);
+        // The lanes pass the baton among themselves; each thread ends when
+        // its lane has finished and handed on.
+        let results = joins
+            .into_iter()
+            .map(|j| j.join().expect("lane thread poisoned past catch_unwind"))
+            .collect();
+        let mut sched = baton.lock();
+        sched.qp.finish();
         ClientRun {
-            lanes: results
-                .into_iter()
-                .map(|r| r.expect("lane finished without a result"))
-                .collect(),
-            qp: qp.stats().clone(),
+            lanes: results,
+            qp: sched.qp.stats().clone(),
+            handoffs: sched.handoffs,
         }
     }
 }

@@ -1,8 +1,11 @@
 //! Engine behaviour: serial equivalence at K=1, round-trip overlap at K>1,
 //! determinism, and lane-death isolation.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::watchdog;
 use dmem::node::RESERVED_BYTES;
 use dmem::{Endpoint, GlobalAddr, Pool, QpConfig};
 use sched::{Engine, EngineConfig, LaneBody};
@@ -31,7 +34,7 @@ fn run(k: usize, ops: usize) -> (Vec<(u64, u64)>, dmem::QpStats) {
     });
     let bodies = (0..k).map(|_| reader(Arc::clone(&pool), ops)).collect();
     let net = *pool.net();
-    let run = engine.run_client(net, 1, bodies);
+    let run = watchdog(move || engine.run_client(net, 1, bodies));
     let qp = run.qp.clone();
     (run.into_results(), qp)
 }
@@ -108,7 +111,7 @@ fn a_dead_lane_does_not_poison_the_others() {
     }));
     bodies.push(reader(Arc::clone(&pool), OPS));
     let net = *pool.net();
-    let run = engine.run_client(net, 1, bodies);
+    let run = watchdog(move || engine.run_client(net, 1, bodies));
     assert!(run.lanes[0].is_ok());
     assert!(run.lanes[1].is_err(), "panic captured as the lane result");
     assert!(run.lanes[2].is_ok());
@@ -139,7 +142,8 @@ fn lanes_progress_in_completion_order() {
         })
     };
     let net = *pool.net();
-    let run = engine.run_client(net, 2, vec![mk(0), mk(1)]);
+    let bodies = vec![mk(0), mk(1)];
+    let run = watchdog(move || engine.run_client(net, 2, bodies));
     let lanes = run.into_results();
     assert_eq!(lanes[0], lanes[1], "symmetric lanes end identically");
 }

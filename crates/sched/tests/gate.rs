@@ -2,8 +2,11 @@
 //! unspawned lanes are deferred while the gate is held, a crashed owner
 //! releases its claim, and gated runs stay deterministic.
 
+mod common;
+
 use std::sync::{Arc, Mutex};
 
+use common::watchdog;
 use dmem::node::RESERVED_BYTES;
 use dmem::{Endpoint, GlobalAddr, Pool, QpConfig};
 use sched::{Engine, EngineConfig, LaneBody, LaneGate};
@@ -61,7 +64,7 @@ fn run_steppers(owner: Option<(usize, (usize, usize))>) -> Vec<(usize, usize)> {
         })
         .collect();
     let net = *pool.net();
-    engine.run_client_gated(net, 1, bodies, gate).into_results();
+    watchdog(move || engine.run_client_gated(net, 1, bodies, gate)).into_results();
     Arc::try_unwrap(log).unwrap().into_inner().unwrap()
 }
 
@@ -156,7 +159,8 @@ fn a_crashed_owner_releases_the_gate() {
         None,
     ));
     let net = *pool.net();
-    let run = engine.run_client_gated(net, 1, bodies, Arc::clone(&gate));
+    let run_gate = Arc::clone(&gate);
+    let run = watchdog(move || engine.run_client_gated(net, 1, bodies, run_gate));
     assert!(run.lanes[0].is_ok());
     assert!(run.lanes[1].is_err(), "the owner's panic is its result");
     assert!(run.lanes[2].is_ok());

@@ -1,9 +1,10 @@
 //! Request distributions (YCSB-compatible).
 //!
 //! The Zipfian generator follows Gray et al.'s rejection-free construction,
-//! as used by the original YCSB client: `zeta(n, θ)` is computed once and
-//! ranks are drawn in O(1) per sample. The scrambled variant decorrelates
-//! rank from item id with a 64-bit mixer.
+//! as used by the original YCSB client: `zeta(n, θ)` is computed once (per
+//! run, when the generators share a [`crate::WorkloadState`]) and ranks are
+//! drawn in O(1) per sample. The scrambled variant decorrelates rank from
+//! item id with a 64-bit mixer.
 
 use dmem::hash::mix64;
 use rand::Rng;
@@ -15,14 +16,25 @@ pub const ZIPFIAN_CONSTANT: f64 = 0.99;
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `0.5^theta`: rank 1's share of `zetan`, fixed per distribution.
+    half_pow: f64,
 }
 
-fn zeta(n: u64, theta: f64) -> f64 {
-    (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+#[cfg(test)]
+thread_local! {
+    /// Zeta terms this thread has evaluated.
+    pub(crate) static ZETA_TERMS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Extends `zeta(from, theta) == sum` to `zeta(to, theta)`, adding terms
+/// left to right so the result is bit-for-bit the sum taken from 1.
+pub(crate) fn zeta_extend(sum: f64, from: u64, to: u64, theta: f64) -> f64 {
+    #[cfg(test)]
+    ZETA_TERMS.with(|c| c.set(c.get() + to.saturating_sub(from)));
+    (from + 1..=to).fold(sum, |s, i| s + 1.0 / (i as f64).powf(theta))
 }
 
 impl Zipfian {
@@ -32,16 +44,20 @@ impl Zipfian {
     ///
     /// Panics when `n == 0` or `theta` is not in `(0, 1)`.
     pub fn new(n: u64, theta: f64) -> Self {
+        Self::with_zetan(n, theta, zeta_extend(0.0, 0, n, theta))
+    }
+
+    /// [`Zipfian::new`] given `zetan == zeta(n, theta)`, the O(n) part.
+    pub(crate) fn with_zetan(n: u64, theta: f64, zetan: f64) -> Self {
         assert!(n > 0);
         assert!(theta > 0.0 && theta < 1.0, "theta must be in (0,1)");
-        let zetan = zeta(n, theta);
-        let zeta2 = zeta(2, theta);
+        let zeta2 = zeta_extend(0.0, 0, 2, theta);
         Zipfian {
             n,
-            theta,
             alpha: 1.0 / (1.0 - theta),
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
+            half_pow: 0.5f64.powf(theta),
         }
     }
 
@@ -57,7 +73,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow {
             return 1;
         }
         let r = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -69,7 +85,7 @@ impl Zipfian {
 /// uniformly over the id space (the YCSB default for workloads A–C).
 #[derive(Debug, Clone)]
 pub struct ScrambledZipfian {
-    inner: Zipfian,
+    pub(crate) inner: Zipfian,
 }
 
 impl ScrambledZipfian {
@@ -89,7 +105,7 @@ impl ScrambledZipfian {
 /// "Latest" distribution (YCSB D): recency-skewed over a growing id space.
 #[derive(Debug, Clone)]
 pub struct Latest {
-    zipf: Zipfian,
+    pub(crate) zipf: Zipfian,
 }
 
 impl Latest {

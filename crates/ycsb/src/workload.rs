@@ -5,14 +5,15 @@
 //! hashed `user###` keys. Inserts draw fresh sequence numbers from a shared
 //! atomic counter so concurrent clients never collide.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dmem::hash::mix64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dist::{Latest, ScrambledZipfian, Uniform, ZIPFIAN_CONSTANT};
+use crate::dist::{zeta_extend, Latest, ScrambledZipfian, Uniform, Zipfian, ZIPFIAN_CONSTANT};
 
 /// Maps YCSB sequence numbers to unique non-zero keys.
 #[derive(Debug, Clone, Copy)]
@@ -98,11 +99,14 @@ impl Workload {
     }
 }
 
-/// Shared, thread-safe workload state (insert counter).
+/// Shared, thread-safe workload state: the insert counter, and the
+/// Zipfian constants every generator of the run would otherwise re-sum.
 #[derive(Debug)]
 pub struct WorkloadState {
     /// Number of keys present (loaded + inserted so far).
     pub count: AtomicU64,
+    /// Per skew asked for so far (by its bits): `(n, zeta(n, theta))`.
+    zetas: Mutex<BTreeMap<u64, (u64, f64)>>,
 }
 
 impl WorkloadState {
@@ -110,7 +114,27 @@ impl WorkloadState {
     pub fn new(loaded: u64) -> Arc<Self> {
         Arc::new(WorkloadState {
             count: AtomicU64::new(loaded),
+            zetas: Mutex::default(),
         })
+    }
+
+    /// A Zipfian over `0..n` whose O(n) constant `zeta(n, theta)` is summed
+    /// once per run.
+    fn zipfian(&self, n: u64, theta: f64) -> Zipfian {
+        Zipfian::with_zetan(n, theta, self.zeta(n, theta))
+    }
+
+    /// `zeta(n, theta)`, remembered per `theta` and only extended when `n`
+    /// has grown, which yields the same bits as summing from 1.
+    fn zeta(&self, n: u64, theta: f64) -> f64 {
+        let mut zetas = self.zetas.lock().expect("zeta memo poisoned");
+        let (memo_n, sum) = zetas.entry(theta.to_bits()).or_insert((0, 0.0));
+        if n < *memo_n {
+            (*memo_n, *sum) = (0, 0.0);
+        }
+        *sum = zeta_extend(*sum, *memo_n, n, theta);
+        *memo_n = n;
+        *sum
     }
 }
 
@@ -155,8 +179,12 @@ impl OpGen {
         OpGen {
             workload,
             rng: SmallRng::seed_from_u64(seed ^ 0xC0FF_EE00),
-            zipf: ScrambledZipfian::new(n, theta),
-            latest: Latest::new(n),
+            zipf: ScrambledZipfian {
+                inner: state.zipfian(n, theta),
+            },
+            latest: Latest {
+                zipf: state.zipfian(n, ZIPFIAN_CONSTANT),
+            },
             uniform: Uniform::new(n),
             state,
             theta,
@@ -285,6 +313,46 @@ mod tests {
                 assert!((1..=100).contains(&len));
             }
         }
+    }
+
+    /// The sum as `Zipfian::new` has always taken it.
+    fn zeta_from_scratch(n: u64, theta: f64) -> f64 {
+        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+    }
+
+    #[test]
+    fn memoised_zeta_is_the_from_scratch_sum_bit_for_bit() {
+        for theta in [0.01, 0.5, 0.99] {
+            let state = WorkloadState::new(0);
+            // Grown in steps, then asked for a smaller n again.
+            for n in [100_000, 100_037, 101_500, 100_037] {
+                let (memo, fresh) = (state.zeta(n, theta), zeta_from_scratch(n, theta));
+                assert_eq!(memo.to_bits(), fresh.to_bits(), "n={n} theta={theta}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_generator_on_one_state_sums_nothing() {
+        use crate::dist::ZETA_TERMS;
+        let state = WorkloadState::new(100_000);
+        // The two terms of `zeta(2, theta)`, per Zipfian built.
+        let fixed = 2 * 2;
+        let before = ZETA_TERMS.get();
+        OpGen::with_theta(Workload::A, Arc::clone(&state), 1, 0.5);
+        assert_eq!(
+            ZETA_TERMS.get() - before,
+            2 * 100_000 + fixed,
+            "one sum per skew"
+        );
+        let before = ZETA_TERMS.get();
+        OpGen::with_theta(Workload::A, Arc::clone(&state), 2, 0.5);
+        assert_eq!(ZETA_TERMS.get() - before, fixed);
+        // Inserts grow n: the next generator adds only the new terms.
+        state.count.fetch_add(37, Ordering::Relaxed);
+        let before = ZETA_TERMS.get();
+        OpGen::with_theta(Workload::A, Arc::clone(&state), 3, 0.5);
+        assert_eq!(ZETA_TERMS.get() - before, 2 * 37 + fixed);
     }
 
     #[test]
