@@ -94,7 +94,7 @@ fn main() {
 fn leaf_max_load_factor(span: usize, h: usize, trials: usize) -> f64 {
     let mut total = 0.0;
     for t in 0..trials {
-        let mut w = Window::new(span, h, 0, span);
+        let mut w = Window::new(span, h, 8, 0, span);
         let mut n = 0usize;
         for i in 0.. {
             let key = dmem::hash::mix64((t * 1_000_003 + i) as u64) | 1;
@@ -103,7 +103,7 @@ fn leaf_max_load_factor(span: usize, h: usize, trials: usize) -> f64 {
                 .map(|d| (home + d) % span)
                 .find(|&p| w.slot_empty(p));
             let Some(empty) = empty else { break };
-            if w.insert(key, vec![0u8; 8], empty).is_err() {
+            if w.insert(key, &[0u8; 8], empty).is_err() {
                 break;
             }
             n += 1;
@@ -111,6 +111,6 @@ fn leaf_max_load_factor(span: usize, h: usize, trials: usize) -> f64 {
         total += n as f64 / span as f64;
     }
     // Sanity: the same routine must agree with build_table on low fills.
-    debug_assert!(build_table(span, h, &[(1, vec![0u8; 8])]).is_some());
+    debug_assert!(build_table(span, h, 8, &[(1, vec![0u8; 8])]).is_some());
     total / trials as f64
 }

@@ -16,42 +16,53 @@ pub fn cyc_dist(a: usize, b: usize, span: usize) -> usize {
     (b + span - a) % span
 }
 
-/// A local, mutable view of a cyclic range of leaf entries.
+/// One covered entry: key (0 = empty), hopscotch bitmap, the entry-level
+/// version it was read with, and whether it changed since.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    key: u64,
+    bitmap: u16,
+    ev: u8,
+    dirty: bool,
+}
+
+/// A local, mutable view of a cyclic range of leaf entries: the one
+/// in-memory form of leaf content on the write path.
 #[derive(Debug, Clone)]
 pub struct Window {
     span: usize,
     h: usize,
+    value_size: usize,
     start: usize,
-    keys: Vec<u64>,
-    values: Vec<Vec<u8>>,
-    bitmaps: Vec<u16>,
-    dirty: Vec<bool>,
+    slots: Vec<Slot>,
+    /// The stored values, `value_size` bytes per covered slot.
+    values: Vec<u8>,
 }
 
 impl Window {
     /// Creates a window over `len` entries starting at absolute index
-    /// `start` (cyclic), in a table of `span` entries with neighborhood `h`.
-    pub fn new(span: usize, h: usize, start: usize, len: usize) -> Self {
+    /// `start` (cyclic), in a table of `span` entries with neighborhood `h`
+    /// whose entries store `value_size` value bytes.
+    pub fn new(span: usize, h: usize, value_size: usize, start: usize, len: usize) -> Self {
         assert!(len <= span && start < span);
         Window {
             span,
             h,
+            value_size,
             start,
-            keys: vec![0; len],
-            values: vec![Vec::new(); len],
-            bitmaps: vec![0; len],
-            dirty: vec![false; len],
+            slots: vec![Slot::default(); len],
+            values: vec![0; len * value_size],
         }
     }
 
     /// Number of entries covered.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
     /// Returns `true` when the window covers no entries.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.slots.is_empty()
     }
 
     /// Absolute index of the first covered entry.
@@ -76,52 +87,71 @@ impl Window {
         (self.start + rel) % self.span
     }
 
-    /// Loads the content of one covered slot (used when parsing a fetch).
-    pub fn set_slot(&mut self, abs: usize, key: u64, value: Vec<u8>, bitmap: u16) {
-        let r = self.rel(abs).expect("slot not covered");
-        self.keys[r] = key;
-        self.values[r] = value;
-        self.bitmaps[r] = bitmap;
+    fn covered(&self, abs: usize) -> usize {
+        self.rel(abs).expect("slot not covered")
+    }
+
+    fn value(&self, rel: usize) -> &[u8] {
+        &self.values[rel * self.value_size..][..self.value_size]
+    }
+
+    fn value_mut(&mut self, rel: usize) -> &mut [u8] {
+        &mut self.values[rel * self.value_size..][..self.value_size]
+    }
+
+    /// Stores `value` in slot `rel`, zero-padded or cut to the value size.
+    fn store(&mut self, rel: usize, value: &[u8]) {
+        let n = value.len().min(self.value_size);
+        let dst = self.value_mut(rel);
+        dst[..n].copy_from_slice(&value[..n]);
+        dst[n..].fill(0);
+    }
+
+    /// Loads the content of one covered slot as read from the leaf, clean.
+    pub fn set_slot(&mut self, abs: usize, key: u64, value: &[u8], bitmap: u16, ev: u8) {
+        let r = self.covered(abs);
+        self.slots[r] = Slot { key, bitmap, ev, dirty: false };
+        self.store(r, value);
     }
 
     /// Returns `(key, value, bitmap)` of a covered slot.
     pub fn slot(&self, abs: usize) -> (u64, &[u8], u16) {
-        let r = self.rel(abs).expect("slot not covered");
-        (self.keys[r], &self.values[r], self.bitmaps[r])
+        let r = self.covered(abs);
+        (self.slots[r].key, self.value(r), self.slots[r].bitmap)
     }
 
     /// Returns `true` if the covered slot holds no key.
     pub fn slot_empty(&self, abs: usize) -> bool {
-        let r = self.rel(abs).expect("slot not covered");
-        self.keys[r] == 0
+        self.slots[self.covered(abs)].key == 0
+    }
+
+    /// The entry-level version a covered slot was loaded with, and whether
+    /// the slot was modified since (its next write bumps that version).
+    pub fn version(&self, abs: usize) -> (u8, bool) {
+        let s = &self.slots[self.covered(abs)];
+        (s.ev, s.dirty)
     }
 
     /// The `(key, value)` pairs held by the covered slots, in window order.
     pub fn occupied(&self) -> Vec<(u64, Vec<u8>)> {
-        let slots = self.keys.iter().zip(&self.values);
-        slots
-            .filter(|(&k, _)| k != 0)
-            .map(|(&k, v)| (k, v.clone()))
-            .collect()
-    }
-
-    /// Absolute indices of the slots modified since the window was filled.
-    pub fn dirty_slots(&self) -> Vec<usize> {
         (0..self.len())
-            .filter(|&r| self.dirty[r])
-            .map(|r| self.abs(r))
+            .filter(|&r| self.slots[r].key != 0)
+            .map(|r| (self.slots[r].key, self.value(r).to_vec()))
             .collect()
     }
 
-    fn mark(&mut self, rel: usize) {
-        self.dirty[rel] = true;
+    /// Absolute indices of the slots modified since the window was filled,
+    /// in window order.
+    pub fn dirty_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        let dirty = (0..self.len()).filter(|&r| self.slots[r].dirty);
+        dirty.map(|r| self.abs(r))
     }
 
     /// First empty covered slot at cyclic distance >= 0 from `from`,
     /// scanning forward within the window.
     pub fn first_empty_from(&self, from: usize) -> Option<usize> {
         let d0 = self.rel(from)?;
-        (d0..self.len()).find(|&r| self.keys[r] == 0).map(|r| self.abs(r))
+        (d0..self.len()).find(|&r| self.slots[r].key == 0).map(|r| self.abs(r))
     }
 
     /// Looks `key` up via its home entry's hopscotch bitmap. The home entry
@@ -136,27 +166,33 @@ impl Window {
     }
 
     /// Updates the stored value of the key at absolute slot `abs`.
-    pub fn set_value(&mut self, abs: usize, value: Vec<u8>) {
-        let r = self.rel(abs).expect("slot not covered");
-        self.values[r] = value;
-        self.mark(r);
+    pub fn set_value(&mut self, abs: usize, value: &[u8]) {
+        let r = self.covered(abs);
+        self.store(r, value);
+        self.slots[r].dirty = true;
+    }
+
+    /// Sets or clears the bit of home entry `home` (which must be covered)
+    /// that names slot `at`.
+    fn set_bit(&mut self, home: usize, at: usize, on: bool) {
+        let hr = self.rel(home).expect("home entry not covered");
+        let bit = 1u16 << cyc_dist(home, at, self.span);
+        let s = &mut self.slots[hr];
+        s.bitmap = if on { s.bitmap | bit } else { s.bitmap & !bit };
+        s.dirty = true;
     }
 
     /// Clears slot `abs` and the corresponding bit in its home's bitmap.
     ///
     /// The home entry must also be covered by the window.
     pub fn remove(&mut self, abs: usize) {
-        let r = self.rel(abs).expect("slot not covered");
-        let key = self.keys[r];
+        let r = self.covered(abs);
+        let key = self.slots[r].key;
         assert_ne!(key, 0, "removing an empty slot");
-        let hm = home_entry(key, self.span);
-        let hr = self.rel(hm).expect("home entry not covered");
-        let bit = cyc_dist(hm, abs, self.span);
-        self.bitmaps[hr] &= !(1u16 << bit);
-        self.keys[r] = 0;
-        self.values[r] = Vec::new();
-        self.mark(r);
-        self.mark(hr);
+        self.set_bit(home_entry(key, self.span), abs, false);
+        self.slots[r].key = 0;
+        self.slots[r].dirty = true;
+        self.value_mut(r).fill(0);
     }
 
     /// Inserts `key` by hopping within the window.
@@ -165,7 +201,7 @@ impl Window {
     /// after `key`'s home entry. On success returns the final slot; on
     /// failure (no feasible hop) returns `Err(NeedSplit)` with the window
     /// untouched.
-    pub fn insert(&mut self, key: u64, value: Vec<u8>, empty: usize) -> Result<usize, NeedSplit> {
+    pub fn insert(&mut self, key: u64, value: &[u8], empty: usize) -> Result<usize, NeedSplit> {
         assert_ne!(key, 0, "key 0 is the empty sentinel");
         let home = home_entry(key, self.span);
         debug_assert!(self.rel(home).is_some(), "home entry not covered");
@@ -175,28 +211,25 @@ impl Window {
         // Execute the plan: each move shifts a key (and value) into the
         // current empty slot and vacates its old position.
         for &(from, to) in &plan {
-            let fr = self.rel(from).unwrap();
-            let tr = self.rel(to).unwrap();
-            let k = self.keys[fr];
+            let (fr, tr) = (self.covered(from), self.covered(to));
+            let k = self.slots[fr].key;
             let hm = home_entry(k, self.span);
-            let hr = self.rel(hm).expect("home of hopped key not covered");
-            self.bitmaps[hr] &= !(1u16 << cyc_dist(hm, from, self.span));
-            self.bitmaps[hr] |= 1u16 << cyc_dist(hm, to, self.span);
-            self.keys[tr] = k;
-            self.values[tr] = std::mem::take(&mut self.values[fr]);
-            self.keys[fr] = 0;
-            self.mark(fr);
-            self.mark(tr);
-            self.mark(hr);
+            self.set_bit(hm, from, false);
+            self.set_bit(hm, to, true);
+            let vs = self.value_size;
+            self.values.copy_within(fr * vs..(fr + 1) * vs, tr * vs);
+            self.value_mut(fr).fill(0);
+            self.slots[tr].key = k;
+            self.slots[fr].key = 0;
+            self.slots[fr].dirty = true;
+            self.slots[tr].dirty = true;
         }
         let final_slot = plan.last().map(|&(from, _)| from).unwrap_or(empty);
-        let fr = self.rel(final_slot).unwrap();
-        let hr = self.rel(home).unwrap();
-        self.keys[fr] = key;
-        self.values[fr] = value;
-        self.bitmaps[hr] |= 1u16 << cyc_dist(home, final_slot, self.span);
-        self.mark(fr);
-        self.mark(hr);
+        let fr = self.covered(final_slot);
+        self.slots[fr].key = key;
+        self.slots[fr].dirty = true;
+        self.store(fr, value);
+        self.set_bit(home, final_slot, true);
         Ok(final_slot)
     }
 
@@ -212,7 +245,7 @@ impl Window {
                 let Some(cr) = self.rel(cand) else {
                     return Err(NeedSplit);
                 };
-                let k = self.keys[cr];
+                let k = self.slots[cr].key;
                 if k == 0 {
                     // A closer empty slot; adopt it (it can only help).
                     if cyc_dist(home, cand, self.span) < cyc_dist(home, empty, self.span) {
@@ -242,12 +275,12 @@ pub struct NeedSplit;
 ///
 /// Returns `None` when some item cannot be placed (the caller splits
 /// further). Used by node splits to rebuild both halves locally.
-pub fn build_table(span: usize, h: usize, items: &[(u64, Vec<u8>)]) -> Option<Window> {
-    let mut w = Window::new(span, h, 0, span);
+pub fn build_table(span: usize, h: usize, value_size: usize, items: &[(u64, Vec<u8>)]) -> Option<Window> {
+    let mut w = Window::new(span, h, value_size, 0, span);
     for (k, v) in items {
         let home = home_entry(*k, span);
         let empty = find_empty(&w, home)?;
-        w.insert(*k, v.clone(), empty).ok()?;
+        w.insert(*k, v, empty).ok()?;
     }
     Some(w)
 }
@@ -311,7 +344,7 @@ mod tests {
 
     #[test]
     fn window_rel_abs() {
-        let w = Window::new(16, 4, 14, 6); // covers 14,15,0,1,2,3
+        let w = Window::new(16, 4, 8, 14, 6); // covers 14,15,0,1,2,3
         assert_eq!(w.rel(14), Some(0));
         assert_eq!(w.rel(1), Some(3));
         assert_eq!(w.rel(4), None);
@@ -319,23 +352,23 @@ mod tests {
 
     #[test]
     fn simple_insert_no_hops() {
-        let mut w = Window::new(16, 4, 0, 16);
+        let mut w = Window::new(16, 4, 8, 0, 16);
         let key = 42u64;
         let home = dmem::hash::home_entry(key, 16);
-        let pos = w.insert(key, v(1), home).unwrap();
+        let pos = w.insert(key, &v(1), home).unwrap();
         assert_eq!(pos, home);
         let (k, val, _) = w.slot(pos);
         assert_eq!(k, key);
         assert_eq!(val, &v(1)[..]);
         check_invariants(&w).unwrap();
         // Dirty slots: the inserted one (home bitmap is the same slot).
-        assert_eq!(w.dirty_slots(), vec![home]);
+        assert_eq!(w.dirty_slots().collect::<Vec<_>>(), vec![home]);
     }
 
     #[test]
     fn build_table_many_keys() {
         let items: Vec<_> = (1..=50u64).map(|k| (k, v(k))).collect();
-        let w = build_table(64, 8, &items).expect("50/64 must fit");
+        let w = build_table(64, 8, 8, &items).expect("50/64 must fit");
         check_invariants(&w).unwrap();
         for (k, val) in &items {
             let hm = dmem::hash::home_entry(*k, 64);
@@ -350,7 +383,7 @@ mod tests {
     #[test]
     fn remove_clears_bitmap() {
         let items: Vec<_> = (1..=40u64).map(|k| (k, v(k))).collect();
-        let mut w = build_table(64, 8, &items).unwrap();
+        let mut w = build_table(64, 8, 8, &items).unwrap();
         for k in 1..=40u64 {
             let hm = dmem::hash::home_entry(k, 64);
             let pos = (0..8)
@@ -379,53 +412,53 @@ mod tests {
         // and every candidate (slots 5..7) is homed too far back to move.
         let span = 16;
         let h = 4;
-        let mut w = Window::new(span, h, 0, span);
+        let mut w = Window::new(span, h, 8, 0, span);
         for p in 0..=7usize {
             if p == 0 {
                 let k = key_with_home(span, 0, 99);
-                w.set_slot(0, k, v(k), 1); // occupies its own home
+                w.set_slot(0, k, &v(k), 1, 0); // occupies its own home
             } else {
                 let home = if p >= 5 { p - 3 } else { p };
                 let k = key_with_home(span, home, p as u64);
-                w.set_slot(p, k, v(k), 0);
+                w.set_slot(p, k, &v(k), 0, 0);
             }
         }
         let key = key_with_home(span, 0, 7777);
         let before: Vec<_> = (0..span).map(|i| w.slot(i).0).collect();
-        assert_eq!(w.insert(key, v(key), 8), Err(NeedSplit));
+        assert_eq!(w.insert(key, &v(key), 8), Err(NeedSplit));
         // Failure must leave the window untouched.
         let after: Vec<_> = (0..span).map(|i| w.slot(i).0).collect();
         assert_eq!(before, after);
-        assert!(w.dirty_slots().is_empty());
+        assert_eq!(w.dirty_slots().count(), 0);
     }
 
     #[test]
     fn hopping_moves_keys_and_preserves_invariants() {
         // Dense table to force hops: 56 of 64 slots.
         let items: Vec<_> = (1..=56u64).map(|k| (k, v(k))).collect();
-        let w = build_table(64, 8, &items).expect("should fit at 87% load");
+        let w = build_table(64, 8, 8, &items).expect("should fit at 87% load");
         check_invariants(&w).unwrap();
     }
 
     #[test]
     fn dirty_tracking_is_minimal() {
         let items: Vec<_> = (1..=30u64).map(|k| (k, v(k))).collect();
-        let w0 = build_table(64, 8, &items).unwrap();
+        let w0 = build_table(64, 8, 8, &items).unwrap();
         // Re-create a clean window with the same content.
-        let mut w = Window::new(64, 8, 0, 64);
+        let mut w = Window::new(64, 8, 8, 0, 64);
         for i in 0..64 {
             let (k, val, bm) = w0.slot(i);
-            w.set_slot(i, k, val.to_vec(), bm);
+            w.set_slot(i, k, val, bm, 0);
         }
-        assert!(w.dirty_slots().is_empty());
+        assert_eq!(w.dirty_slots().count(), 0);
         let key = 1000u64;
         let home = dmem::hash::home_entry(key, 64);
         let empty = find_empty(&w, home).unwrap();
-        w.insert(key, v(key), empty).unwrap();
-        let dirty = w.dirty_slots();
-        assert!(!dirty.is_empty());
+        w.insert(key, &v(key), empty).unwrap();
+        let dirty = w.dirty_slots().count();
+        assert!(dirty > 0);
         // At most: each hop touches from/to/home, plus the final insert.
-        assert!(dirty.len() <= 3 * 8);
+        assert!(dirty <= 3 * 8);
         check_invariants(&w).unwrap();
     }
 }

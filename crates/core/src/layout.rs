@@ -19,6 +19,8 @@ use std::ops::Range;
 
 use dmem::versioned::Layout;
 
+use crate::hopscotch::Window;
+
 /// Geometry of a hopscotch leaf node.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafLayout {
@@ -52,6 +54,12 @@ impl LeafLayout {
 
     fn block_size(&self) -> usize {
         self.replica_size() + self.h * self.entry_size()
+    }
+
+    /// An empty hopscotch window over `len` cyclic entries from `start` of
+    /// a leaf of this geometry.
+    pub fn window(&self, start: usize, len: usize) -> Window {
+        Window::new(self.span, self.h, self.value_size, start, len)
     }
 
     /// Total logical payload bytes.
@@ -96,13 +104,20 @@ impl LeafLayout {
         }
     }
 
-    /// Logical offsets of entries `0..span` in order, without the division
+    /// Logical offsets of the entries `r` in order, without the division
     /// per entry [`Self::entry_off`] pays.
-    pub fn entry_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+    pub fn entry_offsets(&self, r: Range<usize>) -> impl Iterator<Item = usize> + '_ {
         let run = if self.replication { self.h } else { self.span };
-        (0..self.span / run).flat_map(move |b| {
-            let first = self.entry_off(b * run);
-            (0..run).map(move |j| first + j * self.entry_size())
+        let first = r.start.min(self.span - 1);
+        let (mut off, mut j) = (self.entry_off(first), first % run);
+        r.map(move |_| {
+            let here = off;
+            off += self.entry_size();
+            j += 1;
+            if j == run {
+                (off, j) = (off + self.replica_size(), 0);
+            }
+            here
         })
     }
 
@@ -155,30 +170,45 @@ impl LeafLayout {
         }
     }
 
-    /// Logical ranges to fetch for a hop-range read covering cyclic entries
-    /// `[a, e]` (inclusive). At least one replica is always covered when
-    /// replication is on.
-    pub fn hop_ranges(&self, a: usize, e: usize) -> Vec<(usize, usize)> {
+    /// Splits cyclic entries `[a, e]` (inclusive) into ascending contiguous
+    /// runs: the one from `a`, and the one from entry 0 when the range
+    /// wraps around the table.
+    pub fn cyclic_split(&self, a: usize, e: usize) -> ((usize, usize), Option<(usize, usize)>) {
         debug_assert!(a < self.span && e < self.span);
-        let mut segs: Vec<(usize, usize)> = Vec::new();
         if a <= e {
-            segs.push((a, e));
+            ((a, e), None)
         } else {
-            segs.push((a, self.span - 1));
-            segs.push((0, e));
+            ((a, self.span - 1), Some((0, e)))
         }
-        segs.iter()
-            .map(|&(s, t)| {
-                let start = if self.replication && (s % self.h == 0 || s / self.h == t / self.h) {
-                    // Same block (no interior replica) or block-aligned:
-                    // begin at the block's replica.
-                    self.replica_off(s / self.h)
-                } else {
-                    self.entry_off(s)
-                };
-                (start, self.entry_off(t) + self.entry_size())
-            })
-            .collect()
+    }
+
+    /// Logical ranges to fetch for a hop-range read covering cyclic entries
+    /// `[a, e]` (inclusive), one per run of [`Self::cyclic_split`]. At least
+    /// one replica is always covered when replication is on.
+    pub fn hop_ranges(&self, a: usize, e: usize) -> ((usize, usize), Option<(usize, usize)>) {
+        let range = |(s, t): (usize, usize)| {
+            let start = if self.replication && (s % self.h == 0 || s / self.h == t / self.h) {
+                // Same block (no interior replica) or block-aligned:
+                // begin at the block's replica.
+                self.replica_off(s / self.h)
+            } else {
+                self.entry_off(s)
+            };
+            (start, self.entry_off(t) + self.entry_size())
+        };
+        let (first, wrap) = self.cyclic_split(a, e);
+        (range(first), wrap.map(range))
+    }
+
+    /// The entry holding logical byte `l`; `None` inside a replica.
+    pub fn entry_at(&self, l: usize) -> Option<usize> {
+        let (block, within) = if self.replication {
+            (l / self.block_size(), l % self.block_size())
+        } else {
+            (0, l)
+        };
+        let body = within.checked_sub(self.replica_size())?;
+        Some(block * self.h + body / self.entry_size())
     }
 
     /// Block indices whose replica is fully covered by logical `[a, b)`.
@@ -335,7 +365,9 @@ mod tests {
     #[test]
     fn entry_offsets_monotone_and_disjoint() {
         let l = default_leaf();
-        assert!(l.entry_offsets().eq((0..l.span).map(|i| l.entry_off(i))));
+        assert!(l.entry_offsets(0..l.span).eq((0..l.span).map(|i| l.entry_off(i))));
+        assert!(l.entry_offsets(5..23).eq((5..23).map(|i| l.entry_off(i))));
+        assert_eq!(l.entry_offsets(l.span..l.span).count(), 0);
         let mut prev_end = 0;
         for i in 0..l.span {
             if i % l.h == 0 {
@@ -377,6 +409,14 @@ mod tests {
             LeafLayout { fences: true, ..small },
         ] {
             let blocks = if l.replication { l.span / l.h } else { 1 };
+            for i in 0..l.span {
+                let bytes = l.entry_off(i)..l.entry_off(i) + l.entry_size();
+                assert!(bytes.clone().all(|at| l.entry_at(at) == Some(i)));
+            }
+            for k in 0..blocks {
+                let bytes = l.replica_off(k)..l.replica_off(k) + l.replica_size();
+                assert!(bytes.clone().all(|at| l.entry_at(at).is_none()));
+            }
             for a in 0..l.payload_len() {
                 for b in a + 1..=l.payload_len() {
                     let entries: Vec<usize> = (0..l.span)
@@ -403,7 +443,8 @@ mod tests {
     fn hop_ranges_cover_requested_entries() {
         let l = default_leaf();
         for (a, e) in [(0, 10), (5, 5), (50, 63), (60, 3), (8, 15)] {
-            let ranges = l.hop_ranges(a, e);
+            let (first, wrap) = l.hop_ranges(a, e);
+            let ranges: Vec<_> = std::iter::once(first).chain(wrap).collect();
             // Every entry in cyclic [a, e] falls inside some range.
             let mut i = a;
             loop {

@@ -6,9 +6,18 @@
 //! single-entry reads, lock acquisition with vacancy-bitmap piggybacking,
 //! group-aligned hop-range reads, minimal dirty-range write-back, and
 //! whole-node reads/writes for splits and sibling chases.
+//!
+//! One codec serves all of them. Whatever was fetched — an entry, a
+//! neighborhood, a hop range, a whole node — passes `validate` once; a
+//! whole image additionally passes the bitmap/occupancy bijection. Lock-free
+//! reads then answer from the fetched slices ([`LeafSnapshot`]); locked
+//! reads copy the covered entries once into a [`Window`], the only mutable
+//! form of leaf content, which carries each slot's EV and dirty mark. Every
+//! write — dirty hop range, new node, node rewrite — leaves through
+//! `encode`, straight into its outgoing buffer.
 
 use dmem::hash::home_entry;
-use dmem::versioned::{bump, ev, pack_ver, Fetched};
+use dmem::versioned::{bump, ev, pack_ver, Fetched, MAX_RANGES};
 use dmem::{Endpoint, GlobalAddr};
 
 use crate::backoff::Backoff;
@@ -113,14 +122,66 @@ impl LeafSnapshot {
     }
 
     /// Converts the snapshot into a full-span hopscotch window.
-    pub fn into_window(self) -> (Window, Vec<u8>) {
-        let span = self.keys.len();
-        let mut w = Window::new(span, self.layout.h, 0, span);
-        for i in 0..span {
-            w.set_slot(i, self.keys[i], self.value(i).to_vec(), self.bitmap(i));
-        }
-        (w, (0..span).map(|i| self.ev(i)).collect())
+    pub fn into_window(self) -> Window {
+        let l = &self.layout;
+        let mut w = l.window(0, l.span);
+        load(l, std::slice::from_ref(&self.image), &mut w);
+        w
     }
+}
+
+/// `first` and whichever of `rest` are present, packed to the front for
+/// `fetch_many`, with their count.
+fn pack_ranges(
+    first: (usize, usize),
+    rest: [Option<(usize, usize)>; MAX_RANGES - 1],
+) -> ([(usize, usize); MAX_RANGES], usize) {
+    let mut ranges = [first; MAX_RANGES];
+    let mut n = 1;
+    for r in rest.into_iter().flatten() {
+        ranges[n] = r;
+        n += 1;
+    }
+    (ranges, n)
+}
+
+/// Every entry `pieces` cover, with the piece holding it.
+fn covered<'a>(l: &'a LeafLayout, pieces: &'a [Fetched]) -> impl Iterator<Item = (usize, &'a Fetched)> {
+    let entries = |p: &'a Fetched| l.entries_in(p.lstart(), p.lend()).map(move |i| (i, p));
+    pieces.iter().flat_map(entries)
+}
+
+/// Copies every entry of `pieces` that `w` covers into it.
+fn load(l: &LeafLayout, pieces: &[Fetched], w: &mut Window) {
+    for (i, p) in covered(l, pieces) {
+        if w.rel(i).is_some() {
+            let (key, bitmap) = (entry_key(l, p, i), entry_bitmap(l, p, i));
+            w.set_slot(i, key, entry_value(l, p, i), bitmap, entry_ev(l, p, i));
+        }
+    }
+}
+
+/// Bitmaps and occupancy are a bijection: each set bit lies below `h` and
+/// names a key homed at that entry, and every key is named.
+fn bijective(span: usize, h: usize, key: impl Fn(usize) -> u64, bitmaps: impl Iterator<Item = u16>) -> bool {
+    let mut named = 0;
+    for (home, mut bits) in bitmaps.enumerate() {
+        if u32::from(bits) >> h != 0 {
+            return false;
+        }
+        while bits != 0 {
+            let pos = home + bits.trailing_zeros() as usize;
+            let k = key(if pos < span { pos } else { pos - span });
+            if k == 0 || home_entry(k, span) != home {
+                return false;
+            }
+            bits &= bits - 1;
+            named += 1;
+        }
+    }
+    // Set bits name distinct occupied slots, so equal counts mean every
+    // key is named by its home.
+    named == (0..span).filter(|&i| key(i) != 0).count()
 }
 
 fn entry_key(l: &LeafLayout, f: &Fetched, i: usize) -> u64 {
@@ -144,8 +205,6 @@ fn entry_ev(l: &LeafLayout, f: &Fetched, i: usize) -> u8 {
 pub struct LockedRead {
     /// The covered entries as a mutable hopscotch window.
     pub w: Window,
-    /// Per-entry EVs, window-relative.
-    pub evs: Vec<u8>,
     /// Node-level version.
     pub nv: u8,
     /// Leaf metadata from a covered replica.
@@ -166,13 +225,6 @@ pub struct LeafOps {
     /// word before the waiter reclaims the lock via the lease epoch
     /// (0 = never reclaim). See [`crate::config::ChimeConfig::lock_lease_spins`].
     pub lease_spins: u32,
-}
-
-/// Which object a logical payload offset belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Object {
-    Replica(usize),
-    Entry(usize),
 }
 
 impl LeafOps {
@@ -202,25 +254,6 @@ impl LeafOps {
         }
     }
 
-    fn object_at(&self, l: usize) -> Object {
-        let e = self.layout.entry_size();
-        let r = self.layout.replica_size();
-        if self.layout.replication {
-            let block = r + self.layout.h * e;
-            let b = l / block;
-            let within = l % block;
-            if within < r {
-                Object::Replica(b)
-            } else {
-                Object::Entry(b * self.layout.h + (within - r) / e)
-            }
-        } else if l < r {
-            Object::Replica(0)
-        } else {
-            Object::Entry((l - r) / e)
-        }
-    }
-
     // ----- parsing ---------------------------------------------------------
 
     fn parse_meta(&self, fetch: &Fetched, replica_off: usize) -> LeafMeta {
@@ -236,119 +269,93 @@ impl LeafOps {
         }
     }
 
-    /// Serializes one entry into its logical bytes.
-    fn entry_bytes(&self, nv: u8, entry_ev: u8, bitmap: u16, key: u64, value: &[u8]) -> Vec<u8> {
-        let mut b = vec![0u8; self.layout.entry_size()];
-        b[entry_field::VER] = pack_ver(nv, entry_ev);
-        b[entry_field::BITMAP..entry_field::BITMAP + 2].copy_from_slice(&bitmap.to_le_bytes());
-        b[entry_field::KEY..entry_field::KEY + 8].copy_from_slice(&key.to_le_bytes());
-        let voff = entry_field::KEY + self.layout.key_size;
-        b[voff..voff + value.len().min(self.layout.value_size)]
-            .copy_from_slice(&value[..value.len().min(self.layout.value_size)]);
-        b
-    }
-
-    fn replica_bytes(&self, nv: u8, meta: &LeafMeta) -> Vec<u8> {
-        let mut b = vec![0u8; self.layout.replica_size()];
-        b[replica_field::VER] = pack_ver(nv, 0);
-        b[replica_field::SIBLING..replica_field::SIBLING + 8]
-            .copy_from_slice(&meta.sibling.raw().to_le_bytes());
-        b[replica_field::VALID] = meta.valid as u8;
-        if let Some((lo, hi)) = meta.fences {
-            assert!(self.layout.fences);
-            let o = replica_field::FENCE_LOW;
-            b[o..o + 8].copy_from_slice(&lo.to_le_bytes());
-            let o = o + self.layout.key_size;
-            b[o..o + 8].copy_from_slice(&hi.to_le_bytes());
+    /// The one NV/EV check: every version byte `pieces` cover (line slots,
+    /// entry and replica leads) carries one NV and every covered entry is
+    /// EV-consistent. Returns that NV with the metadata of the first covered
+    /// replica; `None` is a torn read.
+    fn validate(&self, pieces: &[Fetched]) -> Option<(u8, Option<LeafMeta>)> {
+        let l = &self.layout;
+        let (mut nv, mut meta) = (None, None);
+        for p in pieces {
+            let entries = l.entries_in(p.lstart(), p.lend());
+            let mut replicas = l.replicas_in(p.lstart(), p.lend()).map(|k| l.replica_off(k));
+            let leads = l.entry_offsets(entries.clone()).chain(replicas.clone());
+            let piece_nv = p.check_nv(leads)?;
+            if *nv.get_or_insert(piece_nv) != piece_nv
+                || !l.entry_offsets(entries).all(|off| p.check_ev(off, off + l.entry_size()))
+            {
+                return None;
+            }
+            meta = meta.or_else(|| Some(self.parse_meta(p, replicas.next()?)));
         }
-        b
+        Some((nv?, meta))
     }
 
-    /// Checks NV uniformity across all fetched pieces; returns the NV.
-    fn check_all_nv(&self, pieces: &[Fetched]) -> Option<u8> {
-        let l = &self.layout;
-        let mut nvs = pieces.iter().map(|p| {
-            let (a, b) = (p.lstart(), p.lend());
-            let entries = l.entries_in(a, b).map(|i| l.entry_off(i));
-            p.check_nv(entries.chain(l.replicas_in(a, b).map(|k| l.replica_off(k))))
-        });
-        let nv = nvs.next()??;
-        nvs.all(|other| other == Some(nv)).then_some(nv)
-    }
-
-    /// Checks EV consistency of every entry covered by every piece.
-    fn check_all_ev(&self, pieces: &[Fetched]) -> bool {
-        let l = &self.layout;
-        pieces.iter().all(|p| {
-            l.entries_in(p.lstart(), p.lend()).all(|i| {
-                let off = l.entry_off(i);
-                p.check_ev(off, off + l.entry_size())
-            })
-        })
-    }
-
-    /// Finds the piece covering entry `i`.
-    fn piece_for<'a>(&self, pieces: &'a [Fetched], i: usize) -> &'a Fetched {
-        let off = self.layout.entry_off(i);
-        pieces
-            .iter()
-            .find(|p| off >= p.lstart() && off + self.layout.entry_size() <= p.lend())
-            .expect("entry not covered by fetch")
-    }
-
-    /// First covered replica across pieces.
-    fn meta_from(&self, pieces: &[Fetched]) -> Option<LeafMeta> {
-        pieces.iter().find_map(|p| {
-            let k = self.layout.replicas_in(p.lstart(), p.lend()).next()?;
-            Some(self.parse_meta(p, self.layout.replica_off(k)))
-        })
-    }
-
-    /// Validates a whole-leaf image and decodes it: every version byte
-    /// carries one NV, every entry is EV-consistent, and bitmaps and
-    /// occupancy are a bijection — each set bit lies below H and names a
-    /// key homed at that entry, and every key is named. `None` is a torn or
-    /// intermediate image.
+    /// Validates a whole-leaf image and decodes it: [`Self::validate`] plus
+    /// the bitmap/occupancy bijection. `None` is a torn or intermediate
+    /// image.
     fn decode(&self, image: Fetched) -> Option<LeafSnapshot> {
         let l = &self.layout;
         debug_assert_eq!((image.lstart(), image.lend()), (0, l.payload_len()));
-        let replicas = l.replicas_in(0, l.payload_len()).map(|k| l.replica_off(k));
-        let nv = image.check_nv(replicas.chain(l.entry_offsets()))?;
-        let mut keys = Vec::with_capacity(l.span);
-        for off in l.entry_offsets() {
-            if !image.check_ev(off, off + l.entry_size()) {
-                return None;
-            }
-            keys.push(image.u64_at(off + entry_field::KEY));
-        }
-        let mut named = 0;
-        for (home, off) in l.entry_offsets().enumerate() {
-            let mut bits = image.u16_at(off + entry_field::BITMAP);
-            if u32::from(bits) >> l.h != 0 {
-                return None;
-            }
-            while bits != 0 {
-                let pos = home + bits.trailing_zeros() as usize;
-                let k = keys[if pos < l.span { pos } else { pos - l.span }];
-                if k == 0 || home_entry(k, l.span) != home {
-                    return None;
-                }
-                bits &= bits - 1;
-                named += 1;
-            }
-        }
-        // Set bits name distinct occupied slots, so equal counts mean every
-        // key is named by its home.
-        if named != keys.iter().filter(|&&k| k != 0).count() {
-            return None;
-        }
-        Some(LeafSnapshot {
+        let (nv, meta) = self.validate(std::slice::from_ref(&image))?;
+        let field = |f: usize| l.entry_offsets(0..l.span).map(move |off| off + f);
+        let keys: Vec<u64> = field(entry_field::KEY).map(|at| image.u64_at(at)).collect();
+        let bitmaps = field(entry_field::BITMAP).map(|at| image.u16_at(at));
+        bijective(l.span, l.h, |i| keys[i], bitmaps).then(|| LeafSnapshot {
             nv,
-            meta: self.parse_meta(&image, l.replica_off(0)),
+            meta: meta.expect("a whole image holds replica 0"),
             keys,
             layout: *l,
             image,
         })
+    }
+
+    /// Encodes the replicas and entries inside logical `[lstart, lend)`
+    /// into their physical image — the one place leaf bytes are written.
+    /// An entry write (`entry_write`) bumps the EV of `w`'s dirty slots and
+    /// rewrites clean ones byte-identically; a node write restarts every EV
+    /// at 0 under the new `nv`. Returns the image's physical offset too.
+    fn encode(
+        &self,
+        w: &Window,
+        (lstart, lend): (usize, usize),
+        nv: u8,
+        meta: &LeafMeta,
+        entry_write: bool,
+    ) -> (usize, Vec<u8>) {
+        let l = &self.layout;
+        let ver = |i: usize| match (entry_write, w.version(i)) {
+            (false, _) => pack_ver(nv, 0),
+            (true, (ev, dirty)) => pack_ver(nv, if dirty { bump(ev) } else { ev }),
+        };
+        let put = |b: &mut [u8], at: usize, bytes: &[u8]| b[at..at + bytes.len()].copy_from_slice(bytes);
+        let (pstart, pend) = l.versioned().phys_range(lstart, lend);
+        let mut buf = Vec::with_capacity(pend - pstart);
+        buf.resize(lend - lstart, 0);
+        for k in l.replicas_in(lstart, lend) {
+            let b = &mut buf[l.replica_off(k) - lstart..][..l.replica_size()];
+            b[replica_field::VER] = pack_ver(nv, 0);
+            put(b, replica_field::SIBLING, &meta.sibling.raw().to_le_bytes());
+            b[replica_field::VALID] = meta.valid as u8;
+            if let Some((lo, hi)) = meta.fences {
+                assert!(l.fences);
+                put(b, replica_field::FENCE_LOW, &lo.to_le_bytes());
+                put(b, replica_field::FENCE_LOW + l.key_size, &hi.to_le_bytes());
+            }
+        }
+        let entries = l.entries_in(lstart, lend);
+        for (i, off) in entries.clone().zip(l.entry_offsets(entries)) {
+            let (key, value, bitmap) = w.slot(i);
+            let b = &mut buf[off - lstart..][..l.entry_size()];
+            b[entry_field::VER] = ver(i);
+            put(b, entry_field::BITMAP, &bitmap.to_le_bytes());
+            put(b, entry_field::KEY, &key.to_le_bytes());
+            put(b, entry_field::KEY + l.key_size, &value[..l.value_size]);
+        }
+        // A line version belongs to the object its first payload byte is in.
+        let line_ver = |p| l.entry_at(p).map_or(pack_ver(nv, 0), ver);
+        l.versioned().stripe(lstart, &mut buf, line_ver);
+        (pstart, buf)
     }
 
     // ----- lock-free reads -------------------------------------------------
@@ -364,12 +371,7 @@ impl LeafOps {
         let (first, wrap) = self.layout.neighborhood_range_pair(home);
         // Dedicated leaf-metadata access (Fig. 4b), same doorbell.
         let header = (!self.layout.replication).then(|| (0, self.layout.replica_size()));
-        let mut ranges = [first; 3];
-        let mut n = 1;
-        for r in [wrap, header].into_iter().flatten() {
-            ranges[n] = r;
-            n += 1;
-        }
+        let (ranges, n) = pack_ranges(first, [wrap, header, None]);
         let ranges = &ranges[..n];
         let mut spins = 0u32;
         let mut backoff = Backoff::new(ep.client_id() as u64 ^ addr.raw());
@@ -377,37 +379,31 @@ impl LeafOps {
             spins += 1;
             assert!(spins < 1_000_000, "neighborhood read livelock at {addr:?}");
             let pieces = self.layout.versioned().fetch_many(ep, addr, ranges);
-            if self.check_all_nv(&pieces).is_none() || !self.check_all_ev(&pieces) {
+            let checked = self.validate(&pieces).and_then(|(_, meta)| {
+                // Third level: every bit of the home bitmap (`home` leads
+                // the first range) must name a key homed there.
+                let bm = entry_bitmap(&self.layout, &pieces[0], home);
+                let mut found = None;
+                for (pos, p) in covered(&self.layout, &pieces) {
+                    let d = cyc_dist(home, pos, span);
+                    if d >= h || bm & (1 << d) == 0 {
+                        continue;
+                    }
+                    let k = entry_key(&self.layout, p, pos);
+                    if k == 0 || home_entry(k, span) != home {
+                        return None;
+                    }
+                    if k == key {
+                        found = Some((pos, entry_value(&self.layout, p, pos).to_vec()));
+                    }
+                }
+                Some((meta.expect("no replica covered"), found))
+            });
+            let Some((meta, found)) = checked else {
                 ep.note_torn_read();
                 backoff.wait(ep);
                 continue;
-            }
-            let meta = self.meta_from(&pieces).expect("no replica covered");
-            // Third level: reconstruct the home bitmap from actual keys.
-            let hp = self.piece_for(&pieces, home);
-            let bm = entry_bitmap(&self.layout, hp, home);
-            let mut consistent = true;
-            let mut found = None;
-            for d in 0..h {
-                if bm & (1 << d) == 0 {
-                    continue;
-                }
-                let pos = (home + d) % span;
-                let p = self.piece_for(&pieces, pos);
-                let k = entry_key(&self.layout, p, pos);
-                if k == 0 || home_entry(k, span) != home {
-                    consistent = false;
-                    break;
-                }
-                if k == key {
-                    found = Some((pos, entry_value(&self.layout, p, pos).to_vec()));
-                }
-            }
-            if !consistent {
-                ep.note_torn_read();
-                backoff.wait(ep);
-                continue;
-            }
+            };
             return NbhRead { meta, found };
         }
     }
@@ -428,7 +424,7 @@ impl LeafOps {
                 self.layout
                     .versioned()
                     .fetch(ep, addr, off, off + self.layout.entry_size());
-            if !f.check_ev(off, off + self.layout.entry_size()) {
+            if self.validate(std::slice::from_ref(&f)).is_none() {
                 ep.note_torn_read();
                 continue;
             }
@@ -551,20 +547,17 @@ impl LeafOps {
         LockWord(u64::from_le_bytes(b))
     }
 
-    /// The WRITEs releasing the lock and persisting `word` (vacancy +
-    /// argmax, lock bit cleared), to append to a write batch.
-    pub fn unlock_writes(&self, addr: GlobalAddr, word: LockWord) -> Vec<(GlobalAddr, Vec<u8>)> {
-        let word = word.with_locked(false);
-        let lock_addr = addr.add(self.layout.lock_off() as u64);
-        if self.layout.piggyback {
-            vec![(lock_addr, word.0.to_le_bytes().to_vec())]
-        } else {
-            // One contiguous 16-byte write covers lock + vacancy word.
-            let mut b = Vec::with_capacity(16);
-            b.extend_from_slice(&0u64.to_le_bytes());
-            b.extend_from_slice(&word.0.to_le_bytes());
-            vec![(lock_addr, b)]
-        }
+    /// The WRITE releasing the lock and persisting `word` (vacancy +
+    /// argmax, lock bit cleared), to append to a write batch: its address
+    /// and its bytes, of which the first `len` are in use.
+    pub fn unlock_writes(&self, addr: GlobalAddr, word: LockWord) -> (GlobalAddr, [u8; 16], usize) {
+        let word = word.with_locked(false).0.to_le_bytes();
+        let mut bytes = [0u8; 16];
+        // Without piggybacking one contiguous 16-byte write covers the
+        // (zeroed) lock word and the vacancy word behind it.
+        let len = if self.layout.piggyback { 8 } else { 16 };
+        bytes[len - 8..len].copy_from_slice(&word);
+        (addr.add(self.layout.lock_off() as u64), bytes, len)
     }
 
     /// Acquires the leaf lock without fetching any vacancy metadata
@@ -576,9 +569,8 @@ impl LeafOps {
 
     /// Releases the lock immediately (abort paths).
     pub fn unlock(&self, ep: &mut Endpoint, addr: GlobalAddr, word: LockWord) {
-        let writes = self.unlock_writes(addr, word);
-        let refs: Vec<(GlobalAddr, &[u8])> = writes.iter().map(|(a, b)| (*a, &b[..])).collect();
-        ep.write_batch(&refs);
+        let (lock_addr, bytes, len) = self.unlock_writes(addr, word);
+        ep.write_batch(&[(lock_addr, &bytes[..len])]);
     }
 
     // ----- hop-range access (under lock) ------------------------------------
@@ -644,203 +636,50 @@ impl LeafOps {
         e: usize,
         word: LockWord,
     ) -> LockedRead {
-        let span = self.layout.span;
-        let mut ranges = self.layout.hop_ranges(a, e);
-        if !self.layout.replication && !ranges.iter().any(|&(s, _)| s == 0) {
-            // Dedicated leaf-metadata access (replication disabled).
-            ranges.push((0, self.layout.replica_size()));
-        }
+        let l = &self.layout;
+        let len = cyc_dist(a, e, l.span) + 1;
+        let (first, wrap) = l.hop_ranges(a, e);
+        // Dedicated leaf-metadata access (replication disabled).
+        let header = (!l.replication).then(|| (0, l.replica_size()));
         // Piggyback the argmax entry when it is outside the window.
-        let argmax = word.argmax();
-        let len = cyc_dist(a, e, span) + 1;
-        let argmax_extra = argmax != ARGMAX_NONE
-            && cyc_dist(a, argmax as usize % span, span) >= len;
-        if argmax_extra {
-            let off = self.layout.entry_off(argmax as usize);
-            ranges.push((off, off + self.layout.entry_size()));
-        }
-        let pieces = self.layout.versioned().fetch_many(ep, addr, &ranges);
+        let argmax = (word.argmax() != ARGMAX_NONE).then(|| word.argmax() as usize % l.span);
+        let argmax_extra = argmax
+            .filter(|&i| cyc_dist(a, i, l.span) >= len)
+            .map(|i| (l.entry_off(i), l.entry_off(i) + l.entry_size()));
+        let (ranges, n) = pack_ranges(first, [wrap, header, argmax_extra]);
+        let pieces = l.versioned().fetch_many(ep, addr, &ranges[..n]);
         // Under the lock no writer races us; the checks are sanity asserts.
-        if a == 0 && e == span - 1 {
-            // Whole node: the body, preceded by the separately fetched
-            // header when replication is off.
-            let mut pieces = pieces.into_iter();
-            let body = pieces.next().expect("fetch_many returns a piece per range");
-            let image = match pieces.next() {
-                Some(header) => header.join(body),
-                None => body,
-            };
-            let snap = self
-                .decode(image)
-                .expect("locked leaf read observed a torn image");
-            let (nv, meta, max_key) = (snap.nv, snap.meta, snap.max_key());
-            let (w, evs) = snap.into_window();
-            return LockedRead {
-                w,
-                evs,
-                nv,
-                meta,
-                max_key,
-            };
-        }
-        let nv = self
-            .check_all_nv(&pieces)
-            .expect("locked leaf read observed torn NV");
-        assert!(
-            self.check_all_ev(&pieces),
-            "locked leaf read observed torn EV"
-        );
-        let meta = self.meta_from(&pieces).expect("no replica in hop range");
-        let mut w = Window::new(span, self.layout.h, a, len);
-        let mut evs = vec![0u8; len];
-        for (r, ev) in evs.iter_mut().enumerate() {
-            let i = (a + r) % span;
-            let p = self.piece_for(&pieces, i);
-            let l = &self.layout;
-            w.set_slot(i, entry_key(l, p, i), entry_value(l, p, i).to_vec(), entry_bitmap(l, p, i));
-            *ev = entry_ev(l, p, i);
-        }
-        let max_key = if len == span {
-            // Full-node window: compute the true maximum directly (also
-            // covers the no-piggyback mode where argmax is unavailable).
-            (0..span)
-                .filter(|&i| !w.slot_empty(i))
-                .map(|i| w.slot(i).0)
-                .max()
-        } else if argmax == ARGMAX_NONE {
-            None
+        let (nv, meta) = self
+            .validate(&pieces)
+            .expect("locked leaf read observed a torn image");
+        let mut w = l.window(a, len);
+        load(l, &pieces, &mut w);
+        let max_key = if len == l.span {
+            // Whole node: bitmaps must describe the occupancy, and the true
+            // maximum is at hand (also covers the no-piggyback mode, where
+            // argmax is unavailable).
+            let bitmaps = (0..l.span).map(|i| w.slot(i).2);
+            assert!(
+                bijective(l.span, l.h, |i| w.slot(i).0, bitmaps),
+                "locked leaf read observed a torn image"
+            );
+            (0..l.span).map(|i| w.slot(i).0).filter(|&k| k != 0).max()
         } else {
-            let i = argmax as usize % span;
-            let p = self.piece_for(&pieces, i);
-            Some(entry_key(&self.layout, p, i))
+            // An argmax entry outside the window is the last piece.
+            argmax.map(|i| match w.rel(i) {
+                Some(_) => w.slot(i).0,
+                None => entry_key(l, &pieces[n - 1], i),
+            })
         };
         LockedRead {
             w,
-            evs,
             nv,
-            meta,
+            meta: meta.expect("no replica in hop range"),
             max_key,
         }
     }
 
-    /// Writes back the dirty part of a window, updates the lock word
-    /// (vacancy + argmax) and releases the lock, all in one doorbell batch.
-    ///
-    /// Dirty entries get their EV bumped; clean entries inside the covering
-    /// range are rewritten byte-identically.
-    #[allow(clippy::too_many_arguments)]
-    pub fn write_window_and_unlock(
-        &self,
-        ep: &mut Endpoint,
-        addr: GlobalAddr,
-        w: &Window,
-        evs: &[u8],
-        nv: u8,
-        meta: &LeafMeta,
-        word: LockWord,
-    ) {
-        ep.crash_point(CRASH_LEAF_WRITE_BACK);
-        let span = self.layout.span;
-        let dirty = w.dirty_slots();
-        let mut writes: Vec<(GlobalAddr, Vec<u8>)> = Vec::new();
-        if !dirty.is_empty() {
-            // Contiguous (cyclic) cover of the dirty slots, in window space.
-            let rmin = dirty
-                .iter()
-                .map(|&i| w.rel(i).unwrap())
-                .min()
-                .unwrap();
-            let rmax = dirty
-                .iter()
-                .map(|&i| w.rel(i).unwrap())
-                .max()
-                .unwrap();
-            let amin = (w.start() + rmin) % span;
-            let amax = (w.start() + rmax) % span;
-            let dirty_set: std::collections::HashSet<usize> = dirty.iter().copied().collect();
-            for (s, t) in cyclic_segments(amin, amax, span) {
-                writes.push(self.segment_write(w, evs, nv, meta, &dirty_set, s, t, addr));
-            }
-        }
-        writes.extend(self.unlock_writes(addr, word));
-        let refs: Vec<(GlobalAddr, &[u8])> = writes.iter().map(|(a, b)| (*a, &b[..])).collect();
-        ep.write_batch(&refs);
-    }
-
-    /// Builds the physical write for contiguous entries `[s, t]`.
-    #[allow(clippy::too_many_arguments)]
-    fn segment_write(
-        &self,
-        w: &Window,
-        evs: &[u8],
-        nv: u8,
-        meta: &LeafMeta,
-        dirty_set: &std::collections::HashSet<usize>,
-        s: usize,
-        t: usize,
-        addr: GlobalAddr,
-    ) -> (GlobalAddr, Vec<u8>) {
-        let lstart = self.layout.entry_off(s);
-        let lend = self.layout.entry_off(t) + self.layout.entry_size();
-        let mut data = vec![0u8; lend - lstart];
-        let mut entry_ver = vec![0u8; self.layout.span];
-        #[allow(clippy::needless_range_loop)] // `i` also drives offsets/slots
-        for i in s..=t {
-            let off = self.layout.entry_off(i);
-            let (key, value, bitmap) = w.slot(i);
-            let rel = w.rel(i).unwrap();
-            let e = if dirty_set.contains(&i) {
-                bump(evs[rel])
-            } else {
-                evs[rel]
-            };
-            entry_ver[i] = pack_ver(nv, e);
-            let bytes = self.entry_bytes(nv, e, bitmap, key, value);
-            data[off - lstart..off - lstart + bytes.len()].copy_from_slice(&bytes);
-            // Replica between entries: rewrite identically.
-            if self.layout.replication && i > s && i % self.layout.h == 0 {
-                let roff = self.layout.replica_off(i / self.layout.h);
-                let rb = self.replica_bytes(nv, meta);
-                data[roff - lstart..roff - lstart + rb.len()].copy_from_slice(&rb);
-            }
-        }
-        let (pstart, phys) = self.layout.versioned().build_phys(lstart, &data, |p| {
-            // Version byte for the line slot guarding logical offset `p`.
-            match self.object_at(p.min(self.layout.payload_len() - 1)) {
-                Object::Replica(_) => pack_ver(nv, 0),
-                Object::Entry(i) if i >= s && i <= t => entry_ver[i],
-                Object::Entry(_) => pack_ver(nv, 0),
-            }
-        });
-        (addr.add(pstart as u64), phys)
-    }
-
-    // ----- whole-node writes -------------------------------------------------
-
-    /// Serializes a full node image (all replicas + entries) at version
-    /// `nv` with zeroed EVs.
-    pub fn full_image(&self, w: &Window, nv: u8, meta: &LeafMeta) -> Vec<u8> {
-        assert_eq!(w.len(), self.layout.span);
-        assert_eq!(w.start(), 0);
-        let mut data = vec![0u8; self.layout.payload_len()];
-        let nblocks = if self.layout.replication {
-            self.layout.span / self.layout.h
-        } else {
-            1
-        };
-        for b in 0..nblocks {
-            let off = self.layout.replica_off(b);
-            let rb = self.replica_bytes(nv, meta);
-            data[off..off + rb.len()].copy_from_slice(&rb);
-        }
-        for i in 0..self.layout.span {
-            let off = self.layout.entry_off(i);
-            let (key, value, bitmap) = w.slot(i);
-            let bytes = self.entry_bytes(nv, 0, bitmap, key, value);
-            data[off..off + bytes.len()].copy_from_slice(&bytes);
-        }
-        data
-    }
+    // ----- writes ------------------------------------------------------------
 
     /// The lock word describing window `w` (vacancy + argmax), unlocked.
     pub fn word_for(&self, w: &Window) -> LockWord {
@@ -858,23 +697,24 @@ impl LeafOps {
         word.with_argmax(argmax)
     }
 
+    /// Writes the full-span window `w` as the whole node at version `nv`
+    /// (every EV zeroed) together with its lock word, unlocked. One
+    /// round-trip.
+    fn write_whole(&self, ep: &mut Endpoint, addr: GlobalAddr, w: &Window, nv: u8, meta: &LeafMeta) {
+        assert_eq!((w.start(), w.len()), (0, self.layout.span));
+        let (pstart, image) = self.encode(w, (0, self.layout.payload_len()), nv, meta, false);
+        let (lock_addr, unlock, len) = self.unlock_writes(addr, self.word_for(w));
+        ep.write_batch(&[(addr.add(pstart as u64), &image), (lock_addr, &unlock[..len])]);
+    }
+
     /// Writes a brand-new leaf (image + lock word); the node is not yet
-    /// reachable so plain writes suffice. One round-trip.
+    /// reachable so plain writes suffice.
     pub fn write_new(&self, ep: &mut Endpoint, addr: GlobalAddr, w: &Window, meta: &LeafMeta) {
-        let data = self.full_image(w, 0, meta);
-        let (pstart, phys) = self
-            .layout
-            .versioned()
-            .build_phys(0, &data, |_| pack_ver(0, 0));
-        let word = self.word_for(w);
-        let writes = self.unlock_writes(addr, word);
-        let mut batch: Vec<(GlobalAddr, &[u8])> = vec![(addr.add(pstart as u64), &phys)];
-        batch.extend(writes.iter().map(|(a, b)| (*a, &b[..])));
-        ep.write_batch(&batch);
+        self.write_whole(ep, addr, w, 0, meta);
     }
 
     /// Rewrites a locked leaf in place (split path): bumps NV everywhere,
-    /// updates vacancy/argmax and releases the lock. One round-trip.
+    /// updates vacancy/argmax and releases the lock.
     pub fn rewrite_and_unlock(
         &self,
         ep: &mut Endpoint,
@@ -884,26 +724,42 @@ impl LeafOps {
         meta: &LeafMeta,
     ) {
         ep.crash_point(CRASH_LEAF_WRITE_BACK);
-        let nv = bump(old_nv);
-        let data = self.full_image(w, nv, meta);
-        let (pstart, phys) = self
-            .layout
-            .versioned()
-            .build_phys(0, &data, |_| pack_ver(nv, 0));
-        let word = self.word_for(w);
-        let writes = self.unlock_writes(addr, word);
-        let mut batch: Vec<(GlobalAddr, &[u8])> = vec![(addr.add(pstart as u64), &phys)];
-        batch.extend(writes.iter().map(|(a, b)| (*a, &b[..])));
-        ep.write_batch(&batch);
+        self.write_whole(ep, addr, w, bump(old_nv), meta);
     }
 }
 
-/// Splits cyclic entry range `[a, e]` into ascending contiguous segments.
-fn cyclic_segments(a: usize, e: usize, span: usize) -> Vec<(usize, usize)> {
-    if a <= e {
-        vec![(a, e)]
-    } else {
-        vec![(a, span - 1), (0, e)]
+impl LockedRead {
+    /// Writes back the dirty part of the window, updates the lock word to
+    /// `word` (vacancy + argmax) and releases the lock, all in one doorbell
+    /// batch.
+    ///
+    /// The write covers the contiguous (cyclic) range from the first to the
+    /// last dirty slot: dirty entries get their EV bumped, clean entries
+    /// in between are rewritten byte-identically.
+    pub fn write_back(&self, ops: &LeafOps, ep: &mut Endpoint, addr: GlobalAddr, word: LockWord) {
+        ep.crash_point(CRASH_LEAF_WRITE_BACK);
+        let l = &ops.layout;
+        // One image per contiguous run of the cyclic range from the first
+        // dirty slot to the last.
+        let mut dirty = self.w.dirty_slots();
+        let cover = dirty.next().map(|a| (a, dirty.last().unwrap_or(a)));
+        let runs = match cover.map(|(a, e)| l.cyclic_split(a, e)) {
+            Some((first, wrap)) => [Some(first), wrap],
+            None => [None, None],
+        };
+        let images = runs.map(|run| {
+            let (s, t) = run?;
+            let range = (l.entry_off(s), l.entry_off(t) + l.entry_size());
+            Some(ops.encode(&self.w, range, self.nv, &self.meta, true))
+        });
+        let (lock_addr, unlock, len) = ops.unlock_writes(addr, word);
+        let mut batch = [(lock_addr, &unlock[..len]); 3];
+        let mut n = 0;
+        for (pstart, image) in images.iter().flatten() {
+            batch[n] = (addr.add(*pstart as u64), image);
+            n += 1;
+        }
+        ep.write_batch(&batch[..=n]);
     }
 }
 

@@ -32,7 +32,7 @@ fn meta() -> LeafMeta {
 fn populated(ep: &mut Endpoint, ops: &LeafOps, addr: GlobalAddr, n: u64) -> Vec<(u64, Vec<u8>)> {
     let items: Vec<(u64, Vec<u8>)> =
         (1..=n).map(|k| (k * 7, (k * 7).to_le_bytes().to_vec())).collect();
-    let w = build_table(64, 8, &items).unwrap();
+    let w = build_table(64, 8, 8, &items).unwrap();
     ops.write_new(ep, addr, &w, &meta());
     items
 }
@@ -94,7 +94,7 @@ fn hop_insert_roundtrip() {
         .expect("node not full");
     assert_eq!(lr.max_key, Some(30 * 7), "argmax entry piggybacked");
     let empty = lr.w.first_empty_from(home).expect("space available");
-    let pos = lr.w.insert(key, vec![9u8; 8], empty).unwrap();
+    let pos = lr.w.insert(key, &[9u8; 8], empty).unwrap();
     let w = &lr.w;
     let new_word = ops
         .vm
@@ -104,7 +104,7 @@ fn hop_insert_roundtrip() {
         } else {
             word.argmax()
         });
-    ops.write_window_and_unlock(&mut ep, addr, &lr.w, &lr.evs, lr.nv, &lr.meta, new_word);
+    lr.write_back(&ops, &mut ep, addr, new_word);
     let r = ops.read_neighborhood(&mut ep, addr, key);
     assert_eq!(r.found.expect("inserted key readable").1, vec![9u8; 8]);
     // All earlier keys are still readable.
@@ -133,7 +133,7 @@ fn rewrite_bumps_nv_and_preserves_content() {
     let snap0 = ops.read_full(&mut ep, addr);
     let word = ops.lock(&mut ep, addr);
     let _ = word;
-    let (w, _evs) = ops.read_full(&mut ep, addr).into_window();
+    let w = ops.read_full(&mut ep, addr).into_window();
     ops.rewrite_and_unlock(&mut ep, addr, &w, snap0.nv, &meta());
     let snap1 = ops.read_full(&mut ep, addr);
     assert_eq!(snap1.nv, bump(snap0.nv));
@@ -159,7 +159,7 @@ fn no_piggyback_uses_separate_vacancy_word() {
     });
     let addr = GlobalAddr::new(0, RESERVED_BYTES);
     let items: Vec<(u64, Vec<u8>)> = (1..=10).map(|k| (k, vec![k as u8; 8])).collect();
-    let w = build_table(64, 8, &items).unwrap();
+    let w = build_table(64, 8, 8, &items).unwrap();
     ops.write_new(&mut ep, addr, &w, &meta());
     let r0 = ep.stats().reads;
     let word = ops.lock(&mut ep, addr);
@@ -170,8 +170,9 @@ fn no_piggyback_uses_separate_vacancy_word() {
 
 #[test]
 fn cyclic_segment_helper() {
-    assert_eq!(cyclic_segments(3, 10, 64), vec![(3, 10)]);
-    assert_eq!(cyclic_segments(60, 2, 64), vec![(60, 63), (0, 2)]);
+    let l = ops().layout;
+    assert_eq!(l.cyclic_split(3, 10), ((3, 10), None));
+    assert_eq!(l.cyclic_split(60, 2), ((60, 63), Some((0, 2))));
 }
 
 // ----- the unified decoder vs the per-byte decoder it replaced ---------------
@@ -286,7 +287,7 @@ mod oracle {
             .collect()
     }
 
-    pub fn check_all_nv(l: &LeafLayout, pieces: &[Fetched]) -> Option<u8> {
+    pub fn pieces_nv(l: &LeafLayout, pieces: &[Fetched]) -> Option<u8> {
         let mut expect = None;
         for p in pieces {
             let mut leads: Vec<usize> =
@@ -304,7 +305,7 @@ mod oracle {
         expect
     }
 
-    pub fn check_all_ev(l: &LeafLayout, pieces: &[Fetched]) -> bool {
+    pub fn pieces_ev(l: &LeafLayout, pieces: &[Fetched]) -> bool {
         pieces.iter().all(|p| {
             entries_in(l, p.lstart, p.lend).iter().all(|&i| {
                 let off = l.entry_off(i);
@@ -370,8 +371,8 @@ mod oracle {
     /// `read_full`'s accept/reject decision and result on one whole-leaf image.
     pub fn decode(l: &LeafLayout, f: Fetched) -> Option<Snapshot> {
         let pieces = [f];
-        let nv = check_all_nv(l, &pieces)?;
-        if !check_all_ev(l, &pieces) {
+        let nv = pieces_nv(l, &pieces)?;
+        if !pieces_ev(l, &pieces) {
             return None;
         }
         let snap = Snapshot {
@@ -413,22 +414,20 @@ fn random_image(rng: &mut SmallRng, ops: &LeafOps) -> Vec<u8> {
         })
         .collect();
     let w = loop {
-        match build_table(l.span, l.h, &items) {
+        match build_table(l.span, l.h, l.value_size, &items) {
             Some(w) => break w,
             None => items.truncate(items.len() / 2),
         }
     };
     let nv = rng.gen_range(0..16u8);
     let meta = ops.meta(GlobalAddr::new(0, rng.gen_range(0..1u64 << 40)), rng.gen(), (rng.gen(), rng.gen()));
-    let mut data = ops.full_image(&w, nv, &meta);
-    let evs: Vec<u8> = (0..l.span).map(|_| rng.gen_range(0..16u8)).collect();
-    for (i, &e) in evs.iter().enumerate() {
-        data[l.entry_off(i)] = pack_ver(nv, e);
+    // The same table as read from a leaf whose entries carry random EVs.
+    let mut read = l.window(0, l.span);
+    for i in 0..l.span {
+        let (k, v, bm) = w.slot(i);
+        read.set_slot(i, k, v, bm, rng.gen_range(0..16u8));
     }
-    let (_, phys) = l.versioned().build_phys(0, &data, |p| match ops.object_at(p.min(l.payload_len() - 1)) {
-        Object::Entry(i) => pack_ver(nv, evs[i]),
-        Object::Replica(_) => pack_ver(nv, 0),
-    });
+    let (_, phys) = ops.encode(&read, (0, l.payload_len()), nv, &meta, true);
     phys
 }
 
@@ -535,12 +534,13 @@ fn unified_decoder_matches_the_per_byte_decoder() {
         let mut reads: Vec<Vec<(usize, usize)>> =
             (0..l.span).map(|home| l.neighborhood_ranges(home)).collect();
         for _ in 0..l.span {
-            reads.push(l.hop_ranges(rng.gen_range(0..l.span), rng.gen_range(0..l.span)));
+            let (first, wrap) = l.hop_ranges(rng.gen_range(0..l.span), rng.gen_range(0..l.span));
+            reads.push(std::iter::once(first).chain(wrap).collect());
         }
         for ranges in reads {
             let (new, old) = pieces_of(&ranges);
-            assert_eq!(ops.check_all_nv(&new), oracle::check_all_nv(&l, &old), "seed {seed}: {ranges:?}");
-            assert_eq!(ops.check_all_ev(&new), oracle::check_all_ev(&l, &old), "seed {seed}: {ranges:?}");
+            let verdict = oracle::pieces_nv(&l, &old).filter(|_| oracle::pieces_ev(&l, &old));
+            assert_eq!(ops.validate(&new).map(|(nv, _)| nv), verdict, "seed {seed}: {ranges:?}");
             for (n, (o, &(a, b))) in new.iter().zip(old.iter().zip(&ranges)) {
                 assert_eq!(l.entries_in(a, b).collect::<Vec<_>>(), oracle::entries_in(&l, a, b));
                 for i in l.entries_in(a, b) {

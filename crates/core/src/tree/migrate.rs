@@ -4,7 +4,6 @@
 use dmem::{GlobalAddr, IndexError, Phase, RangeIndex};
 
 use super::{ChimeClient, TreeBinding};
-use crate::hopscotch::Window;
 use crate::leaf::LeafMeta;
 
 impl ChimeClient {
@@ -115,8 +114,7 @@ impl ChimeClient {
             }
             moved += 1;
         }
-        let span = self.span();
-        let empty = Window::new(span, self.h(), 0, span);
+        let empty = self.leaf().layout.window(0, self.span());
         let dead = LeafMeta {
             sibling: forward,
             valid: false,

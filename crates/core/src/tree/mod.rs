@@ -178,7 +178,7 @@ impl Chime {
         let leaf_addr = alloc
             .alloc(&mut ep, s.leaf.layout.node_size() as u64)
             .expect("pool too small for bootstrap");
-        let w = Window::new(s.cfg.span, s.cfg.neighborhood, 0, s.cfg.span);
+        let w = s.leaf.layout.window(0, s.cfg.span);
         let meta = s.leaf.meta(GlobalAddr::NULL, true, (0, u64::MAX));
         s.leaf.write_new(&mut ep, leaf_addr, &w, &meta);
         let root_addr = alloc
@@ -345,8 +345,7 @@ impl ChimeClient {
     /// with `word` as the new lock word (vacancy + argmax).
     fn write_back(&mut self, addr: GlobalAddr, lr: &LockedRead, word: LockWord) {
         self.in_phase(Phase::WriteBack, |me| {
-            me.leaf()
-                .write_window_and_unlock(&mut me.ep, addr, &lr.w, &lr.evs, lr.nv, &lr.meta, word)
+            lr.write_back(&me.leaf(), &mut me.ep, addr, word)
         });
     }
 

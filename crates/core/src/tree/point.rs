@@ -332,7 +332,7 @@ impl ChimeClient {
         let w = &mut held.lr.w;
         // Duplicate: update in place.
         if let Some(pos) = w.find_in_neighborhood(key) {
-            w.set_value(pos, stored.to_vec());
+            w.set_value(pos, stored);
             self.write_back(addr, &held.lr, word);
             return Ok(true);
         }
@@ -345,7 +345,7 @@ impl ChimeClient {
             w.first_empty_from(home)
         };
         if let Some(empty) = empty {
-            if let Ok(pos) = w.insert(key, stored.to_vec(), empty) {
+            if let Ok(pos) = w.insert(key, stored, empty) {
                 let new_word = self.word_after_insert(&held.lr, word, key, pos, empty);
                 self.write_back(addr, &held.lr, new_word);
                 return Ok(true);
@@ -418,7 +418,7 @@ impl ChimeClient {
             self.unlock(&[(held.addr, held.word)]);
             return Ok(false);
         };
-        held.lr.w.set_value(pos, stored);
+        held.lr.w.set_value(pos, &stored);
         self.write_back(held.addr, &held.lr, held.word);
         Ok(true)
     }

@@ -6,6 +6,7 @@ use dmem::{GlobalAddr, IndexError, Phase, RetryCause};
 use super::{ChimeClient, OP_RETRY_LIMIT};
 use crate::hopscotch::{build_table, Window};
 use crate::internal::InternalNode;
+use crate::layout::LeafLayout;
 use crate::leaf::LockedRead;
 
 /// One built leaf chunk: its hopscotch window plus the items it holds.
@@ -13,14 +14,14 @@ type Chunk = (Window, Vec<(u64, Vec<u8>)>);
 
 /// Recursively builds hopscotch tables for `items`, splitting chunks that
 /// do not fit. Returns `(window, sorted items)` per chunk, in key order.
-fn build_chunks(span: usize, h: usize, items: &[(u64, Vec<u8>)]) -> Vec<Chunk> {
-    if let Some(w) = build_table(span, h, items) {
+fn build_chunks(l: &LeafLayout, items: &[(u64, Vec<u8>)]) -> Vec<Chunk> {
+    if let Some(w) = build_table(l.span, l.h, l.value_size, items) {
         return vec![(w, items.to_vec())];
     }
     assert!(items.len() >= 2, "cannot split a single unfittable item");
     let mid = items.len() / 2;
-    let mut out = build_chunks(span, h, &items[..mid]);
-    out.extend(build_chunks(span, h, &items[mid..]));
+    let mut out = build_chunks(l, &items[..mid]);
+    out.extend(build_chunks(l, &items[mid..]));
     out
 }
 
@@ -64,15 +65,14 @@ impl ChimeClient {
         lr: LockedRead,
     ) -> Result<(), IndexError> {
         self.counters.splits += 1;
-        let cfg = self.shared.cfg;
         let mut items = lr.w.occupied();
         items.sort_by_key(|&(k, _)| k);
         assert!(items.len() >= 2, "splitting a near-empty node");
         let mid = items.len() / 2;
         // Build chains (usually exactly one chunk per half).
         let chunks = {
-            let mut c = build_chunks(cfg.span, cfg.neighborhood, &items[..mid]);
-            c.extend(build_chunks(cfg.span, cfg.neighborhood, &items[mid..]));
+            let mut c = build_chunks(&self.leaf().layout, &items[..mid]);
+            c.extend(build_chunks(&self.leaf().layout, &items[mid..]));
             c
         };
         assert!(chunks.len() >= 2);
@@ -263,7 +263,7 @@ impl ChimeClient {
         let merged = if !slr.meta.valid || items.len() > (span * 2) / 3 {
             None
         } else {
-            build_table(span, cfg.neighborhood, &items)
+            build_table(span, cfg.neighborhood, self.leaf().layout.value_size, &items)
         };
         let Some(merged) = merged else {
             self.unlock(&[(sib, sword), (addr, xword)]);
@@ -276,7 +276,7 @@ impl ChimeClient {
         let (_, sib_hi) = slr.meta.fences.unwrap_or((0, u64::MAX));
         let meta = self.leaf().meta(slr.meta.sibling, true, (old_lo, sib_hi));
         self.rewrite(addr, &merged, xlr.nv, &meta);
-        let empty = Window::new(span, cfg.neighborhood, 0, span);
+        let empty = self.leaf().layout.window(0, span);
         let dead = self
             .leaf()
             .meta(GlobalAddr::NULL, false, (sib_pivot, sib_pivot));

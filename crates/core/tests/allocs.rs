@@ -1,11 +1,12 @@
-//! Allocation budget of the read paths, counted exactly.
+//! Allocation budgets of the read and write paths, counted exactly.
 //!
 //! Host wall time is too noisy for `cargo test`; the number of heap
 //! allocations an operation makes is not. A fixed-seed tree and this
-//! binary's own counting allocator pin the budgets the de-striped fetch and
-//! the slice-based leaf decoder bought: what is left per operation is the
-//! fetch buffer(s), their container and the `Vec<u8>` per returned value
-//! that `RangeIndex`'s signatures demand.
+//! binary's own counting allocator pin the budgets the de-striped fetch,
+//! the slice-based leaf decoder and the single write-side codec bought:
+//! what is left per read is the fetch buffer(s), their container and the
+//! `Vec<u8>` per returned value that `RangeIndex`'s signatures demand; a
+//! write adds its window and one outgoing image per run of dirty entries.
 //!
 //! Counts are per thread, as in `benchmark/src/alloc.rs`.
 
@@ -153,6 +154,49 @@ fn read_paths_stay_within_their_allocation_budgets() {
         assert_eq!(client.counters.spec_hits, hits + 1, "search of {k} did not speculate");
         assert!(n <= 2, "speculative-read hit on {k} allocated {n} times");
     }
+}
+
+/// Write paths: the locked window is read, held and encoded once. What is
+/// left per write is the stored value, the fetch buffers and their
+/// container, the window (slots + value arena) and one outgoing image per
+/// cyclic run of the dirty range.
+#[test]
+fn write_paths_stay_within_their_allocation_budgets() {
+    let mut client = tree(ChimeConfig::default());
+    for k in 1..=KEYS {
+        assert!(client.search(k).is_some());
+    }
+    // Round trips tell the plain protocol (lock, window read, write-back)
+    // from its detours: a whole-node re-read or a split.
+    let rtts = |c: &chime::ChimeClient| c.endpoint().stats().rtts;
+    let mut plain = [0u64; 3];
+    for i in 0..3_000u64 {
+        let k = 1 + mix(i) % KEYS;
+        let v = i.to_le_bytes();
+        let r0 = rtts(&client);
+        let (n, hit) = allocs(|| client.update(k, &v).unwrap());
+        assert!(hit && rtts(&client) - r0 == 3, "update of {k} left the plain protocol");
+        assert!(n <= 8, "update of {k} allocated {n} times");
+        plain[0] += 1;
+        // Unless `k` is the maximum of its leaf, the delete stays inside
+        // the neighborhood window.
+        let r0 = rtts(&client);
+        let (n, hit) = allocs(|| client.delete(k).unwrap());
+        assert!(hit);
+        if rtts(&client) - r0 == 3 {
+            assert!(n <= 8, "delete of {k} allocated {n} times");
+            plain[1] += 1;
+        }
+        // Putting it back finds room in the hop window.
+        let (r0, splits) = (rtts(&client), client.counters.splits);
+        let (n, r) = allocs(|| client.insert(k, &v));
+        r.unwrap();
+        if rtts(&client) - r0 == 3 && client.counters.splits == splits {
+            assert!(n <= 10, "insert of {k} allocated {n} times");
+            plain[2] += 1;
+        }
+    }
+    assert!(plain.iter().all(|&n| n > 2_500), "{plain:?} of 3000 writes were plain");
 }
 
 /// Whether `key`'s neighborhood wraps around the default 64-entry table (and

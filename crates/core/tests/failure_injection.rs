@@ -37,7 +37,7 @@ fn setup(n: u64) -> Setup {
     let ops = ops();
     let addr = GlobalAddr::new(0, RESERVED_BYTES);
     let items: Vec<(u64, Vec<u8>)> = (1..=n).map(|k| (k * 3, k.to_le_bytes().to_vec())).collect();
-    let w = build_table(64, 8, &items).unwrap();
+    let w = build_table(64, 8, 8, &items).unwrap();
     let meta = LeafMeta {
         sibling: GlobalAddr::NULL,
         valid: true,
@@ -182,9 +182,9 @@ fn whole_leaf_read_retries_on_a_displacement_bit_beyond_h() {
     };
     let key = 1_000_003u64;
     let home = dmem::hash::home_entry(key, 64);
-    let mut w = chime::hopscotch::Window::new(64, 8, 0, 64);
-    w.set_slot((home + 9) % 64, key, vec![7u8; 8], 0);
-    w.set_slot(home, 0, vec![0u8; 8], 1 << 9);
+    let mut w = chime::hopscotch::Window::new(64, 8, 8, 0, 64);
+    w.set_slot((home + 9) % 64, key, &[7u8; 8], 0, 0);
+    w.set_slot(home, 0, &[0u8; 8], 1 << 9, 0);
     let mut ep = Endpoint::new(Arc::clone(&pool));
     ops.write_new(&mut ep, addr, &w, &meta);
     let healed = Arc::new(AtomicBool::new(false));
@@ -204,7 +204,9 @@ fn whole_leaf_read_retries_on_a_displacement_bit_beyond_h() {
     std::thread::sleep(std::time::Duration::from_millis(100));
     assert!(!reader.is_finished(), "the decoder must force retries");
     healed.store(true, Ordering::SeqCst);
-    ops.write_new(&mut ep, addr, &build_table(64, 8, &items).unwrap(), &meta);
+    // A node write bumps NV, so a reader racing the repair sees a mixed
+    // image as torn rather than as a smaller consistent leaf.
+    ops.rewrite_and_unlock(&mut ep, addr, &build_table(64, 8, 8, &items).unwrap(), 0, &meta);
     let (count, torn_reads) = reader.join().unwrap();
     assert_eq!(count, items.len());
     assert!(torn_reads > 0, "the retries must be counted as torn reads");

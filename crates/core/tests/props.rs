@@ -5,10 +5,12 @@ use std::collections::BTreeMap;
 
 use chime::hopscotch::{build_table, check_invariants, cyc_dist, Window};
 use chime::layout::LeafLayout;
+use chime::leaf::{LeafMeta, LeafOps};
 use chime::lockword::{LockWord, VacancyMap};
 use chime::{Chime, ChimeConfig};
 use dmem::hash::home_entry;
-use dmem::{Pool, RangeIndex};
+use dmem::versioned::bump;
+use dmem::{Endpoint, GlobalAddr, Pool, RangeIndex};
 use proptest::prelude::*;
 
 fn v(k: u64) -> Vec<u8> {
@@ -23,7 +25,7 @@ proptest! {
         keys in proptest::collection::hash_set(1u64..u64::MAX, 1..40),
     ) {
         let items: Vec<(u64, Vec<u8>)> = keys.iter().map(|&k| (k, v(k))).collect();
-        if let Some(w) = build_table(64, 8, &items) {
+        if let Some(w) = build_table(64, 8, 8, &items) {
             check_invariants(&w).unwrap();
             for (k, val) in &items {
                 let pos = w.find_in_neighborhood(*k).expect("key must be findable");
@@ -41,7 +43,7 @@ proptest! {
     /// Random insert/remove sequences keep the bitmap-occupancy bijection.
     #[test]
     fn window_ops_preserve_invariants(ops in proptest::collection::vec((any::<u64>(), any::<bool>()), 1..120)) {
-        let mut w = Window::new(32, 8, 0, 32);
+        let mut w = Window::new(32, 8, 8, 0, 32);
         let mut present: Vec<u64> = Vec::new();
         for (seed, del) in ops {
             let key = 1 + seed % 1_000_003;
@@ -53,7 +55,7 @@ proptest! {
                 let home = home_entry(key, 32);
                 let empty = (0..32).map(|d| (home + d) % 32).find(|&i| w.slot_empty(i));
                 if let Some(empty) = empty {
-                    if w.insert(key, v(key), empty).is_ok() {
+                    if w.insert(key, &v(key), empty).is_ok() {
                         present.push(key);
                     }
                 }
@@ -146,6 +148,89 @@ proptest! {
             mark(off, off + l.entry_size());
         }
         prop_assert!(covered.iter().all(|&c| c), "payload has gaps");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The window's dirty marks are exact — a slot is marked iff an
+    /// operation changed its (key, value, bitmap) — and they are what a
+    /// write-back versions by: after it, a fresh whole-leaf read finds every
+    /// dirty slot at `bump(old EV)` and every clean slot at its old EV.
+    #[test]
+    fn dirty_marks_are_exact_and_drive_entry_versions(
+        rounds in proptest::collection::vec(
+            (0usize..32, proptest::collection::vec((any::<u64>(), 0u8..3), 1..12)),
+            1..4,
+        ),
+    ) {
+        const SPAN: usize = 32;
+        let leaf = LeafOps::new(LeafLayout {
+            span: SPAN,
+            h: 8,
+            key_size: 8,
+            value_size: 8,
+            replication: true,
+            fences: false,
+            piggyback: true,
+        });
+        let meta = LeafMeta { sibling: GlobalAddr::NULL, valid: true, fences: None };
+        let mut ep = Endpoint::new(Pool::with_defaults(1, 1 << 20));
+        let addr = GlobalAddr::new(0, dmem::node::RESERVED_BYTES);
+        let items: Vec<(u64, Vec<u8>)> = (1..=12u64).map(|k| (k * 7, v(k))).collect();
+        leaf.write_new(&mut ep, addr, &build_table(SPAN, 8, 8, &items).unwrap(), &meta);
+        let mut present: Vec<u64> = items.iter().map(|&(k, _)| k).collect();
+        let mut fresh = 1u64 << 40; // values no slot has held before
+        // Each round is one locked write: a full-span window from a random
+        // start (so the dirty range may wrap around), a few operations, one
+        // write-back.
+        for (start, ops) in rounds {
+            let word = leaf.lock(&mut ep, addr);
+            let mut lr = leaf.locked_read(&mut ep, addr, start, (start + SPAN - 1) % SPAN, word);
+            let content = |w: &Window| -> Vec<(u64, Vec<u8>, u16)> {
+                (0..SPAN).map(|i| { let (k, val, bm) = w.slot(i); (k, val.to_vec(), bm) }).collect()
+            };
+            let old_evs: Vec<u8> = (0..SPAN).map(|i| lr.w.version(i).0).collect();
+            let mut dirty = [false; SPAN];
+            for (seed, op) in ops {
+                let before = content(&lr.w);
+                fresh += 1;
+                let victim = (!present.is_empty()).then(|| (seed % present.len() as u64) as usize);
+                match (op, victim) {
+                    (0, Some(at)) => {
+                        let pos = lr.w.find_in_neighborhood(present[at]).expect("present key");
+                        lr.w.set_value(pos, &v(fresh));
+                    }
+                    (1, Some(at)) => {
+                        let pos = lr.w.find_in_neighborhood(present.swap_remove(at)).expect("present key");
+                        lr.w.remove(pos);
+                    }
+                    _ => {
+                        let key = 1 + seed % 1_000_003;
+                        let home = home_entry(key, SPAN);
+                        let empty = (0..SPAN).map(|d| (home + d) % SPAN).find(|&i| lr.w.slot_empty(i));
+                        if let (false, Some(empty)) = (present.contains(&key), empty) {
+                            if lr.w.insert(key, &v(fresh), empty).is_ok() {
+                                present.push(key);
+                            }
+                        }
+                    }
+                }
+                for (i, (was, is)) in before.iter().zip(content(&lr.w)).enumerate() {
+                    dirty[i] |= *was != is;
+                    prop_assert_eq!(lr.w.version(i), (old_evs[i], dirty[i]), "slot {}", i);
+                }
+            }
+            check_invariants(&lr.w).unwrap();
+            lr.write_back(&leaf, &mut ep, addr, leaf.word_for(&lr.w));
+            let snap = leaf.read_full(&mut ep, addr);
+            for i in 0..SPAN {
+                let want = if dirty[i] { bump(old_evs[i]) } else { old_evs[i] };
+                prop_assert_eq!(snap.ev(i), want, "EV of slot {} (dirty: {})", i, dirty[i]);
+                prop_assert_eq!((snap.keys[i], snap.value(i), snap.bitmap(i)), lr.w.slot(i));
+            }
+        }
     }
 }
 

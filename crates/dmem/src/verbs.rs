@@ -244,13 +244,10 @@ impl Endpoint {
     /// Declares a labeled crash point; a [`crate::fault::CrashRule`] matching
     /// the label kills this client here (panicking with
     /// [`crate::fault::CrashSignal`]). A no-op without a fault session.
-    pub fn crash_point(&mut self, label: &str) {
-        self.telem.flight.push(
-            self.clock_ns,
-            FlightKind::CrashPoint {
-                label: label.to_string(),
-            },
-        );
+    pub fn crash_point(&mut self, label: &'static str) {
+        self.telem
+            .flight
+            .push(self.clock_ns, FlightKind::CrashPoint { label });
         if let Some(fc) = self.fault.as_mut() {
             fc.on_crash_point(label);
         }

@@ -226,25 +226,33 @@ impl Layout {
         &self,
         lstart: usize,
         data: &[u8],
-        mut line_ver: impl FnMut(usize) -> u8,
+        line_ver: impl FnMut(usize) -> u8,
     ) -> (usize, Vec<u8>) {
-        let lend = lstart + data.len();
-        assert!(lend <= self.payload_len);
-        let pstart = self.phys_start(lstart);
-        let pend = self.phys_of(lend - 1) + 1;
-        let mut out = vec![0u8; pend - pstart];
-        for (i, b) in out.iter_mut().enumerate() {
-            let p = pstart + i;
-            if p.is_multiple_of(LINE) {
-                // The version slot guards the payload byte at logical
-                // position (p / LINE) * LINE_PAYLOAD.
-                *b = line_ver((p / LINE) * LINE_PAYLOAD);
-            } else {
-                let l = (p / LINE) * LINE_PAYLOAD + (p % LINE - 1);
-                *b = data[l - lstart];
-            }
-        }
+        let (pstart, pend) = self.phys_range(lstart, lstart + data.len());
+        let mut out = Vec::with_capacity(pend - pstart);
+        out.extend_from_slice(data);
+        self.stripe(lstart, &mut out, line_ver);
         (pstart, out)
+    }
+
+    /// [`Layout::build_phys`] in place: `buf` holds the logical bytes from
+    /// `lstart` on and leaves as their physical image (the inverse of
+    /// [`Layout::from_raw`]). Reserve [`Layout::phys_range`]'s length up
+    /// front and the buffer is not reallocated.
+    pub fn stripe(&self, lstart: usize, buf: &mut Vec<u8>, mut line_ver: impl FnMut(usize) -> u8) {
+        let lend = lstart + buf.len();
+        let (pstart, pend) = self.phys_range(lstart, lend);
+        buf.resize(pend - pstart, 0);
+        // Open the version slots back to front, so no payload byte is
+        // overwritten before it has moved.
+        let mut r = lend - lstart;
+        for line in self.slot_lines(lstart, lend).rev() {
+            let slot = line * LINE - pstart;
+            let end = (slot + LINE).min(buf.len());
+            r -= end - slot - 1;
+            buf.copy_within(r..r + (end - slot - 1), slot + 1);
+            buf[slot] = line_ver(line * LINE_PAYLOAD);
+        }
     }
 
     /// Writes logical range `[lstart, lstart+data.len())` with one WRITE.
@@ -290,20 +298,6 @@ impl Fetched {
     /// One past the last logical offset covered.
     pub fn lend(&self) -> usize {
         self.lstart + self.len
-    }
-
-    /// Joins this fetch with the fetch of the logical range right after it
-    /// into the view one fetch of both ranges would have given.
-    pub fn join(self, next: Fetched) -> Fetched {
-        assert_eq!(self.lend(), next.lstart, "ranges are not adjacent");
-        let (payload, vers) = self.buf.split_at(self.len);
-        let (next_payload, next_vers) = next.buf.split_at(next.len);
-        Fetched {
-            lstart: self.lstart,
-            len: self.len + next.len,
-            first_line: self.first_line,
-            buf: [payload, next_payload, vers, next_vers].concat(),
-        }
     }
 
     /// The `len` logical bytes starting at absolute logical offset `l`.
@@ -553,6 +547,11 @@ mod tests {
                 new.line_versions(lstart, lend),
                 &old.line_versions(lstart, lend)[..]
             );
+            // Striping the view again gives the raw bytes back.
+            let vers = old.line_versions(lstart, lend);
+            let first = layout.slot_lines(lstart, lend).start;
+            let striped = layout.build_phys(lstart, new.bytes(lstart, lend - lstart), |p| vers[p / LINE_PAYLOAD - first]);
+            proptest::prop_assert_eq!(striped, (pstart, old.raw.clone()));
             // A sub-object, including ones that begin on a 63-byte boundary.
             let (u, v) = (lstart + cut.2 % (lend - lstart), lstart + cut.3 % (lend - lstart));
             let (a, b) = (u.min(v), u.max(v) + 1);

@@ -52,7 +52,7 @@ pub enum FlightKind {
     /// A labeled crash point was passed (or triggered).
     CrashPoint {
         /// The crash-point label.
-        label: String,
+        label: &'static str,
     },
     /// A free-form control-plane note (migration steps, gate events).
     Note {
@@ -96,7 +96,7 @@ impl FlightEvent {
             }
             FlightKind::CrashPoint { label } => {
                 pairs.push(("ev", Json::from("crash_point")));
-                pairs.push(("label", Json::from(label.as_str())));
+                pairs.push(("label", Json::from(*label)));
             }
             FlightKind::Note { label } => {
                 pairs.push(("ev", Json::from("note")));
@@ -226,7 +226,7 @@ mod tests {
         r.push(
             400,
             FlightKind::CrashPoint {
-                label: "part.migrate.locked".into(),
+                label: "part.migrate.locked",
             },
         );
         r

@@ -101,7 +101,7 @@ impl ChimeLearned {
                     (*k, v)
                 })
                 .collect();
-            let w = build_table(span, h, &chunk_vec)
+            let w = build_table(span, h, shared.leaf.layout.value_size, &chunk_vec)
                 .expect("leaf fill below hopscotch capacity");
             let meta = LeafMeta {
                 sibling: GlobalAddr::NULL,
@@ -185,16 +185,8 @@ impl RangeIndex for ChimeLearnedClient {
             // Try the owner leaf first.
             if let Some(mut lr) = leaf.read_hop_window(&mut self.ep, owner, home, word) {
                 if let Some(pos) = lr.w.find_in_neighborhood(key) {
-                    lr.w.set_value(pos, stored.clone());
-                    leaf.write_window_and_unlock(
-                        &mut self.ep,
-                        owner,
-                        &lr.w,
-                        &lr.evs,
-                        lr.nv,
-                        &lr.meta,
-                        word,
-                    );
+                    lr.w.set_value(pos, &stored);
+                    lr.write_back(&leaf, &mut self.ep, owner, word);
                     return Ok(());
                 }
                 // Duplicate in the synonym chain? (A key that overflowed
@@ -206,7 +198,7 @@ impl RangeIndex for ChimeLearnedClient {
                     return Ok(());
                 }
                 if let Some(empty) = lr.w.first_empty_from(home) {
-                    if let Ok(pos) = lr.w.insert(key, stored.clone(), empty) {
+                    if let Ok(pos) = lr.w.insert(key, &stored, empty) {
                         let vm = leaf.vm;
                         let g = vm.group_of(empty);
                         let (gs, ge) = vm.group_range(g);
@@ -216,15 +208,7 @@ impl RangeIndex for ChimeLearnedClient {
                         if lr.max_key.is_none_or(|mx| key > mx) {
                             nw = nw.with_argmax(pos as u16);
                         }
-                        leaf.write_window_and_unlock(
-                            &mut self.ep,
-                            owner,
-                            &lr.w,
-                            &lr.evs,
-                            lr.nv,
-                            &lr.meta,
-                            nw,
-                        );
+                        lr.write_back(&leaf, &mut self.ep, owner, nw);
                         return Ok(());
                     }
                 }
@@ -241,16 +225,8 @@ impl RangeIndex for ChimeLearnedClient {
             // Duplicate may still live in the full owner.
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
                 let mut lr = lr;
-                lr.w.set_value(pos, stored.clone());
-                leaf.write_window_and_unlock(
-                    &mut self.ep,
-                    owner,
-                    &lr.w,
-                    &lr.evs,
-                    lr.nv,
-                    &lr.meta,
-                    word,
-                );
+                lr.w.set_value(pos, &stored);
+                lr.write_back(&leaf, &mut self.ep, owner, word);
                 return Ok(());
             }
             if self.insert_into_chain(owner, meta, key, &stored, word)? {
@@ -285,16 +261,9 @@ impl RangeIndex for ChimeLearnedClient {
         loop {
             let mut lr = leaf.read_nbh_window(&mut self.ep, addr, home, word);
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
-                lr.w.set_value(pos, stored);
-                leaf.write_window_and_unlock(
-                    &mut self.ep,
-                    addr,
-                    &lr.w,
-                    &lr.evs,
-                    lr.nv,
-                    &lr.meta,
-                    word.with_locked(addr != owner), // only unlock the owner's word
-                );
+                lr.w.set_value(pos, &stored);
+                // Only the owner's word is unlocked.
+                lr.write_back(&leaf, &mut self.ep, addr, word.with_locked(addr != owner));
                 if addr != owner {
                     leaf.unlock(&mut self.ep, owner, word);
                 }
@@ -325,15 +294,7 @@ impl RangeIndex for ChimeLearnedClient {
                 lr.w.remove(pos);
                 let vm = leaf.vm;
                 let nw = word.with_vacancy_bit(vm.group_of(pos), true);
-                leaf.write_window_and_unlock(
-                    &mut self.ep,
-                    addr,
-                    &lr.w,
-                    &lr.evs,
-                    lr.nv,
-                    &lr.meta,
-                    nw.with_locked(addr != owner),
-                );
+                lr.write_back(&leaf, &mut self.ep, addr, nw.with_locked(addr != owner));
                 if addr != owner {
                     leaf.unlock(&mut self.ep, owner, word);
                 }
@@ -414,16 +375,8 @@ impl ChimeLearnedClient {
             let syn_word = chime::lockword::LockWord::initial(leaf.vm.groups());
             let mut lr = leaf.read_nbh_window(&mut self.ep, addr, home, syn_word);
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
-                lr.w.set_value(pos, stored.to_vec());
-                leaf.write_window_and_unlock(
-                    &mut self.ep,
-                    addr,
-                    &lr.w,
-                    &lr.evs,
-                    lr.nv,
-                    &lr.meta,
-                    syn_word,
-                );
+                lr.w.set_value(pos, stored);
+                lr.write_back(&leaf, &mut self.ep, addr, syn_word);
                 leaf.unlock(&mut self.ep, owner, word);
                 return true;
             }
@@ -455,30 +408,14 @@ impl ChimeLearnedClient {
             let syn_word = chime::lockword::LockWord::initial(leaf.vm.groups());
             if let Some(mut lr) = leaf.read_hop_window(&mut self.ep, addr, home, syn_word) {
                 if let Some(pos) = lr.w.find_in_neighborhood(key) {
-                    lr.w.set_value(pos, stored.to_vec());
-                    leaf.write_window_and_unlock(
-                        &mut self.ep,
-                        addr,
-                        &lr.w,
-                        &lr.evs,
-                        lr.nv,
-                        &lr.meta,
-                        syn_word,
-                    );
+                    lr.w.set_value(pos, stored);
+                    lr.write_back(&leaf, &mut self.ep, addr, syn_word);
                     leaf.unlock(&mut self.ep, owner, word);
                     return Ok(true);
                 }
                 if let Some(empty) = lr.w.first_empty_from(home) {
-                    if lr.w.insert(key, stored.to_vec(), empty).is_ok() {
-                        leaf.write_window_and_unlock(
-                            &mut self.ep,
-                            addr,
-                            &lr.w,
-                            &lr.evs,
-                            lr.nv,
-                            &lr.meta,
-                            syn_word,
-                        );
+                    if lr.w.insert(key, stored, empty).is_ok() {
+                        lr.write_back(&leaf, &mut self.ep, addr, syn_word);
                         leaf.unlock(&mut self.ep, owner, word);
                         return Ok(true);
                     }
@@ -492,7 +429,7 @@ impl ChimeLearnedClient {
         let syn_addr = self
             .alloc
             .alloc(&mut self.ep, leaf.layout.node_size() as u64)?;
-        let w = build_table(span, h, &[(key, stored.to_vec())]).expect("single item fits");
+        let w = build_table(span, h, stored.len(), &[(key, stored.to_vec())]).expect("single item fits");
         let meta = LeafMeta {
             sibling: GlobalAddr::NULL,
             valid: true,

@@ -239,7 +239,7 @@ impl ShermanLeafOps {
         ep.write(addr.add(self.layout.lock_off() as u64), &0u64.to_le_bytes());
     }
 
-    fn entry_bytes(&self, nv: u8, entry_ev: u8, key: u64, value: &[u8]) -> Vec<u8> {
+    fn entry_image(&self, nv: u8, entry_ev: u8, key: u64, value: &[u8]) -> Vec<u8> {
         let l = self.layout;
         let mut b = vec![0u8; l.entry_size()];
         b[0] = pack_ver(nv, entry_ev);
@@ -271,7 +271,7 @@ impl ShermanLeafOps {
     ) {
         let l = self.layout;
         let e = bump(snap.evs[idx]);
-        let bytes = self.entry_bytes(snap.nv, e, snap.keys[idx], value);
+        let bytes = self.entry_image(snap.nv, e, snap.keys[idx], value);
         let (pstart, phys) =
             l.versioned()
                 .build_phys(l.entry_off(idx), &bytes, |_| pack_ver(snap.nv, e));
@@ -305,9 +305,9 @@ impl ShermanLeafOps {
             let e = bump(snap.evs[i]);
             vers[i] = e;
             if i < count {
-                data.extend_from_slice(&self.entry_bytes(snap.nv, e, keys[i], &values[i]));
+                data.extend_from_slice(&self.entry_image(snap.nv, e, keys[i], &values[i]));
             } else {
-                data.extend_from_slice(&self.entry_bytes(snap.nv, e, 0, &[]));
+                data.extend_from_slice(&self.entry_image(snap.nv, e, 0, &[]));
             }
         }
         let hev = bump(snap.header_ev);
@@ -366,7 +366,7 @@ impl ShermanLeafOps {
         data[..header::SIZE].copy_from_slice(&self.header_bytes(nv, 0, &snap_hdr, keys.len()));
         for (i, k) in keys.iter().enumerate() {
             let off = l.entry_off(i);
-            let b = self.entry_bytes(nv, 0, *k, &values[i]);
+            let b = self.entry_image(nv, 0, *k, &values[i]);
             data[off..off + b.len()].copy_from_slice(&b);
         }
         for i in keys.len()..l.span {

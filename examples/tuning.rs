@@ -68,7 +68,7 @@ fn max_load_factor(span: usize, h: usize) -> f64 {
     let trials = 300;
     let mut total = 0.0;
     for t in 0..trials {
-        let mut w = Window::new(span, h, 0, span);
+        let mut w = Window::new(span, h, 8, 0, span);
         let mut n = 0;
         for i in 0.. {
             let key = dmem::hash::mix64((t * 7_919 + i) as u64) | 1;
@@ -77,7 +77,7 @@ fn max_load_factor(span: usize, h: usize) -> f64 {
             else {
                 break;
             };
-            if w.insert(key, vec![0u8; 8], empty).is_err() {
+            if w.insert(key, &[0u8; 8], empty).is_err() {
                 break;
             }
             n += 1;
