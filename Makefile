@@ -2,16 +2,17 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test lint lint-chime model-check chaos serve serve-smoke perf-smoke baseline explain bench-harness loc clean
+.PHONY: verify build test lint lint-chime model-check chaos serve serve-smoke perf-smoke baseline explain figs bench-harness loc clean
 
 # Tier-1 gate (build + tests) plus the clippy lint wall, the protocol-aware
 # chime-lint pass, the chime-model exhaustive protocol check, a fixed-seed
 # chaos smoke run (deterministic fault injection with a
 # crash-while-holding-a-leaf-lock scenario, serial and pipelined), the
 # serving-layer determinism/chaos suite, the perf gate (including the
-# K=4 coroutine points and the serve point), and the out-of-tree benchmark
-# harness's public-surface build and tests.
-verify: build test lint lint-chime model-check chaos serve perf-smoke bench-harness
+# K=4 coroutine points and the serve point), every figure with the paper's
+# claims judged over it, and the out-of-tree benchmark harness's
+# public-surface build and tests.
+verify: build test lint lint-chime model-check chaos serve perf-smoke figs bench-harness
 
 build:
 	$(CARGO) build --release
@@ -65,6 +66,15 @@ OLD ?= results/baseline.json
 NEW ?= results/BENCH_perf_smoke.json
 explain:
 	$(CARGO) run --release -p bench --bin explain -- $(OLD) $(NEW)
+
+# Every table and figure at its published scale into results/ (≈ 9 min on a
+# 2-vCPU box: fig18 ≈ 160 s, fig12 and fig14 ≈ 80 s each), the paper's
+# claims judged over them. `figs` exits 1 on a claim that fails without
+# being a documented deviation, or on a documented deviation that starts
+# passing; the tracked verdicts (results/claims.json) must not move.
+figs:
+	BENCH_OUT_DIR=results $(CARGO) run --release -p bench --bin figs -- --all
+	git diff --exit-code results/claims.json
 
 # The out-of-tree benchmark harness (benchmark/, its own workspace) links
 # the crates through their public items only: build it and run its tests so

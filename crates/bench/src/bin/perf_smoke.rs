@@ -11,12 +11,15 @@
 //! Exits 1 when any metric regresses beyond its tolerance or a baseline
 //! point is missing from the run.
 
-use bench::driver::{run, Args, BenchSetup, IndexKind};
+use bench::driver::{run, BenchSetup, IndexKind};
 use bench::explain::{cite_anomalies, explain};
+use bench::figs::{chime, scaleout_setup, serve_point, serve_study, sherman, Args, Scale};
 use bench::report::Report;
 use obs::{compare, Baseline, BenchPoint, FlightRecorder};
-use serve::sim::{run_sim, OverloadPolicy, SimConfig};
+use serve::sim::SimConfig;
 use ycsb::Workload;
+
+const USAGE: &str = "perf_smoke [--baseline PATH] [--write-baseline] [--tolerance PCT]";
 
 /// The gate enforces this subset of each point's metrics (the baseline's
 /// `gated` list). Everything else in the baseline — ratios, cache
@@ -35,36 +38,24 @@ const GATED: &[&str] = &[
 ];
 
 fn matrix() -> Vec<(String, BenchSetup)> {
-    let mut points = Vec::new();
-    let base = BenchSetup {
+    // The gate's shape: 2 CNs, 20 k keys, 10 k ops a point (4 k scans).
+    let point = |kind: IndexKind, w: Workload, clients: usize, coroutines: usize| BenchSetup {
+        kind,
+        workload: w,
+        clients,
+        coroutines,
         num_cns: 2,
-        clients: 16,
         preload: 20_000,
-        ops: 10_000,
+        ops: if w == Workload::E { 4_000 } else { 10_000 },
         mn_capacity: 512 << 20,
-        seed: 42,
         ..Default::default()
     };
-    for (index, kind) in [
-        ("chime", IndexKind::Chime(chime::ChimeConfig::default())),
-        (
-            "sherman",
-            IndexKind::Sherman(sherman::ShermanConfig::default()),
-        ),
-    ] {
+    let lower = |w: Workload| w.name().to_lowercase();
+    let mut points = Vec::new();
+    for (index, kind) in [("chime", chime()), ("sherman", sherman())] {
         for w in [Workload::C, Workload::A, Workload::E] {
             for clients in [16usize, 64] {
-                let name = format!("{index}/{}/{clients}", w.name().to_lowercase());
-                points.push((
-                    name,
-                    BenchSetup {
-                        kind: kind.clone(),
-                        workload: w,
-                        clients,
-                        ops: if w == Workload::E { 4_000 } else { 10_000 },
-                        ..base.clone()
-                    },
-                ));
+                points.push((format!("{index}/{}/{clients}", lower(w)), point(kind.clone(), w, clients, 1)));
             }
         }
     }
@@ -72,70 +63,32 @@ fn matrix() -> Vec<(String, BenchSetup)> {
     // engine's modeled overlap (throughput) and the cq_wait-inflated tail
     // alongside the serial points.
     for w in [Workload::C, Workload::A] {
-        let name = format!("chime/{}/64/k4", w.name().to_lowercase());
-        points.push((
-            name,
-            BenchSetup {
-                kind: IndexKind::Chime(chime::ChimeConfig::default()),
-                workload: w,
-                clients: 64,
-                coroutines: 4,
-                ..base.clone()
-            },
-        ));
+        points.push((format!("chime/{}/64/k4", lower(w)), point(chime(), w, 64, 4)));
     }
     // Scale-out: 4-MN partitioned deployments gate the router (uniform)
     // and the live hotspot migrator (Zipfian, migrations mid-run) — a
-    // reduced cut of fig_scaleout's geometry.
+    // reduced cut of the fig_scaleout geometry.
+    let cut = Scale { preload: 30_000, ops: 48_000 };
     for (name, theta, migrate) in [
         ("scaleout/uniform/4mn", 0.01, false),
         ("scaleout/zipf-mig/4mn", ycsb::ZIPFIAN_CONSTANT, true),
     ] {
-        let parts = 16;
-        points.push((
-            name.to_string(),
-            BenchSetup {
-                kind: IndexKind::Part(part::ClusterConfig {
-                    parts,
-                    chime: chime::ChimeConfig {
-                        cache_bytes: (8 << 20) / parts as u64,
-                        hotspot_bytes: (1 << 20) / parts as u64,
-                        span: 16,
-                        neighborhood: 4,
-                        ..Default::default()
-                    },
-                    check_every: 64,
-                    migrate: migrate.then_some(part::MigrateConfig {
-                        check_every: 1,
-                        min_window: 4_096,
-                        imbalance: 1.15,
-                    }),
-                }),
-                num_mns: 4,
-                mn_capacity: 64 << 20,
-                num_cns: 4,
-                clients: 256,
-                preload: 30_000,
-                ops: 48_000,
-                workload: Workload::C,
-                theta,
-                rdwc: false,
-                ..base.clone()
-            },
-        ));
+        points.push((name.to_string(), scaleout_setup(4, theta, migrate, 256, cut)));
     }
     points
 }
 
 fn main() {
-    let args = Args::parse();
-    let path: String = args.get("baseline", "results/baseline.json".to_string());
+    let args = Args::parse(USAGE, &["baseline", "tolerance"], &["write-baseline"]);
+    if let Some(stray) = args.names.first() {
+        args.die(&format!("unexpected argument {stray:?}"));
+    }
+    let path: String = args.get("baseline").unwrap_or("results/baseline.json".to_string());
     let write = args.flag("write-baseline");
-    let tolerance: f64 = args.get("tolerance", 10.0);
+    let tolerance: f64 = args.get("tolerance").unwrap_or(10.0);
 
     println!("# perf smoke: fixed-seed micro-benchmark matrix");
     let mut rep = Report::new("perf_smoke");
-    let mut current: Vec<BenchPoint> = Vec::new();
     // Kept for the failure path: anomaly citations name the regressed time
     // windows, the flight rings become the black-box dump.
     let mut citations: Vec<(String, Vec<String>)> = Vec::new();
@@ -151,49 +104,32 @@ fn main() {
         }
         flights.push((name.clone(), r.flight.clone()));
         rep.add(&name, &r);
-        // The baseline carries the full flat metric map (schema 2): the
-        // `gated` list picks out what the gate enforces, the rest feeds
-        // regression attribution.
-        current.push(BenchPoint {
-            name,
-            metrics: Report::flat_metrics(&r),
-        });
     }
 
-    // Serving front end: one mid-saturation point through chime-serve's
-    // simulated-socket mode. Gates the serve layer's throughput and tail;
-    // shed/defer counters ride along for attribution.
+    // Serving front end: the fig_serve point at the knee (gap 2000) through
+    // chime-serve's simulated-socket mode. Gates the serve layer's
+    // throughput and tail; shed/defer counters ride along for attribution.
     {
-        let cfg = SimConfig {
-            seed: 42,
-            conns: 32,
-            workers: 2,
-            requests_per_conn: 64,
-            mean_gap_ns: 2_000,
-            cq_watermark: 12,
-            policy: OverloadPolicy::Shed,
-            ..SimConfig::default()
-        };
-        let r = run_sim(&cfg);
-        let offered = (r.served + r.shed).max(1);
-        let metrics: &[(&str, f64)] = &[
-            ("mops", r.throughput_mops()),
-            ("p50_us", r.hist.quantile(0.50) as f64 / 1e3),
-            ("p99_us", r.hist.quantile(0.99) as f64 / 1e3),
-            ("served", r.served as f64),
-            ("shed_frac", r.shed as f64 / offered as f64),
-            ("deferred", r.deferred as f64),
-        ];
-        let name = "serve/shed/32x64".to_string();
+        const KEPT: [&str; 6] = ["mops", "p50_us", "p99_us", "served", "shed_frac", "deferred"];
+        let study = serve_study(&SimConfig { seed: 42, ..serve_point(2_000) });
+        let metric = |name: &str| study.metrics.iter().find(|(k, _)| k == name).expect("serve metric").1;
+        let metrics = KEPT.map(|k| (k, metric(k)));
+        let name = "serve/shed/32x64";
         println!(
             "{name:<18} {:>8.3} Mops  p99 {:>8.1} us  shed {:>5.3}",
-            metrics[0].1, metrics[2].1, metrics[4].1
+            metric("mops"),
+            metric("p99_us"),
+            metric("shed_frac")
         );
-        rep.add_custom(&name, metrics);
-        rep.attach_timeline(&name, &r.timeline, &r.anomalies);
-        current.push(BenchPoint::new(&name, metrics));
+        rep.add_custom(name, &metrics);
+        let (timeline, anomalies) = study.timeline.as_ref().expect("serve runs carry a timeline");
+        rep.attach_timeline(name, timeline, anomalies);
     }
     rep.finish();
+    // The baseline carries each point's full flat metric map (schema 2): the
+    // `gated` list picks out what the gate enforces, the rest feeds
+    // regression attribution.
+    let current: Vec<BenchPoint> = rep.points().to_vec();
 
     if write {
         let baseline = Baseline {

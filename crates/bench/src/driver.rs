@@ -986,60 +986,6 @@ fn probe_hotspot(dep: &Deployment) -> (u64, u64) {
         .unwrap_or((0, 0))
 }
 
-/// Prints a standard result row.
-pub fn print_row(label: &str, clients: usize, r: &BenchResult) {
-    println!(
-        "{label:<28} {clients:>5}  {:>8.3} Mops  p50 {:>8.1} us  p99 {:>8.1} us  {:>7.0} B/op  {:>5.2} rtt/op  amp {:>6.1}  cache {:>8.2} MB  [{:?}]",
-        r.mops,
-        r.p50_us,
-        r.p99_us,
-        r.bytes_per_op,
-        r.rtts_per_op,
-        r.read_amp,
-        r.cache_bytes as f64 / (1 << 20) as f64,
-        r.bound,
-    );
-}
-
-/// Parses `--flag value` style arguments (tiny, dependency-free).
-pub struct Args {
-    map: HashMap<String, String>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Self::parse()
-    }
-}
-
-impl Args {
-    /// Parses the process arguments.
-    pub fn parse() -> Self {
-        let mut map = HashMap::new();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let val = args.next().unwrap_or_else(|| "true".into());
-                map.insert(name.to_string(), val);
-            }
-        }
-        Args { map }
-    }
-
-    /// Returns the flag value parsed as `T`, or `default`.
-    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.map
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Whether a boolean flag is present and truthy.
-    pub fn flag(&self, name: &str) -> bool {
-        self.get(name, false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! Machine-readable bench output.
 //!
-//! Every figure binary accumulates its measured points into a [`Report`] and
+//! Every figure run accumulates its measured points into a [`Report`] and
 //! writes `BENCH_<name>.json` next to its human-readable table. The file
 //! carries, per point, the flat gate-comparable metric map (throughput,
 //! latency percentiles, verbs/op, bytes/op, cache hit rate), the per-MN
@@ -17,7 +17,26 @@ use obs::{BenchPoint, Json, Phase, RetryCause};
 
 use crate::driver::{BenchResult, OP_NAMES};
 
-/// A machine-readable bench report (one per figure binary).
+/// Writes output document `file` into `$BENCH_OUT_DIR` when set (created if
+/// missing), else the working directory, and prints where it went. Exits
+/// the process on I/O failure.
+pub fn write_out(file: &str, text: &str) {
+    let path = match std::env::var_os("BENCH_OUT_DIR") {
+        Some(dir) if !dir.is_empty() => PathBuf::from(dir).join(file),
+        _ => PathBuf::from(file),
+    };
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    let written = dir.map_or(Ok(()), std::fs::create_dir_all).and_then(|()| std::fs::write(&path, text));
+    match written {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!("error: writing {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
+}
+
+/// A machine-readable bench report (one per figure).
 #[derive(Debug, Clone)]
 pub struct Report {
     name: String,
@@ -37,68 +56,56 @@ impl Report {
         }
     }
 
+    /// Records `p` and starts its detail entry (`name`, `metrics`).
+    ///
+    /// Point names are unique within a report: claims and the perf gate
+    /// look points up by name, so a second point under one name (a key the
+    /// figure table built twice) would silently shadow the first.
+    fn push_point(&mut self, p: BenchPoint) -> Vec<(String, Json)> {
+        assert!(
+            self.points.iter().all(|q| q.name != p.name),
+            "report {}: duplicate point key {:?}",
+            self.name,
+            p.name
+        );
+        let metrics = p.metrics.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect();
+        let detail = vec![
+            ("name".to_string(), Json::Str(p.name.clone())),
+            ("metrics".to_string(), Json::Obj(metrics)),
+        ];
+        self.points.push(p);
+        detail
+    }
+
     /// Adds one measured point under `point` (unique within the report).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the report and the key, when `point` was already added.
     pub fn add(&mut self, point: &str, r: &BenchResult) {
-        self.points.push(BenchPoint {
+        let mut detail = self.push_point(BenchPoint {
             name: point.to_string(),
             metrics: Self::flat_metrics(r),
         });
-        let per_mn = Json::Arr(
-            r.mn_traffic
-                .iter()
-                .map(|&(msgs, wire)| {
-                    Json::obj(vec![
-                        ("msgs", Json::from(msgs)),
-                        ("wire_bytes", Json::from(wire)),
-                    ])
-                })
-                .collect(),
-        );
-        let timeline = r.timeline.to_json();
-        let anomalies = obs::anomaly::to_json(&r.anomalies);
-        self.details.push(Json::Obj(vec![
-            ("name".to_string(), Json::Str(point.to_string())),
-            (
-                "metrics".to_string(),
-                Json::Obj(
-                    self.points
-                        .last()
-                        .unwrap()
-                        .metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
-            ),
-            ("per_mn".to_string(), per_mn),
-            ("snapshot".to_string(), r.metrics.to_json_value()),
-            ("timeline".to_string(), timeline.clone()),
-            ("anomalies".to_string(), anomalies.clone()),
-        ]));
-        self.timelines.push(Json::Obj(vec![
-            ("name".to_string(), Json::Str(point.to_string())),
-            ("timeline".to_string(), timeline),
-            ("anomalies".to_string(), anomalies),
-        ]));
+        let per_mn = r.mn_traffic.iter().map(|&(msgs, wire)| {
+            Json::obj(vec![("msgs", Json::from(msgs)), ("wire_bytes", Json::from(wire))])
+        });
+        let name = ("name".to_string(), Json::Str(point.to_string()));
+        let timeline = ("timeline".to_string(), r.timeline.to_json());
+        let anomalies = ("anomalies".to_string(), obs::anomaly::to_json(&r.anomalies));
+        detail.push(("per_mn".to_string(), Json::Arr(per_mn.collect())));
+        detail.push(("snapshot".to_string(), r.metrics.to_json_value()));
+        detail.extend([timeline.clone(), anomalies.clone()]);
+        self.details.push(Json::Obj(detail));
+        self.timelines.push(Json::Obj(vec![name, timeline, anomalies]));
     }
 
     /// Adds a point with hand-picked metrics (layout studies, raw verb
-    /// streams — anything without a full [`BenchResult`]).
+    /// streams — anything without a full [`BenchResult`]). Panics on a
+    /// duplicate `point`, like [`Report::add`].
     pub fn add_custom(&mut self, point: &str, metrics: &[(&str, f64)]) {
-        let p = BenchPoint::new(point, metrics);
-        self.details.push(Json::Obj(vec![
-            ("name".to_string(), Json::Str(point.to_string())),
-            (
-                "metrics".to_string(),
-                Json::Obj(
-                    p.metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
-            ),
-        ]));
-        self.points.push(p);
+        let detail = self.push_point(BenchPoint::new(point, metrics));
+        self.details.push(Json::Obj(detail));
     }
 
     /// Attaches a timeline (and its detected anomalies) to the standalone
@@ -243,80 +250,32 @@ impl Report {
         m
     }
 
-    /// Serializes the report (pretty, deterministic).
+    /// A bench document (pretty, deterministic) over `points`.
+    fn document(&self, schema: u64, points: &[Json]) -> String {
+        let points = Json::Arr(points.to_vec());
+        Json::obj(vec![("bench", Json::from(self.name.as_str())), ("schema", Json::from(schema)), ("points", points)])
+            .to_pretty()
+    }
+
+    /// Serializes the report.
     pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("bench".to_string(), Json::Str(self.name.clone())),
-            ("schema".to_string(), Json::from(3u64)),
-            ("points".to_string(), Json::Arr(self.details.clone())),
-        ])
-        .to_pretty()
+        self.document(3, &self.details)
     }
 
-    /// Serializes the standalone timeline document (pretty, deterministic):
-    /// one entry per [`Report::add`]-ed point carrying its windowed timeline
-    /// and detected anomalies.
+    /// Serializes the standalone timeline document: one entry per
+    /// [`Report::add`]-ed point carrying its windowed timeline and detected
+    /// anomalies.
     pub fn timeline_json(&self) -> String {
-        Json::Obj(vec![
-            ("bench".to_string(), Json::Str(self.name.clone())),
-            ("schema".to_string(), Json::from(1u64)),
-            ("points".to_string(), Json::Arr(self.timelines.clone())),
-        ])
-        .to_pretty()
-    }
-
-    /// Path the standalone timeline document writes to:
-    /// `TIMELINE_<name>.json`, honoring `$BENCH_OUT_DIR` like
-    /// [`Report::path`].
-    pub fn timeline_path(&self) -> PathBuf {
-        let file = format!("TIMELINE_{}.json", self.name);
-        match std::env::var_os("BENCH_OUT_DIR") {
-            Some(dir) if !dir.is_empty() => PathBuf::from(dir).join(file),
-            _ => PathBuf::from(file),
-        }
-    }
-
-    /// Path this report writes to: `BENCH_<name>.json`, placed in
-    /// `$BENCH_OUT_DIR` when set (created if missing), else the working
-    /// directory.
-    pub fn path(&self) -> PathBuf {
-        let file = format!("BENCH_{}.json", self.name);
-        match std::env::var_os("BENCH_OUT_DIR") {
-            Some(dir) if !dir.is_empty() => PathBuf::from(dir).join(file),
-            _ => PathBuf::from(file),
-        }
+        self.document(1, &self.timelines)
     }
 
     /// Writes `BENCH_<name>.json` (and `TIMELINE_<name>.json` when any
-    /// point carries a timeline) and returns the report path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let path = self.path();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(&path, self.to_json())?;
-        if !self.timelines.is_empty() {
-            std::fs::write(self.timeline_path(), self.timeline_json())?;
-        }
-        Ok(path)
-    }
-
-    /// Writes the report and prints where it went; exits the process on I/O
-    /// failure so `run_figs.sh` can't silently miss a file.
+    /// point carries a timeline), prints where they went, and exits the
+    /// process on I/O failure so a figure run can't silently miss a file.
     pub fn finish(&self) {
-        match self.write() {
-            Ok(path) => {
-                println!("wrote {}", path.display());
-                if !self.timelines.is_empty() {
-                    println!("wrote {}", self.timeline_path().display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", self.path().display());
-                std::process::exit(1);
-            }
+        write_out(&format!("BENCH_{}.json", self.name), &self.to_json());
+        if !self.timelines.is_empty() {
+            write_out(&format!("TIMELINE_{}.json", self.name), &self.timeline_json());
         }
     }
 }

@@ -8,7 +8,8 @@
 //!   detector at the window the timeline itself says collapsed, and
 //!   `explain`'s citation loader reproduces the finding verbatim.
 
-use bench::driver::{run, BenchSetup, IndexKind};
+use bench::driver::{run, BenchSetup};
+use bench::figs::{chime, scaleout_setup, Scale};
 use bench::explain::{cite_anomalies, load_citations};
 use bench::report::Report;
 use dmem::{FaultAction, FaultPlan, FaultRule};
@@ -20,36 +21,8 @@ use ycsb::Workload;
 /// small enough for a test, skewed enough that the rebalancer moves at
 /// least one partition mid-run.
 fn migrating_setup() -> BenchSetup {
-    let parts = 8;
-    BenchSetup {
-        kind: IndexKind::Part(part::ClusterConfig {
-            parts,
-            chime: chime::ChimeConfig {
-                cache_bytes: (4 << 20) / parts as u64,
-                hotspot_bytes: (1 << 20) / parts as u64,
-                span: 16,
-                neighborhood: 4,
-                ..Default::default()
-            },
-            check_every: 64,
-            migrate: Some(part::MigrateConfig {
-                check_every: 1,
-                min_window: 1_024,
-                imbalance: 1.1,
-            }),
-        }),
-        num_mns: 2,
-        mn_capacity: 64 << 20,
-        num_cns: 2,
-        clients: 64,
-        preload: 10_000,
-        ops: 16_000,
-        workload: Workload::C,
-        theta: ycsb::ZIPFIAN_CONSTANT,
-        rdwc: false,
-        seed: 42,
-        ..Default::default()
-    }
+    let cut = Scale { preload: 10_000, ops: 32_000 };
+    scaleout_setup(4, ycsb::ZIPFIAN_CONSTANT, true, 64, cut)
 }
 
 #[test]
@@ -110,7 +83,7 @@ fn identical_seeded_runs_export_identical_timelines() {
 #[test]
 fn perfetto_export_is_valid_trace_event_json_and_deterministic() {
     let setup = BenchSetup {
-        kind: IndexKind::Chime(chime::ChimeConfig::default()),
+        kind: chime(),
         num_cns: 2,
         num_mns: 1,
         clients: 8,
