@@ -67,9 +67,10 @@ NEW ?= results/BENCH_perf_smoke.json
 explain:
 	$(CARGO) run --release -p bench --bin explain -- $(OLD) $(NEW)
 
-# Every table and figure at its published scale into results/ (≈ 9 min on a
-# 2-vCPU box: fig18 ≈ 160 s, fig12 and fig14 ≈ 80 s each), the paper's
-# claims judged over them. `figs` exits 1 on a claim that fails without
+# Every table and figure at its published scale into results/ (≈ 5 min on a
+# 2-vCPU box: fig_scale's two 10 M-key loads ≈ 125 s, fig18 ≈ 65 s, fig12
+# ≈ 45 s, fig14, fig_scaleout and fig13 ≈ 15 s each), the paper's claims
+# judged over them. `figs` exits 1 on a claim that fails without
 # being a documented deviation, or on a documented deviation that starts
 # passing; the tracked verdicts (results/claims.json) must not move.
 figs:

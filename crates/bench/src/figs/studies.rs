@@ -107,9 +107,7 @@ pub const TABLE1_OPS: [&str; 6] = [
 /// per-phase RTT/ns breakdown the table exists to explain.
 pub fn rtt_table(cache: u64, preload: u64) -> Vec<Custom> {
     const SAMPLES: u64 = 400;
-    // Regions are resident from construction: size the pool to the tree
-    // (~30 B of leaf per key, generously) instead of a flat 2 GiB.
-    let pool = Pool::with_defaults(1, (64 << 20).max(preload as usize * 256));
+    let pool = Pool::with_defaults(1, 2 << 30);
     let cfg = chime::ChimeConfig {
         cache_bytes: cache,
         // No hotspot buffer: isolate the protocol RTTs from speculation.

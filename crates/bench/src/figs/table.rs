@@ -37,6 +37,7 @@ pub const FIGURES: &[Figure] = &[
     fig("fig_coroutines", "coroutine lanes per client K (§6.1 execution model): uniform YCSB C, 64 clients, 2 CNs", (100_000, 40_000), &["qp.doorbells_per_op", "doorbell.batch_mean", "cq.depth_p99"], fig_coroutines),
     fig("fig_serve", "serving layer: open-loop arrival gap vs throughput, tail and shed rate (32 conns x 64 reqs, 2 workers)", (0, 0), &[], fig_serve),
     fig("fig_scaleout", "partitioned CHIME over 1-8 MNs: uniform, Zipfian with the migrator off, and on", (30_000, 576_000), &["migrate.migrations", "migrate.leaves_moved"], fig_scaleout),
+    fig("fig_scale", "CHIME where the caches bind: cache footprint (Fig. 14) and speculative reads (Figs. 17, 19c) at 10 M keys", (10_000_000, 200_000), &["hotspot_hit_ratio"], fig_scale),
 ];
 
 const RISING: Check = Check::Monotone { rising: true };
@@ -64,6 +65,12 @@ fn ycsb_scale(w: Workload, s: Scale) -> Scale {
 
 const YCSB: [Workload; 6] = [C, Load, D, A, B, E];
 
+/// Cache consumption is linear in the dataset (§5.2): a footprint the paper
+/// reports at 60 M keys, scaled to `keys`.
+fn paper_mb_at(keys: u64, mb_at_60m: f64) -> f64 {
+    mb_at_60m * keys as f64 / PAPER_KEYS
+}
+
 /// "Sufficient caches": the footprint is what the index would keep, with
 /// CHIME's hotspot buffer (a fixed budget, reported separately) excluded.
 fn unbounded(kind: IndexKind) -> IndexKind {
@@ -85,13 +92,7 @@ fn fig3(s: Scale, t: &mut Spec) {
     tradeoff("CHIME".to_string(), chime());
     let mut regime = |sub: &str, mns: u16, cache: fn(IndexKind, u64) -> IndexKind| {
         for (name, kind) in [("Sherman", sherman()), ("ROLEX", rolex()), ("SMART", smart())] {
-            let setup = BenchSetup {
-                num_mns: mns,
-                // Regions are allocated eagerly: keep the pool within host
-                // RAM even with 10 MNs.
-                mn_capacity: (2 << 30) / mns as usize,
-                ..testbed(cache(kind, s.preload), C, 0, s)
-            };
+            let setup = BenchSetup { num_mns: mns, ..testbed(cache(kind, s.preload), C, 0, s) };
             t.curve(format!("{sub}/{name}"), setup, &[40, 160, 480, 960]);
         }
     };
@@ -230,10 +231,8 @@ fn fig14(s: Scale, t: &mut Spec) {
             t.point(format!("{name}/{n}"), setup);
         }
     }
-    // Cache consumption is linear in the dataset (§5.2): the paper's
-    // footprints at 60 M keys, scaled to the largest size loaded.
     let top = sizes[2];
-    let at_top = |mb_at_60m: f64| mb_at_60m * top as f64 / PAPER_KEYS;
+    let at_top = |mb_at_60m: f64| paper_mb_at(top, mb_at_60m);
     let footprints = [
         ("CHIME", "CHIME caches 27.6 MB at 60 M keys (+30 MB hotspot buffer, budgeted separately)", 27.6, 20.0, 30.0),
         ("Sherman", "Sherman caches 23.6 MB at 60 M keys", 23.6, 19.0, 27.0),
@@ -439,4 +438,16 @@ fn fig_scaleout(s: Scale, t: &mut Spec) {
     t.claim("scaleout/uniform-8mn", "(not a paper figure) ... close to linearly: 8 MNs serve ~8x one MN's verbs", "mops", &["uniform/mns8", "uniform/mns1"], ratio(8.0, 6.5, 8.0));
     t.claim("scaleout/migrator-recovers-skew", "(not a paper figure) at 8 MNs the live migrator recovers most of the skew-induced loss", "mops", &["zipf/mns8/on", "zipf/mns8/off"], ratio(1.56, 1.3, 1.9));
     t.claim("scaleout/no-migration-at-2mn", "(not a paper figure) with 2 MNs the imbalance trigger never fires", "migrate.migrations", &["zipf/mns2/on"], value(0.0, 0.0, 0.0));
+}
+
+fn fig_scale(s: Scale, t: &mut Spec) {
+    t.point("footprint/CHIME", footprint(unbounded(chime()), s.preload, s.ops));
+    t.curve("CHIME w/ SR", testbed(scale_cache(chime(), s.preload, CACHE_FLOOR), C, 0, s), &[160, 320, 640, 960, 1280]);
+    // `14/CHIME`'s band, at the keys loaded here.
+    let cache = value(paper_mb_at(s.preload, 27.6), paper_mb_at(s.preload, 20.0), paper_mb_at(s.preload, 30.0));
+    let hit_ratio = value(0.81, 0.7, 0.95);
+    t.claim("scale/chime-cache", "CHIME caches 27.6 MB at 60 M keys: a sixth of the keys, a sixth of the cache", "cache_mb", &["footprint/CHIME"], cache);
+    t.claim("scale/chime-cache-under-load", "... and the paper-ratio cache budget (100 MB at 60 M keys) holds it with room to spare at 1 280 clients", "cache_mb", &["CHIME w/ SR/1280"], cache);
+    t.claim("scale/hit-ratio-640", "81 % of lookups hit the hotspot buffer at 640 clients (Fig. 19c); at 100 k keys ours is 40 %", "hotspot_hit_ratio", &["CHIME w/ SR/640"], hit_ratio);
+    t.claim("scale/hit-ratio-peak", "... and at the top of Fig. 17's sweep", "hotspot_hit_ratio", &["CHIME w/ SR/1280"], hit_ratio);
 }

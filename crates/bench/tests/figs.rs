@@ -176,7 +176,7 @@ fn list_prints_every_point_key_and_keys_are_unique_per_figure() {
         }
         claims += spec.claims.len();
     }
-    assert_eq!(FIGURES.len(), 14);
+    assert_eq!(FIGURES.len(), 15);
     assert!(claims >= 35, "only {claims} claims in the table");
 }
 

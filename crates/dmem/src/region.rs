@@ -39,15 +39,17 @@ impl Region {
     /// Allocates a zeroed region of `len` bytes (rounded up to a whole line).
     pub fn new(len: usize) -> Self {
         let len = len.div_ceil(LINE) * LINE;
-        let words = len / 8;
-        let mut v = Vec::with_capacity(words);
-        v.resize_with(words, || UnsafeCell::new(0u64));
-        let lines = len / LINE;
-        let mut seq = Vec::with_capacity(lines);
-        seq.resize_with(lines, || AtomicU32::new(0));
+        // `vec![0; n]` is one `alloc_zeroed` call: the OS hands back untouched
+        // anonymous pages, so a region is resident only where it was written.
+        let buf = Box::into_raw(vec![0u64; len / 8].into_boxed_slice());
+        let seq = Box::into_raw(vec![0u32; len / LINE].into_boxed_slice());
         Region {
-            buf: v.into_boxed_slice(),
-            seq: seq.into_boxed_slice(),
+            // SAFETY: `UnsafeCell<u64>` is `repr(transparent)` over `u64`, so
+            // the slice keeps its layout and the box its allocation.
+            buf: unsafe { Box::from_raw(buf as *mut [UnsafeCell<u64>]) },
+            // SAFETY: `AtomicU32` is documented to have the same size, alignment
+            // and bit validity as `u32`.
+            seq: unsafe { Box::from_raw(seq as *mut [AtomicU32]) },
             len,
         }
     }

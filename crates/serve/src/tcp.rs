@@ -78,7 +78,7 @@ impl Server {
     /// Builds the index, preloads it, binds the listener and starts the
     /// accept loop on a background thread.
     pub fn start(cfg: TcpConfig) -> std::io::Result<Server> {
-        let pool = Pool::with_defaults(1, 256 << 20);
+        let pool = Pool::with_defaults(1, pool_capacity(cfg.preload, cfg.value_size));
         let tree_cfg = ChimeConfig {
             value_size: cfg.value_size,
             ..Default::default()
@@ -91,7 +91,7 @@ impl Server {
             for seq in 0..cfg.preload {
                 loader
                     .insert(KeySpace::key(seq), &value)
-                    .expect("preload insert");
+                    .map_err(|e| std::io::Error::other(format!("preload insert {seq}: {e}")))?;
             }
         }
         let listener = TcpListener::bind(&cfg.addr)?;
@@ -167,6 +167,14 @@ impl Server {
             let _ = h.join();
         }
     }
+}
+
+/// Memory-node capacity for `preload` keys of `value_size` bytes: four times
+/// what ~70 %-full leaves need (room for later SETs), at least 256 MiB.
+/// Untouched capacity is not resident, so generous is free.
+fn pool_capacity(preload: u64, value_size: usize) -> usize {
+    let keys = usize::try_from(preload).unwrap_or(usize::MAX);
+    keys.saturating_mul(value_size.saturating_add(24)).saturating_mul(4).max(256 << 20)
 }
 
 /// Serves one TCP connection until EOF or a fatal protocol error.
@@ -374,4 +382,30 @@ fn ascii(b: &[u8]) -> i64 {
         .ok()
         .and_then(|s| s.trim().parse::<i64>().ok())
         .unwrap_or(-1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{pool_capacity, TcpConfig};
+
+    #[test]
+    fn pool_capacity_has_a_floor_and_grows_with_the_load() {
+        assert_eq!(pool_capacity(0, 8), 256 << 20);
+        assert_eq!(pool_capacity(TcpConfig::default().preload, 8), 256 << 20);
+        // The whole 10 M-key server process peaks near 800 MiB.
+        assert!(pool_capacity(10_000_000, 8) >= 1 << 30);
+        let preloads = [0, 10_000, 10_000_000, u64::MAX];
+        let value_sizes = [0, 8, 64, 1024, usize::MAX];
+        for v in value_sizes {
+            for p in preloads.windows(2) {
+                assert!(pool_capacity(p[0], v) >= 256 << 20);
+                assert!(pool_capacity(p[0], v) <= pool_capacity(p[1], v));
+            }
+        }
+        for p in preloads {
+            for v in value_sizes.windows(2) {
+                assert!(pool_capacity(p, v[0]) <= pool_capacity(p, v[1]));
+            }
+        }
+    }
 }
