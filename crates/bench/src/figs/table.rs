@@ -394,7 +394,7 @@ fn fig19(s: Scale, t: &mut Spec) {
     t.claim("19b/h2", "H=2 fills to 0.377", "max_load_factor", &["19b/H2"], value(0.377, 0.35, 0.41));
     t.claim("19b/h16", "H=16 fills to 0.998", "max_load_factor", &["19b/H16"], value(0.998, 0.97, 1.0));
     t.claim("19c/buffer-gain", "the hotspot buffer lifts YCSB C up to 1.2x and saturates quickly", "mops", &["19c/buffer1024KB", "19c/buffer0KB"], ratio(1.2, 1.1, 1.6));
-    t.claim("19c/hit-ratio", "81 % of lookups hit the buffer (ours is lower: at 100 k keys the Zipfian hot set is relatively far larger than at 60 M)", "hotspot_hit_ratio", &["19c/buffer1024KB"], value(0.81, 0.3, 0.5));
+    t.claim("19c/hit-ratio", "81 % of lookups hit the buffer (ours is lower: at 100 k keys the Zipfian hot set is relatively far larger than at 60 M, and the run ends before the buffer fills — first-touch misses bound it, not the LFU policy; 73 % at 10 M keys)", "hotspot_hit_ratio", &["19c/buffer1024KB"], value(0.81, 0.3, 0.5));
 }
 
 fn fig_coroutines(s: Scale, t: &mut Spec) {

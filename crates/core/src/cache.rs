@@ -1,22 +1,27 @@
 //! The compute-side internal-node cache.
 //!
 //! Each CN caches internal nodes (never leaves) under a byte budget shared
-//! by all its clients. Eviction is LRU. The cache is the only state the
+//! by all its clients. Eviction is LRU by last touch — a hit, an insert and
+//! a replace-in-place each move the node to the young end of one list, and
+//! the victim is always the other end. The cache is the only state the
 //! Fig. 14 cache-consumption experiment measures for CHIME/Sherman-style
 //! indexes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use dmem::GlobalAddr;
 
 use crate::internal::InternalNode;
+use crate::slablist::{FixedState, List, Slab};
 
 /// An LRU cache of internal nodes with a byte budget.
 pub struct NodeCache {
-    map: HashMap<u64, (Arc<InternalNode>, u64)>,
-    lru: VecDeque<(u64, u64)>,
-    tick: u64,
+    map: HashMap<u64, u32, FixedState>,
+    /// `None` only in released slab nodes.
+    nodes: Slab<Option<Arc<InternalNode>>>,
+    /// Every cached node, least recently touched first.
+    lru: List,
     bytes: u64,
     budget: u64,
     hits: u64,
@@ -27,9 +32,9 @@ impl NodeCache {
     /// Creates a cache with the given byte budget.
     pub fn new(budget: u64) -> Self {
         NodeCache {
-            map: HashMap::new(),
-            lru: VecDeque::new(),
-            tick: 0,
+            map: HashMap::default(),
+            nodes: Slab::new(),
+            lru: List::EMPTY,
             bytes: 0,
             budget,
             hits: 0,
@@ -40,36 +45,14 @@ impl NodeCache {
     /// Looks up the node at `addr`, refreshing its recency. A hit shares
     /// the cached node instead of copying its entries.
     pub fn get(&mut self, addr: GlobalAddr) -> Option<Arc<InternalNode>> {
-        self.tick += 1;
-        match self.map.get_mut(&addr.raw()) {
-            Some((node, stamp)) => {
-                *stamp = self.tick;
-                self.lru.push_back((addr.raw(), self.tick));
-                self.hits += 1;
-                let node = Arc::clone(node);
-                self.compact_lru();
-                Some(node)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Drops superseded recency entries once the queue outgrows the map.
-    ///
-    /// Every hit pushes a fresh `(key, tick)` entry but stale ones are only
-    /// consumed by `insert`'s eviction loop, so a read-mostly workload that
-    /// never evicts would grow `lru` without bound. Compacting when the queue
-    /// is more than twice the live-node count keeps it O(len()) while staying
-    /// amortized O(1) per hit.
-    fn compact_lru(&mut self) {
-        if self.lru.len() > (2 * self.map.len()).max(16) {
-            let map = &self.map;
-            self.lru
-                .retain(|(key, stamp)| matches!(map.get(key), Some((_, cur)) if cur == stamp));
-        }
+        let Some(&i) = self.map.get(&addr.raw()) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.nodes.unlink(&mut self.lru, i);
+        self.nodes.push_back(&mut self.lru, i);
+        self.nodes[i].clone()
     }
 
     /// Inserts (or replaces) a node, evicting LRU victims over budget.
@@ -79,32 +62,30 @@ impl NodeCache {
         if sz > self.budget {
             return; // budget too small to cache anything of this size
         }
-        self.tick += 1;
-        if let Some((old, _)) = self.map.insert(key, (node, self.tick)) {
-            self.bytes -= old.cached_bytes();
-        }
+        self.remove(key);
+        let i = self.nodes.alloc(Some(node));
+        self.map.insert(key, i);
+        self.nodes.push_back(&mut self.lru, i);
         self.bytes += sz;
-        self.lru.push_back((key, self.tick));
         while self.bytes > self.budget {
-            let Some((victim, stamp)) = self.lru.pop_front() else {
-                break;
-            };
-            match self.map.get(&victim) {
-                // Stale queue entry: the node was touched again later.
-                Some((_, cur)) if *cur != stamp => continue,
-                Some(_) => {
-                    let (evicted, _) = self.map.remove(&victim).unwrap();
-                    self.bytes -= evicted.cached_bytes();
-                }
-                None => continue,
-            }
+            let victim = self.nodes[self.lru.head]
+                .as_ref()
+                .expect("linked nodes are live");
+            self.remove(victim.addr.raw());
         }
     }
 
     /// Drops `addr` from the cache (sibling-validation invalidation).
     pub fn invalidate(&mut self, addr: GlobalAddr) {
-        if let Some((node, _)) = self.map.remove(&addr.raw()) {
+        self.remove(addr.raw());
+    }
+
+    fn remove(&mut self, key: u64) {
+        if let Some(i) = self.map.remove(&key) {
+            self.nodes.unlink(&mut self.lru, i);
+            let node = self.nodes[i].take().expect("mapped nodes are live");
             self.bytes -= node.cached_bytes();
+            self.nodes.release(i);
         }
     }
 
@@ -127,17 +108,12 @@ impl NodeCache {
     pub fn hit_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
-
-    /// Length of the internal recency queue (exposed for the growth
-    /// regression test; stays within a small factor of `len()`).
-    pub fn recency_queue_len(&self) -> usize {
-        self.lru.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slablist::NIL;
 
     fn node(off: u64, entries: usize) -> Arc<InternalNode> {
         Arc::new(InternalNode {
@@ -213,35 +189,110 @@ mod tests {
         assert!(c.is_empty());
     }
 
+    /// Replays a fixed (SplitMix64) stream of hits, misses, inserts, replaces of another
+    /// size and invalidations over 48 addresses against a budget of about a
+    /// dozen nodes, folding what every operation can observe into one FNV
+    /// hash.
+    fn replay_trace() -> u64 {
+        let mut c = NodeCache::new(2_000);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        for i in 0..40_000u64 {
+            let r = dmem::hash::mix64(i);
+            let off = 0x1000 * (1 + (r >> 8) % 48);
+            match r % 8 {
+                0..=3 => fold(
+                    c.get(GlobalAddr::new(0, off))
+                        .map_or(0, |n| n.entries.len() as u64 + 1),
+                ),
+                4..=6 => c.insert(node(off, 2 + (r >> 20) as usize % 9)),
+                _ => c.invalidate(GlobalAddr::new(0, off)),
+            }
+            fold(c.len() as u64);
+            fold(c.bytes());
+        }
+        let (hits, misses) = c.hit_stats();
+        fold(hits);
+        fold(misses);
+        h
+    }
+
+    /// Recorded from the stamp-queue cache this list replaced (commit
+    /// `ad9c6dc`): the same hits, sizes and footprint at every step, so the
+    /// same victims.
     #[test]
-    fn read_mostly_workload_does_not_grow_recency_queue() {
-        // Regression: get() used to push a recency entry per hit that was
-        // only ever drained by insert()'s eviction loop, so a cache that
-        // stopped evicting grew its queue by one entry per lookup.
-        let mut c = NodeCache::new(10_000);
-        for i in 0..8 {
-            c.insert(node(0x1000 * (i + 1), 4));
+    fn evicts_what_the_stamp_queue_evicted_on_a_recorded_trace() {
+        assert_eq!(replay_trace(), 0x4030_755b_6d44_0a3c);
+    }
+
+    impl NodeCache {
+        /// The cached addresses, least recently touched first.
+        fn lru_order(&self) -> Vec<u64> {
+            let mut out = Vec::new();
+            let mut i = self.lru.head;
+            while i != NIL {
+                let addr = self.nodes[i].as_ref().unwrap().addr.raw();
+                assert_eq!(self.map.get(&addr), Some(&i));
+                out.push(addr);
+                i = self.nodes.next(i);
+            }
+            assert_eq!(out.len(), self.map.len());
+            out
         }
-        for round in 0..10_000u64 {
-            let i = round % 8;
-            assert!(c.get(GlobalAddr::new(0, 0x1000 * (i + 1))).is_some());
+    }
+
+    proptest::proptest! {
+        /// Against the reference LRU — a vector of `(address, bytes)` in
+        /// order of last touch, evicted from the front — every stream of
+        /// gets, inserts (new, replace-in-place, oversized) and
+        /// invalidations leaves the same nodes in the same order, so every
+        /// insert evicted the same victims.
+        #[test]
+        fn behaves_like_the_reference_lru(
+            budget in 0u64..700,
+            ops in proptest::collection::vec((0u8..8, 1u64..10, 0usize..12), 1..200),
+        ) {
+            let mut real = NodeCache::new(budget);
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            let (mut hits, mut misses) = (0, 0);
+            for (kind, off, entries) in ops {
+                let addr = GlobalAddr::new(0, off * 0x1000);
+                let at = model.iter().position(|e| e.0 == addr.raw());
+                match kind {
+                    0..=2 => {
+                        let got = real.get(addr);
+                        proptest::prop_assert_eq!(got.is_some(), at.is_some());
+                        if let Some(at) = at {
+                            let e = model.remove(at);
+                            proptest::prop_assert_eq!(got.unwrap().cached_bytes(), e.1);
+                            model.push(e);
+                            hits += 1;
+                        } else {
+                            misses += 1;
+                        }
+                    }
+                    3..=6 => {
+                        let n = node(addr.offset(), entries);
+                        let sz = n.cached_bytes();
+                        real.insert(n);
+                        if sz <= budget {
+                            at.map(|at| model.remove(at));
+                            model.push((addr.raw(), sz));
+                            while model.iter().map(|e| e.1).sum::<u64>() > budget {
+                                model.remove(0);
+                            }
+                        }
+                    }
+                    _ => {
+                        real.invalidate(addr);
+                        at.map(|at| model.remove(at));
+                    }
+                }
+                proptest::prop_assert_eq!(real.lru_order(), model.iter().map(|e| e.0).collect::<Vec<_>>());
+                proptest::prop_assert_eq!(real.bytes(), model.iter().map(|e| e.1).sum::<u64>());
+                proptest::prop_assert!(real.bytes() <= budget);
+                proptest::prop_assert_eq!(real.hit_stats(), (hits, misses));
+            }
         }
-        assert!(
-            c.recency_queue_len() <= (2 * c.len()).max(16),
-            "recency queue grew to {} entries for {} cached nodes",
-            c.recency_queue_len(),
-            c.len()
-        );
-        // LRU order must survive compaction: touch node 1, insert over budget
-        // repeatedly and check node 1 outlives the untouched ones.
-        let mut small = NodeCache::new(250);
-        small.insert(node(0x1000, 4));
-        small.insert(node(0x2000, 4));
-        for _ in 0..100 {
-            assert!(small.get(GlobalAddr::new(0, 0x1000)).is_some());
-        }
-        small.insert(node(0x3000, 4));
-        assert!(small.get(GlobalAddr::new(0, 0x1000)).is_some());
-        assert!(small.get(GlobalAddr::new(0, 0x2000)).is_none());
     }
 }

@@ -54,6 +54,18 @@ pub struct NbhRead {
     pub found: Option<(usize, Vec<u8>)>,
 }
 
+/// What a speculative single-entry read found in the slot.
+#[derive(Debug, PartialEq, Eq)]
+pub enum SpecRead {
+    /// The key, with its value.
+    Hit(Vec<u8>),
+    /// Another key (0: the slot is empty) — the description that pointed
+    /// here is stale.
+    Occupant(u64),
+    /// No EV-consistent image in three tries.
+    Torn,
+}
+
 /// A consistent whole-leaf snapshot: the validated, de-striped node image
 /// plus its decoded keys. Values, bitmaps and EVs are read from the image.
 #[derive(Debug)]
@@ -408,16 +420,10 @@ impl LeafOps {
         }
     }
 
-    /// Speculative single-entry read (§4.3). Returns the value if the entry
-    /// is EV-consistent and holds `key`; `None` sends the caller down the
-    /// normal neighborhood path.
-    pub fn spec_read(
-        &self,
-        ep: &mut Endpoint,
-        addr: GlobalAddr,
-        idx: usize,
-        key: u64,
-    ) -> Option<Vec<u8>> {
+    /// Speculative single-entry read (§4.3): what the slot at `idx` holds,
+    /// once it is EV-consistent. Anything but a hit sends the caller down
+    /// the normal neighborhood path.
+    pub fn spec_read(&self, ep: &mut Endpoint, addr: GlobalAddr, idx: usize, key: u64) -> SpecRead {
         let off = self.layout.entry_off(idx);
         for _ in 0..3 {
             let f =
@@ -428,12 +434,12 @@ impl LeafOps {
                 ep.note_torn_read();
                 continue;
             }
-            if entry_key(&self.layout, &f, idx) == key {
-                return Some(entry_value(&self.layout, &f, idx).to_vec());
-            }
-            return None;
+            return match entry_key(&self.layout, &f, idx) {
+                k if k == key => SpecRead::Hit(entry_value(&self.layout, &f, idx).to_vec()),
+                k => SpecRead::Occupant(k),
+            };
         }
-        None
+        SpecRead::Torn
     }
 
     /// Whole-leaf read with full validation (chases, scans).

@@ -120,10 +120,13 @@ fn spec_read_hit_and_miss() {
     let (k, v) = &items[3];
     let snap = ops.read_full(&mut ep, addr);
     let (idx, _) = snap.find(*k).unwrap();
-    assert_eq!(ops.spec_read(&mut ep, addr, idx, *k), Some(v.clone()));
-    // Wrong slot: speculation fails, no false positive.
+    assert_eq!(ops.spec_read(&mut ep, addr, idx, *k), SpecRead::Hit(v.clone()));
+    // Wrong slot: speculation fails, no false positive, and says what the
+    // slot holds instead (0 when it is empty).
     let wrong = (idx + 1) % 64;
-    assert_eq!(ops.spec_read(&mut ep, addr, wrong, *k), None);
+    let (occupant, ..) = snap.into_window().slot(wrong);
+    assert_ne!(occupant, *k);
+    assert_eq!(ops.spec_read(&mut ep, addr, wrong, *k), SpecRead::Occupant(occupant));
 }
 
 #[test]

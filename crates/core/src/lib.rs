@@ -32,6 +32,7 @@ pub mod internal;
 pub mod layout;
 pub mod leaf;
 pub mod lockword;
+mod slablist;
 pub mod tree;
 pub mod varkey;
 

@@ -6,7 +6,7 @@ use dmem::hash::{fingerprint16, home_entry};
 use dmem::{GlobalAddr, IndexError, LocalLockGuard, Phase, RetryCause};
 
 use super::{ChimeClient, OP_RETRY_LIMIT};
-use crate::leaf::LockedRead;
+use crate::leaf::{LockedRead, SpecRead};
 use crate::lockword::{LockWord, ARGMAX_NONE};
 
 /// Result of a sibling chase: either the operation finished, or the chase hit
@@ -149,19 +149,34 @@ impl ChimeClient {
     }
 
     /// Reads the slot the hotspot buffer predicts for `key`, if any,
-    /// directly (the speculative read), returning the value on a hit.
+    /// directly (the speculative read), returning the value on a hit. A
+    /// miss corrects the description it trusted, so a deleted or displaced
+    /// hot key costs one wasted READ, not one per search.
     fn try_speculative_read(&mut self, addr: GlobalAddr, key: u64, fp: u16) -> Option<Vec<u8>> {
         let (span, h) = (self.span(), self.h());
         let home = home_entry(key, span);
         let nbh = (0..h).map(|d| ((home + d) % span) as u16);
-        let idx = self.cn.hotspot.lock().lookup(addr, nbh, fp)?;
+        let hot = self.cn.hotspot.lock().lookup(addr, nbh, fp)?;
         self.in_phase(Phase::SpeculativeRead, |me| {
             me.counters.spec_attempts += 1;
-            let v = me.leaf().spec_read(&mut me.ep, addr, idx as usize, key)?;
-            me.counters.spec_hits += 1;
-            me.ep.note_app_bytes(me.shared.cfg.value_size as u64 + 8);
-            me.cn.hotspot.lock().on_access(addr, idx, fp);
-            Some(me.resolve_value(v))
+            match me.leaf().spec_read(&mut me.ep, addr, hot.idx as usize, key) {
+                SpecRead::Hit(v) => {
+                    me.counters.spec_hits += 1;
+                    me.ep.note_app_bytes(me.shared.cfg.value_size as u64 + 8);
+                    me.cn.hotspot.lock().on_access_at(addr, hot, fp);
+                    return Some(me.resolve_value(v));
+                }
+                SpecRead::Occupant(0) => me.cn.hotspot.lock().remove(addr, hot.idx),
+                SpecRead::Occupant(other) => {
+                    // A new key moved in, unless it is a true 16-bit collision.
+                    let moved_in = fingerprint16(other);
+                    if moved_in != fp {
+                        me.cn.hotspot.lock().on_access_at(addr, hot, moved_in);
+                    }
+                }
+                SpecRead::Torn => {}
+            }
+            None
         })
     }
 

@@ -246,6 +246,66 @@ fn speculative_reads_hit_on_hot_keys() {
     assert!(hits > 0 && lookups >= hits);
 }
 
+/// A speculation that fails says what the slot holds, and the description
+/// that sent it there is corrected: before, a hot key that was deleted kept
+/// its description (nothing ever read through it again), and every later
+/// search paid a wasted speculative READ on top of the neighborhood READ.
+#[test]
+fn deleted_hot_key_costs_one_failed_speculation() {
+    let pool = pool();
+    let t = Chime::create(&pool, small_cfg(), 0);
+    let cn = t.new_cn();
+    let mut c = t.client(&cn);
+    for k in 1..=200u64 {
+        c.insert(k, &v(k)).unwrap();
+    }
+    for _ in 0..50 {
+        assert_eq!(c.search(42), Some(v(42)));
+    }
+    assert!(c.delete(42).unwrap());
+    let (attempts, rtts) = (c.counters.spec_attempts, c.ep.stats().rtts);
+    for _ in 0..20 {
+        assert_eq!(c.search(42), None);
+    }
+    assert_eq!(c.counters.spec_attempts - attempts, 1);
+    assert_eq!(c.ep.stats().rtts - rtts, 21);
+}
+
+/// Same for hopscotch displacement: inserts hop hot keys to other slots of
+/// their leaves; the first search of each displaced key speculates on its
+/// old slot, finds another key there and resets the description, so the
+/// second round speculates on fresh descriptions only. Before, the stale
+/// description's high count kept winning the lookup.
+#[test]
+fn displaced_hot_keys_cost_one_failed_speculation_each() {
+    let pool = pool();
+    let t = Chime::create(&pool, small_cfg(), 0);
+    let cn = t.new_cn();
+    let mut c = t.client(&cn);
+    let hot: Vec<u64> = (1..=150).map(|k| k * 2).collect();
+    for &k in &hot {
+        c.insert(k, &v(k)).unwrap();
+    }
+    for _ in 0..5 {
+        for &k in &hot {
+            assert_eq!(c.search(k), Some(v(k)));
+        }
+    }
+    for k in (1..=100u64).map(|k| k * 2 + 1) {
+        c.insert(k, &v(k)).unwrap();
+    }
+    let mut failed = [0u64; 2];
+    for round in &mut failed {
+        let before = c.counters.spec_attempts - c.counters.spec_hits;
+        for &k in &hot {
+            assert_eq!(c.search(k), Some(v(k)));
+        }
+        *round = c.counters.spec_attempts - c.counters.spec_hits - before;
+    }
+    assert!(failed[0] > 0, "no hot key was displaced: the test needs other keys");
+    assert_eq!(failed[1], 0, "stale descriptions survived their failed speculation");
+}
+
 #[test]
 fn default_config_large_nodes() {
     let pool = pool();

@@ -13,8 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use chime::hotspot::{HotspotBuffer, ENTRY_BYTES};
 use chime::{Chime, ChimeConfig};
-use dmem::{Pool, RangeIndex, TimeSeries};
+use dmem::{GlobalAddr, Pool, RangeIndex, TimeSeries};
 
 thread_local! {
     // Per thread, so the test harness's own threads cannot disturb a count;
@@ -139,9 +140,9 @@ fn read_paths_stay_within_their_allocation_budgets() {
         );
     }
 
-    // Speculative-read hits: the entry buffer and the returned value. A
-    // handful of hot keys, so the hotspot buffer's LFU index (a `BTreeSet`)
-    // stays a single node and its own bookkeeping allocates nothing.
+    // Speculative-read hits: the entry buffer and the returned value. The
+    // hotspot buffer's bookkeeping is index writes in its slabs (pinned on
+    // its own, at any number of hot keys, in the last test of this file).
     let mut client = tree(ChimeConfig::default());
     let hot = &probes[..8];
     for &k in hot {
@@ -197,6 +198,45 @@ fn write_paths_stay_within_their_allocation_budgets() {
         }
     }
     assert!(plain.iter().all(|&n| n > 2_500), "{plain:?} of 3000 writes were plain");
+}
+
+/// A full hotspot buffer recycles: the victim's slab node carries the new
+/// description, emptied frequency nodes are reused for the next new count,
+/// and the map trades one key for another. (The structure this replaced
+/// kept its LFU order in a `BTreeSet`, which allocates and frees tree nodes
+/// as soon as it holds more than a handful of descriptions.)
+#[test]
+fn full_hotspot_buffer_allocates_nothing_evictions_included() {
+    const CAPACITY: u64 = 512;
+    let mut buf = HotspotBuffer::new(CAPACITY * ENTRY_BYTES);
+    // Three accesses in four go to 300 hot slots, skewed so that their
+    // counts spread over many frequencies; the fourth describes a slot
+    // never seen before and evicts.
+    let mut evictions = 0;
+    let mut step = |buf: &mut HotspotBuffer, i: u64| {
+        let r = mix(i);
+        let slot = match r % 4 {
+            0 => 1_000 + i,
+            _ => ((r >> 8) % 300) * ((r >> 40) % 300) / 300,
+        };
+        let (leaf, idx, fp) = (GlobalAddr::new(0, (slot / 8) << 12), (slot % 8) as u16, mix(slot) as u16);
+        match buf.lookup(leaf, idx..idx + 8, fp) {
+            Some(hot) => buf.on_access_at(leaf, hot, fp),
+            None => {
+                evictions += (slot >= 1_000) as u64;
+                buf.on_access(leaf, idx, fp);
+            }
+        }
+    };
+    // Warm up past the map's last resize (its tombstones make it grow once
+    // more after it first fills).
+    for i in 0..50_000 {
+        step(&mut buf, i);
+    }
+    let (n, ()) = allocs(|| (50_000..100_000).for_each(|i| step(&mut buf, i)));
+    assert_eq!(buf.len() as u64, CAPACITY);
+    assert!(evictions > 20_000, "{evictions} evictions");
+    assert_eq!(n, 0, "the full buffer allocated {n} times in 50 000 accesses");
 }
 
 /// Whether `key`'s neighborhood wraps around the default 64-entry table (and

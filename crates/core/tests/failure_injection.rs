@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use chime::hopscotch::build_table;
 use chime::layout::LeafLayout;
-use chime::leaf::{LeafMeta, LeafOps};
+use chime::leaf::{LeafMeta, LeafOps, SpecRead};
 use dmem::node::RESERVED_BYTES;
 use dmem::versioned::{pack_ver, Layout};
 use dmem::{Endpoint, GlobalAddr, Pool};
@@ -162,7 +162,7 @@ fn speculative_read_fails_closed_on_torn_entry() {
     ep.write(addr.add(p as u64), &[pack_ver(0, 0x7)]);
     assert_eq!(
         ops.spec_read(&mut ep, addr, idx, target_key),
-        None,
+        SpecRead::Torn,
         "speculation must fail closed on EV mismatch"
     );
     ep.write(addr.add(p as u64), &orig);
