@@ -198,7 +198,7 @@ fn fig12(s: Scale, t: &mut Spec) {
         t.claim(format!("12/{n}/chime-vs-smart"), SMART, "mops", &[at(w, "CHIME"), at(w, "SMART")], over_smart);
     }
     t.claim("12/E/chime-over-sherman", "YCSB E: CHIME 1.2x above Sherman", "mops", &[at(E, "CHIME"), at(E, "Sherman")], Order)
-        .expected_fail("the paper's scan-side entry exclusion (§4.4, one sentence) is not implemented, and hopscotch leaves at ~88 % load need ~1.14x more leaf fetches per range (EXPERIMENTS.md known gap 3, ROADMAP item 6)");
+        .expected_fail("the 640-client points are bandwidth-bound and CHIME moves ~16 % more bytes per scan: it reads as many leaves as Sherman (2.17 vs 2.16 per scan at 150 k keys) but a hopscotch leaf is 1 365 B on the wire against 1 182 (per-entry hop bitmaps and versions, replicated metadata); the paper's scan-side entry exclusion (§4.4, one sentence) is not implemented (EXPERIMENTS.md known gap 3, ROADMAP item 6)");
     t.claim("12/E/smart-collapses-on-scans", "YCSB E: SMART 2.5x below CHIME", "mops", &[at(E, "CHIME"), at(E, "SMART")], ratio(2.5, 2.5, 5.0));
 }
 

@@ -56,6 +56,12 @@ impl InternalNode {
         (self.entries[i].1, next)
     }
 
+    /// Key range of child `i`: its pivot to the next pivot or high fence.
+    pub(crate) fn child_range(&self, i: usize) -> (u64, u64) {
+        let hi = self.entries.get(i + 1).map_or(self.fence_high, |e| e.0);
+        (self.entries[i].0, hi)
+    }
+
     /// Whether `key` falls inside this node's fences (a high fence of
     /// `u64::MAX` is unbounded, so the global maximum key is covered).
     pub fn covers(&self, key: u64) -> bool {

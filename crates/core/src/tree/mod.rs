@@ -131,6 +131,8 @@ pub struct ChimeClient {
     /// tombstone: the next traversal starts from this internal node (the
     /// moved subtree's root) instead of the live root slot.
     forward: Option<GlobalAddr>,
+    /// Decayed `(keys, key width)` of interior leaves scanned: sizes batches.
+    scan_density: (f64, f64),
 }
 
 impl Chime {
@@ -239,6 +241,7 @@ impl Chime {
             counters: OpCounters::default(),
             retry_backoff: Backoff::new(seed),
             forward: None,
+            scan_density: (0.0, 0.0),
         }
     }
 

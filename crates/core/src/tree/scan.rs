@@ -78,7 +78,6 @@ impl ChimeClient {
         count: usize,
         got: &mut Gathered,
     ) -> bool {
-        let per_leaf = (self.span() * 3) / 4; // load-factor estimate
         let mut idx = match parent.entries.binary_search_by_key(&start, |e| e.0) {
             Ok(i) => i,
             Err(0) => 0,
@@ -92,11 +91,7 @@ impl ChimeClient {
         let mut chain: Option<GlobalAddr> = None;
         loop {
             // Batch-read the next group of candidate leaves in one RTT.
-            let need = count.saturating_sub(got.rows.len());
-            let take = need
-                .div_ceil(per_leaf)
-                .max(1)
-                .min(parent.entries.len() - idx);
+            let take = self.batch_len(parent, idx, start, count.saturating_sub(got.rows.len()));
             let addrs: Vec<GlobalAddr> = parent.entries[idx..idx + take]
                 .iter()
                 .map(|e| e.1)
@@ -104,7 +99,7 @@ impl ChimeClient {
             let snaps = self.in_phase(Phase::LeafRead, |me| {
                 me.leaf().read_full_batch(&mut me.ep, &addrs)
             });
-            for (snap, &addr) in snaps.into_iter().zip(&addrs) {
+            for (i, (snap, &addr)) in snaps.into_iter().zip(&addrs).enumerate() {
                 if !snap.meta.valid {
                     return false; // deprecated leaf
                 }
@@ -113,6 +108,7 @@ impl ChimeClient {
                     return false;
                 }
                 chain = Some(snap.meta.sibling);
+                self.observe_density(parent.child_range(idx + i), &snap);
                 got.push(snap, start);
             }
             idx += take;
@@ -126,14 +122,45 @@ impl ChimeClient {
                     let c = chain.unwrap_or(GlobalAddr::NULL);
                     return self.walk_chain(c, None, start, count, got);
                 }
-                let next = self.read_internal(parent.sibling);
+                // Cached: a stale copy is caught like a stale first parent.
+                let (at, key) = (parent.sibling, parent.fence_high);
+                let next = self.in_phase(Phase::Traversal, |me| me.read_internal_cached(at, key).0);
                 if !next.valid {
                     return false;
                 }
-                *parent = Arc::new(next);
+                *parent = next;
                 idx = 0;
             }
         }
+    }
+
+    /// Folds a leaf's keys and key range into the key density, decaying the
+    /// earlier ones by 1 %; edge leaves (ranges to 0 or `u64::MAX`) stay out.
+    fn observe_density(&mut self, (lo, hi): (u64, u64), leaf: &LeafSnapshot) {
+        if lo != 0 && hi != u64::MAX {
+            let keys = leaf.keys.iter().filter(|&&k| k != 0).count() as f64;
+            let (k, w) = self.scan_density;
+            self.scan_density = (k * 0.99 + keys, w * 0.99 + (hi - lo) as f64);
+        }
+    }
+
+    /// How many of `parent`'s children from `idx` one doorbell reads: until the
+    /// rows expected (key density × key range above `start`) cover `need` within
+    /// one Poisson σ. Leaves count as ¾ full until a density is seen.
+    fn batch_len(&self, parent: &InternalNode, idx: usize, start: u64, need: usize) -> usize {
+        let (left, (keys, width)) = (parent.entries.len() - idx, self.scan_density);
+        if width == 0.0 {
+            return need.div_ceil(self.span() * 3 / 4).clamp(1, left);
+        }
+        let mut expect = 0.0;
+        for take in 1..left {
+            let (lo, hi) = parent.child_range(idx + take - 1);
+            expect += keys / width * hi.saturating_sub(lo.max(start)) as f64;
+            if expect + expect.sqrt() >= need as f64 {
+                return take;
+            }
+        }
+        left
     }
 
     /// Walks the leaf sibling chain from `c`, one leaf per round trip.

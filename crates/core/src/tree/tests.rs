@@ -818,3 +818,93 @@ fn a_lease_takeover_reads_the_window_after_its_cas() {
     assert!(!verbs[..verbs.len() - want.len()].contains(&"masked_cas_read"));
     assert_eq!(a.search(42), Some(v(7)));
 }
+
+// ----------------------------------------------------------------------
+// Scans size their batches from the parent's pivots and the key density
+// ----------------------------------------------------------------------
+
+/// `(RTTs, wire bytes)` per scan of `count` rows from each of `starts`,
+/// checking every scan against the sorted key set `keys`.
+fn scan_cost(c: &mut ChimeClient, keys: &[u64], starts: &[u64], count: usize) -> (f64, f64) {
+    let s0 = c.ep.stats().clone();
+    for &start in starts {
+        let mut out = Vec::new();
+        c.scan(start, count, &mut out);
+        let from = keys.partition_point(|&k| k < start);
+        let want = &keys[from..keys.len().min(from + count)];
+        assert!(out.iter().map(|r| r.0).eq(want.iter().copied()), "scan from {start}");
+    }
+    let s = c.ep.stats().since(&s0);
+    let n = starts.len() as f64;
+    (s.rtts as f64 / n, s.wire_bytes as f64 / n)
+}
+
+/// A client of a default-geometry tree built by inserting `keys` in the
+/// order given, warmed by scans from every 37th key and from the last one;
+/// and the keys, sorted.
+fn scanned_tree(keys: impl Iterator<Item = u64>) -> (ChimeClient, Vec<u64>) {
+    let t = Chime::create(&pool(), ChimeConfig::default(), 0);
+    let mut c = t.client(&t.new_cn());
+    let mut sorted: Vec<u64> = keys.inspect(|&k| c.insert(k, &v(k)).unwrap()).collect();
+    sorted.sort_unstable();
+    let warm: Vec<u64> = sorted.iter().step_by(37).chain(sorted.last()).copied().collect();
+    scan_cost(&mut c, &sorted, &warm, 100);
+    (c, sorted)
+}
+
+/// Hashed keys: the first leaf counts only above the start key and a leaf
+/// holds the density seen, not ¾ of its span, so a 100-row scan is one
+/// doorbell far more often. The fixed ¾ rule took 1.49 RTTs here (1.24 now).
+#[test]
+fn warmed_scans_of_hashed_keys_take_few_round_trips() {
+    let (mut c, keys) = scanned_tree((1..=20_000u64).map(|k| dmem::hash::mix64(k) | 1));
+    let starts: Vec<u64> = (0..400).map(|s| keys[s * 13 % keys.len()]).collect();
+    let (rtts, _) = scan_cost(&mut c, &keys, &starts, 100);
+    assert!(rtts <= 1.35, "{rtts} RTTs per 100-row scan");
+}
+
+/// Sequential keys: the rightmost leaf's range runs to `u64::MAX` and holds
+/// a handful of keys. Counted in the density, it would make every leaf look
+/// empty and every batch read the rest of its parent.
+#[test]
+fn scans_of_sequential_keys_move_no_more_bytes() {
+    let (mut c, keys) = scanned_tree(1..=20_000u64);
+    let starts: Vec<u64> = (0..400).map(|s| keys[s * 13 % keys.len()]).collect();
+    let (_, bytes) = scan_cost(&mut c, &keys, &starts, 100);
+    // Wire bytes per scan under the fixed ¾ rule (5 900.2 now).
+    assert!(bytes <= 6_012.597_5, "{bytes} wire bytes per 100-row scan");
+}
+
+/// Crossing to the next parent reads it through the CN cache. Here the
+/// cached copy is stale — another CN split it — and the scan still returns
+/// every row once, in order: the stale copy lists leaves that moved to the
+/// new right half (still valid, still chained), and the leaves it lacks are
+/// bridged through the sibling chain.
+#[test]
+fn a_scan_across_a_stale_cached_parent_returns_every_row_once() {
+    let pool = pool();
+    let t = Chime::create(&pool, small_cfg(), 0);
+    let (cn_a, cn_b) = (t.new_cn(), t.new_cn());
+    let (mut a, mut b) = (t.client(&cn_a), t.client(&cn_b));
+    for k in 1..=2_000u64 {
+        a.insert(k * 10, &v(k)).unwrap();
+    }
+    let left = a.locate_parent(5_000);
+    let right = a.locate_parent(left.fence_high);
+    assert_eq!(right.addr, left.sibling, "A caches the right-hand parent");
+    // B fills the right-hand parent's range until it splits.
+    let filled = (right.fence_low..right.fence_high.min(20_000)).filter(|k| k % 10 != 0);
+    for k in filled.clone() {
+        b.insert(k, &v(k)).unwrap();
+    }
+    let fresh = b.shared.internal.read(&mut b.ep, right.addr);
+    assert!(fresh.fence_high < right.fence_high, "the right-hand parent split");
+    let cached = cn_a.cache.lock().get(right.addr).expect("still cached");
+    assert_eq!(cached.entries, right.entries, "A's copy is the stale one");
+    // A scans from inside the left parent across the whole stale range.
+    let mut keys: Vec<u64> = (1..=2_000u64).map(|k| k * 10).chain(filled).collect();
+    keys.sort_unstable();
+    let start = left.entries[left.entries.len() / 2].0;
+    let count = keys.len() - keys.partition_point(|&k| k < start);
+    scan_cost(&mut a, &keys, &[start], count.min(1_000));
+}

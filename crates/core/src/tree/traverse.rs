@@ -84,7 +84,11 @@ impl ChimeClient {
     }
 
     /// Reads an internal node through the CN cache; remote reads populate it.
-    fn read_internal_cached(&mut self, addr: GlobalAddr, key: u64) -> (Arc<InternalNode>, bool) {
+    pub(super) fn read_internal_cached(
+        &mut self,
+        addr: GlobalAddr,
+        key: u64,
+    ) -> (Arc<InternalNode>, bool) {
         let hit = self.in_phase(Phase::CacheLookup, |me| {
             me.cn.cache.lock().get(addr).filter(|n| n.covers(key))
         });

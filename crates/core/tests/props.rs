@@ -276,4 +276,58 @@ proptest! {
         let want: Vec<(u64, Vec<u8>)> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
         prop_assert_eq!(out, want);
     }
+
+    /// Scans from random starts for random counts agree with a BTreeMap,
+    /// between rounds of inserts and deletes that split and merge leaves,
+    /// on hashed and on sequential keys; small spans make scans cross
+    /// parents. Each scan runs on a fresh client (no density seen yet, so a
+    /// first batch of ¾-full leaves) and on one warmed by every scan before
+    /// it, on a CN of its own whose cached parents go stale.
+    #[test]
+    fn scans_match_model(
+        hashed in any::<bool>(),
+        rounds in proptest::collection::vec(
+            (
+                proptest::collection::vec((1u64..400, any::<bool>()), 0..80),
+                proptest::collection::vec((1u64..450, 0usize..160), 1..6),
+            ),
+            1..5,
+        ),
+    ) {
+        let key = |k: u64| if hashed { dmem::hash::mix64(k) | 1 } else { k };
+        let pool = Pool::with_defaults(1, 128 << 20);
+        let cfg = ChimeConfig {
+            span: 8,
+            internal_span: 4,
+            neighborhood: 4,
+            ..Default::default()
+        };
+        let t = Chime::create(&pool, cfg, 0);
+        let mut writer = t.client(&t.new_cn());
+        let mut warm = t.client(&t.new_cn());
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for (writes, scans) in rounds {
+            for (k, del) in writes {
+                let k = key(k);
+                if del {
+                    prop_assert_eq!(writer.delete(k).unwrap(), model.remove(&k).is_some());
+                } else {
+                    writer.insert(k, &v(k)).unwrap();
+                    model.insert(k, v(k));
+                }
+            }
+            for (s, raw) in scans {
+                // About one scan in fifteen asks for no rows; starts past the
+                // largest key and counts past the end come up on their own.
+                let (start, count) = (key(s), raw.saturating_sub(10));
+                let want: Vec<(u64, Vec<u8>)> =
+                    model.range(start..).take(count).map(|(k, v)| (*k, v.clone())).collect();
+                for c in [&mut t.client(&t.new_cn()), &mut warm] {
+                    let mut out = Vec::new();
+                    c.scan(start, count, &mut out);
+                    prop_assert_eq!(&out, &want);
+                }
+            }
+        }
+    }
 }
