@@ -2,17 +2,16 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test lint lint-chime model-check chaos serve serve-smoke perf-smoke baseline explain figs bench-harness loc clean
+.PHONY: verify build test lint lint-chime model-check chaos serve serve-smoke explain figs bench-harness loc clean
 
 # Tier-1 gate (build + tests) plus the clippy lint wall, the protocol-aware
 # chime-lint pass, the chime-model exhaustive protocol check, a fixed-seed
 # chaos smoke run (deterministic fault injection with a
 # crash-while-holding-a-leaf-lock scenario, serial and pipelined), the
-# serving-layer determinism/chaos suite, the perf gate (including the
-# K=4 coroutine points and the serve point), every figure with the paper's
-# claims judged over it, and the out-of-tree benchmark harness's
-# public-surface build and tests.
-verify: build test lint lint-chime model-check chaos serve perf-smoke figs bench-harness
+# serving-layer determinism/chaos suite, every figure with the paper's
+# claims judged over it and the smoke matrix's metrics pinned, and the
+# out-of-tree benchmark harness's public-surface build and tests.
+verify: build test lint lint-chime model-check chaos serve figs bench-harness
 
 build:
 	$(CARGO) build --release
@@ -50,32 +49,29 @@ serve:
 serve-smoke:
 	$(CARGO) run --release -q -p serve --bin chime-server -- --smoke
 
-# Fixed-seed micro-benchmark matrix compared against results/baseline.json;
-# fails on any tolerance-exceeding regression. The simulator's virtual clock
-# makes the numbers machine-independent.
-perf-smoke:
-	BENCH_OUT_DIR=results $(CARGO) run --release -p bench --bin perf_smoke
-
-# Refresh the perf baseline after an intentional performance change.
-baseline:
-	BENCH_OUT_DIR=results $(CARGO) run --release -p bench --bin perf_smoke -- --write-baseline
-
-# Attribute metric movement between two bench documents (BENCH_*.json or
-# baseline.json), e.g. `make explain OLD=results/baseline.json NEW=new.json`.
-OLD ?= results/baseline.json
-NEW ?= results/BENCH_perf_smoke.json
+# Attribute metric movement between two bench documents (figure reports
+# BENCH_<name>.json, or smoke.json), e.g. `make explain OLD=a.json
+# NEW=b.json`. Without OLD it diffs the results/smoke.json committed at
+# HEAD against the working tree's: after `make figs` moved it, this says why.
+NEW ?= results/smoke.json
 explain:
-	$(CARGO) run --release -p bench --bin explain -- $(OLD) $(NEW)
+ifndef OLD
+	@mkdir -p target && git show HEAD:results/smoke.json > target/smoke.HEAD.json
+endif
+	$(CARGO) run --release -p bench --bin explain -- $(or $(OLD),target/smoke.HEAD.json) $(NEW)
 
 # Every table and figure at its published scale into results/ (≈ 5 min on a
 # 2-vCPU box: fig_scale's two 10 M-key loads ≈ 125 s, fig18 ≈ 65 s, fig12
 # ≈ 45 s, fig14, fig_scaleout and fig13 ≈ 15 s each), the paper's claims
 # judged over them. `figs` exits 1 on a claim that fails without
 # being a documented deviation, or on a documented deviation that starts
-# passing; the tracked verdicts (results/claims.json) must not move.
+# passing. The tracked verdicts (results/claims.json) and the smoke
+# figure's flat metrics (results/smoke.json, exact per seed) must not move
+# by a byte: a deliberate change commits the regenerated files, and
+# `make explain` says what moved them.
 figs:
 	BENCH_OUT_DIR=results $(CARGO) run --release -p bench --bin figs -- --all
-	git diff --exit-code results/claims.json
+	git diff --exit-code results/claims.json results/smoke.json
 
 # The out-of-tree benchmark harness (benchmark/, its own workspace) links
 # the crates through their public items only: build it and run its tests so

@@ -1,7 +1,7 @@
 //! `explain OLD.json NEW.json` — attribute bench metric movement.
 //!
 //! Both arguments are bench documents with a `points` array: figure reports
-//! (`BENCH_<name>.json`) or perf-gate baselines (`results/baseline.json`).
+//! (`BENCH_<name>.json`) or the tracked flat metrics (`results/smoke.json`).
 //! The report diffs every shared point's headline metrics and, where they
 //! moved, ranks the schema-2 attribution metrics (per-phase time and
 //! round-trips, retry root causes, per-op-type latencies) by absolute
@@ -9,7 +9,8 @@
 //! same bytes.
 //!
 //! Exits 0 after printing; exits 2 on usage or parse errors. The tool never
-//! judges whether a change is acceptable — that is the perf gate's job.
+//! judges whether a change is acceptable: `make figs` fails on any moved
+//! byte of `results/smoke.json`, and this says why it moved.
 
 use bench::explain::{cite_anomalies, explain, load_citations, load_points};
 

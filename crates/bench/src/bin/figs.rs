@@ -4,12 +4,15 @@
 //! Each selected figure prints one row per point, writes
 //! `BENCH_<name>.json` (and `TIMELINE_<name>.json`) into `$BENCH_OUT_DIR`,
 //! and has its claims evaluated in-process. `--all` at the published scale
-//! also writes `claims.json` beside them. Exits 1 when a claim's verdict is
-//! unexplained in either direction (a `Pass` that fails, an `ExpectedFail`
-//! that passes) or names a point its figure did not produce; `--only` runs
-//! part of a figure and therefore judges nothing.
+//! also writes `claims.json` beside them, and `smoke` run whole at its
+//! published scale writes its flat metrics as `smoke.json` (both tracked in
+//! `results/`, so `make figs` fails on any moved byte). Exits 1 when a
+//! claim's verdict is unexplained in either direction (a `Pass` that fails,
+//! an `ExpectedFail` that passes) or names a point its figure did not
+//! produce; `--only` runs part of a figure and therefore judges nothing.
 
 use bench::figs::{self, claims, Args, Scale};
+use bench::report::{points_document, write_out};
 
 const USAGE: &str = "figs <name>... | --all | --list  [--preload N] [--ops N] [--only <key-prefix>]";
 
@@ -44,6 +47,9 @@ fn main() {
         };
         let rep = figs::run_figure(fig, scale, only.as_deref());
         rep.finish();
+        if fig.name == "smoke" && scale == fig.scale && only.is_none() {
+            write_out("smoke.json", &points_document(rep.points()));
+        }
         if only.is_some() {
             println!("claims: not judged (--only runs part of the figure)\n");
             continue;
@@ -59,7 +65,7 @@ fn main() {
     let unexplained = verdicts.iter().filter(|(_, v)| v.unexplained()).count();
     println!("claims: {} judged, {unexplained} unexplained", verdicts.len());
     if args.flag("all") && preload.is_none() && ops.is_none() && only.is_none() {
-        bench::report::write_out("claims.json", &claims::document(&verdicts));
+        write_out("claims.json", &claims::document(&verdicts));
     }
     if unexplained > 0 {
         std::process::exit(1);

@@ -19,8 +19,8 @@ use dmem::{
     RunAccounting,
 };
 use obs::{
-    Anomaly, AnomalyConfig, FlightRecorder, HistogramSummary, LatencyHist, MetricsSnapshot,
-    OpProfile, Phase, RetryCause, TimeSeries, Tracer,
+    Anomaly, AnomalyConfig, HistogramSummary, LatencyHist, MetricsSnapshot, OpProfile, Phase,
+    RetryCause, TimeSeries, Tracer,
 };
 use sched::{Engine, EngineConfig, LaneBody};
 use ycsb::{KeySpace, Op, OpGen, Workload, WorkloadState};
@@ -162,9 +162,6 @@ pub struct BenchResult {
     pub timeline: TimeSeries,
     /// Anomalies the in-run detector found in [`Self::timeline`].
     pub anomalies: Vec<Anomaly>,
-    /// Flight-recorder rings of the participating clients, keyed by global
-    /// client id, snapshotted at the end of the measured phase.
-    pub flight: Vec<(u32, FlightRecorder)>,
     /// Perfetto (Chrome trace-event) document covering the traced clients;
     /// `None` when [`BenchSetup::trace_clients`] is 0.
     pub perfetto: Option<String>,
@@ -432,7 +429,7 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
         }
         for (i, c) in clients.iter_mut().enumerate() {
             let gid = cn_id * active_per_cn + i;
-            agg.collect(gid as u32, c.as_mut(), &before[i], gid < setup.trace_clients);
+            agg.collect(c.as_mut(), &before[i], gid < setup.trace_clients);
         }
     }
     assemble(setup, dep, agg)
@@ -494,8 +491,6 @@ struct Agg {
     router_before: RouterSnap,
     /// Measured-phase timeline merged over every participating client.
     timeline: TimeSeries,
-    /// Flight rings snapshotted per global client id.
-    flight: Vec<(u32, FlightRecorder)>,
     /// Tracers taken back from the traced clients (empty unless
     /// `trace_clients > 0`).
     tracers: Vec<Tracer>,
@@ -521,7 +516,6 @@ impl Agg {
             hotspot_before: probe_hotspot(dep),
             router_before: probe_router(dep),
             timeline: TimeSeries::default(),
-            flight: Vec::new(),
             tracers: Vec::new(),
         }
     }
@@ -534,12 +528,11 @@ impl Agg {
         self.executed += 1;
     }
 
-    /// Folds handle `id`'s measured-phase deltas in — verb counters, phase
-    /// profile, time series — plus its flight ring and, when `traced`, its
-    /// tracer. Returns the counter and profile deltas.
+    /// Folds a handle's measured-phase deltas in — verb counters, phase
+    /// profile, time series — plus, when `traced`, its tracer. Returns the
+    /// counter and profile deltas.
     fn collect(
         &mut self,
-        id: u32,
         c: &mut dyn RangeIndex,
         before: &HandleSnap,
         traced: bool,
@@ -550,7 +543,6 @@ impl Agg {
         self.stats_delta.merge(&stats);
         self.profile_delta.merge(&profile);
         self.timeline.merge(&ep.telemetry().series.since(&before.series));
-        self.flight.push((id, ep.telemetry().flight.clone()));
         if traced {
             self.tracers.extend(c.take_tracer());
         }
@@ -694,8 +686,7 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                     agg.record(disc, lat);
                 }
                 let traced = gci < setup.trace_clients;
-                let id = (gci * k + l) as u32;
-                let (d, dp) = agg.collect(id, handle.as_mut(), &before[l], traced);
+                let (d, dp) = agg.collect(handle.as_mut(), &before[l], traced);
                 let lane = &mut agg.lanes[l];
                 lane.ops += lats.len() as u64;
                 lane.op_retries += d.op_retries;
@@ -747,7 +738,6 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         hotspot_before,
         router_before,
         timeline,
-        flight,
         tracers,
     } = agg;
     let net = NetConfig::default();
@@ -961,7 +951,6 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         metrics,
         timeline,
         anomalies,
-        flight,
         perfetto,
         lane_handoffs,
     }

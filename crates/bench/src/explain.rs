@@ -1,9 +1,9 @@
 //! Bench-regression attribution: diff two bench documents.
 //!
 //! [`explain`] compares two sets of named bench points (an old and a new
-//! run — `BENCH_<name>.json` files or `baseline.json` gate documents) and
-//! produces a plain-text report that does not just *say* a headline metric
-//! moved, but *attributes* the move to the schema-2 breakdown metrics:
+//! run — `BENCH_<name>.json` reports or the tracked `results/smoke.json`)
+//! and produces a plain-text report that does not just *say* a headline
+//! metric moved, but *attributes* the move to the schema-2 breakdown metrics:
 //! per-phase time and round-trips per op, retry root causes, and per-op-type
 //! latency percentiles. The report is a pure function of its inputs —
 //! byte-identical across runs — so it can be asserted in tests and pasted
@@ -11,7 +11,9 @@
 
 use std::fmt::Write as _;
 
-use obs::{direction_of, BenchPoint, Direction, Json};
+use obs::Json;
+
+use crate::report::BenchPoint;
 
 /// Headline metrics, reported for every point in both documents.
 const HEADLINES: &[&str] = &[
@@ -42,8 +44,9 @@ const TOP_PER_CATEGORY: usize = 6;
 const ATTRIBUTION_THRESHOLD_PCT: f64 = 1.0;
 
 /// Extracts the flat `points` (name + metric map) from a bench document:
-/// either a `BENCH_<name>.json` report or a `baseline.json` gate document
-/// (both carry `points: [{name, metrics}]`).
+/// either a `BENCH_<name>.json` report or a
+/// [`points_document`](crate::report::points_document) such as
+/// `results/smoke.json` (both carry `points: [{name, metrics}]`).
 pub fn load_points(text: &str) -> Result<Vec<BenchPoint>, String> {
     let doc = obs::json::parse(text)?;
     let arr = doc
@@ -127,6 +130,12 @@ pub fn cite_anomalies(label: &str, citations: &[(String, Vec<String>)]) -> Strin
         }
     }
     out
+}
+
+/// Whether a headline regresses downward: throughput does, latency and
+/// per-op traffic regress upward.
+fn higher_is_better(headline: &str) -> bool {
+    headline == "mops"
 }
 
 fn pct(old: f64, new: f64) -> Option<f64> {
@@ -221,11 +230,8 @@ pub fn explain(old_label: &str, old: &[BenchPoint], new_label: &str, new: &[Benc
             };
             let _ = writeln!(out, "  {h:<14} {ov:>12.4} -> {nv:>12.4}  ({})", fmt_pct(ov, nv));
             if let Some(p) = pct(ov, nv) {
-                // Signed so that positive = worse, as in the gate.
-                let worse = match direction_of(h) {
-                    Direction::HigherBetter => -p,
-                    Direction::LowerBetter => p,
-                };
+                // Signed so that positive = worse.
+                let worse = if higher_is_better(h) { -p } else { p };
                 if p.abs() > ATTRIBUTION_THRESHOLD_PCT {
                     moved = true;
                 }
@@ -406,9 +412,73 @@ mod tests {
         let p = load_points(bench_doc).unwrap();
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].metrics["mops"], 1.5);
-        let gate_doc = r#"{"schema": 2, "tolerance_pct": 10.0, "gated": [],
-            "points": [{"name": "b", "metrics": {"p99_us": 2.0}}]}"#;
-        let p = load_points(gate_doc).unwrap();
-        assert_eq!(p[0].name, "b");
+        let smoke = crate::report::points_document(&[point("b", &[("p99_us", 2.0)])]);
+        assert_eq!(smoke, "{\"schema\":1,\"points\":[\n{\"name\":\"b\",\"metrics\":{\"p99_us\":2}}\n]}\n");
+        let p = load_points(&smoke).unwrap();
+        assert_eq!(p, [point("b", &[("p99_us", 2.0)])]);
+    }
+
+    #[test]
+    fn load_points_rejects_documents_without_points_or_names() {
+        assert!(load_points("{\"schema\":1}").unwrap_err().contains("no points array"));
+        assert!(load_points("{\"points\":[{\"metrics\":{}}]}").unwrap_err().contains("missing name"));
+        assert!(load_points("{\"points\":[").is_err());
+    }
+
+    /// One point `p` before and after, with `moves` applied to the after side.
+    fn moved(moves: &[(&str, f64, f64)]) -> String {
+        let old: Vec<(&str, f64)> = moves.iter().map(|&(k, o, _)| (k, o)).collect();
+        let new: Vec<(&str, f64)> = moves.iter().map(|&(k, _, n)| (k, n)).collect();
+        explain("old", &[point("p", &old)], "new", &[point("p", &new)])
+    }
+
+    #[test]
+    fn a_throughput_drop_is_worse_than_a_smaller_latency_rise() {
+        let rep = moved(&[("mops", 10.0, 8.0), ("p99_us", 50.0, 51.0)]);
+        assert!(rep.contains("worst headline: mops (+20.0% worse)"), "{rep}");
+    }
+
+    #[test]
+    fn gains_and_latency_drops_name_no_worst_headline() {
+        let rep = moved(&[
+            ("mops", 10.0, 12.0),
+            ("p99_us", 50.0, 40.0),
+            ("bytes_per_op", 300.0, 270.0),
+            ("phase_ns_per_op.leaf_read", 800.0, 600.0),
+        ]);
+        assert!(!rep.contains("worst headline"), "{rep}");
+        // A move is still attributed, whichever way it went.
+        assert!(rep.contains("phase time (ns/op):\n    leaf_read"), "{rep}");
+        let rep = moved(&[("mops", 10.0, 12.0), ("p50_us", 2.0, 2.1)]);
+        assert!(rep.contains("worst headline: p50_us (+5.0% worse)"), "{rep}");
+    }
+
+    #[test]
+    fn a_headline_move_under_the_threshold_skips_attribution() {
+        let rep = moved(&[("mops", 10.0, 10.05), ("phase_ns_per_op.lock_acquire", 100.0, 400.0)]);
+        assert!(rep.contains("(+0.5%)"), "{rep}");
+        assert!(rep.contains("headline metrics unchanged within 1%"), "{rep}");
+        assert!(!rep.contains("lock_acquire"), "{rep}");
+    }
+
+    #[test]
+    fn each_category_ranks_its_movers_and_suppresses_past_six() {
+        // Eight phases moved by 10..80 ns/op, plus two equal movers whose
+        // tie breaks on the name.
+        let mut moves = vec![("mops", 10.0, 5.0)];
+        let phases = ["p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8"].map(|p| format!("phase_ns_per_op.{p}"));
+        for (i, p) in phases.iter().enumerate() {
+            moves.push((p.as_str(), 100.0, 100.0 + 10.0 * (i + 1) as f64));
+        }
+        moves.push(("retries_per_op.b_cause", 0.0, 0.5));
+        moves.push(("retries_per_op.a_cause", 1.0, 0.5));
+        let rep = moved(&moves);
+        let order: Vec<usize> = ["p8", "p7", "p6", "p5", "p4", "p3"].iter().map(|p| rep.find(&format!("    {p} ")).unwrap()).collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]), "{rep}");
+        assert!(!rep.contains("    p2 ") && !rep.contains("    p1 "), "{rep}");
+        assert!(rep.contains("    ... 2 more suppressed"), "{rep}");
+        let (a, b) = (rep.find("a_cause").unwrap(), rep.find("b_cause").unwrap());
+        assert!(a < b, "{rep}");
+        assert!(rep.contains("(+0.5000, new)"), "{rep}");
     }
 }

@@ -7,7 +7,9 @@
 //! direction: a `Pass` claim that fails, or an `ExpectedFail` that starts
 //! passing (the deviation closed: flip the row, update EXPERIMENTS.md).
 
-use obs::{BenchPoint, Json};
+use obs::Json;
+
+use crate::report::BenchPoint;
 
 /// What a claim asserts about its metric over its points.
 #[derive(Debug, Clone, Copy, PartialEq)]

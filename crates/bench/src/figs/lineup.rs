@@ -1,7 +1,7 @@
 //! The one line-up every figure draws from: the five index configurations
 //! the paper compares, the modifiers its sweeps vary, the dataset-scaled
 //! cache rule, and the deployment shapes (testbed, cache-footprint pass,
-//! scale-out cluster, serve point) the figures and the perf gate share.
+//! scale-out cluster, serve point) the figures share.
 
 use serve::sim::{OverloadPolicy, SimConfig};
 use ycsb::Workload;

@@ -2,8 +2,9 @@
 //! per figure a name, the published scale, its parts as data and the
 //! paper's claims over the points those parts produce. One runner turns a
 //! part into report points and printed rows; [`claims::evaluate`] judges
-//! the claims over the finished report. The `figs` binary is a thin
-//! front end over [`run_figure`].
+//! the claims over the finished report. The one row without claims,
+//! `smoke`, is judged by its tracked flat metrics (`results/smoke.json`)
+//! instead. The `figs` binary is a thin front end over [`run_figure`].
 
 pub mod claims;
 pub mod lineup;
@@ -18,7 +19,6 @@ use crate::driver::{deploy, run, run_deployed, BenchResult, BenchSetup};
 use crate::report::Report;
 pub use claims::{Claim, Verdict};
 pub use lineup::*;
-pub use studies::serve_study;
 pub use table::FIGURES;
 
 /// Dataset and run length of one figure run.

@@ -3,6 +3,7 @@
 //! consumers and with the claims below; paper values are the ones
 //! EXPERIMENTS.md quotes.
 
+use serve::sim::SimConfig;
 use ycsb::Workload::{self, Load, A, B, C, D, E};
 
 use super::claims::Check::{self, Order};
@@ -27,6 +28,7 @@ pub const FIGURES: &[Figure] = &[
     fig("fig4", "cost of extra metadata READs and of the neighborhood size, as raw READ streams (§3.2)", (0, 50_000), &[], fig4),
     fig("fig3", "the motivating trade-offs: cache vs amplification, limited bandwidth, limited caches, hashing (§3.1)", (100_000, 40_000), &[], fig3),
     fig("table1", "round trips per CHIME operation, best case (warm cache) and worst case (no cache)", (100_000, 0), &[], table1),
+    fig("smoke", "the fixed-seed smoke matrix, every flat metric pinned in results/smoke.json: CHIME and Sherman on YCSB C/A/E, K=4, evicting caches, splitting inserts, 4-MN scale-out, the serve knee", (20_000, 10_000), &[], smoke),
     fig("fig14", "compute-side cache consumption vs loaded items, sufficient caches (§5.2)", (100_000, 0), &[], fig14),
     fig("fig15", "factor analysis: CHIME's techniques one by one from Sherman (15a) and from ROLEX (15b)", (100_000, 40_000), &[], fig15),
     fig("fig17", "speculative reads past saturation, YCSB C", (100_000, 40_000), &["hotspot_hit_ratio"], fig17),
@@ -168,6 +170,48 @@ fn table1(s: Scale, t: &mut Spec) {
     for (case, op, paper, check) in rows {
         t.claim(format!("t1/{case}/{op}"), paper, "rtts_per_op", &[format!("{case}/{op}")], check);
     }
+}
+
+/// No claims: `figs` writes the flat metrics of a whole run at the
+/// published scale to `smoke.json`, and `make figs` fails on any moved byte.
+fn smoke(s: Scale, t: &mut Spec) {
+    // 2 CNs, `s.preload` keys, `s.ops` ops a point (two fifths for scans).
+    let point = |kind: IndexKind, w: Workload, clients: usize, coroutines: usize| BenchSetup {
+        kind,
+        workload: w,
+        clients,
+        coroutines,
+        num_cns: 2,
+        preload: s.preload,
+        ops: if w == E { s.ops * 2 / 5 } else { s.ops },
+        mn_capacity: 512 << 20,
+        ..Default::default()
+    };
+    let lower = |w: Workload| w.name().to_lowercase();
+    for (index, kind) in [("chime", chime()), ("sherman", sherman())] {
+        for w in [C, A, E] {
+            for clients in [16, 64] {
+                t.point(format!("{index}/{}/{clients}", lower(w)), point(kind.clone(), w, clients, 1));
+            }
+        }
+    }
+    // Pipelined: 4 coroutine lanes per client.
+    for w in [C, A] {
+        t.point(format!("chime/{}/64/k4", lower(w)), point(chime(), w, 64, 4));
+    }
+    // Uniform reads over 5x the keys, with a 32 KiB node cache and a 16 KiB
+    // hotspot buffer: both caches run full and evict (LRU and LFU).
+    let small = chime().with_cache(32 << 10).with_hotspot(16 << 10);
+    t.point("chime/c/64/evict", BenchSetup { preload: 5 * s.preload, theta: 0.01, ..point(small, C, 64, 1) });
+    // Inserts of fresh keys: half the loaded keys again, so leaves split.
+    t.point("chime/load/64", point(chime(), Load, 64, 1));
+    // Scale-out: the router (uniform) and the live hotspot migrator
+    // (Zipfian, migrations mid-run) on a reduced cut of fig_scaleout.
+    let cut = Scale { preload: s.preload * 3 / 2, ops: s.ops * 24 / 5 };
+    t.point("scaleout/uniform/4mn", scaleout_setup(4, 0.01, false, 256, cut));
+    t.point("scaleout/zipf-mig/4mn", scaleout_setup(4, ycsb::ZIPFIAN_CONSTANT, true, 256, cut));
+    // The serve front end at fig_serve's knee.
+    t.study("serve/shed/32x64", || serve_study(&SimConfig { seed: 42, ..serve_point(2_000) }));
 }
 
 fn fig12(s: Scale, t: &mut Spec) {

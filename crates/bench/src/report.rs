@@ -2,20 +2,58 @@
 //!
 //! Every figure run accumulates its measured points into a [`Report`] and
 //! writes `BENCH_<name>.json` next to its human-readable table. The file
-//! carries, per point, the flat gate-comparable metric map (throughput,
-//! latency percentiles, verbs/op, bytes/op, cache hit rate), the per-MN
+//! carries, per point, the flat metric map (throughput, latency
+//! percentiles, verbs/op, bytes/op, cache hit rate), the per-MN
 //! traffic split, the full [`MetricsSnapshot`], and (schema 3) the windowed
 //! timeline of the measured phase with the anomalies the in-run detector
 //! found in it. The timelines are additionally written standalone as
 //! `TIMELINE_<name>.json` so plotting and CI determinism checks need not
-//! parse the full report. Output is deterministic: two runs with the same
-//! seed produce byte-identical files.
+//! parse the full report; [`points_document`] is the compact flat-metric
+//! form the tracked `results/smoke.json` takes. Output is deterministic:
+//! two runs with the same seed produce byte-identical files.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use obs::{BenchPoint, Json, Phase, RetryCause};
+use obs::{Json, Phase, RetryCause};
 
 use crate::driver::{BenchResult, OP_NAMES};
+
+/// One measured bench point: a name plus flat metrics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchPoint {
+    /// Unique point name (e.g. `chime/c/64`).
+    pub name: String,
+    /// Metric name → value.
+    pub metrics: BTreeMap<String, f64>,
+}
+
+impl BenchPoint {
+    /// Creates a point from `(metric, value)` pairs.
+    pub fn new(name: &str, metrics: &[(&str, f64)]) -> Self {
+        BenchPoint {
+            name: name.to_string(),
+            metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+        }
+    }
+
+    /// The `name` and `metrics` members every document gives a point.
+    fn members(&self) -> Vec<(String, Json)> {
+        let metrics = self.metrics.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect();
+        vec![
+            ("name".to_string(), Json::Str(self.name.clone())),
+            ("metrics".to_string(), Json::Obj(metrics)),
+        ]
+    }
+}
+
+/// The flat metrics of `points` as a tracked document: one compact line
+/// per point, in report order, metrics sorted by name. Floats render in
+/// their shortest round-trip form, so any moved bit moves a byte.
+pub fn points_document(points: &[BenchPoint]) -> String {
+    let lines: Vec<String> = points.iter().map(|p| Json::Obj(p.members()).to_compact()).collect();
+    format!("{{\"schema\":1,\"points\":[\n{}\n]}}\n", lines.join(",\n"))
+}
 
 /// Writes output document `file` into `$BENCH_OUT_DIR` when set (created if
 /// missing), else the working directory, and prints where it went. Exits
@@ -58,8 +96,8 @@ impl Report {
 
     /// Records `p` and starts its detail entry (`name`, `metrics`).
     ///
-    /// Point names are unique within a report: claims and the perf gate
-    /// look points up by name, so a second point under one name (a key the
+    /// Point names are unique within a report: claims and `explain` look
+    /// points up by name, so a second point under one name (a key the
     /// figure table built twice) would silently shadow the first.
     fn push_point(&mut self, p: BenchPoint) -> Vec<(String, Json)> {
         assert!(
@@ -68,11 +106,7 @@ impl Report {
             self.name,
             p.name
         );
-        let metrics = p.metrics.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect();
-        let detail = vec![
-            ("name".to_string(), Json::Str(p.name.clone())),
-            ("metrics".to_string(), Json::Obj(metrics)),
-        ];
+        let detail = p.members();
         self.points.push(p);
         detail
     }
@@ -125,13 +159,14 @@ impl Report {
         ]));
     }
 
-    /// The gate-comparable view of the accumulated points.
+    /// The flat-metric view of the accumulated points.
     pub fn points(&self) -> &[BenchPoint] {
         &self.points
     }
 
-    /// The flat metric map the perf gate compares.
-    pub fn flat_metrics(r: &BenchResult) -> std::collections::BTreeMap<String, f64> {
+    /// The flat metric map of a run: what claims judge, `explain` diffs and
+    /// `results/smoke.json` pins.
+    pub fn flat_metrics(r: &BenchResult) -> BTreeMap<String, f64> {
         let executed = r.metrics.counter_value("ops_total", &[]).max(1);
         let verbs: u64 = [
             "client_reads_total",
@@ -142,7 +177,7 @@ impl Report {
         .iter()
         .map(|n| r.metrics.counter_value(n, &[]))
         .sum();
-        let mut m: std::collections::BTreeMap<String, f64> = [
+        let mut m: BTreeMap<String, f64> = [
             ("mops", r.mops),
             ("p50_us", r.p50_us),
             ("p90_us", r.p90_us),
@@ -231,8 +266,8 @@ impl Report {
         for (part, ops) in r.metrics.counter_labeled_values("part_ops_total", "part") {
             m.insert(format!("part.{part}.ops"), ops as f64);
         }
-        // In-run anomaly count: attribution context (never gated) — a
-        // regression accompanied by anomalies points `explain` at windows.
+        // In-run anomaly count: attribution context — a regression
+        // accompanied by anomalies points `explain` at windows.
         m.insert(
             "anomalies".to_string(),
             r.metrics.counter_value("anomalies_total", &[]) as f64,
@@ -346,5 +381,80 @@ mod tests {
             .unwrap()
             > 0.0);
         assert_eq!(rep.points()[0].name, "chime/c/8");
+    }
+
+    fn read_back(doc: &str) -> Vec<BenchPoint> {
+        crate::explain::load_points(doc).expect("a points document parses")
+    }
+
+    #[test]
+    fn points_document_keeps_report_order_and_sorts_metrics() {
+        let points = [
+            BenchPoint::new("z/last-name-first", &[("p99_us", 7.5), ("mops", 2.0)]),
+            BenchPoint::new("a/first-name-second", &[("zeta", 0.25), ("alpha", 1e-9)]),
+        ];
+        assert_eq!(
+            points_document(&points),
+            "{\"schema\":1,\"points\":[\n\
+             {\"name\":\"z/last-name-first\",\"metrics\":{\"mops\":2,\"p99_us\":7.5}},\n\
+             {\"name\":\"a/first-name-second\",\"metrics\":{\"alpha\":0.000000001,\"zeta\":0.25}}\n\
+             ]}\n"
+        );
+    }
+
+    #[test]
+    fn points_document_round_trips_extreme_floats_bit_for_bit() {
+        let values = [
+            0.1 + 0.2,
+            -1.5,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1e-300,
+            f64::MAX,
+            9.0e15,
+            (1u64 << 53) as f64 + 2.0,
+            123_456_789.125,
+            1.0 / 3.0,
+        ];
+        let point = BenchPoint {
+            name: "extremes".to_string(),
+            metrics: values.iter().enumerate().map(|(i, &v)| (format!("m{i:02}"), v)).collect(),
+        };
+        let back = read_back(&points_document(std::slice::from_ref(&point)));
+        assert_eq!(back.len(), 1);
+        for (k, v) in &point.metrics {
+            assert_eq!(back[0].metrics[k].to_bits(), v.to_bits(), "{k} = {v:e}");
+        }
+    }
+
+    #[test]
+    fn a_metric_that_turns_non_finite_still_moves_the_document() {
+        let finite = [BenchPoint::new("p", &[("mops", 4.0), ("p99_us", 9.0)])];
+        let doc = points_document(&finite);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let broken = [BenchPoint::new("p", &[("mops", bad), ("p99_us", 9.0)])];
+            let moved = points_document(&broken);
+            assert_ne!(moved, doc, "mops = {bad} must show in the diff");
+            // JSON has no NaN/Inf: the metric reads back as absent, which
+            // `explain` skips rather than diffing against a number.
+            assert_eq!(read_back(&moved), [BenchPoint::new("p", &[("p99_us", 9.0)])]);
+        }
+    }
+
+    #[test]
+    fn an_empty_points_document_reads_back_empty() {
+        let doc = points_document(&[]);
+        assert_eq!(doc, "{\"schema\":1,\"points\":[\n\n]}\n");
+        assert_eq!(read_back(&doc), []);
+    }
+
+    #[test]
+    fn bench_report_and_points_document_carry_the_same_flat_metrics() {
+        let mut rep = Report::new("unit");
+        rep.add_custom("layout/a", &[("bytes", 1365.0), ("ratio", 0.8125)]);
+        rep.add_custom("layout/b", &[("bytes", 1182.0), ("ratio", 2.0 / 3.0)]);
+        let from_report = read_back(&rep.to_json());
+        assert_eq!(from_report, rep.points());
+        assert_eq!(read_back(&points_document(rep.points())), from_report);
     }
 }

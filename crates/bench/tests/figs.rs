@@ -1,22 +1,28 @@
-//! The figure table and its claims engine.
+//! The figure table, its claims engine and the smoke gate.
 //!
 //! * each claim kind passes on synthetic points and fails once a point is
-//!   perturbed (the `perf_gate.rs` pattern); an `ExpectedFail` that starts
-//!   passing is as unexplained as a `Pass` that fails; a claim naming a
-//!   point the figure did not produce is an error, not a skipped claim;
+//!   perturbed; an `ExpectedFail` that starts passing is as unexplained as
+//!   a `Pass` that fails; a claim naming a point the figure did not produce
+//!   is an error, not a skipped claim;
 //! * a figure that builds one key twice panics naming the figure and key;
 //! * the cheap figures run end to end with every claim explained;
 //! * `figs --list` prints every figure's point keys, and they are unique;
-//! * `figs` and `perf_smoke` reject unknown flags and unparsable values
-//!   with exit code 2 instead of silently running the defaults, and `figs`
-//!   exits 1 on an unexplained verdict.
+//! * the tracked `results/smoke.json` names the `smoke` figure's points in
+//!   order, reads back bit for bit, and a one-ulp move of any metric moves
+//!   its bytes; its evict point fills both small caches; `figs smoke`
+//!   writes it only when run whole at the published scale;
+//! * `figs` rejects unknown flags and unparsable values with exit code 2
+//!   instead of silently running the defaults, and exits 1 on an
+//!   unexplained verdict.
 
 use std::collections::BTreeSet;
 use std::process::Command;
 
+use bench::driver::{BenchSetup, IndexKind};
+use bench::explain::load_points;
 use bench::figs::claims::{evaluate, Band, Check, Verdict};
-use bench::figs::{figure, run_figure, Custom, Figure, Scale, Spec, FIGURES};
-use obs::BenchPoint;
+use bench::figs::{figure, run_figure, Custom, Figure, Scale, Spec, Work, FIGURES};
+use bench::report::{points_document, BenchPoint};
 
 const RISING: Check = Check::Monotone { rising: true };
 const FALLING: Check = Check::Monotone { rising: false };
@@ -162,7 +168,10 @@ fn list_prints_every_point_key_and_keys_are_unique_per_figure() {
         let keys: Vec<String> = spec.parts.iter().flat_map(|p| p.point_keys()).collect();
         let unique: BTreeSet<&String> = keys.iter().collect();
         assert_eq!(unique.len(), keys.len(), "{}: duplicate point keys", fig.name);
-        assert!(!keys.is_empty() && !spec.claims.is_empty(), "{}: no points or no claims", fig.name);
+        assert!(!keys.is_empty(), "{}: no points", fig.name);
+        // `smoke` is gated by its tracked results/smoke.json, every other
+        // figure by its claims.
+        assert_eq!(spec.claims.is_empty(), fig.name == "smoke", "{}: claims", fig.name);
         assert!(listed.contains(&format!("\n{}: ", fig.name)) || listed.starts_with(fig.name));
         for key in &keys {
             assert!(listed.contains(&format!("  {key}\n")), "{}: --list misses {key}", fig.name);
@@ -176,23 +185,104 @@ fn list_prints_every_point_key_and_keys_are_unique_per_figure() {
         }
         claims += spec.claims.len();
     }
-    assert_eq!(FIGURES.len(), 15);
+    assert_eq!(FIGURES.len(), 16);
     assert!(claims >= 35, "only {claims} claims in the table");
+}
+
+/// The tracked smoke document, as `figs smoke` last wrote it.
+fn tracked_smoke() -> (String, Vec<BenchPoint>) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/smoke.json");
+    let text = std::fs::read_to_string(path).expect("results/smoke.json is tracked");
+    let points = load_points(&text).expect("results/smoke.json parses");
+    (text, points)
+}
+
+#[test]
+fn tracked_smoke_json_names_the_smoke_figures_points_in_order() {
+    let (_, points) = tracked_smoke();
+    let fig = figure("smoke").expect("smoke is a figure");
+    let keys: Vec<String> = fig.spec(fig.scale).parts.iter().flat_map(|p| p.point_keys()).collect();
+    let names: Vec<&String> = points.iter().map(|p| &p.name).collect();
+    assert_eq!(names, keys.iter().collect::<Vec<_>>());
+}
+
+#[test]
+fn a_one_ulp_move_of_any_smoke_metric_moves_the_documents_bytes() {
+    let (text, points) = tracked_smoke();
+    // Lossless both ways: the document re-renders to the tracked bytes and
+    // reads back with identical bits.
+    let doc = points_document(&points);
+    assert_eq!(doc, text, "re-rendering results/smoke.json moved its bytes");
+    let back = load_points(&doc).unwrap();
+    let bits = |ps: &[BenchPoint]| -> Vec<(String, String, u64)> {
+        let bits_of = |p: &BenchPoint| p.metrics.iter().map(|(k, v)| (p.name.clone(), k.clone(), v.to_bits())).collect::<Vec<_>>();
+        ps.iter().flat_map(bits_of).collect()
+    };
+    assert_eq!(bits(&back), bits(&points));
+    let mut perturbed = points.clone();
+    let mut moved = 0;
+    for (i, p) in points.iter().enumerate() {
+        for (metric, &v) in &p.metrics {
+            assert!(v.is_finite(), "{} / {metric} is not finite", p.name);
+            let b = v.to_bits();
+            for nudged in [Some(b + 1), b.checked_sub(1)].into_iter().flatten() {
+                perturbed[i].metrics.insert(metric.clone(), f64::from_bits(nudged));
+                assert_ne!(points_document(&perturbed), doc, "{} / {metric} moved by one ulp", p.name);
+                moved += 1;
+            }
+            perturbed[i].metrics.insert(metric.clone(), v);
+        }
+    }
+    assert!(moved > 1_000, "only {moved} perturbations");
+}
+
+#[test]
+fn the_tracked_evict_point_runs_both_caches_full() {
+    let (_, points) = tracked_smoke();
+    let metrics = |name: &str| &points.iter().find(|p| p.name == name).expect("tracked point").metrics;
+    let fig = figure("smoke").expect("smoke is a figure");
+    let spec = fig.spec(fig.scale);
+    let part = spec.parts.iter().find(|p| p.key == "chime/c/64/evict").expect("evict point");
+    let Work::Point(BenchSetup { kind: IndexKind::Chime(c), .. }) = &part.work else {
+        panic!("chime/c/64/evict is a CHIME point");
+    };
+    // Node cache plus hotspot buffer, both run full.
+    let budget = (c.cache_bytes + c.hotspot_bytes) as f64;
+    let (evict, warm) = (metrics("chime/c/64/evict"), metrics("chime/c/64"));
+    let held = evict["cache_mb"] * (1 << 20) as f64;
+    assert!(held <= budget && held >= 0.9 * budget, "{held} B held of {budget}");
+    // Both caches miss where the default-sized ones of chime/c/64 hit.
+    assert!(evict["cache_hit_ratio"] < 0.95 && warm["cache_hit_ratio"] > 0.99, "{evict:?}");
+    assert!(evict["hotspot_hit_ratio"] < 0.5 * warm["hotspot_hit_ratio"], "{evict:?}");
+}
+
+#[test]
+fn figs_smoke_writes_smoke_json_only_when_run_whole_at_its_published_scale() {
+    for (what, args) in [
+        ("reduced scale", &["smoke", "--preload", "2000", "--ops", "1000"][..]),
+        ("--only", &["smoke", "--only", "chime/c/16"][..]),
+    ] {
+        let dir = std::env::temp_dir().join(format!("figs-smoke-{}-{}", std::process::id(), args.len()));
+        let out = Command::new(env!("CARGO_BIN_EXE_figs"))
+            .args(args)
+            .env("BENCH_OUT_DIR", &dir)
+            .output()
+            .expect("run figs");
+        assert!(out.status.success(), "{what}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(dir.join("BENCH_smoke.json").exists(), "{what}: no report");
+        assert!(!dir.join("smoke.json").exists(), "{what} must not write smoke.json");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
 fn unknown_flags_and_unparsable_values_exit_2_with_usage() {
-    let perf_smoke = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_perf_smoke")).args(args).output().expect("run perf_smoke")
-    };
     for (what, out) in [
         ("figs --ops 40k", figs(&["fig16", "--ops", "40k"])),
         ("figs --prelaod", figs(&["fig16", "--prelaod", "100000"])),
         ("figs --ops without a value", figs(&["fig16", "--ops"])),
         ("figs with an unknown figure", figs(&["fig99"])),
         ("figs with nothing to run", figs(&[])),
-        ("perf_smoke --tolerance ten", perf_smoke(&["--tolerance", "ten"])),
-        ("perf_smoke --basline", perf_smoke(&["--basline", "x.json"])),
     ] {
         assert_eq!(out.status.code(), Some(2), "{what} must exit 2");
         assert!(out.stdout.is_empty(), "{what} must not start a run");

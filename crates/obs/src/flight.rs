@@ -3,17 +3,13 @@
 //! Event tracing ([`crate::trace::Tracer`]) is opt-in and verbose; the
 //! flight recorder is always on and cheap — a fixed-capacity ring of the
 //! last N coarse events per client (operation begin/end, whole-op retries,
-//! injected faults, crash points, control-plane notes). When a test fails,
-//! a client panics, or the perf gate trips, harnesses dump the rings to
-//! `flightdump_*.json` so the failure report carries the moments *before*
-//! the failure, not just the aggregate after it.
+//! injected faults, crash points, control-plane notes): the moments
+//! *before* a failure, not just the aggregate after it.
 //!
-//! Timestamps are virtual-clock nanoseconds; a dump is a pure function of
-//! the seed — byte-identical across identical runs.
+//! Timestamps are virtual-clock nanoseconds; a ring is a pure function of
+//! the seed.
 
 use std::collections::VecDeque;
-
-use crate::json::Json;
 
 /// Default ring capacity per client.
 pub const DEFAULT_CAPACITY: usize = 64;
@@ -54,7 +50,7 @@ pub enum FlightKind {
         /// The crash-point label.
         label: &'static str,
     },
-    /// A free-form control-plane note (migration steps, gate events).
+    /// A free-form control-plane note (migration steps).
     Note {
         /// The note text.
         label: String,
@@ -68,43 +64,6 @@ pub struct FlightEvent {
     pub t_ns: u64,
     /// The payload.
     pub kind: FlightKind,
-}
-
-impl FlightEvent {
-    fn to_json(&self) -> Json {
-        let mut pairs = vec![("t_ns", Json::from(self.t_ns))];
-        match &self.kind {
-            FlightKind::OpBegin { op, key, trace } => {
-                pairs.push(("ev", Json::from("op_begin")));
-                pairs.push(("op", Json::from(*op)));
-                pairs.push(("key", Json::from(*key)));
-                pairs.push(("trace", Json::from(*trace)));
-            }
-            FlightKind::OpEnd { ok, dur_ns } => {
-                pairs.push(("ev", Json::from("op_end")));
-                pairs.push(("ok", Json::Bool(*ok)));
-                pairs.push(("dur_ns", Json::from(*dur_ns)));
-            }
-            FlightKind::Retry { cause } => {
-                pairs.push(("ev", Json::from("retry")));
-                pairs.push(("cause", Json::from(*cause)));
-            }
-            FlightKind::Fault { action, label } => {
-                pairs.push(("ev", Json::from("fault")));
-                pairs.push(("action", Json::from(*action)));
-                pairs.push(("label", Json::from(label.as_str())));
-            }
-            FlightKind::CrashPoint { label } => {
-                pairs.push(("ev", Json::from("crash_point")));
-                pairs.push(("label", Json::from(*label)));
-            }
-            FlightKind::Note { label } => {
-                pairs.push(("ev", Json::from("note")));
-                pairs.push(("label", Json::from(label.as_str())));
-            }
-        }
-        Json::obj(pairs)
-    }
 }
 
 /// A bounded per-client black-box ring. Overflow drops the oldest events
@@ -160,77 +119,11 @@ impl FlightRecorder {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Serializes this ring as one client's dump entry.
-    pub fn to_json(&self, client: u32) -> Json {
-        Json::obj(vec![
-            ("client", Json::from(client as u64)),
-            ("dropped", Json::from(self.dropped)),
-            (
-                "events",
-                Json::Arr(self.ring.iter().map(|e| e.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
-/// Assembles a full dump document from per-client rings.
-pub fn dump_document(name: &str, reason: &str, clients: &[(u32, &FlightRecorder)]) -> Json {
-    Json::obj(vec![
-        ("schema", Json::from(1u64)),
-        ("name", Json::from(name)),
-        ("reason", Json::from(reason)),
-        (
-            "clients",
-            Json::Arr(clients.iter().map(|(id, r)| r.to_json(*id)).collect()),
-        ),
-    ])
-}
-
-/// Writes a dump document to `flightdump_<name>.json` under `$BENCH_OUT_DIR`
-/// (the working directory when unset). Returns the path written, or the IO
-/// error message.
-pub fn write_dump(name: &str, doc: &Json) -> Result<String, String> {
-    let file = format!("flightdump_{name}.json");
-    let path = match std::env::var("BENCH_OUT_DIR") {
-        Ok(dir) if !dir.is_empty() => format!("{dir}/{file}"),
-        _ => file,
-    };
-    std::fs::write(&path, doc.to_pretty()).map_err(|e| format!("{path}: {e}"))?;
-    Ok(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> FlightRecorder {
-        let mut r = FlightRecorder::new(8);
-        r.push(
-            100,
-            FlightKind::OpBegin {
-                op: "search",
-                key: 42,
-                trace: 7,
-            },
-        );
-        r.push(150, FlightKind::Retry { cause: "lock_conflict" });
-        r.push(
-            200,
-            FlightKind::Fault {
-                action: "delay",
-                label: "spike".into(),
-            },
-        );
-        r.push(300, FlightKind::OpEnd { ok: true, dur_ns: 200 });
-        r.push(
-            400,
-            FlightKind::CrashPoint {
-                label: "part.migrate.locked",
-            },
-        );
-        r
-    }
 
     #[test]
     fn ring_bound_drops_oldest_and_counts() {
@@ -244,24 +137,21 @@ mod tests {
     }
 
     #[test]
-    fn dump_is_deterministic_and_parseable() {
-        let a = sample();
-        let b = sample();
-        let doc = dump_document("unit", "test failure", &[(0, &a), (1, &b)]);
-        let text = doc.to_pretty();
-        assert_eq!(
-            text,
-            dump_document("unit", "test failure", &[(0, &sample()), (1, &sample())]).to_pretty()
-        );
-        let v = crate::json::parse(&text).unwrap();
-        assert_eq!(v.get("schema").unwrap().as_f64(), Some(1.0));
-        assert_eq!(v.get("reason").unwrap().as_str(), Some("test failure"));
-        let clients = v.get("clients").unwrap().as_arr().unwrap();
-        assert_eq!(clients.len(), 2);
-        let evs = clients[0].get("events").unwrap().as_arr().unwrap();
-        assert_eq!(evs.len(), 5);
-        assert_eq!(evs[0].get("ev").unwrap().as_str(), Some("op_begin"));
-        assert_eq!(evs[0].get("trace").unwrap().as_f64(), Some(7.0));
-        assert_eq!(evs[4].get("ev").unwrap().as_str(), Some("crash_point"));
+    fn events_come_back_oldest_first_and_capacity_is_at_least_one() {
+        let mut r = FlightRecorder::default();
+        assert!(r.is_empty());
+        r.push(5, FlightKind::OpBegin { op: "search", key: 42, trace: 0 });
+        r.push(9, FlightKind::Retry { cause: "lock_conflict" });
+        r.push(12, FlightKind::OpEnd { ok: true, dur_ns: 7 });
+        let times: Vec<u64> = r.events().map(|e| e.t_ns).collect();
+        assert_eq!(times, [5, 9, 12]);
+        assert_eq!((r.len(), r.dropped()), (3, 0));
+        // A zero capacity still keeps the latest event.
+        let mut one = FlightRecorder::new(0);
+        one.push(1, FlightKind::CrashPoint { label: "before_unlock" });
+        one.push(2, FlightKind::CrashPoint { label: "after_unlock" });
+        let kept: Vec<&FlightEvent> = one.events().collect();
+        assert_eq!(kept, [&FlightEvent { t_ns: 2, kind: FlightKind::CrashPoint { label: "after_unlock" } }]);
+        assert_eq!(one.dropped(), 1);
     }
 }

@@ -21,14 +21,11 @@
 //!   throughput, per-phase time, retries, CQ depth and shed/served counts,
 //!   plus timestamped control-plane events;
 //! * [`flight`] — the always-on black-box [`flight::FlightRecorder`]: a
-//!   bounded ring of each client's last moments, dumped to
-//!   `flightdump_*.json` on failures and gate breaches;
+//!   bounded ring of each client's last moments;
 //! * [`anomaly`] — in-run anomaly detection over a time series (throughput
 //!   cliffs, latency bursts, CQ saturation, over-budget migrations);
 //! * [`perfetto`] — the Chrome trace-event exporter turning tracer rings
 //!   into a document `ui.perfetto.dev` opens directly;
-//! * [`gate`] — the CI perf gate comparing bench points against a
-//!   checked-in baseline with direction-aware relative tolerances;
 //! * [`json`] — the dependency-free, deterministic JSON writer/parser the
 //!   other modules (and `bench`'s `BENCH_*.json` reports) are built on.
 //!
@@ -40,7 +37,6 @@
 
 pub mod anomaly;
 pub mod flight;
-pub mod gate;
 pub mod json;
 pub mod metrics;
 pub mod perfetto;
@@ -50,7 +46,6 @@ pub mod trace;
 
 pub use anomaly::{detect, Anomaly, AnomalyConfig, AnomalyKind};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
-pub use gate::{compare, direction_of, Baseline, BenchPoint, Direction, GateReport, Violation};
 pub use json::Json;
 pub use metrics::{HistogramSummary, MetricsSnapshot};
 pub use perfetto::to_perfetto;
