@@ -2,16 +2,16 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test lint lint-chime model-check chaos serve serve-smoke explain figs bench-harness loc clean
+.PHONY: verify build test lint model-check chaos serve serve-smoke explain figs bench-harness loc clean
 
-# Tier-1 gate (build + tests) plus the clippy lint wall, the protocol-aware
-# chime-lint pass, the chime-model exhaustive protocol check, a fixed-seed
-# chaos smoke run (deterministic fault injection with a
+# Tier-1 gate (build + tests) plus the clippy lint wall (with clippy.toml's
+# determinism and masked-CAS rules), the chime-model exhaustive protocol
+# check, a fixed-seed chaos smoke run (deterministic fault injection with a
 # crash-while-holding-a-leaf-lock scenario, serial and pipelined), the
 # serving-layer determinism/chaos suite, every figure with the paper's
 # claims judged over it and the smoke matrix's metrics pinned, and the
 # out-of-tree benchmark harness's public-surface build and tests.
-verify: build test lint lint-chime model-check chaos serve figs bench-harness
+verify: build test lint model-check chaos serve figs bench-harness
 
 build:
 	$(CARGO) build --release
@@ -22,17 +22,12 @@ test:
 lint:
 	$(CARGO) clippy --all-targets -- -D warnings
 
-# Protocol-aware static analysis (lock-word layout, masked-CAS discipline,
-# phase balance, determinism); writes the machine-readable report too.
-lint-chime:
-	$(CARGO) run --release -q -p analyzer --bin chime-lint -- --root . --json results/lint.json
-
 # Exhaustive model check of the lock-lease protocol and the partition
-# migration crash/recovery machine, against the layout extracted from the
-# shipping lockword.rs. Verifies mutual exclusion, lease safety, routing
+# migration crash/recovery machine, over the lock-word layout that
+# `chime::lockword` ships. Verifies mutual exclusion, lease safety, routing
 # integrity, journal discipline, progress; refutes the two seeded probes.
 model-check:
-	$(CARGO) run --release -q -p analyzer --bin chime-model -- --root . --json results/model.json
+	$(CARGO) run --release -q -p analyzer --bin chime-model -- --json results/model.json
 
 chaos:
 	$(CARGO) test -p chime --test chaos --test chaos_pipelined -q

@@ -1,19 +1,17 @@
 //! The `chime-model` binary.
 //!
 //! ```text
-//! chime-model [--root DIR] [--json PATH] [--quiet]
+//! chime-model [--json PATH] [--quiet]
 //! ```
 //!
 //! Exhaustively model-checks the lock-lease protocol (mutual exclusion,
 //! lease safety, progress) and the migration crash/recovery protocol
 //! (routing integrity, journal discipline) over every interleaving of
 //! their abstract actors, plus two seeded-bug probes the checker must
-//! refute. The lock-word layout is extracted from the repo's own
-//! `crates/core/src/lockword.rs` when present (falling back to the
-//! documented layout otherwise). Prints the deterministic summary and,
-//! with `--json`, writes the byte-identical machine-readable report.
-//! Exit code 0 when every expectation is met, 1 otherwise, 2 on usage
-//! or I/O errors.
+//! refute. The lock-word layout is the one `chime::lockword` ships.
+//! Prints the deterministic summary and, with `--json`, writes the
+//! byte-identical machine-readable report. Exit code 0 when every
+//! expectation is met, 1 otherwise, 2 on usage or I/O errors.
 
 #![forbid(unsafe_code)]
 
@@ -22,19 +20,13 @@ use std::process::ExitCode;
 
 use analyzer::model::lease::WordLayout;
 use analyzer::model::suite;
-use analyzer::source::SourceFile;
 
 fn main() -> ExitCode {
-    let mut root = PathBuf::from(".");
     let mut json_out: Option<PathBuf> = None;
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--root" => match args.next() {
-                Some(v) => root = PathBuf::from(v),
-                None => return usage("--root needs a value"),
-            },
             "--json" => match args.next() {
                 Some(v) => json_out = Some(PathBuf::from(v)),
                 None => return usage("--json needs a value"),
@@ -44,25 +36,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let lockword = root.join("crates/core/src/lockword.rs");
-    let (layout, origin) = match std::fs::read_to_string(&lockword) {
-        Ok(src) => {
-            let file = SourceFile::new("crates/core/src/lockword.rs".to_string(), &src);
-            match WordLayout::from_source(&file) {
-                Some(l) => (l, "crates/core/src/lockword.rs".to_string()),
-                None => {
-                    eprintln!(
-                        "chime-model: {} does not define the layout constants",
-                        lockword.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        Err(_) => (WordLayout::documented(), "documented-default".to_string()),
-    };
-
-    let result = suite::run(layout, &origin);
+    let result = suite::run(WordLayout::shipping(), "crates/core/src/lockword.rs");
     if let Some(path) = &json_out {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -88,6 +62,6 @@ fn main() -> ExitCode {
 }
 
 fn usage(err: &str) -> ExitCode {
-    eprintln!("chime-model: {err}\nusage: chime-model [--root DIR] [--json PATH] [--quiet]");
+    eprintln!("chime-model: {err}\nusage: chime-model [--json PATH] [--quiet]");
     ExitCode::from(2)
 }

@@ -1,200 +1,12 @@
-//! `chime-lint` — protocol-aware static analysis for the CHIME repo.
+//! `chime-model` — exhaustive model checking of CHIME's lock-lease and
+//! partition-migration protocols.
 //!
-//! The Rust compiler cannot see the invariants CHIME's correctness rests
-//! on: the packed bit fields of the 8-byte lock word, the
-//! acquire/release discipline of the masked-CAS verb protocol, the
-//! balance of manual phase frames, and the repo-wide determinism
-//! guarantee (byte-identical traces/metrics/BENCH JSON per seed). This
-//! crate enforces them at build time with a zero-dependency analysis
-//! engine: a comment/string-aware lexer ([`lexer`]), a per-file source
-//! model ([`source`]), a deterministic rule registry ([`rules`]) and a
-//! sorted text + JSON report ([`report`]).
-//!
-//! Findings are suppressible inline, with a mandatory reason:
-//!
-//! ```text
-//! // chime-lint: allow(lock-discipline): Sherman baseline keeps the paper's spin loop.
-//! ```
-//!
-//! A suppression comment that owns its line applies to the next code
-//! line; a trailing comment applies to its own line. Malformed
-//! suppressions (missing reason) are themselves findings.
-//!
-//! Scope: production sources only — `crates/*/src/**/*.rs`, minus
-//! `#[cfg(test)]`/`#[test]` items. Integration tests, benches and
-//! examples may sleep, spin and iterate hash maps freely.
+//! The lock-lease model packs its shared word with the shipping
+//! [`chime::lockword`] layout, so a layout change moves the model with it.
+//! See [`model`] for the exploration engine and [`model::suite`] for what
+//! each model must prove.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
-pub mod dataflow;
-pub mod lexer;
 pub mod model;
-pub mod report;
-pub mod rules;
-pub mod source;
-pub mod workspace;
-
-use std::path::{Path, PathBuf};
-
-use report::{Finding, Report};
-use source::SourceFile;
-use workspace::Workspace;
-
-/// Collects the production source files of the workspace rooted at
-/// `root`: `crates/*/src/**/*.rs`, sorted by relative path.
-pub fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    let mut files = Vec::new();
-    for c in crate_dirs {
-        let src = c.join("src");
-        if src.is_dir() {
-            walk(&src, &mut files)?;
-        }
-    }
-    files.sort();
-    Ok(files)
-}
-
-/// Collects every `.rs` file under `dir`, recursively (used for fixture
-/// corpora in tests).
-pub fn collect_rs_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
-    walk(dir, &mut files)?;
-    files.sort();
-    Ok(files)
-}
-
-fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for p in entries {
-        if p.is_dir() {
-            walk(&p, out)?;
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
-    }
-    Ok(())
-}
-
-/// Lints the given files, reporting paths relative to `root`.
-///
-/// All files form one [`Workspace`]: the per-file rules run on each file
-/// and the whole-program rules (interprocedural lock/phase/CQ/span
-/// discipline, lock ordering, mask consistency) run once over the
-/// workspace's call graph and dataflow summaries. Suppressions are then
-/// applied per file — a whole-program finding is suppressible exactly
-/// like a per-file one, by an `allow(...)` comment in the file it
-/// anchors to.
-pub fn lint_files(root: &Path, files: &[PathBuf]) -> std::io::Result<Report> {
-    let mut sources = Vec::with_capacity(files.len());
-    for path in files {
-        let src = std::fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        sources.push(SourceFile::new(rel, &src));
-    }
-    let ws = Workspace::new(sources);
-    let cg = callgraph::CallGraph::build(&ws);
-    let dfa = dataflow::analyze(&ws, &cg);
-
-    let mut raw: Vec<Finding> = Vec::new();
-    for file in &ws.files {
-        rules::run_file(file, &mut raw);
-        for b in &file.bad_suppressions {
-            raw.push(Finding {
-                rule: "suppression",
-                file: file.rel_path.clone(),
-                line: b.line,
-                message: b.why.clone(),
-            });
-        }
-    }
-    rules::run_workspace(&ws, &cg, &dfa, &mut raw);
-
-    // Apply suppressions: a finding is dropped when a suppression in its
-    // own file names its rule and targets its line. Malformed-suppression
-    // findings are not suppressible. Honored suppressions are counted
-    // once per comment (per file).
-    let mut report = Report {
-        files_scanned: ws.files.len(),
-        ..Report::default()
-    };
-    let mut honored: std::collections::BTreeSet<(String, u32)> = std::collections::BTreeSet::new();
-    raw.retain(|f| {
-        if f.rule == "suppression" {
-            return true;
-        }
-        let Some(file) = ws.file_by_path(&f.file) else {
-            return true;
-        };
-        let hit = file
-            .suppressions
-            .iter()
-            .find(|s| s.target_line == f.line && s.rules.iter().any(|r| r == f.rule));
-        match hit {
-            Some(s) => {
-                honored.insert((f.file.clone(), s.comment_line));
-                false
-            }
-            None => true,
-        }
-    });
-    report.suppressions_honored = honored.len();
-    report.findings = raw;
-    report.sort();
-    Ok(report)
-}
-
-/// Lints the whole workspace at `root`.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
-    let files = collect_workspace_files(root)?;
-    lint_files(root, &files)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lint_src(name: &str, src: &str) -> Vec<Finding> {
-        let ws = Workspace::new(vec![SourceFile::new(name.to_string(), src)]);
-        let cg = callgraph::CallGraph::build(&ws);
-        let dfa = dataflow::analyze(&ws, &cg);
-        let mut raw = Vec::new();
-        rules::run_file(&ws.files[0], &mut raw);
-        rules::run_workspace(&ws, &cg, &dfa, &mut raw);
-        raw
-    }
-
-    #[test]
-    fn clean_code_has_no_findings() {
-        let f = lint_src(
-            "crates/x/src/lib.rs",
-            "pub fn f(m: &std::collections::BTreeMap<u64, u64>) -> u64 {\n    m.iter().map(|(_, v)| v).sum()\n}\n",
-        );
-        assert!(f.is_empty(), "unexpected findings: {f:?}");
-    }
-
-    #[test]
-    fn test_code_is_exempt() {
-        let f = lint_src(
-            "crates/x/src/lib.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::time::Instant::now(); }\n}\n",
-        );
-        assert!(f.is_empty(), "test code must be exempt: {f:?}");
-    }
-}

@@ -1,8 +1,7 @@
 //! The lock-lease model: 3 abstract clients racing one CHIME lock word.
 //!
 //! The shared state *is* a lock word packed with the repo's own layout —
-//! the bit positions come from `crates/core/src/lockword.rs` (parsed by
-//! the same constant extractor the `lockword-layout` rule uses), so if
+//! the bit positions are the public constants of [`chime::lockword`], so if
 //! the layout moves, the model moves with it. The lock bit and the lease
 //! epoch are exactly the protocol's fields; the argmax field's bits are
 //! borrowed to carry the abstract owner id, which the real protocol
@@ -24,12 +23,12 @@
 //! zombie clears a word that a reclaimer now owns) — proving the
 //! properties are checked, not assumed.
 
-use super::{Model, State, Step};
-use crate::rules::layout::parse_consts;
-use crate::source::SourceFile;
+use chime::lockword;
 
-/// Lock-word field positions, extracted from `lockword.rs`.
-#[derive(Debug, Clone, Copy)]
+use super::{Model, State, Step};
+
+/// Lock-word field positions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WordLayout {
     /// The lock bit's mask (bit 0 in the documented layout).
     pub lock_bit: u64,
@@ -56,21 +55,15 @@ impl WordLayout {
         }
     }
 
-    /// Extracts the layout from a `lockword.rs` source file; `None` when
-    /// a required constant is missing or out of range.
-    pub fn from_source(file: &SourceFile) -> Option<WordLayout> {
-        let c = parse_consts(file);
-        let get = |n: &str| c.get(n).map(|&(v, _)| v);
-        let layout = WordLayout {
-            lock_bit: get("LOCK_BIT")?,
-            owner_shift: u32::try_from(get("ARGMAX_SHIFT")?).ok()?,
-            owner_mask: get("ARGMAX_MASK")?,
-            epoch_shift: u32::try_from(get("EPOCH_SHIFT")?).ok()?,
-            epoch_mask: get("EPOCH_MASK")?,
-        };
-        (layout.owner_shift < 64 && layout.epoch_shift < 64 && layout.owner_mask >= 0b11
-            && layout.epoch_mask >= 0b11)
-            .then_some(layout)
+    /// The layout the index ships: the constants of [`chime::lockword`].
+    pub fn shipping() -> WordLayout {
+        WordLayout {
+            lock_bit: lockword::LOCK_BIT,
+            owner_shift: lockword::ARGMAX_SHIFT,
+            owner_mask: lockword::ARGMAX_MASK,
+            epoch_shift: lockword::EPOCH_SHIFT,
+            epoch_mask: lockword::EPOCH_MASK,
+        }
     }
 }
 
@@ -92,7 +85,8 @@ const OWNER_AT_SHIFT: u32 = 37;
 
 /// The lock-lease protocol model.
 pub struct LeaseModel {
-    /// Field positions (from `lockword.rs` or [`WordLayout::documented`]).
+    /// Field positions ([`WordLayout::shipping`] or
+    /// [`WordLayout::documented`]).
     pub layout: WordLayout,
     /// Number of clients (2 or 3).
     pub clients: usize,
@@ -326,20 +320,23 @@ mod tests {
     }
 
     #[test]
-    fn layout_extraction_matches_documented_positions() {
-        let src = "pub const LOCK_BIT: u64 = 0x1;\n\
-             pub const ARGMAX_SHIFT: u64 = 1;\n\
-             pub const ARGMAX_MASK: u64 = 0x3FF;\n\
-             pub const VACANCY_SHIFT: u64 = 11;\n\
-             pub const VACANCY_BITS: u64 = 45;\n\
-             pub const EPOCH_SHIFT: u64 = 56;\n\
-             pub const EPOCH_MASK: u64 = 0xFF;";
-        let file = SourceFile::new("crates/core/src/lockword.rs".into(), src);
-        let l = WordLayout::from_source(&file).expect("layout must parse");
-        let d = WordLayout::documented();
-        assert_eq!(l.lock_bit, d.lock_bit);
-        assert_eq!((l.owner_shift, l.owner_mask), (d.owner_shift, d.owner_mask));
-        assert_eq!((l.epoch_shift, l.epoch_mask), (d.epoch_shift, d.epoch_mask));
+    fn shipping_layout_matches_documented_positions() {
+        assert_eq!(WordLayout::shipping(), WordLayout::documented());
+    }
+
+    #[test]
+    fn model_words_decode_as_shipping_lock_words() {
+        // The model's packed word is a real lock word: the index's own
+        // decoder reads its lock bit, owner (argmax) and epoch back.
+        let m = LeaseModel { layout: WordLayout::shipping(), clients: 3, zombie: false };
+        for (owner, epoch) in [(0, 0), (1, 3), (2, 1), (lockword::ARGMAX_MASK, 0xFF)] {
+            let w = lockword::LockWord(m.packed(owner, epoch));
+            assert!(w.locked());
+            assert_eq!((w.argmax() as u64, w.epoch() as u64), (owner, epoch));
+            let r = lockword::LockWord(m.released(w.0));
+            assert!(!r.locked());
+            assert_eq!((r.argmax(), r.epoch() as u64), (0, epoch), "release keeps the epoch");
+        }
     }
 
     #[test]

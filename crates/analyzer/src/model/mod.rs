@@ -2,8 +2,8 @@
 //! and migration protocols.
 //!
 //! A model is a small labelled transition system: 2–3 abstract actors
-//! stepping a shared state extracted from the repo's own protocol
-//! artifacts (the lock-word layout for the lease model, the journal /
+//! stepping a shared state taken from the repo's own protocol artifacts
+//! (the `chime::lockword` layout for the lease model, the journal /
 //! crash-point structure of `part::migrate` for the migration model).
 //! The engine explores **every** interleaving from the initial state:
 //!

@@ -650,7 +650,8 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                         let (disc, key) = (op_disc(&op), op.key());
                         if rdwc && disc <= 1 {
                             let now = handle.clock_ns();
-                            // chime-lint: allow(async-block): the engine runs exactly one lane at a time, so this cross-lane combining map is uncontended by construction.
+                            // The engine runs one lane at a time, so this
+                            // cross-lane combining map is never contended.
                             let hit = combined.lock().unwrap().get(&(disc, key)).and_then(
                                 |&(done_at, lat)| (done_at > now).then_some(lat),
                             );
@@ -663,7 +664,6 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                             exec_op(handle.as_mut(), op, &value, &mut scan_buf, trace_base | opno);
                         if rdwc && disc <= 1 {
                             let done = (handle.clock_ns(), lat);
-                            // chime-lint: allow(async-block): single-lane-at-a-time engine; see the read-side note above.
                             combined.lock().unwrap().insert((disc, key), done);
                         }
                         lats.push((disc, lat));

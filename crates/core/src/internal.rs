@@ -10,8 +10,8 @@
 use dmem::versioned::{bump, pack_ver, Fetched};
 use dmem::{Endpoint, GlobalAddr};
 
-use crate::backoff::Backoff;
 use crate::layout::{internal_field as f, InternalLayout};
+use crate::lockword;
 
 /// A parsed internal node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,23 +151,10 @@ impl InternalOps {
         }
     }
 
-    /// Acquires the node's lock (plain CAS on bit 0), retrying with the
-    /// same seeded exponential backoff the leaf path uses so contended
-    /// internal locks neither hammer the NIC nor depend on host timing.
+    /// Acquires the node's lock (bit 0) with [`lockword::acquire`]; the
+    /// caller releases it with [`Self::unlock`] or [`Self::write_and_unlock`].
     pub fn lock(&self, ep: &mut Endpoint, addr: GlobalAddr) {
-        let lock_addr = addr.add(self.layout.lock_off() as u64);
-        let mut backoff = Backoff::new(ep.client_id() as u64 ^ lock_addr.raw());
-        loop {
-            if ep.masked_cas(lock_addr, 0, 1, 1, 1) & 1 == 0 {
-                return;
-            }
-            ep.note_lock_retry();
-            backoff.wait(ep);
-            assert!(
-                backoff.attempts() < 1_000_000,
-                "internal lock livelock at {addr:?}"
-            );
-        }
+        let _held = lockword::acquire(ep, addr.add(self.layout.lock_off() as u64), 0);
     }
 
     /// Releases the node lock with a plain WRITE.
@@ -288,9 +275,26 @@ mod tests {
         ops.lock(&mut ep, addr);
         let lock_addr = addr.add(ops.layout.lock_off() as u64);
         // A second CAS must fail while held.
-        assert_eq!(ep.masked_cas(lock_addr, 0, 1, 1, 1) & 1, 1);
+        assert_eq!(lockword::try_acquire(&mut ep, lock_addr, 0, &mut []) & 1, 1);
         ops.unlock(&mut ep, addr);
-        assert_eq!(ep.masked_cas(lock_addr, 0, 1, 1, 1) & 1, 0);
+        assert_eq!(lockword::try_acquire(&mut ep, lock_addr, 0, &mut []) & 1, 0);
+    }
+
+    #[test]
+    fn lock_counts_each_conflict_as_a_lock_retry() {
+        // The first four masked CASes report the lock held.
+        let mut plan = dmem::FaultPlan::seeded(1);
+        let mut rule = dmem::FaultRule::always("held", Some(dmem::VerbKind::MaskedCas), dmem::FaultAction::FailCas);
+        rule.max_fires = 4;
+        plan.rules.push(rule);
+        let session = std::sync::Arc::new(dmem::FaultSession::new(plan));
+        let (ep, ops, addr) = setup();
+        let mut ep = Endpoint::with_faults(std::sync::Arc::clone(ep.pool()), session, 0);
+        ops.write_new(&mut ep, &sample(addr));
+        ops.lock(&mut ep, addr);
+        assert_eq!(ep.stats().lock_retries, 4);
+        assert_eq!(ep.profile().retry_count(dmem::RetryCause::LockConflict), 4);
+        ops.unlock(&mut ep, addr);
     }
 
     #[test]

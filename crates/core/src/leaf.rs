@@ -24,7 +24,7 @@ use dmem::{Endpoint, GlobalAddr};
 use crate::backoff::Backoff;
 use crate::hopscotch::{cyc_dist, Window};
 use crate::layout::{entry_field, replica_field, LeafLayout};
-use crate::lockword::{LockWord, VacancyMap, ARGMAX_NONE};
+use crate::lockword::{try_acquire, LockWord, VacancyMap, ARGMAX_NONE};
 
 /// Crash-point label hit immediately after a leaf lock is acquired (the
 /// moment a dying client leaves a stale lock behind).
@@ -524,7 +524,7 @@ impl LeafOps {
         loop {
             let mut old = 0;
             let pieces = self.layout.versioned().fetch_with(addr, ranges, |reqs| {
-                old = ep.masked_cas_read(lock_addr, 0, 1, 1, 1, reqs);
+                old = try_acquire(ep, lock_addr, 0, reqs);
                 old & 1 == 0
             });
             if pieces.is_some() {

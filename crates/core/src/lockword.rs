@@ -16,30 +16,40 @@
 //!   the epoch (lock bit stays set), so concurrent reclaimers and the normal
 //!   release path both fail cleanly. See [`LockWord::reclaimed`].
 //!
-//! The lock is still acquired with a masked-CAS whose compare/swap masks are
-//! `0x1`: epoch and vacancy bits never fail the compare and ride back to the
-//! client in the returned old value.
+//! Every lock word in the workspace is taken by [`try_acquire`], the one
+//! masked CAS clippy's `disallowed-methods` lets through, or by its retry
+//! loop [`acquire`]. Its compare/swap masks are the lock bit: epoch and
+//! vacancy bits never fail the compare and ride back to the client in the
+//! returned old value.
 //!
 //! With vacancy piggybacking disabled the same encoding (minus the lock bit)
 //! lives in a separate word that costs a dedicated READ.
+
+use dmem::{Endpoint, GlobalAddr};
+
+use crate::backoff::Backoff;
 
 /// Number of vacancy bits available in the lock word.
 pub const VACANCY_BITS: usize = 45;
 /// Sentinel `argmax` value meaning "node holds no keys".
 pub const ARGMAX_NONE: u16 = 0x3FF;
 
-const LOCK_BIT: u64 = 1;
-const ARGMAX_SHIFT: u32 = 1;
-const ARGMAX_MASK: u64 = 0x3FF;
+/// The lock bit.
+pub const LOCK_BIT: u64 = 1;
+/// Shift of the `argmax_keys` field.
+pub const ARGMAX_SHIFT: u32 = 1;
+/// Unshifted mask of the `argmax_keys` field.
+pub const ARGMAX_MASK: u64 = 0x3FF;
 const VACANCY_SHIFT: u32 = 11;
-const EPOCH_SHIFT: u32 = 56;
-const EPOCH_MASK: u64 = 0xFF;
+/// Shift of the lease-epoch field.
+pub const EPOCH_SHIFT: u32 = 56;
+/// Unshifted mask of the lease-epoch field.
+pub const EPOCH_MASK: u64 = 0xFF;
 
-// Compile-time mirror of the `lockword-layout` lint: the four fields must
-// sit exactly at their documented positions (lock bit 0, argmax 1..=10,
-// vacancy 11..=55, epoch 56..=63) and never overlap. Editing a constant
-// above without keeping the layout coherent fails the build here before
-// `chime-lint` even runs.
+// The four fields must sit exactly at their documented positions (lock
+// bit 0, argmax 1..=10, vacancy 11..=55, epoch 56..=63) and never overlap:
+// editing a constant above without keeping the layout coherent fails the
+// build here.
 const LOCK_FIELD: u64 = LOCK_BIT;
 const ARGMAX_FIELD: u64 = ARGMAX_MASK << ARGMAX_SHIFT;
 const VACANCY_FIELD: u64 = ((1u64 << VACANCY_BITS) - 1) << VACANCY_SHIFT;
@@ -137,6 +147,64 @@ impl LockWord {
     pub fn reclaimed(self) -> Self {
         debug_assert!(self.locked(), "only a locked word can be reclaimed");
         self.with_epoch(self.epoch().wrapping_add(1))
+    }
+}
+
+/// One attempt on the lock word at `lock_addr`, with `reads` posted behind
+/// it in the same doorbell: a masked CAS that compares the lock bit and the
+/// caller's `stop` bits against 0 and sets the lock bit alone. Returns the
+/// previous word; the lock was taken iff none of those bits was set.
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// fn discard(ep: &mut dmem::Endpoint, lock_addr: dmem::GlobalAddr) {
+///     chime::lockword::try_acquire(ep, lock_addr, 0, &mut []);
+/// }
+/// ```
+#[must_use = "the previous word says whether the lock was taken"]
+#[allow(clippy::disallowed_methods, reason = "the one lock-word CAS; masks are lock-word fields")]
+pub fn try_acquire(ep: &mut Endpoint, lock_addr: GlobalAddr, stop: u64, reads: &mut [(GlobalAddr, &mut [u8])]) -> u64 {
+    ep.masked_cas_read(lock_addr, 0, LOCK_FIELD | stop, LOCK_FIELD, LOCK_FIELD, reads)
+}
+
+/// Acquires the lock word at `lock_addr`, retrying [`try_acquire`] behind a
+/// backoff seeded by client and address and counting each failed attempt
+/// as a lock retry. Returns the previous word once the lock is taken, or
+/// `None` as soon as one of the `stop` bits is set (SMART's obsolete bit).
+///
+/// ```
+/// use chime::lockword::{acquire, LockWord};
+/// let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// let lock_addr = dmem::GlobalAddr::new(0, dmem::node::RESERVED_BYTES);
+/// let old = acquire(&mut ep, lock_addr, 0).expect("no stop bits");
+/// assert!(!LockWord(old).locked());
+/// // Released with a plain WRITE of the word without its lock bit.
+/// ep.write(lock_addr, &LockWord(old).with_locked(false).0.to_le_bytes());
+/// // A set stop bit (here bit 1) ends the attempt without taking the lock.
+/// ep.write(lock_addr, &0b10u64.to_le_bytes());
+/// assert_eq!(acquire(&mut ep, lock_addr, 0b10), None);
+/// ```
+///
+/// The lock it takes must be released, so its result is never dropped
+/// unread:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// fn discard(ep: &mut dmem::Endpoint, lock_addr: dmem::GlobalAddr) {
+///     chime::lockword::acquire(ep, lock_addr, 0);
+/// }
+/// ```
+#[must_use = "an acquired lock must be released"]
+pub fn acquire(ep: &mut Endpoint, lock_addr: GlobalAddr, stop: u64) -> Option<u64> {
+    let mut backoff = Backoff::new(ep.client_id() as u64 ^ lock_addr.raw());
+    loop {
+        match try_acquire(ep, lock_addr, stop, &mut []) {
+            old if old & stop != 0 => return None,
+            old if old & LOCK_FIELD == 0 => return Some(old),
+            _ => ep.note_lock_retry(),
+        }
+        backoff.wait(ep);
+        assert!(backoff.attempts() < 10_000_000, "lock livelock at {lock_addr:?}");
     }
 }
 

@@ -327,6 +327,15 @@ impl ChimeClient {
         r
     }
 
+    /// Runs `f` as operation `op` on `key` inside one span, which `ok`
+    /// closes as a success or a failure.
+    fn in_span<R>(&mut self, op: &'static str, key: u64, f: impl FnOnce(&mut Self) -> R, ok: impl FnOnce(&R) -> bool) -> R {
+        let sp = self.ep.span_begin(op, key);
+        let r = f(self);
+        self.ep.span_end(sp, ok(&r));
+        r
+    }
+
     /// Records a whole-operation optimistic retry attributed to its root
     /// `cause` and backs off with seeded jitter before the next attempt.
     fn on_op_conflict(&mut self, cause: RetryCause) {
@@ -415,37 +424,23 @@ impl ChimeClient {
 
 impl RangeIndex for ChimeClient {
     fn insert(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        let sp = self.ep.span_begin("insert", key);
-        let r = self.insert_impl(key, value);
-        self.ep.span_end(sp, r.is_ok());
-        r
+        self.in_span("insert", key, |me| me.insert_impl(key, value), Result::is_ok)
     }
 
     fn search(&mut self, key: u64) -> Option<Vec<u8>> {
-        let sp = self.ep.span_begin("search", key);
-        let r = self.search_impl(key);
-        self.ep.span_end(sp, r.is_some());
-        r
+        self.in_span("search", key, |me| me.search_impl(key), Option::is_some)
     }
 
     fn update(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
-        let sp = self.ep.span_begin("update", key);
-        let r = self.update_impl(key, value);
-        self.ep.span_end(sp, matches!(r, Ok(true)));
-        r
+        self.in_span("update", key, |me| me.update_impl(key, value), |r| matches!(r, Ok(true)))
     }
 
     fn delete(&mut self, key: u64) -> Result<bool, IndexError> {
-        let sp = self.ep.span_begin("delete", key);
-        let r = self.delete_impl(key);
-        self.ep.span_end(sp, matches!(r, Ok(true)));
-        r
+        self.in_span("delete", key, |me| me.delete_impl(key), |r| matches!(r, Ok(true)))
     }
 
     fn scan(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        let sp = self.ep.span_begin("scan", start);
-        self.scan_impl(start, count, out);
-        self.ep.span_end(sp, true);
+        self.in_span("scan", start, |me| me.scan_impl(start, count, out), |_| true)
     }
 
     fn endpoint(&self) -> &Endpoint {

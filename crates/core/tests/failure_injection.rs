@@ -7,6 +7,8 @@
 //! must block in its retry loop while the state is torn and return the
 //! correct value once it heals — never a torn result.
 
+#![allow(clippy::disallowed_methods, reason = "the reader must spin on a real stall")]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 

@@ -24,6 +24,7 @@ proptest! {
     fn build_table_preserves_invariants(
         keys in proptest::collection::hash_set(1u64..u64::MAX, 1..40),
     ) {
+        #[allow(clippy::disallowed_methods, reason = "every insertion order must hold")]
         let items: Vec<(u64, Vec<u8>)> = keys.iter().map(|&k| (k, v(k))).collect();
         if let Some(w) = build_table(64, 8, 8, &items) {
             check_invariants(&w).unwrap();

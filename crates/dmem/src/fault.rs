@@ -315,10 +315,6 @@ impl FaultClient {
         }
     }
 
-    pub(crate) fn session(&self) -> &std::sync::Arc<FaultSession> {
-        &self.session
-    }
-
     pub(crate) fn client_id(&self) -> u32 {
         self.client
     }

@@ -56,4 +56,4 @@ pub use obs::{
     FlightKind, FlightRecorder, LatencyHist, OpProfile, Phase, RetryCause, TimeSeries, Tracer,
 };
 pub use stats::{ClientStats, Histogram};
-pub use verbs::{Endpoint, PhaseFrame, Telemetry};
+pub use verbs::{Endpoint, PhaseFrame, Span, Telemetry};

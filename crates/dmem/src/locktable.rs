@@ -98,7 +98,7 @@ impl LocalLockTable {
             if let Some(g) = self.try_acquire(raw) {
                 return g;
             }
-            ep.advance(LANE_POLL_NS);
+            ep.advance_clock(LANE_POLL_NS);
         }
     }
 

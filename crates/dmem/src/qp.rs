@@ -16,8 +16,7 @@
 //!   in-order completion rule of an RC QP, and exact batch-size /
 //!   CQ-depth statistics;
 //! * [`Qp::post_wqe`] / [`Qp::poll_wqe`] — the two-phase discipline: every
-//!   posted WQE handle must be polled before the issuing scope returns
-//!   (enforced repo-wide by the `cq-discipline` chime-lint rule);
+//!   posted WQE's [`WqeTicket`] is `#[must_use]` and consumed by its poll;
 //! * [`LaneHook`] — the thread-local seam the coroutine scheduler
 //!   (`crates/sched`) installs so that unmodified synchronous index code
 //!   parks at every verb boundary. Without a hook installed, every verb
@@ -59,8 +58,55 @@ impl Default for QpConfig {
 }
 
 /// A posted-but-unpolled WQE. Returned by [`Qp::post_wqe`]; must reach
-/// [`Qp::poll_wqe`] on every path before the issuing scope returns.
-#[derive(Debug, Clone, Copy)]
+/// [`Qp::poll_wqe`], which consumes it, so one completion is reaped once:
+///
+/// ```
+/// # use dmem::qp::{Qp, QpConfig};
+/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// let t = q.post_wqe(0, 0, 1, 64, 7);
+/// assert_eq!((q.outstanding_len(), t.trace), (1, 7));
+/// let done = t.completion_ns;
+/// assert_eq!(q.poll_wqe(t).completion_ns, done);
+/// assert_eq!(q.outstanding_len(), 0);
+/// ```
+///
+/// A ticket is polled once:
+///
+/// ```compile_fail,E0382
+/// # use dmem::qp::{Qp, QpConfig};
+/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// let t = q.post_wqe(0, 0, 1, 64, 0);
+/// q.poll_wqe(t);
+/// q.poll_wqe(t); // a second poll of the same ticket
+/// ```
+///
+/// cannot be copied to poll it twice:
+///
+/// ```compile_fail,E0599
+/// # use dmem::qp::{Qp, QpConfig};
+/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// let t = q.post_wqe(0, 0, 1, 64, 0);
+/// q.poll_wqe(t.clone());
+/// q.poll_wqe(t);
+/// ```
+///
+/// is never dropped unpolled without a warning:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// # use dmem::qp::{Qp, QpConfig};
+/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// q.post_wqe(0, 0, 1, 64, 0);
+/// ```
+///
+/// and is only made by [`Qp::post_wqe`], so a poll reaps a real completion:
+///
+/// ```compile_fail,E0063
+/// # use dmem::qp::{Qp, QpConfig};
+/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// q.poll_wqe(dmem::WqeTicket { completion_ns: 0, trace: 0 });
+/// ```
+#[derive(Debug)]
 #[must_use = "reap the completion with Qp::poll_wqe"]
 pub struct WqeTicket {
     /// Virtual timestamp at which the CQE for this WQE is delivered.
@@ -68,13 +114,6 @@ pub struct WqeTicket {
     /// Causal trace id of the operation that posted this WQE (0 = untraced).
     pub trace: u64,
     outcome: WqeOutcome,
-}
-
-impl WqeTicket {
-    /// The completion timestamp the scheduler orders lanes by.
-    pub fn completion(&self) -> u64 {
-        self.completion_ns
-    }
 }
 
 /// The accounting outcome of one completed WQE (or doorbell batch member).
@@ -245,8 +284,7 @@ struct Chan {
 /// Posting is two-phase: [`Qp::post_wqe`] computes the completion timestamp
 /// (ringing or riding a doorbell) and registers the WQE as outstanding;
 /// [`Qp::poll_wqe`] reaps it. The split exists so the coroutine scheduler
-/// can park a lane between post and poll, and so the `cq-discipline` lint
-/// has a concrete protocol to police.
+/// can park a lane between post and poll.
 #[derive(Debug)]
 pub struct Qp {
     cfg: QpConfig,
@@ -573,6 +611,19 @@ mod tests {
         let t3 = q.post_wqe(1_000_000, 0, 1, 64, 0);
         let _ = q.poll_wqe(t3);
         assert_eq!(q.stats().depth_hist.quantile(0.01), 1);
+    }
+
+    #[test]
+    fn a_poll_reaps_only_its_own_completion() {
+        let mut q = qp();
+        let t1 = q.post_wqe(0, 0, 1, 64, 1);
+        let t2 = q.post_wqe(10, 1, 1, 64, 2);
+        assert_eq!(q.outstanding_len(), 2);
+        let done2 = t2.completion_ns;
+        assert_eq!(q.poll_wqe(t2).completion_ns, done2);
+        assert_eq!(q.outstanding_len(), 1, "t1 is still in flight");
+        let _ = q.poll_wqe(t1);
+        assert_eq!(q.outstanding_len(), 0);
     }
 
     #[test]

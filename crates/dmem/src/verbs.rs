@@ -33,16 +33,109 @@ pub struct Telemetry {
 
 /// An open phase attribution frame returned by [`Endpoint::phase_begin`].
 ///
-/// Closing it with [`Endpoint::phase_end`] restores the previously active
-/// phase, so phases nest like a stack but tolerate a leaked frame (the next
-/// `phase_end` still restores *its* saved predecessor).
-#[derive(Debug, Clone, Copy)]
+/// Closing it with [`Endpoint::phase_end`], which consumes it, restores the
+/// previously active phase, so phases nest like a stack:
+///
+/// ```
+/// use dmem::Phase;
+/// let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// let outer = ep.phase_begin(Phase::Traversal);
+/// let inner = ep.phase_begin(Phase::LeafRead);
+/// assert_eq!(ep.current_phase(), Phase::LeafRead);
+/// ep.phase_end(inner);
+/// assert_eq!(ep.current_phase(), Phase::Traversal);
+/// ep.phase_end(outer);
+/// assert_eq!(ep.current_phase(), Phase::Other);
+/// ```
+///
+/// A frame closes once:
+///
+/// ```compile_fail,E0382
+/// # let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// let frame = ep.phase_begin(dmem::Phase::Traversal);
+/// ep.phase_end(frame);
+/// ep.phase_end(frame); // a second close of the same frame
+/// ```
+///
+/// cannot be copied to close it twice:
+///
+/// ```compile_fail,E0599
+/// # let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// let frame = ep.phase_begin(dmem::Phase::Traversal);
+/// ep.phase_end(frame.clone());
+/// ep.phase_end(frame);
+/// ```
+///
+/// is never dropped unclosed without a warning:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// # let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// ep.phase_begin(dmem::Phase::Traversal);
+/// ```
+///
+/// and is only made by [`Endpoint::phase_begin`]:
+///
+/// ```compile_fail,E0451
+/// let frame = dmem::PhaseFrame { phase: dmem::Phase::Other, prev: dmem::Phase::Other, t0_ns: 0 };
+/// ```
+#[derive(Debug)]
 #[must_use = "close the frame with Endpoint::phase_end"]
 pub struct PhaseFrame {
     phase: Phase,
     prev: Phase,
     t0_ns: u64,
 }
+
+/// An open operation span returned by [`Endpoint::span_begin`]; only
+/// [`Endpoint::span_end`], which consumes it, closes it. Spans nest; the
+/// outermost one is the operation:
+///
+/// ```
+/// let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// let op = ep.span_begin("update", 7);
+/// let lookup = ep.span_begin("search", 7);
+/// ep.span_end(lookup, true);
+/// assert_eq!(ep.telemetry().series.total_ops(), 0, "the operation is still open");
+/// ep.span_end(op, false);
+/// assert_eq!(ep.telemetry().series.total_ops(), 1);
+/// ```
+///
+/// A span ends once:
+///
+/// ```compile_fail,E0382
+/// # let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// let span = ep.span_begin("search", 7);
+/// ep.span_end(span, true);
+/// ep.span_end(span, true); // a second end of the same span
+/// ```
+///
+/// cannot be copied to end it twice:
+///
+/// ```compile_fail,E0599
+/// # let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// let span = ep.span_begin("search", 7);
+/// ep.span_end(span.clone(), true);
+/// ep.span_end(span, true);
+/// ```
+///
+/// is never dropped unended without a warning:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// # let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// ep.span_begin("search", 7);
+/// ```
+///
+/// and is only made by [`Endpoint::span_begin`]:
+///
+/// ```compile_fail,E0423
+/// # let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// ep.span_end(dmem::Span(0), true);
+/// ```
+#[derive(Debug)]
+#[must_use = "close the span with Endpoint::span_end"]
+pub struct Span(u64); // the tracer's span id, 0 without a tracer
 
 /// A client-side verb endpoint with its own virtual clock and counters.
 pub struct Endpoint {
@@ -109,31 +202,23 @@ impl Endpoint {
         self.tracer.take().map(|t| *t)
     }
 
-    /// Opens an operation span (0 without a tracer). The outermost span of
-    /// a nest marks an operation boundary for the always-on telemetry: the
-    /// flight recorder logs the begin and the time series counts the
-    /// completion, tracer or not.
-    pub fn span_begin(&mut self, op: &'static str, key: u64) -> u64 {
+    /// Opens an operation span. The outermost span of a nest marks an
+    /// operation boundary for the always-on telemetry: the flight recorder
+    /// logs the begin and the time series counts the completion, tracer or
+    /// not.
+    pub fn span_begin(&mut self, op: &'static str, key: u64) -> Span {
         let now = self.clock_ns;
         if self.span_depth == 0 {
             self.op_t0 = now;
-            self.telem.flight.push(
-                now,
-                FlightKind::OpBegin {
-                    op,
-                    key,
-                    trace: self.trace_id,
-                },
-            );
+            let trace = self.trace_id;
+            self.telem.flight.push(now, FlightKind::OpBegin { op, key, trace });
         }
         self.span_depth += 1;
-        self.tracer
-            .as_mut()
-            .map_or(0, |t| t.begin_span(op, key, now))
+        Span(self.tracer.as_mut().map_or(0, |t| t.begin_span(op, key, now)))
     }
 
     /// Closes an operation span opened with [`Endpoint::span_begin`].
-    pub fn span_end(&mut self, span: u64, ok: bool) {
+    pub fn span_end(&mut self, Span(span): Span, ok: bool) {
         let now = self.clock_ns;
         if let Some(t) = self.tracer.as_mut() {
             if span != 0 {
@@ -152,8 +237,20 @@ impl Endpoint {
 
     /// Sets the causal trace id stamped on subsequent ops, tracer events
     /// and WQEs. Minted once per operation at the serve/bench entry point
-    /// and carried through every layer; 0 means untraced.
+    /// and carried through every layer, never inside an open span; 0 means
+    /// untraced.
+    ///
+    /// ```
+    /// let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+    /// for id in 1..=2 {
+    ///     ep.set_trace_id(id); // between operations, not inside one
+    ///     let op = ep.span_begin("search", 7);
+    ///     assert_eq!(ep.trace_id(), id);
+    ///     ep.span_end(op, true);
+    /// }
+    /// ```
     pub fn set_trace_id(&mut self, id: u64) {
+        debug_assert!(self.span_depth == 0, "trace id minted inside an open span");
         self.trace_id = id;
         if let Some(t) = self.tracer.as_mut() {
             t.set_trace(id);
@@ -232,11 +329,6 @@ impl Endpoint {
         }
     }
 
-    /// Returns the fault session, if this endpoint is fault-injected.
-    pub fn fault_session(&self) -> Option<&Arc<FaultSession>> {
-        self.fault.as_ref().map(|f| f.session())
-    }
-
     /// Returns this endpoint's client id in the fault session (0 if none).
     pub fn client_id(&self) -> u32 {
         self.fault.as_ref().map_or(0, |f| f.client_id())
@@ -282,17 +374,18 @@ impl Endpoint {
                 t.fault(self.clock_ns, action, label.clone());
             }
         }
-        self.advance(faults.delay_ns);
+        self.advance_clock(faults.delay_ns);
         faults
     }
 
-    /// Advances the virtual clock, attributing the time to the active phase.
+    /// Advances the virtual clock without network traffic (backoff, injected
+    /// delays, allocation RPCs), attributing the time to the active phase.
     ///
     /// When a coroutine lane hook is installed on this thread, the advance
-    /// first parks at the scheduler as a timer event so verb-free waits
-    /// (backoff, injected delays, allocation RPCs) interleave with other
-    /// lanes' completions in deterministic global order.
-    pub(crate) fn advance(&mut self, dt: u64) {
+    /// first parks at the scheduler as a timer event so these verb-free
+    /// waits interleave with other lanes' completions in deterministic
+    /// global order.
+    pub fn advance_clock(&mut self, dt: u64) {
         if dt > 0 {
             qp::hook_timer(self.clock_ns, dt);
         }
@@ -301,7 +394,6 @@ impl Endpoint {
         self.prof.add_time(self.phase, dt);
         self.telem.series.add_time(t0, dt, self.phase);
     }
-
 
     /// Returns the pool this endpoint is attached to.
     pub fn pool(&self) -> &Arc<Pool> {
@@ -364,12 +456,6 @@ impl Endpoint {
             .push(self.clock_ns, FlightKind::Retry { cause: cause.as_str() });
     }
 
-    /// Advances the virtual clock without network traffic (used by backoff:
-    /// the client spends time, not round-trips).
-    pub fn advance_clock(&mut self, ns: u64) {
-        self.advance(ns);
-    }
-
     /// Charges client counters and the virtual clock; returns wire bytes.
     ///
     /// Serial clients (no lane hook) complete each verb inline at exactly
@@ -400,7 +486,7 @@ impl Endpoint {
             self.telem.series.add_verb(t0, msgs, out.rtts, wire);
         } else {
             self.stats.rtts += rtts;
-            self.advance(net.verb_latency_ns(msgs, wire));
+            self.advance_clock(net.verb_latency_ns(msgs, wire));
             self.prof.add_verb(self.phase, msgs, rtts, wire);
             self.telem.series.add_verb(t0, msgs, rtts, wire);
         }
@@ -510,6 +596,7 @@ impl Endpoint {
 
     /// RDMA masked compare-and-swap (ConnectX extended atomic): the
     /// zero-read case of [`Endpoint::masked_cas_read`].
+    #[allow(clippy::disallowed_methods, reason = "the verb's own zero-read case")]
     pub fn masked_cas(
         &mut self,
         addr: GlobalAddr,
@@ -630,7 +717,7 @@ impl Endpoint {
         self.stats.wire_bytes += wire;
         let t0a = self.clock_ns;
         let dt = self.pool.net().alloc_rpc_ns;
-        self.advance(dt);
+        self.advance_clock(dt);
         self.prof.add_verb(self.phase, 2, 1, wire);
         self.telem.series.add_verb(t0a, 2, 1, wire);
         self.pool.mn(mn).note_traffic(2, wire);
@@ -641,6 +728,7 @@ impl Endpoint {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods, reason = "the masked-CAS verbs' own tests")]
     use super::*;
     use crate::node::RESERVED_BYTES;
 
@@ -888,6 +976,64 @@ mod tests {
         assert_eq!(spans[0].phase_ns.len(), 2);
         assert_eq!(spans[0].phase_ns[0].0, "leaf_read");
         assert_eq!(spans[0].phase_ns[1].0, "traversal");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "trace id minted inside an open span")]
+    fn trace_id_is_never_minted_inside_an_open_span() {
+        let mut e = ep();
+        e.set_trace_id(1);
+        let _sp = e.span_begin("search", 1);
+        e.set_trace_id(2);
+    }
+
+    #[test]
+    fn only_the_outermost_span_is_logged_as_an_operation() {
+        let mut e = ep();
+        e.set_trace_id(5);
+        let op = e.span_begin("update", 3);
+        let inner = e.span_begin("search", 3);
+        e.advance_clock(40);
+        e.span_end(inner, false);
+        e.span_end(op, true);
+        let log: Vec<_> = e.telemetry().flight.events().map(|ev| ev.kind.clone()).collect();
+        assert_eq!(
+            log,
+            [
+                FlightKind::OpBegin { op: "update", key: 3, trace: 5 },
+                FlightKind::OpEnd { ok: true, dur_ns: 40 },
+            ]
+        );
+    }
+
+    #[test]
+    fn each_span_token_closes_its_own_tracer_span() {
+        let mut e = ep();
+        e.set_tracer(obs::Tracer::new(0, 64));
+        let op = e.span_begin("update", 3);
+        e.advance_clock(10);
+        let inner = e.span_begin("search", 4);
+        e.advance_clock(5);
+        e.span_end(inner, false);
+        e.advance_clock(1);
+        e.span_end(op, true);
+        let got: Vec<_> = e.tracer().unwrap().spans().iter().map(|s| (s.op, s.key, s.ok, s.start_ns, s.end_ns)).collect();
+        assert_eq!(got, [("update", 3, true, 0, 16), ("search", 4, false, 10, 15)]);
+    }
+
+    #[test]
+    fn advance_clock_charges_time_to_the_active_phase_without_traffic() {
+        use obs::Phase;
+        let mut e = ep();
+        let fr = e.phase_begin(Phase::Traversal);
+        e.advance_clock(300);
+        e.phase_end(fr);
+        e.advance_clock(20);
+        assert_eq!(e.clock_ns(), 320);
+        assert_eq!(e.profile().phase(Phase::Traversal).ns, 300);
+        assert_eq!(e.profile().phase(Phase::Other).ns, 20);
+        assert_eq!((e.stats().rtts, e.stats().msgs, e.stats().wire_bytes), (0, 0, 0));
     }
 
     #[test]

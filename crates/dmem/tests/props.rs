@@ -70,6 +70,7 @@ proptest! {
         let mut ep = Endpoint::new(pool);
         let addr = GlobalAddr::new(0, RESERVED_BYTES);
         ep.write(addr, &initial.to_le_bytes());
+        #[allow(clippy::disallowed_methods, reason = "the verb's own algebra")]
         let old = ep.masked_cas(addr, compare, cmask, swap, smask);
         prop_assert_eq!(old, initial);
         let mut b = [0u8; 8];

@@ -137,18 +137,32 @@ impl Journal {
     }
 }
 
-/// Publishes the routing-table change of a switched migration. The caller
-/// holds `part_lock` (checked); the `route_epoch` bump, the home-word
+/// Proof that the control endpoint holds `part_lock`, which
+/// `publish_routing` takes. Its field is private to this module, where
+/// only the winning CAS of [`migrate`] and [`recover`]'s takeover of a lock
+/// a crashed migrator left held construct it.
+///
+/// ```compile_fail,E0423
+/// let forged = part::migrate::PartLockHeld(());
+/// ```
+///
+/// Nor can a holder duplicate it past the lock's release:
+///
+/// ```compile_fail,E0599
+/// fn keep(held: &part::migrate::PartLockHeld) -> part::migrate::PartLockHeld {
+///     held.clone()
+/// }
+/// ```
+pub struct PartLockHeld(());
+
+/// Publishes the routing-table change of a switched migration under
+/// `part_lock` (checked as well): the `route_epoch` bump, the home-word
 /// rewrite and the journal clear all happen under it, so a CN that sees
 /// the new epoch always reads the new home word.
-fn publish_routing(ctl: &mut Endpoint, part: usize, target: u16) {
+fn publish_routing(ctl: &mut Endpoint, _held: &PartLockHeld, part: usize, target: u16) {
     let mut lock = [0u8; 8];
     ctl.read(layout::part_lock_addr(), &mut lock);
-    assert_eq!(
-        u64::from_le_bytes(lock),
-        1,
-        "routing published without part_lock held"
-    );
+    assert_eq!(u64::from_le_bytes(lock), 1, "routing published without part_lock held");
     ctl.write(layout::home_addr(part), &(target as u64).to_le_bytes());
     ctl.faa(layout::route_epoch_addr(), 1);
     Journal::clear(ctl);
@@ -188,9 +202,9 @@ pub fn migrate(
     src: &mut ChimeClient,
 ) -> Result<MigrationReport, MigrateError> {
     let prev = ctl.cas(layout::part_lock_addr(), 0, 1);
-    if prev != 0 {
+    let Some(held) = (prev == 0).then_some(PartLockHeld(())) else {
         return Err(MigrateError::Busy);
-    }
+    };
     ctl.crash_point(CRASH_MIGRATE_LOCKED);
     note_step(ctl, src, &format!("migrate.locked part={part} dst={target}"));
     let old_root = src.current_root();
@@ -224,7 +238,7 @@ pub fn migrate(
     let live = ctl.cas(layout::tree_slot_addr(part), old_root.raw(), new_root.raw());
     assert_eq!(live, old_root.raw(), "live root changed under part_lock");
     ctl.crash_point(CRASH_MIGRATE_SWITCHED);
-    publish_routing(ctl, part, target);
+    publish_routing(ctl, &held, part, target);
     note_step(ctl, src, &format!("migrate.published part={part} dst={target}"));
     ctl.crash_point(CRASH_MIGRATE_DONE);
     ctl.write(layout::part_lock_addr(), &0u64.to_le_bytes());
@@ -256,6 +270,8 @@ pub fn recover(
     if u64::from_le_bytes(word) == 0 {
         return RecoveryOutcome::Clean;
     }
+    // A crashed migrator left `part_lock` held: recovery takes it over.
+    let held = PartLockHeld(());
     let j = Journal::read(ctl);
     if j.valid == 0 {
         // Crash at the lock step or after publish: nothing (left) to redo.
@@ -288,14 +304,14 @@ pub fn recover(
         let new_root = dst.current_root();
         let prev = ctl.cas(layout::tree_slot_addr(part), old_root.raw(), new_root.raw());
         assert_eq!(prev, old_root.raw(), "live root changed under part_lock");
-        publish_routing(ctl, part, target);
+        publish_routing(ctl, &held, part, target);
         ctl.write(layout::part_lock_addr(), &0u64.to_le_bytes());
         src.sync_clock_to(dst.clock_ns().max(ctl.clock_ns()));
         return RecoveryOutcome::RolledForward;
     }
     // Switched but not published: the new tree is live; finish the
     // routing publish.
-    publish_routing(ctl, part, target);
+    publish_routing(ctl, &held, part, target);
     ctl.write(layout::part_lock_addr(), &0u64.to_le_bytes());
     RecoveryOutcome::Finished
 }

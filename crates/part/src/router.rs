@@ -152,9 +152,9 @@ impl Cluster {
             .collect();
         let mut ctl = Endpoint::new(Arc::clone(pool));
         // Table contents first (lock word, journal, homes), the epoch word
-        // last: the epoch is the publish point, so nothing may observe a
-        // live epoch over unwritten home words — the same discipline
-        // `publish_routing` follows under `part_lock`.
+        // last, as `publish_routing` does under `part_lock`: nothing may
+        // observe a live epoch over unwritten home words. No CN exists yet,
+        // so this bootstrap write needs no lock.
         ctl.write(layout::part_lock_addr(), &0u64.to_le_bytes());
         ctl.write(layout::journal_addr(), &[0u8; 32]);
         ctl.write(layout::scratch_addr(), &0u64.to_le_bytes());
@@ -299,44 +299,39 @@ impl RouterClient {
             return;
         }
         let mut word = [0u8; 8];
-        self.client
-            .read_raw(layout::route_epoch_addr(), &mut word, Phase::Route);
+        self.client.read_raw(layout::route_epoch_addr(), &mut word, Phase::Route);
         let remote = u64::from_le_bytes(word);
         if remote == self.epoch {
             return;
         }
-        self.cluster
-            .stats
-            .route_stale_epoch
-            .fetch_add(1, Ordering::Relaxed);
-        self.refresh_homes(remote);
-    }
-
-    fn refresh_homes(&mut self, epoch: u64) {
-        let parts = self.cluster.cfg.parts;
-        let mut buf = vec![0u8; parts * 8];
-        self.client
-            .read_raw(layout::home_addr(0), &mut buf, Phase::Route);
+        self.cluster.stats.route_stale_epoch.fetch_add(1, Ordering::Relaxed);
+        let mut buf = vec![0u8; self.cluster.cfg.parts * 8];
+        self.client.read_raw(layout::home_addr(0), &mut buf, Phase::Route);
         for (p, w) in buf.chunks_exact(8).enumerate() {
             self.homes[p] = u64::from_le_bytes(w.try_into().unwrap()) as u16;
         }
-        self.epoch = epoch;
-        self.cluster
-            .stats
-            .route_refreshes
-            .fetch_add(1, Ordering::Relaxed);
+        self.epoch = remote;
+        self.cluster.stats.route_refreshes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one routed operation on the partition of `key`, refreshing
+    /// the routing table when due; returns the partition.
+    fn route(&mut self, key: u64) -> usize {
+        self.ops += 1;
+        self.maybe_refresh();
+        let p = self.cluster.map.lookup(key);
+        let stats = &self.cluster.stats;
+        stats.route_hits.fetch_add(1, Ordering::Relaxed);
+        stats.part_ops[p].fetch_add(1, Ordering::Relaxed);
+        stats.window_ops[p].fetch_add(1, Ordering::Relaxed);
+        p
     }
 
     /// Routes one point operation: resolve key → partition, account the
     /// hit, mount the partition's binding, run, then (rebalancer only)
     /// evaluate the migration policy.
     fn routed<R>(&mut self, key: u64, f: impl FnOnce(&mut ChimeClient) -> R) -> R {
-        self.ops += 1;
-        self.maybe_refresh();
-        let p = self.cluster.map.lookup(key);
-        self.cluster.stats.route_hits.fetch_add(1, Ordering::Relaxed);
-        self.cluster.stats.part_ops[p].fetch_add(1, Ordering::Relaxed);
-        self.cluster.stats.window_ops[p].fetch_add(1, Ordering::Relaxed);
+        let p = self.route(key);
         self.mount(p);
         let r = f(&mut self.client);
         if self.ctl.is_some() {
@@ -431,12 +426,7 @@ impl RouterClient {
     /// Scans forward across partition boundaries: partitions are ranges,
     /// so the per-tree scans concatenate in key order.
     fn scan_routed(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        self.ops += 1;
-        self.maybe_refresh();
-        let mut p = self.cluster.map.lookup(start);
-        self.cluster.stats.route_hits.fetch_add(1, Ordering::Relaxed);
-        self.cluster.stats.part_ops[p].fetch_add(1, Ordering::Relaxed);
-        self.cluster.stats.window_ops[p].fetch_add(1, Ordering::Relaxed);
+        let mut p = self.route(start);
         let mut from = start;
         loop {
             self.mount(p);

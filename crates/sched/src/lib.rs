@@ -132,13 +132,12 @@ impl Sched {
     /// for, then picks who runs next — the next unstarted lane unless a
     /// [`LaneGate`] is held, else the earliest pending completion (lane
     /// index breaks ties; a gate owner goes before everyone) — and reaps
-    /// that completion. `None`: every lane has finished. Post and poll stay
-    /// together here so `cq-discipline` sees the pair: no `return`/`?` below.
+    /// that completion. `None`: every lane has finished.
     fn step(&mut self, from: Option<(usize, Yield)>) -> Option<(usize, Resume)> {
         match from {
             Some((lane, Yield::Verb(now_ns, mn, msgs, wire_bytes, trace))) => {
                 let ticket = self.qp.post_wqe(now_ns, mn, msgs, wire_bytes, trace);
-                self.pending[lane] = Some((ticket.completion(), Some(ticket)));
+                self.pending[lane] = Some((ticket.completion_ns, Some(ticket)));
                 if let Some(g) = &self.gauge {
                     g.publish(self.qp.outstanding_len());
                 }

@@ -1,6 +1,8 @@
 //! Shared by the engine suites: a watchdog so a lost wake-up fails the
 //! test instead of hanging `cargo test`.
 
+#![allow(clippy::disallowed_methods, reason = "the watchdog bounds real time by design")]
+
 use std::thread;
 use std::time::{Duration, Instant};
 

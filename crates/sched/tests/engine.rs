@@ -121,6 +121,34 @@ fn a_dead_lane_does_not_poison_the_others() {
 }
 
 #[test]
+fn every_posted_wqe_is_reaped_by_the_end_of_a_run() {
+    // Lanes of different lengths, one of which also waits on a timer: the
+    // scheduler polls every ticket it posts, so the CQ drains to empty.
+    let pool = Pool::with_defaults(1, 1 << 20);
+    let engine = Engine::new(EngineConfig {
+        lanes: 3,
+        qp: QpConfig::default(),
+    });
+    let mut bodies: Vec<LaneBody<(u64, u64)>> = vec![reader(Arc::clone(&pool), 3), reader(Arc::clone(&pool), OPS)];
+    let p = Arc::clone(&pool);
+    bodies.push(Box::new(move || {
+        let mut ep = Endpoint::new(p);
+        ep.advance_clock(5_000);
+        let mut buf = [0u8; 8];
+        ep.read(GlobalAddr::new(0, RESERVED_BYTES), &mut buf);
+        (ep.clock_ns(), ep.stats().rtts)
+    }));
+    let gauge = sched::CqDepthGauge::new();
+    let g = Arc::clone(&gauge);
+    let net = *pool.net();
+    let run = watchdog(move || engine.run_client_observed(net, 1, bodies, g));
+    assert_eq!(run.qp.posted, 3 + OPS as u64 + 1);
+    assert!(run.qp.depth_hist.max() >= 2, "completions overlapped");
+    assert_eq!(gauge.depth(), 0, "nothing left in the CQ");
+    assert_eq!(run.into_results().len(), 3);
+}
+
+#[test]
 fn lanes_progress_in_completion_order() {
     // Two lanes on different MNs: no doorbell sharing, but strict
     // earliest-completion scheduling still interleaves them 1:1.
@@ -167,6 +195,7 @@ fn a_masked_cas_with_reads_is_one_doorbell() {
             let node = GlobalAddr::new(0, RESERVED_BYTES + lane * 512);
             let (mut a, mut b) = ([0u8; 64], [0u8; 32]);
             let reads = &mut [(node, &mut a[..]), (node.add(256), &mut b[..])];
+            #[allow(clippy::disallowed_methods, reason = "tests the verb's doorbell")]
             let old = ep.masked_cas_read(node.add(448), 0, 1, 1, 1, reads);
             assert_eq!(old & 1, 0, "lane {lane} won its lock");
             (ep.stats().rtts, ep.stats().msgs)

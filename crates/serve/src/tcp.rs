@@ -6,7 +6,7 @@
 //! [`crate::admission`] code; all this adds is `TcpListener` plumbing and
 //! a thread per connection. It is **not** part of the deterministic
 //! surface — nothing here feeds metrics JSON, bench reports or traces —
-//! so wall-clock reads below carry explicit lint waivers.
+//! so its wall-clock reads are explicitly allowed past clippy.
 //!
 //! Backpressure in this mode is admission-only: the serial (hook-free)
 //! endpoint completes every verb inline, so there is no CQ depth to
@@ -131,7 +131,7 @@ impl Server {
                         }));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        // chime-lint: allow(determinism): accept-loop poll interval on the wall-clock transport, outside the deterministic surface
+                        #[allow(clippy::disallowed_methods, reason = "wall-clock transport poll")]
                         thread::sleep(Duration::from_millis(1));
                     }
                     Err(_) => break,
@@ -247,7 +247,7 @@ pub fn run_load(
     seed: u64,
     key_range: u64,
 ) -> std::io::Result<LoadReport> {
-    // chime-lint: allow(determinism): load generator measures real elapsed time by design
+    #[allow(clippy::disallowed_methods, reason = "the load generator measures real time")]
     let t0 = std::time::Instant::now();
     let mut handles = Vec::new();
     for c in 0..conns {

@@ -12,6 +12,7 @@
 //! write back only the changed region plus the header (Sherman's
 //! fine-grained write optimization); updates write a single entry.
 
+use chime::lockword;
 use dmem::hash::home_entry;
 use dmem::versioned::{bump, ev, pack_ver, Fetched, Layout};
 use dmem::{Endpoint, GlobalAddr};
@@ -215,23 +216,14 @@ impl ShermanLeafOps {
         out.into_iter().map(|s| s.unwrap()).collect()
     }
 
-    /// Acquires the leaf lock.
+    /// Acquires the leaf lock with [`chime::lockword::acquire`].
     ///
-    /// Retries back off with the seeded [`chime::backoff::Backoff`]
-    /// (paper-faithful spinning convoys under contention and was flagged
-    /// by `chime-lint`'s lock-discipline rule; the backoff only charges
-    /// the virtual clock on an actual retry, so uncontended acquisitions
-    /// are byte-identical to the bare loop).
+    /// Its retries back off with seeded jitter where the paper spins, which
+    /// convoys under contention; the backoff only charges the virtual clock
+    /// on an actual retry, so uncontended acquisitions are byte-identical
+    /// to the bare loop.
     pub fn lock(&self, ep: &mut Endpoint, addr: GlobalAddr) {
-        let lock_addr = addr.add(self.layout.lock_off() as u64);
-        let mut backoff = chime::backoff::Backoff::new(ep.client_id() as u64 ^ lock_addr.raw());
-        loop {
-            if ep.masked_cas(lock_addr, 0, 1, 1, 1) & 1 == 0 {
-                return;
-            }
-            assert!(backoff.attempts() < 10_000_000, "sherman lock livelock");
-            backoff.wait(ep);
-        }
+        let _held = lockword::acquire(ep, addr.add(self.layout.lock_off() as u64), 0);
     }
 
     /// Releases the leaf lock with a plain WRITE.
@@ -509,7 +501,33 @@ mod tests {
         ops.write_full(&mut ep, addr, 0, &[], &[], GlobalAddr::NULL, (0, u64::MAX), false);
         ops.lock(&mut ep, addr);
         let lock_addr = addr.add(ops.layout.lock_off() as u64);
-        assert_eq!(ep.masked_cas(lock_addr, 0, 1, 1, 1) & 1, 1);
+        assert_eq!(lockword::try_acquire(&mut ep, lock_addr, 0, &mut []) & 1, 1);
         ops.unlock(&mut ep, addr);
+    }
+
+    #[test]
+    fn uncontended_lock_is_one_atomic_without_backoff() {
+        let (mut ep, ops, addr) = setup();
+        let (before, clock) = (ep.stats().clone(), ep.clock_ns());
+        ops.lock(&mut ep, addr);
+        let d = ep.stats().since(&before);
+        assert_eq!((d.rtts, d.atomics, d.lock_retries), (1, 1, 0));
+        assert_eq!(ep.clock_ns() - clock, ep.pool().net().verb_latency_ns(1, d.wire_bytes));
+    }
+
+    #[test]
+    fn lock_counts_each_conflict_as_a_lock_retry() {
+        // The first two masked CASes report the lock held.
+        let mut plan = dmem::FaultPlan::seeded(1);
+        let mut rule = dmem::FaultRule::always("held", Some(dmem::VerbKind::MaskedCas), dmem::FaultAction::FailCas);
+        rule.max_fires = 2;
+        plan.rules.push(rule);
+        let session = std::sync::Arc::new(dmem::FaultSession::new(plan));
+        let (ep, ops, addr) = setup();
+        let mut ep = Endpoint::with_faults(std::sync::Arc::clone(ep.pool()), session, 0);
+        ops.lock(&mut ep, addr);
+        assert_eq!((ep.stats().lock_retries, ep.stats().atomics), (2, 3));
+        let lock_addr = addr.add(ops.layout.lock_off() as u64);
+        assert_eq!(lockword::try_acquire(&mut ep, lock_addr, 0, &mut []) & 1, 1, "held");
     }
 }

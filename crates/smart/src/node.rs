@@ -12,9 +12,12 @@
 //! large values can be updated in place under the leaf lock while readers
 //! validate EVs; 8-byte values are updated with one atomic-width WRITE.
 
+use chime::lockword;
 use dmem::versioned::{bump, pack_ver, Layout};
 use dmem::{Endpoint, GlobalAddr};
 
+/// The obsolete bit of a node's lock word, beside the lock bit.
+const OBSOLETE: u64 = 0b10;
 /// Tag bit marking a leaf pointer.
 const LEAF_TAG: u64 = 1 << 63;
 const TYPE_SHIFT: u32 = 61;
@@ -254,14 +257,7 @@ impl ArtOps {
             return;
         }
         let lock_addr = addr.add(l.lock_offset() as u64);
-        // Seeded backoff instead of the paper's bare spin: only charges
-        // the virtual clock on an actual retry, so uncontended runs stay
-        // byte-identical while contended retries stop convoying.
-        let mut backoff = chime::backoff::Backoff::new(ep.client_id() as u64 ^ lock_addr.raw());
-        while ep.masked_cas(lock_addr, 0, 1, 1, 1) & 1 != 0 {
-            assert!(backoff.attempts() < 10_000_000, "leaf lock livelock");
-            backoff.wait(ep);
-        }
+        let _held = lockword::acquire(ep, lock_addr, 0);
         let f = l.fetch(ep, addr, 0, 9 + self.value_size);
         let old_ev = dmem::versioned::ev(f.get(0));
         let e = bump(old_ev);
@@ -332,7 +328,7 @@ impl ArtOps {
             ty,
             prefix,
             children,
-            obsolete: lock & 0b10 != 0,
+            obsolete: lock & OBSOLETE != 0,
         }
     }
 
@@ -375,23 +371,7 @@ impl ArtOps {
     /// Returns `false` when the node is obsolete (caller restarts from the
     /// root).
     pub fn lock_node(&self, ep: &mut Endpoint, addr: GlobalAddr, ty: NodeType) -> bool {
-        let lock_addr = addr.add(ty.lock_off() as u64);
-        // Seeded backoff instead of the paper's bare spin: only charges
-        // the virtual clock on an actual retry, so uncontended runs stay
-        // byte-identical while contended retries stop convoying.
-        let mut backoff = chime::backoff::Backoff::new(ep.client_id() as u64 ^ lock_addr.raw());
-        loop {
-            // chime-lint: allow(verb-protocol, mask-consistency): SMART's lock word packs lock (bit 0) and obsolete (bit 1); the 2-bit cmask is its documented protocol — see the mask-consistency rule's `smart-lock-obsolete` allowlist entry.
-            let old = ep.masked_cas(lock_addr, 0, 0b11, 1, 1);
-            if old & 0b10 != 0 {
-                return false;
-            }
-            if old & 1 == 0 {
-                return true;
-            }
-            assert!(backoff.attempts() < 10_000_000, "art node lock livelock");
-            backoff.wait(ep);
-        }
+        lockword::acquire(ep, addr.add(ty.lock_off() as u64), OBSOLETE).is_some()
     }
 
     /// Releases the node lock.
@@ -401,7 +381,7 @@ impl ArtOps {
 
     /// Marks a locked node obsolete and releases the lock.
     pub fn retire_node(&self, ep: &mut Endpoint, addr: GlobalAddr, ty: NodeType) {
-        ep.write(addr.add(ty.lock_off() as u64), &0b10u64.to_le_bytes());
+        ep.write(addr.add(ty.lock_off() as u64), &OBSOLETE.to_le_bytes());
     }
 
     /// Writes child `byte -> raw` into a locked, non-full node.
@@ -745,6 +725,53 @@ mod tests {
         assert!(!ops.lock_node(&mut ep, addr, NodeType::N4));
         let n = ops.read_node(&mut ep, addr, NodeType::N4);
         assert!(n.obsolete);
+    }
+
+    #[test]
+    fn an_obsolete_node_is_abandoned_even_while_locked() {
+        // A retirer's write may land while another waiter still sees the
+        // lock held: the waiter restarts instead of waiting.
+        let (mut ep, ops) = setup();
+        let addr = GlobalAddr::new(0, RESERVED_BYTES);
+        ops.write_node(&mut ep, addr, NodeType::N4, &[], &[]);
+        ep.write(addr.add(NodeType::N4.lock_off() as u64), &(OBSOLETE | 1).to_le_bytes());
+        assert!(!ops.lock_node(&mut ep, addr, NodeType::N4));
+        assert_eq!(ep.stats().lock_retries, 0);
+    }
+
+    /// An endpoint on a fresh pool whose first `n` masked CASes report the
+    /// lock held.
+    fn contended(n: u64) -> Endpoint {
+        let mut plan = dmem::FaultPlan::seeded(1);
+        let mut rule = dmem::FaultRule::always("held", Some(dmem::VerbKind::MaskedCas), dmem::FaultAction::FailCas);
+        rule.max_fires = n;
+        plan.rules.push(rule);
+        let session = std::sync::Arc::new(dmem::FaultSession::new(plan));
+        Endpoint::with_faults(Pool::with_defaults(1, 16 << 20), session, 0)
+    }
+
+    #[test]
+    fn lock_node_counts_each_conflict_as_a_lock_retry() {
+        let ops = ArtOps { value_size: 8 };
+        let mut ep = contended(3);
+        let addr = GlobalAddr::new(0, RESERVED_BYTES);
+        ops.write_node(&mut ep, addr, NodeType::N16, &[], &[]);
+        assert!(ops.lock_node(&mut ep, addr, NodeType::N16));
+        assert_eq!(ep.stats().lock_retries, 3);
+        let mut word = [0u8; 8];
+        ep.read(addr.add(NodeType::N16.lock_off() as u64), &mut word);
+        assert_eq!(u64::from_le_bytes(word), 1, "locked, not obsolete");
+    }
+
+    #[test]
+    fn large_value_update_counts_each_lock_conflict() {
+        let ops = ArtOps { value_size: 64 };
+        let mut ep = contended(2);
+        let addr = GlobalAddr::new(0, RESERVED_BYTES);
+        ops.write_leaf(&mut ep, addr, 5, &[1u8; 64]);
+        ops.update_leaf(&mut ep, addr, &[2u8; 64]);
+        assert_eq!(ep.stats().lock_retries, 2);
+        assert_eq!(ops.read_leaf(&mut ep, addr), (5, vec![2u8; 64]));
     }
 
     #[test]

@@ -145,6 +145,7 @@ impl Uniform {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods, reason = "counting draws; order is never observed")]
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
