@@ -140,6 +140,11 @@ impl Window {
             .collect()
     }
 
+    /// The largest key the covered slots hold, if any.
+    pub fn max_key(&self) -> Option<u64> {
+        self.slots.iter().map(|s| s.key).filter(|&k| k != 0).max()
+    }
+
     /// Absolute indices of the slots modified since the window was filled,
     /// in window order.
     pub fn dirty_slots(&self) -> impl Iterator<Item = usize> + '_ {

@@ -4,9 +4,10 @@
 //! into verb sequences: neighborhood reads with the full three-level
 //! optimistic validation (NV / EV / reused hopscotch bitmaps), speculative
 //! single-entry reads, lock acquisition with vacancy-bitmap piggybacking
-//! (and, for updates and deletes, with the neighborhood READ in the CAS's
-//! doorbell), group-aligned hop-range reads, minimal dirty-range
-//! write-back, and whole-node reads/writes for splits and sibling chases.
+//! (and, for writes, with a window READ whose address does not depend on
+//! the lock word in the CAS's doorbell), group-aligned hop-range reads,
+//! minimal dirty-range write-back, and whole-node reads/writes for splits
+//! and sibling chases.
 //!
 //! One codec serves all of them. Whatever was fetched — an entry, a
 //! neighborhood, a hop range, a whole node — passes `validate` once; a
@@ -226,9 +227,12 @@ pub struct LockedRead {
     /// maximum of a whole-node window, else the key in the lock word's
     /// `argmax_keys` slot — from the window, or from that entry fetched in
     /// the window's doorbell. A window locked in one doorbell with its CAS
-    /// ([`LeafOps::lock_nbh_window`]) could not name the entry before the
-    /// CAS returned: when it lies outside the window, this is `None` and
+    /// ([`LeafOps::lock_window`]) could not name the entry before the CAS
+    /// returned: when it lies outside the window, this is `None` and
     /// `max_unread` holds its slot until [`LeafOps::max_key`] reads it.
+    /// The window's keys are exact, so its largest key bounds the maximum
+    /// from below; a writer reads the entry only when that bound does not
+    /// settle its question.
     pub max_key: Option<u64>,
     /// The argmax slot neither the window nor its doorbell covered.
     pub max_unread: Option<usize>,
@@ -564,7 +568,7 @@ impl LeafOps {
     /// (vacancy bitmap + argmax). With piggybacking disabled this costs an
     /// extra READ for the separate vacancy word.
     pub fn lock(&self, ep: &mut Endpoint, addr: GlobalAddr) -> LockWord {
-        let word = self.lock_plain(ep, addr);
+        let (word, _) = self.acquire(ep, addr, &[]);
         if self.layout.piggyback {
             return word;
         }
@@ -587,25 +591,19 @@ impl LeafOps {
         (addr.add(self.layout.lock_off() as u64), bytes, len)
     }
 
-    /// Acquires the leaf lock without fetching any vacancy metadata
-    /// (the no-piggyback baseline locks and then reads the whole node).
-    pub fn lock_plain(&self, ep: &mut Endpoint, addr: GlobalAddr) -> LockWord {
-        self.acquire(ep, addr, &[]).0
-    }
-
-    /// Acquires the leaf lock and reads the neighborhood window of `home`
-    /// in the same doorbell (updates and deletes). The window's address
-    /// does not depend on the lock word, so its READs ride behind the CAS
-    /// and the pair costs one round trip; the vacancy bitmap, which only
-    /// inserts use, is never fetched. The argmax entry is not in the batch
-    /// — the CAS is what names it — see [`LockedRead::max_key`].
-    pub fn lock_nbh_window(
+    /// Acquires the leaf lock and reads cyclic entries `[a, e]` in the same
+    /// doorbell. A window whose address does not depend on the lock word
+    /// rides behind the CAS, and the pair costs one round trip; the separate
+    /// vacancy word of the no-piggyback layout is never fetched. The argmax
+    /// entry is not in the batch — the CAS is what names it — see
+    /// [`LockedRead::max_key`].
+    pub fn lock_window(
         &self,
         ep: &mut Endpoint,
         addr: GlobalAddr,
-        home: usize,
+        a: usize,
+        e: usize,
     ) -> (LockWord, LockedRead) {
-        let (a, e) = (home, (home + self.layout.h - 1) % self.layout.span);
         let (ranges, n) = self.window_ranges(a, e, None);
         let ranges = &ranges[..n];
         let (word, pieces) = self.acquire(ep, addr, ranges);
@@ -614,6 +612,17 @@ impl LeafOps {
             pieces.unwrap_or_else(|| self.layout.versioned().fetch_many(ep, addr, ranges));
         let lr = self.load_locked(&pieces, (a, e), word);
         (word, lr)
+    }
+
+    /// Acquires the leaf lock and reads the neighborhood window of `home`
+    /// in the same doorbell ([`Self::lock_window`]; updates and deletes).
+    pub fn lock_nbh_window(
+        &self,
+        ep: &mut Endpoint,
+        addr: GlobalAddr,
+        home: usize,
+    ) -> (LockWord, LockedRead) {
+        self.lock_window(ep, addr, home, (home + self.layout.h - 1) % self.layout.span)
     }
 
     /// Releases the lock immediately (abort paths).
@@ -731,7 +740,7 @@ impl LeafOps {
                 bijective(l.span, l.h, |i| w.slot(i).0, bitmaps),
                 "locked leaf read observed a torn image"
             );
-            ((0..l.span).map(|i| w.slot(i).0).filter(|&k| k != 0).max(), None)
+            (w.max_key(), None)
         } else if word.argmax() == ARGMAX_NONE {
             (None, None)
         } else {

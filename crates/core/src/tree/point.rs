@@ -1,7 +1,9 @@
 //! Point operations: search, and the write path shared by insert, update
-//! and delete (§4.2/§4.4): masked-CAS lock piggybacking the vacancy bitmap
-//! → window read → ownership check → write-back + unlock. Updates and
-//! deletes post their window read in the lock's doorbell.
+//! and delete (§4.2/§4.4): masked-CAS lock piggybacking the vacancy bitmap,
+//! with the key's window read in its doorbell → ownership check →
+//! write-back + unlock. An insert whose window neither holds the key nor
+//! has room at or after its home reads the hop window the bitmap names
+//! before the write-back; a full bitmap reads the whole leaf and splits.
 
 use dmem::hash::{fingerprint16, home_entry};
 use dmem::{GlobalAddr, IndexError, LocalLockGuard, Phase, RetryCause};
@@ -20,8 +22,11 @@ enum ChaseOutcome {
 /// What a write wants from the leaf it locks.
 #[derive(Clone, Copy, PartialEq)]
 enum Intent {
-    /// Place a key: read the hop window (the whole leaf without the
-    /// vacancy bitmap, or when the bitmap shows no vacancy).
+    /// Place a key: read its neighborhood, aligned to vacancy groups, in
+    /// the lock's doorbell (the whole leaf without the vacancy bitmap). The
+    /// bitmap the CAS returns adds at most one READ: the whole leaf when it
+    /// shows no vacancy, the hop window when the neighborhood neither holds
+    /// the key nor has room at or after its home.
     Insert,
     /// Update or delete a key: read its neighborhood, in the lock's
     /// doorbell.
@@ -215,6 +220,7 @@ impl ChimeClient {
     /// parent and re-traverse until the pending split has propagated.
     fn lock_owner(&mut self, key: u64, home: usize, intent: Intent) -> Option<Held> {
         let piggyback = self.shared.cfg.vacancy_piggyback;
+        let (span, h, vm) = (self.span(), self.h(), self.leaf().vm);
         let mut detour: Option<GlobalAddr> = None;
         for _ in 0..OP_RETRY_LIMIT {
             let (addr, expected, parent) = match detour.take() {
@@ -225,36 +231,40 @@ impl ChimeClient {
                 }
             };
             let slot = self.local_lock(addr);
-            let (word, mut lr, whole) = match intent {
-                // The window does not depend on the lock word: it rides
-                // in the CAS's doorbell.
-                Intent::Modify => {
-                    let (word, lr) = self.in_phase(Phase::LockAcquire, |me| {
-                        me.leaf().lock_nbh_window(&mut me.ep, addr, home)
-                    });
-                    (word, lr, false)
-                }
+            // Every window's address is known before the lock word: it
+            // rides in the CAS's doorbell.
+            let (a, e) = match intent {
+                Intent::Modify => (home, (home + h - 1) % span),
                 // Without the vacancy bitmap the insert cannot identify the
                 // hop range remotely: fetch the entire leaf (the paper's
                 // pre-piggybacking baseline).
-                Intent::Insert if !piggyback => {
-                    let word = self.in_phase(Phase::LockAcquire, |me| {
-                        me.leaf().lock_plain(&mut me.ep, addr)
-                    });
-                    (word, self.read_whole(addr, word), true)
-                }
-                Intent::Insert => {
-                    let word =
-                        self.in_phase(Phase::LockAcquire, |me| me.leaf().lock(&mut me.ep, addr));
-                    let hop = self.in_phase(Phase::LeafRead, |me| {
-                        me.leaf().read_hop_window(&mut me.ep, addr, home, word)
-                    });
-                    match hop {
-                        Some(lr) => (word, lr, false),
-                        // Vacancy bitmap shows a full node: read everything.
-                        None => (word, self.read_whole(addr, word), true),
+                Intent::Insert if !piggyback => (0, span - 1),
+                Intent::Insert => vm.align_to_groups(home, (home + h - 1) % span),
+            };
+            let (word, lr) = self.in_phase(Phase::LockAcquire, |me| {
+                me.leaf().lock_window(&mut me.ep, addr, a, e)
+            });
+            let (mut lr, whole) = match intent {
+                Intent::Modify => (lr, false),
+                Intent::Insert if !piggyback => (lr, true),
+                Intent::Insert => match vm.first_vacant_group(word, home) {
+                    // Vacancy bitmap shows a full node: read everything.
+                    None => (self.read_whole(addr, word), true),
+                    // An upsert, or room at or after `home`: the slot
+                    // `place` picks in the window is the hop window's.
+                    Some(_)
+                        if lr.w.find_in_neighborhood(key).is_some()
+                            || lr.w.first_empty_from(home).is_some() =>
+                    {
+                        (lr, false)
                     }
-                }
+                    Some(_) => {
+                        let hop = self.in_phase(Phase::LeafRead, |me| {
+                            me.leaf().read_hop_window(&mut me.ep, addr, home, word)
+                        });
+                        (hop.expect("the vacancy bitmap shows room"), false)
+                    }
+                },
             };
             if !lr.meta.valid {
                 // The leaf was merged away or migrated: drop the stale route.
@@ -289,8 +299,9 @@ impl ChimeClient {
 
     /// Decides whether the locked leaf at `addr` still owns `key`; on a
     /// half-split it returns the sibling the caller should move to. The one
-    /// case that needs the node's maximum key reads the argmax entry if the
-    /// window's doorbell left it out.
+    /// case that needs the node's maximum key settles for a window key at
+    /// or above `key`, and only otherwise reads the argmax entry the
+    /// window's doorbell left out.
     fn owns_key(
         &mut self,
         key: u64,
@@ -311,13 +322,11 @@ impl ChimeClient {
             _ if lr.meta.sibling.is_null() => return None,
             _ => {}
         }
-        let max_key = match lr.max_unread {
-            Some(_) => self.in_phase(Phase::LeafRead, |me| {
-                me.leaf().max_key(&mut me.ep, addr, lr)
-            }),
-            None => lr.max_key,
-        };
-        match max_key {
+        // The window's keys bound the maximum from below.
+        if lr.w.max_key() >= Some(key) {
+            return None;
+        }
+        match self.max_key(addr, lr) {
             // Empty node ⇒ no split happened ⇒ routing was valid.
             None => None,
             // key <= max is always sound: a split leaves only keys
@@ -330,6 +339,15 @@ impl ChimeClient {
             // instead re-traverse from a fresh parent (see lock_owner).
             Some(_) => Some(lr.meta.sibling),
         }
+    }
+
+    /// The locked leaf's maximum key, reading the argmax entry under the
+    /// lock if the window's doorbell left it out.
+    fn max_key(&mut self, addr: GlobalAddr, lr: &mut LockedRead) -> Option<u64> {
+        if lr.max_unread.is_none() {
+            return lr.max_key;
+        }
+        self.in_phase(Phase::LeafRead, |me| me.leaf().max_key(&mut me.ep, addr, lr))
     }
 
     pub(super) fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
@@ -380,6 +398,11 @@ impl ChimeClient {
         };
         if let Some(empty) = empty {
             if let Ok(pos) = w.insert(key, stored, empty) {
+                // Without a window key above `key` the new key may be the
+                // maximum: argmax needs the node's.
+                if held.lr.w.max_key() == Some(key) {
+                    self.max_key(addr, &mut held.lr);
+                }
                 let new_word = self.word_after_insert(&held.lr, word, key, pos, empty);
                 self.write_back(addr, &held.lr, new_word);
                 return Ok(true);
@@ -417,6 +440,9 @@ impl ChimeClient {
         let mut new_word = word.with_vacancy_bit(g, any_empty);
         // Track the maximum key's position.
         let new_max = match lr.max_key {
+            // A window key exceeds `key` and the argmax entry lies outside
+            // the window: no hop moved it.
+            _ if lr.max_unread.is_some() => None,
             None => Some(pos),
             Some(mx) if key > mx => Some(pos),
             Some(mx) => {

@@ -687,8 +687,10 @@ fn a_failed_lock_attempts_read_is_never_used() {
 /// An update routed to the left half of a split whose pivot never reached
 /// the parent: the sibling is not the one the parent expects, so ownership
 /// needs the leaf's maximum key. Its argmax entry lies outside the key's
-/// window and was not in the lock's doorbell; it is read under the lock,
-/// once, and the update detours to the right half.
+/// window, whose keys are all below the key, and was not in the lock's
+/// doorbell; it is read under the lock, once, and the update detours to the
+/// right half. There the key itself is in its window: ownership needs no
+/// READ.
 #[test]
 fn an_unpropagated_split_reads_the_argmax_entry_then_detours() {
     let pool = pool();
@@ -700,17 +702,19 @@ fn an_unpropagated_split_reads_the_argmax_entry_then_detours() {
     }
     let parent = c.locate_parent(n);
     assert!(parent.entries.len() >= 4, "need a populated level-1 node");
-    // A leaf `right` whose left neighbour's argmax slot lies outside the
-    // window of one of `right`'s keys.
-    let (pivot, left, right, key) = (1..parent.entries.len() - 1)
+    // A key of leaf `right` whose window misses both its own leaf's argmax
+    // slot and its left neighbour's.
+    let (pivot, left, key) = (1..parent.entries.len() - 1)
         .find_map(|i| {
             let (left, right) = (parent.entries[i - 1].1, parent.entries[i].1);
-            let am = usize::from(lock_word(&mut c, left).argmax());
+            let am_left = usize::from(lock_word(&mut c, left).argmax());
+            let am_right = usize::from(lock_word(&mut c, right).argmax());
             let snap = c.leaf().read_full(&mut c.ep, right);
-            let key = snap.items().map(|(k, _)| k).find(|&k| !in_window(&c, k, am))?;
-            Some((parent.entries[i].0, left, right, key))
+            let mut keys = snap.items().map(|(k, _)| k);
+            let key = keys.find(|&k| !in_window(&c, k, am_left) && !in_window(&c, k, am_right))?;
+            Some((parent.entries[i].0, left, key))
         })
-        .expect("some key's window misses its left neighbour's argmax");
+        .expect("some key's window misses both argmax slots");
     let shared = Arc::clone(&c.shared);
     shared.internal.lock(&mut c.ep, parent.addr);
     let mut fresh = shared.internal.read(&mut c.ep, parent.addr);
@@ -718,14 +722,10 @@ fn an_unpropagated_split_reads_the_argmax_entry_then_detours() {
     shared.internal.write_and_unlock(&mut c.ep, &fresh);
     c.cn.cache.lock().invalidate(parent.addr);
     assert_eq!(c.locate_leaf(key).addr, left, "routed to the left half");
-    // After the detour the right half is checked the same way: its argmax
-    // is read too unless it sits in the key's window.
-    let am_right = usize::from(lock_word(&mut c, right).argmax());
-    let expected_reads = 1 + u64::from(!in_window(&c, key, am_right));
     let (chases, reads) = (c.counters.chases, leaf_reads(&c));
     assert!(c.update(key, &v(7)).unwrap());
     assert_eq!(c.counters.chases, chases + 1, "one detour");
-    assert_eq!(leaf_reads(&c) - reads, expected_reads, "argmax entries read under the lock");
+    assert_eq!(leaf_reads(&c) - reads, 1, "the left half's argmax entry, read under the lock");
     assert_eq!(c.search(key), Some(v(7)));
     assert_eq!(c.check_integrity().unwrap(), n);
 }
@@ -817,6 +817,219 @@ fn a_lease_takeover_reads_the_window_after_its_cas() {
     assert_eq!(verbs[verbs.len() - want.len()..], want);
     assert!(!verbs[..verbs.len() - want.len()].contains(&"masked_cas_read"));
     assert_eq!(a.search(42), Some(v(7)));
+}
+
+// ----------------------------------------------------------------------
+// Inserts lock and read their neighborhood in one doorbell
+// ----------------------------------------------------------------------
+
+/// Keys 2, 4, …, 400 (odd keys are fresh) in a small-geometry tree, each
+/// searched once so the client's cache routes without verbs.
+fn even_tree(pool: &Arc<Pool>) -> (Chime, ChimeClient) {
+    let t = Chime::create(pool, small_cfg(), 0);
+    let mut c = t.client(&t.new_cn());
+    for k in (2..=400u64).step_by(2) {
+        c.insert(k, &v(k)).unwrap();
+    }
+    for k in (2..=400u64).step_by(2) {
+        assert_eq!(c.search(k), Some(v(k)));
+    }
+    (t, c)
+}
+
+/// The first of `keys` whose leaf shows a vacancy and, read whole,
+/// satisfies `pick(snapshot, window, key)`, where `window` lists the slots
+/// an insert of the key reads in its lock's doorbell; with that leaf.
+fn find_key(
+    c: &mut ChimeClient,
+    keys: impl IntoIterator<Item = u64>,
+    pick: impl Fn(&crate::leaf::LeafSnapshot, &[usize], u64) -> bool,
+) -> (u64, GlobalAddr) {
+    let (span, h, vm) = (c.span(), c.h(), c.leaf().vm);
+    keys.into_iter()
+        .find_map(|k| {
+            let (addr, home) = (c.locate_leaf(k).addr, dmem::hash::home_entry(k, span));
+            vm.first_vacant_group(lock_word(c, addr), home)?;
+            let snap = c.leaf().read_full(&mut c.ep, addr);
+            let (a, e) = vm.align_to_groups(home, (home + h - 1) % span);
+            let window: Vec<usize> =
+                (0..=crate::hopscotch::cyc_dist(a, e, span)).map(|d| (a + d) % span).collect();
+            pick(&snap, &window, k).then_some((k, addr))
+        })
+        .expect("a key that fits")
+}
+
+/// Runs the operation `op` under a fresh tracer: the stats it moved and its
+/// verbs, as `(name, wire bytes)`.
+fn traced(c: &mut ChimeClient, op: impl FnOnce(&mut ChimeClient)) -> (dmem::ClientStats, Vec<(&'static str, u64)>) {
+    c.ep.set_tracer(dmem::Tracer::new(0, 1024));
+    let s0 = c.ep.stats().clone();
+    op(c);
+    let spans = c.ep.tracer().unwrap().spans();
+    let verbs = spans[0].verbs.iter().map(|v| (v.verb, v.wire_bytes)).collect();
+    (c.ep.stats().since(&s0), verbs)
+}
+
+/// The verbs' names.
+fn names(verbs: &[(&'static str, u64)]) -> Vec<&'static str> {
+    verbs.iter().map(|v| v.0).collect()
+}
+
+/// The raw bytes of leaf `addr`, lock word included.
+fn leaf_bytes(c: &mut ChimeClient, addr: GlobalAddr) -> Vec<u8> {
+    let mut b = vec![0u8; c.leaf().layout.node_size()];
+    c.ep.read(addr, &mut b);
+    b
+}
+
+/// An insert of a present key is an update: its neighborhood, read in the
+/// lock's doorbell, holds the key, so it takes the lock and the write-back
+/// (one masked CAS, no further READ) and leaves the leaf byte for byte as
+/// an update of the key does.
+#[test]
+fn an_upsert_takes_two_round_trips_and_writes_what_an_update_writes() {
+    let (pa, pb) = (pool(), pool());
+    let (_ta, mut a) = even_tree(&pa);
+    let (_tb, mut b) = even_tree(&pb);
+    let (key, addr) = find_key(&mut a, (2..=400u64).step_by(2), |_, _, _| true);
+    let (s, upsert) = traced(&mut a, |c| c.insert(key, &v(7)).unwrap());
+    assert_eq!((s.rtts, s.atomics), (2, 1));
+    assert_eq!(names(&upsert), ["masked_cas_read", "write"]);
+    let (_, update) = traced(&mut b, |c| assert!(c.update(key, &v(7)).unwrap()));
+    assert_eq!(upsert, update);
+    assert_eq!(leaf_bytes(&mut a, addr), leaf_bytes(&mut b, addr));
+    assert_eq!(a.search(key), Some(v(7)));
+}
+
+/// A fresh key whose window has room and holds a larger key: the window's
+/// keys bound the node's maximum from below, so the argmax entry, outside
+/// the window, is neither read nor moved.
+#[test]
+fn a_window_key_above_the_insert_spares_the_argmax_read() {
+    let pool = pool();
+    let (_t, mut c) = even_tree(&pool);
+    let (key, addr) = find_key(&mut c, (1..400u64).step_by(2), |s, win, k| {
+        let am = usize::from(s.argmax());
+        win.iter().any(|&i| s.keys[i] == 0) && win.iter().any(|&i| s.keys[i] > k) && !win.contains(&am)
+    });
+    let word = lock_word(&mut c, addr);
+    let reads = leaf_reads(&c);
+    let (s, verbs) = traced(&mut c, |c| c.insert(key, &v(key)).unwrap());
+    assert_eq!(s.rtts, 2);
+    assert_eq!(names(&verbs), ["masked_cas_read", "write"]);
+    assert_eq!(leaf_reads(&c), reads);
+    assert_eq!(lock_word(&mut c, addr).argmax(), word.argmax());
+    assert_eq!(c.search(key), Some(v(key)));
+    assert_eq!(c.check_integrity().unwrap(), 201);
+}
+
+/// A fresh key above every key of its window, whose leaf's argmax slot lies
+/// outside it, may be the new maximum: the argmax entry is read under the
+/// lock, one entry in a third round trip.
+#[test]
+fn an_insert_above_its_window_reads_the_argmax_entry() {
+    let pool = pool();
+    let (_t, mut c) = even_tree(&pool);
+    let (key, addr) = find_key(&mut c, (1..400u64).step_by(2), |s, win, k| {
+        let am = usize::from(s.argmax());
+        win.iter().any(|&i| s.keys[i] == 0) && win.iter().all(|&i| s.keys[i] < k) && !win.contains(&am)
+    });
+    let l = c.leaf().layout;
+    let off = l.entry_off(usize::from(lock_word(&mut c, addr).argmax()));
+    let (ps, pe) = l.versioned().phys_range(off, off + l.entry_size());
+    let entry_read = (pe - ps) as u64 + pool.net().msg_overhead;
+    let reads = leaf_reads(&c);
+    let (s, verbs) = traced(&mut c, |c| c.insert(key, &v(key)).unwrap());
+    assert_eq!(s.rtts, 3);
+    assert_eq!(names(&verbs), ["masked_cas_read", "read", "write"]);
+    assert_eq!(verbs[1].1, entry_read, "one entry");
+    assert_eq!(leaf_reads(&c), reads + 1);
+    assert_eq!(c.search(key), Some(v(key)));
+    assert_eq!(c.check_integrity().unwrap(), 201);
+}
+
+/// A fresh key whose window has no empty slot at or after its home reads
+/// the hop window the vacancy bitmap names and places the key where the
+/// lock-then-hop-window insert does.
+#[test]
+fn an_insert_without_room_in_its_window_reads_the_hop_window() {
+    let pool = pool();
+    let (_t, mut c) = even_tree(&pool);
+    let (key, addr) = find_key(&mut c, (1..400u64).step_by(2), |s, win, _| {
+        win.iter().all(|&i| s.keys[i] != 0)
+    });
+    // The lock-then-hop-window insert, on a local copy of the window.
+    let leaf = c.leaf();
+    let home = dmem::hash::home_entry(key, c.span());
+    let word = leaf.lock(&mut c.ep, addr);
+    let s0 = c.ep.stats().clone();
+    let mut lr = leaf.read_hop_window(&mut c.ep, addr, home, word).expect("room");
+    let hop_bytes = c.ep.stats().since(&s0).wire_bytes;
+    let empty = lr.w.first_empty_from(home).expect("room at or after home");
+    let want = lr.w.insert(key, &v(key), empty).expect("a feasible hop");
+    leaf.unlock(&mut c.ep, addr, word);
+    let (s, verbs) = traced(&mut c, |c| c.insert(key, &v(key)).unwrap());
+    assert_eq!(s.rtts, 3);
+    assert_eq!(names(&verbs), ["masked_cas_read", "read", "write"]);
+    assert_eq!(verbs[1].1, hop_bytes, "the hop window's READ");
+    let snap = c.leaf().read_full(&mut c.ep, addr);
+    assert_eq!(snap.find(key).map(|(i, _)| i), Some(want));
+    assert_eq!(c.check_integrity().unwrap(), 201);
+}
+
+/// A failed lock attempt's READ is dropped by inserts too. Another CN holds
+/// the leaf; between our failed attempt, whose READ saw the first empty
+/// slot of our key's neighborhood, and the retry that wins, it inserts a
+/// key into that slot and releases. Placing ours by the failed attempt's
+/// READ would overwrite theirs.
+#[test]
+fn an_insert_never_places_by_a_failed_lock_attempts_read() {
+    let pool = pool();
+    let t = Chime::create(&pool, small_cfg(), 0);
+    let mut a = t.client(&t.new_cn());
+    let mut b = t.client(&t.new_cn());
+    for k in (2..=400u64).step_by(2) {
+        a.insert(k, &v(k)).unwrap();
+    }
+    // Two fresh keys of one leaf whose neighborhoods' first empty slot is
+    // the same.
+    let (span, h) = (a.span(), a.h());
+    let first_empty = |snap: &crate::leaf::LeafSnapshot, k: u64| {
+        let home = dmem::hash::home_entry(k, span);
+        (0..h).map(|d| (home + d) % span).find(|&i| snap.keys[i] == 0)
+    };
+    let (mine, theirs, addr, slot) = (1..400u64)
+        .step_by(2)
+        .find_map(|mine| {
+            let addr = a.locate_leaf(mine).addr;
+            let snap = a.leaf().read_full(&mut a.ep, addr);
+            let slot = first_empty(&snap, mine)?;
+            let theirs = (1..400u64).step_by(2).find(|&k| {
+                k != mine && first_empty(&snap, k) == Some(slot) && a.locate_leaf(k).addr == addr
+            })?;
+            Some((mine, theirs, addr, slot))
+        })
+        .expect("two fresh keys sharing a first empty slot");
+    let word = b.leaf().lock(&mut b.ep, addr);
+    let insert = Box::new(move || {
+        b.leaf().unlock(&mut b.ep, addr, word);
+        b.insert(theirs, &v(theirs)).unwrap();
+    });
+    dmem::install_lane_hook(Box::new(AtFirstBackoff {
+        net: *pool.net(),
+        step: Some(insert),
+    }));
+    let retries = a.ep.stats().lock_retries;
+    let r = a.insert(mine, &v(mine));
+    dmem::uninstall_lane_hook();
+    r.unwrap();
+    assert_eq!(a.ep.stats().lock_retries - retries, 1, "exactly one failed lock attempt");
+    let snap = a.leaf().read_full(&mut a.ep, addr);
+    assert_eq!(snap.find(theirs).map(|(i, _)| i), Some(slot), "their key took the slot");
+    assert_ne!(snap.find(mine).map(|(i, _)| i), Some(slot));
+    assert_eq!(a.search(mine), Some(v(mine)));
+    assert_eq!(a.search(theirs), Some(v(theirs)));
+    assert_eq!(a.check_integrity().unwrap(), 202);
 }
 
 // ----------------------------------------------------------------------

@@ -167,10 +167,9 @@ fn write_paths_stay_within_their_allocation_budgets() {
     for k in 1..=KEYS {
         assert!(client.search(k).is_some());
     }
-    // Round trips tell the plain protocol from its detours (a whole-node
-    // re-read or a split): an update or delete locks and reads its window in
-    // one doorbell, then writes back (2); an insert reads its hop window
-    // only once the lock word has named it (3).
+    // Round trips tell the plain protocol from its detours (a hop-window or
+    // whole-node read, an argmax READ or a split): a write locks and reads
+    // its window in one doorbell, then writes back (2).
     let rtts = |c: &chime::ChimeClient| c.endpoint().stats().rtts;
     let mut plain = [0u64; 3];
     for i in 0..3_000u64 {
@@ -190,16 +189,19 @@ fn write_paths_stay_within_their_allocation_budgets() {
             assert!(n <= 8, "delete of {k} allocated {n} times");
             plain[1] += 1;
         }
-        // Putting it back finds room in the hop window.
+        // Putting it back mostly finds room in the neighborhood window.
         let (r0, splits) = (rtts(&client), client.counters.splits);
         let (n, r) = allocs(|| client.insert(k, &v));
         r.unwrap();
-        if rtts(&client) - r0 == 3 && client.counters.splits == splits {
-            assert!(n <= 10, "insert of {k} allocated {n} times");
-            plain[2] += 1;
+        let two = rtts(&client) - r0 == 2;
+        if client.counters.splits == splits {
+            // When no key of its window exceeds the key, the argmax READ
+            // adds a third round trip, its buffer and their container.
+            assert!(n <= if two { 8 } else { 10 }, "insert of {k} allocated {n} times");
+            plain[2] += u64::from(two);
         }
     }
-    assert!(plain.iter().all(|&n| n > 2_500), "{plain:?} of 3000 writes were plain");
+    assert_eq!(plain, [3_000, 2_890, 2_315], "of 3000 writes, these were plain");
 }
 
 /// A full hotspot buffer recycles: the victim's slab node carries the new

@@ -2,8 +2,9 @@
 //! exact verb count, round trips, wire bytes and per-phase episode counts.
 //!
 //! The write path is one protocol (lock → window read → ownership check →
-//! write-back + unlock; updates and deletes post the lock and their window
-//! read as one doorbell, attributed to `lock_acquire`); these rows fail when
+//! write-back + unlock; every write posts the lock and its window read as
+//! one doorbell, attributed to `lock_acquire`, and an insert whose window
+//! cannot take its key adds a `leaf_read`); these rows fail when
 //! a change to the tree merges, drops or reorders a phase frame or a verb on
 //! any branch of it, under each Fig. 15 switch that selects a different
 //! branch.
@@ -150,8 +151,8 @@ fn default_switches() {
         "miss 1v/1r/136B | cache_lookup=3 traversal=1 leaf_read=1 | splits=0 merges=0",
         "hit 4v/2r/338B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
         "miss 3v/2r/272B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
-        "hit 6v/3r/599B | cache_lookup=3 traversal=1 lock_acquire=1 leaf_read=1 write_back=1 | splits=0 merges=0",
-        "hit 165v/112r/22398B | cache_lookup=81 traversal=42 lock_acquire=30 leaf_read=31 write_back=33 | splits=3 merges=0",
+        "hit 8v/3r/812B | cache_lookup=3 traversal=1 lock_acquire=1 leaf_read=1 write_back=1 | splits=0 merges=0",
+        "hit 163v/98r/21341B | cache_lookup=81 traversal=42 lock_acquire=30 leaf_read=17 write_back=33 | splits=3 merges=0",
         "hit 4v/2r/340B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
         "hit 5v/3r/775B | cache_lookup=3 traversal=1 lock_acquire=1 leaf_read=1 write_back=1 | splits=0 merges=0",
         "miss 3v/2r/271B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
@@ -171,8 +172,8 @@ fn baseline_switches() {
         "miss 2v/1r/201B | cache_lookup=3 traversal=1 leaf_read=1 | splits=0 merges=0",
         "hit 5v/2r/412B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
         "miss 4v/2r/345B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
-        "hit 5v/3r/894B | cache_lookup=3 traversal=1 lock_acquire=1 leaf_read=1 write_back=1 | splits=0 merges=0",
-        "hit 168v/108r/25304B | cache_lookup=81 traversal=42 lock_acquire=30 leaf_read=27 write_back=33 | splits=3 merges=0",
+        "hit 5v/2r/894B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
+        "hit 168v/81r/25304B | cache_lookup=81 traversal=42 lock_acquire=30 write_back=33 | splits=3 merges=0",
         "hit 5v/2r/411B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
         "hit 5v/2r/449B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
         "miss 4v/2r/344B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
@@ -197,8 +198,8 @@ fn indirect_values() {
         "miss 1v/1r/136B | cache_lookup=3 traversal=1 leaf_read=1 | splits=0 merges=0",
         "hit 5v/3r/434B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=3 | splits=0 merges=0",
         "miss 4v/3r/368B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=3 | splits=0 merges=0",
-        "hit 7v/4r/695B | cache_lookup=3 traversal=1 lock_acquire=1 leaf_read=1 write_back=3 | splits=0 merges=0",
-        "hit 189v/136r/24702B | cache_lookup=81 traversal=42 lock_acquire=30 leaf_read=31 write_back=81 | splits=3 merges=0",
+        "hit 9v/4r/908B | cache_lookup=3 traversal=1 lock_acquire=1 leaf_read=1 write_back=3 | splits=0 merges=0",
+        "hit 187v/122r/23645B | cache_lookup=81 traversal=42 lock_acquire=30 leaf_read=17 write_back=81 | splits=3 merges=0",
         "hit 4v/2r/340B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",
         "hit 5v/3r/775B | cache_lookup=3 traversal=1 lock_acquire=1 leaf_read=1 write_back=1 | splits=0 merges=0",
         "miss 3v/2r/271B | cache_lookup=3 traversal=1 lock_acquire=1 write_back=1 | splits=0 merges=0",

@@ -7,12 +7,12 @@
 //! an FNV-1a hash over every allocated memory-node byte, together with the
 //! client's verb totals, to constants recorded before the write-side leaf
 //! codec was unified (the totals, not the hashes, moved again when updates
-//! and deletes began posting their window READ in the lock's doorbell:
-//! fewer READs, round trips and bytes). A change that moves one remote
-//! byte, one version nibble or one verb on any branch — hop writes,
-//! wrap-around windows with two cyclic segments, the argmax piggyback, the
-//! whole-node fallback, splits, merges, synonym chains — changes a constant
-//! below.
+//! and deletes, and then inserts, began posting their window READ in the
+//! lock's doorbell: fewer READs, round trips and bytes). A change that
+//! moves one remote byte, one version nibble or one verb on any branch —
+//! hop writes, wrap-around windows with two cyclic segments, the argmax
+//! piggyback, the whole-node fallback, splits, merges, synonym chains —
+//! changes a constant below.
 
 use chime::{Chime, ChimeConfig};
 use dmem::node::RESERVED_BYTES;
@@ -138,14 +138,14 @@ fn chime_write_images_match_the_recorded_constants() {
     let piggyback = ChimeConfig { vacancy_piggyback: true, ..base };
     let replicated = ChimeConfig { metadata_replication: true, sibling_validation: true, ..piggyback };
     let runs = [
-        ("baseline", small(base), "1e1db3c3513aa0e9 15233r/10537w/6253a/1rpc/16735rtt/3536237B"),
-        ("+vacancy piggyback", small(piggyback), "54943fe211c121fc 18090r/10811w/6365a/1rpc/17230rtt/3340329B"),
-        ("+metadata replication", small(replicated), "577d1e5f359bc959 11037r/10948w/6406a/1rpc/17426rtt/3029610B"),
-        ("default", small(ChimeConfig::default()), "994c4e3dab305ebf 11036r/10871w/6404a/1rpc/17401rtt/3018456B"),
-        ("indirect values", ChimeConfig { indirect_values: true, value_size: 32, ..small(ChimeConfig::default()) }, "570989ea25aa670b 11763r/14827w/6386a/1rpc/21939rtt/3458113B"),
+        ("baseline", small(base), "1e1db3c3513aa0e9 15233r/10537w/6253a/1rpc/14105rtt/3536237B"),
+        ("+vacancy piggyback", small(piggyback), "54943fe211c121fc 17592r/10811w/6365a/1rpc/15431rtt/3184448B"),
+        ("+metadata replication", small(replicated), "577d1e5f359bc959 10318r/10948w/6406a/1rpc/15639rtt/2844187B"),
+        ("default", small(ChimeConfig::default()), "994c4e3dab305ebf 10303r/10871w/6404a/1rpc/15639rtt/2834600B"),
+        ("indirect values", ChimeConfig { indirect_values: true, value_size: 32, ..small(ChimeConfig::default()) }, "570989ea25aa670b 11022r/14827w/6386a/1rpc/20140rtt/3271182B"),
         // The paper's geometry with entries wider than a cache line: every
         // entry covers one or two line versions.
-        ("span 64, 64-byte values", ChimeConfig { value_size: 64, cache_bytes: 1 << 20, ..ChimeConfig::default() }, "9c8cfa1dbb03d296 9832r/10198w/6066a/1rpc/15600rtt/9421964B"),
+        ("span 64, 64-byte values", ChimeConfig { value_size: 64, cache_bytes: 1 << 20, ..ChimeConfig::default() }, "9c8cfa1dbb03d296 8281r/10198w/6066a/1rpc/13505rtt/7943346B"),
     ];
     let mut bad = false;
     for (i, (name, cfg, want)) in runs.into_iter().enumerate() {

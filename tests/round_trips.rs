@@ -21,10 +21,12 @@ fn chime_with(cache: u64, spec: bool) -> (chime::Chime, chime::ChimeClient) {
     (t, c)
 }
 
-/// Table 1 best case: search 1, insert 3 (internal nodes cached, no
-/// speculation); update/delete 2 where the paper has 3, because their lock
-/// CAS and neighborhood READ share one doorbell (EXPERIMENTS.md, known
-/// deviation 6).
+/// Table 1 best case: search 1 (internal nodes cached, no speculation);
+/// update/delete 2 where the paper has 3, because their lock CAS and
+/// neighborhood READ share one doorbell, and insert 2 to 3 where the paper
+/// has 3: its neighborhood READ shares the doorbell too, and a third round
+/// trip reads the argmax entry or the hop window when that window cannot
+/// settle the insert (EXPERIMENTS.md, known deviation 6).
 #[test]
 fn table1_best_case_round_trips() {
     let (_t, mut c) = chime_with(1 << 30, false);
@@ -58,8 +60,8 @@ fn table1_best_case_round_trips() {
         c.insert(KeySpace::key(70_000 + s), &[3u8; 8]).unwrap();
     });
     assert!(
-        (2.9..=3.9).contains(&insert),
-        "insert best case should be ~3 RTTs (splits amortized), got {insert}"
+        (2.4..=2.7).contains(&insert),
+        "insert best case should be ~2.5 RTTs (splits amortized), got {insert}"
     );
     let delete = rtts(&mut c, &mut |c, s| {
         assert!(c.delete(KeySpace::key(70_000 + s)).unwrap());
