@@ -56,12 +56,6 @@ impl InternalNode {
         (self.entries[i].1, next)
     }
 
-    /// Key range of child `i`: its pivot to the next pivot or high fence.
-    pub(crate) fn child_range(&self, i: usize) -> (u64, u64) {
-        let hi = self.entries.get(i + 1).map_or(self.fence_high, |e| e.0);
-        (self.entries[i].0, hi)
-    }
-
     /// Whether `key` falls inside this node's fences (a high fence of
     /// `u64::MAX` is unbounded, so the global maximum key is covered).
     pub fn covers(&self, key: u64) -> bool {
@@ -117,11 +111,6 @@ impl InternalNode {
             entries,
             nv,
         })
-    }
-
-    /// Approximate compute-side bytes when cached.
-    pub fn cached_bytes(&self) -> u64 {
-        48 + 16 * self.entries.len() as u64
     }
 }
 
@@ -295,11 +284,5 @@ mod tests {
         assert_eq!(ep.stats().lock_retries, 4);
         assert_eq!(ep.profile().retry_count(dmem::RetryCause::LockConflict), 4);
         ops.unlock(&mut ep, addr);
-    }
-
-    #[test]
-    fn cached_bytes_scale_with_entries() {
-        let node = sample(GlobalAddr::NULL);
-        assert_eq!(node.cached_bytes(), 48 + 48);
     }
 }

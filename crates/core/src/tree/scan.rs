@@ -5,6 +5,7 @@ use std::sync::Arc;
 use dmem::{GlobalAddr, Phase};
 
 use super::{ChimeClient, OP_RETRY_LIMIT};
+use crate::cache::Route;
 use crate::internal::InternalNode;
 use crate::leaf::LeafSnapshot;
 use crate::lockword::ARGMAX_NONE;
@@ -42,9 +43,9 @@ impl ChimeClient {
         }
         self.retry_backoff.reset();
         for _ in 0..OP_RETRY_LIMIT {
-            let mut parent = self.locate_parent(start);
+            let (mut parent, idx) = self.locate_parent(start);
             let mut got = Gathered::default();
-            if self.scan_from(&mut parent, start, count, &mut got) {
+            if self.scan_from(&mut parent, idx, start, count, &mut got) {
                 // Ties (a key seen in two leaves mid-split) keep gather order.
                 let Gathered { leaves, mut rows } = got;
                 if rows.len() > count {
@@ -68,21 +69,20 @@ impl ChimeClient {
     }
 
     /// One pass over the leaf level: batch-reads the children of `parent`
-    /// and of its right siblings (advancing `parent`), following the leaf
-    /// sibling chain wherever it runs ahead of the parents. Returns `false`
-    /// when the current `parent` no longer matches the leaf level.
+    /// from `idx` and of its right siblings (advancing `parent`), following
+    /// the leaf sibling chain wherever it runs ahead of the parents. A
+    /// cached parent that leaned left past a pivot sharing `start`'s bucket
+    /// starts one child early: its rows are below `start`, and the chain
+    /// bridges on. Returns `false` when the current `parent` no longer
+    /// matches the leaf level.
     fn scan_from(
         &mut self,
-        parent: &mut Arc<InternalNode>,
+        parent: &mut Arc<Route>,
+        mut idx: usize,
         start: u64,
         count: usize,
         got: &mut Gathered,
     ) -> bool {
-        let mut idx = match parent.entries.binary_search_by_key(&start, |e| e.0) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
         // Right sibling of the previously consumed leaf: every further
         // leaf must continue this chain. A half-split leaf may be linked
         // in the chain before its pivot reaches the parent (B-link), so
@@ -92,10 +92,7 @@ impl ChimeClient {
         loop {
             // Batch-read the next group of candidate leaves in one RTT.
             let take = self.batch_len(parent, idx, start, count.saturating_sub(got.rows.len()));
-            let addrs: Vec<GlobalAddr> = parent.entries[idx..idx + take]
-                .iter()
-                .map(|e| e.1)
-                .collect();
+            let addrs = parent.children()[idx..idx + take].to_vec();
             let snaps = self.in_phase(Phase::LeafRead, |me| {
                 me.leaf().read_full_batch(&mut me.ep, &addrs)
             });
@@ -115,7 +112,7 @@ impl ChimeClient {
             if got.rows.len() >= count {
                 return true;
             }
-            if idx >= parent.entries.len() {
+            if idx >= parent.children().len() {
                 if parent.sibling.is_null() {
                     // Drain trailing split-off leaves past the parent's
                     // last known child before concluding the tree ends.
@@ -134,8 +131,9 @@ impl ChimeClient {
         }
     }
 
-    /// Folds a leaf's keys and key range into the key density, decaying the
-    /// earlier ones by 1 %; edge leaves (ranges to 0 or `u64::MAX`) stay out.
+    /// Folds a leaf's keys and key range (bucket-floored, see
+    /// [`Route::child_range`]) into the key density, decaying the earlier
+    /// ones by 1 %; edge leaves (ranges to 0 or `u64::MAX`) stay out.
     fn observe_density(&mut self, (lo, hi): (u64, u64), leaf: &LeafSnapshot) {
         if lo != 0 && hi != u64::MAX {
             let keys = leaf.keys.iter().filter(|&&k| k != 0).count() as f64;
@@ -147,8 +145,8 @@ impl ChimeClient {
     /// How many of `parent`'s children from `idx` one doorbell reads: until the
     /// rows expected (key density × key range above `start`) cover `need` within
     /// one Poisson σ. Leaves count as ¾ full until a density is seen.
-    fn batch_len(&self, parent: &InternalNode, idx: usize, start: u64, need: usize) -> usize {
-        let (left, (keys, width)) = (parent.entries.len() - idx, self.scan_density);
+    fn batch_len(&self, parent: &Route, idx: usize, start: u64, need: usize) -> usize {
+        let (left, (keys, width)) = (parent.children().len() - idx, self.scan_density);
         if width == 0.0 {
             return need.div_ceil(self.span() * 3 / 4).clamp(1, left);
         }

@@ -231,7 +231,7 @@ impl ChimeClient {
         let cfg = self.shared.cfg;
         let span = cfg.span;
         // Find and lock the (fresh) parent of `addr`.
-        let parent_addr = self.locate_parent(probe_key).addr;
+        let parent_addr = self.locate_parent(probe_key).0.addr;
         let _pk = self.local_lock(parent_addr);
         self.in_phase(Phase::LockAcquire, |me| {
             me.shared.internal.lock(&mut me.ep, parent_addr)

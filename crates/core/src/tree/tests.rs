@@ -1,6 +1,7 @@
 //! Unit tests of the tree (they reach into client internals).
 
 use super::*;
+use crate::cache::{Lean, Route};
 
 fn small_cfg() -> ChimeConfig {
     ChimeConfig {
@@ -20,6 +21,13 @@ fn pool() -> Arc<Pool> {
 
 fn v(k: u64) -> Vec<u8> {
     k.to_le_bytes().to_vec()
+}
+
+/// The level-1 node covering `key`, read in full past the CN cache (whose
+/// routes keep only pivot suffixes).
+fn parent_node(c: &mut ChimeClient, key: u64) -> InternalNode {
+    let addr = c.locate_parent(key).0.addr;
+    c.shared.internal.read(&mut c.ep, addr)
 }
 
 #[test]
@@ -95,7 +103,7 @@ fn scan_bridges_leaf_chain_gaps_missing_from_parent() {
     }
     // Drop a mid pivot from a level-1 node, leaving its leaf reachable
     // only through the previous leaf's sibling pointer.
-    let parent = c.locate_parent(n / 2);
+    let parent = parent_node(&mut c, n / 2);
     assert!(parent.entries.len() >= 3, "need a populated level-1 node");
     let victim_pivot = parent.entries[parent.entries.len() / 2].0;
     let shared = Arc::clone(&c.shared);
@@ -564,7 +572,7 @@ fn ownership_miss_on_a_bitmap_full_leaf_counts_a_chase() {
     }
     // Drop a mid pivot from a level-1 node: its leaf stays reachable only
     // through the left neighbour's sibling pointer.
-    let parent = c.locate_parent(n);
+    let parent = parent_node(&mut c, n);
     assert!(parent.entries.len() >= 3, "need a populated level-1 node");
     let i = parent.entries.len() / 2;
     let (victim_pivot, left) = (parent.entries[i].0, parent.entries[i - 1].1);
@@ -700,7 +708,7 @@ fn an_unpropagated_split_reads_the_argmax_entry_then_detours() {
     for k in 1..=n {
         c.insert(k * 2, &v(k)).unwrap();
     }
-    let parent = c.locate_parent(n);
+    let parent = parent_node(&mut c, n);
     assert!(parent.entries.len() >= 4, "need a populated level-1 node");
     // A key of leaf `right` whose window misses both its own leaf's argmax
     // slot and its left neighbour's.
@@ -1102,8 +1110,8 @@ fn a_scan_across_a_stale_cached_parent_returns_every_row_once() {
     for k in 1..=2_000u64 {
         a.insert(k * 10, &v(k)).unwrap();
     }
-    let left = a.locate_parent(5_000);
-    let right = a.locate_parent(left.fence_high);
+    let left = a.locate_parent(5_000).0;
+    let right = a.locate_parent(left.fence_high).0;
     assert_eq!(right.addr, left.sibling, "A caches the right-hand parent");
     // B fills the right-hand parent's range until it splits.
     let filled = (right.fence_low..right.fence_high.min(20_000)).filter(|k| k % 10 != 0);
@@ -1113,11 +1121,85 @@ fn a_scan_across_a_stale_cached_parent_returns_every_row_once() {
     let fresh = b.shared.internal.read(&mut b.ep, right.addr);
     assert!(fresh.fence_high < right.fence_high, "the right-hand parent split");
     let cached = cn_a.cache.lock().get(right.addr).expect("still cached");
-    assert_eq!(cached.entries, right.entries, "A's copy is the stale one");
+    assert_eq!(cached, right, "A's copy is the stale one");
     // A scans from inside the left parent across the whole stale range.
     let mut keys: Vec<u64> = (1..=2_000u64).map(|k| k * 10).chain(filled).collect();
     keys.sort_unstable();
-    let start = left.entries[left.entries.len() / 2].0;
+    let start = parent_node(&mut a, 5_000).entries[left.children().len() / 2].0;
     let count = keys.len() - keys.partition_point(|&k| k < start);
     scan_cost(&mut a, &keys, &[start], count.min(1_000));
+}
+
+/// Suffixes are offsets from a node's second pivot, so a dense run of keys
+/// far above the tree's left edge (low fence 0) keeps every pivot whole:
+/// once the routes are cached, no lookup misses and every search is one
+/// leaf read.
+#[test]
+fn a_dense_run_far_from_the_low_fence_routes_exactly() {
+    let pool = pool();
+    let cfg = ChimeConfig {
+        hotspot_bytes: 0,
+        ..small_cfg()
+    };
+    let t = Chime::create(&pool, cfg, 0);
+    let cn = t.new_cn();
+    let mut c = t.client(&cn);
+    let mut keys: Vec<u64> = (1..=3_000u64).map(|i| (1 << 40) | i).collect();
+    keys.sort_by_key(|&k| dmem::hash::mix64(k));
+    for &k in &keys {
+        c.insert(k, &v(k)).unwrap();
+    }
+    for &k in &keys {
+        assert_eq!(c.search(k), Some(v(k)));
+    }
+    let (misses, rtts) = (cn.cache_stats().1, c.stats().rtts);
+    for &k in &keys {
+        assert_eq!(c.search(k), Some(v(k)));
+    }
+    assert_eq!(cn.cache_stats().1, misses, "every route is cached and exact");
+    assert_eq!(c.stats().rtts - rtts, keys.len() as u64, "one leaf read per search");
+}
+
+/// A cached route keeps each pivot as a 4-byte suffix, so with keys 2^40
+/// apart a pivot shares its bucket with the keys next to it. CHIME's pivots
+/// are a left half's maximum plus one: that maximum leans left onto its own
+/// leaf at no cost, and a key just above the pivot leans left too — its
+/// search's sibling validation turns that into one cache miss: the parent
+/// is re-read, routes exactly, and the key is found in the right leaf.
+#[test]
+fn a_key_sharing_a_pivots_bucket_costs_one_cache_miss() {
+    let pool = pool();
+    let cfg = ChimeConfig {
+        hotspot_bytes: 0,
+        ..small_cfg()
+    };
+    let t = Chime::create(&pool, cfg, 0);
+    let mut c = t.client(&t.new_cn());
+    for i in 1..=300u64 {
+        c.insert(i << 40, &v(i)).unwrap();
+    }
+    let pivot = {
+        let node = parent_node(&mut c, 150 << 40);
+        node.entries[node.entries.len() / 2].0
+    };
+    let (max, above) = (pivot - 1, pivot + 1);
+    assert_eq!(c.search(max), Some(v(max >> 40)), "the left half's maximum");
+    c.insert(above, &v(above)).unwrap();
+    let node = parent_node(&mut c, above);
+    let route = Route::new(&node);
+    assert!(node.entries.iter().any(|e| e.0 == pivot), "the pivot stays");
+    assert_eq!(route.select(max, Lean::Left).0, node.select(max).0);
+    assert_ne!(route.select(above, Lean::Left), node.select(above), "a shared bucket");
+    let stats = |c: &ChimeClient| (c.cn.cache.lock().hit_stats().1, c.counters.invalidations);
+    assert_eq!(c.search(max), Some(v(max >> 40)));
+    let before = stats(&c);
+    assert_eq!(c.search(max), Some(v(max >> 40)));
+    assert_eq!(stats(&c), before, "the maximum leans onto its own leaf");
+    assert_eq!(c.search(above), Some(v(above)));
+    assert_eq!(stats(&c), (before.0 + 1, before.1 + 1), "one miss re-reads the parent");
+    // A scan from it starts one leaf early, on the left lean's child.
+    let mut rows = Vec::new();
+    c.scan(above, 2, &mut rows);
+    assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), [above, max + (1 << 40)]);
+    assert_eq!(c.check_integrity().unwrap(), 301);
 }

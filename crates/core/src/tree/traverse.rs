@@ -5,7 +5,7 @@ use std::sync::Arc;
 use dmem::{GlobalAddr, Phase, RetryCause};
 
 use super::{ChimeClient, OP_RETRY_LIMIT};
-use crate::internal::InternalNode;
+use crate::cache::{Hop, Lean, Route};
 
 /// Where a traversal landed: the leaf plus validation context.
 pub(super) struct LeafLoc {
@@ -83,44 +83,53 @@ impl ChimeClient {
         self.reroute(parent);
     }
 
-    /// Reads an internal node through the CN cache; remote reads populate it.
+    /// Reads the internal node at `addr` through the CN cache and routes
+    /// `key` in it; the hop is `None` when the node is invalid or does not
+    /// cover `key`. A cached route leans left where a pivot shares `key`'s
+    /// bucket (CHIME's pivots are a left half's maximum plus one); a remote
+    /// read populates the cache and routes exactly on the full node, so the
+    /// re-read that validation forces after a wrong lean lands right.
     pub(super) fn read_internal_cached(
         &mut self,
         addr: GlobalAddr,
         key: u64,
-    ) -> (Arc<InternalNode>, bool) {
+    ) -> (Arc<Route>, Option<Hop>, bool) {
         let hit = self.in_phase(Phase::CacheLookup, |me| {
-            me.cn.cache.lock().get(addr).filter(|n| n.covers(key))
+            me.cn.cache.lock().get(addr).filter(|r| r.covers(key))
         });
-        if let Some(n) = hit {
-            return (n, true);
+        if let Some(r) = hit {
+            let hop = r.select(key, Lean::Left);
+            return (r, Some(hop), true);
         }
-        let n = Arc::new(self.shared.internal.read(&mut self.ep, addr));
-        if n.valid {
-            self.cn.cache.lock().insert(Arc::clone(&n));
+        let node = self.shared.internal.read(&mut self.ep, addr);
+        let hop = (node.valid && node.covers(key)).then(|| node.select(key));
+        let route = Arc::new(Route::new(&node));
+        if node.valid {
+            self.cn.cache.lock().insert(Arc::clone(&route));
         }
-        (n, false)
+        (route, hop, false)
     }
 
     /// Descends from the origin to the level-1 node covering `key`, moving
     /// laterally over half-split levels (B-link) and restarting from a
-    /// fresh root when the route proves stale. Returns the node and whether
-    /// it came from the CN cache. Runs inside the caller's traversal frame.
-    fn descend(&mut self, key: u64) -> (Arc<InternalNode>, bool) {
+    /// fresh root when the route proves stale. Returns the node, the hop
+    /// it gives `key` and whether it came from the CN cache. Runs inside
+    /// the caller's traversal frame.
+    fn descend(&mut self, key: u64) -> (Arc<Route>, Hop, bool) {
         let mut addr = self.descent_origin();
         for _ in 0..OP_RETRY_LIMIT {
-            let (node, via_cache) = self.read_internal_cached(addr, key);
-            if !node.valid {
+            let (route, hop, via_cache) = self.read_internal_cached(addr, key);
+            if !route.valid {
                 self.cn.cache.lock().invalidate(addr);
                 addr = self.refresh_root();
                 self.on_op_conflict(RetryCause::StaleRoute);
-            } else if node.covers(key) {
-                if node.level == 1 {
-                    return (node, via_cache);
+            } else if let Some(hop) = hop {
+                if route.level == 1 {
+                    return (route, hop, via_cache);
                 }
-                addr = node.select(key).0;
-            } else if key >= node.fence_high && !node.sibling.is_null() {
-                addr = node.sibling;
+                addr = hop.0;
+            } else if key >= route.fence_high && !route.sibling.is_null() {
+                addr = route.sibling;
             } else {
                 addr = self.refresh_root();
                 self.on_op_conflict(RetryCause::StaleRoute);
@@ -132,20 +141,19 @@ impl ChimeClient {
     /// Traverses internal levels down to the parent of the target leaf.
     pub(super) fn locate_leaf(&mut self, key: u64) -> LeafLoc {
         self.in_phase(Phase::Traversal, |me| {
-            let (node, via_cache) = me.descend(key);
-            let (addr, mut expected) = node.select(key);
-            if expected.is_none() && !node.sibling.is_null() {
+            let (route, (addr, mut expected), via_cache) = me.descend(key);
+            if expected.is_none() && !route.sibling.is_null() {
                 // The leaf is its parent's last child: the expected
                 // sibling pointer is the *first child of the parent's
                 // B-link sibling* (usually cached). Without it, every
                 // interior last-child access would look half-split.
-                expected = me.first_child_of(node.sibling);
+                expected = me.first_child_of(route.sibling);
             }
             LeafLoc {
                 addr,
                 expected,
                 via_cache,
-                parent: node.addr,
+                parent: route.addr,
             }
         })
     }
@@ -153,21 +161,25 @@ impl ChimeClient {
     /// First child pointer of the internal node at `addr` (cached when
     /// possible). Used to resolve the expected sibling of last children.
     fn first_child_of(&mut self, addr: GlobalAddr) -> Option<GlobalAddr> {
-        if let Some(n) = self.cn.cache.lock().get(addr) {
-            return n.entries.first().map(|e| e.1);
+        if let Some(r) = self.cn.cache.lock().get(addr) {
+            return r.children().first().copied();
         }
-        let n = Arc::new(self.shared.internal.read(&mut self.ep, addr));
-        if !n.valid {
+        let node = self.shared.internal.read(&mut self.ep, addr);
+        if !node.valid {
             return None;
         }
-        let first = n.entries.first().map(|e| e.1);
-        self.cn.cache.lock().insert(n);
-        first
+        self.cn.cache.lock().insert(Arc::new(Route::new(&node)));
+        node.entries.first().map(|e| e.1)
     }
 
-    /// Like [`Self::locate_leaf`] but returns the parent node itself
-    /// (scans batch-read its consecutive leaves; merges lock it).
-    pub(super) fn locate_parent(&mut self, key: u64) -> Arc<InternalNode> {
-        self.in_phase(Phase::Traversal, |me| me.descend(key).0)
+    /// Like [`Self::locate_leaf`] but returns the parent's route itself and
+    /// the index of the child `key` routes to (scans batch-read consecutive
+    /// leaves from there; merges lock the parent).
+    pub(super) fn locate_parent(&mut self, key: u64) -> (Arc<Route>, usize) {
+        self.in_phase(Phase::Traversal, |me| {
+            let (route, (child, _), _) = me.descend(key);
+            let at = route.children().iter().position(|&c| c == child);
+            (route, at.expect("a hop goes to a child"))
+        })
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use chime::cache::NodeCache;
+use chime::cache::{Hop, Lean, NodeCache, Route};
 use chime::internal::{InternalNode, InternalOps};
 use chime::layout::InternalLayout;
 use dmem::{indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
@@ -192,68 +192,68 @@ impl ShermanClient {
         }
     }
 
-    fn read_internal_cached(&mut self, addr: GlobalAddr, key: u64) -> Arc<InternalNode> {
-        if let Some(n) = self.cn.cache.lock().get(addr) {
-            if n.covers(key) {
-                return n;
+    /// Reads the internal node at `addr` through the CN cache and routes
+    /// `key` in it; the hop is `None` when the node is invalid or does not
+    /// cover `key`. A cached route leans right where a pivot shares `key`'s
+    /// bucket (Sherman's pivots are a right half's minimum); a remote read
+    /// routes exactly on the full node.
+    fn read_internal_cached(&mut self, addr: GlobalAddr, key: u64) -> (Arc<Route>, Option<Hop>) {
+        if let Some(r) = self.cn.cache.lock().get(addr) {
+            if r.covers(key) {
+                let hop = r.select(key, Lean::Right);
+                return (r, Some(hop));
             }
         }
-        let n = Arc::new(self.shared.internal.read(&mut self.ep, addr));
-        if n.valid {
-            self.cn.cache.lock().insert(Arc::clone(&n));
+        let node = self.shared.internal.read(&mut self.ep, addr);
+        let hop = (node.valid && node.covers(key)).then(|| node.select(key));
+        let route = Arc::new(Route::new(&node));
+        if node.valid {
+            self.cn.cache.lock().insert(Arc::clone(&route));
         }
-        n
+        (route, hop)
     }
 
+    /// Descends to the level-1 node covering `key`; returns it and the hop
+    /// it gives `key`. A node that starts above `key` means the route that
+    /// led there leaned right past a pivot: it is dropped, so the retry
+    /// reads it and routes exactly.
+    fn descend(&mut self, key: u64) -> (Arc<Route>, Hop) {
+        let mut addr = self.root();
+        let mut from = GlobalAddr::NULL;
+        for _ in 0..OP_RETRY_LIMIT {
+            let (route, hop) = self.read_internal_cached(addr, key);
+            match hop {
+                _ if !route.valid => {
+                    self.cn.cache.lock().invalidate(addr);
+                    addr = self.refresh_root();
+                }
+                Some(hop) if route.level == 1 => return (route, hop),
+                Some(hop) => (from, addr) = (addr, hop.0),
+                None if key >= route.fence_high && !route.sibling.is_null() => {
+                    addr = route.sibling;
+                }
+                None => {
+                    if key < route.fence_low {
+                        self.cn.cache.lock().invalidate(from);
+                    }
+                    addr = self.refresh_root();
+                }
+            }
+        }
+        panic!("sherman descent retry limit for key {key}");
+    }
+
+    /// The leaf for `key` and its parent.
     fn locate_leaf(&mut self, key: u64) -> (GlobalAddr, GlobalAddr) {
-        let mut addr = self.root();
-        for _ in 0..OP_RETRY_LIMIT {
-            let node = self.read_internal_cached(addr, key);
-            if !node.valid {
-                self.cn.cache.lock().invalidate(addr);
-                addr = self.refresh_root();
-                continue;
-            }
-            if !node.covers(key) {
-                if key >= node.fence_high && !node.sibling.is_null() {
-                    addr = node.sibling;
-                } else {
-                    addr = self.refresh_root();
-                }
-                continue;
-            }
-            let (child, _) = node.select(key);
-            if node.level == 1 {
-                return (child, node.addr);
-            }
-            addr = child;
-        }
-        panic!("sherman locate retry limit for key {key}");
+        let (route, (child, _)) = self.descend(key);
+        (child, route.addr)
     }
 
-    fn locate_parent(&mut self, key: u64) -> Arc<InternalNode> {
-        let mut addr = self.root();
-        for _ in 0..OP_RETRY_LIMIT {
-            let node = self.read_internal_cached(addr, key);
-            if !node.valid {
-                addr = self.refresh_root();
-                continue;
-            }
-            if !node.covers(key) {
-                if key >= node.fence_high && !node.sibling.is_null() {
-                    addr = node.sibling;
-                } else {
-                    addr = self.refresh_root();
-                }
-                continue;
-            }
-            if node.level == 1 {
-                return node;
-            }
-            let (child, _) = node.select(key);
-            addr = child;
-        }
-        panic!("sherman locate_parent retry limit");
+    /// The parent of the leaf for `key` and that leaf's index in it.
+    fn scan_origin(&mut self, key: u64) -> (Arc<Route>, usize) {
+        let (route, (child, _)) = self.descend(key);
+        let at = route.children().iter().position(|&c| c == child);
+        (route, at.expect("a hop goes to a child"))
     }
 
     /// Reads the leaf owning `key`, chasing fences laterally.
@@ -287,16 +287,19 @@ impl ShermanClient {
 
     /// Locks and reads the leaf owning `key` (write paths).
     fn lock_owner(&mut self, key: u64) -> (GlobalAddr, LeafSnapshot) {
-        let (mut addr, _) = self.locate_leaf(key);
+        let (mut addr, mut parent) = self.locate_leaf(key);
         for _ in 0..OP_RETRY_LIMIT {
             let _lk = self.local_lock(addr);
             self.shared.leaf.lock(&mut self.ep, addr);
             let snap = self.shared.leaf.read(&mut self.ep, addr);
             if !snap.valid || key < snap.fences.0 {
                 self.shared.leaf.unlock(&mut self.ep, addr);
+                if key < snap.fences.0 {
+                    // The cached parent leaned right past a pivot.
+                    self.cn.cache.lock().invalidate(parent);
+                }
                 self.refresh_root();
-                let (a, _) = self.locate_leaf(key);
-                addr = a;
+                (addr, parent) = self.locate_leaf(key);
                 continue;
             }
             if !dmem::hash::in_range(key, snap.fences.0, snap.fences.1) {
@@ -575,24 +578,24 @@ impl RangeIndex for ShermanClient {
             return;
         }
         let mut collected: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut parent = self.locate_parent(start);
-        let mut idx = match parent.entries.binary_search_by_key(&start, |e| e.0) {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
+        let (mut parent, mut idx) = self.scan_origin(start);
+        let mut first = true;
         let per_leaf = (self.shared.cfg.span * 3) / 4;
         loop {
             let need = count.saturating_sub(collected.len());
             let take = need
                 .div_ceil(per_leaf)
                 .max(1)
-                .min(parent.entries.len() - idx);
-            let addrs: Vec<GlobalAddr> = parent.entries[idx..idx + take]
-                .iter()
-                .map(|e| e.1)
-                .collect();
+                .min(parent.children().len() - idx);
+            let addrs = parent.children()[idx..idx + take].to_vec();
             let snaps = self.shared.leaf.read_batch(&mut self.ep, &addrs);
+            if std::mem::take(&mut first) && snaps[0].fences.0 > start {
+                // The cached parent leaned right past a pivot: re-read it.
+                self.cn.cache.lock().invalidate(parent.addr);
+                (parent, idx) = self.scan_origin(start);
+                first = true;
+                continue;
+            }
             for snap in &snaps {
                 for (k, v) in snap.keys.iter().zip(snap.values.iter()) {
                     if *k >= start {
@@ -604,11 +607,12 @@ impl RangeIndex for ShermanClient {
             if collected.len() >= count {
                 break;
             }
-            if idx >= parent.entries.len() {
+            if idx >= parent.children().len() {
                 if parent.sibling.is_null() {
                     break;
                 }
-                parent = Arc::new(self.shared.internal.read(&mut self.ep, parent.sibling));
+                let node = self.shared.internal.read(&mut self.ep, parent.sibling);
+                parent = Arc::new(Route::new(&node));
                 if !parent.valid {
                     break;
                 }
@@ -735,6 +739,47 @@ mod tests {
         }
         for k in 1..=200u64 {
             assert_eq!(c.search(k), Some(vec![k as u8; 33]));
+        }
+    }
+
+    /// A cached route keeps each pivot as a 4-byte suffix, so with keys about
+    /// 2^40 apart a pivot shares its bucket with the keys next to it. Sherman's
+    /// pivots are a right half's minimum: the pivot leans right onto its own
+    /// leaf at no cost, and a key just below leans right too — the node it
+    /// lands on starts above it, so the route that sent it there is dropped
+    /// and re-read once, at the root and at level 1 alike, and a scan from
+    /// it starts over.
+    #[test]
+    fn a_key_sharing_a_pivots_bucket_costs_one_cache_miss() {
+        let pool = Pool::with_defaults(1, 128 << 20);
+        let t = Sherman::create(&pool, small(), 1);
+        let cn = t.new_cn();
+        let mut c = t.client(&cn);
+        const STEP: u64 = 0x0123_4567_89ab;
+        for i in 1..=300u64 {
+            c.insert(i * STEP, &v(i)).unwrap();
+        }
+        let root_addr = c.refresh_root();
+        let root = c.shared.internal.read(&mut c.ep, root_addr);
+        assert!(root.level >= 2, "a root above level 1");
+        let (_, parent) = c.locate_leaf(150 * STEP);
+        let level1 = c.shared.internal.read(&mut c.ep, parent);
+        for node in [root, level1] {
+            let pivot = node.entries[node.entries.len() / 2].0;
+            let route = Route::new(&node);
+            assert_eq!(route.select(pivot, Lean::Right), node.select(pivot));
+            assert_ne!(route.select(pivot - 1, Lean::Right), node.select(pivot - 1));
+            c.insert(pivot - 1, &v(pivot - 1)).unwrap();
+            assert_eq!(c.search(pivot), Some(v(pivot / STEP)));
+            let misses = cn.cache_stats().1;
+            assert_eq!(c.search(pivot), Some(v(pivot / STEP)));
+            assert_eq!(cn.cache_stats().1, misses, "the pivot leans onto its own leaf");
+            assert_eq!(c.search(pivot - 1), Some(v(pivot - 1)));
+            assert_eq!(cn.cache_stats().1, misses + 1, "one miss re-reads the route");
+            let mut rows = Vec::new();
+            c.scan(pivot - 1, 2, &mut rows);
+            let keys: Vec<u64> = rows.iter().map(|r| r.0).collect();
+            assert_eq!(keys, [pivot - 1, pivot], "a scan re-reads a parent that leaned past its start");
         }
     }
 
