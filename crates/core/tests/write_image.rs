@@ -14,10 +14,15 @@
 //! piggyback, the whole-node fallback, splits, merges, synonym chains —
 //! changes a constant below.
 
+use std::sync::Arc;
+
+use chime::internal::InternalOps;
+use chime::layout::InternalLayout;
 use chime::{Chime, ChimeConfig};
 use dmem::node::RESERVED_BYTES;
-use dmem::{Pool, RangeIndex};
+use dmem::{Endpoint, GlobalAddr, Pool, RangeIndex};
 use rolex::{ChimeLearned, RolexConfig};
+use sherman::{Sherman, ShermanConfig};
 
 const OPS: u64 = 6_000;
 const KEYSPACE: u64 = 1_500;
@@ -179,4 +184,34 @@ fn chime_learned_write_image_matches_the_recorded_constant() {
     let mut c = index.client();
     drive(&mut c, &mut shadow, cfg.value_size, 0x1EA2);
     assert_eq!(summary(&pool, &c), "3e98064a07e0a325 37781r/9765w/4156a/1rpc/33247rtt/8191302B");
+}
+
+/// Sherman: sorted leaves under the B+-tree internal levels. A fan-out of
+/// four splits internal nodes and grows the root more than once, so the
+/// constant also pins pivot up-propagation, internal splits and root
+/// growth, and the virtual clock pins every charged round trip.
+#[test]
+fn sherman_write_image_matches_the_recorded_constant() {
+    let pool = Pool::with_defaults(1, 64 << 20);
+    let cfg = ShermanConfig {
+        span: 8,
+        internal_span: 4,
+        value_size: 8,
+        cache_bytes: 1 << 20,
+        indirect_values: false,
+    };
+    let tree = Sherman::create(&pool, cfg, 0);
+    let mut c = tree.client(&tree.new_cn());
+    let mut shadow = std::collections::BTreeMap::new();
+    drive(&mut c, &mut shadow, cfg.value_size, 0x5E4A);
+    let got = format!("{} {}ns", summary(&pool, &c), c.clock_ns());
+    let mut ep = Endpoint::new(Arc::clone(&pool));
+    let mut slot = [0u8; 8];
+    ep.read(dmem::root_slot(0), &mut slot);
+    let internal = InternalOps {
+        layout: InternalLayout { span: cfg.internal_span },
+    };
+    let root = internal.read(&mut ep, GlobalAddr::from_raw(u64::from_le_bytes(slot)));
+    assert!(root.level >= 3, "the root grew only to level {}", root.level);
+    assert_eq!(got, "dc602ccca5a0dc13 8721r/13118w/6322a/1rpc/21611rtt/3201032B 54808453ns");
 }
