@@ -8,11 +8,12 @@
 //! modeled throughput and latency percentiles with [`dmem::NetConfig`].
 //!
 //! Read-delegation/write-combining (RDWC, applied to every index in the
-//! paper) is modeled per CN: within one scheduling round, duplicate
-//! same-key reads/updates execute once and share the result.
+//! paper) is modeled per CN within the serial driver's scheduling rounds
+//! only: duplicate same-key reads/updates of one round execute once and
+//! share the result. Pipelined runs (K > 1 lanes) do not combine.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dmem::{
     Bound, ClientStats, CountHist, Histogram, NetConfig, Pool, QpConfig, QpStats, RangeIndex,
@@ -81,7 +82,8 @@ pub struct BenchSetup {
     pub theta: f64,
     /// Value size in bytes.
     pub value_size: usize,
-    /// Model RDWC combining (on for every index, as in the paper).
+    /// Model RDWC combining (on for every index, as in the paper): within
+    /// one serial scheduling round only; pipelined lanes never combine.
     pub rdwc: bool,
     /// Coroutine lanes per client (K). 1 runs clients strictly serially on
     /// their virtual clocks; K > 1 multiplexes K pipelined lanes per client
@@ -608,14 +610,9 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
         for ci in 0..n_clients {
             let client_ops = ops_per_cn / n_clients as u64
                 + u64::from((ci as u64) < ops_per_cn % n_clients as u64);
-            // RDWC across the client's lanes: a same-key read/update issued
-            // while a lane's identical op is still in flight shares its
-            // result (and latency) instead of issuing verbs.
-            type Combined = Arc<Mutex<HashMap<(u8, u64), (u64, u64)>>>;
             // What a lane hands back: its client handle, the (op, latency)
             // samples it measured, and its busy time.
             type LaneReturn = (Handle, Vec<(u8, u64)>, u64);
-            let combined: Combined = Arc::new(Mutex::new(HashMap::new()));
             let mut bodies: Vec<LaneBody<LaneReturn>> = Vec::with_capacity(k);
             let mut before: Vec<HandleSnap> = Vec::with_capacity(k);
             // Logical-client index across CNs; traced clients get one
@@ -636,8 +633,6 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                     setup.theta,
                 );
                 let value = value.clone();
-                let combined = Arc::clone(&combined);
-                let rdwc = setup.rdwc;
                 // Trace ids carry the lane identity in the high half so
                 // interleaved lanes stay distinguishable in the trace.
                 let trace_base = ((gci * k + l) as u64 + 1) << 32;
@@ -647,25 +642,9 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                     let mut scan_buf = Vec::new();
                     for opno in 0..lane_ops {
                         let op = gen.next_op();
-                        let (disc, key) = (op_disc(&op), op.key());
-                        if rdwc && disc <= 1 {
-                            let now = handle.clock_ns();
-                            // The engine runs one lane at a time, so this
-                            // cross-lane combining map is never contended.
-                            let hit = combined.lock().unwrap().get(&(disc, key)).and_then(
-                                |&(done_at, lat)| (done_at > now).then_some(lat),
-                            );
-                            if let Some(lat) = hit {
-                                lats.push((disc, lat));
-                                continue;
-                            }
-                        }
+                        let disc = op_disc(&op);
                         let lat =
                             exec_op(handle.as_mut(), op, &value, &mut scan_buf, trace_base | opno);
-                        if rdwc && disc <= 1 {
-                            let done = (handle.clock_ns(), lat);
-                            combined.lock().unwrap().insert((disc, key), done);
-                        }
                         lats.push((disc, lat));
                     }
                     let busy = handle.clock_ns() - t_start;

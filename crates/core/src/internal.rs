@@ -36,6 +36,26 @@ pub struct InternalNode {
 }
 
 impl InternalNode {
+    /// A valid node not yet written (node version 0).
+    pub fn fresh(
+        addr: GlobalAddr,
+        level: u8,
+        (fence_low, fence_high): (u64, u64),
+        sibling: GlobalAddr,
+        entries: Vec<(u64, GlobalAddr)>,
+    ) -> Self {
+        InternalNode {
+            addr,
+            level,
+            valid: true,
+            fence_low,
+            fence_high,
+            sibling,
+            entries,
+            nv: 0,
+        }
+    }
+
     /// Selects the child covering `key` and the *next* child pointer
     /// (CHIME's expected sibling for leaf validation; `None` when `key`
     /// routes to the last child).

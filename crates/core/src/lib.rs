@@ -12,6 +12,9 @@
 //!   optimistic synchronization;
 //! * [`cache`] / [`hotspot`] — compute-side internal-node cache and the
 //!   hotness-aware speculative-read buffer;
+//! * [`skeleton`] — the B+-tree internal levels CHIME shares with Sherman:
+//!   the cached descent, pivot up-propagation, internal split and root
+//!   growth, and the per-CN route state;
 //! * [`tree`] — the full index: search / insert / update / delete / scan
 //!   with node splits, up-propagation and sibling-based validation;
 //! * [`backoff`] — bounded exponential backoff with seeded jitter, charged
@@ -32,6 +35,7 @@ pub mod internal;
 pub mod layout;
 pub mod leaf;
 pub mod lockword;
+pub mod skeleton;
 mod slablist;
 pub mod tree;
 pub mod varkey;

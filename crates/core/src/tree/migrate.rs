@@ -5,6 +5,7 @@ use dmem::{GlobalAddr, IndexError, Phase, RangeIndex};
 
 use super::{ChimeClient, TreeBinding};
 use crate::leaf::LeafMeta;
+use crate::skeleton::SkeletonClient;
 
 impl ChimeClient {
     /// Re-reads the live root pointer slot. Migrators use this to snapshot
@@ -64,10 +65,10 @@ impl ChimeClient {
     /// partition is half-migrated (crash recovery relies on that).
     pub fn leaf_addrs_under(&mut self, root: GlobalAddr) -> Vec<GlobalAddr> {
         self.in_phase(Phase::Traversal, |me| {
-            let mut node = me.shared.internal.read(&mut me.ep, root);
+            let mut node = me.shared.skeleton.internal.read(&mut me.ep, root);
             while node.level > 1 {
                 let child = node.entries[0].1;
-                node = me.shared.internal.read(&mut me.ep, child);
+                node = me.shared.skeleton.internal.read(&mut me.ep, child);
             }
             let mut out: Vec<GlobalAddr> = Vec::new();
             loop {
@@ -76,7 +77,7 @@ impl ChimeClient {
                     return out;
                 }
                 let sib = node.sibling;
-                node = me.shared.internal.read(&mut me.ep, sib);
+                node = me.shared.skeleton.internal.read(&mut me.ep, sib);
             }
         })
     }

@@ -7,11 +7,13 @@
 //!
 //! The operation protocols follow §4.4 of the paper, including sibling-based
 //! validation with the `argmax_keys` corner case, Sherman-style node splits
-//! with up-propagation, and hotness-aware speculative reads. The client's
-//! methods are split along the phases of an operation — `traverse`, `point`
-//! (search and the write path), `smo` (split / merge), `scan`, `migrate` —
-//! over the phase-frame step helpers in this file, with one definition of
-//! each protocol step (module map: DESIGN.md §3.1).
+//! with up-propagation, and hotness-aware speculative reads. The internal
+//! levels — descent, up-propagation, internal split, root growth — are the
+//! [`crate::skeleton`] steps Sherman runs too; the client's own methods are
+//! split along the phases of an operation — `traverse`, `point` (search and
+//! the write path), `smo` (leaf split / merge), `scan`, `migrate` — over the
+//! phase-frame step helpers in this file, with one definition of each
+//! protocol step (module map: DESIGN.md §3.1).
 
 mod migrate;
 mod point;
@@ -31,25 +33,21 @@ use dmem::{
 };
 
 use crate::backoff::Backoff;
-use crate::cache::NodeCache;
 use crate::config::ChimeConfig;
 use crate::hopscotch::Window;
 use crate::hotspot::HotspotBuffer;
-use crate::internal::{InternalNode, InternalOps};
-use crate::layout::{InternalLayout, LeafLayout};
+use crate::layout::LeafLayout;
 use crate::leaf::{LeafMeta, LeafOps, LockedRead};
 use crate::lockword::LockWord;
-
-const OP_RETRY_LIMIT: usize = 100_000;
+use crate::skeleton::{Routes, Skeleton, SkeletonClient, OP_RETRY_LIMIT};
 
 /// Shared description of one remote CHIME tree.
 pub struct Shared {
     pool: Arc<Pool>,
     /// The tree configuration.
     pub cfg: ChimeConfig,
-    root_slot: GlobalAddr,
+    skeleton: Skeleton,
     leaf: LeafOps,
-    internal: InternalOps,
 }
 
 /// A handle to a CHIME tree on the memory pool.
@@ -73,19 +71,18 @@ pub struct Chime {
     shared: Arc<Shared>,
 }
 
-/// Per-compute-node shared state: the internal-node cache and the hotspot
-/// buffer, shared by all clients of that CN.
+/// Per-compute-node shared state: the route state (internal-node cache,
+/// root hint, local lock table) and the hotspot buffer, shared by all
+/// clients of that CN.
 pub struct CnState {
-    cache: Mutex<NodeCache>,
+    routes: Routes,
     hotspot: Mutex<HotspotBuffer>,
-    root_hint: Mutex<GlobalAddr>,
-    lock_table: Arc<dmem::LocalLockTable>,
 }
 
 impl CnState {
     /// Bytes of compute-side memory this CN spends on the index.
     pub fn cache_bytes(&self) -> u64 {
-        self.cache.lock().bytes() + self.hotspot.lock().bytes()
+        self.routes.cache_bytes() + self.hotspot.lock().bytes()
     }
 
     /// `(hits, lookups)` of the hotspot buffer.
@@ -95,7 +92,7 @@ impl CnState {
 
     /// `(hits, misses)` of the internal-node cache.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.lock().hit_stats()
+        self.routes.cache_stats()
     }
 }
 
@@ -159,17 +156,11 @@ impl Chime {
     pub fn open(pool: &Arc<Pool>, cfg: ChimeConfig, slot: u64) -> Self {
         cfg.validate();
         let leaf = LeafOps::new(leaf_layout(&cfg)).with_lease_spins(cfg.lock_lease_spins);
-        let internal = InternalOps {
-            layout: InternalLayout {
-                span: cfg.internal_span,
-            },
-        };
         let shared = Arc::new(Shared {
             pool: Arc::clone(pool),
             cfg,
-            root_slot: dmem::root_slot(slot),
+            skeleton: Skeleton::new(slot, cfg.internal_span),
             leaf,
-            internal,
         });
         Chime { shared }
     }
@@ -177,36 +168,18 @@ impl Chime {
     fn bootstrap(&self, mut alloc: ChunkAlloc) {
         let s = &self.shared;
         let mut ep = Endpoint::new(Arc::clone(&s.pool));
-        let leaf_addr = alloc
-            .alloc(&mut ep, s.leaf.layout.node_size() as u64)
-            .expect("pool too small for bootstrap");
-        let w = s.leaf.layout.window(0, s.cfg.span);
-        let meta = s.leaf.meta(GlobalAddr::NULL, true, (0, u64::MAX));
-        s.leaf.write_new(&mut ep, leaf_addr, &w, &meta);
-        let root_addr = alloc
-            .alloc(&mut ep, s.internal.layout.node_size() as u64)
-            .expect("pool too small for bootstrap");
-        let root = InternalNode {
-            addr: root_addr,
-            level: 1,
-            valid: true,
-            fence_low: 0,
-            fence_high: u64::MAX,
-            sibling: GlobalAddr::NULL,
-            entries: vec![(0, leaf_addr)],
-            nv: 0,
-        };
-        s.internal.write_new(&mut ep, &root);
-        ep.write(s.root_slot, &root_addr.raw().to_le_bytes());
+        s.skeleton.bootstrap(&mut ep, &mut alloc, s.leaf.layout.node_size(), |ep, addr| {
+            let w = s.leaf.layout.window(0, s.cfg.span);
+            let meta = s.leaf.meta(GlobalAddr::NULL, true, (0, u64::MAX));
+            s.leaf.write_new(ep, addr, &w, &meta);
+        });
     }
 
     /// Creates the shared state for one compute node.
     pub fn new_cn(&self) -> Arc<CnState> {
         Arc::new(CnState {
-            cache: Mutex::new(NodeCache::new(self.shared.cfg.cache_bytes)),
+            routes: Routes::new(self.shared.cfg.cache_bytes),
             hotspot: Mutex::new(HotspotBuffer::new(self.shared.cfg.hotspot_bytes)),
-            root_hint: Mutex::new(GlobalAddr::NULL),
-            lock_table: Arc::new(dmem::LocalLockTable::new()),
         })
     }
 
@@ -311,22 +284,6 @@ impl ChimeClient {
         self.shared.cfg.neighborhood
     }
 
-    /// Queues locally for a remote node lock (Sherman's local lock table):
-    /// contending clients of one CN hand the lock over locally instead of
-    /// hammering the MN with CAS retries.
-    fn local_lock(&mut self, addr: GlobalAddr) -> dmem::LocalLockGuard {
-        let table = Arc::clone(&self.cn.lock_table);
-        table.acquire_with(addr.raw(), &mut self.ep)
-    }
-
-    /// Runs `f` with `phase` as the active attribution phase.
-    fn in_phase<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Self) -> R) -> R {
-        let fr = self.ep.phase_begin(phase);
-        let r = f(self);
-        self.ep.phase_end(fr);
-        r
-    }
-
     /// Runs `f` as operation `op` on `key` inside one span, which `ok`
     /// closes as a success or a failure.
     fn in_span<R>(&mut self, op: &'static str, key: u64, f: impl FnOnce(&mut Self) -> R, ok: impl FnOnce(&R) -> bool) -> R {
@@ -377,20 +334,6 @@ impl ChimeClient {
         self.in_phase(Phase::WriteBack, |me| {
             me.leaf().rewrite_and_unlock(&mut me.ep, addr, w, nv, meta)
         });
-    }
-
-    /// Allocates `size` bytes of remote memory for a new node or block.
-    fn alloc_remote(&mut self, size: usize) -> Result<GlobalAddr, IndexError> {
-        Ok(self.in_phase(Phase::WriteBack, |me| {
-            me.alloc.alloc(&mut me.ep, size as u64)
-        })?)
-    }
-
-    /// Reads an internal node from remote memory, bypassing the CN cache.
-    fn read_internal(&mut self, addr: GlobalAddr) -> InternalNode {
-        self.in_phase(Phase::Traversal, |me| {
-            me.shared.internal.read(&mut me.ep, addr)
-        })
     }
 
     // ------------------------------------------------------------------

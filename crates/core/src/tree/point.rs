@@ -11,6 +11,7 @@ use dmem::{GlobalAddr, IndexError, LocalLockGuard, Phase, RetryCause};
 use super::{ChimeClient, OP_RETRY_LIMIT};
 use crate::leaf::{LockedRead, SpecRead};
 use crate::lockword::{LockWord, ARGMAX_NONE};
+use crate::skeleton::SkeletonClient;
 
 /// Result of a sibling chase: either the operation finished, or the chase hit
 /// an invalidated node and the whole operation must restart from the root.
@@ -77,7 +78,7 @@ impl ChimeClient {
                 }
                 if !dmem::hash::in_range(key, lo, hi) {
                     self.counters.chases += 1;
-                    self.cn.cache.lock().invalidate(loc.parent);
+                    self.cn.routes.cache().invalidate(loc.parent);
                     let out =
                         self.in_phase(Phase::Validate, |me| me.chase_fences(r.meta.sibling, key));
                     return self.finish_chase(out, key);
@@ -101,7 +102,7 @@ impl ChimeClient {
                     if loc.via_cache && attempt == 0 {
                         // Cache validation: refresh the parent and retry.
                         self.counters.invalidations += 1;
-                        self.cn.cache.lock().invalidate(loc.parent);
+                        self.cn.routes.cache().invalidate(loc.parent);
                         self.on_op_conflict(RetryCause::StaleSibling);
                         continue;
                     }
@@ -288,7 +289,7 @@ impl ChimeClient {
                 Intent::Modify => detour = Some(next),
                 Intent::Insert if lr.meta.fences.is_some() => detour = Some(next),
                 Intent::Insert => {
-                    self.cn.cache.lock().invalidate(parent);
+                    self.cn.routes.cache().invalidate(parent);
                     self.refresh_root();
                 }
             }

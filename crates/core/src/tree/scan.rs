@@ -9,6 +9,7 @@ use crate::cache::Route;
 use crate::internal::InternalNode;
 use crate::leaf::LeafSnapshot;
 use crate::lockword::ARGMAX_NONE;
+use crate::skeleton::SkeletonClient;
 
 /// Max split-off leaves a scan will bridge via sibling pointers between two
 /// consecutive parent entries before declaring the parent view stale.
@@ -212,7 +213,7 @@ impl ChimeClient {
     /// violation.
     pub fn check_integrity(&mut self) -> Result<u64, String> {
         let root = self.refresh_root();
-        let node = self.shared.internal.read(&mut self.ep, root);
+        let node = self.shared.skeleton.internal.read(&mut self.ep, root);
         if node.fence_low != 0 || node.fence_high != u64::MAX {
             return Err(format!(
                 "root fences not unbounded: [{}, {}]",
@@ -292,7 +293,7 @@ impl ChimeClient {
         }
         let mut leftmost = GlobalAddr::NULL;
         for (i, &(pivot, child)) in node.entries.iter().enumerate() {
-            let c = self.shared.internal.read(&mut self.ep, child);
+            let c = self.shared.skeleton.internal.read(&mut self.ep, child);
             if c.level != node.level - 1 {
                 return Err(format!(
                     "child {child:?} level {} under level {}",

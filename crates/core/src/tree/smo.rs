@@ -1,13 +1,14 @@
-//! Structure-modifying operations: leaf split with pivot up-propagation
-//! (Sherman's Steps 1–3), internal split / root growth, and leaf merge.
+//! Leaf structure-modifying operations: the hopscotch leaf split, whose
+//! pivots go up through the skeleton's up-propagation (Sherman's Steps
+//! 1–3), and leaf merge.
 
-use dmem::{GlobalAddr, IndexError, Phase, RetryCause};
+use dmem::{GlobalAddr, IndexError, Phase};
 
-use super::{ChimeClient, OP_RETRY_LIMIT};
+use super::ChimeClient;
 use crate::hopscotch::{build_table, Window};
-use crate::internal::InternalNode;
 use crate::layout::LeafLayout;
 use crate::leaf::LockedRead;
+use crate::skeleton::SkeletonClient;
 
 /// One built leaf chunk: its hopscotch window plus the items it holds.
 type Chunk = (Window, Vec<(u64, Vec<u8>)>);
@@ -26,37 +27,6 @@ fn build_chunks(l: &LeafLayout, items: &[(u64, Vec<u8>)]) -> Vec<Chunk> {
 }
 
 impl ChimeClient {
-    /// Releases an internal node's lock without writing it (abort paths).
-    fn unlock_internal(&mut self, addr: GlobalAddr) {
-        self.in_phase(Phase::WriteBack, |me| {
-            me.shared.internal.unlock(&mut me.ep, addr)
-        });
-    }
-
-    /// Allocates and writes a fresh internal node; returns its address.
-    fn new_internal(
-        &mut self,
-        level: u8,
-        (fence_low, fence_high): (u64, u64),
-        sibling: GlobalAddr,
-        entries: Vec<(u64, GlobalAddr)>,
-    ) -> Result<GlobalAddr, IndexError> {
-        let node = InternalNode {
-            addr: self.alloc_remote(self.shared.internal.layout.node_size())?,
-            level,
-            valid: true,
-            fence_low,
-            fence_high,
-            sibling,
-            entries,
-            nv: 0,
-        };
-        self.in_phase(Phase::WriteBack, |me| {
-            me.shared.internal.write_new(&mut me.ep, &node)
-        });
-        Ok(node.addr)
-    }
-
     /// Splits the locked leaf `addr` (whose full content is in `lr`),
     /// releases its lock and up-propagates the new pivots.
     pub(super) fn split_leaf(
@@ -112,111 +82,6 @@ impl ChimeClient {
         Ok(())
     }
 
-    /// Reads down from the live root to the valid node at `level` covering
-    /// `pivot` (uncached: the authoritative copies are about to change).
-    /// `None` when the walk raced a root growth or fell off a stale route.
-    fn find_at_level(&mut self, root: GlobalAddr, level: u8, pivot: u64) -> Option<InternalNode> {
-        let mut node = self.read_internal(root);
-        if node.level < level {
-            return None; // racing root growth; re-read the slot
-        }
-        // Descend to `level`, then move laterally there.
-        while node.level > level || (node.valid && !node.covers(pivot)) {
-            let next = if node.covers(pivot) {
-                node.select(pivot).0
-            } else if pivot >= node.fence_high && !node.sibling.is_null() {
-                node.sibling
-            } else {
-                return None;
-            };
-            node = self.read_internal(next);
-        }
-        (node.valid && node.level == level).then_some(node)
-    }
-
-    /// Inserts `(pivot, child)` into the internal node at `level` covering
-    /// `pivot`, splitting upward as needed (Sherman's Steps 1–3).
-    fn insert_into_parent(
-        &mut self,
-        level: u8,
-        pivot: u64,
-        child: GlobalAddr,
-    ) -> Result<(), IndexError> {
-        for _ in 0..OP_RETRY_LIMIT {
-            let root_addr = self.refresh_root();
-            let Some(node) = self.find_at_level(root_addr, level, pivot) else {
-                continue;
-            };
-            // Lock and re-read the authoritative copy.
-            let addr = node.addr;
-            let _lk = self.local_lock(addr);
-            self.in_phase(Phase::LockAcquire, |me| {
-                me.shared.internal.lock(&mut me.ep, addr)
-            });
-            let mut fresh = self.read_internal(addr);
-            if !fresh.valid || !fresh.covers(pivot) {
-                self.unlock_internal(addr);
-                self.on_op_conflict(RetryCause::StaleRoute);
-                continue;
-            }
-            match fresh.entries.binary_search_by_key(&pivot, |e| e.0) {
-                Ok(i) => {
-                    // Idempotent re-insert of the same pivot.
-                    assert_eq!(fresh.entries[i].1, child, "pivot collision");
-                    self.unlock_internal(addr);
-                    return Ok(());
-                }
-                Err(i) if fresh.entries.len() < self.shared.cfg.internal_span => {
-                    fresh.entries.insert(i, (pivot, child));
-                    // Deliberately frameless: this write-back has always
-                    // been attributed to the ambient phase.
-                    self.shared.internal.write_and_unlock(&mut self.ep, &fresh);
-                    self.cn.cache.lock().invalidate(addr);
-                    return Ok(());
-                }
-                // Node full: split it (unlocks), then retry this insert.
-                Err(_) => self.split_internal(&mut fresh, root_addr)?,
-            }
-        }
-        panic!("insert_into_parent retry limit (pivot {pivot})");
-    }
-
-    /// Splits a locked, full internal node and up-propagates (or grows a
-    /// new root). Leaves the node unlocked.
-    fn split_internal(
-        &mut self,
-        node: &mut InternalNode,
-        root_addr: GlobalAddr,
-    ) -> Result<(), IndexError> {
-        let mid = node.entries.len() / 2;
-        let split_key = node.entries[mid].0;
-        let upper: Vec<_> = node.entries.split_off(mid);
-        let fences = (split_key, node.fence_high);
-        let new_addr = self.new_internal(node.level, fences, node.sibling, upper)?;
-        node.fence_high = split_key;
-        node.sibling = new_addr;
-        self.in_phase(Phase::WriteBack, |me| {
-            me.shared.internal.write_and_unlock(&mut me.ep, node)
-        });
-        self.cn.cache.lock().invalidate(node.addr);
-        if node.addr == root_addr {
-            // Grow a new root.
-            let entries = vec![(node.fence_low, node.addr), (split_key, new_addr)];
-            let new_root_addr =
-                self.new_internal(node.level + 1, (0, u64::MAX), GlobalAddr::NULL, entries)?;
-            let old = self.in_phase(Phase::WriteBack, |me| {
-                me.ep
-                    .cas(me.shared.root_slot, root_addr.raw(), new_root_addr.raw())
-            });
-            if old == root_addr.raw() {
-                *self.cn.root_hint.lock() = new_root_addr;
-                return Ok(());
-            }
-            // Someone else grew the root first: insert into the new tree.
-        }
-        self.insert_into_parent(node.level + 1, split_key, new_addr)
-    }
-
     /// Best-effort merge of the underflowed leaf `addr` with its right
     /// sibling *under the same parent* (merging across parent boundaries
     /// would break routing).
@@ -234,7 +99,7 @@ impl ChimeClient {
         let parent_addr = self.locate_parent(probe_key).0.addr;
         let _pk = self.local_lock(parent_addr);
         self.in_phase(Phase::LockAcquire, |me| {
-            me.shared.internal.lock(&mut me.ep, parent_addr)
+            me.shared.skeleton.internal.lock(&mut me.ep, parent_addr)
         });
         let mut parent = self.read_internal(parent_addr);
         // The right partner and its pivot; a last child's partner lives
@@ -283,8 +148,8 @@ impl ChimeClient {
         self.rewrite(sib, &empty, slr.nv, &dead);
         parent.entries.remove(sib_idx);
         self.in_phase(Phase::WriteBack, |me| {
-            me.shared.internal.write_and_unlock(&mut me.ep, &parent)
+            me.shared.skeleton.internal.write_and_unlock(&mut me.ep, &parent)
         });
-        self.cn.cache.lock().invalidate(parent_addr);
+        self.cn.routes.cache().invalidate(parent_addr);
     }
 }

@@ -2,6 +2,7 @@
 
 use super::*;
 use crate::cache::{Lean, Route};
+use crate::internal::InternalNode;
 
 fn small_cfg() -> ChimeConfig {
     ChimeConfig {
@@ -27,7 +28,7 @@ fn v(k: u64) -> Vec<u8> {
 /// routes keep only pivot suffixes).
 fn parent_node(c: &mut ChimeClient, key: u64) -> InternalNode {
     let addr = c.locate_parent(key).0.addr;
-    c.shared.internal.read(&mut c.ep, addr)
+    c.shared.skeleton.internal.read(&mut c.ep, addr)
 }
 
 #[test]
@@ -107,16 +108,16 @@ fn scan_bridges_leaf_chain_gaps_missing_from_parent() {
     assert!(parent.entries.len() >= 3, "need a populated level-1 node");
     let victim_pivot = parent.entries[parent.entries.len() / 2].0;
     let shared = Arc::clone(&c.shared);
-    shared.internal.lock(&mut c.ep, parent.addr);
-    let mut fresh = shared.internal.read(&mut c.ep, parent.addr);
+    shared.skeleton.internal.lock(&mut c.ep, parent.addr);
+    let mut fresh = shared.skeleton.internal.read(&mut c.ep, parent.addr);
     let i = fresh
         .entries
         .iter()
         .position(|e| e.0 == victim_pivot)
         .expect("victim pivot present");
     fresh.entries.remove(i);
-    shared.internal.write_and_unlock(&mut c.ep, &fresh);
-    c.cn.cache.lock().invalidate(parent.addr);
+    shared.skeleton.internal.write_and_unlock(&mut c.ep, &fresh);
+    c.cn.routes.cache().invalidate(parent.addr);
     // A full scan must still return every key exactly once, in order.
     let mut out = Vec::new();
     c.scan(1, n as usize, &mut out);
@@ -393,10 +394,10 @@ fn concurrent_clients_disjoint_inserts() {
     let t = Chime::create(&pool, small_cfg(), 0);
     let threads = 4;
     let per = 800u64;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = t.new_cn();
                 let mut c = t.client(&cn);
                 for i in 0..per {
@@ -405,8 +406,7 @@ fn concurrent_clients_disjoint_inserts() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let cn = t.new_cn();
     let mut c = t.client(&cn);
     for k in 1..=(per * threads) {
@@ -425,11 +425,11 @@ fn concurrent_mixed_readers_and_writers() {
             c.insert(k, &v(k)).unwrap();
         }
     }
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Writers keep inserting new keys and updating old ones.
         for tid in 0..2u64 {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = t.new_cn();
                 let mut c = t.client(&cn);
                 for i in 0..500u64 {
@@ -441,7 +441,7 @@ fn concurrent_mixed_readers_and_writers() {
         // Readers must always see the preloaded keys.
         for _ in 0..2 {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = t.new_cn();
                 let mut c = t.client(&cn);
                 for i in 0..2_000u64 {
@@ -450,8 +450,7 @@ fn concurrent_mixed_readers_and_writers() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 #[test]
@@ -540,7 +539,7 @@ fn moved_leaves_forward_point_ops_to_the_new_tree() {
     // as the migration protocol's switch step does.
     let new_root = dst.current_root();
     let mut ctl = Endpoint::new(Arc::clone(&pool));
-    let prev = ctl.cas(r.shared.root_slot, old_root.raw(), new_root.raw());
+    let prev = ctl.cas(r.shared.skeleton.root_slot, old_root.raw(), new_root.raw());
     assert_eq!(prev, old_root.raw());
     r.insert(n + 1, &v(n + 1)).unwrap();
     assert_eq!(dst.search(n + 1), Some(v(n + 1)));
@@ -577,11 +576,11 @@ fn ownership_miss_on_a_bitmap_full_leaf_counts_a_chase() {
     let i = parent.entries.len() / 2;
     let (victim_pivot, left) = (parent.entries[i].0, parent.entries[i - 1].1);
     let shared = Arc::clone(&c.shared);
-    shared.internal.lock(&mut c.ep, parent.addr);
-    let mut fresh = shared.internal.read(&mut c.ep, parent.addr);
+    shared.skeleton.internal.lock(&mut c.ep, parent.addr);
+    let mut fresh = shared.skeleton.internal.read(&mut c.ep, parent.addr);
     fresh.entries.retain(|e| e.0 != victim_pivot);
-    shared.internal.write_and_unlock(&mut c.ep, &fresh);
-    c.cn.cache.lock().invalidate(parent.addr);
+    shared.skeleton.internal.write_and_unlock(&mut c.ep, &fresh);
+    c.cn.routes.cache().invalidate(parent.addr);
     // Claim every group of the left leaf full (the bitmap is allowed to be
     // conservative in that direction).
     let mut word = c.leaf().lock(&mut c.ep, left);
@@ -724,11 +723,11 @@ fn an_unpropagated_split_reads_the_argmax_entry_then_detours() {
         })
         .expect("some key's window misses both argmax slots");
     let shared = Arc::clone(&c.shared);
-    shared.internal.lock(&mut c.ep, parent.addr);
-    let mut fresh = shared.internal.read(&mut c.ep, parent.addr);
+    shared.skeleton.internal.lock(&mut c.ep, parent.addr);
+    let mut fresh = shared.skeleton.internal.read(&mut c.ep, parent.addr);
     fresh.entries.retain(|e| e.0 != pivot);
-    shared.internal.write_and_unlock(&mut c.ep, &fresh);
-    c.cn.cache.lock().invalidate(parent.addr);
+    shared.skeleton.internal.write_and_unlock(&mut c.ep, &fresh);
+    c.cn.routes.cache().invalidate(parent.addr);
     assert_eq!(c.locate_leaf(key).addr, left, "routed to the left half");
     let (chases, reads) = (c.counters.chases, leaf_reads(&c));
     assert!(c.update(key, &v(7)).unwrap());
@@ -1118,9 +1117,9 @@ fn a_scan_across_a_stale_cached_parent_returns_every_row_once() {
     for k in filled.clone() {
         b.insert(k, &v(k)).unwrap();
     }
-    let fresh = b.shared.internal.read(&mut b.ep, right.addr);
+    let fresh = b.shared.skeleton.internal.read(&mut b.ep, right.addr);
     assert!(fresh.fence_high < right.fence_high, "the right-hand parent split");
-    let cached = cn_a.cache.lock().get(right.addr).expect("still cached");
+    let cached = cn_a.routes.cache().get(right.addr).expect("still cached");
     assert_eq!(cached, right, "A's copy is the stale one");
     // A scans from inside the left parent across the whole stale range.
     let mut keys: Vec<u64> = (1..=2_000u64).map(|k| k * 10).chain(filled).collect();
@@ -1190,7 +1189,7 @@ fn a_key_sharing_a_pivots_bucket_costs_one_cache_miss() {
     assert!(node.entries.iter().any(|e| e.0 == pivot), "the pivot stays");
     assert_eq!(route.select(max, Lean::Left).0, node.select(max).0);
     assert_ne!(route.select(above, Lean::Left), node.select(above), "a shared bucket");
-    let stats = |c: &ChimeClient| (c.cn.cache.lock().hit_stats().1, c.counters.invalidations);
+    let stats = |c: &ChimeClient| (c.cn.routes.cache().hit_stats().1, c.counters.invalidations);
     assert_eq!(c.search(max), Some(v(max >> 40)));
     let before = stats(&c);
     assert_eq!(c.search(max), Some(v(max >> 40)));

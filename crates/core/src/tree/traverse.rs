@@ -1,11 +1,14 @@
-//! Root/route maintenance and the descent through the internal levels.
+//! CHIME's side of the descent: the skeleton client impl (left lean,
+//! backoff on a stale route, the migration forward as descent origin),
+//! stale-route reactions and leaf location with its validation context.
 
 use std::sync::Arc;
 
 use dmem::{GlobalAddr, Phase, RetryCause};
 
-use super::{ChimeClient, OP_RETRY_LIMIT};
-use crate::cache::{Hop, Lean, Route};
+use super::ChimeClient;
+use crate::cache::{Lean, Route};
+use crate::skeleton::{Parts, SkeletonClient};
 
 /// Where a traversal landed: the leaf plus validation context.
 pub(super) struct LeafLoc {
@@ -17,37 +20,40 @@ pub(super) struct LeafLoc {
     pub(super) parent: GlobalAddr,
 }
 
-impl ChimeClient {
-    /// Reads the root pointer slot and refreshes the CN-wide hint.
-    pub(super) fn refresh_root(&mut self) -> GlobalAddr {
-        let mut b = [0u8; 8];
-        self.in_phase(Phase::Traversal, |me| {
-            me.ep.read(me.shared.root_slot, &mut b)
-        });
-        let addr = GlobalAddr::from_raw(u64::from_le_bytes(b));
-        *self.cn.root_hint.lock() = addr;
-        addr
+/// CHIME's pivots are a left half's maximum plus one, so a cached route
+/// leans left; a stale route is a whole-operation retry with backoff.
+impl SkeletonClient for ChimeClient {
+    const LEAN: Lean = Lean::Left;
+
+    fn parts(&mut self) -> Parts<'_> {
+        Parts {
+            ep: &mut self.ep,
+            alloc: &mut self.alloc,
+            skeleton: &self.shared.skeleton,
+            routes: &self.cn.routes,
+        }
     }
 
-    /// Where the next traversal starts: a pending forwarding target if a
-    /// migration tombstone installed one, otherwise the (hinted) root.
+    fn on_stale_route(&mut self) {
+        self.on_op_conflict(RetryCause::StaleRoute);
+    }
+
+    /// A pending forwarding target if a migration tombstone installed one,
+    /// otherwise the (hinted) root.
     fn descent_origin(&mut self) -> GlobalAddr {
-        if let Some(forward) = self.forward.take() {
-            return forward;
-        }
-        let hint = *self.cn.root_hint.lock();
-        if hint.is_null() {
-            self.refresh_root()
-        } else {
-            hint
+        match self.forward.take() {
+            Some(forward) => forward,
+            None => self.root(),
         }
     }
+}
 
+impl ChimeClient {
     /// Drops the cached route through `parent`, re-reads the root slot and
     /// records a stale-route retry: the reaction to a leaf or parent view
     /// that no longer matches the remote tree.
     pub(super) fn reroute(&mut self, parent: GlobalAddr) {
-        self.cn.cache.lock().invalidate(parent);
+        self.cn.routes.cache().invalidate(parent);
         self.refresh_root();
         self.on_op_conflict(RetryCause::StaleRoute);
     }
@@ -83,61 +89,6 @@ impl ChimeClient {
         self.reroute(parent);
     }
 
-    /// Reads the internal node at `addr` through the CN cache and routes
-    /// `key` in it; the hop is `None` when the node is invalid or does not
-    /// cover `key`. A cached route leans left where a pivot shares `key`'s
-    /// bucket (CHIME's pivots are a left half's maximum plus one); a remote
-    /// read populates the cache and routes exactly on the full node, so the
-    /// re-read that validation forces after a wrong lean lands right.
-    pub(super) fn read_internal_cached(
-        &mut self,
-        addr: GlobalAddr,
-        key: u64,
-    ) -> (Arc<Route>, Option<Hop>, bool) {
-        let hit = self.in_phase(Phase::CacheLookup, |me| {
-            me.cn.cache.lock().get(addr).filter(|r| r.covers(key))
-        });
-        if let Some(r) = hit {
-            let hop = r.select(key, Lean::Left);
-            return (r, Some(hop), true);
-        }
-        let node = self.shared.internal.read(&mut self.ep, addr);
-        let hop = (node.valid && node.covers(key)).then(|| node.select(key));
-        let route = Arc::new(Route::new(&node));
-        if node.valid {
-            self.cn.cache.lock().insert(Arc::clone(&route));
-        }
-        (route, hop, false)
-    }
-
-    /// Descends from the origin to the level-1 node covering `key`, moving
-    /// laterally over half-split levels (B-link) and restarting from a
-    /// fresh root when the route proves stale. Returns the node, the hop
-    /// it gives `key` and whether it came from the CN cache. Runs inside
-    /// the caller's traversal frame.
-    fn descend(&mut self, key: u64) -> (Arc<Route>, Hop, bool) {
-        let mut addr = self.descent_origin();
-        for _ in 0..OP_RETRY_LIMIT {
-            let (route, hop, via_cache) = self.read_internal_cached(addr, key);
-            if !route.valid {
-                self.cn.cache.lock().invalidate(addr);
-                addr = self.refresh_root();
-                self.on_op_conflict(RetryCause::StaleRoute);
-            } else if let Some(hop) = hop {
-                if route.level == 1 {
-                    return (route, hop, via_cache);
-                }
-                addr = hop.0;
-            } else if key >= route.fence_high && !route.sibling.is_null() {
-                addr = route.sibling;
-            } else {
-                addr = self.refresh_root();
-                self.on_op_conflict(RetryCause::StaleRoute);
-            }
-        }
-        panic!("descent retry limit for key {key}");
-    }
-
     /// Traverses internal levels down to the parent of the target leaf.
     pub(super) fn locate_leaf(&mut self, key: u64) -> LeafLoc {
         self.in_phase(Phase::Traversal, |me| {
@@ -161,25 +112,14 @@ impl ChimeClient {
     /// First child pointer of the internal node at `addr` (cached when
     /// possible). Used to resolve the expected sibling of last children.
     fn first_child_of(&mut self, addr: GlobalAddr) -> Option<GlobalAddr> {
-        if let Some(r) = self.cn.cache.lock().get(addr) {
+        if let Some(r) = self.cn.routes.cache().get(addr) {
             return r.children().first().copied();
         }
-        let node = self.shared.internal.read(&mut self.ep, addr);
+        let node = self.shared.skeleton.internal.read(&mut self.ep, addr);
         if !node.valid {
             return None;
         }
-        self.cn.cache.lock().insert(Arc::new(Route::new(&node)));
+        self.cn.routes.cache().insert(Arc::new(Route::new(&node)));
         node.entries.first().map(|e| e.1)
-    }
-
-    /// Like [`Self::locate_leaf`] but returns the parent's route itself and
-    /// the index of the child `key` routes to (scans batch-read consecutive
-    /// leaves from there; merges lock the parent).
-    pub(super) fn locate_parent(&mut self, key: u64) -> (Arc<Route>, usize) {
-        self.in_phase(Phase::Traversal, |me| {
-            let (route, (child, _), _) = me.descend(key);
-            let at = route.children().iter().position(|&c| c == child);
-            (route, at.expect("a hop goes to a child"))
-        })
     }
 }

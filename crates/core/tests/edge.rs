@@ -282,10 +282,10 @@ fn integrity_checker_after_concurrent_churn() {
         ..Default::default()
     };
     let t = Chime::create(&pool, cfg, 0);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..4u64 {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = t.new_cn();
                 let mut c = t.client(&cn);
                 for i in 0..600u64 {
@@ -297,8 +297,7 @@ fn integrity_checker_after_concurrent_churn() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let cn = t.new_cn();
     let mut c = t.client(&cn);
     c.check_integrity().unwrap();
@@ -356,10 +355,10 @@ fn concurrent_deletes_with_merges() {
             c.insert(k, &v(k)).unwrap();
         }
     }
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..4u64 {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = t.new_cn();
                 let mut c = t.client(&cn);
                 // Each thread deletes its own stripe, top-down.
@@ -376,8 +375,7 @@ fn concurrent_deletes_with_merges() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let cn = t.new_cn();
     let mut c = t.client(&cn);
     c.check_integrity().unwrap();

@@ -294,13 +294,17 @@ impl RangeIndex for RolexClient {
             );
             // Publish: rewrite the owner header (sibling -> new synonym) and
             // release the lock in the same round-trip.
-            let mut snap2 = snap.clone();
-            snap2.sibling = syn_addr;
-            let count = snap2.keys.len();
-            let ks = snap2.keys.clone();
-            let vs = snap2.values.clone();
-            let _ = count;
-            leaf.write_suffix_and_unlock(&mut self.ep, owner_addr, &snap2, ks.len(), &ks, &vs);
+            let mut owner = snap;
+            owner.sibling = syn_addr;
+            let at = owner.keys.len();
+            leaf.write_suffix_and_unlock(
+                &mut self.ep,
+                owner_addr,
+                &owner,
+                at,
+                &owner.keys,
+                &owner.values,
+            );
             return Ok(());
         }
         panic!("rolex insert retry limit for key {key}");
@@ -565,11 +569,11 @@ mod tests {
         let pool = Pool::with_defaults(1, 256 << 20);
         let data = items(2_000);
         let t = Rolex::create(&pool, RolexConfig::default(), &data);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for tid in 0..3u64 {
                 let t = t.clone();
                 let data = data.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut c = t.client();
                     for i in 0..300u64 {
                         let (k, _) = &data[((i * 7 + tid * 13) % 2_000) as usize];
@@ -578,8 +582,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]

@@ -261,15 +261,14 @@ impl Rng {
     }
 }
 
-/// One generated arrival: a pipelined burst of requests and the wire bytes
-/// that carry them.
-fn gen_burst(rng: &mut Rng, cfg: &SimConfig, remaining: usize) -> (Vec<Request>, Vec<u8>) {
+/// One generated arrival: a pipelined burst of requests, as their number
+/// and the wire bytes that carry them.
+fn gen_burst(rng: &mut Rng, cfg: &SimConfig, remaining: usize) -> (usize, Vec<u8>) {
     let burst = if cfg.pipeline_pct > 0 && rng.pct(cfg.pipeline_pct) {
         (2 + rng.below(cfg.pipeline_window.max(2) as u64 - 1) as usize).min(remaining)
     } else {
         1
     };
-    let mut reqs = Vec::with_capacity(burst);
     let mut wire = Vec::new();
     for _ in 0..burst {
         let key = KeySpace::key(rng.below(cfg.preload.max(1)));
@@ -287,9 +286,8 @@ fn gen_burst(rng: &mut Rng, cfg: &SimConfig, remaining: usize) -> (Vec<Request>,
             _ => Request::Scan(key, 1 + rng.below(16) as usize),
         };
         req.encode(&mut wire);
-        reqs.push(req);
     }
-    (reqs, wire)
+    (burst, wire)
 }
 
 struct LaneCtx {
@@ -371,8 +369,8 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
         }
         arrivals += 1;
 
-        let (reqs, wire) = gen_burst(&mut rng, cfg, cfg.requests_per_conn - generated);
-        generated += reqs.len();
+        let (burst, wire) = gen_burst(&mut rng, cfg, cfg.requests_per_conn - generated);
+        generated += burst;
 
         // Chaos: drop mid-pipeline — only a prefix of the burst's bytes
         // ever arrives, truncated inside a frame.
@@ -412,7 +410,6 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
                 }
             }
         }
-        let _ = reqs;
     }
     conn.drain();
     ctx.admission.release();

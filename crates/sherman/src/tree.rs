@@ -1,14 +1,11 @@
 //! The Sherman B+ tree: operations over sorted leaves with fence-key
-//! validation, sharing CHIME's internal-node machinery.
+//! validation, under the internal levels of [`chime::skeleton`].
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use chime::cache::{Hop, Lean, NodeCache, Route};
-use chime::internal::{InternalNode, InternalOps};
-use chime::layout::InternalLayout;
-use dmem::{indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use chime::cache::{Lean, Route};
+use chime::skeleton::{Parts, Routes, Skeleton, SkeletonClient};
+use dmem::{indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex};
 
 use crate::leaf::{LeafSnapshot, ShermanLeafLayout, ShermanLeafOps};
 
@@ -45,9 +42,8 @@ impl Default for ShermanConfig {
 struct Shared {
     pool: Arc<Pool>,
     cfg: ShermanConfig,
-    root_slot: GlobalAddr,
+    skeleton: Skeleton,
     leaf: ShermanLeafOps,
-    internal: InternalOps,
 }
 
 /// A handle to a Sherman tree.
@@ -56,24 +52,8 @@ pub struct Sherman {
     shared: Arc<Shared>,
 }
 
-/// Per-CN shared state.
-pub struct CnState {
-    cache: Mutex<NodeCache>,
-    root_hint: Mutex<GlobalAddr>,
-    lock_table: Arc<dmem::LocalLockTable>,
-}
-
-impl CnState {
-    /// Compute-side cache footprint in bytes.
-    pub fn cache_bytes(&self) -> u64 {
-        self.cache.lock().bytes()
-    }
-
-    /// `(hits, misses)` of the internal-node cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.lock().hit_stats()
-    }
-}
+/// Per-CN shared state: the route state of the skeleton, nothing else.
+pub type CnState = Routes;
 
 /// One Sherman client.
 pub struct ShermanClient {
@@ -92,64 +72,27 @@ impl Sherman {
                 value_size: if cfg.indirect_values { 8 } else { cfg.value_size },
             },
         };
-        let internal = InternalOps {
-            layout: InternalLayout {
-                span: cfg.internal_span,
-            },
-        };
-        let shared = Arc::new(Shared {
+        let shared = Shared {
             pool: Arc::clone(pool),
             cfg,
-            root_slot: dmem::root_slot(slot),
+            skeleton: Skeleton::new(slot, cfg.internal_span),
             leaf,
-            internal,
-        });
-        let t = Sherman { shared };
-        t.bootstrap();
-        t
-    }
-
-    fn bootstrap(&self) {
-        let s = &self.shared;
-        let mut ep = Endpoint::new(Arc::clone(&s.pool));
-        let mut alloc = ChunkAlloc::with_defaults();
-        let leaf_addr = alloc
-            .alloc(&mut ep, s.leaf.layout.node_size() as u64)
-            .expect("pool too small");
-        s.leaf.write_full(
-            &mut ep,
-            leaf_addr,
-            0,
-            &[],
-            &[],
-            GlobalAddr::NULL,
-            (0, u64::MAX),
-            false,
-        );
-        let root_addr = alloc
-            .alloc(&mut ep, s.internal.layout.node_size() as u64)
-            .expect("pool too small");
-        let root = InternalNode {
-            addr: root_addr,
-            level: 1,
-            valid: true,
-            fence_low: 0,
-            fence_high: u64::MAX,
-            sibling: GlobalAddr::NULL,
-            entries: vec![(0, leaf_addr)],
-            nv: 0,
         };
-        s.internal.write_new(&mut ep, &root);
-        ep.write(s.root_slot, &root_addr.raw().to_le_bytes());
+        let mut ep = Endpoint::new(Arc::clone(pool));
+        let mut alloc = ChunkAlloc::with_defaults();
+        let leaf_size = leaf.layout.node_size();
+        shared.skeleton.bootstrap(&mut ep, &mut alloc, leaf_size, |ep, addr| {
+            let fences = (0, u64::MAX);
+            leaf.write_full(ep, addr, 0, &[], &[], GlobalAddr::NULL, fences, false)
+        });
+        Sherman {
+            shared: Arc::new(shared),
+        }
     }
 
     /// Creates the shared state for one compute node.
     pub fn new_cn(&self) -> Arc<CnState> {
-        Arc::new(CnState {
-            cache: Mutex::new(NodeCache::new(self.shared.cfg.cache_bytes)),
-            root_hint: Mutex::new(GlobalAddr::NULL),
-            lock_table: Arc::new(dmem::LocalLockTable::new()),
-        })
+        Arc::new(Routes::new(self.shared.cfg.cache_bytes))
     }
 
     /// Creates a client attached to `cn`.
@@ -168,92 +111,28 @@ impl Sherman {
     }
 }
 
+/// Sherman's pivots are a right half's minimum, so a cached route leans
+/// right; a stale route costs nothing beyond the re-read.
+impl SkeletonClient for ShermanClient {
+    const LEAN: Lean = Lean::Right;
+
+    fn parts(&mut self) -> Parts<'_> {
+        Parts {
+            ep: &mut self.ep,
+            alloc: &mut self.alloc,
+            skeleton: &self.shared.skeleton,
+            routes: &self.cn,
+        }
+    }
+
+    fn on_stale_route(&mut self) {}
+}
+
 impl ShermanClient {
-    /// Queues locally for a remote node lock (Sherman's local lock table).
-    fn local_lock(&mut self, addr: GlobalAddr) -> dmem::LocalLockGuard {
-        let table = Arc::clone(&self.cn.lock_table);
-        table.acquire_with(addr.raw(), &mut self.ep)
-    }
-
-    fn refresh_root(&mut self) -> GlobalAddr {
-        let mut b = [0u8; 8];
-        self.ep.read(self.shared.root_slot, &mut b);
-        let addr = GlobalAddr::from_raw(u64::from_le_bytes(b));
-        *self.cn.root_hint.lock() = addr;
-        addr
-    }
-
-    fn root(&mut self) -> GlobalAddr {
-        let hint = *self.cn.root_hint.lock();
-        if hint.is_null() {
-            self.refresh_root()
-        } else {
-            hint
-        }
-    }
-
-    /// Reads the internal node at `addr` through the CN cache and routes
-    /// `key` in it; the hop is `None` when the node is invalid or does not
-    /// cover `key`. A cached route leans right where a pivot shares `key`'s
-    /// bucket (Sherman's pivots are a right half's minimum); a remote read
-    /// routes exactly on the full node.
-    fn read_internal_cached(&mut self, addr: GlobalAddr, key: u64) -> (Arc<Route>, Option<Hop>) {
-        if let Some(r) = self.cn.cache.lock().get(addr) {
-            if r.covers(key) {
-                let hop = r.select(key, Lean::Right);
-                return (r, Some(hop));
-            }
-        }
-        let node = self.shared.internal.read(&mut self.ep, addr);
-        let hop = (node.valid && node.covers(key)).then(|| node.select(key));
-        let route = Arc::new(Route::new(&node));
-        if node.valid {
-            self.cn.cache.lock().insert(Arc::clone(&route));
-        }
-        (route, hop)
-    }
-
-    /// Descends to the level-1 node covering `key`; returns it and the hop
-    /// it gives `key`. A node that starts above `key` means the route that
-    /// led there leaned right past a pivot: it is dropped, so the retry
-    /// reads it and routes exactly.
-    fn descend(&mut self, key: u64) -> (Arc<Route>, Hop) {
-        let mut addr = self.root();
-        let mut from = GlobalAddr::NULL;
-        for _ in 0..OP_RETRY_LIMIT {
-            let (route, hop) = self.read_internal_cached(addr, key);
-            match hop {
-                _ if !route.valid => {
-                    self.cn.cache.lock().invalidate(addr);
-                    addr = self.refresh_root();
-                }
-                Some(hop) if route.level == 1 => return (route, hop),
-                Some(hop) => (from, addr) = (addr, hop.0),
-                None if key >= route.fence_high && !route.sibling.is_null() => {
-                    addr = route.sibling;
-                }
-                None => {
-                    if key < route.fence_low {
-                        self.cn.cache.lock().invalidate(from);
-                    }
-                    addr = self.refresh_root();
-                }
-            }
-        }
-        panic!("sherman descent retry limit for key {key}");
-    }
-
     /// The leaf for `key` and its parent.
     fn locate_leaf(&mut self, key: u64) -> (GlobalAddr, GlobalAddr) {
-        let (route, (child, _)) = self.descend(key);
+        let (route, (child, _), _) = self.in_phase(Phase::Traversal, |me| me.descend(key));
         (child, route.addr)
-    }
-
-    /// The parent of the leaf for `key` and that leaf's index in it.
-    fn scan_origin(&mut self, key: u64) -> (Arc<Route>, usize) {
-        let (route, (child, _)) = self.descend(key);
-        let at = route.children().iter().position(|&c| c == child);
-        (route, at.expect("a hop goes to a child"))
     }
 
     /// Reads the leaf owning `key`, chasing fences laterally.
@@ -262,21 +141,21 @@ impl ShermanClient {
         for _ in 0..OP_RETRY_LIMIT {
             let snap = self.shared.leaf.read(&mut self.ep, addr);
             if !snap.valid {
-                self.cn.cache.lock().invalidate(parent);
+                self.cn.cache().invalidate(parent);
                 let (a, _) = self.locate_leaf(key);
                 addr = a;
                 continue;
             }
             if key < snap.fences.0 {
                 // Stale cache routed us too far right.
-                self.cn.cache.lock().invalidate(parent);
+                self.cn.cache().invalidate(parent);
                 self.refresh_root();
                 let (a, _) = self.locate_leaf(key);
                 addr = a;
                 continue;
             }
             if !dmem::hash::in_range(key, snap.fences.0, snap.fences.1) {
-                self.cn.cache.lock().invalidate(parent);
+                self.cn.cache().invalidate(parent);
                 addr = snap.sibling;
                 continue;
             }
@@ -296,7 +175,7 @@ impl ShermanClient {
                 self.shared.leaf.unlock(&mut self.ep, addr);
                 if key < snap.fences.0 {
                     // The cached parent leaned right past a pivot.
-                    self.cn.cache.lock().invalidate(parent);
+                    self.cn.cache().invalidate(parent);
                 }
                 self.refresh_root();
                 (addr, parent) = self.locate_leaf(key);
@@ -361,124 +240,6 @@ impl ShermanClient {
             true,
         );
         self.insert_into_parent(1, pivot, new_addr)
-    }
-
-    fn insert_into_parent(
-        &mut self,
-        level: u8,
-        pivot: u64,
-        child: GlobalAddr,
-    ) -> Result<(), IndexError> {
-        for _ in 0..OP_RETRY_LIMIT {
-            let root_addr = self.refresh_root();
-            let mut node = self.shared.internal.read(&mut self.ep, root_addr);
-            if node.level < level {
-                continue;
-            }
-            let mut ok = true;
-            while node.level > level {
-                if !node.covers(pivot) {
-                    if pivot >= node.fence_high && !node.sibling.is_null() {
-                        node = self.shared.internal.read(&mut self.ep, node.sibling);
-                        continue;
-                    }
-                    ok = false;
-                    break;
-                }
-                let (c, _) = node.select(pivot);
-                node = self.shared.internal.read(&mut self.ep, c);
-            }
-            if !ok || node.level != level {
-                continue;
-            }
-            while node.valid && !node.covers(pivot) && pivot >= node.fence_high {
-                if node.sibling.is_null() {
-                    break;
-                }
-                node = self.shared.internal.read(&mut self.ep, node.sibling);
-            }
-            if !node.valid || !node.covers(pivot) {
-                continue;
-            }
-            let addr = node.addr;
-            let _lk = self.local_lock(addr);
-            self.shared.internal.lock(&mut self.ep, addr);
-            let mut fresh = self.shared.internal.read(&mut self.ep, addr);
-            if !fresh.valid || !fresh.covers(pivot) {
-                self.shared.internal.unlock(&mut self.ep, addr);
-                continue;
-            }
-            match fresh.entries.binary_search_by_key(&pivot, |e| e.0) {
-                Ok(i) => {
-                    assert_eq!(fresh.entries[i].1, child, "pivot collision");
-                    self.shared.internal.unlock(&mut self.ep, addr);
-                    return Ok(());
-                }
-                Err(i) => {
-                    if fresh.entries.len() < self.shared.cfg.internal_span {
-                        fresh.entries.insert(i, (pivot, child));
-                        self.shared.internal.write_and_unlock(&mut self.ep, &fresh);
-                        self.cn.cache.lock().invalidate(addr);
-                        return Ok(());
-                    }
-                }
-            }
-            self.split_internal(&mut fresh, root_addr)?;
-        }
-        panic!("sherman insert_into_parent retry limit");
-    }
-
-    fn split_internal(
-        &mut self,
-        node: &mut InternalNode,
-        root_addr: GlobalAddr,
-    ) -> Result<(), IndexError> {
-        let mid = node.entries.len() / 2;
-        let split_key = node.entries[mid].0;
-        let upper: Vec<_> = node.entries.split_off(mid);
-        let new_addr = self
-            .alloc
-            .alloc(&mut self.ep, self.shared.internal.layout.node_size() as u64)?;
-        let new_node = InternalNode {
-            addr: new_addr,
-            level: node.level,
-            valid: true,
-            fence_low: split_key,
-            fence_high: node.fence_high,
-            sibling: node.sibling,
-            entries: upper,
-            nv: 0,
-        };
-        self.shared.internal.write_new(&mut self.ep, &new_node);
-        node.fence_high = split_key;
-        node.sibling = new_addr;
-        self.shared.internal.write_and_unlock(&mut self.ep, node);
-        self.cn.cache.lock().invalidate(node.addr);
-        if node.addr == root_addr {
-            let new_root_addr = self
-                .alloc
-                .alloc(&mut self.ep, self.shared.internal.layout.node_size() as u64)?;
-            let new_root = InternalNode {
-                addr: new_root_addr,
-                level: node.level + 1,
-                valid: true,
-                fence_low: 0,
-                fence_high: u64::MAX,
-                sibling: GlobalAddr::NULL,
-                entries: vec![(node.fence_low, node.addr), (split_key, new_addr)],
-                nv: 0,
-            };
-            self.shared.internal.write_new(&mut self.ep, &new_root);
-            let old = self
-                .ep
-                .cas(self.shared.root_slot, root_addr.raw(), new_root_addr.raw());
-            if old == root_addr.raw() {
-                *self.cn.root_hint.lock() = new_root_addr;
-                return Ok(());
-            }
-            return self.insert_into_parent(node.level + 1, split_key, new_addr);
-        }
-        self.insert_into_parent(node.level + 1, split_key, new_addr)
     }
 
     fn store_value(&mut self, key: u64, value: &[u8]) -> Result<Vec<u8>, IndexError> {
@@ -578,7 +339,7 @@ impl RangeIndex for ShermanClient {
             return;
         }
         let mut collected: Vec<(u64, Vec<u8>)> = Vec::new();
-        let (mut parent, mut idx) = self.scan_origin(start);
+        let (mut parent, mut idx) = self.locate_parent(start);
         let mut first = true;
         let per_leaf = (self.shared.cfg.span * 3) / 4;
         loop {
@@ -591,8 +352,8 @@ impl RangeIndex for ShermanClient {
             let snaps = self.shared.leaf.read_batch(&mut self.ep, &addrs);
             if std::mem::take(&mut first) && snaps[0].fences.0 > start {
                 // The cached parent leaned right past a pivot: re-read it.
-                self.cn.cache.lock().invalidate(parent.addr);
-                (parent, idx) = self.scan_origin(start);
+                self.cn.cache().invalidate(parent.addr);
+                (parent, idx) = self.locate_parent(start);
                 first = true;
                 continue;
             }
@@ -611,7 +372,7 @@ impl RangeIndex for ShermanClient {
                 if parent.sibling.is_null() {
                     break;
                 }
-                let node = self.shared.internal.read(&mut self.ep, parent.sibling);
+                let node = self.read_internal(parent.sibling);
                 parent = Arc::new(Route::new(&node));
                 if !parent.valid {
                     break;
@@ -702,10 +463,10 @@ mod tests {
     fn concurrent_inserts() {
         let pool = Pool::with_defaults(1, 128 << 20);
         let t = Sherman::create(&pool, small(), 1);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for tid in 0..4u64 {
                 let t = t.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let cn = t.new_cn();
                     let mut c = t.client(&cn);
                     for i in 0..500u64 {
@@ -714,8 +475,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let cn = t.new_cn();
         let mut c = t.client(&cn);
         for k in 1..=2_000u64 {
@@ -760,10 +520,10 @@ mod tests {
             c.insert(i * STEP, &v(i)).unwrap();
         }
         let root_addr = c.refresh_root();
-        let root = c.shared.internal.read(&mut c.ep, root_addr);
+        let root = c.read_internal(root_addr);
         assert!(root.level >= 2, "a root above level 1");
         let (_, parent) = c.locate_leaf(150 * STEP);
-        let level1 = c.shared.internal.read(&mut c.ep, parent);
+        let level1 = c.read_internal(parent);
         for node in [root, level1] {
             let pivot = node.entries[node.entries.len() / 2].0;
             let route = Route::new(&node);

@@ -782,10 +782,10 @@ mod tests {
     fn concurrent_inserts_random() {
         let pool = Pool::with_defaults(1, 256 << 20);
         let t = Smart::create(&pool, SmartConfig::default(), 2);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for tid in 0..4u64 {
                 let t = t.clone();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let cn = t.new_cn();
                     let mut c = t.client(&cn);
                     for i in 0..400u64 {
@@ -794,8 +794,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let cn = t.new_cn();
         let mut c = t.client(&cn);
         for s in 1..=1_600u64 {

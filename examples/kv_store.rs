@@ -39,12 +39,12 @@ fn main() {
     let state = WorkloadState::new(preload);
     let cns: Vec<_> = (0..num_cns).map(|_| tree.new_cn()).collect();
     let per_cn = clients / num_cns;
-    let totals = crossbeam::thread::scope(|s| {
+    let totals = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for (cn_id, cn) in cns.iter().enumerate() {
             let tree = tree.clone();
             let state = Arc::clone(&state);
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 let mut sum = (0u64, 0u64, 0u64); // (msgs, wire, latency)
                 for i in 0..per_cn {
                     let mut c = tree.client(cn);
@@ -76,8 +76,7 @@ fn main() {
             .into_iter()
             .map(|h| h.join().unwrap())
             .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2))
-    })
-    .unwrap();
+    });
 
     let ops = clients as u64 * ops_per_client;
     let est = NetConfig::default().model(&RunAccounting {

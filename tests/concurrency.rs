@@ -22,10 +22,10 @@ fn chime_concurrent_inserts_none_lost() {
     let t = chime::Chime::create(&pool, cfg, 0);
     let threads = 4u64;
     let per = 1_500u64;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = t.new_cn();
                 let mut c = t.client(&cn);
                 for i in 0..per {
@@ -34,8 +34,7 @@ fn chime_concurrent_inserts_none_lost() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let cn = t.new_cn();
     let mut c = t.client(&cn);
     for k in 1..=(threads * per) {
@@ -71,10 +70,10 @@ fn chime_concurrent_updates_not_lost() {
         }
     }
     let rounds = 300u64;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = t.new_cn();
                 let mut c = t.client(&cn);
                 // Each thread owns one key and increments it; a lost update
@@ -86,8 +85,7 @@ fn chime_concurrent_updates_not_lost() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let cn = t.new_cn();
     let mut c = t.client(&cn);
     for tid in 0..threads {
@@ -115,9 +113,9 @@ fn chime_readers_never_see_torn_values() {
             c.insert(k, &[1u8; 64]).unwrap();
         }
     }
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let tw = t.clone();
-        s.spawn(move |_| {
+        s.spawn(move || {
             let cn = tw.new_cn();
             let mut c = tw.client(&cn);
             for i in 0..2_000u64 {
@@ -128,7 +126,7 @@ fn chime_readers_never_see_torn_values() {
         });
         for _ in 0..2 {
             let tr = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = tr.new_cn();
                 let mut c = tr.client(&cn);
                 for i in 0..3_000u64 {
@@ -143,8 +141,7 @@ fn chime_readers_never_see_torn_values() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }
 
 /// Sherman under the same torn-value test (two-level versions).
@@ -165,9 +162,9 @@ fn sherman_readers_never_see_torn_values() {
             c.insert(k, &[1u8; 64]).unwrap();
         }
     }
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let tw = t.clone();
-        s.spawn(move |_| {
+        s.spawn(move || {
             let cn = tw.new_cn();
             let mut c = tw.client(&cn);
             for i in 0..2_000u64 {
@@ -175,7 +172,7 @@ fn sherman_readers_never_see_torn_values() {
             }
         });
         let tr = t.clone();
-        s.spawn(move |_| {
+        s.spawn(move || {
             let cn = tr.new_cn();
             let mut c = tr.client(&cn);
             for i in 0..3_000u64 {
@@ -184,8 +181,7 @@ fn sherman_readers_never_see_torn_values() {
                 assert!(got.iter().all(|&b| b == first), "torn value");
             }
         });
-    })
-    .unwrap();
+    });
 }
 
 /// SMART: concurrent structural changes (prefix splits, node growth) with
@@ -196,10 +192,10 @@ fn smart_concurrent_structural_changes() {
     let t = smart::Smart::create(&pool, smart::SmartConfig::default(), 0);
     let threads = 4u64;
     let per = 600u64;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let cn = t.new_cn();
                 let mut c = t.client(&cn);
                 for i in 0..per {
@@ -208,8 +204,7 @@ fn smart_concurrent_structural_changes() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let cn = t.new_cn();
     let mut c = t.client(&cn);
     for s in 1..=(threads * per) {
@@ -226,10 +221,10 @@ fn rolex_concurrent_overflow_inserts() {
     let t = rolex::Rolex::create(&pool, rolex::RolexConfig::default(), &pre);
     let threads = 3u64;
     let per = 300u64;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for tid in 0..threads {
             let t = t.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut c = t.client();
                 for i in 0..per {
                     let k = 1 + (i * threads + tid) * 5 + 1; // between loaded keys
@@ -237,8 +232,7 @@ fn rolex_concurrent_overflow_inserts() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let mut c = t.client();
     for i in 0..(threads * per) {
         let k = 1 + i * 5 + 1;
