@@ -464,7 +464,7 @@ impl HandleSnap {
         HandleSnap {
             stats: ep.stats().clone(),
             profile: ep.profile().clone(),
-            series: ep.telemetry().series.clone(),
+            series: ep.sink().series.clone(),
         }
     }
 }
@@ -544,7 +544,7 @@ impl Agg {
         let profile = ep.profile().since(&before.profile);
         self.stats_delta.merge(&stats);
         self.profile_delta.merge(&profile);
-        self.timeline.merge(&ep.telemetry().series.since(&before.series));
+        self.timeline.merge(&ep.sink().series.since(&before.series));
         if traced {
             self.tracers.extend(c.take_tracer());
         }

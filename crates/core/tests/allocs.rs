@@ -15,7 +15,7 @@ use std::cell::Cell;
 
 use chime::hotspot::{HotspotBuffer, ENTRY_BYTES};
 use chime::{Chime, ChimeConfig};
-use dmem::{GlobalAddr, Pool, RangeIndex, TimeSeries};
+use dmem::{GlobalAddr, Pool, RangeIndex, Sink, TimeSeries};
 
 thread_local! {
     // Per thread, so the test harness's own threads cannot disturb a count;
@@ -92,7 +92,10 @@ fn tree(cfg: ChimeConfig) -> chime::ChimeClient {
     // series allocates a map entry per window of virtual time, a sink cost
     // (ROADMAP item 3) that would otherwise land on whichever op crosses a
     // window boundary.
-    client.endpoint_mut().telemetry_mut().series = TimeSeries::new(u64::MAX);
+    let ep = client.endpoint_mut();
+    let mut sink = ep.set_sink(Sink::default());
+    sink.series = TimeSeries::new(u64::MAX);
+    ep.set_sink(sink);
     assert!(client.search(1).is_some());
     client
 }

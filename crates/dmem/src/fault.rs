@@ -268,9 +268,8 @@ pub(crate) struct VerbFaults {
     pub fail_cas: bool,
     /// Apply the atomic twice.
     pub duplicate: bool,
-    /// Number of faults injected (for stats).
-    pub injected: u64,
-    /// `(action, label)` of each fired rule, for the endpoint's tracer.
+    /// `(action, label)` of each fired rule: the endpoint emits one fault
+    /// event per entry.
     /// Crash rules never appear here — they unwind out of `on_verb`
     /// (the session trace still records them).
     pub fired: Vec<(&'static str, String)>,
@@ -390,7 +389,6 @@ impl FaultClient {
                 label: label.clone(),
                 addr,
             });
-            faults.injected += 1;
             faults.fired.push((action.kind_name(), label.clone()));
             match action {
                 FaultAction::Delay { ns } => faults.delay_ns += ns,
@@ -489,7 +487,7 @@ mod tests {
             let mut fired = Vec::new();
             for i in 0..200 {
                 let (f, _) = c.on_verb(VerbKind::Read, i);
-                fired.push(f.injected);
+                fired.push(f.fired.len() as u64);
             }
             fired
         };
@@ -512,11 +510,11 @@ mod tests {
             action: FaultAction::FailCas,
         });
         let mut other = FaultClient::new(Arc::clone(&s), 1);
-        assert_eq!(other.on_verb(VerbKind::Cas, 0).0.injected, 0);
+        assert_eq!(other.on_verb(VerbKind::Cas, 0).0.fired.len(), 0);
 
         let mut c = FaultClient::new(Arc::clone(&s), 7);
-        assert_eq!(c.on_verb(VerbKind::Cas, 0).0.injected, 0); // seq 1 < 3
-        assert_eq!(c.on_verb(VerbKind::Read, 0).0.injected, 0); // wrong verb
+        assert_eq!(c.on_verb(VerbKind::Cas, 0).0.fired.len(), 0); // seq 1 < 3
+        assert_eq!(c.on_verb(VerbKind::Read, 0).0.fired.len(), 0); // wrong verb
         assert!(c.on_verb(VerbKind::Cas, 0).0.fail_cas); // seq 3 >= 3: fires
         let trace = s.trace();
         assert_eq!(trace.len(), 1);
@@ -524,7 +522,7 @@ mod tests {
         assert_eq!(trace[0].seq, 3);
         // Budget exhausted: never fires again.
         for _ in 0..10 {
-            assert_eq!(c.on_verb(VerbKind::Cas, 0).0.injected, 0);
+            assert_eq!(c.on_verb(VerbKind::Cas, 0).0.fired.len(), 0);
         }
     }
 

@@ -53,7 +53,7 @@ pub use qp::{
     QpStats, WqeOutcome, WqeTicket,
 };
 pub use obs::{
-    FlightKind, FlightRecorder, LatencyHist, OpProfile, Phase, RetryCause, TimeSeries, Tracer,
+    Event, FlightRecorder, LatencyHist, OpProfile, Phase, RetryCause, Sink, TimeSeries, Tracer,
 };
 pub use stats::{ClientStats, Histogram};
-pub use verbs::{Endpoint, PhaseFrame, Span, Telemetry};
+pub use verbs::{Endpoint, PhaseFrame, Span};

@@ -240,6 +240,7 @@ pub fn to_json(anomalies: &[Anomaly]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
     use crate::phase::Phase;
 
     fn steady(ops_per_window: u64, windows: u64) -> TimeSeries {
@@ -248,7 +249,7 @@ mod tests {
             for i in 0..ops_per_window {
                 ts.record_op(w * 100_000 + i * 10 + 5, 2_000, true);
             }
-            ts.add_time(w * 100_000, 90_000, Phase::LeafRead);
+            ts.fold(w * 100_000, &Event::Time { phase: Phase::LeafRead, ns: 90_000 });
         }
         ts
     }
@@ -296,7 +297,7 @@ mod tests {
     #[test]
     fn cq_saturation_respects_threshold() {
         let mut ts = steady(50, 12);
-        ts.cq_depth(7 * 100_000 + 9, 40);
+        ts.fold(7 * 100_000 + 9, &Event::CqDepth { depth: 40 });
         let mut cfg = AnomalyConfig::default();
         assert!(detect(&ts, &cfg)
             .iter()
@@ -314,10 +315,10 @@ mod tests {
     #[test]
     fn slow_migration_is_flagged_fast_one_is_not() {
         let mut ts = steady(50, 12);
-        ts.event(150_000, "migrate.locked part=0 dst=1");
-        ts.event(250_000, "migrate.published part=0 dst=1");
-        ts.event(500_000, "migrate.locked part=3 dst=0");
-        ts.event(3_700_000, "migrate.published part=3 dst=0");
+        ts.fold(150_000, &Event::Note { label: "migrate.locked part=0 dst=1".into() });
+        ts.fold(250_000, &Event::Note { label: "migrate.published part=0 dst=1".into() });
+        ts.fold(500_000, &Event::Note { label: "migrate.locked part=3 dst=0".into() });
+        ts.fold(3_700_000, &Event::Note { label: "migrate.published part=3 dst=0".into() });
         let found = detect(&ts, &AnomalyConfig::default());
         let mig: Vec<&Anomaly> = found
             .iter()

@@ -5,6 +5,10 @@
 //! without sacrificing the simulator's core property — bit-for-bit
 //! reproducibility from a seed:
 //!
+//! * [`event`] — the one telemetry stream: typed [`Event`]s, the [`Sink`]
+//!   an endpoint feeds with one `emit` per observation, and the bounded
+//!   [`event::Ring`] both rings below keep events in; every other view is a
+//!   fold of the stream;
 //! * [`trace`] — span/event tracing on the virtual clock: each index
 //!   operation opens a span, every verb and injected fault records an event
 //!   in a bounded per-client ring buffer, exportable as JSONL;
@@ -36,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod anomaly;
+pub mod event;
 pub mod flight;
 pub mod json;
 pub mod metrics;
@@ -45,10 +50,11 @@ pub mod timeseries;
 pub mod trace;
 
 pub use anomaly::{detect, Anomaly, AnomalyConfig, AnomalyKind};
+pub use event::{Event, Ring, Sink};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use json::Json;
 pub use metrics::{HistogramSummary, MetricsSnapshot};
 pub use perfetto::to_perfetto;
 pub use phase::{LatencyHist, OpProfile, Phase, PhaseAcc, RetryCause};
 pub use timeseries::{TimeSeries, TsEvent, Window};
-pub use trace::{Event, EventKind, SpanSummary, Tracer};
+pub use trace::{Record, SpanSummary, Tracer};

@@ -29,7 +29,7 @@
 //! when it had not, finish the publish when the switch already happened.
 
 use chime::{Chime, ChimeClient};
-use dmem::{Endpoint, GlobalAddr, IndexError, RangeIndex};
+use dmem::{Endpoint, Event, GlobalAddr, IndexError, RangeIndex};
 
 use crate::layout;
 use crate::router::Cluster;
@@ -88,15 +88,17 @@ pub enum RecoveryOutcome {
     Finished,
 }
 
-/// Stamps a control-plane note on both the control endpoint's telemetry
-/// (at its clock) and the source client's time series (at the later of the
-/// two clocks, since the copy advances `src` while `ctl` stands still).
-/// The anomaly detector pairs `migrate.locked` / `migrate.published` notes
-/// to measure each migration's lock-to-publish interval.
+/// Emits a control-plane note on both the control endpoint (at its clock)
+/// and the source client (at the later of the two clocks, since the copy
+/// advances `src` while `ctl` stands still): each lands in that endpoint's
+/// time series and flight ring. The anomaly detector pairs
+/// `migrate.locked` / `migrate.published` notes to measure each
+/// migration's lock-to-publish interval.
 fn note_step(ctl: &mut Endpoint, src: &mut ChimeClient, label: &str) {
-    ctl.note_event(label);
+    let note = || Event::Note { label: label.to_string() };
+    ctl.emit(ctl.clock_ns(), note());
     let t = ctl.clock_ns().max(src.clock_ns());
-    src.endpoint_mut().telemetry_mut().series.event(t, label);
+    src.endpoint_mut().emit(t, note());
 }
 
 /// The migration journal: a 32-byte record in MN 0's reserved region.

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use chime::{Chime, ChimeClient, ChimeConfig};
 use dmem::{Endpoint, FaultPlan, FaultSession, Pool, QpStats, RangeIndex};
-use obs::{Anomaly, AnomalyConfig, LatencyHist, MetricsSnapshot, OpProfile, Phase, TimeSeries};
+use obs::{Anomaly, AnomalyConfig, Event, LatencyHist, MetricsSnapshot, OpProfile, Phase, TimeSeries};
 use sched::{CqDepthGauge, Engine, EngineConfig, LaneBody};
 use ycsb::KeySpace;
 
@@ -336,7 +336,7 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
             profile: client.endpoint().profile().clone(),
             hist,
             end_ns: client.clock_ns(),
-            timeline: client.endpoint().telemetry().series.clone(),
+            timeline: client.endpoint().sink().series.clone(),
             trace_jsonl: client.take_tracer().map(|t| t.to_jsonl()),
         };
     }
@@ -425,7 +425,7 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
         profile: client.endpoint().profile().clone(),
         hist,
         end_ns: client.clock_ns(),
-        timeline: client.endpoint().telemetry().series.clone(),
+        timeline: client.endpoint().sink().series.clone(),
         trace_jsonl: client.take_tracer().map(|t| t.to_jsonl()),
     }
 }
@@ -452,7 +452,7 @@ fn serve_one(
 
     let depth = gauge.depth();
     let now = client.clock_ns();
-    client.endpoint_mut().telemetry_mut().series.cq_depth(now, depth);
+    client.endpoint_mut().emit(now, Event::CqDepth { depth });
     let mut over = depth > cfg.cq_watermark;
     if over && cfg.policy == OverloadPolicy::Defer {
         conn.counters.deferred += 1;
@@ -468,7 +468,7 @@ fn serve_one(
         conn.respond(&crate::proto::Response::Busy);
         client.advance_phase(Phase::Respond, cfg.respond_ns);
         let now = client.clock_ns();
-        client.endpoint_mut().telemetry_mut().series.shed(now);
+        client.endpoint_mut().emit(now, Event::Shed);
         return;
     }
 
@@ -478,7 +478,7 @@ fn serve_one(
     hist.record(client.clock_ns() - t0);
     *served += 1;
     let now = client.clock_ns();
-    client.endpoint_mut().telemetry_mut().series.served(now);
+    client.endpoint_mut().emit(now, Event::Served);
 }
 
 /// Runs one deterministic serving simulation.

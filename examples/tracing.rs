@@ -49,8 +49,8 @@ fn main() {
     let mut spans = tracer.spans();
     println!(
         "{} events in the ring ({} dropped), {} spans",
-        tracer.len(),
-        tracer.dropped(),
+        tracer.events().len(),
+        tracer.events().dropped(),
         spans.len()
     );
 
