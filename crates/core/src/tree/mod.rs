@@ -284,15 +284,6 @@ impl ChimeClient {
         self.shared.cfg.neighborhood
     }
 
-    /// Runs `f` as operation `op` on `key` inside one span, which `ok`
-    /// closes as a success or a failure.
-    fn in_span<R>(&mut self, op: &'static str, key: u64, f: impl FnOnce(&mut Self) -> R, ok: impl FnOnce(&R) -> bool) -> R {
-        let sp = self.ep.span_begin(op, key);
-        let r = f(self);
-        self.ep.span_end(sp, ok(&r));
-        r
-    }
-
     /// Records a whole-operation optimistic retry attributed to its root
     /// `cause` and backs off with seeded jitter before the next attempt.
     fn on_op_conflict(&mut self, cause: RetryCause) {
@@ -366,25 +357,7 @@ impl ChimeClient {
 }
 
 impl RangeIndex for ChimeClient {
-    fn insert(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        self.in_span("insert", key, |me| me.insert_impl(key, value), Result::is_ok)
-    }
-
-    fn search(&mut self, key: u64) -> Option<Vec<u8>> {
-        self.in_span("search", key, |me| me.search_impl(key), Option::is_some)
-    }
-
-    fn update(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
-        self.in_span("update", key, |me| me.update_impl(key, value), |r| matches!(r, Ok(true)))
-    }
-
-    fn delete(&mut self, key: u64) -> Result<bool, IndexError> {
-        self.in_span("delete", key, |me| me.delete_impl(key), |r| matches!(r, Ok(true)))
-    }
-
-    fn scan(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        self.in_span("scan", start, |me| me.scan_impl(start, count, out), |_| true)
-    }
+    dmem::span_ops!();
 
     fn endpoint(&self) -> &Endpoint {
         &self.ep
