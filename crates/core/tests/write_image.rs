@@ -21,8 +21,9 @@ use chime::layout::InternalLayout;
 use chime::{Chime, ChimeConfig};
 use dmem::node::RESERVED_BYTES;
 use dmem::{Endpoint, GlobalAddr, Pool, RangeIndex};
-use rolex::{ChimeLearned, RolexConfig};
+use rolex::{ChimeLearned, Rolex, RolexConfig};
 use sherman::{Sherman, ShermanConfig};
+use smart::{Smart, SmartConfig};
 
 const OPS: u64 = 6_000;
 const KEYSPACE: u64 = 1_500;
@@ -167,6 +168,12 @@ fn chime_write_images_match_the_recorded_constants() {
     assert!(!bad, "remote image or verb totals moved");
 }
 
+/// The bulk load of the learned indexes: every third key of the keyspace,
+/// each key's own bytes as its value.
+fn learned_preload() -> std::collections::BTreeMap<u64, Vec<u8>> {
+    (1..=KEYSPACE / 3).map(|k| (k * 3, (k * 3).to_le_bytes().to_vec())).collect()
+}
+
 /// CHIME-Learned: fence-mode leaves, synonym chains, all eight write-back
 /// sites of `rolex::learned_hop`.
 #[test]
@@ -176,14 +183,67 @@ fn chime_learned_write_image_matches_the_recorded_constant() {
         hopscotch_leaves: true,
         ..RolexConfig::default()
     };
-    let mut shadow: std::collections::BTreeMap<u64, Vec<u8>> = (1..=KEYSPACE / 3)
-        .map(|k| (k * 3, (k * 3).to_le_bytes().to_vec()))
-        .collect();
+    let mut shadow = learned_preload();
     let items: Vec<(u64, Vec<u8>)> = shadow.iter().map(|(k, v)| (*k, v.clone())).collect();
     let index = ChimeLearned::create(&pool, cfg, &items);
     let mut c = index.client();
     drive(&mut c, &mut shadow, cfg.value_size, 0x1EA2);
     assert_eq!(summary(&pool, &c), "3e98064a07e0a325 37781r/9765w/4156a/1rpc/33247rtt/8191302B");
+}
+
+/// ROLEX: sorted leaves in one contiguous array, the model's candidate
+/// window, owner-leaf edits and synonym chains grown under the owner's
+/// lock; with values inline and out of line (the blocks are part of the
+/// image).
+#[rustfmt::skip]
+#[test]
+fn rolex_write_images_match_the_recorded_constants() {
+    let runs = [
+        ("inline", RolexConfig::default(), "e6b24d81d79f368a 31280r/11784w/4176a/1rpc/27601rtt/12325383B 71557106ns"),
+        ("indirect values", RolexConfig { indirect_values: true, value_size: 32, ..RolexConfig::default() }, "c5b22c969199a447 32368r/15420w/4122a/1rpc/32370rtt/12883650B 83513273ns"),
+    ];
+    let mut bad = false;
+    for (i, (name, cfg, want)) in runs.into_iter().enumerate() {
+        let pool = Pool::with_defaults(1, 64 << 20);
+        let mut shadow = learned_preload();
+        let items: Vec<(u64, Vec<u8>)> = shadow.iter().map(|(k, v)| (*k, v.clone())).collect();
+        let index = Rolex::create(&pool, cfg, &items);
+        let mut c = index.client();
+        drive(&mut c, &mut shadow, cfg.value_size, 0x201E + i as u64);
+        let got = format!("{} {}ns", summary(&pool, &c), c.clock_ns());
+        if got != want {
+            eprintln!("[{name}]\n   got  \"{got}\"\n   want \"{want}\"");
+            bad = true;
+        }
+    }
+    assert!(!bad, "remote image or verb totals moved");
+}
+
+/// SMART: one leaf per key, copy-on-write node growth, prefix splits and
+/// in-place value updates, through the CN node cache. The READ count pins
+/// every cache hit; with a budget of a few dozen nodes it also pins the
+/// order of LRU eviction.
+#[rustfmt::skip]
+#[test]
+fn smart_write_images_match_the_recorded_constants() {
+    let runs = [
+        ("ample cache", SmartConfig::default(), "828787c104a2e707 14580r/8235w/2520a/1rpc/23484rtt/19988413B 60455106ns 6843B cached"),
+        ("4 KiB cache", SmartConfig { cache_bytes: 4 << 10, ..SmartConfig::default() }, "7d5b24b1b1a3b7c0 15144r/8282w/2524a/1rpc/24125rtt/21231559B 62154599ns 3135B cached"),
+    ];
+    let mut bad = false;
+    for (i, (name, cfg, want)) in runs.into_iter().enumerate() {
+        let pool = Pool::with_defaults(1, 64 << 20);
+        let tree = Smart::create(&pool, cfg, 0);
+        let mut c = tree.client(&tree.new_cn());
+        let mut shadow = std::collections::BTreeMap::new();
+        drive(&mut c, &mut shadow, cfg.value_size, 0x5A47 + i as u64);
+        let got = format!("{} {}ns {}B cached", summary(&pool, &c), c.clock_ns(), c.cache_bytes());
+        if got != want {
+            eprintln!("[{name}]\n   got  \"{got}\"\n   want \"{want}\"");
+            bad = true;
+        }
+    }
+    assert!(!bad, "remote image or verb totals moved");
 }
 
 /// Sherman: sorted leaves under the B+-tree internal levels. A fan-out of
