@@ -7,10 +7,10 @@
 //! [key: u64 LE][len: u64 LE][value, zero-padded to value_size]
 //! ```
 //!
-//! This module is the only place that knows the format. [`store`] and
-//! [`load`] do the whole job; [`block_len`], [`encode`] and [`pointer`] let
-//! an index issue the allocation and the WRITE inside phase frames of its
-//! own.
+//! This module is the only place that knows the format. [`Values`] is the
+//! whole job for an index that stores values one way or the other;
+//! [`block_len`], [`encode`] and [`pointer`] let an index issue the
+//! allocation and the WRITE inside phase frames of its own.
 
 use crate::addr::GlobalAddr;
 use crate::alloc::{ChunkAlloc, OutOfMemory};
@@ -59,18 +59,53 @@ fn target(stored: &[u8]) -> GlobalAddr {
     ))
 }
 
-/// Allocates and writes the block for `(key, value)`; returns the leaf
-/// entry pointing at it.
-pub fn store(
-    ep: &mut Endpoint,
-    alloc: &mut ChunkAlloc,
-    key: u64,
-    value: &[u8],
-    value_size: usize,
-) -> Result<Vec<u8>, OutOfMemory> {
-    let addr = alloc.alloc(ep, block_len(value_size) as u64)?;
-    ep.write(addr, &encode(key, value, value_size));
-    Ok(pointer(addr))
+/// How an index keeps values in its leaf entries: inline, zero-padded to
+/// `value_size` bytes, or (`indirect`) as an 8-byte pointer to a block
+/// holding up to `value_size` bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Values {
+    /// Largest value the index stores, in bytes.
+    pub value_size: usize,
+    /// Whether values live out of line.
+    pub indirect: bool,
+}
+
+impl Values {
+    /// Bytes of a leaf entry's value field.
+    pub fn slot_size(self) -> usize {
+        if self.indirect {
+            8
+        } else {
+            self.value_size
+        }
+    }
+
+    /// The leaf entry for `(key, value)`: the inline bytes, or a pointer to
+    /// a block allocated and written here.
+    pub fn store(
+        self,
+        ep: &mut Endpoint,
+        alloc: &mut ChunkAlloc,
+        key: u64,
+        value: &[u8],
+    ) -> Result<Vec<u8>, OutOfMemory> {
+        if !self.indirect {
+            return Ok(inline(value, self.value_size));
+        }
+        let addr = alloc.alloc(ep, block_len(self.value_size) as u64)?;
+        ep.write(addr, &encode(key, value, self.value_size));
+        Ok(pointer(addr))
+    }
+
+    /// The value a leaf entry holds: the entry itself, or the block it
+    /// points at, read here.
+    pub fn resolve(self, ep: &mut Endpoint, stored: Vec<u8>) -> Vec<u8> {
+        if self.indirect {
+            load(ep, &stored, self.value_size)
+        } else {
+            stored
+        }
+    }
 }
 
 /// Reads the block the leaf entry `stored` points at and returns its value.

@@ -11,10 +11,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod learned;
 pub mod learned_hop;
 pub mod plr;
 pub mod tree;
 
+pub use learned::RolexConfig;
 pub use learned_hop::{ChimeLearned, ChimeLearnedClient};
 pub use plr::PlrModel;
-pub use tree::{Rolex, RolexClient, RolexConfig};
+pub use tree::{Rolex, RolexClient};

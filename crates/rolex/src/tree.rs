@@ -12,157 +12,32 @@
 
 use std::sync::Arc;
 
-use dmem::{indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
 use sherman::leaf::{LeafSnapshot, ShermanLeafLayout, ShermanLeafOps};
 
-use crate::plr::PlrModel;
-
-const OP_RETRY_LIMIT: usize = 100_000;
-
-/// ROLEX configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct RolexConfig {
-    /// Leaf span (entries per leaf). Paper default: 16.
-    pub span: usize,
-    /// Model error bound. Paper default: 16 (equal to the span).
-    pub delta: u64,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// Store values out-of-line (ROLEX-Indirect).
-    pub indirect_values: bool,
-    /// Use hopscotch leaf nodes (CHIME-Learned, Fig. 15b). Handled by
-    /// [`crate::learned_hop::ChimeLearned`]; plain [`Rolex`] ignores it.
-    pub hopscotch_leaves: bool,
-}
-
-impl Default for RolexConfig {
-    fn default() -> Self {
-        RolexConfig {
-            span: 16,
-            delta: 16,
-            value_size: 8,
-            indirect_values: false,
-            hopscotch_leaves: false,
-        }
-    }
-}
-
-struct Shared {
-    pool: Arc<Pool>,
-    cfg: RolexConfig,
-    leaf: ShermanLeafOps,
-    base: GlobalAddr,
-    num_leaves: usize,
-    model: PlrModel,
-}
+use crate::learned::{Client, Learned, RolexConfig, OP_RETRY_LIMIT};
 
 /// A handle to a ROLEX index.
-#[derive(Clone)]
-pub struct Rolex {
-    shared: Arc<Shared>,
-}
+pub type Rolex = Learned<ShermanLeafOps>;
 
 /// One ROLEX client.
-pub struct RolexClient {
-    shared: Arc<Shared>,
-    ep: Endpoint,
-    alloc: ChunkAlloc,
-}
+pub type RolexClient = Client<ShermanLeafOps>;
 
 impl Rolex {
     /// Bulk-loads `items` (sorted by key, unique, non-zero keys) and trains
     /// the model.
     pub fn create(pool: &Arc<Pool>, cfg: RolexConfig, items: &[(u64, Vec<u8>)]) -> Self {
-        assert!(!items.is_empty());
-        assert!(items.windows(2).all(|p| p[0].0 < p[1].0), "items must be sorted");
         let leaf = ShermanLeafOps {
             layout: ShermanLeafLayout {
                 span: cfg.span,
-                value_size: if cfg.indirect_values { 8 } else { cfg.value_size },
+                value_size: cfg.values().slot_size(),
             },
         };
-        let keys: Vec<u64> = items.iter().map(|&(k, _)| k).collect();
-        let model = PlrModel::train(&keys, cfg.delta);
-        let num_leaves = items.len().div_ceil(cfg.span);
-        let node_size = leaf.layout.node_size().div_ceil(64) * 64;
-        let base = pool
-            .mn(0)
-            .alloc((num_leaves * node_size) as u64)
-            .expect("pool too small for ROLEX load");
-        let shared = Arc::new(Shared {
-            pool: Arc::clone(pool),
-            cfg,
-            leaf,
-            base,
-            num_leaves,
-            model,
-        });
-        let mut ep = Endpoint::new(Arc::clone(&shared.pool));
-        let mut alloc = ChunkAlloc::with_defaults();
-        for i in 0..num_leaves {
-            let chunk = &items[i * cfg.span..((i + 1) * cfg.span).min(items.len())];
-            let lo = if i == 0 { 0 } else { chunk[0].0 };
-            let hi = items
-                .get((i + 1) * cfg.span)
-                .map(|&(k, _)| k)
-                .unwrap_or(u64::MAX);
-            let mut ks = Vec::with_capacity(chunk.len());
-            let mut vs = Vec::with_capacity(chunk.len());
-            for (k, v) in chunk {
-                ks.push(*k);
-                vs.push(if cfg.indirect_values {
-                    indirect::store(&mut ep, &mut alloc, *k, v, cfg.value_size).expect("pool")
-                } else {
-                    indirect::inline(v, cfg.value_size)
-                });
-            }
-            shared.leaf.write_full(
-                &mut ep,
-                shared.leaf_addr(i),
-                0,
-                &ks,
-                &vs,
-                GlobalAddr::NULL,
-                (lo, hi),
-                false,
-            );
-        }
-        Rolex { shared }
-    }
-
-    /// Creates a client (the model is shared — it is the CN cache).
-    pub fn client(&self) -> RolexClient {
-        RolexClient {
-            shared: Arc::clone(&self.shared),
-            ep: Endpoint::new(Arc::clone(&self.shared.pool)),
-            alloc: ChunkAlloc::sim_scaled(),
-        }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RolexConfig {
-        &self.shared.cfg
-    }
-
-    /// Number of model segments (Fig. 14 cache accounting).
-    pub fn model_segments(&self) -> usize {
-        self.shared.model.segments()
-    }
-}
-
-impl Shared {
-    fn leaf_addr(&self, i: usize) -> GlobalAddr {
-        let node_size = (self.leaf.layout.node_size().div_ceil(64) * 64) as u64;
-        self.base.add(i as u64 * node_size)
-    }
-
-    /// Candidate leaf-index window for `key` from the model.
-    fn candidates(&self, key: u64, widen: usize) -> (usize, usize) {
-        let pos = self.model.predict(key);
-        let d = self.cfg.delta + (widen as u64) * self.cfg.span as u64;
-        let lo = (pos.saturating_sub(d) as usize) / self.cfg.span;
-        let hi = ((pos + d) as usize / self.cfg.span).min(self.num_leaves - 1);
-        (lo.min(self.num_leaves - 1), hi)
+        let size = leaf.layout.node_size();
+        Learned::load(pool, cfg, leaf, size, cfg.span, items, |leaf, ep, addr, entries, fences| {
+            let (ks, vs): (Vec<u64>, Vec<Vec<u8>>) = entries.into_iter().unzip();
+            leaf.write_full(ep, addr, 0, &ks, &vs, GlobalAddr::NULL, fences, false);
+        })
     }
 }
 
@@ -171,10 +46,9 @@ impl RolexClient {
     /// candidate window on (rare) model non-monotonicity at segment joins.
     fn read_owner(&mut self, key: u64) -> (usize, LeafSnapshot) {
         for widen in 0..OP_RETRY_LIMIT {
-            let (lo, hi) = self.shared.candidates(key, widen);
-            let addrs: Vec<GlobalAddr> =
-                (lo..=hi).map(|i| self.shared.leaf_addr(i)).collect();
-            let snaps = self.shared.leaf.read_batch(&mut self.ep, &addrs);
+            let (lo, hi) = self.dir.candidates(key, widen);
+            let addrs: Vec<GlobalAddr> = (lo..=hi).map(|i| self.dir.leaf_addr(i)).collect();
+            let snaps = self.dir.leaf.read_batch(&mut self.ep, &addrs);
             for (i, snap) in snaps.into_iter().enumerate() {
                 if dmem::hash::in_range(key, snap.fences.0, snap.fences.1) {
                     return (lo + i, snap);
@@ -189,7 +63,7 @@ impl RolexClient {
         let mut out = Vec::new();
         let mut addr = head;
         while !addr.is_null() {
-            let snap = self.shared.leaf.read(&mut self.ep, addr);
+            let snap = self.dir.leaf.read(&mut self.ep, addr);
             let next = snap.sibling;
             out.push((addr, snap));
             addr = next;
@@ -197,29 +71,37 @@ impl RolexClient {
         out
     }
 
-    fn store_value(&mut self, key: u64, value: &[u8]) -> Result<Vec<u8>, IndexError> {
-        let cfg = self.shared.cfg;
-        if !cfg.indirect_values {
-            return Ok(indirect::inline(value, cfg.value_size));
+    /// Locks the leaf holding `key` — the owner or a synonym — and returns
+    /// it with the snapshot read under the lock and the key's position, or
+    /// `None` when the key is absent.
+    fn lock_holder(&mut self, key: u64) -> Option<(GlobalAddr, LeafSnapshot, usize)> {
+        let leaf = self.dir.leaf;
+        for _ in 0..OP_RETRY_LIMIT {
+            let (owner_idx, owner) = self.read_owner(key);
+            let addr = if owner.find(key).is_some() {
+                self.dir.leaf_addr(owner_idx)
+            } else {
+                let chain = self.chain(owner.sibling);
+                chain.into_iter().find(|(_, s)| s.find(key).is_some())?.0
+            };
+            leaf.lock(&mut self.ep, addr);
+            let snap = leaf.read(&mut self.ep, addr);
+            if let Some((i, _)) = snap.find(key) {
+                return Some((addr, snap, i));
+            }
+            // The key moved (a racing delete and insert): retry.
+            leaf.unlock(&mut self.ep, addr);
         }
-        Ok(indirect::store(&mut self.ep, &mut self.alloc, key, value, cfg.value_size)?)
-    }
-
-    fn resolve_value(&mut self, stored: Vec<u8>) -> Vec<u8> {
-        let cfg = self.shared.cfg;
-        if !cfg.indirect_values {
-            return stored;
-        }
-        indirect::load(&mut self.ep, &stored, cfg.value_size)
+        panic!("rolex retry limit for key {key}");
     }
 
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
         assert_ne!(key, 0, "key 0 is reserved");
-        let stored = self.store_value(key, value)?;
-        let leaf = self.shared.leaf;
+        let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
+        let leaf = self.dir.leaf;
         for _ in 0..OP_RETRY_LIMIT {
             let (owner_idx, _) = self.read_owner(key);
-            let owner_addr = self.shared.leaf_addr(owner_idx);
+            let owner_addr = self.dir.leaf_addr(owner_idx);
             leaf.lock(&mut self.ep, owner_addr);
             let snap = leaf.read(&mut self.ep, owner_addr);
             if !dmem::hash::in_range(key, snap.fences.0, snap.fences.1) {
@@ -234,47 +116,30 @@ impl RolexClient {
             // Duplicate in the synonym chain? (A key that overflowed while
             // the owner was full stays in the chain even after owner
             // deletions free up space.)
-            if !snap.sibling.is_null() {
-                let chain = self.chain(snap.sibling);
-                if let Some((addr, cs, i)) = chain
-                    .iter()
-                    .find_map(|(a, cs)| cs.find(key).map(|(i, _)| (*a, cs.clone(), i)))
-                {
-                    leaf.write_entry_and_unlock(&mut self.ep, addr, &cs, i, &stored);
-                    leaf.unlock(&mut self.ep, owner_addr);
-                    return Ok(());
-                }
+            let chain = self.chain(snap.sibling);
+            if let Some((addr, cs, i)) = chain
+                .iter()
+                .find_map(|(a, cs)| cs.find(key).map(|(i, _)| (*a, cs, i)))
+            {
+                leaf.write_entry_and_unlock(&mut self.ep, addr, cs, i, &stored);
+                leaf.unlock(&mut self.ep, owner_addr);
+                return Ok(());
             }
             // Room in the owner?
             if snap.keys.len() < leaf.layout.span {
-                let mut ks = snap.keys.clone();
-                let mut vs = snap.values.clone();
-                let i = ks.binary_search(&key).unwrap_err();
-                ks.insert(i, key);
-                vs.insert(i, stored);
-                leaf.write_suffix_and_unlock(&mut self.ep, owner_addr, &snap, i, &ks, &vs);
+                let i = snap.keys.binary_search(&key).unwrap_err();
+                leaf.splice_and_unlock(&mut self.ep, owner_addr, &snap, i, Some((key, stored)));
                 return Ok(());
             }
-            // Walk the synonym chain under the owner's lock.
+            // A synonym with room. The owner's lock guards the chain, so
+            // this re-read returns what the duplicate check read; it stays
+            // because every ROLEX figure point counts its verbs.
             let chain = self.chain(snap.sibling);
-            for (addr, s) in &chain {
-                if let Some((i, _)) = s.find(key) {
-                    leaf.write_entry_and_unlock(&mut self.ep, *addr, s, i, &stored);
-                    leaf.unlock(&mut self.ep, owner_addr);
-                    return Ok(());
-                }
-            }
-            for (addr, s) in &chain {
-                if s.keys.len() < leaf.layout.span {
-                    let mut ks = s.keys.clone();
-                    let mut vs = s.values.clone();
-                    let i = ks.binary_search(&key).unwrap_err();
-                    ks.insert(i, key);
-                    vs.insert(i, stored);
-                    leaf.write_suffix_and_unlock(&mut self.ep, *addr, s, i, &ks, &vs);
-                    leaf.unlock(&mut self.ep, owner_addr);
-                    return Ok(());
-                }
+            if let Some((addr, s)) = chain.iter().find(|(_, s)| s.keys.len() < leaf.layout.span) {
+                let i = s.keys.binary_search(&key).unwrap_err();
+                leaf.splice_and_unlock(&mut self.ep, *addr, s, i, Some((key, stored)));
+                leaf.unlock(&mut self.ep, owner_addr);
+                return Ok(());
             }
             // Allocate a new synonym leaf at the chain head.
             let syn_addr = self
@@ -311,96 +176,35 @@ impl RolexClient {
     fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
         assert_ne!(key, 0, "key 0 is reserved");
         let (_, snap) = self.read_owner(key);
-        self.ep
-            .note_app_bytes(self.shared.cfg.value_size as u64 + 8);
-        if let Some((_, v)) = snap.find(key) {
-            let v = v.to_vec();
-            return Some(self.resolve_value(v));
-        }
-        // Overflow chain.
-        let chain = self.chain(snap.sibling);
-        for (_, s) in &chain {
-            if let Some((_, v)) = s.find(key) {
-                let v = v.to_vec();
-                return Some(self.resolve_value(v));
+        self.ep.note_app_bytes(self.dir.cfg.value_size as u64 + 8);
+        let v = match snap.find(key) {
+            Some((_, v)) => v.to_vec(),
+            // Overflow chain.
+            None => {
+                let chain = self.chain(snap.sibling);
+                chain.iter().find_map(|(_, s)| s.find(key).map(|(_, v)| v.to_vec()))?
             }
-        }
-        None
+        };
+        Some(self.dir.values.resolve(&mut self.ep, v))
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
         assert_ne!(key, 0, "key 0 is reserved");
-        let stored = self.store_value(key, value)?;
-        let leaf = self.shared.leaf;
-        for _ in 0..OP_RETRY_LIMIT {
-            let (owner_idx, owner) = self.read_owner(key);
-            // Find the containing leaf (owner or synonym).
-            let mut target = None;
-            if owner.find(key).is_some() {
-                target = Some(self.shared.leaf_addr(owner_idx));
-            } else {
-                for (addr, s) in self.chain(owner.sibling) {
-                    if s.find(key).is_some() {
-                        target = Some(addr);
-                        break;
-                    }
-                }
-            }
-            let Some(addr) = target else {
-                return Ok(false);
-            };
-            leaf.lock(&mut self.ep, addr);
-            let snap = leaf.read(&mut self.ep, addr);
-            match snap.find(key) {
-                Some((i, _)) => {
-                    leaf.write_entry_and_unlock(&mut self.ep, addr, &snap, i, &stored);
-                    return Ok(true);
-                }
-                None => {
-                    leaf.unlock(&mut self.ep, addr);
-                    // Key moved (racing delete+insert); retry.
-                }
-            }
-        }
-        panic!("rolex update retry limit for key {key}");
+        let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
+        let Some((addr, snap, i)) = self.lock_holder(key) else {
+            return Ok(false);
+        };
+        self.dir.leaf.write_entry_and_unlock(&mut self.ep, addr, &snap, i, &stored);
+        Ok(true)
     }
 
     fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
         assert_ne!(key, 0, "key 0 is reserved");
-        let leaf = self.shared.leaf;
-        for _ in 0..OP_RETRY_LIMIT {
-            let (owner_idx, owner) = self.read_owner(key);
-            let mut target = None;
-            if owner.find(key).is_some() {
-                target = Some(self.shared.leaf_addr(owner_idx));
-            } else {
-                for (addr, s) in self.chain(owner.sibling) {
-                    if s.find(key).is_some() {
-                        target = Some(addr);
-                        break;
-                    }
-                }
-            }
-            let Some(addr) = target else {
-                return Ok(false);
-            };
-            leaf.lock(&mut self.ep, addr);
-            let snap = leaf.read(&mut self.ep, addr);
-            match snap.find(key) {
-                Some((i, _)) => {
-                    let mut ks = snap.keys.clone();
-                    let mut vs = snap.values.clone();
-                    ks.remove(i);
-                    vs.remove(i);
-                    leaf.write_suffix_and_unlock(&mut self.ep, addr, &snap, i, &ks, &vs);
-                    return Ok(true);
-                }
-                None => {
-                    leaf.unlock(&mut self.ep, addr);
-                }
-            }
-        }
-        panic!("rolex delete retry limit for key {key}");
+        let Some((addr, snap, i)) = self.lock_holder(key) else {
+            return Ok(false);
+        };
+        self.dir.leaf.splice_and_unlock(&mut self.ep, addr, &snap, i, None);
+        Ok(true)
     }
 
     fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
@@ -410,29 +214,17 @@ impl RolexClient {
         }
         let (mut idx, _) = self.read_owner(start);
         let mut collected: Vec<(u64, Vec<u8>)> = Vec::new();
-        let per_leaf = self.shared.cfg.span;
-        while idx < self.shared.num_leaves {
+        let (per_leaf, num_leaves) = (self.dir.cfg.span, self.dir.num_leaves);
+        while idx < num_leaves {
             let need = count.saturating_sub(collected.len());
-            let take = need
-                .div_ceil(per_leaf)
-                .max(1)
-                .min(self.shared.num_leaves - idx);
-            let addrs: Vec<GlobalAddr> = (idx..idx + take)
-                .map(|i| self.shared.leaf_addr(i))
-                .collect();
-            let snaps = self.shared.leaf.read_batch(&mut self.ep, &addrs);
+            let take = need.div_ceil(per_leaf).max(1).min(num_leaves - idx);
+            let addrs: Vec<GlobalAddr> = (idx..idx + take).map(|i| self.dir.leaf_addr(i)).collect();
+            let snaps = self.dir.leaf.read_batch(&mut self.ep, &addrs);
             for snap in snaps {
-                for (k, v) in snap.keys.iter().zip(snap.values.iter()) {
-                    if *k >= start {
-                        collected.push((*k, v.clone()));
-                    }
-                }
-                for (_, s) in self.chain(snap.sibling) {
-                    for (k, v) in s.keys.iter().zip(s.values.iter()) {
-                        if *k >= start {
-                            collected.push((*k, v.clone()));
-                        }
-                    }
+                let chain = self.chain(snap.sibling);
+                for s in std::iter::once(&snap).chain(chain.iter().map(|(_, s)| s)) {
+                    let items = s.keys.iter().zip(&s.values).filter(|(k, _)| **k >= start);
+                    collected.extend(items.map(|(k, v)| (*k, v.clone())));
                 }
             }
             idx += take;
@@ -442,10 +234,8 @@ impl RolexClient {
         }
         collected.sort_by_key(|&(k, _)| k);
         collected.truncate(count);
-        for (k, v) in collected {
-            let v = self.resolve_value(v);
-            out.push((k, v));
-        }
+        let values = self.dir.values;
+        out.extend(collected.into_iter().map(|(k, v)| (k, values.resolve(&mut self.ep, v))));
     }
 }
 
@@ -461,7 +251,7 @@ impl RangeIndex for RolexClient {
     }
 
     fn cache_bytes(&self) -> u64 {
-        self.shared.model.cache_bytes()
+        self.dir.model.cache_bytes()
     }
 }
 

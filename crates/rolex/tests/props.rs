@@ -7,10 +7,6 @@ use dmem::{Pool, RangeIndex};
 use proptest::prelude::*;
 use rolex::{ChimeLearned, PlrModel, Rolex, RolexConfig};
 
-fn v(k: u64) -> Vec<u8> {
-    k.to_le_bytes().to_vec()
-}
-
 proptest! {
     /// |predicted - actual| <= delta for every trained key, on arbitrary
     /// strictly-ascending key sets.
@@ -33,15 +29,17 @@ proptest! {
     }
 }
 
-fn model_check(hopscotch: bool, seed_ops: Vec<(u64, u8)>) -> Result<(), TestCaseError> {
+/// `key`'s bytes repeated to `len` bytes.
+fn value_of(key: u64, len: usize) -> Vec<u8> {
+    key.to_le_bytes().iter().copied().cycle().take(len).collect()
+}
+
+fn model_check(cfg: RolexConfig, seed_ops: Vec<(u64, u8)>) -> Result<(), TestCaseError> {
     let pool = Pool::with_defaults(1, 256 << 20);
+    let v = |k: u64| value_of(k, cfg.value_size);
     let pre: Vec<(u64, Vec<u8>)> = (1..=500u64).map(|k| (k * 4, v(k))).collect();
-    let cfg = RolexConfig {
-        hopscotch_leaves: hopscotch,
-        ..Default::default()
-    };
     let mut model: BTreeMap<u64, Vec<u8>> = pre.iter().cloned().collect();
-    let mut c: Box<dyn RangeIndex> = if hopscotch {
+    let mut c: Box<dyn RangeIndex> = if cfg.hopscotch_leaves {
         Box::new(ChimeLearned::create(&pool, cfg, &pre).client())
     } else {
         Box::new(Rolex::create(&pool, cfg, &pre).client())
@@ -67,18 +65,34 @@ fn model_check(hopscotch: bool, seed_ops: Vec<(u64, u8)>) -> Result<(), TestCase
     Ok(())
 }
 
+fn hopscotch(indirect_values: bool, value_size: usize) -> RolexConfig {
+    RolexConfig {
+        hopscotch_leaves: true,
+        indirect_values,
+        value_size,
+        ..Default::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Sorted-leaf ROLEX agrees with a BTreeMap (synonym chains included).
     #[test]
     fn rolex_matches_model(ops in proptest::collection::vec((any::<u64>(), 0u8..4), 1..150)) {
-        model_check(false, ops)?;
+        model_check(RolexConfig::default(), ops)?;
     }
 
     /// CHIME-Learned (hopscotch leaves) agrees with a BTreeMap.
     #[test]
     fn chime_learned_matches_model(ops in proptest::collection::vec((any::<u64>(), 0u8..4), 1..150)) {
-        model_check(true, ops)?;
+        model_check(hopscotch(false, 8), ops)?;
+    }
+
+    /// ... and so it does with 32-byte values stored out of line: the leaf
+    /// keeps an 8-byte pointer, and every value comes back whole.
+    #[test]
+    fn chime_learned_indirect_matches_model(ops in proptest::collection::vec((any::<u64>(), 0u8..4), 1..150)) {
+        model_check(hopscotch(true, 32), ops)?;
     }
 }

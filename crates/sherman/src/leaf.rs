@@ -13,7 +13,6 @@
 //! fine-grained write optimization); updates write a single entry.
 
 use chime::lockword;
-use dmem::hash::home_entry;
 use dmem::versioned::{bump, ev, pack_ver, Fetched, Layout};
 use dmem::{Endpoint, GlobalAddr};
 
@@ -328,6 +327,32 @@ impl ShermanLeafOps {
         ep.write_batch(&refs);
     }
 
+    /// Inserts `(key, value)` at sorted position `i`, or removes entry `i`
+    /// when `entry` is `None`, then writes back the shifted suffix and the
+    /// header and releases the lock ([`Self::write_suffix_and_unlock`]).
+    pub fn splice_and_unlock(
+        &self,
+        ep: &mut Endpoint,
+        addr: GlobalAddr,
+        snap: &LeafSnapshot,
+        i: usize,
+        entry: Option<(u64, Vec<u8>)>,
+    ) {
+        let mut keys = snap.keys.clone();
+        let mut values = snap.values.clone();
+        match entry {
+            Some((key, value)) => {
+                keys.insert(i, key);
+                values.insert(i, value);
+            }
+            None => {
+                keys.remove(i);
+                values.remove(i);
+            }
+        }
+        self.write_suffix_and_unlock(ep, addr, snap, i, &keys, &values);
+    }
+
     /// Serializes and writes a whole node (new nodes: plain write; split
     /// rewrites: NV bumped, lock released).
     #[allow(clippy::too_many_arguments)]
@@ -373,11 +398,6 @@ impl ShermanLeafOps {
         } else {
             ep.write(addr.add(pstart as u64), &phys);
         }
-    }
-
-    /// A home-entry helper kept for API parity in mixed test harnesses.
-    pub fn home_of(&self, key: u64) -> usize {
-        home_entry(key, self.layout.span)
     }
 }
 
@@ -450,12 +470,8 @@ mod tests {
         ops.write_full(&mut ep, addr, 0, &keys, &values, GlobalAddr::NULL, (0, u64::MAX), false);
         let snap = ops.read(&mut ep, addr);
         // Insert 25 at position 2.
-        let mut nk = snap.keys.clone();
-        let mut nv_ = snap.values.clone();
-        nk.insert(2, 25);
-        nv_.insert(2, v(25));
         ops.lock(&mut ep, addr);
-        ops.write_suffix_and_unlock(&mut ep, addr, &snap, 2, &nk, &nv_);
+        ops.splice_and_unlock(&mut ep, addr, &snap, 2, Some((25, v(25))));
         let snap2 = ops.read(&mut ep, addr);
         assert_eq!(snap2.keys, vec![10, 20, 25, 30, 40]);
         assert_eq!(snap2.values[2], v(25));
@@ -469,12 +485,8 @@ mod tests {
         let values: Vec<Vec<u8>> = keys.iter().map(|&k| v(k)).collect();
         ops.write_full(&mut ep, addr, 0, &keys, &values, GlobalAddr::NULL, (0, u64::MAX), false);
         let snap = ops.read(&mut ep, addr);
-        let mut nk = snap.keys.clone();
-        let mut nv_ = snap.values.clone();
-        nk.remove(1);
-        nv_.remove(1);
         ops.lock(&mut ep, addr);
-        ops.write_suffix_and_unlock(&mut ep, addr, &snap, 1, &nk, &nv_);
+        ops.splice_and_unlock(&mut ep, addr, &snap, 1, None);
         let snap2 = ops.read(&mut ep, addr);
         assert_eq!(snap2.keys, vec![10, 30, 40]);
     }

@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use chime::cache::{Lean, Route};
 use chime::skeleton::{Parts, Routes, Skeleton, SkeletonClient};
-use dmem::{indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex};
+use dmem::indirect::Values;
+use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex};
 
 use crate::leaf::{LeafSnapshot, ShermanLeafLayout, ShermanLeafOps};
 
@@ -44,6 +45,7 @@ struct Shared {
     cfg: ShermanConfig,
     skeleton: Skeleton,
     leaf: ShermanLeafOps,
+    values: Values,
 }
 
 /// A handle to a Sherman tree.
@@ -66,10 +68,14 @@ pub struct ShermanClient {
 impl Sherman {
     /// Creates a new empty tree rooted at well-known slot `slot`.
     pub fn create(pool: &Arc<Pool>, cfg: ShermanConfig, slot: u64) -> Self {
+        let values = Values {
+            value_size: cfg.value_size,
+            indirect: cfg.indirect_values,
+        };
         let leaf = ShermanLeafOps {
             layout: ShermanLeafLayout {
                 span: cfg.span,
-                value_size: if cfg.indirect_values { 8 } else { cfg.value_size },
+                value_size: values.slot_size(),
             },
         };
         let shared = Shared {
@@ -77,6 +83,7 @@ impl Sherman {
             cfg,
             skeleton: Skeleton::new(slot, cfg.internal_span),
             leaf,
+            values,
         };
         let mut ep = Endpoint::new(Arc::clone(pool));
         let mut alloc = ChunkAlloc::with_defaults();
@@ -242,25 +249,9 @@ impl ShermanClient {
         self.insert_into_parent(1, pivot, new_addr)
     }
 
-    fn store_value(&mut self, key: u64, value: &[u8]) -> Result<Vec<u8>, IndexError> {
-        let cfg = self.shared.cfg;
-        if !cfg.indirect_values {
-            return Ok(indirect::inline(value, cfg.value_size));
-        }
-        Ok(indirect::store(&mut self.ep, &mut self.alloc, key, value, cfg.value_size)?)
-    }
-
-    fn resolve_value(&mut self, stored: Vec<u8>) -> Vec<u8> {
-        let cfg = self.shared.cfg;
-        if !cfg.indirect_values {
-            return stored;
-        }
-        indirect::load(&mut self.ep, &stored, cfg.value_size)
-    }
-
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
         assert_ne!(key, 0, "key 0 is reserved");
-        let stored = self.store_value(key, value)?;
+        let stored = self.shared.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let (addr, snap) = self.lock_owner(key);
         let leaf = self.shared.leaf;
         match snap.keys.binary_search(&key) {
@@ -268,18 +259,11 @@ impl ShermanClient {
                 leaf.write_entry_and_unlock(&mut self.ep, addr, &snap, i, &stored);
                 Ok(())
             }
-            Err(i) => {
-                if snap.keys.len() < leaf.layout.span {
-                    let mut keys = snap.keys.clone();
-                    let mut values = snap.values.clone();
-                    keys.insert(i, key);
-                    values.insert(i, stored);
-                    leaf.write_suffix_and_unlock(&mut self.ep, addr, &snap, i, &keys, &values);
-                    Ok(())
-                } else {
-                    self.split_and_insert(addr, &snap, key, stored)
-                }
+            Err(i) if snap.keys.len() < leaf.layout.span => {
+                leaf.splice_and_unlock(&mut self.ep, addr, &snap, i, Some((key, stored)));
+                Ok(())
             }
+            Err(_) => self.split_and_insert(addr, &snap, key, stored),
         }
     }
 
@@ -289,12 +273,12 @@ impl ShermanClient {
         self.ep
             .note_app_bytes(self.shared.cfg.value_size as u64 + 8);
         let v = snap.find(key).map(|(_, v)| v.to_vec())?;
-        Some(self.resolve_value(v))
+        Some(self.shared.values.resolve(&mut self.ep, v))
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
         assert_ne!(key, 0, "key 0 is reserved");
-        let stored = self.store_value(key, value)?;
+        let stored = self.shared.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let (addr, snap) = self.lock_owner(key);
         match snap.keys.binary_search(&key) {
             Ok(i) => {
@@ -315,13 +299,7 @@ impl ShermanClient {
         let (addr, snap) = self.lock_owner(key);
         match snap.keys.binary_search(&key) {
             Ok(i) => {
-                let mut keys = snap.keys.clone();
-                let mut values = snap.values.clone();
-                keys.remove(i);
-                values.remove(i);
-                self.shared
-                    .leaf
-                    .write_suffix_and_unlock(&mut self.ep, addr, &snap, i, &keys, &values);
+                self.shared.leaf.splice_and_unlock(&mut self.ep, addr, &snap, i, None);
                 Ok(true)
             }
             Err(_) => {
@@ -380,10 +358,8 @@ impl ShermanClient {
         }
         collected.sort_by_key(|&(k, _)| k);
         collected.truncate(count);
-        for (k, v) in collected {
-            let v = self.resolve_value(v);
-            out.push((k, v));
-        }
+        let values = self.shared.values;
+        out.extend(collected.into_iter().map(|(k, v)| (k, values.resolve(&mut self.ep, v))));
     }
 }
 

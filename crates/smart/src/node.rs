@@ -12,6 +12,7 @@
 //! large values can be updated in place under the leaf lock while readers
 //! validate EVs; 8-byte values are updated with one atomic-width WRITE.
 
+use chime::cache::Cached;
 use chime::lockword;
 use dmem::versioned::{bump, pack_ver, Layout};
 use dmem::{Endpoint, GlobalAddr};
@@ -174,11 +175,16 @@ impl ArtNode {
     pub fn full(&self) -> bool {
         self.children.len() >= self.ty.capacity()
     }
+}
 
-    /// Compute-side bytes when cached: the compact parsed form (header +
-    /// prefix + one key byte and one 8-byte pointer per child), which is
-    /// what a CN cache actually stores.
-    pub fn cached_bytes(&self) -> u64 {
+impl Cached for ArtNode {
+    fn addr(&self) -> GlobalAddr {
+        self.addr
+    }
+
+    /// The compact parsed form (header + prefix + one key byte and one
+    /// 8-byte pointer per child), which is what a CN cache actually stores.
+    fn cached_bytes(&self) -> u64 {
         24 + 9 * self.children.len() as u64
     }
 }

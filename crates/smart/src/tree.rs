@@ -1,8 +1,8 @@
 //! The SMART tree: ART operations over disaggregated memory.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use chime::cache::NodeCache;
 use parking_lot::Mutex;
 
 use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
@@ -47,77 +47,15 @@ pub struct Smart {
     shared: Arc<Shared>,
 }
 
-/// An LRU cache of ART nodes under a byte budget.
-struct ArtCache {
-    map: HashMap<u64, (ArtNode, u64)>,
-    lru: VecDeque<(u64, u64)>,
-    tick: u64,
-    bytes: u64,
-    budget: u64,
-}
-
-impl ArtCache {
-    fn new(budget: u64) -> Self {
-        ArtCache {
-            map: HashMap::new(),
-            lru: VecDeque::new(),
-            tick: 0,
-            bytes: 0,
-            budget,
-        }
-    }
-
-    fn get(&mut self, addr: GlobalAddr) -> Option<ArtNode> {
-        self.tick += 1;
-        let (n, stamp) = self.map.get_mut(&addr.raw())?;
-        *stamp = self.tick;
-        self.lru.push_back((addr.raw(), self.tick));
-        Some(n.clone())
-    }
-
-    fn insert(&mut self, n: ArtNode) {
-        let key = n.addr.raw();
-        let sz = n.cached_bytes();
-        if sz > self.budget {
-            return;
-        }
-        self.tick += 1;
-        if let Some((old, _)) = self.map.insert(key, (n, self.tick)) {
-            self.bytes -= old.cached_bytes();
-        }
-        self.bytes += sz;
-        self.lru.push_back((key, self.tick));
-        while self.bytes > self.budget {
-            let Some((victim, stamp)) = self.lru.pop_front() else {
-                break;
-            };
-            match self.map.get(&victim) {
-                Some((_, cur)) if *cur != stamp => continue,
-                Some(_) => {
-                    let (e, _) = self.map.remove(&victim).unwrap();
-                    self.bytes -= e.cached_bytes();
-                }
-                None => continue,
-            }
-        }
-    }
-
-    fn invalidate(&mut self, addr: GlobalAddr) {
-        if let Some((n, _)) = self.map.remove(&addr.raw()) {
-            self.bytes -= n.cached_bytes();
-        }
-    }
-}
-
-/// Per-CN shared state.
+/// Per-CN shared state: an LRU cache of ART nodes under a byte budget.
 pub struct CnState {
-    cache: Mutex<ArtCache>,
+    cache: Mutex<NodeCache<ArtNode>>,
 }
 
 impl CnState {
     /// Compute-side cache footprint in bytes.
     pub fn cache_bytes(&self) -> u64 {
-        self.cache.lock().bytes
+        self.cache.lock().bytes()
     }
 }
 
@@ -154,7 +92,7 @@ impl Smart {
     /// Creates the shared state for one compute node.
     pub fn new_cn(&self) -> Arc<CnState> {
         Arc::new(CnState {
-            cache: Mutex::new(ArtCache::new(self.shared.cfg.cache_bytes)),
+            cache: Mutex::new(NodeCache::new(self.shared.cfg.cache_bytes)),
         })
     }
 
@@ -194,7 +132,7 @@ impl SmartClient {
         ty: NodeType,
         use_cache: bool,
         from_cache: &mut bool,
-    ) -> ArtNode {
+    ) -> Arc<ArtNode> {
         if use_cache {
             if let Some(n) = self.cn.cache.lock().get(addr) {
                 *from_cache = true;
@@ -202,9 +140,9 @@ impl SmartClient {
             }
         }
         *from_cache = false;
-        let n = self.ops().read_node(&mut self.ep, addr, ty);
+        let n = Arc::new(self.ops().read_node(&mut self.ep, addr, ty));
         if !n.obsolete {
-            self.cn.cache.lock().insert(n.clone());
+            self.cn.cache.lock().insert(Arc::clone(&n));
         }
         n
     }
@@ -557,16 +495,12 @@ impl SmartClient {
         out
     }
 
-    fn resolve_value(&mut self, stored: Vec<u8>) -> Vec<u8> {
-        stored
-    }
-
     fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
         assert_ne!(key, 0, "key 0 is reserved");
         let (_, v, _) = self.find_leaf(key)?;
         self.ep
             .note_app_bytes(self.shared.cfg.value_size as u64 + 8);
-        Some(self.resolve_value(v))
+        Some(v)
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
