@@ -13,7 +13,7 @@ use dmem::hash::mix64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dist::{zeta_extend, Latest, ScrambledZipfian, Uniform, Zipfian, ZIPFIAN_CONSTANT};
+use crate::dist::{zeta_extend, Latest, ScrambledZipfian, Zipfian, ZIPFIAN_CONSTANT};
 
 /// Maps YCSB sequence numbers to unique non-zero keys.
 #[derive(Debug, Clone, Copy)]
@@ -92,11 +92,6 @@ impl Workload {
             Workload::Load => "LOAD",
         }
     }
-
-    /// Whether the workload performs inserts.
-    pub fn has_inserts(self) -> bool {
-        matches!(self, Workload::D | Workload::E | Workload::Load)
-    }
 }
 
 /// Shared, thread-safe workload state: the insert counter, and the
@@ -157,7 +152,6 @@ pub struct OpGen {
     rng: SmallRng,
     zipf: ScrambledZipfian,
     latest: Latest,
-    uniform: Uniform,
     state: Arc<WorkloadState>,
     theta: f64,
 }
@@ -185,7 +179,6 @@ impl OpGen {
             latest: Latest {
                 zipf: state.zipfian(n, ZIPFIAN_CONSTANT),
             },
-            uniform: Uniform::new(n),
             state,
             theta,
         }
@@ -241,11 +234,6 @@ impl OpGen {
             }
             Workload::Load => Op::Insert(self.fresh_key()),
         }
-    }
-
-    /// Convenience: draws an existing key id (uniform), for tests.
-    pub fn uniform_key(&mut self) -> u64 {
-        KeySpace::key(self.uniform.next(&mut self.rng))
     }
 }
 
