@@ -255,21 +255,6 @@ impl Model for LeaseModel {
         aux & VIOLATED_BIT != 0 || (0..self.clients).all(|i| Self::pc(aux, i) == CRASHED)
     }
 
-    fn footprint(&self, actor: usize, label: &str) -> u64 {
-        const WORD: u64 = 1;
-        let own_pc = 1u64 << (1 + actor);
-        match label {
-            // Only the actor's own liveness changes.
-            "lease-expire" => own_pc,
-            // Reads the holder's crashed flag as the lease guard.
-            "reclaim" => {
-                let all_pcs = ((1u64 << self.clients) - 1) << 1;
-                WORD | all_pcs
-            }
-            _ => WORD | own_pc,
-        }
-    }
-
     fn properties(&self) -> &'static [&'static str] {
         &["mutual-exclusion", "lease-safety", "progress", "deadlock-freedom"]
     }
@@ -293,18 +278,6 @@ mod tests {
         let e = explore(&model(false));
         assert!(e.violation.is_none(), "sound model must verify: {:?}", e.violation);
         assert!(e.states > 20, "expected a non-trivial state space, got {}", e.states);
-    }
-
-    #[test]
-    fn reduction_is_exact_on_the_lease_model() {
-        // Mutual exclusion serializes the lease protocol: whenever a
-        // client holds the lock, no *other* client has an enabled word
-        // action, so no two independent actions are ever co-enabled and
-        // the sleep-set pass must cover exactly the full space — a cut
-        // here would mean the independence relation is wrong.
-        let e = explore(&model(false));
-        assert_eq!(e.reduced_states, e.states, "{e:?}");
-        assert_eq!(e.reduced_transitions, e.transitions, "{e:?}");
     }
 
     #[test]

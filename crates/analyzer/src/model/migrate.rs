@@ -196,17 +196,6 @@ impl Model for MigrateModel {
         mig_pc(w) == DONE
     }
 
-    fn footprint(&self, _actor: usize, label: &str) -> u64 {
-        // Bit 0: the shared control words (lock, journal, flags).
-        // Bit 1: the migrator's liveness. Bit 2: the contender's pc.
-        match label {
-            l if l.starts_with("crash") => 0b010,
-            "lock-busy" => 0b101,
-            l if l.starts_with("recover") => 0b011,
-            _ => 0b011,
-        }
-    }
-
     fn properties(&self) -> &'static [&'static str] {
         &["routing-integrity", "journal-discipline", "progress", "deadlock-freedom"]
     }
@@ -222,18 +211,6 @@ mod tests {
         let e = explore(&MigrateModel { publish_flip: false });
         assert!(e.violation.is_none(), "sound model must verify: {:?}", e.violation);
         assert!(e.states > 20, "expected all crash/recovery paths, got {}", e.states);
-    }
-
-    #[test]
-    fn sleep_sets_cut_the_contender_interleavings() {
-        // The migrator's crash steps touch only its own liveness and the
-        // contender's busy-CAS touches only the lock + its own pc, so
-        // their two orders commute and one is pruned.
-        let e = explore(&MigrateModel { publish_flip: false });
-        assert!(
-            e.reduced_transitions < e.transitions,
-            "expected a DPOR cut from the contender: {e:?}"
-        );
     }
 
     #[test]

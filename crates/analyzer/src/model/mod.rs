@@ -5,19 +5,13 @@
 //! stepping a shared state taken from the repo's own protocol artifacts
 //! (the `chime::lockword` layout for the lease model, the journal /
 //! crash-point structure of `part::migrate` for the migration model).
-//! The engine explores **every** interleaving from the initial state:
-//!
-//! * a **full BFS pass** checks the safety invariants on each reachable
-//!   state, flags deadlocks (stuck states the model does not declare
-//!   terminal) and checks *progress* — from every non-terminal state,
-//!   some progress-labelled action (an acquire, a reclaim, a recovery)
-//!   must still be reachable, which is exactly the absence of
-//!   lost-wakeup livelock;
-//! * a **sleep-set-reduced DFS pass** (DPOR-style: actions of different
-//!   actors with disjoint footprints commute, so one order of each
-//!   commuting pair is cut) re-covers the space and reports how much of
-//!   it the reduction prunes. Safety truth comes from the full pass; the
-//!   reduced pass demonstrates the cut on the same models.
+//! The engine explores **every** interleaving from the initial state in
+//! one BFS pass: it checks the safety invariants on each reachable state,
+//! flags deadlocks (stuck states the model does not declare terminal) and
+//! checks *progress* — from every non-terminal state, some
+//! progress-labelled action (an acquire, a reclaim, a recovery) must
+//! still be reachable, which is exactly the absence of lost-wakeup
+//! livelock.
 //!
 //! Everything is deterministic: states are packed integers in
 //! `BTreeSet`s, actions are enumerated in a fixed order, and the JSON
@@ -60,10 +54,6 @@ pub trait Model {
     fn is_progress(&self, label: &str) -> bool;
     /// Whether `s` may legitimately have no enabled transitions.
     fn may_halt(&self, s: State) -> bool;
-    /// Bitmask of shared variables `label` reads or writes. Actions of
-    /// *different* actors are independent iff their footprints are
-    /// disjoint; same-actor actions are always dependent.
-    fn footprint(&self, actor: usize, label: &str) -> u64;
     /// The safety/liveness properties this model claims, for the report.
     fn properties(&self) -> &'static [&'static str];
 }
@@ -83,35 +73,12 @@ pub struct Violation {
 /// The result of exploring one model.
 #[derive(Debug)]
 pub struct Exploration {
-    /// Reachable states (full pass).
+    /// Reachable states.
     pub states: usize,
-    /// Transitions traversed (full pass).
+    /// Transitions traversed.
     pub transitions: usize,
-    /// States visited by the sleep-set-reduced pass.
-    pub reduced_states: usize,
-    /// Transitions traversed by the reduced pass.
-    pub reduced_transitions: usize,
     /// First violation found (BFS order), if any.
     pub violation: Option<Violation>,
-}
-
-/// Explores `m` exhaustively (full BFS + reduced DFS).
-pub fn explore(m: &dyn Model) -> Exploration {
-    let full = explore_full(m);
-    let (reduced_states, reduced_transitions) = explore_reduced(m);
-    Exploration {
-        states: full.states,
-        transitions: full.transitions,
-        reduced_states,
-        reduced_transitions,
-        violation: full.violation,
-    }
-}
-
-struct FullPass {
-    states: usize,
-    transitions: usize,
-    violation: Option<Violation>,
 }
 
 fn trace_to(
@@ -129,7 +96,8 @@ fn trace_to(
     out
 }
 
-fn explore_full(m: &dyn Model) -> FullPass {
+/// Explores `m` exhaustively.
+pub fn explore(m: &dyn Model) -> Exploration {
     let init = m.init();
     let mut visited: BTreeSet<State> = BTreeSet::new();
     let mut parent: BTreeMap<State, (State, String)> = BTreeMap::new();
@@ -205,72 +173,18 @@ fn explore_full(m: &dyn Model) -> FullPass {
         }
     }
 
-    FullPass {
+    Exploration {
         states: visited.len(),
         transitions,
         violation,
     }
 }
 
-/// Sleep-set-reduced DFS. Returns `(states_visited, transitions_taken)`.
-///
-/// Classic sleep sets: after exploring action `a` from a state, `a` goes
-/// to sleep for the remaining siblings; descending through `b`, every
-/// sleeping action *independent* of `b` stays asleep in the child (its
-/// interleavings are covered by the sibling exploration). Dependent
-/// actions wake up.
-fn explore_reduced(m: &dyn Model) -> (usize, usize) {
-    type ActionId = (usize, &'static str);
-    let mut visited: BTreeSet<State> = BTreeSet::new();
-    let mut transitions = 0usize;
-
-    // Explicit stack: (state, sleep set) entries pending expansion.
-    let mut stack: Vec<(State, BTreeSet<ActionId>)> = vec![(m.init(), BTreeSet::new())];
-    while let Some((s, sleep)) = stack.pop() {
-        if !visited.insert(s) {
-            continue;
-        }
-        let mut acts: Vec<(usize, Step)> = Vec::new();
-        for actor in 0..m.actors() {
-            for st in m.steps(s, actor) {
-                acts.push((actor, st));
-            }
-        }
-        let mut done: Vec<ActionId> = Vec::new();
-        // Push in reverse so the stack pops in forward order (cosmetic —
-        // the counts are order-independent, the visit order is not).
-        let mut children: Vec<(State, BTreeSet<ActionId>)> = Vec::new();
-        for (actor, st) in &acts {
-            let id: ActionId = (*actor, st.label);
-            if sleep.contains(&id) {
-                continue;
-            }
-            transitions += 1;
-            let fp = m.footprint(*actor, st.label);
-            let child_sleep: BTreeSet<ActionId> = sleep
-                .iter()
-                .chain(done.iter())
-                .filter(|&&(b_actor, b_label)| {
-                    b_actor != *actor && m.footprint(b_actor, b_label) & fp == 0
-                })
-                .copied()
-                .collect();
-            children.push((st.next, child_sleep));
-            done.push(id);
-        }
-        while let Some(c) = children.pop() {
-            stack.push(c);
-        }
-    }
-    (visited.len(), transitions)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Two actors each flip their own bit once — fully independent, so
-    /// the reduced pass should cut the diamond's redundant corner.
+    /// Two actors each flip their own bit once.
     struct Diamond;
     impl Model for Diamond {
         fn name(&self) -> &'static str {
@@ -308,9 +222,6 @@ mod tests {
         fn may_halt(&self, s: State) -> bool {
             s.0 == 0b11
         }
-        fn footprint(&self, actor: usize, _label: &str) -> u64 {
-            1 << actor
-        }
         fn properties(&self) -> &'static [&'static str] {
             &["deadlock-freedom", "progress"]
         }
@@ -322,15 +233,6 @@ mod tests {
         assert_eq!(e.states, 4);
         assert_eq!(e.transitions, 4);
         assert!(e.violation.is_none());
-    }
-
-    #[test]
-    fn sleep_sets_cut_the_commuting_order() {
-        let e = explore(&Diamond);
-        // One of the two orders of the commuting pair is pruned: the
-        // reduced pass takes 3 transitions (0→a, a→ab, 0→b with b→ab
-        // asleep), not 4.
-        assert!(e.reduced_transitions < e.transitions, "no cut: {e:?}");
     }
 
     /// A lost-wakeup shape: actor 0 can move to a sink from which the
@@ -370,9 +272,6 @@ mod tests {
         }
         fn may_halt(&self, _s: State) -> bool {
             false
-        }
-        fn footprint(&self, _actor: usize, _label: &str) -> u64 {
-            1
         }
         fn properties(&self) -> &'static [&'static str] {
             &["progress"]

@@ -67,14 +67,6 @@ impl SuiteResult {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for r in &self.runs {
-            let cut = if r.result.transitions > 0 {
-                format!(
-                    "{}/{} reduced",
-                    r.result.reduced_states, r.result.reduced_transitions
-                )
-            } else {
-                "-".to_string()
-            };
             let verdict = match (&r.result.violation, r.pass()) {
                 (None, true) => format!("verified {}", r.properties.join(", ")),
                 (Some(v), true) => format!(
@@ -91,8 +83,8 @@ impl SuiteResult {
                 (Some(v), false) => format!("FAILED: {} violated: {}", v.property, v.message),
             };
             out.push_str(&format!(
-                "chime-model: {} [{}] {} states, {} transitions ({}): {}\n",
-                r.name, r.mode, r.result.states, r.result.transitions, cut, verdict
+                "chime-model: {} [{}] {} states, {} transitions: {}\n",
+                r.name, r.mode, r.result.states, r.result.transitions, verdict
             ));
         }
         let met = self.runs.iter().filter(|r| r.pass()).count();
@@ -151,11 +143,6 @@ impl SuiteResult {
                     ("pass", Json::Bool(r.pass())),
                     ("states", Json::from(r.result.states as u64)),
                     ("transitions", Json::from(r.result.transitions as u64)),
-                    ("reduced_states", Json::from(r.result.reduced_states as u64)),
-                    (
-                        "reduced_transitions",
-                        Json::from(r.result.reduced_transitions as u64),
-                    ),
                     ("properties", Json::Arr(props)),
                     ("violation", violation),
                 ])

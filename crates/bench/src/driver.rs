@@ -16,11 +16,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dmem::{
-    Bound, ClientStats, CountHist, Histogram, NetConfig, Pool, QpConfig, QpStats, RangeIndex,
+    Bound, ClientStats, CountHist, Histogram, NetConfig, Pool, QpStats, RangeIndex,
     RunAccounting,
 };
 use obs::{
-    Anomaly, AnomalyConfig, HistogramSummary, LatencyHist, MetricsSnapshot, OpProfile, Phase,
+    Anomaly, HistogramSummary, LatencyHist, MetricsSnapshot, OpProfile, Phase,
     RetryCause, TimeSeries, Tracer,
 };
 use sched::{Engine, EngineConfig, LaneBody};
@@ -596,10 +596,7 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
     agg.lanes = vec![LaneAgg::default(); k];
     let mut qp_total = QpStats::default();
     let net = *dep.pool.net();
-    let engine = Engine::new(EngineConfig {
-        lanes: k,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: k });
     let active_per_cn = setup.clients.div_ceil(num_cns);
     for (cn_id, all_clients) in dep.cns.iter_mut().enumerate() {
         let n_clients = active_per_cn.min(all_clients.len() / k);
@@ -903,7 +900,7 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
     }
     // In-run anomaly detection over the merged timeline; findings ride the
     // result into the report where `explain` can cite them.
-    let anomalies = obs::detect(&timeline, &AnomalyConfig::default());
+    let anomalies = obs::detect(&timeline, 0);
     metrics.counter("anomalies_total", &[], anomalies.len() as u64);
     let perfetto = (!tracers.is_empty())
         .then(|| obs::to_perfetto(&tracers.iter().collect::<Vec<&Tracer>>()));

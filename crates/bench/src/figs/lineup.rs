@@ -74,7 +74,6 @@ impl IndexKind {
     pub fn with_hotspot(mut self, bytes: u64) -> Self {
         if let Some((c, trees)) = self.chime_mut() {
             c.hotspot_bytes = bytes / trees;
-            c.speculative_read = bytes > 0;
         }
         self
     }
@@ -98,7 +97,7 @@ impl IndexKind {
     pub fn with_span(mut self, span: usize) -> Self {
         match &mut self {
             IndexKind::Sherman(c) => c.span = span,
-            IndexKind::Rolex(c) => (c.span, c.delta) = (span, span as u64),
+            IndexKind::Rolex(c) => c.span = span,
             _ => {}
         }
         if let Some((c, _)) = self.chime_mut() {

@@ -7,6 +7,7 @@
 //! instead. The `figs` binary is a thin front end over [`run_figure`].
 
 pub mod claims;
+pub mod hashstudy;
 pub mod lineup;
 mod studies;
 mod table;

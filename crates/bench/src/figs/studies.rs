@@ -112,7 +112,6 @@ pub fn rtt_table(cache: u64, preload: u64) -> Vec<Custom> {
         cache_bytes: cache,
         // No hotspot buffer: isolate the protocol RTTs from speculation.
         hotspot_bytes: 0,
-        speculative_read: false,
         ..Default::default()
     };
     let tree = chime::Chime::create(&pool, cfg, 0);

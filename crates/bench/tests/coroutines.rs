@@ -6,7 +6,7 @@
 
 use bench::driver::{run, BenchSetup, IndexKind};
 use bench::report::Report;
-use dmem::{QpConfig, RangeIndex};
+use dmem::RangeIndex;
 use sched::{Engine, EngineConfig, LaneBody};
 use ycsb::Workload;
 
@@ -64,23 +64,17 @@ fn write_workload_reports_are_byte_identical_when_pipelined() {
 /// each lane's trace JSONL.
 fn lane_traces(k: usize) -> Vec<String> {
     let pool = dmem::Pool::with_defaults(1, 128 << 20);
-    let cfg = chime::ChimeConfig {
-        trace_events: 1 << 14,
-        ..Default::default()
-    };
-    let tree = chime::Chime::create(&pool, cfg, 0);
+    let tree = chime::Chime::create(&pool, chime::ChimeConfig::default(), 0);
     let cn = tree.new_cn();
     let mut loader = tree.client(&cn);
     for seq in 0..300u64 {
         loader.insert(ycsb::KeySpace::key(seq), &seq.to_le_bytes()).unwrap();
     }
-    let engine = Engine::new(EngineConfig {
-        lanes: k,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: k });
     let bodies: Vec<LaneBody<String>> = (0..k)
         .map(|l| {
             let mut c = tree.client(&cn);
+            c.set_tracer(obs::Tracer::new(0, 1 << 14));
             Box::new(move || {
                 for i in 0..200u64 {
                     let key = ycsb::KeySpace::key((l as u64 * 997 + i * 13) % 300);

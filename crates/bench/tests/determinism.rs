@@ -90,14 +90,12 @@ fn identical_seeded_runs_export_identical_bench_reports() {
 fn zipfian_speculative_reads_profile_deterministically() {
     let run_once = || {
         let pool = dmem::Pool::with_defaults(1, 256 << 20);
-        let cfg = chime::ChimeConfig {
-            trace_events: 1 << 16,
-            ..Default::default()
-        };
-        assert!(cfg.speculative_read && cfg.hotspot_bytes > 0);
+        let cfg = chime::ChimeConfig::default();
+        assert!(cfg.hotspot_bytes > 0, "the default runs speculative reads");
         let t = chime::Chime::create(&pool, cfg, 0);
         let cn = t.new_cn();
         let mut c = t.client(&cn);
+        c.set_tracer(obs::Tracer::new(0, 1 << 16));
         for seq in 0..2_000u64 {
             c.insert(ycsb::KeySpace::key(seq), &seq.to_le_bytes()).unwrap();
         }
@@ -132,13 +130,10 @@ fn zipfian_speculative_reads_profile_deterministically() {
 fn identical_seeded_workloads_export_identical_trace_jsonl() {
     let trace = || {
         let pool = dmem::Pool::with_defaults(2, 128 << 20);
-        let cfg = chime::ChimeConfig {
-            trace_events: 1 << 16,
-            ..Default::default()
-        };
-        let t = chime::Chime::create(&pool, cfg, 0);
+        let t = chime::Chime::create(&pool, chime::ChimeConfig::default(), 0);
         let cn = t.new_cn();
         let mut c = t.client(&cn);
+        c.set_tracer(obs::Tracer::new(0, 1 << 16));
         for seq in 0..500u64 {
             c.insert(ycsb::KeySpace::key(seq), &seq.to_le_bytes()).unwrap();
         }

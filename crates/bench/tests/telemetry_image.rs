@@ -16,8 +16,8 @@ use std::sync::Arc;
 use bench::driver::{deploy, run_deployed, BenchSetup, IndexKind};
 use bench::report::Report;
 use chime::{Chime, ChimeClient, ChimeConfig};
-use dmem::{Endpoint, FaultAction, FaultPlan, FaultRule, FaultSession, Pool, QpConfig, RangeIndex};
-use obs::{AnomalyConfig, Event, TimeSeries, Tracer};
+use dmem::{Endpoint, FaultAction, FaultPlan, FaultRule, FaultSession, Pool, RangeIndex};
+use obs::{Event, TimeSeries, Tracer};
 use sched::{Engine, EngineConfig, LaneBody};
 use serve::sim::{run_sim, SimConfig};
 use ycsb::{KeySpace, Op, OpGen, Workload, WorkloadState};
@@ -55,7 +55,7 @@ fn flight_text(ep: &Endpoint) -> String {
 }
 
 fn series_text(ts: &TimeSeries) -> String {
-    let anomalies = obs::detect(ts, &AnomalyConfig::default());
+    let anomalies = obs::detect(ts, 0);
     ts.to_json().to_pretty() + &obs::anomaly::to_json(&anomalies).to_pretty()
 }
 
@@ -122,10 +122,7 @@ fn driven(k: usize, faulted: bool) -> Image {
             }
         }
     } else {
-        let engine = Engine::new(EngineConfig {
-            lanes: k,
-            qp: QpConfig::default(),
-        });
+        let engine = Engine::new(EngineConfig { lanes: k });
         let mut lanes = clients.into_iter().enumerate();
         let mut back = Vec::new();
         for _ in 0..CLIENTS {

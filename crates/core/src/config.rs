@@ -4,6 +4,11 @@
 //! analysis (Fig. 15) can start from a Sherman-like configuration and apply
 //! the optimizations one by one.
 
+/// Stored key size in bytes. Keys are `u64` at the API; Fig. 16's
+/// variable-length-key layout arithmetic builds a [`crate::layout::LeafLayout`]
+/// with larger keys directly.
+pub const KEY_SIZE: usize = 8;
+
 /// Configuration of a CHIME tree instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChimeConfig {
@@ -18,10 +23,10 @@ pub struct ChimeConfig {
     pub value_size: usize,
     /// Compute-side cache budget per CN, in bytes (internal nodes).
     pub cache_bytes: u64,
-    /// Hotspot-buffer budget per CN, in bytes (0 disables the buffer).
+    /// Hotspot-buffer budget per CN, in bytes. Hotness-aware speculative
+    /// reads (§4.3) run exactly when it is non-zero: 0 disables both the
+    /// buffer and the reads.
     pub hotspot_bytes: u64,
-    /// Enable hotness-aware speculative reads (§4.3).
-    pub speculative_read: bool,
     /// Enable vacancy-bitmap piggybacking onto the lock word via masked-CAS
     /// (§4.2.1). When disabled the vacancy bitmap lives in a separate word
     /// and costs a dedicated READ on every insert.
@@ -36,16 +41,6 @@ pub struct ChimeConfig {
     /// Store values out-of-line behind an 8-byte pointer (variable-length
     /// value support, §4.5).
     pub indirect_values: bool,
-    /// Key size in bytes for layout accounting only. Keys are always `u64`
-    /// at the API; larger sizes model the variable-length-key layout of
-    /// §4.5 / Fig. 16.
-    pub key_size: usize,
-    /// Span/event tracing: capacity of each client's trace ring buffer, in
-    /// events. `0` (the default) disables tracing; any other value attaches
-    /// an `obs::Tracer` to every client endpoint, recording one span per
-    /// index operation and one event per verb / injected fault on the
-    /// virtual clock. Traces are a pure function of the workload seed.
-    pub trace_events: usize,
     /// Crash-safe lock recovery: number of consecutive failed lock-CAS
     /// attempts observing an *identical* locked word before a waiter
     /// presumes the holder dead and reclaims the lock by bumping the lease
@@ -64,13 +59,10 @@ impl Default for ChimeConfig {
             value_size: 8,
             cache_bytes: 100 << 20,
             hotspot_bytes: 30 << 20,
-            speculative_read: true,
             vacancy_piggyback: true,
             metadata_replication: true,
             sibling_validation: true,
             indirect_values: false,
-            key_size: 8,
-            trace_events: 0,
             lock_lease_spins: 0,
         }
     }
@@ -92,7 +84,6 @@ impl ChimeConfig {
         );
         assert!(self.internal_span >= 4);
         assert!(self.value_size >= 1);
-        assert!(self.key_size >= 8);
         assert!(
             self.vacancy_piggyback || !self.sibling_validation,
             "sibling validation needs the argmax field of the piggybacked lock word"
@@ -103,7 +94,6 @@ impl ChimeConfig {
     /// ("Sherman + hopscotch leaf node", the Fig. 15 starting point).
     pub fn baseline() -> Self {
         ChimeConfig {
-            speculative_read: false,
             vacancy_piggyback: false,
             metadata_replication: false,
             sibling_validation: false,

@@ -33,7 +33,7 @@ use dmem::{
 };
 
 use crate::backoff::Backoff;
-use crate::config::ChimeConfig;
+use crate::config::{ChimeConfig, KEY_SIZE};
 use crate::hopscotch::Window;
 use crate::hotspot::HotspotBuffer;
 use crate::layout::LeafLayout;
@@ -198,13 +198,7 @@ impl Chime {
 
     /// Creates a client over a pre-built endpoint (e.g. one wired to a
     /// [`dmem::FaultSession`] for fault-injection runs).
-    pub fn client_with_endpoint(&self, cn: &Arc<CnState>, mut ep: Endpoint) -> ChimeClient {
-        if self.shared.cfg.trace_events > 0 && ep.tracer().is_none() {
-            ep.set_tracer(dmem::Tracer::new(
-                ep.client_id(),
-                self.shared.cfg.trace_events,
-            ));
-        }
+    pub fn client_with_endpoint(&self, cn: &Arc<CnState>, ep: Endpoint) -> ChimeClient {
         let seed = 0xC1BE_u64 ^ ((ep.client_id() as u64) << 32);
         ChimeClient {
             shared: Arc::clone(&self.shared),
@@ -250,7 +244,7 @@ pub fn leaf_layout(cfg: &ChimeConfig) -> LeafLayout {
     LeafLayout {
         span: cfg.span,
         h: cfg.neighborhood,
-        key_size: cfg.key_size,
+        key_size: KEY_SIZE,
         value_size: if cfg.indirect_values {
             8
         } else {

@@ -58,7 +58,7 @@ impl ChimeClient {
         for attempt in 0..OP_RETRY_LIMIT {
             let loc = self.locate_leaf(key);
             // Hotness-aware speculative read (§4.3).
-            if cfg.speculative_read && cfg.hotspot_bytes > 0 {
+            if cfg.hotspot_bytes > 0 {
                 if let Some(v) = self.try_speculative_read(loc.addr, key, fp) {
                     return Some(v);
                 }

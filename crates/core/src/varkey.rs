@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{ChunkAlloc, GlobalAddr, IndexError, Pool, RangeIndex};
 
 use crate::config::ChimeConfig;
 use crate::tree::{Chime, ChimeClient, CnState};
@@ -22,13 +22,13 @@ use crate::tree::{Chime, ChimeClient, CnState};
 #[derive(Clone)]
 pub struct VarKeyTree {
     inner: Chime,
-    pool: Arc<Pool>,
 }
 
-/// One client of a [`VarKeyTree`].
+/// One client of a [`VarKeyTree`]. Its block verbs run on the tree
+/// client's endpoint, so one clock and one set of counters see the whole
+/// operation.
 pub struct VarKeyClient {
     inner: ChimeClient,
-    ep: Endpoint,
     alloc: ChunkAlloc,
 }
 
@@ -58,7 +58,6 @@ impl VarKeyTree {
         cfg.value_size = 8; // the stored "value" is the chain-head pointer
         VarKeyTree {
             inner: Chime::create(pool, cfg, slot),
-            pool: Arc::clone(pool),
         }
     }
 
@@ -71,7 +70,6 @@ impl VarKeyTree {
     pub fn client(&self, cn: &Arc<CnState>) -> VarKeyClient {
         VarKeyClient {
             inner: self.inner.client(cn),
-            ep: Endpoint::new(Arc::clone(&self.pool)),
             alloc: ChunkAlloc::sim_scaled(),
         }
     }
@@ -87,26 +85,28 @@ impl VarKeyClient {
         next: GlobalAddr,
     ) -> Result<GlobalAddr, IndexError> {
         let len = BLOCK_HDR + key.len() + value.len();
-        let addr = self.alloc.alloc(&mut self.ep, len as u64)?;
+        let ep = self.inner.endpoint_mut();
+        let addr = self.alloc.alloc(ep, len as u64)?;
         let mut b = Vec::with_capacity(len);
         b.extend_from_slice(&next.raw().to_le_bytes());
         b.extend_from_slice(&(key.len() as u32).to_le_bytes());
         b.extend_from_slice(&(value.len() as u32).to_le_bytes());
         b.extend_from_slice(key);
         b.extend_from_slice(value);
-        self.ep.write(addr, &b);
+        ep.write(addr, &b);
         Ok(addr)
     }
 
     /// Reads a block: `(next, key, value)`.
     fn read_block(&mut self, addr: GlobalAddr) -> (GlobalAddr, Vec<u8>, Vec<u8>) {
+        let ep = self.inner.endpoint_mut();
         let mut hdr = [0u8; BLOCK_HDR];
-        self.ep.read(addr, &mut hdr);
+        ep.read(addr, &mut hdr);
         let next = GlobalAddr::from_raw(u64::from_le_bytes(hdr[0..8].try_into().unwrap()));
         let klen = u32::from_le_bytes(hdr[8..12].try_into().unwrap()) as usize;
         let vlen = u32::from_le_bytes(hdr[12..16].try_into().unwrap()) as usize;
         let mut body = vec![0u8; klen + vlen];
-        self.ep.read(addr.add(BLOCK_HDR as u64), &mut body);
+        ep.read(addr.add(BLOCK_HDR as u64), &mut body);
         let value = body.split_off(klen);
         (next, body, value)
     }
@@ -126,13 +126,10 @@ impl VarKeyClient {
         // prepended (blocks are immutable once published, so readers racing
         // us keep a consistent view of the old chain).
         let mut items: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut replaced = false;
         if let Some(mut cur) = self.chain_head(fp) {
             while !cur.is_null() {
                 let (next, k, v) = self.read_block(cur);
-                if k == key {
-                    replaced = true;
-                } else {
+                if k != key {
                     items.push((k, v));
                 }
                 cur = next;
@@ -142,7 +139,6 @@ impl VarKeyClient {
             let head = self.write_block(key, value, GlobalAddr::NULL)?;
             return self.inner.insert(fp, &head.raw().to_le_bytes());
         }
-        let _ = replaced;
         items.push((key.to_vec(), value.to_vec()));
         let mut next = GlobalAddr::NULL;
         for (k, v) in items.iter().rev() {
@@ -227,16 +223,12 @@ impl VarKeyClient {
         collected.truncate(count);
         out.extend(collected);
     }
-
-    /// This client's verb statistics (tree traffic + block traffic).
-    pub fn wire_bytes(&self) -> u64 {
-        self.inner.stats().wire_bytes + self.ep.stats().wire_bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmem::ClientStats;
 
     fn mk() -> (VarKeyTree, VarKeyClient) {
         let pool = Pool::with_defaults(1, 256 << 20);
@@ -244,6 +236,36 @@ mod tests {
         let cn = t.new_cn();
         let c = t.client(&cn);
         (t, c)
+    }
+
+    /// What `op` adds to the tree client's endpoint: counters and clock.
+    fn cost(c: &mut VarKeyClient, op: impl FnOnce(&mut VarKeyClient)) -> (ClientStats, u64) {
+        let (stats, clock) = (c.inner.stats().clone(), c.inner.clock_ns());
+        op(c);
+        (c.inner.stats().since(&stats), c.inner.clock_ns() - clock)
+    }
+
+    #[test]
+    fn block_verbs_run_on_the_tree_clients_endpoint() {
+        // `twin` runs only the tree half of each operation. `c`'s tree
+        // client must also count and clock the block WRITE of a fresh-key
+        // insert and the block READs (header, body) of its search.
+        let (_t, mut c) = mk();
+        let (_u, mut twin) = mk();
+        let (key, value) = (b"fresh/key".as_slice(), vec![0x5Au8; 1_000]);
+        let fp = fingerprint(key);
+
+        let (tree, tree_ns) = cost(&mut twin, |t| t.inner.insert(fp, &[0u8; 8]).unwrap());
+        let (ins, ins_ns) = cost(&mut c, |c| c.insert(key, &value).unwrap());
+        assert_eq!(ins.writes, tree.writes + 1, "the block WRITE");
+        assert!(ins.wire_bytes > tree.wire_bytes + value.len() as u64);
+        assert!(ins_ns > tree_ns);
+
+        let (tree, tree_ns) = cost(&mut twin, |t| assert!(t.inner.search(fp).is_some()));
+        let (get, get_ns) = cost(&mut c, |c| assert_eq!(c.search(key), Some(value.clone())));
+        assert_eq!(get.reads, tree.reads + 2, "the block header and body READs");
+        assert!(get.wire_bytes > tree.wire_bytes + value.len() as u64);
+        assert!(get_ns > tree_ns);
     }
 
     #[test]

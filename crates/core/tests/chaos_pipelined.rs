@@ -10,7 +10,7 @@ use chime::leaf::CRASH_LEAF_LOCKED;
 use chime::{Chime, ChimeConfig};
 use dmem::{
     CrashRule, CrashSignal, Endpoint, FaultAction, FaultEvent, FaultPlan, FaultRule, FaultSession,
-    Pool, QpConfig, RangeIndex, VerbKind,
+    Pool, RangeIndex, VerbKind,
 };
 use sched::{Engine, EngineConfig, LaneBody};
 
@@ -56,7 +56,6 @@ fn run(crash_lane: u32, plan: FaultPlan) -> PipelinedChaos {
         neighborhood: 4,
         cache_bytes: 1 << 20,
         hotspot_bytes: 0,
-        speculative_read: false,
         lock_lease_spins: 4,
         ..Default::default()
     };
@@ -67,10 +66,7 @@ fn run(crash_lane: u32, plan: FaultPlan) -> PipelinedChaos {
     let mut loader = tree.client(&cn);
     loader.insert(SHARED_KEY, &0u64.to_le_bytes()).unwrap();
 
-    let engine = Engine::new(EngineConfig {
-        lanes: LANES,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: LANES });
     let bodies: Vec<LaneBody<dmem::ClientStats>> = (0..LANES)
         .map(|l| {
             let ep = Endpoint::with_faults(Arc::clone(&pool), Arc::clone(&session), l as u32);

@@ -166,7 +166,9 @@ fn default_switches() {
 #[rustfmt::skip]
 #[test]
 fn baseline_switches() {
-    check("baseline", small(ChimeConfig::baseline()), [
+    // `small` sets a hotspot budget, which turns speculation on; the
+    // baseline has none.
+    check("baseline", ChimeConfig { hotspot_bytes: 0, ..small(ChimeConfig::baseline()) }, [
         "hit 3v/1r/275B | cache_lookup=3 traversal=1 leaf_read=1 | splits=0 merges=0",
         "hit 3v/1r/275B | cache_lookup=3 traversal=1 leaf_read=1 | splits=0 merges=0",
         "miss 2v/1r/201B | cache_lookup=3 traversal=1 leaf_read=1 | splits=0 merges=0",

@@ -49,8 +49,8 @@ pub use locktable::{LocalLockGuard, LocalLockTable};
 pub use net::{Bound, NetConfig, RunAccounting, ThroughputEstimate};
 pub use node::{root_slot, MemoryNode, MnTraffic, Pool};
 pub use qp::{
-    install_lane_hook, lane_active, uninstall_lane_hook, CountHist, LaneHook, Qp, QpConfig,
-    QpStats, WqeOutcome, WqeTicket,
+    install_lane_hook, lane_active, uninstall_lane_hook, CountHist, LaneHook, Qp, QpStats,
+    WqeOutcome, WqeTicket,
 };
 pub use obs::{
     Event, FlightRecorder, LatencyHist, OpProfile, Phase, RetryCause, Sink, TimeSeries, Tracer,

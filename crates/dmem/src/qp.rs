@@ -12,7 +12,7 @@
 //! determinism:
 //!
 //! * [`Qp`] — per-client queue-pair state: one logical channel per memory
-//!   node, a sliding doorbell-batch window ([`QpConfig::quantum_ns`]), the
+//!   node, a sliding doorbell-batch window ([`QUANTUM_NS`]), the
 //!   in-order completion rule of an RC QP, and exact batch-size /
 //!   CQ-depth statistics;
 //! * [`Qp::post_wqe`] / [`Qp::poll_wqe`] — the two-phase discipline: every
@@ -35,34 +35,22 @@ use crate::net::NetConfig;
 /// posted as one explicit batch would.
 pub const WQE_GAP_NS: u64 = 80;
 
-/// Doorbell/completion model knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct QpConfig {
-    /// Sliding batching window: a WQE posted within `quantum_ns` of the
-    /// previous post to the same memory node joins its open doorbell batch
-    /// instead of paying a fresh round trip. The window is far below one
-    /// RTT, so batches form only among WQEs posted "simultaneously" (one
-    /// scheduler pass over the runnable coroutines), never across waves.
-    pub quantum_ns: u64,
-    /// Maximum WQEs per doorbell batch (NIC doorbell list limit).
-    pub max_batch: u64,
-}
+/// Sliding doorbell-batching window, ns: a WQE posted within this of the
+/// previous post to the same memory node joins its open doorbell batch
+/// instead of paying a fresh round trip. The window is far below one RTT,
+/// so batches form only among WQEs posted "simultaneously" (one scheduler
+/// pass over the runnable coroutines), never across waves.
+pub const QUANTUM_NS: u64 = 200;
 
-impl Default for QpConfig {
-    fn default() -> Self {
-        QpConfig {
-            quantum_ns: 200,
-            max_batch: 16,
-        }
-    }
-}
+/// Maximum WQEs per doorbell batch (NIC doorbell list limit).
+pub const MAX_BATCH: u64 = 16;
 
 /// A posted-but-unpolled WQE. Returned by [`Qp::post_wqe`]; must reach
 /// [`Qp::poll_wqe`], which consumes it, so one completion is reaped once:
 ///
 /// ```
-/// # use dmem::qp::{Qp, QpConfig};
-/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// # use dmem::qp::Qp;
+/// let mut q = Qp::new(dmem::NetConfig::default(), 1);
 /// let t = q.post_wqe(0, 0, 1, 64, 7);
 /// assert_eq!((q.outstanding_len(), t.trace), (1, 7));
 /// let done = t.completion_ns;
@@ -73,8 +61,8 @@ impl Default for QpConfig {
 /// A ticket is polled once:
 ///
 /// ```compile_fail,E0382
-/// # use dmem::qp::{Qp, QpConfig};
-/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// # use dmem::qp::Qp;
+/// let mut q = Qp::new(dmem::NetConfig::default(), 1);
 /// let t = q.post_wqe(0, 0, 1, 64, 0);
 /// q.poll_wqe(t);
 /// q.poll_wqe(t); // a second poll of the same ticket
@@ -83,8 +71,8 @@ impl Default for QpConfig {
 /// cannot be copied to poll it twice:
 ///
 /// ```compile_fail,E0599
-/// # use dmem::qp::{Qp, QpConfig};
-/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// # use dmem::qp::Qp;
+/// let mut q = Qp::new(dmem::NetConfig::default(), 1);
 /// let t = q.post_wqe(0, 0, 1, 64, 0);
 /// q.poll_wqe(t.clone());
 /// q.poll_wqe(t);
@@ -94,16 +82,16 @@ impl Default for QpConfig {
 ///
 /// ```compile_fail
 /// #![deny(unused_must_use)]
-/// # use dmem::qp::{Qp, QpConfig};
-/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// # use dmem::qp::Qp;
+/// let mut q = Qp::new(dmem::NetConfig::default(), 1);
 /// q.post_wqe(0, 0, 1, 64, 0);
 /// ```
 ///
 /// and is only made by [`Qp::post_wqe`], so a poll reaps a real completion:
 ///
 /// ```compile_fail,E0063
-/// # use dmem::qp::{Qp, QpConfig};
-/// let mut q = Qp::new(dmem::NetConfig::default(), QpConfig::default(), 1);
+/// # use dmem::qp::Qp;
+/// let mut q = Qp::new(dmem::NetConfig::default(), 1);
 /// q.poll_wqe(dmem::WqeTicket { completion_ns: 0, trace: 0 });
 /// ```
 #[derive(Debug)]
@@ -258,8 +246,8 @@ impl QpStats {
     }
 }
 
-/// Histogram range for doorbell batch sizes (≥ any [`QpConfig::max_batch`]
-/// in practical use; larger batches clamp).
+/// Histogram range for doorbell batch sizes (≥ [`MAX_BATCH`]; larger
+/// batches clamp).
 pub const BATCH_HIST_MAX: usize = 32;
 
 /// Histogram range for CQ depths (≥ lanes per client in practical use).
@@ -287,7 +275,6 @@ struct Chan {
 /// can park a lane between post and poll.
 #[derive(Debug)]
 pub struct Qp {
-    cfg: QpConfig,
     net: NetConfig,
     chans: Vec<Chan>,
     /// Completion timestamps of posted-but-unpolled WQEs.
@@ -297,9 +284,8 @@ pub struct Qp {
 
 impl Qp {
     /// Creates the QP state for one client reaching `mns` memory nodes.
-    pub fn new(net: NetConfig, cfg: QpConfig, mns: u16) -> Self {
+    pub fn new(net: NetConfig, mns: u16) -> Self {
         Qp {
-            cfg,
             net,
             chans: vec![Chan::default(); mns.max(1) as usize],
             outstanding: Vec::new(),
@@ -311,7 +297,7 @@ impl Qp {
     /// included) to memory node `mn` at virtual time `now_ns`.
     ///
     /// Joins the channel's open doorbell batch when posted within
-    /// [`QpConfig::quantum_ns`] of the previous post and the batch has
+    /// [`QUANTUM_NS`] of the previous post and the batch has
     /// room; otherwise rings a fresh doorbell (one round trip).
     /// `trace` is the causal trace id of the posting operation; it rides
     /// the ticket so completions stay attributable (0 = untraced).
@@ -328,8 +314,8 @@ impl Qp {
         let ch = &mut self.chans[ci];
         let joins = ch.batch_msgs > 0
             && now_ns >= ch.last_post_ns
-            && now_ns <= ch.last_post_ns + self.cfg.quantum_ns
-            && ch.batch_msgs + msgs <= self.cfg.max_batch;
+            && now_ns <= ch.last_post_ns + QUANTUM_NS
+            && ch.batch_msgs + msgs <= MAX_BATCH;
         let outcome = if joins {
             // Ride the open doorbell: no new round trip, the WQE chains
             // behind the batch tail.
@@ -504,7 +490,7 @@ mod tests {
     use super::*;
 
     fn qp() -> Qp {
-        Qp::new(NetConfig::default(), QpConfig::default(), 2)
+        Qp::new(NetConfig::default(), 2)
     }
 
     #[test]
@@ -581,22 +567,15 @@ mod tests {
 
     #[test]
     fn max_batch_caps_doorbell_size() {
-        let mut q = Qp::new(
-            NetConfig::default(),
-            QpConfig {
-                quantum_ns: 1_000_000,
-                max_batch: 2,
-            },
-            1,
-        );
+        let mut q = Qp::new(NetConfig::default(), 1);
         let mut rtts = 0;
-        for _ in 0..6 {
+        for _ in 0..3 * MAX_BATCH {
             let t = q.post_wqe(0, 0, 1, 64, 0);
             rtts += q.poll_wqe(t).rtts;
         }
-        assert_eq!(rtts, 3, "batches of 2 ring 3 doorbells for 6 WQEs");
+        assert_eq!(rtts, 3, "full batches of {MAX_BATCH} ring one doorbell each");
         q.finish();
-        assert_eq!(q.stats().batch_hist.max(), 2);
+        assert_eq!(q.stats().batch_hist.max(), MAX_BATCH);
     }
 
     #[test]

@@ -20,41 +20,23 @@
 use crate::json::Json;
 use crate::timeseries::TimeSeries;
 
-/// Detection thresholds. The defaults are deliberately loose — anomalies
-/// are diagnostics, not gates, and a quiet run should report none.
-#[derive(Debug, Clone)]
-pub struct AnomalyConfig {
-    /// Cliff: window ops below `(1 - cliff_frac) ×` the trailing mean.
-    pub cliff_frac: f64,
-    /// Windows in the trailing mean.
-    pub trailing: usize,
-    /// Minimum trailing mean ops/window before cliffs are considered
-    /// (suppresses noise on near-idle timelines).
-    pub cliff_min_ops: f64,
-    /// Burst: window max latency above `burst_factor ×` the trailing mean
-    /// op latency.
-    pub burst_factor: f64,
-    /// Minimum burst latency, ns (suppresses micro-latency noise).
-    pub burst_min_ns: u64,
-    /// CQ saturation threshold (observed depth ≥ this); 0 disables.
-    pub cq_saturation: u64,
-    /// Migration budget, ns (lock → publish); 0 disables.
-    pub migration_budget_ns: u64,
-}
+// Detection thresholds. They are deliberately loose — anomalies are
+// diagnostics, not gates, and a quiet run should report none.
 
-impl Default for AnomalyConfig {
-    fn default() -> Self {
-        AnomalyConfig {
-            cliff_frac: 0.6,
-            trailing: 4,
-            cliff_min_ops: 16.0,
-            burst_factor: 8.0,
-            burst_min_ns: 100_000,
-            cq_saturation: 0,
-            migration_budget_ns: 2_000_000,
-        }
-    }
-}
+/// Cliff: window ops below `(1 - CLIFF_FRAC) ×` the trailing mean.
+pub const CLIFF_FRAC: f64 = 0.6;
+/// Windows in the trailing mean.
+pub const TRAILING: u64 = 4;
+/// Minimum trailing mean ops/window before cliffs are considered
+/// (suppresses noise on near-idle timelines).
+pub const CLIFF_MIN_OPS: f64 = 16.0;
+/// Burst: window max latency above `BURST_FACTOR ×` the trailing mean op
+/// latency.
+pub const BURST_FACTOR: f64 = 8.0;
+/// Minimum burst latency, ns (suppresses micro-latency noise).
+pub const BURST_MIN_NS: u64 = 100_000;
+/// Migration budget, ns (lock → publish).
+pub const MIGRATION_BUDGET_NS: u64 = 2_000_000;
 
 /// The shape of a detected anomaly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,36 +107,37 @@ impl Anomaly {
     }
 }
 
-/// Scans `ts` for anomalies. Findings are ordered by window, then by the
-/// detection pass (cliff, burst, saturation, migration) — deterministic
-/// for a given series.
-pub fn detect(ts: &TimeSeries, cfg: &AnomalyConfig) -> Vec<Anomaly> {
+/// Scans `ts` for anomalies; `cq_saturation` is the CQ depth at which a
+/// window counts as saturated (0 disables that check). Findings are
+/// ordered by window, then by the detection pass (cliff, burst,
+/// saturation, migration) — deterministic for a given series.
+pub fn detect(ts: &TimeSeries, cq_saturation: u64) -> Vec<Anomaly> {
     let mut out = Vec::new();
     let wns = ts.window_ns();
     let indices: Vec<u64> = ts.windows().map(|(k, _)| k).collect();
     let (Some(&first), Some(&last)) = (indices.first(), indices.last()) else {
-        detect_migrations(ts, cfg, &mut out);
+        detect_migrations(ts, &mut out);
         return out;
     };
 
     // Dense scan over [first, last]; absent windows count as zero activity.
     // The final window is skipped for rate-based checks — it is partial.
     for w in first..last {
-        if w < first + cfg.trailing as u64 {
+        if w < first + TRAILING {
             continue;
         }
         let cur = ts.window(w);
         let (mut ops_sum, mut lat_sum, mut lat_ops) = (0u64, 0u64, 0u64);
-        for p in (w - cfg.trailing as u64)..w {
+        for p in (w - TRAILING)..w {
             if let Some(pw) = ts.window(p) {
                 ops_sum += pw.ops;
                 lat_sum += pw.lat_sum_ns;
                 lat_ops += pw.ops;
             }
         }
-        let mean_ops = ops_sum as f64 / cfg.trailing as f64;
+        let mean_ops = ops_sum as f64 / TRAILING as f64;
         let cur_ops = cur.map_or(0, |c| c.ops);
-        if mean_ops >= cfg.cliff_min_ops && (cur_ops as f64) < (1.0 - cfg.cliff_frac) * mean_ops {
+        if mean_ops >= CLIFF_MIN_OPS && (cur_ops as f64) < (1.0 - CLIFF_FRAC) * mean_ops {
             out.push(Anomaly {
                 kind: AnomalyKind::ThroughputCliff,
                 window: w,
@@ -167,9 +150,9 @@ pub fn detect(ts: &TimeSeries, cfg: &AnomalyConfig) -> Vec<Anomaly> {
         if let Some(c) = cur {
             let mean_lat = if lat_ops > 0 { lat_sum as f64 / lat_ops as f64 } else { 0.0 };
             if c.ops > 0
-                && c.lat_max_ns >= cfg.burst_min_ns
+                && c.lat_max_ns >= BURST_MIN_NS
                 && mean_lat > 0.0
-                && (c.lat_max_ns as f64) > cfg.burst_factor * mean_lat
+                && (c.lat_max_ns as f64) > BURST_FACTOR * mean_lat
             {
                 out.push(Anomaly {
                     kind: AnomalyKind::LatencyBurst,
@@ -183,32 +166,26 @@ pub fn detect(ts: &TimeSeries, cfg: &AnomalyConfig) -> Vec<Anomaly> {
                     ),
                 });
             }
-            if cfg.cq_saturation > 0 && c.cq_depth_max >= cfg.cq_saturation {
+            if cq_saturation > 0 && c.cq_depth_max >= cq_saturation {
                 out.push(Anomaly {
                     kind: AnomalyKind::CqSaturation,
                     window: w,
                     t_start_ns: w * wns,
                     t_end_ns: (w + 1) * wns,
-                    severity: c.cq_depth_max as f64 / cfg.cq_saturation as f64,
-                    detail: format!(
-                        "cq depth {} at watermark {}",
-                        c.cq_depth_max, cfg.cq_saturation
-                    ),
+                    severity: c.cq_depth_max as f64 / cq_saturation as f64,
+                    detail: format!("cq depth {} at watermark {cq_saturation}", c.cq_depth_max),
                 });
             }
         }
     }
-    detect_migrations(ts, cfg, &mut out);
+    detect_migrations(ts, &mut out);
     out.sort_by_key(|a| a.window);
     out
 }
 
 /// Pairs `migrate.locked` with the next `migrate.published` event and
-/// flags pairs spanning more than the budget.
-fn detect_migrations(ts: &TimeSeries, cfg: &AnomalyConfig, out: &mut Vec<Anomaly>) {
-    if cfg.migration_budget_ns == 0 {
-        return;
-    }
+/// flags pairs spanning more than [`MIGRATION_BUDGET_NS`].
+fn detect_migrations(ts: &TimeSeries, out: &mut Vec<Anomaly>) {
     let wns = ts.window_ns();
     let mut lock: Option<(u64, &str)> = None;
     for e in ts.events() {
@@ -217,14 +194,14 @@ fn detect_migrations(ts: &TimeSeries, cfg: &AnomalyConfig, out: &mut Vec<Anomaly
         } else if e.label.starts_with("migrate.published") {
             if let Some((t0, l0)) = lock.take() {
                 let dur = e.t_ns.saturating_sub(t0);
-                if dur > cfg.migration_budget_ns {
+                if dur > MIGRATION_BUDGET_NS {
                     out.push(Anomaly {
                         kind: AnomalyKind::MigrationOverBudget,
                         window: t0 / wns,
                         t_start_ns: t0,
                         t_end_ns: e.t_ns,
-                        severity: dur as f64 / cfg.migration_budget_ns as f64,
-                        detail: format!("{l0}: lock→publish {dur} ns over budget {} ns", cfg.migration_budget_ns),
+                        severity: dur as f64 / MIGRATION_BUDGET_NS as f64,
+                        detail: format!("{l0}: lock→publish {dur} ns over budget {MIGRATION_BUDGET_NS} ns"),
                     });
                 }
             }
@@ -257,7 +234,7 @@ mod tests {
     #[test]
     fn quiet_run_reports_nothing() {
         let ts = steady(50, 12);
-        assert!(detect(&ts, &AnomalyConfig::default()).is_empty());
+        assert!(detect(&ts, 0).is_empty());
     }
 
     #[test]
@@ -269,7 +246,7 @@ mod tests {
                 ts.record_op(w * 100_000 + i * 10, 2_000, true);
             }
         }
-        let found = detect(&ts, &AnomalyConfig::default());
+        let found = detect(&ts, 0);
         let cliffs: Vec<&Anomaly> = found
             .iter()
             .filter(|a| a.kind == AnomalyKind::ThroughputCliff)
@@ -285,7 +262,7 @@ mod tests {
     fn latency_burst_flags_the_excursion() {
         let mut ts = steady(50, 12);
         ts.record_op(7 * 100_000 + 50, 400_000, true); // one 400 µs op amid 2 µs ops
-        let found = detect(&ts, &AnomalyConfig::default());
+        let found = detect(&ts, 0);
         let bursts: Vec<&Anomaly> = found
             .iter()
             .filter(|a| a.kind == AnomalyKind::LatencyBurst)
@@ -298,12 +275,10 @@ mod tests {
     fn cq_saturation_respects_threshold() {
         let mut ts = steady(50, 12);
         ts.fold(7 * 100_000 + 9, &Event::CqDepth { depth: 40 });
-        let mut cfg = AnomalyConfig::default();
-        assert!(detect(&ts, &cfg)
+        assert!(detect(&ts, 0)
             .iter()
-            .all(|a| a.kind != AnomalyKind::CqSaturation), "disabled by default");
-        cfg.cq_saturation = 32;
-        let found = detect(&ts, &cfg);
+            .all(|a| a.kind != AnomalyKind::CqSaturation), "0 disables the check");
+        let found = detect(&ts, 32);
         let sat: Vec<&Anomaly> = found
             .iter()
             .filter(|a| a.kind == AnomalyKind::CqSaturation)
@@ -319,7 +294,7 @@ mod tests {
         ts.fold(250_000, &Event::Note { label: "migrate.published part=0 dst=1".into() });
         ts.fold(500_000, &Event::Note { label: "migrate.locked part=3 dst=0".into() });
         ts.fold(3_700_000, &Event::Note { label: "migrate.published part=3 dst=0".into() });
-        let found = detect(&ts, &AnomalyConfig::default());
+        let found = detect(&ts, 0);
         let mig: Vec<&Anomaly> = found
             .iter()
             .filter(|a| a.kind == AnomalyKind::MigrationOverBudget)
@@ -333,8 +308,8 @@ mod tests {
     fn json_is_deterministic() {
         let mut ts = steady(50, 12);
         ts.record_op(7 * 100_000 + 50, 400_000, true);
-        let a = to_json(&detect(&ts, &AnomalyConfig::default())).to_pretty();
-        let b = to_json(&detect(&ts, &AnomalyConfig::default())).to_pretty();
+        let a = to_json(&detect(&ts, 0)).to_pretty();
+        let b = to_json(&detect(&ts, 0)).to_pretty();
         assert_eq!(a, b);
         assert!(crate::json::parse(&a).is_ok());
     }

@@ -49,7 +49,7 @@ pub mod phase;
 pub mod timeseries;
 pub mod trace;
 
-pub use anomaly::{detect, Anomaly, AnomalyConfig, AnomalyKind};
+pub use anomaly::{detect, Anomaly, AnomalyKind};
 pub use event::{Event, Ring, Sink};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use json::Json;

@@ -41,17 +41,6 @@ pub struct ClusterConfig {
     pub migrate: Option<MigrateConfig>,
 }
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            parts: 4,
-            chime: ChimeConfig::default(),
-            check_every: 64,
-            migrate: None,
-        }
-    }
-}
-
 /// When and how aggressively the rebalancer moves partitions.
 #[derive(Debug, Clone, Copy)]
 pub struct MigrateConfig {
@@ -61,16 +50,6 @@ pub struct MigrateConfig {
     pub min_window: u64,
     /// Trigger: hottest MN's window share must exceed `imbalance / mns`.
     pub imbalance: f64,
-}
-
-impl Default for MigrateConfig {
-    fn default() -> Self {
-        MigrateConfig {
-            check_every: 256,
-            min_window: 2_048,
-            imbalance: 1.5,
-        }
-    }
 }
 
 /// Shared routing and migration counters, mirrored into the metrics

@@ -224,10 +224,7 @@ fn gated_engine_run() -> (Vec<u64>, u64) {
     for &k in &keys {
         setup.insert(k, &v(k)).unwrap();
     }
-    let engine = Engine::new(EngineConfig {
-        lanes: 3,
-        qp: dmem::QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: 3 });
     let gate = LaneGate::new();
     let mut bodies: Vec<LaneBody<u64>> = Vec::new();
     {

@@ -21,10 +21,9 @@ pub(crate) const OP_RETRY_LIMIT: usize = 100_000;
 /// ROLEX configuration (also CHIME-Learned's).
 #[derive(Debug, Clone, Copy)]
 pub struct RolexConfig {
-    /// Leaf span (entries per leaf). Paper default: 16.
+    /// Leaf span (entries per leaf), also the model's error bound, as in
+    /// the paper. Paper default: 16.
     pub span: usize,
-    /// Model error bound. Paper default: 16 (equal to the span).
-    pub delta: u64,
     /// Value size in bytes.
     pub value_size: usize,
     /// Store values out-of-line (ROLEX-Indirect).
@@ -38,7 +37,6 @@ impl Default for RolexConfig {
     fn default() -> Self {
         RolexConfig {
             span: 16,
-            delta: 16,
             value_size: 8,
             indirect_values: false,
             hopscotch_leaves: false,
@@ -87,7 +85,7 @@ impl<L> Directory<L> {
     /// widened by `widen` leaves on each side.
     pub(crate) fn candidates(&self, key: u64, widen: usize) -> (usize, usize) {
         let pos = self.model.predict(key);
-        let d = self.cfg.delta + (widen as u64) * self.per_leaf as u64;
+        let d = self.cfg.span as u64 + (widen as u64) * self.per_leaf as u64;
         let lo = (pos.saturating_sub(d) as usize) / self.per_leaf;
         let hi = ((pos + d) as usize / self.per_leaf).min(self.num_leaves - 1);
         (lo.min(self.num_leaves - 1), hi)
@@ -134,7 +132,7 @@ impl<L> Learned<L> {
         assert!(!items.is_empty());
         assert!(items.windows(2).all(|p| p[0].0 < p[1].0), "items must be sorted");
         let keys: Vec<u64> = items.iter().map(|&(k, _)| k).collect();
-        let model = PlrModel::train(&keys, cfg.delta);
+        let model = PlrModel::train(&keys, cfg.span as u64);
         let num_leaves = items.len().div_ceil(per_leaf);
         let stride = leaf_size.div_ceil(64) as u64 * 64;
         let base = pool

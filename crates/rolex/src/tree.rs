@@ -4,8 +4,8 @@
 //! out **contiguously** at load time, so a leaf address is computable from
 //! its index. Each compute node keeps only the piecewise-linear model: a
 //! search predicts a position, derives the candidate leaf window from the
-//! error bound `delta`, and fetches those leaves in one doorbell batch (the
-//! paper's "fetch two leaf nodes per search"). Overflow inserts go to
+//! error bound (the span), and fetches those leaves in one doorbell batch
+//! (the paper's "fetch two leaf nodes per search"). Overflow inserts go to
 //! synonym leaves chained from the owner leaf's sibling pointer, protected
 //! by the owner's lock; models are pre-trained and never retrained (the
 //! paper likewise excludes ROLEX from YCSB LOAD).

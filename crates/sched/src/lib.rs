@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, Thread};
 
 use dmem::qp::{self, LaneHook, WqeOutcome, WqeTicket};
-use dmem::{NetConfig, Qp, QpConfig, QpStats};
+use dmem::{NetConfig, Qp, QpStats};
 
 /// How a lane's execution ended.
 pub type LaneResult<T> = Result<T, Box<dyn Any + Send>>;
@@ -71,22 +71,19 @@ impl<T> ClientRun<T> {
     }
 }
 
-/// Engine knobs: lanes per client and the queue-pair model.
+/// Engine settings. The queue-pair model's doorbell window and batch cap
+/// are the constants [`dmem::qp::QUANTUM_NS`] and [`dmem::qp::MAX_BATCH`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Coroutine lanes multiplexed per client (K). 1 reproduces serial
-    /// execution through the same machinery.
+    /// Coroutine lanes multiplexed per client (K): every run passes exactly
+    /// this many lane bodies. 1 reproduces serial execution through the
+    /// same machinery.
     pub lanes: usize,
-    /// Doorbell-batching window and batch cap for the shared QP.
-    pub qp: QpConfig,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            lanes: 1,
-            qp: QpConfig::default(),
-        }
+        EngineConfig { lanes: 1 }
     }
 }
 
@@ -386,6 +383,8 @@ impl Engine {
     /// lane it belongs to runs until it parks again or finishes. A lane
     /// that panics (e.g. an injected crash point) simply finishes with the
     /// payload as its result; the remaining lanes keep running.
+    ///
+    /// Panics unless `bodies` holds exactly [`EngineConfig::lanes`] bodies.
     pub fn run_client<T: Send + 'static>(
         &self,
         net: NetConfig,
@@ -434,9 +433,10 @@ impl Engine {
     ) -> ClientRun<T> {
         let lanes = bodies.len();
         assert!(lanes > 0, "a client needs at least one lane");
+        assert_eq!(lanes, self.cfg.lanes, "lane bodies must match the engine's lanes");
         let baton = Arc::new(Baton {
             sched: Mutex::new(Sched {
-                qp: Qp::new(net, self.cfg.qp, mns),
+                qp: Qp::new(net, mns),
                 pending: (0..lanes).map(|_| None).collect(),
                 mailbox: (0..lanes).map(|_| None).collect(),
                 started: 0,

@@ -10,14 +10,11 @@ use std::sync::{Arc, Mutex};
 
 use common::watchdog;
 use dmem::node::RESERVED_BYTES;
-use dmem::{Endpoint, GlobalAddr, Pool, QpConfig};
+use dmem::{Endpoint, GlobalAddr, Pool};
 use sched::{ClientRun, Engine, EngineConfig, LaneBody, LaneGate};
 
 fn engine(lanes: usize) -> Engine {
-    Engine::new(EngineConfig {
-        lanes,
-        qp: QpConfig::default(),
-    })
+    Engine::new(EngineConfig { lanes })
 }
 
 fn splitmix(state: &mut u64) -> u64 {

@@ -1,5 +1,5 @@
 //! Engine behaviour: serial equivalence at K=1, round-trip overlap at K>1,
-//! determinism, and lane-death isolation.
+//! determinism, lane-death isolation, and the configured lane count.
 
 mod common;
 
@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use common::watchdog;
 use dmem::node::RESERVED_BYTES;
-use dmem::{Endpoint, GlobalAddr, Pool, QpConfig};
+use dmem::{Endpoint, GlobalAddr, Pool};
 use sched::{Engine, EngineConfig, LaneBody};
 
 const OPS: usize = 10;
@@ -28,15 +28,21 @@ fn reader(pool: Arc<Pool>, ops: usize) -> LaneBody<(u64, u64)> {
 
 fn run(k: usize, ops: usize) -> (Vec<(u64, u64)>, dmem::QpStats) {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig {
-        lanes: k,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: k });
     let bodies = (0..k).map(|_| reader(Arc::clone(&pool), ops)).collect();
     let net = *pool.net();
     let run = watchdog(move || engine.run_client(net, 1, bodies));
     let qp = run.qp.clone();
     (run.into_results(), qp)
+}
+
+#[test]
+#[should_panic(expected = "lane bodies must match the engine's lanes")]
+fn a_lane_count_mismatch_panics() {
+    let pool = Pool::with_defaults(1, 1 << 20);
+    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let bodies = (0..3).map(|_| reader(Arc::clone(&pool), 1)).collect();
+    engine.run_client(*pool.net(), 1, bodies);
 }
 
 #[test]
@@ -95,10 +101,7 @@ fn identical_runs_are_identical() {
 #[test]
 fn a_dead_lane_does_not_poison_the_others() {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig {
-        lanes: 3,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: 3 });
     let mut bodies: Vec<LaneBody<(u64, u64)>> = Vec::new();
     bodies.push(reader(Arc::clone(&pool), OPS));
     let p2 = Arc::clone(&pool);
@@ -125,10 +128,7 @@ fn every_posted_wqe_is_reaped_by_the_end_of_a_run() {
     // Lanes of different lengths, one of which also waits on a timer: the
     // scheduler polls every ticket it posts, so the CQ drains to empty.
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig {
-        lanes: 3,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: 3 });
     let mut bodies: Vec<LaneBody<(u64, u64)>> = vec![reader(Arc::clone(&pool), 3), reader(Arc::clone(&pool), OPS)];
     let p = Arc::clone(&pool);
     bodies.push(Box::new(move || {
@@ -153,10 +153,7 @@ fn lanes_progress_in_completion_order() {
     // Two lanes on different MNs: no doorbell sharing, but strict
     // earliest-completion scheduling still interleaves them 1:1.
     let pool = Pool::with_defaults(2, 1 << 20);
-    let engine = Engine::new(EngineConfig {
-        lanes: 2,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: 2 });
     let mk = |mn: u16| -> LaneBody<(u64, u64)> {
         let pool = Arc::clone(&pool);
         Box::new(move || {
@@ -183,10 +180,7 @@ fn a_masked_cas_with_reads_is_one_doorbell() {
     // batching window. Each lane's three work requests ring one doorbell
     // and cost one round trip.
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig {
-        lanes: 2,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: 2 });
     let mk = |lane: u64| -> LaneBody<(u64, u64)> {
         let pool = Arc::clone(&pool);
         Box::new(move || {

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex};
 
 use common::watchdog;
 use dmem::node::RESERVED_BYTES;
-use dmem::{Endpoint, GlobalAddr, Pool, QpConfig};
+use dmem::{Endpoint, GlobalAddr, Pool};
 use sched::{Engine, EngineConfig, LaneBody, LaneGate};
 
 const STEPS: usize = 8;
@@ -45,10 +45,7 @@ fn stepper(
 
 fn run_steppers(owner: Option<(usize, (usize, usize))>) -> Vec<(usize, usize)> {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig {
-        lanes: 3,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: 3 });
     let gate = LaneGate::new();
     let log: StepLog = Arc::new(Mutex::new(Vec::new()));
     let bodies = (0..3)
@@ -127,10 +124,7 @@ fn gated_runs_are_deterministic() {
 #[test]
 fn a_crashed_owner_releases_the_gate() {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig {
-        lanes: 3,
-        qp: QpConfig::default(),
-    });
+    let engine = Engine::new(EngineConfig { lanes: 3 });
     let gate = LaneGate::new();
     let log: StepLog = Arc::new(Mutex::new(Vec::new()));
     let mut bodies: Vec<LaneBody<u64>> = Vec::new();

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use chime::{Chime, ChimeClient, ChimeConfig};
 use dmem::{Endpoint, FaultPlan, FaultSession, Pool, QpStats, RangeIndex};
-use obs::{Anomaly, AnomalyConfig, Event, LatencyHist, MetricsSnapshot, OpProfile, Phase, TimeSeries};
+use obs::{Anomaly, Event, LatencyHist, MetricsSnapshot, OpProfile, Phase, TimeSeries, Tracer};
 use sched::{CqDepthGauge, Engine, EngineConfig, LaneBody};
 use ycsb::KeySpace;
 
@@ -492,7 +492,6 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         value_size: cfg.value_size,
         cache_bytes: 1 << 22,
         hotspot_bytes: 1 << 18,
-        trace_events: cfg.trace_events,
         ..Default::default()
     };
     let tree = Chime::create(&pool, tree_cfg, 0);
@@ -526,15 +525,15 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             break;
         }
         let gauge = CqDepthGauge::new();
-        let engine = Engine::new(EngineConfig {
-            lanes,
-            qp: Default::default(),
-        });
+        let engine = Engine::new(EngineConfig { lanes });
         let mut bodies: Vec<LaneBody<ConnSummary>> = Vec::with_capacity(lanes);
         for _l in 0..lanes {
             let id = next_id;
             next_id += 1;
-            let ep = Endpoint::with_faults(Arc::clone(&pool), Arc::clone(&session), id);
+            let mut ep = Endpoint::with_faults(Arc::clone(&pool), Arc::clone(&session), id);
+            if cfg.trace_events > 0 {
+                ep.set_tracer(Tracer::new(id, cfg.trace_events));
+            }
             let client = tree.client_with_endpoint(&cn, ep);
             let ctx = LaneCtx {
                 cfg: cfg.clone(),
@@ -629,13 +628,7 @@ fn assemble(cfg: &SimConfig, conns: Vec<ConnSummary>, qp: QpStats) -> SimReport 
     // The serve layer arms CQ-saturation detection at its own watermark:
     // a window whose observed depth reached the shed threshold is exactly
     // the interval a tail-latency excursion should be blamed on.
-    let anomalies = obs::detect(
-        &timeline,
-        &AnomalyConfig {
-            cq_saturation: cfg.cq_watermark.max(1),
-            ..AnomalyConfig::default()
-        },
-    );
+    let anomalies = obs::detect(&timeline, cfg.cq_watermark.max(1));
     m.counter("anomalies_total", &[], anomalies.len() as u64);
 
     SimReport {

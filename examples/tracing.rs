@@ -1,6 +1,6 @@
 //! Deterministic span tracing: where do an operation's round trips go?
 //!
-//! Runs a seeded Zipfian read-mostly workload with `trace_events` enabled,
+//! Runs a seeded Zipfian read-mostly workload with a tracer attached,
 //! then prints the five slowest spans with a per-verb breakdown (verb kind,
 //! target memory node, wire bytes, modeled latency). Because every timestamp
 //! comes from the virtual clock, the output is byte-identical across runs
@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use chime::{Chime, ChimeConfig};
-use dmem::{Pool, RangeIndex};
+use dmem::{Pool, RangeIndex, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ycsb::{KeySpace, Zipfian};
@@ -21,13 +21,13 @@ fn main() {
     let cfg = ChimeConfig {
         // A small cache forces remote descents so spans carry real traffic.
         cache_bytes: 1 << 20,
-        // Bound the per-client trace ring; oldest events drop first.
-        trace_events: 1 << 16,
         ..Default::default()
     };
     let tree = Chime::create(&pool, cfg, 0);
     let cn = tree.new_cn();
     let mut c = tree.client(&cn);
+    // Bound the client's trace ring; oldest events drop first.
+    c.set_tracer(Tracer::new(0, 1 << 16));
 
     let n = 20_000u64;
     for seq in 0..n {
@@ -45,7 +45,7 @@ fn main() {
         }
     }
 
-    let tracer = c.take_tracer().expect("trace_events > 0 attaches a tracer");
+    let tracer = c.take_tracer().expect("the tracer attached above");
     let mut spans = tracer.spans();
     println!(
         "{} events in the ring ({} dropped), {} spans",

@@ -34,7 +34,6 @@ fn main() {
             span,
             cache_bytes: 1 << 30,
             hotspot_bytes: 0,
-            speculative_read: false,
             ..Default::default()
         };
         let t = Chime::create(&pool, cfg, 0);
