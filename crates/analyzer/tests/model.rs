@@ -39,6 +39,28 @@ fn zombie_release_probe_is_refuted_with_a_witness() {
 }
 
 #[test]
+fn each_model_explores_the_recorded_state_space() {
+    // The full pass is the one that decides the verdict; its counts are
+    // the ones `results/model.json` records, so a model or explorer edit
+    // that moves them shows here before `make model-check` diffs the file.
+    let r = suite::run(WordLayout::shipping(), "crates/core/src/lockword.rs");
+    let counts: Vec<_> = r
+        .runs
+        .iter()
+        .map(|m| (m.name, m.mode, m.result.states, m.result.transitions))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("lock-lease", "sound", 31, 48),
+            ("lock-lease", "probe:zombie-release", 127, 174),
+            ("part-migrate", "sound", 29, 49),
+            ("part-migrate", "probe:publish-flip", 41, 69),
+        ]
+    );
+}
+
+#[test]
 fn the_binary_writes_the_report_of_the_shipping_layout() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("model.json");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_chime-model"))
