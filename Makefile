@@ -5,12 +5,13 @@ CARGO ?= cargo
 .PHONY: verify build test lint model-check chaos serve serve-smoke explain figs bench-harness loc clean
 
 # Tier-1 gate (build + tests) plus the clippy lint wall (with clippy.toml's
-# determinism and masked-CAS rules), the chime-model exhaustive protocol
-# check, a fixed-seed chaos smoke run (deterministic fault injection with a
-# crash-while-holding-a-leaf-lock scenario, serial and pipelined), the
-# serving-layer determinism/chaos suite, every figure with the paper's
-# claims judged over it and the smoke matrix's metrics pinned, and the
-# out-of-tree benchmark harness's public-surface build and tests.
+# determinism and masked-CAS rules) and a warning-free rustdoc build, the
+# chime-model exhaustive protocol check, a fixed-seed chaos smoke run
+# (deterministic fault injection with a crash-while-holding-a-leaf-lock
+# scenario, serial and pipelined), the serving-layer determinism/chaos
+# suite, every figure with the paper's claims judged over it and the smoke
+# matrix's metrics pinned, and the out-of-tree benchmark harness's
+# public-surface build and tests.
 verify: build test lint model-check chaos serve figs bench-harness
 
 build:
@@ -21,6 +22,7 @@ test:
 
 lint:
 	$(CARGO) clippy --all-targets -- -D warnings
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
 
 # Exhaustive model check of the lock-lease protocol and the partition
 # migration crash/recovery machine, over the lock-word layout that

@@ -167,10 +167,6 @@ pub struct BenchResult {
     /// Perfetto (Chrome trace-event) document covering the traced clients;
     /// `None` when [`BenchSetup::trace_clients`] is 0.
     pub perfetto: Option<String>,
-    /// Lane-to-lane thread switches the coroutine engine made over the
-    /// whole measured phase (0 for serial runs). What the run cost the
-    /// host, not a modeled quantity: shown by `{:?}`, written to no report.
-    pub lane_handoffs: u64,
 }
 
 /// One boxed client handle, as the measured loops drive it.
@@ -485,8 +481,6 @@ struct Agg {
     qp: Option<QpStats>,
     /// Per-lane-index aggregates (pipelined runs only).
     lanes: Vec<LaneAgg>,
-    /// Σ [`sched::ClientRun::handoffs`] (pipelined runs only).
-    lane_handoffs: u64,
     mn_before: Vec<dmem::MnTraffic>,
     cache_before: Vec<(u64, u64)>,
     hotspot_before: (u64, u64),
@@ -512,7 +506,6 @@ impl Agg {
             sum_busy: 0,
             qp: None,
             lanes: Vec::new(),
-            lane_handoffs: 0,
             mn_before: dep.pool.traffic(),
             cache_before: dep.cache_probe.iter().map(|p| p()).collect(),
             hotspot_before: probe_hotspot(dep),
@@ -650,7 +643,6 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
             }
             let run = engine.run_client(net, setup.num_mns, bodies);
             qp_total.merge(&run.qp);
-            agg.lane_handoffs += run.handoffs;
             let mut client_busy = 0u64;
             for (l, res) in run.lanes.into_iter().enumerate() {
                 let (mut handle, lats, busy) = match res {
@@ -708,7 +700,6 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         sum_busy,
         qp,
         lanes,
-        lane_handoffs,
         mn_before,
         cache_before,
         hotspot_before,
@@ -928,7 +919,6 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         timeline,
         anomalies,
         perfetto,
-        lane_handoffs,
     }
 }
 

@@ -193,8 +193,8 @@ fn category_deltas(prefix: &str, old: &BenchPoint, new: &BenchPoint) -> Vec<Delt
 ///
 /// Points are visited in `old`'s order; points only present on one side are
 /// listed but not diffed. For every shared point the headline metrics are
-/// tabulated, and when any of them moved beyond
-/// [`ATTRIBUTION_THRESHOLD_PCT`] the breakdown metrics are ranked by
+/// tabulated, and when any of them moved by more than 1 % (the private
+/// `ATTRIBUTION_THRESHOLD_PCT`) the breakdown metrics are ranked by
 /// absolute delta within each category (phase time, phase round-trips,
 /// retry causes, op-type latencies).
 pub fn explain(old_label: &str, old: &[BenchPoint], new_label: &str, new: &[BenchPoint]) -> String {

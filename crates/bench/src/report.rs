@@ -4,7 +4,7 @@
 //! writes `BENCH_<name>.json` next to its human-readable table. The file
 //! carries, per point, the flat metric map (throughput, latency
 //! percentiles, verbs/op, bytes/op, cache hit rate), the per-MN
-//! traffic split, the full [`MetricsSnapshot`], and (schema 3) the windowed
+//! traffic split, the full [`obs::MetricsSnapshot`], and (schema 3) the windowed
 //! timeline of the measured phase with the anomalies the in-run detector
 //! found in it. The timelines are additionally written standalone as
 //! `TIMELINE_<name>.json` so plotting and CI determinism checks need not

@@ -1,5 +1,6 @@
 //! The lint wall's configuration: `make lint` runs clippy with `-D
-//! warnings` over every target, and the protocol rules it enforces live in
+//! warnings` over every target and builds the docs with rustdoc warnings
+//! denied, and the protocol rules it enforces live in
 //! the root `clippy.toml` and the workspace `[lints]` table. `cargo test`
 //! does not run clippy, so these tests pin the configuration itself: a
 //! dropped rule, a crate that stops inheriting the lints, or a softened
@@ -110,4 +111,13 @@ fn the_lint_gate_denies_warnings_on_every_target() {
     let lint = makefile.split("\nlint:\n").nth(1).expect("lint target");
     let recipe = lint.lines().next().unwrap();
     assert!(recipe.contains("clippy --all-targets -- -D warnings"), "{recipe}");
+}
+
+#[test]
+fn the_lint_gate_builds_the_docs_with_warnings_denied() {
+    let makefile = read("Makefile");
+    let lint = makefile.split("\nlint:\n").nth(1).expect("lint target");
+    let recipe: Vec<&str> = lint.lines().take_while(|l| l.starts_with('\t')).collect();
+    let doc = "RUSTDOCFLAGS=\"-D warnings\" $(CARGO) doc --no-deps --workspace";
+    assert!(recipe.iter().any(|l| l.trim() == doc), "{recipe:?}");
 }

@@ -48,7 +48,7 @@ impl Backoff {
         assert!(base_ns > 0 && max_ns >= base_ns);
         Backoff {
             // SplitMix64 of the seed; never zero (xorshift fixed point).
-            rng: splitmix64(seed).max(1),
+            rng: dmem::hash::mix64(seed).max(1),
             attempt: 0,
             base_ns,
             max_ns,
@@ -66,16 +66,6 @@ impl Backoff {
         self.attempt = 0;
     }
 
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64*.
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
     /// Returns this attempt's delay in virtual nanoseconds: an exponentially
     /// growing ceiling, half fixed and half jittered, clamped to `max_ns`.
     pub fn next_delay_ns(&mut self) -> u64 {
@@ -83,7 +73,7 @@ impl Backoff {
         self.attempt += 1;
         let ceil = self.base_ns.saturating_shl(exp).min(self.max_ns);
         let half = ceil / 2;
-        half + self.next_u64() % (ceil - half + 1)
+        half + dmem::hash::xorshift64star(&mut self.rng) % (ceil - half + 1)
     }
 
     /// Charges one backoff delay to the endpoint's virtual clock and yields
@@ -96,13 +86,6 @@ impl Backoff {
             std::thread::yield_now();
         }
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 trait SaturatingShl {

@@ -51,7 +51,6 @@ impl ChimeClient {
     // ------------------------------------------------------------------
 
     pub(super) fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
-        assert_ne!(key, 0, "key 0 is reserved");
         self.retry_backoff.reset();
         let cfg = self.shared.cfg;
         let fp = fingerprint16(key);
@@ -352,7 +351,6 @@ impl ChimeClient {
     }
 
     pub(super) fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         self.retry_backoff.reset();
         let stored = self.store_value(key, value)?;
         let home = home_entry(key, self.span());
@@ -468,7 +466,6 @@ impl ChimeClient {
     }
 
     pub(super) fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         self.retry_backoff.reset();
         let stored = self.store_value(key, value)?;
         let home = home_entry(key, self.span());
@@ -485,7 +482,6 @@ impl ChimeClient {
     }
 
     pub(super) fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         self.retry_backoff.reset();
         let span = self.span();
         let home = home_entry(key, span);

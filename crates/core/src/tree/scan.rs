@@ -38,7 +38,6 @@ impl Gathered {
 
 impl ChimeClient {
     pub(super) fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        assert_ne!(start, 0, "key 0 is reserved");
         if count == 0 {
             return;
         }

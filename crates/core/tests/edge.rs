@@ -3,6 +3,9 @@
 
 use chime::{Chime, ChimeConfig};
 use dmem::{Pool, RangeIndex};
+use rolex::{ChimeLearned, Rolex, RolexConfig};
+use sherman::{Sherman, ShermanConfig};
+use smart::{Smart, SmartConfig};
 
 fn v(k: u64) -> Vec<u8> {
     k.to_le_bytes().to_vec()
@@ -33,11 +36,41 @@ fn extreme_keys_roundtrip() {
     );
 }
 
-#[test]
-#[should_panic(expected = "key 0 is reserved")]
-fn key_zero_rejected() {
-    let (_t, mut c) = tree(ChimeConfig::default());
-    let _ = c.insert(0, &v(0));
+/// Key 0 is checked once, where `dmem::span_ops!` brackets every index's
+/// operations: one test per index.
+macro_rules! key_zero_rejected {
+    ($($name:ident => $client:expr;)*) => {$(
+        #[test]
+        #[should_panic(expected = "key 0 is reserved")]
+        fn $name() {
+            let pool = Pool::with_defaults(1, 64 << 20);
+            let items: Vec<(u64, Vec<u8>)> = (1..=64).map(|k| (3 * k, v(3 * k))).collect();
+            let mut c: Box<dyn RangeIndex> = $client(&pool, &items);
+            let _ = c.insert(0, &v(0));
+        }
+    )*};
+}
+
+key_zero_rejected! {
+    key_zero_rejected => |pool, _| {
+        let t = Chime::create(pool, ChimeConfig::default(), 0);
+        Box::new(t.client(&t.new_cn()))
+    };
+    key_zero_rejected_by_sherman => |pool, _| {
+        let t = Sherman::create(pool, ShermanConfig::default(), 0);
+        Box::new(t.client(&t.new_cn()))
+    };
+    key_zero_rejected_by_smart => |pool, _| {
+        let t = Smart::create(pool, SmartConfig::default(), 0);
+        Box::new(t.client(&t.new_cn()))
+    };
+    key_zero_rejected_by_rolex => |pool, items| {
+        Box::new(Rolex::create(pool, RolexConfig::default(), items).client())
+    };
+    key_zero_rejected_by_chime_learned => |pool, items| {
+        let cfg = RolexConfig { hopscotch_leaves: true, ..RolexConfig::default() };
+        Box::new(ChimeLearned::create(pool, cfg, items).client())
+    };
 }
 
 #[test]

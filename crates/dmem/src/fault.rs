@@ -21,6 +21,7 @@
 use std::sync::Mutex;
 
 use crate::addr::GlobalAddr;
+use crate::hash::mix64;
 
 /// Verb classes a [`FaultRule`] can match on.
 ///
@@ -291,13 +292,6 @@ pub(crate) struct FaultClient {
     verb_seq: u64,
     heals: Vec<PendingHeal>,
     crash_hits: Vec<u64>,
-}
-
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultClient {

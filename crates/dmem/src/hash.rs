@@ -1,7 +1,9 @@
 //! Deterministic hash functions shared by all indexes.
 //!
 //! A SplitMix64 finalizer provides the hopscotch home-entry hash, the
-//! hotspot-buffer fingerprints and key scrambling for workload generators.
+//! hotspot-buffer fingerprints, key scrambling for workload generators and
+//! seed mixing; [`xorshift64star`] is the seeded stream behind retry
+//! jitter and the serving layer's arrival processes.
 
 /// Seed of the hopscotch home-entry hash.
 const SEED_HOME: u64 = 0x5EED_0FC4_17E0_0001;
@@ -15,6 +17,19 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// One step of a xorshift64 stream (shifts 13/7/17) with the xorshift64*
+/// output multiplier: advances `state` and returns the scrambled output.
+/// A zero state is a fixed point, so seed it nonzero.
+#[inline]
+pub fn xorshift64star(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 /// Seeded 64-bit hash of a key.
@@ -50,6 +65,15 @@ mod tests {
     fn mix64_changes_bits() {
         assert_ne!(mix64(0), 0);
         assert_ne!(mix64(1), mix64(2));
+    }
+
+    #[test]
+    fn xorshift64star_stream_is_pinned() {
+        let mut s = 1;
+        let out: Vec<u64> = (0..3).map(|_| xorshift64star(&mut s)).collect();
+        let want = [0xBAFA_CF62_4F01_C45D, 0x02DA_6891_E507_685D, 0xFE17_A361_146F_B7A5];
+        assert_eq!(out, want);
+        assert_eq!(s, 0x9B1E_842F_6E86_2629);
     }
 
     #[test]

@@ -119,8 +119,10 @@ macro_rules! span_ops {
             $crate::span_ops!(self, "scan", start, scan_impl(start, count, out), |_: &()| true)
         }
     };
-    // The bracket: open the span, run the op, close it with `ok`'s verdict.
+    // The bracket: check the key, open the span, run the op, close it with
+    // `ok`'s verdict. Every index reserves key 0.
     ($me:ident, $op:literal, $key:ident, $f:ident($($arg:ident),*), $ok:expr) => {{
+        assert_ne!($key, 0, "key 0 is reserved");
         let span = $me.endpoint_mut().span_begin($op, $key);
         let r = $me.$f($($arg),*);
         $me.endpoint_mut().span_end(span, $ok(&r));

@@ -9,7 +9,7 @@
 //!
 //! This module is the only place that knows the format. [`Values`] is the
 //! whole job for an index that stores values one way or the other;
-//! [`block_len`], [`encode`] and [`pointer`] let an index issue the
+//! [`block_len`], [`encode`] and [`pointer()`] let an index issue the
 //! allocation and the WRITE inside phase frames of its own.
 
 use crate::addr::GlobalAddr;

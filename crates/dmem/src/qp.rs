@@ -434,6 +434,12 @@ pub trait LaneHook: Send {
     /// Called when the lane's clock advances by `dt_ns` without posting a
     /// WQE. Returns once the lane may resume at `now_ns + dt_ns`.
     fn timer(&mut self, now_ns: u64, dt_ns: u64);
+
+    /// The lane's completion-queue depth as of its own virtual now: the
+    /// shared QP's [`Qp::outstanding_len`]. Read by [`lane_cq_depth`].
+    fn cq_depth(&self) -> u64 {
+        0
+    }
 }
 
 thread_local! {
@@ -458,6 +464,11 @@ pub fn uninstall_lane_hook() -> Option<Box<dyn LaneHook>> {
 /// Whether a lane hook is installed on the current thread.
 pub fn lane_active() -> bool {
     LANE_HOOK.with(|h| h.borrow().is_some())
+}
+
+/// The current lane's CQ depth through its hook; 0 off a lane.
+pub fn lane_cq_depth() -> u64 {
+    LANE_HOOK.with(|h| h.borrow().as_ref().map_or(0, |hook| hook.cq_depth()))
 }
 
 /// Routes a verb through the installed lane hook, if any. `None` means no
@@ -638,5 +649,21 @@ mod tests {
         assert!(!lane_active());
         assert!(hook_post(0, 0, 1, 64, 0).is_none());
         hook_timer(0, 100); // no-op without a hook
+        assert_eq!(lane_cq_depth(), 0);
+    }
+
+    #[test]
+    fn a_hook_that_keeps_no_queue_reports_depth_zero() {
+        struct NoQueue;
+        impl LaneHook for NoQueue {
+            fn post(&mut self, _: u64, _: u16, _: u64, _: u64, _: u64) -> WqeOutcome {
+                unreachable!("the test posts no verb")
+            }
+            fn timer(&mut self, _: u64, _: u64) {}
+        }
+        install_lane_hook(Box::new(NoQueue));
+        assert!(lane_active());
+        assert_eq!(lane_cq_depth(), 0, "the provided depth");
+        drop(uninstall_lane_hook());
     }
 }

@@ -1,7 +1,7 @@
 //! Router integration: routed CRUD against an oracle, cross-partition
 //! scans, home-pinned allocation, live migration with routing-epoch
-//! refresh, and determinism — serial and under the coroutine engine with
-//! a [`sched::LaneGate`] guarding the migrator.
+//! refresh, and determinism — serial and under the coroutine engine, with
+//! the migrator on one lane and point ops on its sibling lanes.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use chime::ChimeConfig;
 use dmem::{Endpoint, Pool, RangeIndex};
 use part::{layout, migrate, Cluster, ClusterConfig, MigrateConfig, RecoveryOutcome};
-use sched::{Engine, EngineConfig, LaneBody, LaneGate};
+use sched::{Engine, EngineConfig, LaneBody};
 
 fn small_chime() -> ChimeConfig {
     ChimeConfig {
@@ -212,10 +212,10 @@ fn skewed_traffic_triggers_the_rebalancer() {
     }
 }
 
-/// One engine client: lane 0 migrates partition 0 under the gate while
-/// lanes 1–2 run point ops. Returns each lane's (clock, verdict) plus the
-/// final key census, for determinism comparison.
-fn gated_engine_run() -> (Vec<u64>, u64) {
+/// One engine client: lane 0 migrates partition 0 while lanes 1–2 run
+/// point ops, their verbs interleaved with the migrator's. Returns each
+/// lane's clock plus the final key census, for determinism comparison.
+fn engine_run() -> (Vec<u64>, u64) {
     let pool = Pool::with_defaults(2, 256 << 20);
     let cluster = Cluster::create(&pool, cfg(4));
     let setup_cn = cluster.new_cn();
@@ -225,17 +225,14 @@ fn gated_engine_run() -> (Vec<u64>, u64) {
         setup.insert(k, &v(k)).unwrap();
     }
     let engine = Engine::new(EngineConfig { lanes: 3 });
-    let gate = LaneGate::new();
     let mut bodies: Vec<LaneBody<u64>> = Vec::new();
     {
-        let (cluster, gate) = (Arc::clone(&cluster), Arc::clone(&gate));
+        let cluster = Arc::clone(&cluster);
         bodies.push(Box::new(move || {
             let cn = cluster.new_cn();
             let mut src = cluster.tree(0).client(&cn.states()[0]);
             let mut ctl = Endpoint::new(Arc::clone(cluster.pool()));
-            gate.enter(0);
             let report = migrate::migrate(&cluster, 0, 1, &mut ctl, &mut src).unwrap();
-            gate.exit(0);
             assert!(report.items > 0);
             src.clock_ns()
         }));
@@ -255,7 +252,7 @@ fn gated_engine_run() -> (Vec<u64>, u64) {
         }));
     }
     let net = *pool.net();
-    let run = engine.run_client_gated(net, 2, bodies, gate);
+    let run = engine.run_client(net, 2, bodies);
     let clocks = run.into_results();
     let mut census = 0u64;
     for &k in &keys {
@@ -267,12 +264,12 @@ fn gated_engine_run() -> (Vec<u64>, u64) {
 }
 
 #[test]
-fn gated_migration_under_lanes_is_correct_and_deterministic() {
-    let (clocks_a, census_a) = gated_engine_run();
-    assert_eq!(census_a, 48, "no key lost across the gated migration");
+fn migration_beside_sibling_lanes_is_correct_and_deterministic() {
+    let (clocks_a, census_a) = engine_run();
+    assert_eq!(census_a, 48, "no key lost across the migration");
     assert_eq!(clocks_a.len(), 3);
-    let (clocks_b, census_b) = gated_engine_run();
-    assert_eq!(clocks_a, clocks_b, "gated runs must replay identically");
+    let (clocks_b, census_b) = engine_run();
+    assert_eq!(clocks_a, clocks_b, "runs must replay identically");
     assert_eq!(census_a, census_b);
 }
 

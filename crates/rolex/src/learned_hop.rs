@@ -88,7 +88,6 @@ impl ChimeLearnedClient {
     }
 
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let leaf = self.dir.leaf;
         let home = home_entry(key, leaf.layout.span);
@@ -136,7 +135,6 @@ impl ChimeLearnedClient {
     }
 
     fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
-        assert_ne!(key, 0, "key 0 is reserved");
         self.ep.note_app_bytes(self.dir.cfg.value_size as u64 + 8);
         let (_, v) = self.probe(key);
         Some(self.dir.values.resolve(&mut self.ep, v?))
@@ -176,7 +174,6 @@ impl ChimeLearnedClient {
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         Ok(self.edit_locked(key, |w, pos, word| {
             w.set_value(pos, &stored);
@@ -185,7 +182,6 @@ impl ChimeLearnedClient {
     }
 
     fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let vm = self.dir.leaf.vm;
         Ok(self.edit_locked(key, |w, pos, word| {
             w.remove(pos);
@@ -194,7 +190,6 @@ impl ChimeLearnedClient {
     }
 
     fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        assert_ne!(start, 0, "key 0 is reserved");
         if count == 0 {
             return;
         }

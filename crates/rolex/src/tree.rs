@@ -96,7 +96,6 @@ impl RolexClient {
     }
 
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let leaf = self.dir.leaf;
         for _ in 0..OP_RETRY_LIMIT {
@@ -174,7 +173,6 @@ impl RolexClient {
     }
 
     fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let (_, snap) = self.read_owner(key);
         self.ep.note_app_bytes(self.dir.cfg.value_size as u64 + 8);
         let v = match snap.find(key) {
@@ -189,7 +187,6 @@ impl RolexClient {
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let Some((addr, snap, i)) = self.lock_holder(key) else {
             return Ok(false);
@@ -199,7 +196,6 @@ impl RolexClient {
     }
 
     fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let Some((addr, snap, i)) = self.lock_holder(key) else {
             return Ok(false);
         };
@@ -208,7 +204,6 @@ impl RolexClient {
     }
 
     fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        assert_ne!(start, 0, "key 0 is reserved");
         if count == 0 {
             return;
         }

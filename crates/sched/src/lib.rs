@@ -14,6 +14,9 @@
 //!   with the **earliest pending completion timestamp** (lane index breaks
 //!   ties), so exactly one lane executes at any instant and the global
 //!   interleaving is a pure function of the lanes' virtual-time behaviour;
+//! * a lane reads its client's CQ depth as of its own virtual now through
+//!   [`dmem::qp::lane_cq_depth`]: resuming a lane expires every completion
+//!   at or before the resume instant;
 //! * consecutive WQEs posted to the same memory node within one scheduling
 //!   quantum share a doorbell — one round trip — which is where pipelining's
 //!   modeled throughput gain comes from.
@@ -32,7 +35,6 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, Thread};
 
@@ -120,69 +122,36 @@ struct Sched {
     /// Lanes `0..started` have been given their first turn.
     started: usize,
     handoffs: u64,
-    gauge: Option<Arc<CqDepthGauge>>,
-    gate: Option<Arc<LaneGate>>,
 }
 
 impl Sched {
     /// The one scheduling step: books what the lane `from` (if any) yielded
-    /// for, then picks who runs next — the next unstarted lane unless a
-    /// [`LaneGate`] is held, else the earliest pending completion (lane
-    /// index breaks ties; a gate owner goes before everyone) — and reaps
-    /// that completion. `None`: every lane has finished.
+    /// for, then picks who runs next — the next unstarted lane, else the
+    /// earliest pending completion (lane index breaks ties) — and reaps that
+    /// completion. `None`: every lane has finished.
     fn step(&mut self, from: Option<(usize, Yield)>) -> Option<(usize, Resume)> {
         match from {
             Some((lane, Yield::Verb(now_ns, mn, msgs, wire_bytes, trace))) => {
                 let ticket = self.qp.post_wqe(now_ns, mn, msgs, wire_bytes, trace);
                 self.pending[lane] = Some((ticket.completion_ns, Some(ticket)));
-                if let Some(g) = &self.gauge {
-                    g.publish(self.qp.outstanding_len());
-                }
             }
-            Some((lane, Yield::Timer(until_ns))) => {
-                self.pending[lane] = Some((until_ns, None));
-            }
-            Some((lane, Yield::Finished)) => {
-                // A finished (or crashed) owner must release its gate
-                // claim, else the remaining lanes would never resume.
-                if let Some(g) = &self.gate {
-                    g.clear_if(lane);
-                }
-            }
-            None => {}
+            Some((lane, Yield::Timer(until_ns))) => self.pending[lane] = Some((until_ns, None)),
+            Some((_, Yield::Finished)) | None => {}
         }
-        // Nothing runs during a step, so a live owner is parked. While it
-        // is, only it resumes, and new lanes stay unstarted: their first
-        // instructions must not interleave with the guarded section.
-        let owner = self
-            .gate
-            .as_ref()
-            .and_then(|g| g.owner())
-            .filter(|&o| self.pending.get(o).is_some_and(Option::is_some));
-        let earliest = || {
-            let parked = self.pending.iter().enumerate();
-            parked
-                .filter_map(|(lane, p)| p.as_ref().map(|&(t, _)| (t, lane)))
-                .min()
-                .map(|(_, lane)| lane)
-        };
-        if owner.is_none() && self.started < self.pending.len() {
+        if self.started < self.pending.len() {
             self.started += 1;
-            Some((self.started - 1, None))
-        } else if let Some(lane) = owner.or_else(earliest) {
-            let (t, ticket) = self.pending[lane].take().expect("chosen lane is parked");
-            let resume = ticket.map(|ticket| self.qp.poll_wqe(ticket));
-            if let Some(g) = &self.gauge {
-                // The global frontier advances to `t`: completions at or
-                // before it are delivered, so the resumed lane sees a
-                // decayed depth.
-                self.qp.expire_before(t);
-                g.publish(self.qp.outstanding_len());
-            }
-            Some((lane, resume))
-        } else {
-            None
+            return Some((self.started - 1, None));
         }
+        let parked = self.pending.iter().enumerate();
+        let (t, lane) = parked
+            .filter_map(|(lane, p)| p.as_ref().map(|&(t, _)| (t, lane)))
+            .min()?;
+        let (_, ticket) = self.pending[lane].take().expect("chosen lane is parked");
+        let resume = ticket.map(|ticket| self.qp.poll_wqe(ticket));
+        // The global frontier advances to `t`: completions at or before it
+        // are delivered, so the resumed lane reads a decayed CQ depth.
+        self.qp.expire_before(t);
+        Some((lane, resume))
     }
 }
 
@@ -258,102 +227,10 @@ impl LaneHook for EngineHook {
     fn timer(&mut self, now_ns: u64, dt_ns: u64) {
         self.baton.park(self.lane, Yield::Timer(now_ns + dt_ns));
     }
-}
 
-/// A scheduler-maintained completion-queue depth gauge.
-///
-/// The engine refreshes the gauge at every scheduling decision: after a
-/// lane posts a WQE (depth includes the new entry) and whenever a parked
-/// lane is resumed (entries whose completions have passed the resumption
-/// instant are expired first). Exactly one lane executes at any instant,
-/// so a lane reading the gauge always sees the depth as of its own virtual
-/// "now" — the load is `Relaxed` yet the value is deterministic.
-///
-/// The serve layer's backpressure watermark reads this to decide whether
-/// to shed or defer an operation before it issues verbs.
-#[derive(Debug, Default)]
-pub struct CqDepthGauge {
-    depth: AtomicU64,
-}
-
-impl CqDepthGauge {
-    /// Creates a gauge reading zero.
-    pub fn new() -> Arc<Self> {
-        Arc::new(CqDepthGauge::default())
-    }
-
-    /// The CQ depth as of the engine's latest scheduling decision.
-    pub fn depth(&self) -> u64 {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    fn publish(&self, depth: u64) {
-        self.depth.store(depth, Ordering::Relaxed);
-    }
-}
-
-/// Sentinel owner value: nobody holds the gate.
-const GATE_FREE: usize = usize::MAX;
-
-/// A cross-lane mutual-exclusion gate for one client's coroutine lanes.
-///
-/// While a lane holds the gate, the scheduler resumes only that lane: the
-/// guarded section executes atomically with respect to the client's other
-/// lanes (their completions stay queued until the gate drops, and lanes
-/// not yet started are not spawned), while virtual time still advances
-/// verb by verb. The partition migrator runs its copy/switch protocol
-/// under the gate so no sibling lane observes a half-migrated partition.
-///
-/// `enter`/`exit` are called from lane bodies. Exactly one lane executes
-/// at any instant, so the plain atomic is deterministic. A lane that dies
-/// inside the section (an injected crash point) has its claim cleared by
-/// the engine when the lane finishes — the crash leaves *remote* state
-/// (lock words, journal) behind for recovery, but never wedges the
-/// scheduler.
-#[derive(Debug)]
-pub struct LaneGate {
-    owner: AtomicUsize,
-}
-
-impl LaneGate {
-    /// Creates an unheld gate.
-    pub fn new() -> Arc<Self> {
-        Arc::new(LaneGate {
-            owner: AtomicUsize::new(GATE_FREE),
-        })
-    }
-
-    /// Claims the gate for `lane`. Re-entering while already the owner is
-    /// allowed; claiming over another lane's live hold is a bug (the
-    /// scheduler never resumes a non-owner inside a held section).
-    pub fn enter(&self, lane: usize) {
-        let prev = self.owner.swap(lane, Ordering::Relaxed);
-        assert!(
-            prev == GATE_FREE || prev == lane,
-            "lane {lane} entered a gate held by lane {prev}"
-        );
-    }
-
-    /// Releases the gate. Panics if `lane` is not the current owner.
-    pub fn exit(&self, lane: usize) {
-        let prev = self.owner.swap(GATE_FREE, Ordering::Relaxed);
-        assert_eq!(prev, lane, "lane {lane} exited a gate held by {prev}");
-    }
-
-    /// The owning lane, if any.
-    pub fn owner(&self) -> Option<usize> {
-        match self.owner.load(Ordering::Relaxed) {
-            GATE_FREE => None,
-            lane => Some(lane),
-        }
-    }
-
-    /// Drops `lane`'s claim if it holds the gate (engine cleanup when a
-    /// lane finishes or dies).
-    fn clear_if(&self, lane: usize) {
-        let _ = self
-            .owner
-            .compare_exchange(lane, GATE_FREE, Ordering::Relaxed, Ordering::Relaxed);
+    /// Only the running lane calls this, and it holds no lock while it runs.
+    fn cq_depth(&self) -> u64 {
+        self.baton.lock().qp.outstanding_len()
     }
 }
 
@@ -366,11 +243,6 @@ impl Engine {
     /// Creates an engine with the given configuration.
     pub fn new(cfg: EngineConfig) -> Self {
         Engine { cfg }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
     }
 
     /// Drives one client's lane bodies to completion over a shared QP
@@ -391,46 +263,6 @@ impl Engine {
         mns: u16,
         bodies: Vec<LaneBody<T>>,
     ) -> ClientRun<T> {
-        self.run_inner(net, mns, bodies, None, None)
-    }
-
-    /// [`Engine::run_client`] with a live [`CqDepthGauge`]: the engine
-    /// refreshes `gauge` at every scheduling decision so lane bodies can
-    /// read the client's CQ depth (e.g. for serve-layer backpressure)
-    /// without breaking determinism.
-    pub fn run_client_observed<T: Send + 'static>(
-        &self,
-        net: NetConfig,
-        mns: u16,
-        bodies: Vec<LaneBody<T>>,
-        gauge: Arc<CqDepthGauge>,
-    ) -> ClientRun<T> {
-        self.run_inner(net, mns, bodies, Some(gauge), None)
-    }
-
-    /// [`Engine::run_client`] with a [`LaneGate`]: while a lane holds the
-    /// gate, the scheduler resumes only that lane (and defers starting new
-    /// ones), so the guarded section runs atomically with respect to this
-    /// client's other lanes. A finished or crashed owner has its claim
-    /// cleared automatically so the run always drains.
-    pub fn run_client_gated<T: Send + 'static>(
-        &self,
-        net: NetConfig,
-        mns: u16,
-        bodies: Vec<LaneBody<T>>,
-        gate: Arc<LaneGate>,
-    ) -> ClientRun<T> {
-        self.run_inner(net, mns, bodies, None, Some(gate))
-    }
-
-    fn run_inner<T: Send + 'static>(
-        &self,
-        net: NetConfig,
-        mns: u16,
-        bodies: Vec<LaneBody<T>>,
-        gauge: Option<Arc<CqDepthGauge>>,
-        gate: Option<Arc<LaneGate>>,
-    ) -> ClientRun<T> {
         let lanes = bodies.len();
         assert!(lanes > 0, "a client needs at least one lane");
         assert_eq!(lanes, self.cfg.lanes, "lane bodies must match the engine's lanes");
@@ -441,8 +273,6 @@ impl Engine {
                 mailbox: (0..lanes).map(|_| None).collect(),
                 started: 0,
                 handoffs: 0,
-                gauge,
-                gate,
             }),
             threads: OnceLock::new(),
         });

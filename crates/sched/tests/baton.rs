@@ -1,8 +1,8 @@
 //! Baton passing: how many thread switches a run makes, that a dying lane
-//! still hands the baton on, that a held gate defers unstarted lanes, and
-//! that the resume order of a seeded random lane program does not move
-//! (`golden/resume_order.txt`: the earliest-completion order, recorded by
-//! the engine that still carried the lane gate).
+//! still hands the baton on, and that the resume order of a seeded random
+//! lane program does not move (`golden/resume_order.txt`: the
+//! earliest-completion order, recorded by the engine that still carried
+//! a lane gate).
 
 mod common;
 
@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use common::watchdog;
 use dmem::node::RESERVED_BYTES;
 use dmem::{Endpoint, GlobalAddr, Pool};
-use sched::{ClientRun, Engine, EngineConfig, LaneBody, LaneGate};
+use sched::{ClientRun, Engine, EngineConfig, LaneBody};
 
 fn engine(lanes: usize) -> Engine {
     Engine::new(EngineConfig { lanes })
@@ -165,50 +165,4 @@ fn a_lane_dying_before_its_first_park_hands_the_baton_on() {
         payload.downcast_ref::<&str>(),
         Some(&"lane 3 dies at its first verb")
     );
-}
-
-#[test]
-fn a_gate_held_across_verbs_starts_the_other_lanes_only_after_release() {
-    const HELD: usize = 3;
-    let log = watchdog(|| {
-        let pool = Pool::with_defaults(1, 1 << 20);
-        let gate = LaneGate::new();
-        // `(lane, step)`; step 0 marks the lane's start, before any verb.
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let bodies: Vec<LaneBody<()>> = (0..3)
-            .map(|lane| {
-                let (pool, gate, log) = (Arc::clone(&pool), Arc::clone(&gate), Arc::clone(&log));
-                Box::new(move || {
-                    log.lock().unwrap().push((lane, 0));
-                    let mut ep = Endpoint::new(pool);
-                    let mut buf = [0u8; 8];
-                    if lane == 0 {
-                        gate.enter(0);
-                    }
-                    for step in 1..=2 * HELD {
-                        ep.read(GlobalAddr::new(0, RESERVED_BYTES), &mut buf);
-                        log.lock().unwrap().push((lane, step));
-                        if lane == 0 && step == HELD {
-                            gate.exit(0);
-                        }
-                    }
-                }) as LaneBody<()>
-            })
-            .collect();
-        engine(3)
-            .run_client_gated(*pool.net(), 1, bodies, gate)
-            .into_results();
-        let log = std::mem::take(&mut *log.lock().unwrap());
-        log
-    });
-    let at = |entry| log.iter().position(|&e| e == entry).expect("logged");
-    assert!(
-        log[..=HELD].iter().all(|&(lane, _)| lane == 0),
-        "nothing else runs while lane 0 holds the gate: {log:?}"
-    );
-    // Lane 0's next park after the release starts lanes 1 and 2, in order,
-    // before lane 0 itself resumes.
-    assert_eq!(at((1, 0)), HELD + 1, "{log:?}");
-    assert_eq!(at((2, 0)), HELD + 2, "{log:?}");
-    assert!(at((2, 0)) < at((0, HELD + 1)), "{log:?}");
 }

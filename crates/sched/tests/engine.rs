@@ -1,9 +1,10 @@
 //! Engine behaviour: serial equivalence at K=1, round-trip overlap at K>1,
-//! determinism, lane-death isolation, and the configured lane count.
+//! interleaving, determinism, lane-death isolation, the CQ depth a lane
+//! reads, and the configured lane count.
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use common::watchdog;
 use dmem::node::RESERVED_BYTES;
@@ -138,14 +139,39 @@ fn every_posted_wqe_is_reaped_by_the_end_of_a_run() {
         ep.read(GlobalAddr::new(0, RESERVED_BYTES), &mut buf);
         (ep.clock_ns(), ep.stats().rtts)
     }));
-    let gauge = sched::CqDepthGauge::new();
-    let g = Arc::clone(&gauge);
     let net = *pool.net();
-    let run = watchdog(move || engine.run_client_observed(net, 1, bodies, g));
+    let run = watchdog(move || engine.run_client(net, 1, bodies));
     assert_eq!(run.qp.posted, 3 + OPS as u64 + 1);
     assert!(run.qp.depth_hist.max() >= 2, "completions overlapped");
-    assert_eq!(gauge.depth(), 0, "nothing left in the CQ");
     assert_eq!(run.into_results().len(), 3);
+}
+
+#[test]
+fn a_lane_reads_its_queue_pairs_depth() {
+    // Lanes 0 and 1 post a read each and park; lane 2 starts next, at the
+    // same virtual instant, with both completions still pending. After a
+    // timer past them, its resume has expired them.
+    let pool = Pool::with_defaults(1, 1 << 20);
+    let engine = Engine::new(EngineConfig { lanes: 3 });
+    let mut bodies: Vec<LaneBody<(u64, u64)>> =
+        vec![reader(Arc::clone(&pool), 1), reader(Arc::clone(&pool), 1)];
+    let p = Arc::clone(&pool);
+    bodies.push(Box::new(move || {
+        let mut ep = Endpoint::new(p);
+        let beside_siblings = dmem::qp::lane_cq_depth();
+        ep.advance_clock(1_000_000);
+        (beside_siblings, dmem::qp::lane_cq_depth())
+    }));
+    assert_eq!(dmem::qp::lane_cq_depth(), 0, "off a lane");
+    let net = *pool.net();
+    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    let (beside_siblings, drained) = run.into_results()[2];
+    assert!(
+        beside_siblings >= 2,
+        "siblings' WQEs are outstanding: {beside_siblings}"
+    );
+    assert_eq!(drained, 0, "completions behind the frontier are expired");
+    assert_eq!(dmem::qp::lane_cq_depth(), 0, "after the run");
 }
 
 #[test]
@@ -202,4 +228,49 @@ fn a_masked_cas_with_reads_is_one_doorbell() {
     assert_eq!(run.into_results(), [(1, 3), (1, 3)]);
     assert_eq!((qp.posted, qp.doorbells, qp.batched_wqes), (6, 2, 0));
     assert_eq!((qp.batch_hist.count(), qp.batch_hist.max()), (2, 3));
+}
+
+const STEPS: usize = 8;
+
+type StepLog = Arc<Mutex<Vec<(usize, usize)>>>;
+
+/// A lane body doing `STEPS` dependent reads, logging `(lane, step)` after
+/// each.
+fn stepper(pool: Arc<Pool>, log: StepLog, lane: usize) -> LaneBody<u64> {
+    Box::new(move || {
+        let mut ep = Endpoint::new(pool);
+        let addr = GlobalAddr::new(0, RESERVED_BYTES);
+        let mut buf = [0u8; 8];
+        for step in 0..STEPS {
+            ep.read(addr, &mut buf);
+            log.lock().unwrap().push((lane, step));
+        }
+        ep.clock_ns()
+    })
+}
+
+#[test]
+fn ungated_lanes_interleave() {
+    let pool = Pool::with_defaults(1, 1 << 20);
+    let engine = Engine::new(EngineConfig { lanes: 3 });
+    let log: StepLog = Arc::new(Mutex::new(Vec::new()));
+    let bodies = (0..3)
+        .map(|lane| stepper(Arc::clone(&pool), Arc::clone(&log), lane))
+        .collect();
+    let net = *pool.net();
+    watchdog(move || engine.run_client(net, 1, bodies)).into_results();
+    let log = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
+    assert_eq!(log.len(), 3 * STEPS);
+    // Symmetric lanes on one MN take strict turns: somewhere in the middle
+    // of lane 1's run another lane gets scheduled between its steps.
+    let pos: Vec<usize> = log
+        .iter()
+        .enumerate()
+        .filter(|(_, &(l, s))| l == 1 && (2..=4).contains(&s))
+        .map(|(i, _)| i)
+        .collect();
+    assert!(
+        pos.windows(2).any(|w| w[1] != w[0] + 1),
+        "expected interleaving, got {log:?}"
+    );
 }

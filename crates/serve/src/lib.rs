@@ -9,7 +9,8 @@
 //! * [`sim`] — the **deterministic simulated-socket mode**: connections
 //!   are seeded arrival processes on the virtual clock, multiplexed as
 //!   coroutine lanes of `sched` workers, with CQ-depth-driven backpressure
-//!   read off a [`sched::CqDepthGauge`]. CI-runnable, chaos-composable,
+//!   that reads the worker's queue pair through the lane's hook
+//!   ([`dmem::qp::lane_cq_depth`]). CI-runnable, chaos-composable,
 //!   byte-identical per seed.
 //! * [`tcp`] — the **real-TCP mode** behind the `chime-server` /
 //!   `chime-loadgen` binaries, for manual runs against actual sockets.

@@ -173,7 +173,7 @@ impl fmt::Display for ProtoError {
 /// The incremental frame decoder for one connection.
 ///
 /// Feed raw bytes with [`Decoder::feed`]; pull complete requests with
-/// [`Decoder::next`]. `Ok(None)` means "need more bytes" — nothing is
+/// [`Decoder::try_next`]. `Ok(None)` means "need more bytes" — nothing is
 /// consumed until a frame (or a recoverable bad line) is complete, so
 /// chunk boundaries never change the decoded request sequence.
 #[derive(Debug, Default)]

@@ -10,9 +10,9 @@
 //! [`SimConfig::seed`], so two runs produce byte-identical metrics, bench
 //! JSON and trace JSONL.
 //!
-//! Backpressure is CQ-depth-driven: the worker's engine publishes its live
-//! completion-queue depth through a [`sched::CqDepthGauge`]; when a
-//! request finds the depth above [`SimConfig::cq_watermark`] the server
+//! Backpressure is CQ-depth-driven: a connection reads its worker's live
+//! completion-queue depth off its own lane ([`dmem::qp::lane_cq_depth`]);
+//! when a request finds the depth above [`SimConfig::cq_watermark`] the server
 //! either **sheds** it (`-BUSY`, no index verbs — cheap, which is what
 //! keeps decode capacity above the arrival rate under overload) or
 //! **defers** it (bounded queue-wait polling before falling back to shed).
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use chime::{Chime, ChimeClient, ChimeConfig};
 use dmem::{Endpoint, FaultPlan, FaultSession, Pool, QpStats, RangeIndex};
 use obs::{Anomaly, Event, LatencyHist, MetricsSnapshot, OpProfile, Phase, TimeSeries, Tracer};
-use sched::{CqDepthGauge, Engine, EngineConfig, LaneBody};
+use sched::{Engine, EngineConfig, LaneBody};
 use ycsb::KeySpace;
 
 use crate::admission::Admission;
@@ -34,7 +34,7 @@ use crate::proto::Request;
 pub enum OverloadPolicy {
     /// Answer `-BUSY` immediately; no index verbs are issued.
     Shed,
-    /// Poll the gauge for up to [`SimConfig::defer_rounds`] queue-wait
+    /// Poll the CQ depth for up to [`SimConfig::defer_rounds`] queue-wait
     /// intervals, then shed if the depth never came down.
     Defer,
 }
@@ -237,12 +237,7 @@ impl Rng {
     }
 
     fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        dmem::hash::xorshift64star(&mut self.0)
     }
 
     fn below(&mut self, n: u64) -> u64 {
@@ -294,7 +289,6 @@ struct LaneCtx {
     cfg: SimConfig,
     id: u32,
     admission: Arc<Admission>,
-    gauge: Arc<CqDepthGauge>,
 }
 
 /// The connection lane: admission, arrival loop, decode, backpressure,
@@ -379,7 +373,7 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
             conn.feed(&wire[..cut]);
             // Drain whatever whole frames made it, then vanish.
             while let Ok(Some(req)) = conn.next_request() {
-                serve_one(cfg, &ctx.gauge, &mut client, &mut conn, &req, &mut hist, &mut served);
+                serve_one(cfg, &mut client, &mut conn, &req, &mut hist, &mut served);
             }
             dropped = true;
             break 'conn;
@@ -396,7 +390,7 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
                 match conn.next_request() {
                     Ok(Some(req)) => {
                         serve_one(
-                            cfg, &ctx.gauge, &mut client, &mut conn, &req, &mut hist, &mut served,
+                            cfg, &mut client, &mut conn, &req, &mut hist, &mut served,
                         );
                     }
                     Ok(None) => break,
@@ -434,7 +428,6 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
 /// op, response.
 fn serve_one(
     cfg: &SimConfig,
-    gauge: &CqDepthGauge,
     client: &mut ChimeClient,
     conn: &mut Conn,
     req: &Request,
@@ -450,7 +443,7 @@ fn serve_one(
         .set_trace_id(((conn.id as u64 + 1) << 32) | conn.counters.requests);
     client.advance_phase(Phase::Decode, cfg.decode_ns);
 
-    let depth = gauge.depth();
+    let depth = dmem::qp::lane_cq_depth();
     let now = client.clock_ns();
     client.endpoint_mut().emit(now, Event::CqDepth { depth });
     let mut over = depth > cfg.cq_watermark;
@@ -458,7 +451,7 @@ fn serve_one(
         conn.counters.deferred += 1;
         for _ in 0..cfg.defer_rounds {
             client.advance_phase(Phase::QueueWait, cfg.defer_poll_ns);
-            over = gauge.depth() > cfg.cq_watermark;
+            over = dmem::qp::lane_cq_depth() > cfg.cq_watermark;
             if !over {
                 break;
             }
@@ -524,7 +517,6 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         if lanes == 0 {
             break;
         }
-        let gauge = CqDepthGauge::new();
         let engine = Engine::new(EngineConfig { lanes });
         let mut bodies: Vec<LaneBody<ConnSummary>> = Vec::with_capacity(lanes);
         for _l in 0..lanes {
@@ -539,11 +531,10 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 cfg: cfg.clone(),
                 id,
                 admission: Arc::clone(&admission),
-                gauge: Arc::clone(&gauge),
             };
             bodies.push(Box::new(move || run_conn(ctx, client)));
         }
-        let run = engine.run_client_observed(net, 1, bodies, gauge);
+        let run = engine.run_client(net, 1, bodies);
         qp_total.merge(&run.qp);
         for res in run.lanes {
             match res {

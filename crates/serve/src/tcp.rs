@@ -107,6 +107,7 @@ impl Server {
             let mut conn_id = 0u32;
             let mut handlers = Vec::new();
             while !accept_stop.load(Ordering::Relaxed) {
+                reap_finished(&mut handlers);
                 match listener.accept() {
                     Ok((stream, _peer)) => {
                         if !admission.try_admit() {
@@ -165,6 +166,20 @@ impl Server {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
+        }
+    }
+}
+
+/// Joins the handler threads that have exited. A thread that has exited
+/// but was never joined keeps its stack, so without this a long-running
+/// server grows with every connection it has served.
+fn reap_finished(handlers: &mut Vec<thread::JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
         }
     }
 }
@@ -255,12 +270,7 @@ pub fn run_load(
         handles.push(thread::spawn(move || -> std::io::Result<(u64, u64, u64, u64)> {
             let mut stream = TcpStream::connect(&addr)?;
             let mut state = seed ^ (c as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-            };
+            let mut next = move || dmem::hash::xorshift64star(&mut state);
             let (mut sent, mut ok, mut busy, mut errors) = (0u64, 0u64, 0u64, 0u64);
             let mut wire = Vec::new();
             let window = 8usize;
@@ -386,7 +396,28 @@ fn ascii(b: &[u8]) -> i64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{pool_capacity, TcpConfig};
+    use std::sync::mpsc;
+    use std::thread;
+
+    use super::{pool_capacity, reap_finished, TcpConfig};
+
+    #[test]
+    fn reaping_joins_exited_handlers_and_keeps_live_ones() {
+        let (release, wait) = mpsc::channel::<()>();
+        let mut handlers = vec![thread::spawn(move || wait.recv().unwrap())];
+        handlers.extend((0..3).map(|_| thread::spawn(|| ())));
+        while !handlers[1..].iter().all(|h| h.is_finished()) {
+            thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "only the blocked handler is left");
+        release.send(()).unwrap();
+        while !handlers[0].is_finished() {
+            thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty());
+    }
 
     #[test]
     fn pool_capacity_has_a_floor_and_grows_with_the_load() {

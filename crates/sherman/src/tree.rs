@@ -250,7 +250,6 @@ impl ShermanClient {
     }
 
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let stored = self.shared.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let (addr, snap) = self.lock_owner(key);
         let leaf = self.shared.leaf;
@@ -268,7 +267,6 @@ impl ShermanClient {
     }
 
     fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let (_, snap) = self.read_owner(key);
         self.ep
             .note_app_bytes(self.shared.cfg.value_size as u64 + 8);
@@ -277,7 +275,6 @@ impl ShermanClient {
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let stored = self.shared.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let (addr, snap) = self.lock_owner(key);
         match snap.keys.binary_search(&key) {
@@ -295,7 +292,6 @@ impl ShermanClient {
     }
 
     fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let (addr, snap) = self.lock_owner(key);
         match snap.keys.binary_search(&key) {
             Ok(i) => {
@@ -310,7 +306,6 @@ impl ShermanClient {
     }
 
     fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        assert_ne!(start, 0, "key 0 is reserved");
         if count == 0 {
             return;
         }

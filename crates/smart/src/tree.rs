@@ -213,7 +213,6 @@ impl SmartClient {
     }
 
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let kb = key.to_be_bytes();
         let ops = self.ops();
         'restart: for attempt in 0..OP_RETRY_LIMIT {
@@ -496,7 +495,6 @@ impl SmartClient {
     }
 
     fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let (_, v, _) = self.find_leaf(key)?;
         self.ep
             .note_app_bytes(self.shared.cfg.value_size as u64 + 8);
@@ -504,7 +502,6 @@ impl SmartClient {
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         match self.find_leaf(key) {
             Some((leaf, _, _)) => {
                 self.ops().update_leaf(&mut self.ep, leaf, value);
@@ -515,7 +512,6 @@ impl SmartClient {
     }
 
     fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
-        assert_ne!(key, 0, "key 0 is reserved");
         let ops = self.ops();
         for _ in 0..OP_RETRY_LIMIT {
             let Some((leaf, _, (naddr, nty, byte))) = self.find_leaf(key) else {
@@ -538,7 +534,6 @@ impl SmartClient {
     }
 
     fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        assert_ne!(start, 0, "key 0 is reserved");
         if count == 0 {
             return;
         }
