@@ -651,19 +651,4 @@ mod tests {
         hook_timer(0, 100); // no-op without a hook
         assert_eq!(lane_cq_depth(), 0);
     }
-
-    #[test]
-    fn a_hook_that_keeps_no_queue_reports_depth_zero() {
-        struct NoQueue;
-        impl LaneHook for NoQueue {
-            fn post(&mut self, _: u64, _: u16, _: u64, _: u64, _: u64) -> WqeOutcome {
-                unreachable!("the test posts no verb")
-            }
-            fn timer(&mut self, _: u64, _: u64) {}
-        }
-        install_lane_hook(Box::new(NoQueue));
-        assert!(lane_active());
-        assert_eq!(lane_cq_depth(), 0, "the provided depth");
-        drop(uninstall_lane_hook());
-    }
 }
