@@ -4,7 +4,42 @@
 //! part into report points and printed rows; [`claims::evaluate`] judges
 //! the claims over the finished report. The one row without claims,
 //! `smoke`, is judged by its tracked flat metrics (`results/smoke.json`)
-//! instead. The `figs` binary is a thin front end over [`run_figure`].
+//! instead. The `figs` binary is a thin front end over [`run_figure`]:
+//! `figs --list` prints the table, `figs fig18 --only 18a` runs one
+//! sub-figure, and the sub-figure label is the prefix of its point keys in
+//! `BENCH_<fig>.json`. Defaults: span 64, H = 8, 8 B keys/values, hotspot
+//! buffer 30 MB and cache 100 MB (both scaled), Zipfian θ = 0.99.
+//!
+//! | Experiment | Paper content | Workload & parameters | Modules |
+//! |---|---|---|---|
+//! | Fig 1 / Fig 3a | Cache consumption vs amplification factor per index | 60 M (scaled) loaded items; spans 8–512 for Sherman/ROLEX | all index crates |
+//! | Fig 3b | Throughput vs clients, limited bandwidth (1 MN, 1000 MB cache) | YCSB C | all indexes, [`dmem::net`] |
+//! | Fig 3c | Throughput vs clients, limited cache (10 MN, 100 MB cache) | YCSB C | all indexes |
+//! | Fig 3d | Max load factor vs amplification for hashing schemes | 128-entry tables, associativity/hopscotch/RACE/FaRM | [`hashstudy`] |
+//! | Fig 4a / 4b / 4c | Vacancy-bitmap / leaf-metadata access overhead; neighborhood read cost | READ streams: hop range vs +bitmap vs whole node; neighborhood vs +meta vs whole node; neighborhood 1–64 | `dmem` microbench |
+//! | Table 1 | RTTs per operation (best/worst) | single-client op traces, warm & cold cache | `chime` + stats |
+//! | Fig 12 | Throughput–latency, YCSB A/B/C/D/E/LOAD × {CHIME, Sherman, ROLEX, SMART, SMART-Opt} | client sweep, 100 MB cache | all index crates |
+//! | Fig 13 | Same with variable-length KV (indirect) | 320 clients; CHIME-Indirect, Marlin (≈ Sherman-Indirect), ROLEX-Indirect, SMART-RCU | indirect modes |
+//! | Fig 14 | Cache consumption vs loaded items (40–120 M, scaled) | load only | cache accounting in each index |
+//! | Fig 15a | Factor analysis from Sherman: +hopscotch leaf, +vacancy piggyback, +meta replication, +spec read | YCSB C/LOAD/A, 320 clients; throughput + P50/P99 | `chime` feature toggles |
+//! | Fig 15b | Factor analysis from ROLEX → CHIME-Learned | same | `rolex::learned_hop` |
+//! | Fig 16 | Sibling validation metadata size vs key size (8–256 B) | analytic + measured node layouts | `chime::layout` |
+//! | Fig 17 | Speculative read: throughput vs clients, SR on/off | YCSB C, >500 clients | `hotspot_bytes` (0 = SR off) |
+//! | Fig 18a–f | Throughput vs Zipfian skew (0.5–0.99, 50 % search + 50 % update); cache size (0–1600 MB scaled); inline value size (8–512 B); indirect value size; span (8–512); neighborhood (2–16) | YCSB C unless noted | `ycsb`, all indexes, indirect modes, `chime` |
+//! | Fig 19a / 19b | Span vs max load factor & cache consumption; neighborhood vs max load factor | load to capacity | `chime` |
+//! | Fig 19c | Hotspot buffer size vs throughput & hit/correct ratios | YCSB C, 0–50 MB | `chime` |
+//!
+//! **The smoke gate.** The `smoke` row is a fixed-seed matrix with no
+//! claims: CHIME and Sherman × YCSB C/A/E × 16/64 clients, CHIME at K = 4, a
+//! point whose node cache and hotspot buffer evict, a LOAD point whose
+//! inserts split leaves, two 4-MN scale-out cuts and the serve knee. Run
+//! whole at its published scale (`figs --all` or `figs smoke`, ≈ 3 s), it
+//! writes every point's full flat metric map to `results/smoke.json`, one
+//! compact line per point, metrics sorted. Every value is exact per seed and
+//! floats render in their shortest round-trip form, so `make figs`'s
+//! `git diff --exit-code` fails on any moved bit; no tolerance absorbs a
+//! regression. A deliberate change commits the regenerated file, and
+//! `make explain` attributes the move ([`crate::explain`]).
 
 pub mod claims;
 pub mod hashstudy;

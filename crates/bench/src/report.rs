@@ -11,6 +11,16 @@
 //! parse the full report; [`points_document`] is the compact flat-metric
 //! form the tracked `results/smoke.json` takes. Output is deterministic:
 //! two runs with the same seed produce byte-identical files.
+//!
+//! The flat metrics include per-op-type percentiles `lat.<op>.p50/p90/p99_us`,
+//! per-phase `phase_ns_per_op.<phase>` / `phase_rtts_per_op.<phase>` and
+//! `retries_per_op.<cause>`; zero-valued attribution keys are always
+//! emitted, so the key set is stable across runs. `$BENCH_OUT_DIR` redirects
+//! the files (`make figs` sets `results/`). Point names are unique within a
+//! report (adding one twice panics naming both), because claims and
+//! `explain` look points up by name. `figs --all` also writes `claims.json`:
+//! one line per claim — id, the paper's statement, the check and its band,
+//! the measured values, the verdict.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

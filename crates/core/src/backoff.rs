@@ -6,7 +6,10 @@
 //! the same round-trip window and collides again. [`Backoff`] spaces the
 //! retries out exponentially — doubling a virtual-nanosecond delay per
 //! attempt up to a bound — with deterministic, seeded jitter so that two
-//! clients that conflicted once are unlikely to conflict on the retry.
+//! clients that conflicted once are unlikely to conflict on the retry: each
+//! wait is half fixed, half jitter. Retries surface in [`dmem::ClientStats`]
+//! (`lock_retries`, `op_retries`, `torn_reads_detected`,
+//! `stale_locks_reclaimed`, `faults_injected`).
 //!
 //! The delay is charged to the endpoint's *virtual* clock
 //! ([`dmem::Endpoint::advance_clock`]); no wall-clock sleeping happens, so

@@ -17,6 +17,11 @@
 //! form of leaf content, which carries each slot's EV and dirty mark. Every
 //! write — dirty hop range, new node, node rewrite — leaves through
 //! `encode`, straight into its outgoing buffer.
+//!
+//! Both crash points ([`CRASH_LEAF_LOCKED`], [`CRASH_LEAF_WRITE_BACK`]) sit
+//! before any publish: content and unlock land in one doorbell, so a crash
+//! at either leaves the content untouched and only the lock word stale. A
+//! crashed operation is a logical no-op, which keeps the chaos oracle exact.
 
 use dmem::hash::home_entry;
 use dmem::versioned::{bump, ev, pack_ver, Fetched, MAX_RANGES};

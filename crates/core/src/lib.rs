@@ -19,6 +19,8 @@
 //!   with node splits, up-propagation and sibling-based validation;
 //! * [`backoff`] — bounded exponential backoff with seeded jitter, charged
 //!   to the virtual clock, used by every optimistic retry loop;
+//! * [`config`] — the settings the experiments vary, including the Fig. 15
+//!   per-technique toggles and indirect (variable-length) values;
 //! * crash-safe lock recovery — the lock word carries a lease epoch
 //!   ([`lockword`]) so survivors can reclaim a dead client's leaf lock
 //!   (opt-in via [`config::ChimeConfig::lock_lease_spins`]).

@@ -14,7 +14,11 @@
 //!   observes the same locked word across many failed acquisition attempts
 //!   presumes the holder dead and takes over with a full-word CAS that bumps
 //!   the epoch (lock bit stays set), so concurrent reclaimers and the normal
-//!   release path both fail cleanly. See [`LockWord::reclaimed`].
+//!   release path both fail cleanly. See [`LockWord::reclaimed`]. Any
+//!   change to the observed word — epoch, vacancy, argmax — proves the
+//!   holder alive and resets the waiter's count. The epoch is not globally
+//!   monotonic (unlocked rewrites may reset it); that is sound because a
+//!   reclaim compares the exact observed word, never an epoch order.
 //!
 //! Every lock word in the workspace is taken by [`try_acquire`], the one
 //! masked CAS clippy's `disallowed-methods` lets through, or by its retry

@@ -18,6 +18,32 @@
 //! that proved stale costs). Everything about the leaves stays with the
 //! index. Each step opens the same phase frame whichever index runs it;
 //! frames attribute time and never charge it.
+//!
+//! | | CHIME ([`crate::tree`]) | Sherman (`sherman::tree`) |
+//! |---|---|---|
+//! | `LEAN` of a cached route | `Left`: a pivot is a left half's maximum + 1 | `Right`: a pivot is a right half's minimum; a node that starts above the key drops the parent that leaned past it |
+//! | `on_stale_route` | `on_op_conflict(StaleRoute)`: a noted retry + seeded backoff | nothing |
+//! | `descent_origin` | a migration forward, else the root | the root (default) |
+//!
+//! | step | frame |
+//! |---|---|
+//! | `in_phase`, `local_lock` | — |
+//! | `refresh_root`, `read_internal`; `root` (hint, else the slot) | `traversal` |
+//! | `read_internal_cached` — a cached route leaning by `LEAN`, or a node read, routed exactly and cached | `cache_lookup`; the miss's READ in the caller's frame |
+//! | `descend` — the one descent under CHIME's `locate_leaf` / `locate_parent` and Sherman's `locate_leaf` / scan origin | the caller's `traversal` |
+//! | `locate_parent` | `traversal` |
+//! | `find_at_level` (uncached walk to the pivot's node), `insert_into_parent`, `split_internal` with root growth | `traversal` reads, `lock_acquire`, `write_back`; the in-place parent write stays frameless |
+//! | `alloc_remote`, `new_internal`, `unlock_internal` | `write_back` |
+//!
+//! What each index keeps private is what the paper compares it on. CHIME
+//! keeps its migration forward pointer, `first_child_of` (the expected
+//! sibling of a last child, for sibling validation), leaf merges and the
+//! hopscotch leaf; Sherman keeps its fence-key `read_owner` / `lock_owner`
+//! and the sorted-leaf split — exactly what Fig. 16 compares (fence keys
+//! against sibling validation). The other baselines share the same way:
+//! SMART shares the CN cache ([`crate::cache::NodeCache`] over its radix
+//! node); ROLEX and CHIME-Learned share `rolex::learned` and the value path
+//! `dmem::indirect::Values`. Each baseline crate's docs say what it keeps.
 
 use std::sync::Arc;
 

@@ -9,12 +9,24 @@
 //! validation with the `argmax_keys` corner case, Sherman-style node splits
 //! with up-propagation, and hotness-aware speculative reads. The internal
 //! levels — descent, up-propagation, internal split, root growth — are the
-//! [`crate::skeleton`] steps Sherman runs too; the client's own methods are
-//! split along the phases of an operation — `traverse`, `point` (search and
-//! the write path), `smo` (leaf split / merge), `scan`, `migrate` — over the
-//! phase-frame step helpers in this file, with one definition of each
-//! protocol step (module map: DESIGN.md §3.1).
-
+//! [`crate::skeleton`] steps Sherman runs too. The client's own methods are
+//! split along the phases of an operation, one definition of each protocol
+//! step. Every step helper wraps exactly one phase frame, so an edit to a
+//! step (a different lock verb, a batched read) is a one-place edit and
+//! cannot change another step's attribution:
+//!
+//! | file | holds | step helpers (frame) |
+//! |---|---|---|
+//! | `mod.rs` | [`Chime`] / [`CnState`] / [`ChimeClient`] / [`TreeBinding`], the [`dmem::RangeIndex`] entry points, indirect-value store/resolve | `on_op_conflict` (retry + `retry_backoff`); `read_whole` (`leaf_read`); `write_back`, `unlock`, `rewrite` (`write_back`) |
+//! | `traverse.rs` | CHIME's [`SkeletonClient`] impl (left lean, backoff, forwarding override), leaf location | `reroute` — drop cached parent + refresh root + stale-route retry; `on_invalid_leaf`; `locate_leaf` (`traversal`) with `first_child_of` |
+//! | `point.rs` | search, speculative read, sibling/fence chases; insert / update / delete | `lock_owner` — the one write preamble: locate-or-detour → CN-local slot → `lock_window` (lock + window READ, one doorbell: the neighborhood for updates and deletes, the group-aligned neighborhood for inserts, the whole leaf without piggybacking) → at most one more READ for an insert (whole leaf on a full bitmap, hop window when the neighborhood can take neither an upsert nor the key) → invalid-leaf and `owns_key` handling (a window key ≥ the key proves ownership), retried until the owner is held; `place` (window, whole-node fallback, split; the argmax entry only when no window key exceeds the key) |
+//! | `smo.rs` | `split_leaf` (pivots up through the skeleton's `insert_into_parent`), `try_merge` | — |
+//! | `scan.rs` | `scan_impl`, `check_integrity` | `scan_from` (parent-guided batch reads, `leaf_read`; the next parent through the CN cache, `traversal`); `batch_len` — a doorbell takes leaves until the rows expected from their pivot ranges (the first one's above `start`) times the client's key density cover the rows missing to within one Poisson σ, ¾-full leaves before the first observation; `observe_density` — the density (`ChimeClient::scan_density`) over the interior leaves a client's scans read, 1 % decay per leaf; `walk_chain` — the one sibling-chain walker (gap bridge and tail drain, `scan_chain`); the one stale-parent reaction sits in `scan_impl` |
+//! | `migrate.rs` | what `crates/part` needs: `rebind`, `leaf_addrs_under`, `move_leaf_into`, clock/alloc hooks | — |
+//!
+//! `crates/core/tests/op_shape.rs` pins, per operation kind and per Fig. 15
+//! switch setting, the verbs, round trips, wire bytes and per-phase episode
+//! counts these helpers produce.
 mod migrate;
 mod point;
 mod scan;

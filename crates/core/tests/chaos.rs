@@ -6,7 +6,9 @@
 //! Crash rules kill clients at labeled crash points — including while they
 //! hold a leaf lock — and surviving clients must reclaim the stale lock via
 //! the lease epoch. Everything is a pure function of the seed: a failure
-//! prints the seed and the verb-level fault trace needed to replay it.
+//! prints the seed and the verb-level fault trace needed to replay it: re-run
+//! the test, or call `run()` with the printed seed, and the identical trace
+//! fires again. `make chaos` runs a fixed-seed smoke of this suite.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};

@@ -6,12 +6,19 @@
 //! atomic completions, and labeled *crash points* that kill a simulated
 //! compute node mid-operation (including while it holds a leaf lock word).
 //!
+//! Faults reach the index only the way a flaky network or a dead compute
+//! node would: torn lines, failed atomics and stale locks, never a back door
+//! into index state.
+//!
 //! Determinism is the core contract: every decision is drawn from a
 //! per-client xorshift generator seeded from `plan.seed` and the client id,
-//! keyed to per-client verb sequence numbers. Replaying the same plan against
-//! the same (single-threaded) schedule reproduces the identical
-//! [`FaultEvent`] trace, which is what lets a chaos harness print a failing
-//! seed and have it reproduce exactly.
+//! keyed to per-client verb sequence numbers, and advanced only when an
+//! armed rule draws, so a rule for client 3 cannot perturb client 2's
+//! stream. Replaying the same plan against the same (single-threaded)
+//! schedule reproduces the identical [`FaultEvent`] trace
+//! ([`FaultSession::trace`], rendered by [`FaultSession::trace_report`]),
+//! which is what lets a chaos harness print a failing seed and have it
+//! reproduce exactly.
 //!
 //! The engine is wired into [`crate::verbs::Endpoint`]: endpoints created
 //! with [`crate::verbs::Endpoint::with_faults`] consult the shared

@@ -5,7 +5,8 @@
 //! (READ, WRITE, CAS, masked-CAS, FAA) from compute-node clients. It provides
 //!
 //! * [`region::Region`] — registered memory with the 64-byte line atomicity
-//!   real RNICs exhibit (reads may tear between lines, never within one);
+//!   real RNICs exhibit (reads may tear between lines, never within one),
+//!   zero-page-backed until written;
 //! * [`verbs::Endpoint`] — per-client verb issue with doorbell batching,
 //!   traffic counters and a virtual clock;
 //! * [`net::NetConfig`] — the analytic network model converting counted
@@ -13,14 +14,17 @@
 //! * [`versioned`] — the two-level cache-line version layout shared by
 //!   Sherman-style and CHIME-style nodes;
 //! * [`alloc::ChunkAlloc`] — RPC chunk allocation with client-side bumping;
+//! * [`qp`] — the queue-pair model pipelined lanes post through;
 //! * [`index::RangeIndex`] — the interface every evaluated index implements;
-//! * [`indirect`] — the out-of-line value block format (§4.5) they share;
+//! * [`indirect`] — the out-of-line value block format (§4.5) they share:
+//!   [`indirect::Values`] is the whole store/resolve path of Sherman, ROLEX
+//!   and CHIME-Learned, and CHIME frames the same calls in its own phases;
 //! * [`fault`] — a seeded, scriptable fault engine intercepting every verb
 //!   (latency spikes, torn writes, failed/duplicated atomics, labeled crash
 //!   points) with a deterministic, replayable fault trace.
 //!
 //! No RDMA hardware is involved: all semantics relevant to index correctness
-//! and performance shape are preserved and documented in `DESIGN.md`.
+//! and performance shape are preserved (DESIGN.md §2).
 
 #![warn(missing_docs)]
 

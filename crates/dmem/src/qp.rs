@@ -23,6 +23,19 @@
 //!   completes inline with the exact pre-pipelining latency formula, so
 //!   serial runs are bit-for-bit unchanged.
 //!
+//! [`Qp::post_wqe`] prices a verb on its MN's channel. The **opener** of a
+//! window pays the full `verb_latency_ns` (one RTT, streaming, per-message
+//! gaps), clamped in order: a channel's completions never reorder. A
+//! **joiner** posted within [`QUANTUM_NS`] of the previous post, while the
+//! batch holds at most [`MAX_BATCH`] messages, shares the doorbell: no RTT,
+//! only its gaps and streaming time, chained behind the batch tail. That is
+//! pipelining's modeled gain — K lanes posting back to back collapse K round
+//! trips into one. A WQE's issue-to-completion gap splits into `service_ns`
+//! (what the serial model charges) and `cq_wait_ns` (queueing behind
+//! batch-mates), charged to the `cq_wait` phase, so per-phase time still
+//! sums to the clock; [`crate::net::RunAccounting::sum_busy_ns`] turns the
+//! overlap into modeled throughput.
+//!
 //! All timestamps are virtual nanoseconds; nothing here reads a wall clock.
 
 use std::cell::RefCell;

@@ -5,6 +5,16 @@
 //! against the target region and charges *virtual* latency and traffic to the
 //! endpoint's counters; the experiment harness later feeds those counters to
 //! the network model.
+//!
+//! A causal trace id is minted once per operation, at its entry point,
+//! before the op's span opens: the serial bench driver counts ops, the
+//! pipelined driver mints `(lane + 1) << 32 | opno`, chime-serve
+//! `(conn + 1) << 32 | request` — pure functions of loop order. The entry
+//! point stamps it with [`Endpoint::set_trace_id`] (a `part::RouterClient`
+//! hands out its tree client's endpoint), and the endpoint stamps it on
+//! every tracer event, flight-recorder op record and posted WQE
+//! ([`crate::qp::WqeTicket::trace`]) until the next mint. Layers below the
+//! entry point never mint: that would split one op's verbs across two ids.
 
 use std::sync::Arc;
 

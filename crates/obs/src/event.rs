@@ -5,6 +5,26 @@
 //! window), the [`FlightRecorder`] (coarse events) and the optional
 //! [`Tracer`] (span, verb, phase and fault events) — the last two in the
 //! one bounded [`Ring`] type.
+//!
+//! `dmem::Endpoint::emit` is the one call that records: the client counters
+//! (`ClientStats::record`) and every view fold the same event. Nested spans
+//! reach only the tracer; the other views count operations (outermost
+//! spans). The endpoint hands its sink out read-only, so no layer writes a
+//! view directly: the serve simulation emits `Shed`/`Served`/`CqDepth`, the
+//! migrator emits `Note`s. A new view (a replay log, a history recorder) is
+//! one more fold.
+//!
+//! Two timing splits are part of the contract. A verb is stamped at its
+//! issue, before any injected delay, and its `delay_ns` says when the
+//! doorbell reached the wire: the tracer's slice starts at issue, the time
+//! series counts the verb at issue + delay. A pipelined verb charges its CQ
+//! wait at the post and its service time at completion − service. Because
+//! every view folds the same events their totals agree, which
+//! `crates/bench/tests/conservation.rs` checks: phase ns against the
+//! timeline and the ops' latencies; round trips, messages and wire bytes
+//! against the per-phase, per-window and per-MN sums; the timeline's op
+//! count against every executed op (RDWC off: a combined op records a
+//! latency but never executes).
 
 use std::collections::VecDeque;
 

@@ -7,7 +7,9 @@
 //! *before* a failure, not just the aggregate after it.
 //!
 //! Timestamps are virtual-clock nanoseconds; a ring is a pure function of
-//! the seed.
+//! the seed. Nothing exports it yet; `crates/bench/tests/telemetry_image.rs`
+//! pins its contents with the JSONL, Perfetto, timeline and flat-metric
+//! exports.
 
 use crate::event::{Event, Ring};
 

@@ -34,7 +34,11 @@
 //!   other modules (and `bench`'s `BENCH_*.json` reports) are built on.
 //!
 //! Everything here is pure data handling: no wall clocks, no randomness, no
-//! hash-map iteration orders in any exported byte.
+//! hash-map iteration orders in any exported byte. `obs` is a leaf crate (no
+//! dependencies); `dmem` embeds it at the verb layer and the index and bench
+//! crates consume it, so no layer above the verbs keeps ad-hoc counters.
+//! Telemetry observes the clock charges the cost model already makes and
+//! never adds its own, so enabling it cannot perturb a result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

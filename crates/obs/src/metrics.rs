@@ -4,7 +4,10 @@
 //! verb statistics, cache hits/misses, hotspot-buffer hit rate, allocator
 //! bytes, per-MN traffic — behind one deterministic, labeled namespace with
 //! Prometheus-text and JSON exporters. Keys are sorted, so two snapshots of
-//! identical runs serialize to identical bytes.
+//! identical runs serialize to identical bytes. The bench driver builds one
+//! per measured point from before/after deltas: deployments are reused
+//! across sweep points, so every cumulative source is snapshotted around the
+//! measured phase.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

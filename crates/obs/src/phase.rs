@@ -8,6 +8,21 @@
 //! round trip and wire byte to exactly one phase, plus every retry to a
 //! [`RetryCause`]. Everything is integer arithmetic on the virtual clock, so
 //! two identical runs produce bit-identical profiles.
+//!
+//! Frames (`dmem::Endpoint::phase_begin`/`phase_end`, or the panic- and
+//! early-return-safe `in_phase`) give two views. *Exclusive* time
+//! ([`PhaseAcc::ns`]): a nested frame takes over until it closes, so the
+//! phases sum exactly to the charged time. *Inclusive episodes*
+//! ([`PhaseAcc::hist`]): each begin→end pair records its whole
+//! duration, e.g. one `speculative_read` episode per speculative attempt.
+//! Frames also emit `phase_begin`/`phase_end` trace events, so traces show
+//! the phase structure inline with the verbs.
+//!
+//! [`LatencyHist`] maps values `0..8` one-to-one, then `SUB_BITS` = 3 mantissa
+//! bits per octave: 496 buckets over all of `u64`, with exact bucket-wise
+//! `merge` (across clients) and `since` (around a measured window). The
+//! bench driver keeps one per op type (read-modify-writes record as the op
+//! they executed as) beside the per-phase episode histograms.
 
 use crate::event::Event;
 use crate::metrics::HistogramSummary;

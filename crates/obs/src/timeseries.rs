@@ -15,6 +15,16 @@
 //! are keyed by index in a sorted map, so sparse activity (a client idle
 //! for a stretch of virtual time) costs nothing and iteration order is
 //! deterministic.
+//!
+//! Every endpoint's sink folds one series from its event stream. The bench
+//! driver snapshots each client's series before the measured phase and
+//! merges the [`TimeSeries::since`] deltas onto one time base (every client
+//! clock starts at zero), so one document covers the whole run; sparse
+//! windows are omitted. The migrator's `migrate.locked`, `migrate.copied`
+//! and `migrate.published` events (with `part=`/`dst=` args) put a
+//! migration on the same axis as the throughput it displaced. `merge` and
+//! `since` are exact, so the export is byte-identical per seed
+//! (`crates/bench/tests/timeline.rs`, plus a two-run `cmp` in CI).
 
 use std::collections::BTreeMap;
 

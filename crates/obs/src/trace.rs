@@ -9,6 +9,18 @@
 //! Events live in a bounded per-client ring buffer; when it overflows the
 //! oldest events are dropped (and counted), never the newest — the tail of a
 //! run is what failure reports need.
+//!
+//! `dmem::Endpoint::set_tracer` attaches one to a client of any index; the
+//! bench driver attaches one to each of its first `trace_clients` clients,
+//! the serve simulation one to every connection when `trace_events > 0`
+//! (the connection id as client id). Every index implements its five
+//! operations with `dmem::span_ops!`, one span each (op, key, ok flag);
+//! each verb issued under it records its kind (`read`, `write`, `cas`,
+//! `masked_cas`, `masked_cas_read` — one event for the batch —, `faa`,
+//! `alloc`), MN, wire bytes, messages and modeled duration. Same seed, same
+//! [`Tracer::to_jsonl`] bytes (`crates/bench/tests/determinism.rs`);
+//! [`Tracer::spans`] folds a ring into per-span summaries, which
+//! `examples/tracing.rs` ranks.
 
 use crate::event::{Event, Ring};
 use crate::json::Json;

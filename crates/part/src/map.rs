@@ -7,7 +7,8 @@
 //! static for a deployment — only homes change, when the migrator moves a
 //! partition — so key→partition lookup never needs a remote read; the
 //! remote routing table ([`crate::layout`]) carries just the epoch and the
-//! home words.
+//! home words. Proptests pin full coverage, no overlap, lookup ≡ linear
+//! scan, and split/merge preservation under arbitrary op sequences.
 
 /// A contiguous range partitioning of the `u64` key space with per-range
 /// memory-node homes.

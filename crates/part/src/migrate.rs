@@ -27,6 +27,28 @@
 //! migration from the journal: roll forward when the copy started (moves
 //! are idempotent — tombstoned leaves are skipped, inserts upsert), abort
 //! when it had not, finish the publish when the switch already happened.
+//! By crash point: `locked` and `done` release only, `copied` rolls
+//! forward, `switched` finishes, and a journal without a scratch root
+//! aborts ([`RecoveryOutcome`]). `tests/chaos.rs` crashes at each point
+//! with ops in flight, checks every key against an oracle through recovery
+//! and replays byte for byte per seed.
+//!
+//! Every forward chase also re-reads the live root slot and refreshes the
+//! CN-wide root hint, so once the switch has published, one chase per CN
+//! redirects all later descents: forwarding is a transient, not a tax. The
+//! epoch moves only in `publish_routing`, which takes a [`PartLockHeld`]
+//! only the lock's holder can construct, and the epoch word is written
+//! last: a CN that sees a new epoch never reads old home words.
+//!
+//! The rebalancer is the first client created cluster-wide; it migrates
+//! synchronously inside its own op stream, so the cost is charged, never
+//! hidden. Every [`MigrateConfig::check_every`](crate::MigrateConfig::check_every) of its
+//! ops it folds the shared [`RouterStats`](crate::RouterStats) window by
+//! home MN; when the hottest MN's share exceeds `imbalance / mns` and it
+//! homes more than one partition, the coldest partition it homes moves to
+//! the least-loaded MN. Peeling cold ranges isolates the hot keys over
+//! successive windows without ping-ponging the hot range; `min_window`
+//! paces migrations.
 
 use chime::{Chime, ChimeClient};
 use dmem::{Endpoint, Event, GlobalAddr, IndexError, RangeIndex};

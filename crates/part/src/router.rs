@@ -15,6 +15,7 @@
 //! publish and its own refresh keeps allocating on the old home — that is
 //! the modeled cost of stale routing, not a correctness hazard: reads and
 //! writes follow the live root slot and forwarding tombstones regardless.
+//! Scans concatenate across partition boundaries in key order.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

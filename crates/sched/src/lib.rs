@@ -9,7 +9,9 @@
 //!   synchronous index code on their own [`dmem::Endpoint`];
 //! * every verb a lane issues becomes a WQE on the client's shared
 //!   [`dmem::Qp`] (via the [`dmem::LaneHook`] seam) and the lane **parks**
-//!   until the scheduler delivers its completion;
+//!   until the scheduler delivers its completion; verb-free advances of
+//!   virtual time (retry backoff, allocation RPC service, injected fault
+//!   delays) park it the same way, as timers;
 //! * scheduling is discrete-event: the lane resumed next is always the one
 //!   with the **earliest pending completion timestamp** (lane index breaks
 //!   ties), so exactly one lane executes at any instant and the global
@@ -29,6 +31,17 @@
 //! the chosen lane's mailbox, drops the lock and only then wakes that lane.
 //! Only the baton holder ever touches scheduler state and nothing reads a
 //! wall clock, so runs are deterministic regardless of OS scheduling.
+//!
+//! One `Mutex` guards that state: the `Qp`, each lane's one pending event
+//! and a one-slot mailbox per lane. A lane that finishes does so after
+//! `catch_unwind`, so a crashed lane hands the baton on too. Self-resume is
+//! every park at K = 1 and most `acquire_with` polls at K > 1. Waking after
+//! the unlock costs one futex hand-off per switch ([`ClientRun::handoffs`]);
+//! waking under the lock — a `Condvar` on the same mutex — measured slower,
+//! as the woken lane pre-empts the waker and blocks on the lock it still
+//! holds. A wake-up says only "look in your mailbox", so a spurious or early
+//! one is harmless. K = 1 through the engine reproduces serial timing byte
+//! for byte (`tests/engine.rs`). The determinism argument is DESIGN.md §10.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

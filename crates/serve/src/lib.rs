@@ -17,7 +17,12 @@
 //!
 //! The split mirrors the rest of the repo: the protocol, admission and
 //! backpressure logic is exercised (and gated) deterministically; the
-//! wall-clock transport is a thin shell around the same functions.
+//! wall-clock transport is a thin shell around the same functions. For a
+//! fixed [`SimConfig`] the metrics JSON, trace JSONL, per-connection
+//! counters and `BENCH_fig_serve.json` are byte-identical across runs
+//! (`tests/determinism.rs`, `tests/chaos.rs`, `examples/server.rs`);
+//! `make serve-smoke` boots the TCP server on a loopback port and drives
+//! the loadgen through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,7 +16,9 @@
 //!   field beyond the fixed limits, poisons the stream (there is no safe
 //!   resync point); the server answers `-ERR ...` once and closes.
 //!
-//! Keys are decimal `u64`; values are opaque byte strings.
+//! Keys are decimal `u64`; values are opaque byte strings. The decoder is
+//! chunk-transparent — byte-at-a-time feeding decodes exactly as one-shot
+//! feeding — and never panics on arbitrary bytes; `tests/props.rs` pins both.
 
 use std::fmt;
 

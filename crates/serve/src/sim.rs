@@ -16,6 +16,26 @@
 //! either **sheds** it (`-BUSY`, no index verbs — cheap, which is what
 //! keeps decode capacity above the arrival rate under overload) or
 //! **defers** it (bounded queue-wait polling before falling back to shed).
+//! One lane runs at a time, so the depth read is deterministic. Each lane
+//! has at most one outstanding WQE, so the depth is bounded by a worker's
+//! lane count and a meaningful watermark sits below it: `fig_serve` uses 32
+//! connections, 2 workers, watermark 12. Admission is a separate,
+//! connection-granular valve ([`crate::Admission`]): a connection beyond
+//! the permits is answered `-BUSY` at connect time.
+//!
+//! A worker's shared QP makes its connections one doorbell-batching domain.
+//! Arrivals are open-loop Poisson (xorshift64* with exponential gaps). A
+//! request charges `decode`, consults backpressure, runs the index op under
+//! the client's own phases, then charges `respond`; admission polling is
+//! `admission` time and deferral `queue_wait`, so serve time sums to the
+//! virtual clock like everything else.
+//!
+//! [`ChaosConfig`] drops connections mid-pipeline (inside a frame:
+//! `discarded_bytes` proves it), stalls readers (aborted past
+//! [`ChaosConfig::out_limit`]) and exhausts admission; a
+//! [`dmem::FaultPlan`] composes underneath. Dropped and aborted connections
+//! release their permits (`tests/chaos.rs`), and the storm replays byte for
+//! byte per seed.
 
 use std::sync::Arc;
 

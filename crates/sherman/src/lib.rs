@@ -8,7 +8,9 @@
 //! internal levels — nodes, the CN-side cache, the descent, pivot
 //! up-propagation and root growth — are `chime::skeleton`'s, run with a
 //! right-leaning route: CHIME is built on Sherman's internal-node design, so
-//! they are one code. The fence-key leaf protocol stays here.
+//! they are one code. The fence-key leaf protocol stays here, with per-node
+//! locks and the sorted-leaf split; its one insert-or-remove-at-`i` edit,
+//! [`leaf::ShermanLeafOps::splice_and_unlock`], is shared with ROLEX.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

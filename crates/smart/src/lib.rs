@@ -12,6 +12,11 @@
 //! copy-on-write under per-node locks (obsolete markers send racing writers
 //! back to the root); 8-byte values are updated in place with a single
 //! atomic-width WRITE.
+//!
+//! The CN cache is CHIME's [`chime::cache::NodeCache`] over
+//! [`node::ArtNode`] (24 + 9 B per child): the same exact LRU, evictions and
+//! budget rule as CHIME's routes. The radix descent, copy-on-write node
+//! growth, prefix splits and one leaf per key are SMART's own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
