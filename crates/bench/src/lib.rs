@@ -11,3 +11,8 @@ pub mod driver;
 pub mod explain;
 pub mod figs;
 pub mod report;
+
+/// README.md's Rust snippets, run as doctests so the front page compiles.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
