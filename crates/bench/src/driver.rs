@@ -147,8 +147,8 @@ pub struct BenchResult {
     pub cache_bytes: u64,
     /// Hotspot-buffer hit ratio (CHIME only; 0 elsewhere).
     pub hotspot_hit_ratio: f64,
-    /// Internal-node cache hit ratio during the measured phase (CHIME and
-    /// Sherman; 0 for indexes without a node cache).
+    /// Node cache hit ratio during the measured phase (0 for ROLEX, which
+    /// keeps no node cache).
     pub cache_hit_ratio: f64,
     /// Remote memory allocated across the pool, bytes.
     pub remote_bytes: u64,
@@ -183,7 +183,7 @@ pub struct Deployment {
     pub cns: Vec<Vec<Handle>>,
     /// Hotspot-stat probe (CHIME only; per-partition states for Part).
     hotspot_probe: Option<Vec<Arc<chime::CnState>>>,
-    /// Per-CN `(cache hits, cache misses)` probes (CHIME and Sherman).
+    /// Per-CN `(cache hits, cache misses)` probes (every index but ROLEX).
     cache_probe: Vec<CacheProbe>,
     /// Routing/migration counters (partitioned deployments only).
     router_probe: Option<Arc<part::RouterStats>>,
@@ -260,6 +260,7 @@ pub fn deploy(setup: &BenchSetup) -> Deployment {
             let t = smart::Smart::create(&pool, *cfg, 0);
             let cns: Vec<_> = (0..setup.num_cns).map(|_| t.new_cn()).collect();
             dep.cns = populate(setup, &cns, |cn| t.client(cn));
+            dep.cache_probe = cache_probes(&cns, |cn| cn.cache_stats());
         }
         IndexKind::Part(cfg) => {
             assert_eq!(
@@ -1017,6 +1018,12 @@ mod tests {
             rs.cache_bytes,
             rc.cache_bytes
         );
+    }
+
+    #[test]
+    fn smart_reports_its_node_cache_hits() {
+        let r = run(&tiny(IndexKind::Smart(smart::SmartConfig::default()), Workload::C));
+        assert!(r.cache_hit_ratio > 0.0, "SMART cache_hit_ratio {}", r.cache_hit_ratio);
     }
 
     #[test]

@@ -57,6 +57,11 @@ impl CnState {
     pub fn cache_bytes(&self) -> u64 {
         self.cache.lock().bytes()
     }
+
+    /// `(hits, misses)` of the node cache.
+    pub fn cache_stats(&self) -> (u64, u64) {
+        self.cache.lock().hit_stats()
+    }
 }
 
 /// One SMART client.
