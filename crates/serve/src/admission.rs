@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct Admission {
     permits: AtomicU64,
     limit: u64,
-    refused: AtomicU64,
 }
 
 impl Admission {
@@ -25,17 +24,15 @@ impl Admission {
         Admission {
             permits: AtomicU64::new(limit as u64),
             limit: limit as u64,
-            refused: AtomicU64::new(0),
         }
     }
 
-    /// Tries to take one permit. Returns `false` (and counts a refusal)
-    /// when none are free. Never blocks.
+    /// Tries to take one permit. Returns `false` when none are free. Never
+    /// blocks.
     pub fn try_admit(&self) -> bool {
         let mut cur = self.permits.load(Ordering::Relaxed);
         loop {
             if cur == 0 {
-                self.refused.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
             match self.permits.compare_exchange_weak(
@@ -55,21 +52,6 @@ impl Admission {
         let prev = self.permits.fetch_add(1, Ordering::AcqRel);
         debug_assert!(prev < self.limit, "release without a matching admit");
     }
-
-    /// Permits currently free.
-    pub fn available(&self) -> u64 {
-        self.permits.load(Ordering::Relaxed)
-    }
-
-    /// The configured permit count.
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-
-    /// Admission attempts refused so far.
-    pub fn refused(&self) -> u64 {
-        self.refused.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -82,9 +64,8 @@ mod tests {
         assert!(a.try_admit());
         assert!(a.try_admit());
         assert!(!a.try_admit());
-        assert_eq!(a.refused(), 1);
         a.release();
         assert!(a.try_admit());
-        assert_eq!(a.available(), 0);
+        assert!(!a.try_admit());
     }
 }
