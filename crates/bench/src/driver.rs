@@ -1022,8 +1022,15 @@ mod tests {
 
     #[test]
     fn smart_reports_its_node_cache_hits() {
-        let r = run(&tiny(IndexKind::Smart(smart::SmartConfig::default()), Workload::C));
-        assert!(r.cache_hit_ratio > 0.0, "SMART cache_hit_ratio {}", r.cache_hit_ratio);
+        let r = run(&tiny(
+            IndexKind::Smart(smart::SmartConfig::default()),
+            Workload::C,
+        ));
+        assert!(
+            r.cache_hit_ratio > 0.0,
+            "SMART cache_hit_ratio {}",
+            r.cache_hit_ratio
+        );
     }
 
     #[test]
