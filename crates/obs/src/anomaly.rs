@@ -20,11 +20,8 @@
 //! The thresholds are the constants below — diagnostics, never gates; the
 //! one argument of [`detect`] is the CQ saturation depth (0 disables it, as
 //! the bench driver calls it; chime-serve arms it at its shedding
-//! watermark). A cliff is a window below `1 − CLIFF_FRAC` of the trailing
-//! `TRAILING`-window mean once that mean reaches `CLIFF_MIN_OPS`, with the
-//! shortfall fraction as severity; a burst is a window maximum above
-//! `BURST_FACTOR` × the trailing mean latency and at least `BURST_MIN_NS`.
-//! `explain` renders each finding with [`Anomaly::cite`].
+//! watermark). A cliff's severity is its shortfall fraction. `explain`
+//! renders each finding with [`Anomaly::cite`].
 //! `crates/bench/tests/timeline.rs` forces a cliff by injecting a 50 µs
 //! delay on every verb past a sequence threshold and asserts the detector
 //! flags the window the raw series says collapsed.

@@ -20,8 +20,8 @@
 //! has at most one outstanding WQE, so the depth is bounded by a worker's
 //! lane count and a meaningful watermark sits below it: `fig_serve` uses 32
 //! connections, 2 workers, watermark 12. Admission is a separate,
-//! connection-granular valve ([`crate::Admission`]): a connection beyond
-//! the permits is answered `-BUSY` at connect time.
+//! connection-granular valve ([`crate::Admission`]): a connection that finds
+//! no permit polls for one in virtual time and is refused if none frees up.
 //!
 //! A worker's shared QP makes its connections one doorbell-batching domain.
 //! Arrivals are open-loop Poisson (xorshift64* with exponential gaps). A
