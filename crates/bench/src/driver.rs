@@ -594,8 +594,8 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
     let active_per_cn = setup.clients.div_ceil(num_cns);
     for (cn_id, all_clients) in dep.cns.iter_mut().enumerate() {
         let n_clients = active_per_cn.min(all_clients.len() / k);
-        // Lane bodies run on parked coroutine threads, so the active
-        // handles move out of the deployment and back in afterwards.
+        // Lane bodies are owned `'static` closures (`LaneBody`), so the
+        // active handles move out of the deployment and back in afterwards.
         let mut slots: Vec<Option<Handle>> =
             std::mem::take(all_clients).into_iter().map(Some).collect();
         for ci in 0..n_clients {

@@ -56,7 +56,16 @@ impl LocalLockTable {
 
     /// Blocks until this client holds the local slot for `raw` (a remote
     /// lock address). Returns a guard that releases the slot on drop.
+    ///
+    /// Panics on a coroutine lane ([`crate::lane_active`]): the condvar
+    /// would block the thread every lane of the client runs on, so a slot
+    /// held by a suspended sibling would never come free. Lanes take
+    /// [`acquire_with`](Self::acquire_with).
     pub fn acquire(self: &Arc<Self>, raw: u64) -> LocalLockGuard {
+        assert!(
+            !crate::qp::lane_active(),
+            "LocalLockTable::acquire blocks the thread all lanes share: a lane takes acquire_with"
+        );
         let shard = self.shard(raw);
         let mut held = shard.held.lock();
         while held.contains(&raw) {
@@ -86,10 +95,8 @@ impl LocalLockTable {
     /// Coroutine-safe [`acquire`](Self::acquire): on a scheduler lane
     /// ([`crate::lane_active`]) the wait happens in **virtual time** — the
     /// lane parks on a timer and its siblings run — instead of on the
-    /// condvar. A lane blocked on the condvar would deadlock the whole
-    /// client, because the slot holder is itself parked waiting for the
-    /// scheduler to resume it. Off-lane callers fall through to the plain
-    /// blocking path.
+    /// condvar, which a lane may not reach (see [`acquire`](Self::acquire)).
+    /// Off-lane callers fall through to the plain blocking path.
     pub fn acquire_with(self: &Arc<Self>, raw: u64, ep: &mut Endpoint) -> LocalLockGuard {
         if !crate::qp::lane_active() {
             return self.acquire(raw);

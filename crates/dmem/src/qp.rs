@@ -429,14 +429,15 @@ impl Qp {
 
 /// The seam between [`crate::verbs::Endpoint`] and a coroutine scheduler.
 ///
-/// A scheduler installs one hook per lane *thread* (see
-/// [`install_lane_hook`]); every verb the lane's endpoint issues then routes
-/// through [`LaneHook::post`], which may park the calling thread until the
-/// scheduler decides this lane's completion is the earliest pending event.
+/// A scheduler installs one hook per lane (see [`install_lane_hook`]);
+/// every verb the lane's endpoint issues then routes through
+/// [`LaneHook::post`], which may suspend the lane until the scheduler
+/// decides this lane's completion is the earliest pending event.
 /// [`LaneHook::timer`] does the same for verb-free clock advances (backoff,
 /// injected fault delays, allocation RPCs), so all virtual-time events
-/// interleave in deterministic global order.
-pub trait LaneHook: Send {
+/// interleave in deterministic global order. The hook never leaves the
+/// thread it was installed on, so it need not be `Send`.
+pub trait LaneHook {
     /// Called when the lane posts `msgs` work requests (`wire_bytes` on the
     /// wire) to `mn` at lane-virtual time `now_ns`, stamped with the
     /// posting operation's causal `trace` id (0 = untraced). Returns once
@@ -456,11 +457,16 @@ pub trait LaneHook: Send {
 }
 
 thread_local! {
+    /// The running lane's hook. Lanes that share a thread take turns in it:
+    /// [`LaneHook::post`] and [`LaneHook::timer`] are called with the hook
+    /// taken out, so a lane suspended inside one keeps its hook in its own
+    /// stack frame and the slot is free for the lane that runs next.
     static LANE_HOOK: RefCell<Option<Box<dyn LaneHook>>> = const { RefCell::new(None) };
 }
 
 /// Installs `hook` as the current thread's lane hook. Panics if one is
-/// already installed (a lane thread hosts exactly one lane).
+/// already installed: a thread runs one lane at a time, and a suspended
+/// lane's hook is out of the slot.
 pub fn install_lane_hook(hook: Box<dyn LaneHook>) {
     LANE_HOOK.with(|h| {
         let mut slot = h.borrow_mut();
@@ -471,7 +477,7 @@ pub fn install_lane_hook(hook: Box<dyn LaneHook>) {
 
 /// Removes and returns the current thread's lane hook, if any.
 pub fn uninstall_lane_hook() -> Option<Box<dyn LaneHook>> {
-    LANE_HOOK.with(|h| h.borrow_mut().take())
+    LANE_HOOK.take()
 }
 
 /// Whether a lane hook is installed on the current thread.
@@ -493,20 +499,18 @@ pub(crate) fn hook_post(
     wire_bytes: u64,
     trace: u64,
 ) -> Option<WqeOutcome> {
-    LANE_HOOK.with(|h| {
-        h.borrow_mut()
-            .as_mut()
-            .map(|hook| hook.post(now_ns, mn, msgs, wire_bytes, trace))
-    })
+    let mut hook = LANE_HOOK.take()?;
+    let outcome = hook.post(now_ns, mn, msgs, wire_bytes, trace);
+    LANE_HOOK.set(Some(hook));
+    Some(outcome)
 }
 
 /// Routes a verb-free clock advance through the installed lane hook.
 pub(crate) fn hook_timer(now_ns: u64, dt_ns: u64) {
-    LANE_HOOK.with(|h| {
-        if let Some(hook) = h.borrow_mut().as_mut() {
-            hook.timer(now_ns, dt_ns);
-        }
-    });
+    if let Some(mut hook) = LANE_HOOK.take() {
+        hook.timer(now_ns, dt_ns);
+        LANE_HOOK.set(Some(hook));
+    }
 }
 
 #[cfg(test)]

@@ -23,36 +23,39 @@
 //!   quantum share a doorbell — one round trip — which is where pipelining's
 //!   modeled throughput gain comes from.
 //!
-//! Lanes are hosted on parked OS threads purely as a coroutine mechanism.
-//! There is no scheduler thread: the right to run is a **baton**. The lane
-//! that parks or finishes takes the scheduler lock, makes the next
-//! scheduling decision itself and either keeps running (the completion it
-//! just delivered is its own — no thread switch) or leaves the payload in
-//! the chosen lane's mailbox, drops the lock and only then wakes that lane.
-//! Only the baton holder ever touches scheduler state and nothing reads a
-//! wall clock, so runs are deterministic regardless of OS scheduling.
+//! Each lane is a stackful coroutine on the thread that calls
+//! [`Engine::run_client`]: it runs on a stack of its own, and switching
+//! lanes saves six callee-saved registers and swaps the stack pointer — no
+//! OS thread parks and none is spawned. The lane that parks makes the next
+//! scheduling decision itself, inside its hook's `post` or `timer`: it
+//! keeps running when the completion delivered is its own (every park at
+//! K = 1), and otherwise switches straight to the chosen lane's stack. A
+//! finished lane switches back to `run_client`, which picks the next lane
+//! and returns once every lane has finished. Scheduler state is a `RefCell`
+//! that no one borrows across a switch, and nothing reads a wall clock, so
+//! runs are deterministic with no OS scheduler in the loop. A lane body runs
+//! under `catch_unwind`, so a crashed lane finishes like any other. K = 1
+//! through the engine reproduces serial timing byte for byte
+//! (`tests/engine.rs`). The determinism argument is DESIGN.md §10.
 //!
-//! One `Mutex` guards that state: the `Qp`, each lane's one pending event
-//! and a one-slot mailbox per lane. A lane that finishes does so after
-//! `catch_unwind`, so a crashed lane hands the baton on too. Self-resume is
-//! every park at K = 1 and most `acquire_with` polls at K > 1. Waking after
-//! the unlock costs one futex hand-off per switch ([`ClientRun::handoffs`]);
-//! waking under the lock — a `Condvar` on the same mutex — measured slower,
-//! as the woken lane pre-empts the waker and blocks on the lock it still
-//! holds. A wake-up says only "look in your mailbox", so a spurious or early
-//! one is harmless. K = 1 through the engine reproduces serial timing byte
-//! for byte (`tests/engine.rs`). The determinism argument is DESIGN.md §10.
+//! The stacks and the switch are x86_64 Linux code, and the crate does not
+//! build for another target.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[allow(unsafe_code)]
+mod stack;
+
 use std::any::Any;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, Thread};
+use std::rc::Rc;
 
 use dmem::qp::{self, LaneHook, WqeOutcome, WqeTicket};
 use dmem::{NetConfig, Qp, QpStats};
+
+use stack::{Handle, Lane, Origin};
 
 /// How a lane's execution ended.
 pub type LaneResult<T> = Result<T, Box<dyn Any + Send>>;
@@ -66,9 +69,10 @@ pub struct ClientRun<T> {
     /// The client's queue-pair statistics (doorbells, batch sizes, CQ
     /// depths) accumulated across all lanes.
     pub qp: QpStats,
-    /// Times the baton moved from one lane's thread to another's: at most
-    /// one per park and one per finished lane, and 0 at K = 1. A host-side
-    /// cost count — exact and repeatable, but no part of the virtual model.
+    /// Times a lane was resumed right after a different lane suspended or
+    /// finished: at most one per park and one per finished lane, and 0 at
+    /// K = 1. A host-side cost count — exact and repeatable, but no part of
+    /// the virtual model.
     pub handoffs: u64,
 }
 
@@ -107,7 +111,7 @@ impl Default for EngineConfig {
 /// lane at the scheduler.
 pub type LaneBody<T> = Box<dyn FnOnce() -> T + Send>;
 
-/// Why the running lane gives up the baton.
+/// Why the running lane gives up its turn.
 enum Yield {
     /// It posts a WQE (the arguments of [`Qp::post_wqe`], in order) and
     /// waits for the completion.
@@ -123,18 +127,15 @@ enum Yield {
 /// when all it waited for was its first turn or a timer.
 type Resume = Option<WqeOutcome>;
 
-/// The scheduler state of one client run. Only the baton holder locks it.
+/// The scheduler state of one client run.
 struct Sched {
     qp: Qp,
     /// Per lane, the virtual time the event it is parked on completes, and
     /// the ticket to reap then if that event is a WQE. A lane has at most
     /// one.
     pending: Vec<Option<(u64, Option<WqeTicket>)>>,
-    /// Per lane, the payload left by whoever handed it the baton.
-    mailbox: Vec<Option<Resume>>,
     /// Lanes `0..started` have been given their first turn.
     started: usize,
-    handoffs: u64,
 }
 
 impl Sched {
@@ -168,82 +169,72 @@ impl Sched {
     }
 }
 
-/// The baton: the scheduler state plus the lane threads to wake.
-struct Baton {
-    sched: Mutex<Sched>,
-    /// The lane threads, set once they are all spawned and before the
-    /// baton is first passed.
-    threads: OnceLock<Vec<Thread>>,
+/// What `run_client` and the lanes' hooks share.
+struct Shared {
+    sched: RefCell<Sched>,
+    /// The lanes as switch targets, in lane order.
+    lanes: OnceCell<Vec<Handle>>,
+    /// What the lane being switched to resumes with.
+    resume: Cell<Resume>,
+    /// The lane that just finished, for `run_client` to book.
+    finished: Cell<Option<usize>>,
+    handoffs: Cell<u64>,
 }
 
-impl Baton {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Sched> {
-        self.sched
-            .lock()
-            .expect("a lane panicked inside the scheduler")
-    }
-
-    /// Runs a scheduling step on behalf of `from` — a lane giving up the
-    /// baton, or `None` for the thread that starts the run — and hands the
-    /// baton to the lane it picks. Returns the payload instead when that
-    /// lane is the caller itself, which then simply keeps running.
-    fn pass(&self, from: Option<(usize, Yield)>) -> Option<Resume> {
-        let from_lane = from.as_ref().map(|&(lane, _)| lane);
-        let mut sched = self.lock();
-        let (next, resume) = sched.step(from)?;
-        if from_lane == Some(next) {
-            return Some(resume);
-        }
-        sched.mailbox[next] = Some(resume);
-        sched.handoffs += u64::from(from_lane.is_some());
-        // Wake only after unlocking: a lane woken while the waker still
-        // holds the lock pre-empts it, blocks on that lock and turns one
-        // thread switch into three.
-        drop(sched);
-        self.threads.get().expect("lane threads registered")[next].unpark();
-        None
-    }
-
-    /// Blocks lane `lane`'s thread until the baton reaches it.
-    fn wait(&self, lane: usize) -> Resume {
-        loop {
-            // The wake-up token makes an `unpark` that came first return
-            // at once; the mailbox check absorbs spurious wake-ups.
-            thread::park();
-            if let Some(resume) = self.lock().mailbox[lane].take() {
-                return resume;
-            }
-        }
-    }
-
-    /// Parks lane `lane` on `event` and returns what resumes it.
-    fn park(&self, lane: usize, event: Yield) -> Resume {
-        self.pass(Some((lane, event)))
-            .unwrap_or_else(|| self.wait(lane))
+impl Shared {
+    /// Gives the next turn to `lane`, which resumes with `resume`; a
+    /// `handoff` when the previous turn was another lane's. Returns the lane
+    /// to switch to.
+    fn turn_to(&self, lane: usize, resume: Resume, handoff: bool) -> &Handle {
+        self.handoffs.set(self.handoffs.get() + u64::from(handoff));
+        self.resume.set(resume);
+        &self
+            .lanes
+            .get()
+            .expect("lanes registered before the first turn")[lane]
     }
 }
 
-/// The [`LaneHook`] installed on each lane thread: turns verb and timer
-/// boundaries into baton passes.
+/// The [`LaneHook`] each lane installs: turns verb and timer boundaries
+/// into scheduling steps.
 struct EngineHook {
     lane: usize,
-    baton: Arc<Baton>,
+    shared: Rc<Shared>,
+}
+
+impl EngineHook {
+    /// Parks the lane on `event` and returns what resumes it: at once when
+    /// the next completion is its own, else after another lane hands the
+    /// turn back.
+    fn park(&self, event: Yield) -> Resume {
+        let step = self
+            .shared
+            .sched
+            .borrow_mut()
+            .step(Some((self.lane, event)));
+        let (next, resume) = step.expect("a parked lane is pending");
+        if next == self.lane {
+            return resume;
+        }
+        stack::switch_to(self.shared.turn_to(next, resume, true));
+        self.shared.resume.take()
+    }
 }
 
 impl LaneHook for EngineHook {
     fn post(&mut self, now_ns: u64, mn: u16, msgs: u64, wire_bytes: u64, trace: u64) -> WqeOutcome {
-        let event = Yield::Verb(now_ns, mn, msgs, wire_bytes, trace);
-        let resume = self.baton.park(self.lane, event);
+        let resume = self.park(Yield::Verb(now_ns, mn, msgs, wire_bytes, trace));
         resume.expect("a posted WQE resumes with its completion")
     }
 
     fn timer(&mut self, now_ns: u64, dt_ns: u64) {
-        self.baton.park(self.lane, Yield::Timer(now_ns + dt_ns));
+        self.park(Yield::Timer(now_ns + dt_ns));
     }
 
-    /// Only the running lane calls this, and it holds no lock while it runs.
+    /// Only the running lane calls this, and no one holds the borrow across
+    /// a switch.
     fn cq_depth(&self) -> u64 {
-        self.baton.lock().qp.outstanding_len()
+        self.shared.sched.borrow().qp.outstanding_len()
     }
 }
 
@@ -279,56 +270,65 @@ impl Engine {
         let lanes = bodies.len();
         assert!(lanes > 0, "a client needs at least one lane");
         assert_eq!(lanes, self.cfg.lanes, "lane bodies must match the engine's lanes");
-        let baton = Arc::new(Baton {
-            sched: Mutex::new(Sched {
+        let shared = Rc::new(Shared {
+            sched: RefCell::new(Sched {
                 qp: Qp::new(net, mns),
                 pending: (0..lanes).map(|_| None).collect(),
-                mailbox: (0..lanes).map(|_| None).collect(),
                 started: 0,
-                handoffs: 0,
             }),
-            threads: OnceLock::new(),
+            lanes: OnceCell::new(),
+            resume: Cell::new(None),
+            finished: Cell::new(None),
+            handoffs: Cell::new(0),
         });
-        // Every lane thread starts out waiting for the baton.
-        let joins: Vec<_> = bodies
+        let results: Vec<Cell<Option<LaneResult<T>>>> =
+            (0..lanes).map(|_| Cell::new(None)).collect();
+        let origin = Origin::new();
+        let coroutines: Vec<Lane<'_>> = bodies
             .into_iter()
+            .zip(&results)
             .enumerate()
-            .map(|(lane, body)| {
-                let baton = Arc::clone(&baton);
-                thread::Builder::new()
-                    .name(format!("lane-{lane}"))
-                    .spawn(move || {
-                        baton.wait(lane);
-                        let hook = EngineHook {
-                            lane,
-                            baton: Arc::clone(&baton),
-                        };
-                        qp::install_lane_hook(Box::new(hook));
-                        let result = catch_unwind(AssertUnwindSafe(body));
-                        drop(qp::uninstall_lane_hook());
-                        // Outside `catch_unwind`, so a crashed lane hands
-                        // the baton on like any other.
-                        baton.pass(Some((lane, Yield::Finished)));
-                        result
-                    })
-                    .expect("spawn lane thread")
+            .map(|(lane, (body, slot))| {
+                let shared = Rc::clone(&shared);
+                Lane::new(&origin, move || {
+                    let hook = EngineHook {
+                        lane,
+                        shared: Rc::clone(&shared),
+                    };
+                    qp::install_lane_hook(Box::new(hook));
+                    let result = catch_unwind(AssertUnwindSafe(body));
+                    drop(qp::uninstall_lane_hook());
+                    slot.set(Some(result));
+                    shared.finished.set(Some(lane));
+                })
             })
             .collect();
-        let threads = joins.iter().map(|j| j.thread().clone()).collect();
-        baton.threads.set(threads).expect("threads registered once");
-        baton.pass(None);
-        // The lanes pass the baton among themselves; each thread ends when
-        // its lane has finished and handed on.
-        let results = joins
-            .into_iter()
-            .map(|j| j.join().expect("lane thread poisoned past catch_unwind"))
-            .collect();
-        let mut sched = baton.lock();
+        let handles = coroutines.iter().map(Lane::handle).collect();
+        assert!(shared.lanes.set(handles).is_ok(), "lanes registered once");
+        // Lanes hand the turn among themselves and come back here only to
+        // finish; the first turn and each finish are booked here.
+        let mut from = None;
+        loop {
+            let after_finish = from.is_some();
+            let step = shared.sched.borrow_mut().step(from.take());
+            let Some((lane, resume)) = step else { break };
+            origin.enter(shared.turn_to(lane, resume, after_finish));
+            let done = shared
+                .finished
+                .take()
+                .expect("only a finished lane comes back");
+            from = Some((done, Yield::Finished));
+        }
+        drop(coroutines);
+        let mut sched = shared.sched.borrow_mut();
         sched.qp.finish();
         ClientRun {
-            lanes: results,
+            lanes: results
+                .into_iter()
+                .map(|r| r.into_inner().expect("every lane finished"))
+                .collect(),
             qp: sched.qp.stats().clone(),
-            handoffs: sched.handoffs,
+            handoffs: shared.handoffs.get(),
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Shared by the engine suites: a watchdog so a lost wake-up fails the
-//! test instead of hanging `cargo test`.
+//! Shared by the engine suites: a watchdog so a scheduler that never
+//! finishes fails the test instead of hanging `cargo test`.
 
 #![allow(clippy::disallowed_methods, reason = "the watchdog bounds real time by design")]
 
@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 const LIMIT: Duration = Duration::from_secs(10);
 
 /// Runs `f` on its own thread and returns its result; panics if it has not
-/// finished within [`LIMIT`] (a wedged engine leaves its threads parked,
-/// which the failing test process then takes down with it).
+/// finished within [`LIMIT`] (a wedged engine keeps spinning or blocking
+/// on its thread, which the failing test process then takes down with it).
 pub fn watchdog<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
     let start = Instant::now();
     let run = thread::spawn(f);

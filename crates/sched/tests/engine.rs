@@ -1,6 +1,8 @@
 //! Engine behaviour: serial equivalence at K=1, round-trip overlap at K>1,
 //! interleaving, determinism, lane-death isolation, the CQ depth a lane
-//! reads, and the configured lane count.
+//! reads, and the configured lane count; and the execution model: lanes
+//! run on the caller's thread, on stacks as deep as a thread's, that a
+//! backtrace can walk, and never reach the local lock table's condvar.
 
 mod common;
 
@@ -274,5 +276,110 @@ fn symmetric_lanes_take_turns() {
     assert!(
         pos.windows(2).any(|w| w[1] != w[0] + 1),
         "expected interleaving, got {log:?}"
+    );
+}
+
+/// `k` lane bodies that each run `f` on an endpoint of their own.
+fn lanes_of<T: Send + 'static>(
+    pool: &Arc<Pool>,
+    k: usize,
+    f: fn(&mut Endpoint) -> T,
+) -> Vec<LaneBody<T>> {
+    (0..k)
+        .map(|_| {
+            let pool = Arc::clone(pool);
+            Box::new(move || f(&mut Endpoint::new(pool))) as LaneBody<T>
+        })
+        .collect()
+}
+
+/// Bytes of stack [`park_deep`] fills: over a mebibyte.
+const DEEP_BYTES: usize = 5 << 18;
+
+/// Fills [`DEEP_BYTES`] of the lane's stack with ones, parks on a read into
+/// its first bytes while the sibling lanes run, then counts the pages whose
+/// first byte still reads one.
+#[inline(never)]
+fn park_deep(ep: &mut Endpoint) -> usize {
+    let mut deep = [1u8; DEEP_BYTES];
+    std::hint::black_box(&mut deep);
+    ep.read(GlobalAddr::new(0, RESERVED_BYTES), &mut deep[..8]);
+    std::hint::black_box(&deep)
+        .iter()
+        .step_by(4096)
+        .filter(|&&b| b == 1)
+        .count()
+}
+
+#[test]
+fn lanes_run_on_the_callers_thread() {
+    let pool = Pool::with_defaults(1, 1 << 20);
+    let engine = Engine::new(EngineConfig { lanes: 4 });
+    let bodies = lanes_of(&pool, 4, |ep| {
+        ep.read(GlobalAddr::new(0, RESERVED_BYTES), &mut [0u8; 8]);
+        std::thread::current().id()
+    });
+    let net = *pool.net();
+    let (caller, lanes) = watchdog(move || {
+        let caller = std::thread::current().id();
+        (caller, engine.run_client(net, 1, bodies).into_results())
+    });
+    assert_eq!(lanes, vec![caller; 4]);
+}
+
+#[test]
+fn a_lane_may_use_a_mebibyte_of_stack() {
+    // Both lanes park with over 1 MiB of their stacks in use, and find it
+    // intact when they resume.
+    let pool = Pool::with_defaults(1, 1 << 20);
+    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let bodies = lanes_of(&pool, 2, park_deep);
+    let net = *pool.net();
+    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    // The read overwrote the first page's first byte with the pool's zeroes.
+    assert_eq!(run.into_results(), vec![DEEP_BYTES / 4096 - 1; 2]);
+}
+
+/// A frame a lane's backtrace must show.
+#[inline(never)]
+fn backtrace_from_a_lane(ep: &mut Endpoint) -> String {
+    ep.read(GlobalAddr::new(0, RESERVED_BYTES), &mut [0u8; 8]);
+    std::hint::black_box(std::backtrace::Backtrace::force_capture().to_string())
+}
+
+#[test]
+fn a_backtrace_taken_on_a_lane_ends_at_its_stack() {
+    let pool = Pool::with_defaults(1, 1 << 20);
+    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let bodies = lanes_of(&pool, 2, backtrace_from_a_lane);
+    let net = *pool.net();
+    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    for trace in run.into_results() {
+        assert!(
+            trace.contains("backtrace_from_a_lane"),
+            "the lane's own frame is in its backtrace:\n{trace}"
+        );
+    }
+}
+
+#[test]
+fn a_lane_that_blocks_on_the_local_lock_table_fails_loudly() {
+    let pool = Pool::with_defaults(1, 1 << 20);
+    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let table = Arc::new(dmem::LocalLockTable::new());
+    let mut bodies = vec![reader(Arc::clone(&pool), 1)];
+    bodies.push(Box::new(move || {
+        drop(table.acquire(RESERVED_BYTES));
+        (0, 0)
+    }));
+    let net = *pool.net();
+    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    assert!(run.lanes[0].is_ok());
+    let payload = run.lanes[1].as_ref().expect_err("acquire panics on a lane");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(
+            &"LocalLockTable::acquire blocks the thread all lanes share: a lane takes acquire_with"
+        )
     );
 }
