@@ -23,7 +23,7 @@ use obs::{
     Anomaly, HistogramSummary, LatencyHist, MetricsSnapshot, OpProfile, Phase,
     RetryCause, TimeSeries, Tracer,
 };
-use sched::{Engine, EngineConfig, LaneBody};
+use sched::{Engine, EngineConfig};
 use ycsb::{KeySpace, Op, OpGen, Workload, WorkloadState};
 
 /// Op-type labels, indexed by the RDWC discriminant (read=0, update=1,
@@ -594,25 +594,20 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
     let active_per_cn = setup.clients.div_ceil(num_cns);
     for (cn_id, all_clients) in dep.cns.iter_mut().enumerate() {
         let n_clients = active_per_cn.min(all_clients.len() / k);
-        // Lane bodies are owned `'static` closures (`LaneBody`), so the
-        // active handles move out of the deployment and back in afterwards.
-        let mut slots: Vec<Option<Handle>> =
-            std::mem::take(all_clients).into_iter().map(Some).collect();
-        for ci in 0..n_clients {
+        for (ci, handles) in all_clients.chunks_exact_mut(k).take(n_clients).enumerate() {
             let client_ops = ops_per_cn / n_clients as u64
                 + u64::from((ci as u64) < ops_per_cn % n_clients as u64);
-            // What a lane hands back: its client handle, the (op, latency)
-            // samples it measured, and its busy time.
-            type LaneReturn = (Handle, Vec<(u8, u64)>, u64);
-            let mut bodies: Vec<LaneBody<LaneReturn>> = Vec::with_capacity(k);
-            let mut before: Vec<HandleSnap> = Vec::with_capacity(k);
             // Logical-client index across CNs; traced clients get one
             // tracer per lane so every lane is its own Perfetto track.
             let gci = cn_id * active_per_cn + ci;
-            for l in 0..k {
-                let mut handle = slots[ci * k + l].take().unwrap();
+            let traced = gci < setup.trace_clients;
+            let mut before: Vec<HandleSnap> = Vec::with_capacity(k);
+            // Each lane borrows its client handle and hands back the
+            // (op, latency) samples it measured and its busy time.
+            let mut bodies = Vec::with_capacity(k);
+            for (l, handle) in handles.iter_mut().enumerate() {
                 before.push(HandleSnap::of(handle.as_ref()));
-                if gci < setup.trace_clients {
+                if traced {
                     handle.set_tracer(Tracer::new((gci * k + l) as u32, 1 << 16));
                 }
                 let lane_ops =
@@ -623,11 +618,11 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                     setup.seed ^ ((cn_id as u64) << 32) ^ (ci * k + l) as u64,
                     setup.theta,
                 );
-                let value = value.clone();
+                let value = &value;
                 // Trace ids carry the lane identity in the high half so
                 // interleaved lanes stay distinguishable in the trace.
                 let trace_base = ((gci * k + l) as u64 + 1) << 32;
-                bodies.push(Box::new(move || {
+                bodies.push(move || {
                     let t_start = handle.clock_ns();
                     let mut lats: Vec<(u8, u64)> = Vec::with_capacity(lane_ops as usize);
                     let mut scan_buf = Vec::new();
@@ -635,18 +630,18 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                         let op = gen.next_op();
                         let disc = op_disc(&op);
                         let lat =
-                            exec_op(handle.as_mut(), op, &value, &mut scan_buf, trace_base | opno);
+                            exec_op(handle.as_mut(), op, value, &mut scan_buf, trace_base | opno);
                         lats.push((disc, lat));
                     }
                     let busy = handle.clock_ns() - t_start;
-                    (handle, lats, busy)
-                }));
+                    (lats, busy)
+                });
             }
             let run = engine.run_client(net, setup.num_mns, bodies);
             qp_total.merge(&run.qp);
             let mut client_busy = 0u64;
-            for (l, res) in run.lanes.into_iter().enumerate() {
-                let (mut handle, lats, busy) = match res {
+            for (l, (res, handle)) in run.lanes.into_iter().zip(handles.iter_mut()).enumerate() {
+                let (lats, busy) = match res {
                     Ok(v) => v,
                     Err(p) => std::panic::resume_unwind(p),
                 };
@@ -654,7 +649,6 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                 for &(disc, lat) in &lats {
                     agg.record(disc, lat);
                 }
-                let traced = gci < setup.trace_clients;
                 let (d, dp) = agg.collect(handle.as_mut(), &before[l], traced);
                 let lane = &mut agg.lanes[l];
                 lane.ops += lats.len() as u64;
@@ -662,14 +656,9 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                 lane.lock_retries += d.lock_retries;
                 lane.backoff_ns += dp.phase(Phase::RetryBackoff).ns;
                 lane.cq_wait_ns += dp.phase(Phase::CqWait).ns;
-                slots[ci * k + l] = Some(handle);
             }
             agg.sum_busy += client_busy;
         }
-        *all_clients = slots
-            .into_iter()
-            .map(|s| s.expect("lane handle returned"))
-            .collect();
     }
     agg.qp = Some(qp_total);
     assemble(setup, dep, agg)

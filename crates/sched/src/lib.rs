@@ -40,10 +40,36 @@
 //!
 //! The stacks and the switch are x86_64 Linux code, and the crate does not
 //! build for another target.
+//!
+//! # Schedule exploration
+//!
+//! [`explore`] re-runs a scenario under every schedule that deviates from
+//! the earliest-completion pick at most `bound` times. A **decision point**
+//! is a scheduling step that finds two or more lanes parked (unstarted lanes
+//! still start in index order); the earliest-completion pick is the
+//! default, and picking any other parked lane is one deviation. The engine
+//! `explore` hands the scenario carries a private **cursor**, which the
+//! scheduling step consults at each decision point: it records the parked
+//! lanes, takes the pick the [`Schedule`] under test names for that point,
+//! else the default, and counts every resume against the run's budget. An
+//! engine from [`Engine::new`] has no cursor and makes the default pick
+//! every time, so a [`Schedule`] with no deviations is exactly what
+//! [`Engine::run_client`] does.
+//!
+//! The search is depth first over the recorded decision points: after each
+//! run, the deepest point that still has an untried lane within the bound
+//! takes that lane, the picks before it stay, and the default follows it.
+//! The scenario builds its state afresh on every run, so a schedule is a
+//! pure function of its deviations and [`replay`] re-runs a reported one.
+//! A run that passes its resume budget has each lane stopped, by unwinding
+//! it, at its next park and fails as *no progress*; a check registered with
+//! [`Engine::watch`] runs at every resume, with every lane parked between
+//! verbs, and fails the run when it fails.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod explore;
 #[allow(unsafe_code)]
 mod stack;
 
@@ -51,11 +77,15 @@ use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use dmem::qp::{self, LaneHook, WqeOutcome, WqeTicket};
 use dmem::{NetConfig, Qp, QpStats};
 
+use explore::Cursor;
 use stack::{Handle, Lane, Origin};
+
+pub use explore::{explore, replay, Exploration, Schedule};
 
 /// How a lane's execution ended.
 pub type LaneResult<T> = Result<T, Box<dyn Any + Send>>;
@@ -106,9 +136,10 @@ impl Default for EngineConfig {
     }
 }
 
-/// A lane body: synchronous client code returning its result. Bodies
-/// create (or capture) their own endpoint; every verb it issues parks the
-/// lane at the scheduler.
+/// A lane body in boxed, owned form: synchronous client code returning its
+/// result. Bodies create (or capture) their own endpoint; every verb it
+/// issues parks the lane at the scheduler. [`Engine::run_client`] takes any
+/// `FnOnce() -> T`, which may borrow.
 pub type LaneBody<T> = Box<dyn FnOnce() -> T + Send>;
 
 /// Why the running lane gives up its turn.
@@ -136,13 +167,16 @@ struct Sched {
     pending: Vec<Option<(u64, Option<WqeTicket>)>>,
     /// Lanes `0..started` have been given their first turn.
     started: usize,
+    /// Under [`explore`], what picks the lane at each decision point.
+    cursor: Option<Arc<Mutex<Cursor>>>,
 }
 
 impl Sched {
     /// The one scheduling step: books what the lane `from` (if any) yielded
     /// for, then picks who runs next — the next unstarted lane, else the
-    /// earliest pending completion (lane index breaks ties) — and reaps that
-    /// completion. `None`: every lane has finished.
+    /// earliest pending completion (lane index breaks ties), or the lane an
+    /// exploration cursor picks — and reaps that completion. `None`: every
+    /// lane has finished.
     fn step(&mut self, from: Option<(usize, Yield)>) -> Option<(usize, Resume)> {
         match from {
             Some((lane, Yield::Verb(now_ns, mn, msgs, wire_bytes, trace))) => {
@@ -157,15 +191,24 @@ impl Sched {
             return Some((self.started - 1, None));
         }
         let parked = self.pending.iter().enumerate();
-        let (t, lane) = parked
-            .filter_map(|(lane, p)| p.as_ref().map(|&(t, _)| (t, lane)))
-            .min()?;
-        let (_, ticket) = self.pending[lane].take().expect("chosen lane is parked");
+        let parked = parked.filter_map(|(lane, p)| p.as_ref().map(|&(t, _)| (t, lane)));
+        let lane = match &self.cursor {
+            None => parked.min()?.1,
+            Some(cursor) => cursor.lock().expect("cursor").pick(parked)?,
+        };
+        let (t, ticket) = self.pending[lane].take().expect("chosen lane is parked");
         let resume = ticket.map(|ticket| self.qp.poll_wqe(ticket));
         // The global frontier advances to `t`: completions at or before it
         // are delivered, so the resumed lane reads a decayed CQ depth.
         self.qp.expire_before(t);
         Some((lane, resume))
+    }
+
+    /// Whether an exploration cursor is stopping the run: a lane that
+    /// parks now unwinds instead.
+    fn stopping(&self) -> bool {
+        let cursor = self.cursor.as_ref();
+        cursor.is_some_and(|c| c.lock().expect("cursor").stopping())
     }
 }
 
@@ -207,6 +250,9 @@ impl EngineHook {
     /// the next completion is its own, else after another lane hands the
     /// turn back.
     fn park(&self, event: Yield) -> Resume {
+        if self.shared.sched.borrow().stopping() {
+            std::panic::resume_unwind(Box::new(explore::Stopped));
+        }
         let step = self
             .shared
             .sched
@@ -241,12 +287,27 @@ impl LaneHook for EngineHook {
 /// The deterministic coroutine engine.
 pub struct Engine {
     cfg: EngineConfig,
+    /// Set only on the engine [`explore`] hands its scenario: every run of
+    /// the scenario's clients picks lanes through it.
+    cursor: Option<Arc<Mutex<Cursor>>>,
 }
 
 impl Engine {
     /// Creates an engine with the given configuration.
     pub fn new(cfg: EngineConfig) -> Self {
-        Engine { cfg }
+        Engine { cfg, cursor: None }
+    }
+
+    /// Runs `check` at every resume of the scenario run this engine belongs
+    /// to — with the lanes parked between verbs, so it sees the memory a
+    /// lane would read next. A failing check stops the run and
+    /// fails its schedule with the check's message.
+    ///
+    /// Panics unless the engine is the one [`explore`] or [`replay`] hands
+    /// its scenario.
+    pub fn watch(&self, check: impl FnMut() -> Result<(), String> + Send + 'static) {
+        let cursor = self.cursor.as_ref().expect("an exploring engine");
+        cursor.lock().expect("cursor").set_watch(Box::new(check));
     }
 
     /// Drives one client's lane bodies to completion over a shared QP
@@ -255,17 +316,20 @@ impl Engine {
     ///
     /// Strict turn-taking: lanes start in index order, each running until
     /// its first verb/timer park; thereafter every park or finish delivers
-    /// the earliest pending completion (ties broken by lane index) and the
-    /// lane it belongs to runs until it parks again or finishes. A lane
-    /// that panics (e.g. an injected crash point) simply finishes with the
-    /// payload as its result; the remaining lanes keep running.
+    /// the earliest pending completion (ties broken by lane index), or the
+    /// pick of an [`explore`] cursor, and the lane it belongs to runs until
+    /// it parks again or finishes. A lane that panics (e.g. an injected
+    /// crash point) simply finishes with the payload as its result; the
+    /// remaining lanes keep running. Bodies may borrow from the caller:
+    /// every lane runs on the caller's thread and has finished when this
+    /// returns.
     ///
     /// Panics unless `bodies` holds exactly [`EngineConfig::lanes`] bodies.
-    pub fn run_client<T: Send + 'static>(
+    pub fn run_client<T, B: FnOnce() -> T>(
         &self,
         net: NetConfig,
         mns: u16,
-        bodies: Vec<LaneBody<T>>,
+        bodies: Vec<B>,
     ) -> ClientRun<T> {
         let lanes = bodies.len();
         assert!(lanes > 0, "a client needs at least one lane");
@@ -275,6 +339,7 @@ impl Engine {
                 qp: Qp::new(net, mns),
                 pending: (0..lanes).map(|_| None).collect(),
                 started: 0,
+                cursor: self.cursor.clone(),
             }),
             lanes: OnceCell::new(),
             resume: Cell::new(None),

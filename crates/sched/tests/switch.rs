@@ -5,8 +5,9 @@
 //! a lane gate).
 
 mod common;
+mod program;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use common::watchdog;
 use dmem::node::RESERVED_BYTES;
@@ -17,70 +18,16 @@ fn engine(lanes: usize) -> Engine {
     Engine::new(EngineConfig { lanes })
 }
 
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_1EB5);
-    z ^ (z >> 31)
-}
-
-const STEPS: usize = 40;
-
-/// One park of the random program: a read or write of 8 or 64 bytes on one
-/// of two MNs, or a timer, chosen by `r`. Logs the lane once it resumes.
-fn park_once(ep: &mut Endpoint, r: u64, lane: usize, log: &Mutex<Vec<usize>>) {
-    let addr = GlobalAddr::new(((r >> 8) % 2) as u16, RESERVED_BYTES);
-    let len = if (r >> 9) & 1 == 0 { 8 } else { 64 };
-    let mut buf = [0u8; 64];
-    match r % 4 {
-        0 | 1 => ep.read(addr, &mut buf[..len]),
-        2 => ep.write(addr, &buf[..len]),
-        _ => ep.advance_clock(50 + (r >> 16) % 400),
-    }
-    log.lock().unwrap().push(lane);
-}
-
-/// A seeded random lane body: `STEPS` steps, each one park or (one time in
-/// eight) a run of one to three parks. Returns its final clock.
-fn program(pool: Arc<Pool>, log: Arc<Mutex<Vec<usize>>>, lane: usize) -> LaneBody<u64> {
-    Box::new(move || {
-        let mut rng = 0xC41E_u64 ^ ((lane as u64) << 20);
-        let mut ep = Endpoint::new(pool);
-        for _ in 0..STEPS {
-            let r = splitmix(&mut rng);
-            if r % 8 == 7 {
-                for _ in 0..1 + (r >> 3) % 3 {
-                    park_once(&mut ep, splitmix(&mut rng), lane, &log);
-                }
-            } else {
-                park_once(&mut ep, r >> 3, lane, &log);
-            }
-        }
-        ep.clock_ns()
-    })
-}
-
 /// Runs the random program on `k` lanes: the resume-order log and the run.
 fn run_program(k: usize) -> (Vec<usize>, ClientRun<u64>) {
-    watchdog(move || {
-        let pool = Pool::with_defaults(2, 1 << 20);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let bodies = (0..k)
-            .map(|l| program(Arc::clone(&pool), Arc::clone(&log), l))
-            .collect();
-        let net = *pool.net();
-        let run = engine(k).run_client(net, 2, bodies);
-        let log = std::mem::take(&mut *log.lock().unwrap());
-        (log, run)
-    })
+    watchdog(move || program::run(&engine(k), k))
 }
 
 #[test]
 fn resume_order_matches_the_channel_engine() {
     let golden = include_str!("golden/resume_order.txt");
     let mut got = String::new();
-    for k in [1usize, 2, 4, 8] {
+    for k in program::LANES {
         let (log, run) = run_program(k);
         let parks = log.len() as u64;
         assert!(
@@ -88,12 +35,7 @@ fn resume_order_matches_the_channel_engine() {
             "K={k}: {} handoffs for {parks} parks",
             run.handoffs
         );
-        let order: String = log.iter().map(|l| l.to_string()).collect();
-        let clocks: Vec<String> = run.into_results().iter().map(u64::to_string).collect();
-        got.push_str(&format!(
-            "k{k} order {order}\nk{k} clocks {}\n",
-            clocks.join(",")
-        ));
+        got.push_str(&program::golden_lines(k, &log, run.into_results()));
     }
     assert_eq!(got, golden, "resume order or lane clocks moved");
 }
@@ -101,7 +43,7 @@ fn resume_order_matches_the_channel_engine() {
 #[test]
 fn one_lane_never_switches_threads() {
     let (log, run) = run_program(1);
-    assert!(log.len() >= STEPS);
+    assert!(log.len() >= program::STEPS);
     assert_eq!(run.handoffs, 0, "K=1 resumes itself at every park");
 }
 

@@ -42,7 +42,7 @@ use std::sync::Arc;
 use chime::{Chime, ChimeClient, ChimeConfig};
 use dmem::{Endpoint, FaultPlan, FaultSession, Pool, QpStats, RangeIndex};
 use obs::{Anomaly, Event, LatencyHist, MetricsSnapshot, OpProfile, Phase, TimeSeries, Tracer};
-use sched::{Engine, EngineConfig, LaneBody};
+use sched::{Engine, EngineConfig};
 use ycsb::KeySpace;
 
 use crate::admission::Admission;
@@ -54,8 +54,8 @@ use crate::proto::Request;
 pub enum OverloadPolicy {
     /// Answer `-BUSY` immediately; no index verbs are issued.
     Shed,
-    /// Poll the CQ depth for up to [`SimConfig::defer_rounds`] queue-wait
-    /// intervals, then shed if the depth never came down.
+    /// Poll the CQ depth for up to four 1 µs queue-wait intervals, then
+    /// shed if the depth never came down.
     Defer,
 }
 
@@ -86,6 +86,18 @@ impl Default for ChaosConfig {
     }
 }
 
+/// Longest pipelined burst a connection emits back-to-back.
+const PIPELINE_WINDOW: usize = 8;
+/// Modeled per-request decode cost, ns.
+const DECODE_NS: u64 = 150;
+/// Modeled per-response encode/write cost, ns.
+const RESPOND_NS: u64 = 200;
+/// One admission or queue-wait poll interval, ns.
+const DEFER_POLL_NS: u64 = 1_000;
+/// Polls before a refused connection gives up, and before a deferred
+/// request is shed anyway.
+const DEFER_ROUNDS: u32 = 4;
+
 /// Configuration of one simulated serving run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -105,22 +117,12 @@ pub struct SimConfig {
     pub value_size: usize,
     /// Connection-admission permits (shared by all workers).
     pub admit_limit: usize,
-    /// Longest pipelined burst a connection emits back-to-back.
-    pub pipeline_window: usize,
     /// CQ-depth watermark above which requests are shed/deferred.
     pub cq_watermark: u64,
     /// What to do over the watermark.
     pub policy: OverloadPolicy,
     /// Mean open-loop inter-arrival gap per connection, virtual ns.
     pub mean_gap_ns: u64,
-    /// Modeled per-request decode cost, ns.
-    pub decode_ns: u64,
-    /// Modeled per-response encode/write cost, ns.
-    pub respond_ns: u64,
-    /// One queue-wait poll interval under [`OverloadPolicy::Defer`], ns.
-    pub defer_poll_ns: u64,
-    /// Queue-wait polls before a deferred request is shed anyway.
-    pub defer_rounds: u32,
     /// Percent of arrivals that are pipelined bursts instead of single
     /// requests.
     pub pipeline_pct: u32,
@@ -143,14 +145,9 @@ impl Default for SimConfig {
             preload: 4_096,
             value_size: 8,
             admit_limit: 1_024,
-            pipeline_window: 8,
             cq_watermark: 12,
             policy: OverloadPolicy::Shed,
             mean_gap_ns: 8_000,
-            decode_ns: 150,
-            respond_ns: 200,
-            defer_poll_ns: 1_000,
-            defer_rounds: 4,
             pipeline_pct: 25,
             trace_events: 0,
             chaos: ChaosConfig::default(),
@@ -280,7 +277,7 @@ impl Rng {
 /// and the wire bytes that carry them.
 fn gen_burst(rng: &mut Rng, cfg: &SimConfig, remaining: usize) -> (usize, Vec<u8>) {
     let burst = if cfg.pipeline_pct > 0 && rng.pct(cfg.pipeline_pct) {
-        (2 + rng.below(cfg.pipeline_window.max(2) as u64 - 1) as usize).min(remaining)
+        (2 + rng.below(PIPELINE_WINDOW as u64 - 1) as usize).min(remaining)
     } else {
         1
     };
@@ -305,19 +302,17 @@ fn gen_burst(rng: &mut Rng, cfg: &SimConfig, remaining: usize) -> (usize, Vec<u8
     (burst, wire)
 }
 
-struct LaneCtx {
-    cfg: SimConfig,
+/// The connection lane `id`: admission, arrival loop, decode,
+/// backpressure, execute, respond. Runs on a coroutine lane — every
+/// virtual-time advance parks it at the scheduler.
+fn run_conn(
+    cfg: &SimConfig,
     id: u32,
-    admission: Arc<Admission>,
-}
-
-/// The connection lane: admission, arrival loop, decode, backpressure,
-/// execute, respond. Runs on a coroutine lane — every virtual-time advance
-/// parks it at the scheduler.
-fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
-    let cfg = &ctx.cfg;
-    let mut rng = Rng::new(cfg.seed, ctx.id as u64 + 1);
-    let mut conn = Conn::new(ctx.id);
+    admission: &Admission,
+    mut client: ChimeClient,
+) -> ConnSummary {
+    let mut rng = Rng::new(cfg.seed, id as u64 + 1);
+    let mut conn = Conn::new(id);
     let mut hist = LatencyHist::new();
     let mut served = 0u64;
     let mut dropped = false;
@@ -327,11 +322,11 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
     client.advance_phase(Phase::Other, rng.below(cfg.mean_gap_ns.max(1)));
 
     // Admission: try, then poll a bounded number of times, then give up.
-    let mut admitted = ctx.admission.try_admit();
+    let mut admitted = admission.try_admit();
     if !admitted {
-        for _ in 0..cfg.defer_rounds {
-            client.advance_phase(Phase::Admission, cfg.defer_poll_ns);
-            if ctx.admission.try_admit() {
+        for _ in 0..DEFER_ROUNDS {
+            client.advance_phase(Phase::Admission, DEFER_POLL_NS);
+            if admission.try_admit() {
                 admitted = true;
                 break;
             }
@@ -339,7 +334,7 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
     }
     if !admitted {
         return ConnSummary {
-            id: ctx.id,
+            id,
             admitted: false,
             counters: conn.counters.clone(),
             served: 0,
@@ -426,9 +421,9 @@ fn run_conn(ctx: LaneCtx, mut client: ChimeClient) -> ConnSummary {
         }
     }
     conn.drain();
-    ctx.admission.release();
+    admission.release();
     ConnSummary {
-        id: ctx.id,
+        id,
         admitted: true,
         counters: conn.counters.clone(),
         served,
@@ -461,7 +456,7 @@ fn serve_one(
     client
         .endpoint_mut()
         .set_trace_id(((conn.id as u64 + 1) << 32) | conn.counters.requests);
-    client.advance_phase(Phase::Decode, cfg.decode_ns);
+    client.advance_phase(Phase::Decode, DECODE_NS);
 
     let depth = dmem::qp::lane_cq_depth();
     let now = client.clock_ns();
@@ -469,8 +464,8 @@ fn serve_one(
     let mut over = depth > cfg.cq_watermark;
     if over && cfg.policy == OverloadPolicy::Defer {
         conn.counters.deferred += 1;
-        for _ in 0..cfg.defer_rounds {
-            client.advance_phase(Phase::QueueWait, cfg.defer_poll_ns);
+        for _ in 0..DEFER_ROUNDS {
+            client.advance_phase(Phase::QueueWait, DEFER_POLL_NS);
             over = dmem::qp::lane_cq_depth() > cfg.cq_watermark;
             if !over {
                 break;
@@ -479,7 +474,7 @@ fn serve_one(
     }
     if over {
         conn.respond(&crate::proto::Response::Busy);
-        client.advance_phase(Phase::Respond, cfg.respond_ns);
+        client.advance_phase(Phase::Respond, RESPOND_NS);
         let now = client.clock_ns();
         client.endpoint_mut().emit(now, Event::Shed);
         return;
@@ -487,7 +482,7 @@ fn serve_one(
 
     let resp = crate::conn::execute(client, req, cfg.value_size);
     conn.respond(&resp);
-    client.advance_phase(Phase::Respond, cfg.respond_ns);
+    client.advance_phase(Phase::Respond, RESPOND_NS);
     hist.record(client.clock_ns() - t0);
     *served += 1;
     let now = client.clock_ns();
@@ -519,7 +514,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         }
     }
 
-    let admission = Arc::new(Admission::new(cfg.admit_limit));
+    let admission = Admission::new(cfg.admit_limit);
     let session = Arc::new(FaultSession::new(
         cfg.faults.clone().unwrap_or_else(|| FaultPlan::seeded(cfg.seed)),
     ));
@@ -538,7 +533,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             break;
         }
         let engine = Engine::new(EngineConfig { lanes });
-        let mut bodies: Vec<LaneBody<ConnSummary>> = Vec::with_capacity(lanes);
+        let mut bodies = Vec::with_capacity(lanes);
         for _l in 0..lanes {
             let id = next_id;
             next_id += 1;
@@ -547,12 +542,8 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 ep.set_tracer(Tracer::new(id, cfg.trace_events));
             }
             let client = tree.client_with_endpoint(&cn, ep);
-            let ctx = LaneCtx {
-                cfg: cfg.clone(),
-                id,
-                admission: Arc::clone(&admission),
-            };
-            bodies.push(Box::new(move || run_conn(ctx, client)));
+            let admission = &admission;
+            bodies.push(move || run_conn(cfg, id, admission, client));
         }
         let run = engine.run_client(net, 1, bodies);
         qp_total.merge(&run.qp);
