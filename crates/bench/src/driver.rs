@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dmem::{
-    Bound, ClientStats, CountHist, Histogram, NetConfig, Pool, QpStats, RangeIndex,
+    Bound, ClientStats, CountHist, Histogram, NetConfig, Pool, QpStats, RangeIndex, Rows,
     RunAccounting,
 };
 use obs::{
@@ -331,13 +331,7 @@ fn op_disc(op: &Op) -> u8 {
 
 /// Dispatches one op on `c` under causal trace id `trace` and returns its
 /// latency on the client's virtual clock.
-fn exec_op(
-    c: &mut dyn RangeIndex,
-    op: Op,
-    value: &[u8],
-    scan_buf: &mut Vec<(u64, Vec<u8>)>,
-    trace: u64,
-) -> u64 {
+fn exec_op(c: &mut dyn RangeIndex, op: Op, value: &[u8], scan_buf: &mut Rows, trace: u64) -> u64 {
     c.endpoint_mut().set_trace_id(trace);
     let t0 = c.clock_ns();
     match op {
@@ -352,7 +346,7 @@ fn exec_op(
         }
         Op::Scan(k, n) => {
             scan_buf.clear();
-            c.scan(k, n, scan_buf);
+            c.scan_rows(k, n, scan_buf);
         }
     }
     c.clock_ns() - t0
@@ -397,7 +391,7 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
             }
         }
         let mut done = 0u64;
-        let mut scan_buf = Vec::new();
+        let mut scan_buf = Rows::new();
         // RDWC: the reads/updates in flight in the current round.
         let mut combined: HashMap<(u8, u64), u64> = HashMap::new();
         while done < ops_per_cn {
@@ -625,7 +619,7 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                 bodies.push(move || {
                     let t_start = handle.clock_ns();
                     let mut lats: Vec<(u8, u64)> = Vec::with_capacity(lane_ops as usize);
-                    let mut scan_buf = Vec::new();
+                    let mut scan_buf = Rows::new();
                     for opno in 0..lane_ops {
                         let op = gen.next_op();
                         let disc = op_disc(&op);

@@ -106,16 +106,17 @@ impl LeafLayout {
 
     /// Logical offsets of the entries `r` in order, without the division
     /// per entry [`Self::entry_off`] pays.
-    pub fn entry_offsets(&self, r: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+    pub fn entry_offsets(&self, r: Range<usize>) -> impl Iterator<Item = usize> + use<> {
         let run = if self.replication { self.h } else { self.span };
         let first = r.start.min(self.span - 1);
         let (mut off, mut j) = (self.entry_off(first), first % run);
+        let (entry, replica) = (self.entry_size(), self.replica_size());
         r.map(move |_| {
             let here = off;
-            off += self.entry_size();
+            off += entry;
             j += 1;
             if j == run {
-                (off, j) = (off + self.replica_size(), 0);
+                (off, j) = (off + replica, 0);
             }
             here
         })

@@ -10,13 +10,17 @@
 //! and sibling chases.
 //!
 //! One codec serves all of them. Whatever was fetched — an entry, a
-//! neighborhood, a hop range, a whole node — passes `validate` once; a
-//! whole image additionally passes the bitmap/occupancy bijection. Lock-free
-//! reads then answer from the fetched slices ([`LeafSnapshot`]); locked
-//! reads copy the covered entries once into a [`Window`], the only mutable
-//! form of leaf content, which carries each slot's EV and dirty mark. Every
-//! write — dirty hop range, new node, node rewrite — leaves through
-//! `encode`, straight into its outgoing buffer.
+//! neighborhood, a hop range, a whole node — passes `validate` once, one
+//! pass over each piece's line slots and entry leads; a whole image
+//! additionally passes the bitmap/occupancy bijection, which compares the
+//! stored bitmaps with those rebuilt from each occupied slot's home.
+//! Lock-free reads then answer from the fetched slices ([`LeafSnapshot`],
+//! its keys and bitmaps decoded once); whole-leaf reads borrow their buffers
+//! from a `LeafReads`, which a scanning client keeps, so its warm scans
+//! allocate nothing. Locked reads copy the covered entries once into a
+//! [`Window`], the only mutable form of leaf content, which carries each
+//! slot's EV and dirty mark. Every write — dirty hop range, new node, node
+//! rewrite — leaves through `encode`, straight into its outgoing buffer.
 //!
 //! Both crash points ([`CRASH_LEAF_LOCKED`], [`CRASH_LEAF_WRITE_BACK`]) sit
 //! before any publish: content and unlock land in one doorbell, so a crash
@@ -24,7 +28,7 @@
 //! crashed operation is a logical no-op, which keeps the chaos oracle exact.
 
 use dmem::hash::home_entry;
-use dmem::versioned::{bump, ev, pack_ver, Fetched, MAX_RANGES};
+use dmem::versioned::{self, bump, ev, pack_ver, Fetched, LINE_PAYLOAD, MAX_RANGES};
 use dmem::{Endpoint, GlobalAddr};
 
 use crate::backoff::Backoff;
@@ -74,7 +78,7 @@ pub enum SpecRead {
 }
 
 /// A consistent whole-leaf snapshot: the validated, de-striped node image
-/// plus its decoded keys. Values, bitmaps and EVs are read from the image.
+/// plus its decoded keys and bitmaps. Values and EVs are read from the image.
 #[derive(Debug)]
 pub struct LeafSnapshot {
     /// Per-entry keys (0 = empty).
@@ -83,6 +87,7 @@ pub struct LeafSnapshot {
     pub nv: u8,
     /// Leaf metadata.
     pub meta: LeafMeta,
+    bitmaps: Vec<u16>,
     layout: LeafLayout,
     image: Fetched,
 }
@@ -95,7 +100,7 @@ impl LeafSnapshot {
 
     /// Hopscotch bitmap of entry `i`.
     pub fn bitmap(&self, i: usize) -> u16 {
-        entry_bitmap(&self.layout, &self.image, i)
+        self.bitmaps[i]
     }
 
     /// Entry-level version of entry `i`.
@@ -131,6 +136,22 @@ impl LeafSnapshot {
             .unwrap_or(ARGMAX_NONE)
     }
 
+    /// Every slot in order, as its key (0 when empty) with the logical
+    /// offset of its stored value ([`Self::value_at`]).
+    pub fn slots(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let l = &self.layout;
+        let value = entry_field::KEY + l.key_size;
+        self.keys
+            .iter()
+            .copied()
+            .zip(l.entry_offsets(0..l.span).map(move |off| off + value))
+    }
+
+    /// The stored value at the logical offset [`Self::slots`] gave.
+    pub fn value_at(&self, off: usize) -> &[u8] {
+        self.image.bytes(off, self.layout.value_size)
+    }
+
     /// All `(key, value)` items in slot order (unsorted by key).
     pub fn items(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
         self.keys
@@ -147,6 +168,41 @@ impl LeafSnapshot {
         load(l, std::slice::from_ref(&self.image), &mut w);
         w
     }
+}
+
+/// A snapshot's buffers: its READ image, keys and bitmaps.
+type Spare = (Vec<u8>, Vec<u64>, Vec<u16>);
+
+/// The buffers whole-leaf reads reuse: the image, key and bitmap vectors of
+/// snapshots handed back (`recycle`), and each round's
+/// bookkeeping. A scanning client keeps one, so a warm scan allocates for
+/// neither.
+#[derive(Debug, Default)]
+pub(crate) struct LeafReads {
+    spare: Vec<Spare>,
+    decoded: Vec<Option<LeafSnapshot>>,
+    pending: Vec<(usize, Spare)>,
+    reqs: Vec<(GlobalAddr, &'static mut [u8])>,
+}
+
+impl LeafReads {
+    /// Takes back `snap`'s buffers for later reads.
+    pub(crate) fn recycle(&mut self, snap: LeafSnapshot) {
+        self.spare
+            .push((snap.image.into_buf(), snap.keys, snap.bitmaps));
+    }
+}
+
+/// `v`'s allocation, re-typed to hold borrows of another lifetime. `v` is
+/// empty, and a vector's in-place `collect` keeps the buffer of the vector
+/// it consumes when the element layouts agree, as they do for two
+/// lifetimes of one type: the work requests of each doorbell reuse one
+/// buffer.
+fn reuse<'b>(v: Vec<(GlobalAddr, &mut [u8])>) -> Vec<(GlobalAddr, &'b mut [u8])> {
+    debug_assert!(v.is_empty());
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 /// `first` and whichever of `rest` are present, packed to the front for
@@ -180,27 +236,38 @@ fn load(l: &LeafLayout, pieces: &[Fetched], w: &mut Window) {
     }
 }
 
-/// Bitmaps and occupancy are a bijection: each set bit lies below `h` and
-/// names a key homed at that entry, and every key is named.
-fn bijective(span: usize, h: usize, key: impl Fn(usize) -> u64, bitmaps: impl Iterator<Item = u16>) -> bool {
-    let mut named = 0;
-    for (home, mut bits) in bitmaps.enumerate() {
-        if u32::from(bits) >> h != 0 {
+/// Bitmaps and occupancy are a bijection: the stored bitmaps equal the
+/// ones rebuilt from each occupied slot's home. Every key lies under `h`
+/// slots from its home and its bit is stored, so the rebuilt bits are a
+/// subset of the stored ones; equal counts leave no stored bit over (a bit
+/// at or above `h`, or one naming an empty or foreign slot).
+fn bijective(
+    span: usize,
+    h: usize,
+    key: impl Fn(usize) -> u64,
+    bitmap: impl Fn(usize) -> u16,
+) -> bool {
+    // Four bitmaps to a word: a quarter of the bit counts.
+    let word = |i: usize| (i..(i + 4).min(span)).fold(0u64, |w, j| w << 16 | u64::from(bitmap(j)));
+    let bits: u32 = (0..span).step_by(4).map(|i| word(i).count_ones()).sum();
+    let mut keys = 0;
+    for pos in 0..span {
+        let k = key(pos);
+        if k == 0 {
+            continue;
+        }
+        let home = home_entry(k, span);
+        let d = if pos >= home {
+            pos - home
+        } else {
+            pos + span - home
+        };
+        if d >= h || bitmap(home) & (1 << d) == 0 {
             return false;
         }
-        while bits != 0 {
-            let pos = home + bits.trailing_zeros() as usize;
-            let k = key(if pos < span { pos } else { pos - span });
-            if k == 0 || home_entry(k, span) != home {
-                return false;
-            }
-            bits &= bits - 1;
-            named += 1;
-        }
+        keys += 1;
     }
-    // Set bits name distinct occupied slots, so equal counts mean every
-    // key is named by its home.
-    named == (0..span).filter(|&i| key(i) != 0).count()
+    keys == bits
 }
 
 fn entry_key(l: &LeafLayout, f: &Fetched, i: usize) -> u64 {
@@ -302,38 +369,83 @@ impl LeafOps {
     /// entry and replica leads) carries one NV and every covered entry is
     /// EV-consistent. Returns that NV with the metadata of the first covered
     /// replica; `None` is a torn read.
+    ///
+    /// One pass per piece walks its entries and line slots together: a
+    /// line's slot at logical `line * 63` belongs to the entry whose bytes
+    /// `[off, off + entry_size)` hold that offset (the slot in front of an
+    /// entry that starts on a payload boundary is the entry's own).
     fn validate(&self, pieces: &[Fetched]) -> Option<(u8, Option<LeafMeta>)> {
         let l = &self.layout;
         let (mut nv, mut meta) = (None, None);
         for p in pieces {
-            let entries = l.entries_in(p.lstart(), p.lend());
-            let mut replicas = l.replicas_in(p.lstart(), p.lend()).map(|k| l.replica_off(k));
-            let leads = l.entry_offsets(entries.clone()).chain(replicas.clone());
-            let piece_nv = p.check_nv(leads)?;
-            if *nv.get_or_insert(piece_nv) != piece_nv
-                || !l.entry_offsets(entries).all(|off| p.check_ev(off, off + l.entry_size()))
-            {
+            let ((first_line, slots), (a, b)) = (p.line_slots(), (p.lstart(), p.lend()));
+            let payload = p.bytes(a, b - a);
+            let ver = |off: usize| payload[off - a];
+            let entries = || l.entry_offsets(l.entries_in(a, b));
+            let replicas = l.replicas_in(a, b).map(|k| l.replica_off(k));
+            // The NV to match: the piece's first line slot, else its first
+            // lead; a piece without a version byte is no read.
+            let first = slots
+                .first()
+                .copied()
+                .or_else(|| entries().chain(replicas.clone()).next().map(ver))?;
+            let piece_nv = *nv.get_or_insert(versioned::nv(first));
+            let (mut next, esize) = (first_line * LINE_PAYLOAD, l.entry_size());
+            let mut slots = slots.iter();
+            for off in entries() {
+                let lead = ver(off);
+                if versioned::nv(lead) != piece_nv {
+                    return None;
+                }
+                // The slots before the entry carry the NV, those inside it
+                // the whole lead byte (NV and EV).
+                while next < off + esize {
+                    let Some(&v) = slots.next() else { break };
+                    let carried = if next < off {
+                        versioned::nv(v) == piece_nv
+                    } else {
+                        v == lead
+                    };
+                    if !carried {
+                        return None;
+                    }
+                    next += LINE_PAYLOAD;
+                }
+            }
+            if slots.any(|&v| versioned::nv(v) != piece_nv) {
                 return None;
             }
-            meta = meta.or_else(|| Some(self.parse_meta(p, replicas.next()?)));
+            for off in replicas {
+                if versioned::nv(ver(off)) != piece_nv {
+                    return None;
+                }
+                meta = meta.or_else(|| Some(self.parse_meta(p, off)));
+            }
         }
         Some((nv?, meta))
     }
 
-    /// Validates a whole-leaf image and decodes it: [`Self::validate`] plus
-    /// the bitmap/occupancy bijection. `None` is a torn or intermediate
-    /// image.
-    fn decode(&self, image: Fetched) -> Option<LeafSnapshot> {
+    /// Validates a whole-leaf image and decodes its keys and bitmaps into
+    /// the vectors of `spare`: [`Self::validate`] plus the bitmap/occupancy
+    /// bijection. `None` is a torn or intermediate image.
+    fn decode(&self, image: Fetched, (_, mut keys, mut bitmaps): Spare) -> Option<LeafSnapshot> {
         let l = &self.layout;
         debug_assert_eq!((image.lstart(), image.lend()), (0, l.payload_len()));
         let (nv, meta) = self.validate(std::slice::from_ref(&image))?;
-        let field = |f: usize| l.entry_offsets(0..l.span).map(move |off| off + f);
-        let keys: Vec<u64> = field(entry_field::KEY).map(|at| image.u64_at(at)).collect();
-        let bitmaps = field(entry_field::BITMAP).map(|at| image.u16_at(at));
-        bijective(l.span, l.h, |i| keys[i], bitmaps).then(|| LeafSnapshot {
+        keys.clear();
+        keys.resize(l.span, 0);
+        bitmaps.clear();
+        bitmaps.resize(l.span, 0);
+        let fields = keys.iter_mut().zip(&mut bitmaps);
+        for ((key, bitmap), off) in fields.zip(l.entry_offsets(0..l.span)) {
+            *key = image.u64_at(off + entry_field::KEY);
+            *bitmap = image.u16_at(off + entry_field::BITMAP);
+        }
+        bijective(l.span, l.h, |i| keys[i], |i| bitmaps[i]).then(|| LeafSnapshot {
             nv,
             meta: meta.expect("a whole image holds replica 0"),
             keys,
+            bitmaps,
             layout: *l,
             image,
         })
@@ -459,53 +571,92 @@ impl LeafOps {
         SpecRead::Torn
     }
 
-    /// Whole-leaf read with full validation (chases, scans).
+    /// Whole-leaf read with full validation (chases).
     pub fn read_full(&self, ep: &mut Endpoint, addr: GlobalAddr) -> LeafSnapshot {
-        let mut snaps = self.read_full_rounds(ep, &[addr], addr.raw());
+        let mut snaps = Vec::with_capacity(1);
+        self.read_full_rounds(
+            ep,
+            &[addr],
+            addr.raw(),
+            &mut LeafReads::default(),
+            &mut snaps,
+        );
         snaps.pop().expect("one snapshot per address")
     }
 
-    /// Whole-leaf reads of several nodes with one doorbell batch per round;
-    /// torn leaves are re-fetched in follow-up rounds (scans).
-    pub fn read_full_batch(&self, ep: &mut Endpoint, addrs: &[GlobalAddr]) -> Vec<LeafSnapshot> {
-        self.read_full_rounds(ep, addrs, addrs.len() as u64)
+    /// Whole-leaf reads of several nodes with one doorbell batch per round,
+    /// appended to `out` in `addrs` order; torn leaves are re-fetched in
+    /// follow-up rounds (scans). `reads` lends the buffers.
+    pub(crate) fn read_full_batch(
+        &self,
+        ep: &mut Endpoint,
+        addrs: &[GlobalAddr],
+        reads: &mut LeafReads,
+        out: &mut Vec<LeafSnapshot>,
+    ) {
+        self.read_full_rounds(ep, addrs, addrs.len() as u64, reads, out);
     }
 
     /// The whole-leaf read loop: each round READs every still-pending leaf
     /// in one doorbell batch and keeps the images that decode; `site`
     /// seeds the backoff between rounds.
-    fn read_full_rounds(&self, ep: &mut Endpoint, addrs: &[GlobalAddr], site: u64) -> Vec<LeafSnapshot> {
+    fn read_full_rounds(
+        &self,
+        ep: &mut Endpoint,
+        addrs: &[GlobalAddr],
+        site: u64,
+        reads: &mut LeafReads,
+        out: &mut Vec<LeafSnapshot>,
+    ) {
         let layout = self.layout.versioned();
         let (pstart, pend) = layout.phys_range(0, layout.payload_len());
-        let mut out: Vec<Option<LeafSnapshot>> = addrs.iter().map(|_| None).collect();
+        let LeafReads {
+            spare,
+            decoded,
+            pending,
+            reqs,
+        } = reads;
+        decoded.clear();
+        decoded.resize_with(addrs.len(), || None);
         let mut backoff = Backoff::new(ep.client_id() as u64 ^ site);
         for round in 0.. {
             assert!(round < 1_000_000, "full leaf read livelock at {addrs:?}");
             // The leaves still without a snapshot, each with a READ buffer.
-            let undecoded = out.iter().enumerate().filter(|(_, snap)| snap.is_none());
-            let mut raw: Vec<(usize, Vec<u8>)> =
-                undecoded.map(|(i, _)| (i, vec![0u8; pend - pstart])).collect();
-            if raw.is_empty() {
+            pending.clear();
+            for (i, _) in decoded
+                .iter()
+                .enumerate()
+                .filter(|(_, snap)| snap.is_none())
+            {
+                let mut buffers: Spare = spare.pop().unwrap_or_default();
+                buffers.0.resize(pend - pstart, 0);
+                pending.push((i, buffers));
+            }
+            if pending.is_empty() {
                 break;
             }
             if round > 0 {
                 backoff.wait(ep);
             }
-            {
-                let mut reqs: Vec<(GlobalAddr, &mut [u8])> = raw
+            let mut batch = reuse(std::mem::take(reqs));
+            batch.extend(
+                pending
                     .iter_mut()
-                    .map(|(i, buf)| (addrs[*i].add(pstart as u64), &mut buf[..]))
-                    .collect();
-                ep.read_batch(&mut reqs);
-            }
-            for (i, buf) in raw {
-                out[i] = self.decode(layout.from_raw(0, layout.payload_len(), buf));
-                if out[i].is_none() {
+                    .map(|(i, (image, ..))| (addrs[*i].add(pstart as u64), &mut image[..])),
+            );
+            ep.read_batch(&mut batch);
+            batch.clear();
+            *reqs = reuse(batch);
+            for (i, mut buffers) in pending.drain(..) {
+                let image =
+                    layout.from_raw(0, layout.payload_len(), std::mem::take(&mut buffers.0));
+                decoded[i] = self.decode(image, buffers);
+                if decoded[i].is_none() {
                     ep.note_torn_read();
                 }
             }
         }
-        out.into_iter().map(|s| s.expect("every leaf decoded")).collect()
+        out.extend(decoded.drain(..).map(|s| s.expect("every leaf decoded")));
     }
 
     // ----- locking ---------------------------------------------------------
@@ -740,9 +891,8 @@ impl LeafOps {
             // Whole node: bitmaps must describe the occupancy, and the true
             // maximum is at hand (also covers the no-piggyback mode, where
             // argmax is unavailable).
-            let bitmaps = (0..l.span).map(|i| w.slot(i).2);
             assert!(
-                bijective(l.span, l.h, |i| w.slot(i).0, bitmaps),
+                bijective(l.span, l.h, |i| w.slot(i).0, |i| w.slot(i).2),
                 "locked leaf read observed a torn image"
             );
             (w.max_key(), None)

@@ -448,8 +448,9 @@ fn torn_ev_targets(l: &LeafLayout) -> (Vec<usize>, Vec<usize>) {
     (straddling, on_boundary)
 }
 
-/// Applies one adversarial tear (or none) to a physical leaf image.
-fn tear(rng: &mut SmallRng, l: &LeafLayout, phys: &mut [u8]) {
+/// Applies one adversarial tear (or none) to a physical leaf image; `true`
+/// when it left a mid-hop state every whole-leaf decode must reject.
+fn tear(rng: &mut SmallRng, l: &LeafLayout, phys: &mut [u8]) -> bool {
     let layout = l.versioned();
     let flip_nv = |b: &mut u8| *b ^= 0x10;
     let flip_ev = |b: &mut u8| *b ^= 0x01;
@@ -459,7 +460,23 @@ fn tear(rng: &mut SmallRng, l: &LeafLayout, phys: &mut [u8]) {
         rng.gen_range(lines) * 64
     };
     let (straddling, on_boundary) = torn_ev_targets(l);
-    match rng.gen_range(0..8u32) {
+    // Payload fields, read and written through the stripes.
+    let field = |i: usize, f: usize, b: usize| layout.phys_of(l.entry_off(i) + f + b);
+    let key_at = |phys: &[u8], i: usize| {
+        u64::from_le_bytes(std::array::from_fn(|b| phys[field(i, entry_field::KEY, b)]))
+    };
+    let set_key = |phys: &mut [u8], i: usize, k: u64| {
+        for (b, byte) in k.to_le_bytes().into_iter().enumerate() {
+            phys[field(i, entry_field::KEY, b)] = byte;
+        }
+    };
+    let bitmap_at = |phys: &[u8], i: usize| {
+        u16::from_le_bytes(std::array::from_fn(|b| {
+            phys[field(i, entry_field::BITMAP, b)]
+        }))
+    };
+    let occupied: Vec<usize> = (0..l.span).filter(|&i| key_at(phys, i) != 0).collect();
+    match rng.gen_range(0..10u32) {
         0 => flip_nv(&mut phys[rng.gen_range(0..layout.lines()) * 64]),
         1 => flip_nv(&mut phys[layout.phys_of(l.entry_off(rng.gen_range(0..l.span)))]),
         2 if !straddling.is_empty() => {
@@ -488,20 +505,54 @@ fn tear(rng: &mut SmallRng, l: &LeafLayout, phys: &mut [u8]) {
                 phys[layout.phys_of(off + b)] = 0;
             }
         }
+        7 if !occupied.is_empty() => {
+            // A key copied into a second slot without its bit (mid-hop
+            // state): a slot its home's bitmap does not name.
+            let i = occupied[rng.gen_range(0..occupied.len())];
+            let (k, span) = (key_at(phys, i), l.span);
+            let home = home_entry(k, span);
+            let named = |j: usize| {
+                cyc_dist(home, j, span) < l.h
+                    && bitmap_at(phys, home) >> cyc_dist(home, j, span) & 1 != 0
+            };
+            let unnamed: Vec<usize> = (0..span).filter(|&j| !named(j)).collect();
+            set_key(phys, unnamed[rng.gen_range(0..unnamed.len())], k);
+            return true;
+        }
+        8 if !occupied.is_empty() => {
+            // A key moved H or more slots from its home, its bit cleared
+            // (mid-hop state).
+            let i = occupied[rng.gen_range(0..occupied.len())];
+            let (k, span) = (key_at(phys, i), l.span);
+            let home = home_entry(k, span);
+            let far: Vec<usize> = (l.h..span)
+                .map(|d| (home + d) % span)
+                .filter(|&j| key_at(phys, j) == 0)
+                .collect();
+            if far.is_empty() {
+                return false;
+            }
+            set_key(phys, i, 0);
+            set_key(phys, far[rng.gen_range(0..far.len())], k);
+            let d = cyc_dist(home, i, span);
+            phys[field(home, entry_field::BITMAP, d / 8)] &= !(1 << (d % 8));
+            return true;
+        }
         _ => {}
     }
+    false
 }
 
 #[test]
 fn unified_decoder_matches_the_per_byte_decoder() {
     let (mut accepted, mut rejected) = (0, 0);
-    for seed in 0..400u64 {
+    for seed in 0..500u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let ops = LeafOps::new(random_layout(&mut rng));
         let l = ops.layout;
         let layout = l.versioned();
         let mut phys = random_image(&mut rng, &ops);
-        tear(&mut rng, &l, &mut phys);
+        let mid_hop = tear(&mut rng, &l, &mut phys);
         let pieces_of = |ranges: &[(usize, usize)]| -> (Vec<Fetched>, Vec<oracle::Fetched>) {
             ranges
                 .iter()
@@ -515,8 +566,12 @@ fn unified_decoder_matches_the_per_byte_decoder() {
 
         // Whole leaf: same decision, same snapshot.
         let (mut new, mut old) = pieces_of(&[(0, l.payload_len())]);
-        let new = ops.decode(new.pop().unwrap());
+        let new = ops.decode(new.pop().unwrap(), Default::default());
         let old = oracle::decode(&l, old.pop().unwrap());
+        assert!(
+            !mid_hop || new.is_none(),
+            "seed {seed}: a mid-hop state decoded: {l:?}"
+        );
         let bit_above_h = old
             .as_ref()
             .is_some_and(|s| s.entries.iter().any(|e| u32::from(e.2) >> l.h != 0));

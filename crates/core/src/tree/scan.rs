@@ -2,12 +2,12 @@
 
 use std::sync::Arc;
 
-use dmem::{GlobalAddr, Phase};
+use dmem::{GlobalAddr, Phase, Rows};
 
 use super::{ChimeClient, OP_RETRY_LIMIT};
 use crate::cache::Route;
 use crate::internal::InternalNode;
-use crate::leaf::LeafSnapshot;
+use crate::leaf::{LeafReads, LeafSnapshot};
 use crate::lockword::ARGMAX_NONE;
 use crate::skeleton::SkeletonClient;
 
@@ -15,49 +15,73 @@ use crate::skeleton::SkeletonClient;
 /// consecutive parent entries before declaring the parent view stale.
 const SCAN_BRIDGE_LIMIT: usize = 64;
 
-/// What one scan attempt has gathered: the leaf snapshots it read, and a
-/// `(key, leaf, slot)` reference for every row with a key `>= start`,
-/// unsorted. Values stay in the snapshots until the rows to return are
-/// known.
+/// A scan's working set, held by its client and reused across scans: the
+/// leaf snapshots one attempt read, every row with a key `>= start` packed
+/// as a `u128` of `(key, leaf, value offset)` (unsorted; sorting the packed
+/// values orders rows by key, ties in gather order), the doorbell in hand
+/// and the buffers of the whole-leaf reads. Values stay in the snapshots
+/// until the rows to return are known.
 #[derive(Default)]
-struct Gathered {
+pub(super) struct Gathered {
     leaves: Vec<LeafSnapshot>,
-    rows: Vec<(u64, u32, u16)>,
+    rows: Vec<u128>,
+    batch: Vec<LeafSnapshot>,
+    reads: LeafReads,
 }
 
 impl Gathered {
     fn push(&mut self, leaf: LeafSnapshot, start: u64) {
-        let at = self.leaves.len() as u32;
-        let slots = leaf.keys.iter().enumerate();
-        self.rows.reserve(leaf.keys.len());
-        self.rows
-            .extend(slots.filter(|&(_, &k)| k >= start).map(|(slot, &k)| (k, at, slot as u16)));
         self.leaves.push(leaf);
+        self.index_last(start);
+    }
+
+    /// Packs the rows of the last leaf read: every slot is written, and
+    /// kept when its key is `>= start` (an empty slot's 0 never is).
+    fn index_last(&mut self, start: u64) {
+        let (at, rows) = (self.leaves.len() - 1, &mut self.rows);
+        let (leaf, tag) = (&self.leaves[at], (at as u128) << 32);
+        let mut kept = rows.len();
+        rows.resize(kept + leaf.keys.len(), 0);
+        for (k, off) in leaf.slots() {
+            rows[kept] = u128::from(k) << 64 | tag | off as u128;
+            kept += usize::from(k >= start);
+        }
+        rows.truncate(kept);
+    }
+
+    /// Drops the attempt's rows and hands its leaves' buffers back.
+    fn reset(&mut self) {
+        self.rows.clear();
+        for leaf in self.leaves.drain(..) {
+            self.reads.recycle(leaf);
+        }
     }
 }
 
 impl ChimeClient {
-    pub(super) fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+    pub(super) fn scan_impl(&mut self, start: u64, count: usize, out: &mut Rows) {
         if count == 0 {
             return;
         }
         self.retry_backoff.reset();
+        let mut got = std::mem::take(&mut self.scan_buffers);
         for _ in 0..OP_RETRY_LIMIT {
             let (mut parent, idx) = self.locate_parent(start);
-            let mut got = Gathered::default();
+            got.reset();
             if self.scan_from(&mut parent, idx, start, count, &mut got) {
-                // Ties (a key seen in two leaves mid-split) keep gather order.
-                let Gathered { leaves, mut rows } = got;
+                let rows = &mut got.rows;
                 if rows.len() > count {
                     rows.select_nth_unstable(count);
                     rows.truncate(count);
                 }
                 rows.sort_unstable();
-                out.reserve(rows.len());
-                for (k, leaf, slot) in rows {
-                    let stored = leaves[leaf as usize].value(slot as usize).to_vec();
-                    out.push((k, self.resolve_value(stored)));
+                for &row in &got.rows {
+                    let (k, leaf, off) = ((row >> 64) as u64, (row >> 32) as u32, row as u32);
+                    let stored = got.leaves[leaf as usize].value_at(off as usize);
+                    self.push_row(k, stored, out);
                 }
+                got.reset();
+                self.scan_buffers = got;
                 return;
             }
             // The parent view proved stale (a retired leaf, or a sibling
@@ -92,15 +116,18 @@ impl ChimeClient {
         loop {
             // Batch-read the next group of candidate leaves in one RTT.
             let take = self.batch_len(parent, idx, start, count.saturating_sub(got.rows.len()));
-            let addrs = parent.children()[idx..idx + take].to_vec();
-            let snaps = self.in_phase(Phase::LeafRead, |me| {
-                me.leaf().read_full_batch(&mut me.ep, &addrs)
+            let addrs = &parent.children()[idx..idx + take];
+            let mut batch = std::mem::take(&mut got.batch);
+            self.in_phase(Phase::LeafRead, |me| {
+                me.leaf()
+                    .read_full_batch(&mut me.ep, addrs, &mut got.reads, &mut batch)
             });
-            for (i, (snap, &addr)) in snaps.into_iter().zip(&addrs).enumerate() {
+            for (i, snap) in batch.drain(..).enumerate() {
                 if !snap.meta.valid {
                     return false; // deprecated leaf
                 }
                 // Bridge split-off leaves the parent does not know yet.
+                let addr = parent.children()[idx + i];
                 if !chain.is_none_or(|c| self.walk_chain(c, Some(addr), start, count, got)) {
                     return false;
                 }
@@ -108,6 +135,7 @@ impl ChimeClient {
                 self.observe_density(parent.child_range(idx + i), &snap);
                 got.push(snap, start);
             }
+            got.batch = batch;
             idx += take;
             if got.rows.len() >= count {
                 return true;
@@ -186,14 +214,16 @@ impl ChimeClient {
             if c.is_null() || hops >= SCAN_BRIDGE_LIMIT {
                 return false;
             }
-            let leaf = self.in_phase(Phase::ScanChain, |me| {
-                me.leaf().read_full_batch(&mut me.ep, &[c]).swap_remove(0)
+            self.in_phase(Phase::ScanChain, |me| {
+                me.leaf()
+                    .read_full_batch(&mut me.ep, &[c], &mut got.reads, &mut got.leaves)
             });
-            if !leaf.meta.valid {
+            let meta = got.leaves.last().expect("one snapshot per address").meta;
+            if !meta.valid {
                 return false;
             }
-            c = leaf.meta.sibling;
-            got.push(leaf, start);
+            c = meta.sibling;
+            got.index_last(start);
         }
         true
     }

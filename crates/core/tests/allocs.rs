@@ -4,9 +4,9 @@
 //! allocations an operation makes is not. A fixed-seed tree and this
 //! binary's own counting allocator pin the budgets the de-striped fetch,
 //! the slice-based leaf decoder and the single write-side codec bought:
-//! what is left per read is the fetch buffer(s), their container and the
-//! `Vec<u8>` per returned value that `RangeIndex`'s signatures demand; a
-//! write adds its window and one outgoing image per run of dirty entries.
+//! what is left per search is the fetch buffer(s), their container and the
+//! returned `Vec<u8>`; a scan into a reused `Rows` arena allocates nothing;
+//! a write adds its window and one outgoing image per run of dirty entries.
 //!
 //! Counts are per thread, as in `benchmark/src/alloc.rs`.
 
@@ -90,7 +90,7 @@ fn tree(cfg: ChimeConfig) -> chime::ChimeClient {
     }
     // One telemetry window for the rest of the run: the always-on time
     // series allocates a map entry per window of virtual time, a sink cost
-    // (ROADMAP item 3) that would otherwise land on whichever op crosses a
+    // (ROADMAP item 4) that would otherwise land on whichever op crosses a
     // window boundary.
     let ep = client.endpoint_mut();
     let mut sink = ep.set_sink(Sink::default());
@@ -127,20 +127,59 @@ fn read_paths_stay_within_their_allocation_budgets() {
         "every probe must be a cache hit: leaf READs only"
     );
 
-    // A scan allocates the returned rows' values plus a per-leaf and
-    // per-round constant: snapshot image + keys per leaf, the batch's
-    // bookkeeping vectors per round.
+    // The allocating `scan` is `scan_rows` into a fresh arena: the returned
+    // rows' values, the arena's key and value-end vectors, and the doublings
+    // of its value bytes. The first scan sizes the client's scan buffers.
     let mut rows = Vec::with_capacity(ROWS);
+    client.scan(probes[0], ROWS, &mut rows);
     for &k in &probes[..500] {
         rows.clear();
         let (n, ()) = allocs(|| client.scan(k, ROWS, &mut rows));
         assert!(rows.len() == ROWS || rows.last().is_some_and(|r| r.0 == KEYS));
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(
-            n <= rows.len() as u64 + 25,
+            n <= rows.len() as u64 + 9,
             "scan of {} rows from {k} allocated {n} times",
             rows.len()
         );
+    }
+
+    // `scan_rows` into a reused arena allocates nothing per row: the rows
+    // land in the arena, the leaves' READ, key and bitmap buffers come back
+    // to the client after each scan, and each doorbell's bookkeeping is the
+    // client's too. So a scan that repeats one already made, of 1 row or
+    // of 50, allocates nothing at all.
+    let mut arena = dmem::Rows::new();
+    let mut scan_rows = |client: &mut chime::ChimeClient, k: u64, n: usize| {
+        arena.clear();
+        let reads = client.endpoint().stats().reads;
+        let (allocs, ()) = allocs(|| client.scan_rows(k, n, &mut arena));
+        (
+            allocs,
+            client.endpoint().stats().reads - reads,
+            arena
+                .iter()
+                .map(|(k, v)| (k, v.to_vec()))
+                .collect::<Vec<_>>(),
+        )
+    };
+    for &k in &probes[..500] {
+        for n in [1, ROWS] {
+            let (_, reads, first) = scan_rows(&mut client, k, n);
+            let (allocs, again, got) = scan_rows(&mut client, k, n);
+            assert_eq!(
+                (again, &got),
+                (reads, &first),
+                "a repeated scan of {n} from {k} differs"
+            );
+            assert_eq!(
+                allocs, 0,
+                "a repeated scan of {n} rows from {k} allocated {allocs} times"
+            );
+            rows.clear();
+            client.scan(k, n, &mut rows);
+            assert_eq!(got, rows, "scan_rows and scan of {n} from {k} disagree");
+        }
     }
 
     // Speculative-read hits: the entry buffer and the returned value. The

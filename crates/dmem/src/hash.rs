@@ -38,10 +38,16 @@ pub fn hash64(key: u64, seed: u64) -> u64 {
     mix64(key ^ mix64(seed))
 }
 
-/// The hopscotch home entry of `key` in a table with `span` entries.
+/// The hopscotch home entry of `key` in a table with `span` entries: the
+/// hash modulo `span`, taken with a mask when `span` is a power of two.
 #[inline]
 pub fn home_entry(key: u64, span: usize) -> usize {
-    (hash64(key, SEED_HOME) % span as u64) as usize
+    let (h, span) = (hash64(key, SEED_HOME), span as u64);
+    (if span.is_power_of_two() {
+        h & (span - 1)
+    } else {
+        h % span
+    }) as usize
 }
 
 /// Whether `key` falls in `[lo, hi)`, where `hi == u64::MAX` means
@@ -80,6 +86,16 @@ mod tests {
     fn home_entry_in_range() {
         for k in 0..1000u64 {
             assert!(home_entry(k, 64) < 64);
+        }
+    }
+
+    #[test]
+    fn home_entry_masks_to_the_same_entry_it_divides_to() {
+        for span in [16usize, 24, 32, 48, 64, 100, 128, 256, 512] {
+            for k in 0..2_000u64 {
+                let want = (hash64(k, SEED_HOME) % span as u64) as usize;
+                assert_eq!(home_entry(k, span), want, "key {k}, span {span}");
+            }
         }
     }
 

@@ -6,6 +6,11 @@
 //! the other clients of its compute node. The trait is the five data
 //! operations plus that endpoint: everything measured about a client
 //! (clock, counters, profile, traces, telemetry) is read off the endpoint.
+//!
+//! A scan has one implementation per index, [`RangeIndex::scan_rows`], which
+//! appends to a caller-owned [`Rows`] arena: a caller that reuses its arena
+//! pays no allocation per returned row. [`RangeIndex::scan`] is the
+//! `Vec<(key, value)>` form, provided over it.
 
 use crate::alloc::OutOfMemory;
 use crate::stats::ClientStats;
@@ -37,6 +42,78 @@ impl core::fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
+/// Most rows [`RangeIndex::scan`] reserves room for up front.
+const SCAN_RESERVE: usize = 1 << 10;
+
+/// Scan results in buffers the caller owns and reuses: the keys in order,
+/// and the values back to back in one byte arena.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Rows {
+    keys: Vec<u64>,
+    /// End of each row's value in `bytes`.
+    ends: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl Rows {
+    /// An empty arena.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty arena with room for the keys of `rows` rows.
+    pub fn with_capacity(rows: usize) -> Self {
+        Rows {
+            keys: Vec::with_capacity(rows),
+            ends: Vec::with_capacity(rows),
+            bytes: Vec::new(),
+        }
+    }
+
+    /// Forgets every row and keeps the buffers.
+    pub fn clear(&mut self) {
+        self.keys.clear();
+        self.ends.clear();
+        self.bytes.clear();
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Appends the row `(key, value)`.
+    pub fn push(&mut self, key: u64, value: &[u8]) {
+        self.push_with(key, |bytes| bytes.extend_from_slice(value));
+    }
+
+    /// Appends a row whose value `fill` appends to the byte arena.
+    pub fn push_with(&mut self, key: u64, fill: impl FnOnce(&mut Vec<u8>)) {
+        fill(&mut self.bytes);
+        self.keys.push(key);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// The value of row `i`.
+    pub fn value(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        self.keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, self.value(i)))
+    }
+}
+
 /// A shared ordered index on disaggregated memory.
 ///
 /// Keys are 8-byte integers (the paper's default); values are fixed-size
@@ -54,8 +131,19 @@ pub trait RangeIndex {
     /// Removes `key`; returns `false` if it was absent.
     fn delete(&mut self, key: u64) -> Result<bool, IndexError>;
 
-    /// Appends up to `count` items with keys `>= start`, in key order.
-    fn scan(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>);
+    /// Appends up to `count` rows with keys `>= start` to `rows`, in key
+    /// order. The one scan of an index: the arena's buffers are the
+    /// caller's, so a caller that reuses them allocates nothing per row.
+    fn scan_rows(&mut self, start: u64, count: usize, rows: &mut Rows);
+
+    /// Appends up to `count` items with keys `>= start`, in key order:
+    /// [`Self::scan_rows`] into a fresh arena, with each value copied out.
+    fn scan(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+        let mut rows = Rows::with_capacity(count.min(SCAN_RESERVE));
+        self.scan_rows(start, count, &mut rows);
+        out.reserve(rows.len());
+        out.extend(rows.iter().map(|(k, v)| (k, v.to_vec())));
+    }
 
     /// The verb endpoint this client issues its operations through: its
     /// virtual clock, verb counters, phase profile, tracer and telemetry.
@@ -96,10 +184,11 @@ pub trait RangeIndex {
     }
 }
 
-/// Implements [`RangeIndex`]'s five operations (inside its `impl` block)
-/// over the type's inherent `insert_impl` … `scan_impl`, each in one endpoint
-/// span: what puts an operation on the timeline, the flight ring and the
-/// tracer, whichever index runs it.
+/// Implements [`RangeIndex`]'s five operations (inside its `impl` block;
+/// the scan is [`RangeIndex::scan_rows`]) over the type's inherent
+/// `insert_impl` … `scan_impl`, each in one endpoint span: what puts an
+/// operation on the timeline, the flight ring and the tracer, whichever
+/// index runs it.
 #[macro_export]
 macro_rules! span_ops {
     () => {
@@ -115,8 +204,8 @@ macro_rules! span_ops {
         fn delete(&mut self, key: u64) -> Result<bool, $crate::IndexError> {
             $crate::span_ops!(self, "delete", key, delete_impl(key), |r: &_| matches!(r, Ok(true)))
         }
-        fn scan(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-            $crate::span_ops!(self, "scan", start, scan_impl(start, count, out), |_: &()| true)
+        fn scan_rows(&mut self, start: u64, count: usize, rows: &mut $crate::Rows) {
+            $crate::span_ops!(self, "scan", start, scan_impl(start, count, rows), |_: &()| true)
         }
     };
     // The bracket: check the key, open the span, run the op, close it with

@@ -41,10 +41,11 @@ pub fn encode(key: u64, value: &[u8], value_size: usize) -> Vec<u8> {
     block
 }
 
-/// The value held by `block` (its recorded length, capped at the block).
-fn decode(block: &[u8]) -> Vec<u8> {
+/// The length of the value held by `block` (its recorded length, capped
+/// at the block).
+fn value_len(block: &[u8]) -> usize {
     let len = u64::from_le_bytes(block[8..HEADER].try_into().expect("block header")) as usize;
-    block[HEADER..HEADER + len.min(block.len() - HEADER)].to_vec()
+    len.min(block.len() - HEADER)
 }
 
 /// The 8-byte leaf entry pointing at the block at `addr`.
@@ -106,13 +107,33 @@ impl Values {
             stored
         }
     }
+
+    /// [`Self::resolve`], appending the value to `out`.
+    pub fn resolve_into(self, ep: &mut Endpoint, stored: &[u8], out: &mut Vec<u8>) {
+        if self.indirect {
+            load_into(ep, stored, self.value_size, out);
+        } else {
+            out.extend_from_slice(stored);
+        }
+    }
 }
 
 /// Reads the block the leaf entry `stored` points at and returns its value.
 pub fn load(ep: &mut Endpoint, stored: &[u8], value_size: usize) -> Vec<u8> {
-    let mut block = vec![0u8; block_len(value_size)];
-    ep.read(target(stored), &mut block);
-    decode(&block)
+    let mut value = Vec::new();
+    load_into(ep, stored, value_size, &mut value);
+    value
+}
+
+/// [`load`], appending the value to `out`: the block is read into `out`'s
+/// tail and its header closed up, so nothing else is allocated.
+pub fn load_into(ep: &mut Endpoint, stored: &[u8], value_size: usize, out: &mut Vec<u8>) {
+    let at = out.len();
+    out.resize(at + block_len(value_size), 0);
+    ep.read(target(stored), &mut out[at..]);
+    let len = value_len(&out[at..]);
+    out.copy_within(at + HEADER..at + HEADER + len, at);
+    out.truncate(at + len);
 }
 
 #[cfg(test)]
@@ -121,6 +142,7 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip_and_padding() {
+        let decode = |b: &[u8]| b[HEADER..HEADER + value_len(b)].to_vec();
         let b = encode(7, b"abc", 8);
         assert_eq!(b.len(), block_len(8));
         assert_eq!(&b[..8], &7u64.to_le_bytes());

@@ -48,7 +48,7 @@ pub use alloc::{ChunkAlloc, OutOfMemory};
 pub use fault::{
     CrashRule, CrashSignal, FaultAction, FaultEvent, FaultPlan, FaultRule, FaultSession, VerbKind,
 };
-pub use index::{IndexError, RangeIndex};
+pub use index::{IndexError, RangeIndex, Rows};
 pub use locktable::{LocalLockGuard, LocalLockTable};
 pub use net::{Bound, NetConfig, RunAccounting, ThroughputEstimate};
 pub use node::{root_slot, MemoryNode, MnTraffic, Pool};

@@ -218,32 +218,62 @@ impl Region {
     }
 }
 
-/// Copies out of shared memory with volatile loads (seqlock read side).
+/// Copies out of shared memory with volatile loads (seqlock read side):
+/// aligned 8-byte words, and single bytes before the first and after the
+/// last of them.
 ///
 /// # Safety
 ///
 /// `src..src+dst.len()` must be valid for reads.
 unsafe fn volatile_copy_out(src: *const u8, dst: &mut [u8]) {
-    // SAFETY: delegated to the caller; per-byte volatile loads avoid any
-    // alignment requirement and keep the racing access untorn per byte.
+    let head = src.align_offset(8).min(dst.len());
+    let (head, rest) = dst.split_at_mut(head);
+    let (words, tail) = rest.as_chunks_mut::<8>();
+    // SAFETY: every address read lies in `src..src+dst.len()`, valid by the
+    // caller's contract; the word loads start at `src + head.len()`, which
+    // `align_offset` made 8-aligned. Volatile loads keep each access as
+    // issued; a racing writer is caught by the caller's sequence check.
     unsafe {
-        for (i, d) in dst.iter_mut().enumerate() {
+        for (i, d) in head.iter_mut().enumerate() {
             *d = core::ptr::read_volatile(src.add(i));
+        }
+        let at = src.add(head.len()).cast::<u64>();
+        for (i, d) in words.iter_mut().enumerate() {
+            *d = core::ptr::read_volatile(at.add(i)).to_ne_bytes();
+        }
+        let at = src.add(head.len() + 8 * words.len());
+        for (i, d) in tail.iter_mut().enumerate() {
+            *d = core::ptr::read_volatile(at.add(i));
         }
     }
 }
 
-/// Copies into shared memory with volatile stores (seqlock write side).
+/// Copies into shared memory with volatile stores (seqlock write side):
+/// aligned 8-byte words, and single bytes before the first and after the
+/// last of them.
 ///
 /// # Safety
 ///
 /// `dst..dst+src.len()` must be valid for writes and the enclosing line's
 /// seqlock must be held.
 unsafe fn volatile_copy_in(dst: *mut u8, src: &[u8]) {
-    // SAFETY: delegated to the caller.
+    let head = dst.align_offset(8).min(src.len());
+    let (head, rest) = src.split_at(head);
+    let (words, tail) = rest.as_chunks::<8>();
+    // SAFETY: every address written lies in `dst..dst+src.len()`, valid by
+    // the caller's contract, which also holds the line's seqlock; the word
+    // stores start at `dst + head.len()`, which `align_offset` made 8-aligned.
     unsafe {
-        for (i, s) in src.iter().enumerate() {
+        for (i, s) in head.iter().enumerate() {
             core::ptr::write_volatile(dst.add(i), *s);
+        }
+        let at = dst.add(head.len()).cast::<u64>();
+        for (i, s) in words.iter().enumerate() {
+            core::ptr::write_volatile(at.add(i), u64::from_ne_bytes(*s));
+        }
+        let at = dst.add(head.len() + 8 * words.len());
+        for (i, s) in tail.iter().enumerate() {
+            core::ptr::write_volatile(at.add(i), *s);
         }
     }
 }
@@ -300,10 +330,12 @@ mod tests {
         r.read(60, &mut b);
     }
 
-    /// Readers must never observe a torn 64-byte line.
+    /// Readers must never observe a torn 64-byte line: not a reader of one
+    /// whole line, nor one of an unaligned range across a line boundary,
+    /// which must see each of its two lines whole.
     #[test]
     fn no_intra_line_tearing() {
-        let r = Arc::new(Region::new(LINE));
+        let r = Arc::new(Region::new(2 * LINE));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let writer = {
             let r = Arc::clone(&r);
@@ -311,13 +343,15 @@ mod tests {
             std::thread::spawn(move || {
                 let mut v = 0u8;
                 while !stop.load(Ordering::Relaxed) {
-                    let buf = [v; LINE];
+                    let buf = [v; 2 * LINE];
                     r.write(0, &buf);
                     v = v.wrapping_add(1);
                 }
             })
         };
         let mut buf = [0u8; LINE];
+        // Bytes 5..123: 59 from line 0, 59 from line 1.
+        let mut across = [0u8; 2 * LINE - 10];
         for _ in 0..20_000 {
             r.read(0, &mut buf);
             let first = buf[0];
@@ -325,6 +359,13 @@ mod tests {
                 buf.iter().all(|&b| b == first),
                 "torn intra-line read observed"
             );
+            r.read(5, &mut across);
+            for part in across.chunks(LINE - 5) {
+                assert!(
+                    part.iter().all(|&b| b == part[0]),
+                    "torn unaligned read observed"
+                );
+            }
         }
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();

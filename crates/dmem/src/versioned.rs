@@ -362,6 +362,19 @@ impl Fetched {
         &self.buf[self.len..][first - self.first_line..end - self.first_line]
     }
 
+    /// The version bytes of the covered line slots, in line order, with the
+    /// line index of the first: line `first + j`'s slot sits at logical
+    /// offset `(first + j) * LINE_PAYLOAD`.
+    #[inline]
+    pub fn line_slots(&self) -> (usize, &[u8]) {
+        (self.first_line, &self.buf[self.len..])
+    }
+
+    /// Hands the buffer back for another fetch ([`Layout::from_raw`]).
+    pub fn into_buf(self) -> Vec<u8> {
+        self.buf
+    }
+
     /// Checks that every version byte in the fetch (line slots plus the
     /// object-leading bytes at `object_leads`, absolute logical offsets)
     /// agrees on NV. Returns that NV on success.

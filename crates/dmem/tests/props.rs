@@ -7,11 +7,15 @@ use dmem::{Endpoint, GlobalAddr, NetConfig, Pool, RunAccounting};
 use proptest::prelude::*;
 
 proptest! {
-    /// Any write followed by a read returns the written bytes.
+    /// Any write followed by a read returns the written bytes, and so does
+    /// a read of a sub-range whose start and length are not multiples of 8
+    /// (the region copies 8-byte words and single bytes at the ends).
     #[test]
     fn region_read_after_write(
         off in 0usize..4000,
         data in proptest::collection::vec(any::<u8>(), 1..300),
+        skip in 0usize..300,
+        take in 1usize..300,
     ) {
         let pool = Pool::with_defaults(1, 1 << 20);
         let mut ep = Endpoint::new(pool);
@@ -19,7 +23,20 @@ proptest! {
         ep.write(addr, &data);
         let mut out = vec![0u8; data.len()];
         ep.read(addr, &mut out);
-        prop_assert_eq!(out, data);
+        prop_assert_eq!(&out, &data);
+        // Off the word grid: an odd start, and a length of 8k + 1..7.
+        let start = (RESERVED_BYTES as usize + off + skip % data.len()) | 1;
+        let end = RESERVED_BYTES as usize + off + data.len();
+        if start < end {
+            let len = (take % (end - start)).max(1);
+            let len = if len.is_multiple_of(8) { len - 1 } else { len };
+            if len > 0 {
+                let mut sub = vec![0u8; len];
+                ep.read(GlobalAddr::new(0, start as u64), &mut sub);
+                let at = start - RESERVED_BYTES as usize - off;
+                prop_assert_eq!(&sub[..], &data[at..at + len]);
+            }
+        }
     }
 
     /// The logical->physical map is injective, skips every line-version

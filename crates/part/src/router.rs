@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chime::{Chime, ChimeClient, ChimeConfig, CnState, TreeBinding};
-use dmem::{Endpoint, IndexError, Pool, RangeIndex};
+use dmem::{Endpoint, IndexError, Pool, RangeIndex, Rows};
 use obs::Phase;
 
 use crate::layout;
@@ -405,15 +405,14 @@ impl RouterClient {
 
     /// Scans forward across partition boundaries: partitions are ranges,
     /// so the per-tree scans concatenate in key order.
-    fn scan_routed(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+    fn scan_routed(&mut self, start: u64, count: usize, rows: &mut Rows) {
         let mut p = self.route(start);
-        let mut from = start;
+        let (mut from, base) = (start, rows.len());
         loop {
             self.mount(p);
-            let before = out.len();
-            self.client.scan(from, count - out.len(), out);
-            debug_assert!(out.len() >= before);
-            if out.len() >= count || p + 1 >= self.cluster.cfg.parts {
+            self.client
+                .scan_rows(from, count - (rows.len() - base), rows);
+            if rows.len() - base >= count || p + 1 >= self.cluster.cfg.parts {
                 break;
             }
             let (_, hi) = self.cluster.map.bounds(p);
@@ -443,8 +442,8 @@ impl RangeIndex for RouterClient {
         self.routed(key, |c| c.delete(key))
     }
 
-    fn scan(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
-        self.scan_routed(start, count, out)
+    fn scan_rows(&mut self, start: u64, count: usize, rows: &mut Rows) {
+        self.scan_routed(start, count, rows)
     }
 
     fn endpoint(&self) -> &dmem::Endpoint {

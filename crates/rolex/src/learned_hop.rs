@@ -15,10 +15,10 @@ use std::sync::Arc;
 
 use chime::hopscotch::{build_table, Window};
 use chime::layout::LeafLayout;
-use chime::leaf::{LeafMeta, LeafOps};
+use chime::leaf::{LeafMeta, LeafOps, LeafSnapshot};
 use chime::lockword::LockWord;
 use dmem::hash::home_entry;
-use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
 
 use crate::learned::{Client, Learned, RolexConfig, OP_RETRY_LIMIT};
 
@@ -189,31 +189,38 @@ impl ChimeLearnedClient {
         }))
     }
 
-    fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+    fn scan_impl(&mut self, start: u64, count: usize, out: &mut Rows) {
         if count == 0 {
             return;
         }
         let leaf = self.dir.leaf;
         let (mut idx, _) = self.probe(start);
-        let mut collected: Vec<(u64, Vec<u8>)> = Vec::new();
+        // Every leaf read, and a `(key, leaf, value offset)` per row `>= start`.
+        let mut leaves: Vec<LeafSnapshot> = Vec::new();
+        let mut collected: Vec<(u64, u32, u32)> = Vec::new();
         while idx < self.dir.num_leaves {
             // The leaf, then its synonym chain.
             let mut addr = self.dir.leaf_addr(idx);
             while !addr.is_null() {
                 let s = leaf.read_full(&mut self.ep, addr);
-                let items = s.items().filter(|&(k, _)| k >= start);
-                collected.extend(items.map(|(k, v)| (k, v.to_vec())));
+                let at = leaves.len() as u32;
+                let rows = s.slots().filter(|&(k, _)| k >= start);
+                collected.extend(rows.map(|(k, off)| (k, at, off as u32)));
                 addr = s.meta.sibling;
+                leaves.push(s);
             }
             idx += 1;
             if collected.len() >= count {
                 break;
             }
         }
-        collected.sort_by_key(|&(k, _)| k);
+        collected.sort_unstable();
         collected.truncate(count);
         let values = self.dir.values;
-        out.extend(collected.into_iter().map(|(k, v)| (k, values.resolve(&mut self.ep, v))));
+        for (k, at, off) in collected {
+            let stored = leaves[at as usize].value_at(off as usize);
+            out.push_with(k, |bytes| values.resolve_into(&mut self.ep, stored, bytes));
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
 use sherman::leaf::{LeafSnapshot, ShermanLeafLayout, ShermanLeafOps};
 
 use crate::learned::{Client, Learned, RolexConfig, OP_RETRY_LIMIT};
@@ -203,12 +203,14 @@ impl RolexClient {
         Ok(true)
     }
 
-    fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+    fn scan_impl(&mut self, start: u64, count: usize, out: &mut Rows) {
         if count == 0 {
             return;
         }
         let (mut idx, _) = self.read_owner(start);
-        let mut collected: Vec<(u64, Vec<u8>)> = Vec::new();
+        // Every leaf read, and a `(key, leaf, slot)` per row `>= start`.
+        let mut leaves: Vec<LeafSnapshot> = Vec::new();
+        let mut collected: Vec<(u64, u32, u32)> = Vec::new();
         let (per_leaf, num_leaves) = (self.dir.cfg.span, self.dir.num_leaves);
         while idx < num_leaves {
             let need = count.saturating_sub(collected.len());
@@ -217,9 +219,11 @@ impl RolexClient {
             let snaps = self.dir.leaf.read_batch(&mut self.ep, &addrs);
             for snap in snaps {
                 let chain = self.chain(snap.sibling);
-                for s in std::iter::once(&snap).chain(chain.iter().map(|(_, s)| s)) {
-                    let items = s.keys.iter().zip(&s.values).filter(|(k, _)| **k >= start);
-                    collected.extend(items.map(|(k, v)| (*k, v.clone())));
+                for s in std::iter::once(snap).chain(chain.into_iter().map(|(_, s)| s)) {
+                    let at = leaves.len() as u32;
+                    let rows = s.keys.iter().enumerate().filter(|&(_, &k)| k >= start);
+                    collected.extend(rows.map(|(i, &k)| (k, at, i as u32)));
+                    leaves.push(s);
                 }
             }
             idx += take;
@@ -227,10 +231,13 @@ impl RolexClient {
                 break;
             }
         }
-        collected.sort_by_key(|&(k, _)| k);
+        collected.sort_unstable();
         collected.truncate(count);
         let values = self.dir.values;
-        out.extend(collected.into_iter().map(|(k, v)| (k, values.resolve(&mut self.ep, v))));
+        for (k, at, i) in collected {
+            let stored = &leaves[at as usize].values[i as usize];
+            out.push_with(k, |bytes| values.resolve_into(&mut self.ep, stored, bytes));
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use chime::cache::{Lean, Route};
 use chime::skeleton::{Parts, Routes, Skeleton, SkeletonClient};
 use dmem::indirect::Values;
-use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex};
+use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex, Rows};
 
 use crate::leaf::{LeafSnapshot, ShermanLeafLayout, ShermanLeafOps};
 
@@ -305,11 +305,13 @@ impl ShermanClient {
         }
     }
 
-    fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+    fn scan_impl(&mut self, start: u64, count: usize, out: &mut Rows) {
         if count == 0 {
             return;
         }
-        let mut collected: Vec<(u64, Vec<u8>)> = Vec::new();
+        // Every leaf read, and a `(key, leaf, slot)` per row `>= start`.
+        let mut leaves: Vec<LeafSnapshot> = Vec::new();
+        let mut collected: Vec<(u64, u32, u32)> = Vec::new();
         let (mut parent, mut idx) = self.locate_parent(start);
         let mut first = true;
         let per_leaf = (self.shared.cfg.span * 3) / 4;
@@ -319,8 +321,8 @@ impl ShermanClient {
                 .div_ceil(per_leaf)
                 .max(1)
                 .min(parent.children().len() - idx);
-            let addrs = parent.children()[idx..idx + take].to_vec();
-            let snaps = self.shared.leaf.read_batch(&mut self.ep, &addrs);
+            let addrs = &parent.children()[idx..idx + take];
+            let snaps = self.shared.leaf.read_batch(&mut self.ep, addrs);
             if std::mem::take(&mut first) && snaps[0].fences.0 > start {
                 // The cached parent leaned right past a pivot: re-read it.
                 self.cn.cache().invalidate(parent.addr);
@@ -328,12 +330,11 @@ impl ShermanClient {
                 first = true;
                 continue;
             }
-            for snap in &snaps {
-                for (k, v) in snap.keys.iter().zip(snap.values.iter()) {
-                    if *k >= start {
-                        collected.push((*k, v.clone()));
-                    }
-                }
+            for snap in snaps {
+                let at = leaves.len() as u32;
+                let rows = snap.keys.iter().enumerate().filter(|&(_, &k)| k >= start);
+                collected.extend(rows.map(|(i, &k)| (k, at, i as u32)));
+                leaves.push(snap);
             }
             idx += take;
             if collected.len() >= count {
@@ -351,10 +352,14 @@ impl ShermanClient {
                 idx = 0;
             }
         }
-        collected.sort_by_key(|&(k, _)| k);
+        // Ties (a key seen in two leaves) keep gather order.
+        collected.sort_unstable();
         collected.truncate(count);
         let values = self.shared.values;
-        out.extend(collected.into_iter().map(|(k, v)| (k, values.resolve(&mut self.ep, v))));
+        for (k, at, i) in collected {
+            let stored = &leaves[at as usize].values[i as usize];
+            out.push_with(k, |bytes| values.resolve_into(&mut self.ep, stored, bytes));
+        }
     }
 }
 

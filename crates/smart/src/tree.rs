@@ -5,7 +5,7 @@ use std::sync::Arc;
 use chime::cache::NodeCache;
 use parking_lot::Mutex;
 
-use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex};
+use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
 
 use crate::node::{ArtNode, ArtOps, Child, NodeType};
 
@@ -538,7 +538,7 @@ impl SmartClient {
         panic!("smart delete retry limit for key {key}");
     }
 
-    fn scan_impl(&mut self, start: u64, count: usize, out: &mut Vec<(u64, Vec<u8>)>) {
+    fn scan_impl(&mut self, start: u64, count: usize, out: &mut Rows) {
         if count == 0 {
             return;
         }
@@ -568,7 +568,7 @@ impl SmartClient {
                 let f = l.from_raw(0, 9 + self.shared.cfg.value_size, buf);
                 let k = f.u64_at(1);
                 if k >= start && k != 0 {
-                    collected.push((k, f.copy(9, self.shared.cfg.value_size)));
+                    collected.push((k, f));
                 }
             }
             if collected.len() >= count {
@@ -577,7 +577,9 @@ impl SmartClient {
         }
         collected.sort_by_key(|&(k, _)| k);
         collected.truncate(count);
-        out.extend(collected);
+        for (k, f) in &collected {
+            out.push(*k, f.bytes(9, self.shared.cfg.value_size));
+        }
     }
 }
 
