@@ -53,10 +53,9 @@ ifndef OLD
 endif
 	$(CARGO) run --release -p bench --bin explain -- $(or $(OLD),target/smoke.HEAD.json) $(NEW)
 
-# Every table and figure at its published scale into results/ (≈ 5 min on a
-# 2-vCPU box: fig_scale's two 10 M-key loads ≈ 125 s, fig18 ≈ 65 s, fig12
-# ≈ 45 s, fig14, fig_scaleout and fig13 ≈ 15 s each), the paper's claims
-# judged over them. `figs` exits 1 on a claim that fails without
+# Every table and figure at its published scale into results/ (≈ 500 s on
+# a 2-vCPU box: fig_scale's two 10 M-key loads ≈ 185 s, fig18 ≈ 90 s,
+# fig12 ≈ 80 s), the paper's claims judged over them. `figs` exits 1 on a claim that fails without
 # being a documented deviation, or on a documented deviation that starts
 # passing. The tracked verdicts (results/claims.json) and the smoke
 # figure's flat metrics (results/smoke.json, exact per seed) must not move

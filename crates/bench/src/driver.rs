@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use dmem::hash::FixedState;
 use dmem::{
     Bound, ClientStats, CountHist, Histogram, NetConfig, Pool, QpStats, RangeIndex, Rows,
     RunAccounting,
@@ -393,7 +394,7 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
         let mut done = 0u64;
         let mut scan_buf = Rows::new();
         // RDWC: the reads/updates in flight in the current round.
-        let mut combined: HashMap<(u8, u64), u64> = HashMap::new();
+        let mut combined: HashMap<(u8, u64), u64, FixedState> = HashMap::default();
         while done < ops_per_cn {
             // One round: each client issues one op.
             combined.clear();

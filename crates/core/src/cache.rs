@@ -13,10 +13,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use dmem::hash::FixedState;
 use dmem::GlobalAddr;
 
 use crate::internal::InternalNode;
-use crate::slablist::{FixedState, List, Slab};
+use crate::slablist::{List, Slab};
 
 /// Where an internal node sends a key: the child covering it and the child
 /// after it (CHIME's expected leaf sibling; `None` for the last child).

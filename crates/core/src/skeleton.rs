@@ -45,6 +45,7 @@
 //! node); ROLEX and CHIME-Learned share `rolex::learned` and the value path
 //! `dmem::indirect::Values`. Each baseline crate's docs say what it keeps.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -114,7 +115,10 @@ impl Skeleton {
 /// One compute node's route state, shared by all its clients of one tree.
 pub struct Routes {
     cache: Mutex<NodeCache>,
-    root_hint: Mutex<GlobalAddr>,
+    /// The raw address of the root as this CN last saw it; 0 for none.
+    /// Stored with `Release` and loaded with `Acquire`: a client that takes
+    /// the hint also sees what the client that stored it did before.
+    root_hint: AtomicU64,
     lock_table: Arc<LocalLockTable>,
 }
 
@@ -123,7 +127,7 @@ impl Routes {
     pub fn new(cache_bytes: u64) -> Self {
         Routes {
             cache: Mutex::new(NodeCache::new(cache_bytes)),
-            root_hint: Mutex::new(GlobalAddr::NULL),
+            root_hint: AtomicU64::new(GlobalAddr::NULL.raw()),
             lock_table: Arc::new(LocalLockTable::new()),
         }
     }
@@ -141,6 +145,14 @@ impl Routes {
     /// `(hits, misses)` of the internal-node cache.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache().hit_stats()
+    }
+
+    fn root_hint(&self) -> GlobalAddr {
+        GlobalAddr::from_raw(self.root_hint.load(Ordering::Acquire))
+    }
+
+    fn set_root_hint(&self, root: GlobalAddr) {
+        self.root_hint.store(root.raw(), Ordering::Release);
     }
 }
 
@@ -210,13 +222,13 @@ pub trait SkeletonClient: Sized {
             p.ep.read(p.skeleton.root_slot, &mut b)
         });
         let addr = GlobalAddr::from_raw(u64::from_le_bytes(b));
-        *self.parts().routes.root_hint.lock() = addr;
+        self.parts().routes.set_root_hint(addr);
         addr
     }
 
     /// The root: the CN-wide hint, or the root slot when there is none.
     fn root(&mut self) -> GlobalAddr {
-        let hint = *self.parts().routes.root_hint.lock();
+        let hint = self.parts().routes.root_hint();
         if hint.is_null() {
             self.refresh_root()
         } else {
@@ -416,7 +428,7 @@ pub trait SkeletonClient: Sized {
                 p.ep.cas(p.skeleton.root_slot, root_addr.raw(), new_root_addr.raw())
             });
             if old == root_addr.raw() {
-                *self.parts().routes.root_hint.lock() = new_root_addr;
+                self.parts().routes.set_root_hint(new_root_addr);
                 return Ok(());
             }
             // Someone else grew the root first: insert into the new tree.

@@ -1,6 +1,6 @@
-//! Index-linked lists threaded through a chunked slab, and the fixed-seed
-//! hasher of the maps that find their nodes: the one replacement-order
-//! primitive behind the LRU node cache and the LFU hotspot buffer.
+//! Index-linked lists threaded through a chunked slab: the one
+//! replacement-order primitive behind the LRU node cache and the LFU
+//! hotspot buffer.
 //!
 //! A [`Slab`] owns nodes addressed by `u32`; any number of [`List`]s (each
 //! just a head and a tail held by its owner) link disjoint subsets of them,
@@ -10,51 +10,13 @@
 //! +26 % peak RSS on the serving benchmark — and released nodes are reused
 //! before it grows.
 
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Index, IndexMut};
-
-use dmem::hash::mix64;
 
 /// "No node": an empty list's ends, the first node's `prev`.
 pub(crate) const NIL: u32 = u32::MAX;
 
 /// Nodes per chunk.
 const CHUNK: usize = 1 << 10;
-
-/// Hasher state of the CN-side maps: the same seed in every process, so
-/// nothing about them differs between runs. Their keys are remote addresses
-/// this program allocated, never outside input, so SipHash's flooding
-/// resistance (≈ 20 ns a probe, up to nine probes a lookup) buys nothing.
-pub(crate) type FixedState = BuildHasherDefault<MixHasher>;
-
-/// Folds each written word into a SplitMix64 chain.
-#[derive(Default)]
-pub(crate) struct MixHasher(u64);
-
-impl Hasher for MixHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u16(&mut self, x: u16) {
-        self.write_u64(x as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        self.0 = mix64(self.0 ^ x);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 struct Node<T> {
     prev: u32,
@@ -241,24 +203,5 @@ mod tests {
         assert_eq!(s.alloc(101), ids[3]);
         assert_eq!(s.alloc(102) as usize, CHUNK + 5);
         assert_eq!((s[ids[3]], s[ids[CHUNK + 1]]), (101, 100));
-    }
-
-    #[test]
-    fn hasher_spreads_aligned_addresses_over_low_and_high_bits() {
-        use std::hash::BuildHasher;
-        // Leaf addresses are multiples of the node size; the table index
-        // comes from the low bits and the control byte from the top seven.
-        let (mut low, mut high) = ([0u32; 64], [0u32; 64]);
-        for leaf in 0..6_400u64 {
-            let h = FixedState::default().hash_one((leaf << 12, (leaf % 64) as u16));
-            low[(h % 64) as usize] += 1;
-            high[(h >> 58) as usize] += 1;
-        }
-        assert!(
-            low.iter().chain(&high).all(|c| (50..160).contains(c)),
-            "{low:?} {high:?}"
-        );
-        let one = |x: u64| FixedState::default().hash_one(x);
-        assert_eq!(one(7), one(7));
     }
 }

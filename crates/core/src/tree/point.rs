@@ -132,8 +132,8 @@ impl ChimeClient {
     fn try_speculative_read(&mut self, addr: GlobalAddr, key: u64, fp: u16) -> Option<Vec<u8>> {
         let (span, h) = (self.span(), self.h());
         let home = home_entry(key, span);
-        let nbh = (0..h).map(|d| ((home + d) % span) as u16);
-        let hot = self.cn.hotspot.lock().lookup(addr, nbh, fp)?;
+        let nbh = home..home + h;
+        let hot = self.cn.hotspot.lock().lookup(addr, nbh, span, fp)?;
         self.in_phase(Phase::SpeculativeRead, |me| {
             me.counters.spec_attempts += 1;
             match me.leaf().spec_read(&mut me.ep, addr, hot.idx as usize, key) {

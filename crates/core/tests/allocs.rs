@@ -15,7 +15,7 @@ use std::cell::Cell;
 
 use chime::hotspot::{HotspotBuffer, ENTRY_BYTES};
 use chime::{Chime, ChimeConfig};
-use dmem::{GlobalAddr, Pool, RangeIndex, Sink, TimeSeries};
+use dmem::{GlobalAddr, Pool, RangeIndex};
 
 thread_local! {
     // Per thread, so the test harness's own threads cannot disturb a count;
@@ -88,14 +88,6 @@ fn tree(cfg: ChimeConfig) -> chime::ChimeClient {
     for k in 1..=KEYS {
         client.insert(k, &k.to_le_bytes()).unwrap();
     }
-    // One telemetry window for the rest of the run: the always-on time
-    // series allocates a map entry per window of virtual time, a sink cost
-    // (ROADMAP item 4) that would otherwise land on whichever op crosses a
-    // window boundary.
-    let ep = client.endpoint_mut();
-    let mut sink = ep.set_sink(Sink::default());
-    sink.series = TimeSeries::new(u64::MAX);
-    ep.set_sink(sink);
     assert!(client.search(1).is_some());
     client
 }
@@ -266,7 +258,7 @@ fn full_hotspot_buffer_allocates_nothing_evictions_included() {
             _ => ((r >> 8) % 300) * ((r >> 40) % 300) / 300,
         };
         let (leaf, idx, fp) = (GlobalAddr::new(0, (slot / 8) << 12), (slot % 8) as u16, mix(slot) as u16);
-        match buf.lookup(leaf, idx..idx + 8, fp) {
+        match buf.lookup(leaf, idx as usize..idx as usize + 8, 16, fp) {
             Some(hot) => buf.on_access_at(leaf, hot, fp),
             None => {
                 evictions += (slot >= 1_000) as u64;

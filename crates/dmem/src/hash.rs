@@ -1,9 +1,12 @@
 //! Deterministic hash functions shared by all indexes.
 //!
 //! A SplitMix64 finalizer provides the hopscotch home-entry hash, the
-//! hotspot-buffer fingerprints, key scrambling for workload generators and
-//! seed mixing; [`xorshift64star`] is the seeded stream behind retry
+//! hotspot-buffer fingerprints, key scrambling for workload generators,
+//! seed mixing and [`FixedState`], the hasher of the maps keyed by remote
+//! addresses and keys; [`xorshift64star`] is the seeded stream behind retry
 //! jitter and the serving layer's arrival processes.
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Seed of the hopscotch home-entry hash.
 const SEED_HOME: u64 = 0x5EED_0FC4_17E0_0001;
@@ -17,6 +20,47 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Hasher state of the maps keyed by remote addresses or workload keys:
+/// the same seed in every process, so nothing about them differs between
+/// runs. Their keys are addresses this program allocated or keys its own
+/// generators drew, never outside input, so SipHash's flooding resistance
+/// (≈ 20 ns a probe) buys nothing.
+pub type FixedState = BuildHasherDefault<MixHasher>;
+
+/// Folds each written word into a SplitMix64 chain.
+#[derive(Default)]
+pub struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix64(self.0 ^ x);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One step of a xorshift64 stream (shifts 13/7/17) with the xorshift64*
@@ -108,6 +152,25 @@ mod tests {
         for c in counts {
             assert!((800..1200).contains(&c), "skewed bucket: {c}");
         }
+    }
+
+    #[test]
+    fn hasher_spreads_aligned_addresses_over_low_and_high_bits() {
+        use std::hash::BuildHasher;
+        // Leaf addresses are multiples of the node size; a table index
+        // comes from the low bits and a control byte from the top seven.
+        let (mut low, mut high) = ([0u32; 64], [0u32; 64]);
+        for leaf in 0..6_400u64 {
+            let h = FixedState::default().hash_one((leaf << 12, (leaf % 64) as u16));
+            low[(h % 64) as usize] += 1;
+            high[(h >> 58) as usize] += 1;
+        }
+        assert!(
+            low.iter().chain(&high).all(|c| (50..160).contains(c)),
+            "{low:?} {high:?}"
+        );
+        let one = |x: u64| FixedState::default().hash_one(x);
+        assert_eq!(one(7), one(7));
     }
 
     #[test]

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::hash::FixedState;
 use crate::verbs::Endpoint;
 
 const SHARDS: usize = 64;
@@ -22,8 +23,17 @@ const SHARDS: usize = 64;
 const LANE_POLL_NS: u64 = 200;
 
 struct Shard {
-    held: Mutex<HashSet<u64>>,
+    state: Mutex<Held>,
     cv: Condvar,
+}
+
+/// The slots of one shard that are taken, and how many `acquire`s wait on
+/// the shard's condvar: a release notifies only when one does, because a
+/// notification is a system call even when nobody waits.
+#[derive(Default)]
+struct Held {
+    slots: HashSet<u64, FixedState>,
+    waiters: u32,
 }
 
 /// A per-CN table of remote locks currently held by local clients.
@@ -43,7 +53,7 @@ impl LocalLockTable {
         LocalLockTable {
             shards: (0..SHARDS)
                 .map(|_| Shard {
-                    held: Mutex::new(HashSet::new()),
+                    state: Mutex::new(Held::default()),
                     cv: Condvar::new(),
                 })
                 .collect(),
@@ -67,11 +77,13 @@ impl LocalLockTable {
             "LocalLockTable::acquire blocks the thread all lanes share: a lane takes acquire_with"
         );
         let shard = self.shard(raw);
-        let mut held = shard.held.lock();
-        while held.contains(&raw) {
+        let mut held = shard.state.lock();
+        while held.slots.contains(&raw) {
+            held.waiters += 1;
             shard.cv.wait(&mut held);
+            held.waiters -= 1;
         }
-        held.insert(raw);
+        held.slots.insert(raw);
         LocalLockGuard {
             table: Arc::clone(self),
             raw,
@@ -81,11 +93,10 @@ impl LocalLockTable {
     /// Takes the local slot for `raw` if it is free, without blocking.
     pub fn try_acquire(self: &Arc<Self>, raw: u64) -> Option<LocalLockGuard> {
         let shard = self.shard(raw);
-        let mut held = shard.held.lock();
-        if held.contains(&raw) {
+        let mut held = shard.state.lock();
+        if !held.slots.insert(raw) {
             return None;
         }
-        held.insert(raw);
         Some(LocalLockGuard {
             table: Arc::clone(self),
             raw,
@@ -111,9 +122,11 @@ impl LocalLockTable {
 
     fn release(&self, raw: u64) {
         let shard = self.shard(raw);
-        let mut held = shard.held.lock();
-        held.remove(&raw);
-        shard.cv.notify_all();
+        let mut held = shard.state.lock();
+        held.slots.remove(&raw);
+        if held.waiters > 0 {
+            shard.cv.notify_all();
+        }
     }
 }
 
@@ -148,6 +161,31 @@ mod tests {
         let t = Arc::new(LocalLockTable::new());
         let _a = t.acquire(1);
         let _b = t.acquire(2);
+    }
+
+    #[test]
+    fn a_blocked_acquire_wakes_when_the_slot_is_released() {
+        let t = Arc::new(LocalLockTable::new());
+        let held = t.acquire(9);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                let _g = t.acquire(9);
+                tx.send(()).unwrap();
+            })
+        };
+        // Release only once the waiter is counted on the condvar, so the
+        // release must be the notification that wakes it.
+        while t.shard(9).state.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        assert!(rx.try_recv().is_err(), "acquired a held slot");
+        drop(held);
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the release did not wake the waiting acquire");
+        waiter.join().unwrap();
+        assert_eq!(t.shard(9).state.lock().waiters, 0);
     }
 
     #[test]

@@ -141,6 +141,64 @@ const HIST_BUCKETS: usize = 512;
 const HIST_MIN_NS: f64 = 50.0;
 const HIST_GROWTH: f64 = 1.045;
 
+/// Bits of a sample below its leading one that pick its sub-octave: a
+/// sub-octave spans a ratio of at most 1 + 2^-5 < [`HIST_GROWTH`], so it
+/// holds at most one bucket boundary.
+const SUB_BITS: u32 = 5;
+
+/// The bucket boundaries, derived once from [`bucket_by_ln`].
+struct Bounds {
+    /// `lower[b]`: the least sample of bucket `b` (`lower[0] == 0`).
+    lower: [u64; HIST_BUCKETS],
+    /// The bucket of the least sample of each sub-octave.
+    start: [u16; 64 << SUB_BITS],
+}
+
+static BOUNDS: std::sync::LazyLock<Bounds> = std::sync::LazyLock::new(|| {
+    let mut lower = [0u64; HIST_BUCKETS];
+    for (b, l) in lower.iter_mut().enumerate().skip(1) {
+        // The float formula is monotone in the sample: bisect for its step.
+        let (mut lo, mut hi) = (0u64, 1 << 40);
+        while lo + 1 < hi {
+            let mid = lo + (hi - lo) / 2;
+            if bucket_by_ln(mid) >= b {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        *l = hi;
+    }
+    let mut start = [0u16; 64 << SUB_BITS];
+    for (key, s) in start.iter_mut().enumerate() {
+        let e = key as u32 >> SUB_BITS;
+        if e >= SUB_BITS {
+            let least = (1u64 << e) | (key as u64 & ((1 << SUB_BITS) - 1)) << (e - SUB_BITS);
+            *s = bucket_by_ln(least) as u16;
+        }
+    }
+    Bounds { lower, start }
+});
+
+/// The sub-octave of `ns > 2^SUB_BITS`: its leading bit's position and the
+/// [`SUB_BITS`] bits below it.
+#[inline]
+fn sub_octave(ns: u64) -> usize {
+    let e = 63 - ns.leading_zeros();
+    ((e << SUB_BITS) as usize) | ((ns >> (e - SUB_BITS)) as usize & ((1 << SUB_BITS) - 1))
+}
+
+/// The histogram's defining formula: bucket `b` holds the samples in
+/// `(50 ns · 1.045^b, 50 ns · 1.045^(b+1)]`, as the float arithmetic rounds
+/// them, the last one everything above.
+fn bucket_by_ln(ns: u64) -> usize {
+    if (ns as f64) <= HIST_MIN_NS {
+        return 0;
+    }
+    let idx = ((ns as f64) / HIST_MIN_NS).ln() / HIST_GROWTH.ln();
+    (idx as usize).min(HIST_BUCKETS - 1)
+}
+
 impl Default for Histogram {
     fn default() -> Self {
         Self::new()
@@ -159,12 +217,19 @@ impl Histogram {
         }
     }
 
+    /// The bucket of `ns`: the one [`bucket_by_ln`] names, found from the
+    /// bucket boundaries instead of two logarithms per sample.
+    #[inline]
     fn bucket_of(ns: u64) -> usize {
-        if (ns as f64) <= HIST_MIN_NS {
+        if ns <= HIST_MIN_NS as u64 {
             return 0;
         }
-        let idx = ((ns as f64) / HIST_MIN_NS).ln() / HIST_GROWTH.ln();
-        (idx as usize).min(HIST_BUCKETS - 1)
+        let t = &*BOUNDS;
+        let mut b = t.start[sub_octave(ns)] as usize;
+        while b + 1 < HIST_BUCKETS && ns >= t.lower[b + 1] {
+            b += 1;
+        }
+        b
     }
 
     fn bucket_value(idx: usize) -> u64 {
@@ -258,6 +323,27 @@ mod tests {
         let mut m = b.clone();
         m.merge(&d);
         assert_eq!(m, a);
+    }
+
+    #[test]
+    fn bucket_boundaries_agree_with_the_logarithm_formula() {
+        let lower = &BOUNDS.lower;
+        for b in 1..HIST_BUCKETS {
+            assert!(lower[b] > lower[b - 1], "bucket {b} is empty");
+            for ns in [lower[b] - 1, lower[b], lower[b] + 1] {
+                assert_eq!(Histogram::bucket_of(ns), bucket_by_ln(ns), "{ns} ns");
+            }
+        }
+        let mut state = 0x5EED_0000_0000_0001u64;
+        for _ in 0..1_000_000 {
+            let r = crate::hash::xorshift64star(&mut state);
+            // Every octave up to 2^44 ns (≈ 4.9 hours), then the extremes.
+            let ns = r >> (20 + r % 44);
+            assert_eq!(Histogram::bucket_of(ns), bucket_by_ln(ns), "{ns} ns");
+        }
+        for ns in [0, 1, 49, 50, 51, 52, 63, 64, 65, u64::MAX / 2, u64::MAX] {
+            assert_eq!(Histogram::bucket_of(ns), bucket_by_ln(ns), "{ns} ns");
+        }
     }
 
     #[test]

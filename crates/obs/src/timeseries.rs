@@ -12,9 +12,10 @@
 //!
 //! Like everything in this crate the series is pure integer bookkeeping on
 //! the virtual clock: identical runs produce byte-identical JSON. Windows
-//! are keyed by index in a sorted map, so sparse activity (a client idle
-//! for a stretch of virtual time) costs nothing and iteration order is
-//! deterministic.
+//! sit in a vector indexed from the first one that saw activity, so folding
+//! an observation in is an index, not a search; a window nothing landed in
+//! is a `None` that the iteration, the JSON and `len` skip, exactly as if it
+//! were absent.
 //!
 //! Every endpoint's sink folds one series from its event stream. The bench
 //! driver snapshots each client's series before the measured phase and
@@ -25,8 +26,6 @@
 //! migration on the same axis as the throughput it displaced. `merge` and
 //! `since` are exact, so the export is byte-identical per seed
 //! (`crates/bench/tests/timeline.rs`, plus a two-run `cmp` in CI).
-
-use std::collections::BTreeMap;
 
 use crate::event::Event;
 use crate::json::Json;
@@ -157,11 +156,24 @@ pub struct TsEvent {
 }
 
 /// A fixed-width windowed time series on the virtual clock.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     window_ns: u64,
-    windows: BTreeMap<u64, Window>,
+    /// Index of `windows[0]`.
+    first: u64,
+    /// Windows `first..`; `None` where nothing was recorded.
+    windows: Vec<Option<Window>>,
+    /// The index and start of the window the last observation fell in:
+    /// the next one usually falls there too, and then needs no division.
+    last: (u64, u64),
     events: Vec<TsEvent>,
+}
+
+/// Equal when the widths, the recorded windows and the events are.
+impl PartialEq for TimeSeries {
+    fn eq(&self, o: &TimeSeries) -> bool {
+        self.window_ns == o.window_ns && self.events == o.events && self.windows().eq(o.windows())
+    }
 }
 
 impl Default for TimeSeries {
@@ -175,7 +187,9 @@ impl TimeSeries {
     pub fn new(window_ns: u64) -> Self {
         TimeSeries {
             window_ns: window_ns.max(1),
-            windows: BTreeMap::new(),
+            first: 0,
+            windows: Vec::new(),
+            last: (0, 0),
             events: Vec::new(),
         }
     }
@@ -192,17 +206,20 @@ impl TimeSeries {
 
     /// Number of materialized (non-empty) windows.
     pub fn len(&self) -> usize {
-        self.windows.len()
+        self.windows.iter().flatten().count()
     }
 
     /// The window at index `idx`, if it saw any activity.
     pub fn window(&self, idx: u64) -> Option<&Window> {
-        self.windows.get(&idx)
+        let i = usize::try_from(idx.checked_sub(self.first)?).ok()?;
+        self.windows.get(i)?.as_ref()
     }
 
     /// Iterates `(index, window)` pairs in index order.
     pub fn windows(&self) -> impl Iterator<Item = (u64, &Window)> {
-        self.windows.iter().map(|(k, w)| (*k, w))
+        (self.first..)
+            .zip(&self.windows)
+            .filter_map(|(k, w)| Some((k, w.as_ref()?)))
     }
 
     /// The recorded control-plane events, in recording order.
@@ -210,8 +227,47 @@ impl TimeSeries {
         &self.events
     }
 
+    #[inline]
     fn win(&mut self, t_ns: u64) -> &mut Window {
-        self.windows.entry(t_ns / self.window_ns).or_default()
+        let k = self.window_of(t_ns).0;
+        self.at(k)
+    }
+
+    /// The index of the window `t_ns` falls in, and that window's end.
+    #[inline]
+    fn window_of(&mut self, t_ns: u64) -> (u64, u64) {
+        if t_ns.wrapping_sub(self.last.1) >= self.window_ns {
+            let k = t_ns / self.window_ns;
+            self.last = (k, k * self.window_ns);
+        }
+        (self.last.0, self.last.1.saturating_add(self.window_ns))
+    }
+
+    /// Window `k`, created empty if nothing was recorded in it yet.
+    #[inline]
+    fn at(&mut self, k: u64) -> &mut Window {
+        let i = match k.checked_sub(self.first) {
+            Some(i) if (i as usize) < self.windows.len() => i as usize,
+            _ => self.extend_to(k),
+        };
+        self.windows[i].get_or_insert_with(Window::default)
+    }
+
+    /// Makes room for window `k` before or after the ones held; its slot.
+    #[cold]
+    fn extend_to(&mut self, k: u64) -> usize {
+        if self.windows.is_empty() {
+            self.first = k;
+        } else if k < self.first {
+            let n = usize::try_from(self.first - k).expect("series wider than memory");
+            self.windows.splice(0..0, std::iter::repeat_n(None, n));
+            self.first = k;
+        }
+        let i = usize::try_from(k - self.first).expect("series wider than memory");
+        if i >= self.windows.len() {
+            self.windows.resize(i + 1, None);
+        }
+        i
     }
 
     /// Folds one observation made at `t_ns` in: phase time (split across
@@ -224,9 +280,9 @@ impl TimeSeries {
             Event::Time { phase, ns } => {
                 let (mut t, mut dt) = (t_ns, *ns);
                 while dt > 0 {
-                    let end = (t / self.window_ns + 1) * self.window_ns;
+                    let (k, end) = self.window_of(t);
                     let take = dt.min(end - t);
-                    self.win(t).phase_ns[*phase as usize] += take;
+                    self.at(k).phase_ns[*phase as usize] += take;
                     t += take;
                     dt -= take;
                 }
@@ -274,8 +330,8 @@ impl TimeSeries {
     /// order of equal-timestamp events is the caller's iteration order).
     pub fn merge(&mut self, other: &TimeSeries) {
         assert_eq!(self.window_ns, other.window_ns, "window width mismatch");
-        for (k, w) in &other.windows {
-            self.windows.entry(*k).or_default().merge(w);
+        for (k, w) in other.windows() {
+            self.at(k).merge(w);
         }
         self.events.extend(other.events.iter().cloned());
         self.events.sort_by_key(|e| e.t_ns);
@@ -287,13 +343,13 @@ impl TimeSeries {
     pub fn since(&self, prev: &TimeSeries) -> TimeSeries {
         assert_eq!(self.window_ns, prev.window_ns, "window width mismatch");
         let mut out = TimeSeries::new(self.window_ns);
-        for (k, w) in &self.windows {
-            let d = match prev.windows.get(k) {
+        for (k, w) in self.windows() {
+            let d = match prev.window(k) {
                 Some(p) => w.since(p),
                 None => w.clone(),
             };
             if !d.is_zero() {
-                out.windows.insert(*k, d);
+                *out.at(k) = d;
             }
         }
         out.events = self.events[prev.events.len()..].to_vec();
@@ -302,16 +358,15 @@ impl TimeSeries {
 
     /// Total operations completed across all windows.
     pub fn total_ops(&self) -> u64 {
-        self.windows.values().map(|w| w.ops).sum()
+        self.windows().map(|(_, w)| w.ops).sum()
     }
 
     /// Serializes deterministically: window width, the non-empty windows in
     /// index order, and the event list.
     pub fn to_json(&self) -> Json {
         let windows: Vec<Json> = self
-            .windows
-            .iter()
-            .map(|(k, w)| w.to_json(*k, self.window_ns))
+            .windows()
+            .map(|(k, w)| w.to_json(k, self.window_ns))
             .collect();
         let events: Vec<Json> = self
             .events
