@@ -19,8 +19,9 @@
 //! the phase structure inline with the verbs.
 //!
 //! [`LatencyHist`] maps values `0..8` one-to-one, then `SUB_BITS` = 3 mantissa
-//! bits per octave: 496 buckets over all of `u64`, with exact bucket-wise
-//! `merge` (across clients) and `since` (around a measured window). The
+//! bits per octave: 496 buckets over all of `u64`, of which it stores only
+//! the occupied range, with exact bucket-wise `merge` (across clients) and
+//! `since` (around a measured window). The
 //! bench driver keeps one per op type (read-modify-writes record as the op
 //! they executed as) beside the per-phase episode histograms.
 
@@ -208,13 +209,36 @@ fn bound_of(b: usize) -> u64 {
     ((((SUB + mantissa + 1) as u128) << exp) - 1) as u64
 }
 
+/// Buckets a histogram holds without a heap allocation: a phase whose
+/// episodes all fall in this many adjacent buckets (a cache probe, a
+/// repeated leaf READ) never allocates.
+const INLINE_BUCKETS: usize = 4;
+
+/// The stored bucket counts: inline while few, else on the heap.
+#[derive(Debug, Clone)]
+enum Counts {
+    /// The first `len` entries; the rest are zero.
+    Inline([u64; INLINE_BUCKETS]),
+    /// Exactly `len` entries.
+    Heap(Vec<u64>),
+}
+
 /// A deterministic fixed-bucket integer histogram (HDR-style: 8 sub-buckets
 /// per octave, ≤ 12.5% relative error). Quantiles report the inclusive
 /// upper bound of the selected bucket, so they are a pure function of the
 /// recorded multiset — identical runs summarize to identical bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Only the occupied bucket range is stored — a few buckets inline, more on
+/// the heap — so an empty histogram owns no heap and clone, `merge` and
+/// `since` cost the buckets in use.
+#[derive(Debug, Clone)]
 pub struct LatencyHist {
-    buckets: [u64; HIST_BUCKETS],
+    /// The bucket the first stored count counts; 0 while empty.
+    lo: usize,
+    /// Buckets stored: `lo..lo + len`. Empty, or the first and last are
+    /// non-zero, so each multiset has one stored form.
+    len: usize,
+    counts: Counts,
     count: u64,
     sum: u64,
 }
@@ -222,12 +246,24 @@ pub struct LatencyHist {
 impl Default for LatencyHist {
     fn default() -> Self {
         LatencyHist {
-            buckets: [0; HIST_BUCKETS],
+            lo: 0,
+            len: 0,
+            counts: Counts::Inline([0; INLINE_BUCKETS]),
             count: 0,
             sum: 0,
         }
     }
 }
+
+/// Equal when the recorded multisets fall in the same buckets with the same
+/// count and sum.
+impl PartialEq for LatencyHist {
+    fn eq(&self, o: &LatencyHist) -> bool {
+        (self.lo, self.counts(), self.count, self.sum) == (o.lo, o.counts(), o.count, o.sum)
+    }
+}
+
+impl Eq for LatencyHist {}
 
 impl LatencyHist {
     /// Creates an empty histogram.
@@ -237,9 +273,62 @@ impl LatencyHist {
 
     /// Records one sample (nanoseconds).
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
+        let b = bucket_of(v);
+        let i = b.wrapping_sub(self.lo);
+        if i < self.len {
+            self.counts_mut()[i] += 1;
+        } else {
+            self.cover(b, b);
+            let i = b - self.lo;
+            self.counts_mut()[i] = 1;
+        }
         self.count += 1;
         self.sum += v;
+    }
+
+    /// The stored counts, of buckets `lo..lo + len`.
+    fn counts(&self) -> &[u64] {
+        match &self.counts {
+            Counts::Inline(a) => &a[..self.len],
+            Counts::Heap(v) => v,
+        }
+    }
+
+    fn counts_mut(&mut self) -> &mut [u64] {
+        match &mut self.counts {
+            Counts::Inline(a) => &mut a[..self.len],
+            Counts::Heap(v) => v,
+        }
+    }
+
+    /// Grows the stored range, with zeros, to include buckets `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let (lo, hi) = match self.len {
+            0 => (lo, hi),
+            n => (lo.min(self.lo), hi.max(self.lo + n - 1)),
+        };
+        // How far up the stored counts move.
+        let shift = if self.len == 0 { 0 } else { self.lo - lo };
+        let len = hi - lo + 1;
+        match &mut self.counts {
+            Counts::Inline(a) if len <= INLINE_BUCKETS => {
+                a.copy_within(..self.len, shift);
+                a[..shift].fill(0);
+            }
+            Counts::Inline(a) => {
+                let mut v = Vec::with_capacity(len);
+                v.resize(shift, 0);
+                v.extend_from_slice(&a[..self.len]);
+                v.resize(len, 0);
+                self.counts = Counts::Heap(v);
+            }
+            Counts::Heap(v) => {
+                v.splice(..0, std::iter::repeat_n(0, shift));
+                v.resize(len, 0);
+            }
+        }
+        self.lo = lo;
+        self.len = len;
     }
 
     /// Recorded samples.
@@ -260,10 +349,10 @@ impl LatencyHist {
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
-        for (b, &n) in self.buckets.iter().enumerate() {
+        for (i, &n) in self.counts().iter().enumerate() {
             cum += n;
             if cum >= rank {
-                return bound_of(b);
+                return bound_of(self.lo + i);
             }
         }
         bound_of(HIST_BUCKETS - 1)
@@ -271,8 +360,12 @@ impl LatencyHist {
 
     /// Adds another histogram's samples into this one.
     pub fn merge(&mut self, other: &LatencyHist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+        if other.len > 0 {
+            self.cover(other.lo, other.lo + other.len - 1);
+            let at = other.lo - self.lo;
+            for (a, b) in self.counts_mut()[at..].iter_mut().zip(other.counts()) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -281,9 +374,20 @@ impl LatencyHist {
     /// The samples recorded since `prev` (bucket-wise subtraction); `prev`
     /// must be an earlier snapshot of this histogram.
     pub fn since(&self, prev: &LatencyHist) -> LatencyHist {
+        let before = prev.counts();
+        let delta = |i: usize| {
+            let b = (self.lo + i).wrapping_sub(prev.lo);
+            self.counts()[i] - before.get(b).copied().unwrap_or(0)
+        };
         let mut out = LatencyHist::new();
-        for (i, o) in out.buckets.iter_mut().enumerate() {
-            *o = self.buckets[i] - prev.buckets[i];
+        if let Some(first) = (0..self.len).find(|&i| delta(i) > 0) {
+            let last = (first..self.len)
+                .rfind(|&i| delta(i) > 0)
+                .expect("first is non-zero");
+            out.cover(self.lo + first, self.lo + last);
+            for (i, n) in out.counts_mut().iter_mut().enumerate() {
+                *n = delta(first + i);
+            }
         }
         out.count = self.count - prev.count;
         out.sum = self.sum - prev.sum;
@@ -294,12 +398,10 @@ impl LatencyHist {
     /// the upper bound of the highest non-empty bucket.
     pub fn summary(&self) -> HistogramSummary {
         let max_ns = self
-            .buckets
+            .counts()
             .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, &n)| n > 0)
-            .map(|(b, _)| bound_of(b))
+            .rposition(|&n| n > 0)
+            .map(|i| bound_of(self.lo + i))
             .unwrap_or(0);
         HistogramSummary {
             count: self.count,
@@ -442,6 +544,238 @@ impl OpProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The dense histogram the compact one replaced, every bucket stored:
+    /// the reference the compact one must agree with.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct DenseHist {
+        buckets: [u64; HIST_BUCKETS],
+        count: u64,
+        sum: u64,
+    }
+
+    impl Default for DenseHist {
+        fn default() -> Self {
+            DenseHist {
+                buckets: [0; HIST_BUCKETS],
+                count: 0,
+                sum: 0,
+            }
+        }
+    }
+
+    impl DenseHist {
+        fn record(&mut self, v: u64) {
+            self.buckets[bucket_of(v)] += 1;
+            self.count += 1;
+            self.sum += v;
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            if self.count == 0 {
+                return 0;
+            }
+            let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+            let mut cum = 0u64;
+            for (b, &n) in self.buckets.iter().enumerate() {
+                cum += n;
+                if cum >= rank {
+                    return bound_of(b);
+                }
+            }
+            bound_of(HIST_BUCKETS - 1)
+        }
+
+        fn merge(&mut self, other: &DenseHist) {
+            for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+                *a += b;
+            }
+            self.count += other.count;
+            self.sum += other.sum;
+        }
+
+        fn since(&self, prev: &DenseHist) -> DenseHist {
+            let mut out = DenseHist::default();
+            for (i, o) in out.buckets.iter_mut().enumerate() {
+                *o = self.buckets[i] - prev.buckets[i];
+            }
+            out.count = self.count - prev.count;
+            out.sum = self.sum - prev.sum;
+            out
+        }
+
+        fn summary(&self) -> HistogramSummary {
+            let max_ns = self
+                .buckets
+                .iter()
+                .enumerate()
+                .rev()
+                .find(|(_, &n)| n > 0)
+                .map(|(b, _)| bound_of(b))
+                .unwrap_or(0);
+            HistogramSummary {
+                count: self.count,
+                mean_ns: self.sum.checked_div(self.count).unwrap_or(0),
+                p50_ns: self.quantile(0.5),
+                p90_ns: self.quantile(0.9),
+                p99_ns: self.quantile(0.99),
+                max_ns,
+            }
+        }
+
+        /// The compact histogram's buckets, spread out.
+        fn of(h: &LatencyHist) -> DenseHist {
+            let mut d = DenseHist {
+                count: h.count,
+                sum: h.sum,
+                ..DenseHist::default()
+            };
+            d.buckets[h.lo..h.lo + h.len].copy_from_slice(h.counts());
+            d
+        }
+    }
+
+    /// Both histograms of `values`, recorded in order.
+    fn both(values: &[u64]) -> (LatencyHist, DenseHist) {
+        let (mut h, mut d) = (LatencyHist::new(), DenseHist::default());
+        for &v in values {
+            h.record(v);
+            d.record(v);
+        }
+        (h, d)
+    }
+
+    /// Whether `h` agrees with its reference `d` in every output, and keeps
+    /// its one-representation form.
+    fn agrees(h: &LatencyHist, d: &DenseHist) -> Result<(), TestCaseError> {
+        let dense = DenseHist::of(h);
+        let differs = (0..HIST_BUCKETS).find(|&b| dense.buckets[b] != d.buckets[b]);
+        prop_assert!(differs.is_none(), "bucket {differs:?} differs: {h:?}");
+        prop_assert_eq!((dense.count, dense.sum), (d.count, d.sum));
+        let c = h.counts();
+        let trimmed = c.first().is_none_or(|&n| n > 0) && c.last().is_none_or(|&n| n > 0);
+        let inline_zeros = match &h.counts {
+            Counts::Inline(a) => a[h.len..].iter().all(|&n| n == 0),
+            Counts::Heap(v) => v.len() == h.len && h.len > INLINE_BUCKETS,
+        };
+        prop_assert!(trimmed && inline_zeros && (h.lo == 0 || h.len > 0), "{h:?}");
+        prop_assert_eq!(h.summary(), d.summary());
+        for q in [0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            prop_assert_eq!(h.quantile(q), d.quantile(q));
+        }
+        Ok(())
+    }
+
+    /// Sample values. Narrow cases draw from `[base, 1.5 base)`, the first
+    /// four buckets of an octave, so the histogram stays inline while its
+    /// range moves; wide cases draw 0, 7, 8 (the edges of the one-to-one
+    /// buckets), small values, and up to 48-bit values spread over the
+    /// octaves. `top` adds one top-bucket value, `u64::MAX` minus the rest's
+    /// sum, so the sum never overflows and is `u64::MAX` itself when the
+    /// rest are zeros.
+    fn values(draws: Vec<(u8, u32, u64)>, narrow: Option<u64>, top: bool) -> Vec<u64> {
+        let mut vs: Vec<u64> = draws
+            .into_iter()
+            .map(|(kind, shift, raw)| match (narrow, kind) {
+                (Some(base), _) => base + raw % (base / 2),
+                (None, 0) => [0, 7, 8][raw as usize % 3],
+                (None, 1) => raw % 64,
+                (None, _) => raw >> shift,
+            })
+            .collect();
+        if top {
+            vs.push(u64::MAX - vs.iter().sum::<u64>());
+        }
+        vs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Recording, snapshot deltas and merges (of split streams and of
+        /// disjoint bucket ranges) agree with the dense histogram, and
+        /// equality is equality of the dense forms.
+        #[test]
+        fn compact_histogram_matches_the_dense_one(
+            draws in proptest::collection::vec((0u8..4, 16u32..64, any::<u64>()), 0..120),
+            octave in 0u32..80,
+            top in 0u8..4,
+            cut in any::<u64>(),
+            pivot in 0u32..64,
+        ) {
+            let narrow = (octave < 40).then(|| 8u64 << octave);
+            let vs = values(draws, narrow, top == 0);
+            let (h, d) = both(&vs);
+            agrees(&h, &d)?;
+
+            // A snapshot after a prefix: `since` gives the rest.
+            let cut = cut as usize % (vs.len() + 1);
+            let (snap, dsnap) = both(&vs[..cut]);
+            let (rest, _) = both(&vs[cut..]);
+            let delta = h.since(&snap);
+            agrees(&delta, &d.since(&dsnap))?;
+            prop_assert_eq!(&delta, &rest);
+            agrees(&h.since(&h), &DenseHist::default())?;
+            prop_assert_eq!(h.since(&h), LatencyHist::new());
+
+            // Merging the prefix and the rest, either way round.
+            let mut m = snap.clone();
+            m.merge(&rest);
+            prop_assert_eq!(&m, &h);
+            let mut m = rest.clone();
+            m.merge(&snap);
+            prop_assert_eq!(&m, &h);
+
+            // Values below and at-or-above a pivot fill disjoint bucket
+            // ranges; merging them either way round is the whole.
+            let pivot = 1u64 << pivot;
+            let (lows, highs): (Vec<u64>, Vec<u64>) = vs.iter().partition(|&&v| v < pivot);
+            let ((lo, dlo), (hi, dhi)) = (both(&lows), both(&highs));
+            let (mut a, mut b, mut da) = (lo.clone(), hi.clone(), dlo.clone());
+            a.merge(&hi);
+            b.merge(&lo);
+            da.merge(&dhi);
+            agrees(&a, &da)?;
+            prop_assert_eq!(&a, &h);
+            prop_assert_eq!(&b, &h);
+
+            // `==` is the dense equality: a histogram differs from every
+            // one with a sample more or less.
+            let (fewer, dfewer) = both(&vs[..vs.len().saturating_sub(1)]);
+            prop_assert_eq!(fewer == h, dfewer == d);
+        }
+    }
+
+    #[test]
+    fn the_extremes_fill_the_edge_buckets() {
+        for vs in [
+            &[u64::MAX][..],
+            &[0, 0, u64::MAX],
+            &[0, 7, 8, u64::MAX - 15],
+        ] {
+            let (h, d) = both(vs);
+            agrees(&h, &d).unwrap();
+        }
+        let (h, _) = both(&[u64::MAX]);
+        assert_eq!((h.lo, h.summary().max_ns), (HIST_BUCKETS - 1, u64::MAX));
+    }
+
+    #[test]
+    fn a_profile_is_small_and_an_empty_one_owns_no_heap() {
+        let p = OpProfile::new();
+        let heap: usize = p
+            .phases
+            .iter()
+            .map(|a| match &a.hist.counts {
+                Counts::Inline(_) => 0,
+                Counts::Heap(v) => v.capacity() * 8,
+            })
+            .sum();
+        let inline = size_of::<OpProfile>();
+        assert!(inline + heap <= 2048, "{inline} B inline, {heap} B heap");
+        assert_eq!(heap, 0);
+    }
 
     fn verb(phase: Phase, wire_bytes: u64) -> Event {
         let (verb, mn, addr, msgs, rtts, dur_ns, delay_ns) = ("read", 0, 0, 1, 1, 0, 0);

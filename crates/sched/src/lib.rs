@@ -38,6 +38,13 @@
 //! through the engine reproduces serial timing byte for byte
 //! (`tests/engine.rs`). The determinism argument is DESIGN.md §10.
 //!
+//! Starting and finishing lanes costs no system call once a thread is warm.
+//! A lane that finished, or never ran, hands its stack to a free list of
+//! its thread, which keeps up to 64 (a 64-lane engine's worth), and a new
+//! lane maps a stack only when that list is empty. A lane left suspended
+//! mid-body — its [`Engine::run_client`] unwound past it, so its frames may
+//! still be pointed at — is never reused: its stack leaks.
+//!
 //! The stacks and the switch are x86_64 Linux code, and the crate does not
 //! build for another target.
 //!
@@ -395,5 +402,103 @@ impl Engine {
             qp: sched.qp.stats().clone(),
             handoffs: shared.handoffs.get(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dmem::{Endpoint, Pool};
+    use std::ops::Range;
+
+    /// An address in the calling frame: which stack a lane body runs on.
+    fn here() -> usize {
+        let local = 0u8;
+        std::hint::black_box(&local) as *const u8 as usize
+    }
+
+    /// The index of the stack in `stacks` that `at` lies on.
+    fn on(stacks: &[Range<usize>], at: usize) -> Option<usize> {
+        stacks.iter().position(|s| s.contains(&at))
+    }
+
+    /// One client run of `engine`'s lanes, each parking twice on timers;
+    /// returns where each lane body ran.
+    fn run(engine: &Engine, pool: &Arc<Pool>) -> Vec<usize> {
+        let bodies: Vec<_> = (0..engine.cfg.lanes)
+            .map(|lane| {
+                let pool = Arc::clone(pool);
+                move || {
+                    let mut ep = Endpoint::new(pool);
+                    ep.advance_clock(1 + lane as u64);
+                    ep.advance_clock(1);
+                    here()
+                }
+            })
+            .collect();
+        engine.run_client(*pool.net(), 1, bodies).into_results()
+    }
+
+    fn sorted(mut stacks: Vec<Range<usize>>) -> Vec<Range<usize>> {
+        stacks.sort_by_key(|s| s.start);
+        stacks
+    }
+
+    #[test]
+    fn a_warm_thread_runs_its_lanes_on_the_stacks_it_has() {
+        let pool = Pool::with_defaults(1, 1 << 20);
+        let engine = Engine::new(EngineConfig { lanes: 4 });
+        run(&engine, &pool);
+        let free = sorted(stack::free_stacks());
+        assert_eq!(free.len(), 4, "every finished lane's stack is kept");
+        // The second run maps nothing: each lane runs on its own stack of
+        // the list, and each stack comes back to it.
+        let ran = run(&engine, &pool);
+        let mut used: Vec<usize> = ran
+            .iter()
+            .map(|&at| on(&free, at).expect("a kept stack"))
+            .collect();
+        used.sort_unstable();
+        assert_eq!(used, [0, 1, 2, 3]);
+        assert_eq!(sorted(stack::free_stacks()), free);
+    }
+
+    #[test]
+    fn the_free_list_is_bounded() {
+        let pool = Pool::with_defaults(1, 1 << 20);
+        let lanes = stack::POOLED_STACKS + 3;
+        run(&Engine::new(EngineConfig { lanes }), &pool);
+        assert_eq!(stack::free_stacks().len(), stack::POOLED_STACKS);
+    }
+
+    #[test]
+    fn a_lane_left_suspended_by_an_unwinding_run_is_never_reused() {
+        let pool = Pool::with_defaults(1, 1 << 20);
+        let suspended = Cell::new(0);
+        // Lane 0 parks until 1 µs, lane 1 finishes at once, and the watch
+        // panics at the first pick: that pick is the runner's, after lane 1
+        // finished, so `run_client` unwinds past lane 0 parked mid-body.
+        let found = explore(2, 0, 100, |engine| {
+            engine.watch(|| panic!("the runner unwinds"));
+            let bodies: Vec<Box<dyn FnOnce()>> = vec![
+                Box::new(|| {
+                    suspended.set(here());
+                    Endpoint::new(Arc::clone(&pool)).advance_clock(1_000);
+                }),
+                Box::new(|| ()),
+            ];
+            engine.run_client(*pool.net(), 1, bodies);
+            Ok(())
+        });
+        let (_, why) = found.failure.expect("the run fails");
+        assert_eq!(why, "panicked: the runner unwinds");
+        let free = stack::free_stacks();
+        assert_eq!(free.len(), 1, "the finished lane's stack is kept");
+        assert_eq!(on(&free, suspended.get()), None);
+        // Later runs on the thread never land on the suspended lane's stack.
+        let ran = run(&Engine::new(EngineConfig { lanes: 4 }), &pool);
+        let free = stack::free_stacks();
+        assert!(ran.iter().all(|&at| on(&free, at).is_some()));
+        assert_eq!(on(&free, suspended.get()), None);
     }
 }

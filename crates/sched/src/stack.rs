@@ -14,6 +14,13 @@
 //! A lane that switches while unwinding would lend the thread's panic count
 //! to the lane it switches to; no `Drop` in the workspace issues a verb, so
 //! none does.
+//!
+//! Stacks are reused: a lane that finished, or never started, hands its
+//! stack to a free list of its thread, and [`Lane::new`] maps a stack only
+//! when that list is empty. The list keeps at most [`POOLED_STACKS`]; a
+//! stack beyond that is unmapped. A lane dropped while suspended mid-body
+//! (its group's runner unwound past it) may still be pointed at, so its
+//! stack is never reused: it leaks.
 
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(
@@ -22,7 +29,7 @@ compile_error!(
 );
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,6 +43,11 @@ const STACK_BYTES: usize = 2 << 20;
 
 /// The x86_64 base page, mapped `PROT_NONE` below each stack.
 const GUARD_BYTES: usize = 4096;
+
+/// Most stacks a thread keeps for reuse: every lane of a 64-lane engine
+/// starts without a `mmap`. Stacks keep only the pages their lanes touched
+/// resident.
+pub(crate) const POOLED_STACKS: usize = 64;
 
 // The Linux x86_64 values of the `mmap` flags used below.
 const PROT_NONE: i32 = 0;
@@ -60,7 +72,23 @@ struct Stack {
 }
 
 impl Stack {
-    fn new() -> Stack {
+    /// A stack from this thread's free list, else a freshly mapped one.
+    fn take() -> Stack {
+        FREE.with_borrow_mut(Vec::pop).unwrap_or_else(Stack::map)
+    }
+
+    /// Hands the stack to this thread's free list, or unmaps it when the
+    /// list is full (or already torn down at thread exit).
+    fn recycle(self) {
+        let _ = FREE.try_with(move |free| {
+            let mut free = free.borrow_mut();
+            if free.len() < POOLED_STACKS {
+                free.push(self);
+            }
+        });
+    }
+
+    fn map() -> Stack {
         let len = GUARD_BYTES + STACK_BYTES;
         let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
         // SAFETY: an anonymous private mapping at an address of the
@@ -77,6 +105,12 @@ impl Stack {
         Stack { base }
     }
 
+    /// The usable bytes, as addresses.
+    #[cfg(test)]
+    fn usable(&self) -> std::ops::Range<usize> {
+        self.base as usize + GUARD_BYTES..self.top() as usize
+    }
+
     /// One past the highest usable byte; page-aligned, so 16-aligned.
     fn top(&self) -> *mut u8 {
         self.base.wrapping_add(GUARD_BYTES + STACK_BYTES)
@@ -85,8 +119,8 @@ impl Stack {
 
 impl Drop for Stack {
     fn drop(&mut self) {
-        // SAFETY: `base` and the length are exactly what `Stack::new`
-        // mapped, and `Lane`'s drop drops a `Stack` only once no frame on
+        // SAFETY: `base` and the length are exactly what `Stack::map`
+        // mapped, and `Lane`'s drop gives a `Stack` up only once no frame on
         // it runs again.
         let rc = unsafe { munmap(self.base, GUARD_BYTES + STACK_BYTES) };
         debug_assert_eq!(rc, 0, "munmap of a lane stack failed");
@@ -134,6 +168,14 @@ impl Context {
 thread_local! {
     /// The lane running on this thread; null on a stack that is no lane's.
     static CURRENT: Cell<*const Context> = const { Cell::new(ptr::null()) };
+    /// Stacks no frame runs on, for the next [`Lane::new`] on this thread.
+    static FREE: RefCell<Vec<Stack>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The usable address ranges of the stacks on this thread's free list.
+#[cfg(test)]
+pub(crate) fn free_stacks() -> Vec<std::ops::Range<usize>> {
+    FREE.with_borrow(|free| free.iter().map(Stack::usable).collect())
 }
 
 /// Marks `from` suspended (unless it is done) and `to` running, and switches
@@ -158,11 +200,11 @@ unsafe fn switch_contexts(from: &Context, to: &Context) {
     CURRENT.set(to);
     // SAFETY: `to` is suspended, so its `sp` was saved by the `switch` that
     // suspended it (or laid out by `Lane::new`) and its stack is mapped: a
-    // `Lane` marks itself done before unmapping. `from` is the executing
-    // stack's context, so the `sp` saved here is where it resumes. `switch`
-    // saves `rbp, rbx, r12–r15` and `rsp`, not MXCSR or the x87 control
-    // word: nothing in the workspace changes either, so every stack runs
-    // with the values the thread started with.
+    // `Lane` marks itself done before giving its stack up. `from` is the
+    // executing stack's context, so the `sp` saved here is where it resumes.
+    // `switch` saves `rbp, rbx, r12–r15` and `rsp`, not MXCSR or the x87
+    // control word: nothing in the workspace changes either, so every stack
+    // runs with the values the thread started with.
     unsafe { switch(from.sp.as_ptr(), to.sp.get()) };
 }
 
@@ -240,7 +282,7 @@ impl<'a> Lane<'a> {
             ctx: Rc::clone(&ctx),
             entry: Box::new(entry),
         }));
-        let stack = Stack::new();
+        let stack = Stack::take();
         // The first switch pops six registers and returns into the
         // trampoline, leaving `rsp` 16 bytes below the top: 16-aligned for
         // its `call`, with a zero word above it where a caller's return
@@ -257,8 +299,8 @@ impl<'a> Lane<'a> {
             0,
         ];
         let sp = stack.top().wrapping_sub(size_of_val(&frame));
-        // SAFETY: `sp` is 72 bytes below the top of a fresh read-write
-        // mapping of `STACK_BYTES`, and 8-aligned.
+        // SAFETY: `sp` is 72 bytes below the top of a read-write mapping
+        // of `STACK_BYTES` that no frame runs on, and 8-aligned.
         unsafe { sp.cast::<[usize; 9]>().write(frame) };
         ctx.sp.set(sp);
         Lane {
@@ -297,7 +339,7 @@ impl Drop for Lane<'_> {
         // SAFETY: the lane finished (its entry marks it done just before
         // the final switch away) or never started, so no frame on the stack
         // runs again, and `stack` is not touched after this.
-        unsafe { ManuallyDrop::drop(&mut self.stack) };
+        unsafe { ManuallyDrop::take(&mut self.stack) }.recycle();
     }
 }
 
