@@ -17,8 +17,7 @@ use std::sync::Arc;
 
 use dmem::hash::FixedState;
 use dmem::{
-    Bound, ClientStats, CountHist, Histogram, NetConfig, Pool, QpStats, RangeIndex, Rows,
-    RunAccounting,
+    Bound, ClientStats, CountHist, NetConfig, Pool, QpStats, RangeIndex, Rows, RunAccounting,
 };
 use obs::{
     Anomaly, HistogramSummary, LatencyHist, MetricsSnapshot, OpProfile, Phase,
@@ -463,12 +462,11 @@ impl HandleSnap {
 
 /// Everything a measured loop (serial or pipelined) hands to [`assemble`].
 struct Agg {
-    hist: Histogram,
-    /// Per-op-type virtual-latency histograms (read/update/insert/scan).
+    /// Per-op-type virtual-latency histograms (read/update/insert/scan);
+    /// their merge is the run's op count, latency sum and headline
+    /// percentiles.
     op_hists: Vec<LatencyHist>,
     profile_delta: OpProfile,
-    sum_latency: u64,
-    executed: u64,
     stats_delta: ClientStats,
     /// Σ per-client busy virtual time (max over the client's lanes); 0 in
     /// serial mode (busy time equals the latency sum).
@@ -493,11 +491,8 @@ impl Agg {
     /// (per-MN traffic, cache/hotspot/router probes) snapshotted.
     fn begin(dep: &Deployment) -> Self {
         Agg {
-            hist: Histogram::new(),
             op_hists: (0..OP_NAMES.len()).map(|_| LatencyHist::default()).collect(),
             profile_delta: OpProfile::default(),
-            sum_latency: 0,
-            executed: 0,
             stats_delta: ClientStats::default(),
             sum_busy: 0,
             qp: None,
@@ -513,10 +508,7 @@ impl Agg {
 
     /// Records one completed (or RDWC-combined) op of type `disc`.
     fn record(&mut self, disc: u8, lat: u64) {
-        self.hist.record(lat);
         self.op_hists[disc as usize].record(lat);
-        self.sum_latency += lat;
-        self.executed += 1;
     }
 
     /// Folds a handle's measured-phase deltas in — verb counters, phase
@@ -676,11 +668,8 @@ fn count_summary(h: &CountHist) -> HistogramSummary {
 /// by the serial and pipelined measured loops.
 fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
     let Agg {
-        hist,
         op_hists,
         profile_delta,
-        sum_latency,
-        executed,
         stats_delta,
         sum_busy,
         qp,
@@ -692,6 +681,11 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         timeline,
         tracers,
     } = agg;
+    let mut hist = LatencyHist::new();
+    for h in &op_hists {
+        hist.merge(h);
+    }
+    let executed = hist.count();
     let net = NetConfig::default();
     // Per-MN traffic deltas of the measured phase, computed up front: for
     // partitioned runs they are the accounting source of truth (they
@@ -730,7 +724,7 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
         total_wire_bytes: if part_run { pool_wire } else { stats_delta.wire_bytes },
         max_mn_msgs,
         max_mn_wire_bytes,
-        sum_latency_ns: sum_latency,
+        sum_latency_ns: hist.sum(),
         sum_busy_ns: sum_busy,
     };
     let est = net.model(&acc);
@@ -809,18 +803,7 @@ fn assemble(setup: &BenchSetup, dep: &mut Deployment, agg: Agg) -> BenchResult {
     metrics.gauge("remote_alloc_bytes", &[], remote_bytes as f64);
     metrics.gauge("cache_hit_ratio", &[], ratio(cache_hits, cache_hits + cache_misses));
     metrics.gauge("hotspot_hit_ratio", &[], hit_ratio);
-    metrics.histogram(
-        "op_latency",
-        &[],
-        HistogramSummary {
-            count: executed,
-            mean_ns: sum_latency.checked_div(executed).unwrap_or(0),
-            p50_ns: hist.quantile(0.5),
-            p90_ns: hist.quantile(0.9),
-            p99_ns: hist.quantile(0.99),
-            max_ns: hist.max(),
-        },
-    );
+    metrics.histogram("op_latency", &[], hist.summary());
     // Per-op-type latency percentiles. All four op types are always
     // present (zero-count histograms included) so the metric key set is
     // stable across runs and workloads.
@@ -1123,5 +1106,60 @@ mod tests {
         let with = run(&mk(true));
         let without = run(&mk(false));
         assert!(with.mops >= without.mops * 0.99);
+    }
+
+    fn op_latency(r: &BenchResult, labels: &[(&str, &str)]) -> HistogramSummary {
+        r.metrics.histogram_value("op_latency", labels).unwrap()
+    }
+
+    /// The laws of a run whose every op is on the timeline (RDWC off): the
+    /// headline count is the op types' counts summed and the ops executed,
+    /// and its mean is the latency sum over the op count.
+    fn assert_headline_counts_every_op_once(r: &BenchResult) {
+        let all = op_latency(r, &[]);
+        let by_op: u64 = OP_NAMES.iter().map(|op| op_latency(r, &[("op", op)]).count).sum();
+        assert_eq!(all.count, by_op);
+        assert_eq!(all.count, r.metrics.counter_value("ops_total", &[]));
+        let ops: u64 = r.timeline.windows().map(|(_, w)| w.ops).sum();
+        let lat_sum: u64 = r.timeline.windows().map(|(_, w)| w.lat_sum_ns).sum();
+        assert_eq!(all.count, ops);
+        assert_eq!(all.mean_ns, lat_sum / ops);
+    }
+
+    #[test]
+    fn a_read_only_runs_headline_is_its_read_summary() {
+        let r = run(&tiny(IndexKind::Chime(chime::ChimeConfig::default()), Workload::C));
+        assert!(op_latency(&r, &[]).count > 0);
+        assert_eq!(op_latency(&r, &[]), op_latency(&r, &[("op", "read")]));
+    }
+
+    #[test]
+    fn a_mixed_runs_headline_counts_every_op_once() {
+        let setup = BenchSetup {
+            rdwc: false,
+            ..tiny(IndexKind::Chime(chime::ChimeConfig::default()), Workload::A)
+        };
+        let r = run(&setup);
+        assert!(op_latency(&r, &[("op", "update")]).count > 0);
+        assert_headline_counts_every_op_once(&r);
+        // The pipelined loop records its lanes' samples the same way.
+        assert_headline_counts_every_op_once(&run(&BenchSetup { coroutines: 4, ..setup }));
+    }
+
+    #[test]
+    fn rdwc_combined_ops_count_in_the_headline() {
+        let setup = BenchSetup {
+            clients: 32,
+            ..tiny(IndexKind::Chime(chime::ChimeConfig::default()), Workload::C)
+        };
+        assert!(setup.rdwc);
+        let r = run(&setup);
+        // A combined op pays its partner's latency without executing: it is
+        // a headline sample, but not on the timeline.
+        let all = op_latency(&r, &[]);
+        assert_eq!(all.count, setup.ops);
+        assert_eq!(all.count, r.metrics.counter_value("ops_total", &[]));
+        let executed: u64 = r.timeline.windows().map(|(_, w)| w.ops).sum();
+        assert!(executed < all.count, "{executed} of {} ops executed", all.count);
     }
 }

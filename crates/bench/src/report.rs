@@ -467,4 +467,15 @@ mod tests {
         assert_eq!(from_report, rep.points());
         assert_eq!(read_back(&points_document(rep.points())), from_report);
     }
+
+    #[test]
+    fn a_read_only_points_headline_and_read_percentiles_agree() {
+        // Eight clients leave the modeled network unsaturated, so the
+        // headline percentiles carry no queueing inflation.
+        let m = Report::flat_metrics(&run(&tiny()));
+        for q in ["p50_us", "p90_us", "p99_us"] {
+            assert!(m[q] > 0.0, "{q}");
+            assert_eq!(m[q], m[&format!("lat.read.{q}")], "{q}");
+        }
+    }
 }

@@ -291,7 +291,7 @@ fn driven_k4_delayed_image() {
 #[test]
 fn bench_k1_image() {
     let want = [
-        ("flat", 0x5bf2273ad83d42d3),
+        ("flat", 0x140f3e09da236380),
         ("flight", 0xd00d6013e7a6a44c),
         ("perfetto", 0x418c33b1c01a7b93),
         ("series", 0x9a3427f8e9b17dae),
@@ -302,7 +302,7 @@ fn bench_k1_image() {
 #[test]
 fn bench_k4_image() {
     let want = [
-        ("flat", 0x22b7ab75f60d8d9b),
+        ("flat", 0xda2987181661a195),
         ("flight", 0x966db36df36e95ab),
         ("perfetto", 0xfd7e7e5469a0476c),
         ("series", 0x298575579c5d3cd9),
