@@ -45,13 +45,15 @@ serve-smoke:
 # Attribute metric movement between two bench documents (figure reports
 # BENCH_<name>.json, or smoke.json), e.g. `make explain OLD=a.json
 # NEW=b.json`. Without OLD it diffs the results/smoke.json committed at
-# HEAD against the working tree's: after `make figs` moved it, this says why.
+# BASE (default HEAD) against the working tree's: after `make figs` moved
+# it, this says why; `make explain BASE=HEAD~1` says why the last commit did.
 NEW ?= results/smoke.json
+BASE ?= HEAD
 explain:
 ifndef OLD
-	@mkdir -p target && git show HEAD:results/smoke.json > target/smoke.HEAD.json
+	@mkdir -p target && git show $(BASE):results/smoke.json > target/smoke.base.json
 endif
-	$(CARGO) run --release -p bench --bin explain -- $(or $(OLD),target/smoke.HEAD.json) $(NEW)
+	$(CARGO) run --release -p bench --bin explain -- $(or $(OLD),target/smoke.base.json) $(NEW)
 
 # Every table and figure at its published scale into results/ (≈ 500 s on
 # a 2-vCPU box: fig_scale's two 10 M-key loads ≈ 185 s, fig18 ≈ 90 s,

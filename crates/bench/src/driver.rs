@@ -1117,7 +1117,10 @@ mod tests {
     /// and its mean is the latency sum over the op count.
     fn assert_headline_counts_every_op_once(r: &BenchResult) {
         let all = op_latency(r, &[]);
-        let by_op: u64 = OP_NAMES.iter().map(|op| op_latency(r, &[("op", op)]).count).sum();
+        let by_op: u64 = OP_NAMES
+            .iter()
+            .map(|op| op_latency(r, &[("op", op)]).count)
+            .sum();
         assert_eq!(all.count, by_op);
         assert_eq!(all.count, r.metrics.counter_value("ops_total", &[]));
         let ops: u64 = r.timeline.windows().map(|(_, w)| w.ops).sum();
@@ -1128,7 +1131,10 @@ mod tests {
 
     #[test]
     fn a_read_only_runs_headline_is_its_read_summary() {
-        let r = run(&tiny(IndexKind::Chime(chime::ChimeConfig::default()), Workload::C));
+        let r = run(&tiny(
+            IndexKind::Chime(chime::ChimeConfig::default()),
+            Workload::C,
+        ));
         assert!(op_latency(&r, &[]).count > 0);
         assert_eq!(op_latency(&r, &[]), op_latency(&r, &[("op", "read")]));
     }
@@ -1143,7 +1149,10 @@ mod tests {
         assert!(op_latency(&r, &[("op", "update")]).count > 0);
         assert_headline_counts_every_op_once(&r);
         // The pipelined loop records its lanes' samples the same way.
-        assert_headline_counts_every_op_once(&run(&BenchSetup { coroutines: 4, ..setup }));
+        assert_headline_counts_every_op_once(&run(&BenchSetup {
+            coroutines: 4,
+            ..setup
+        }));
     }
 
     #[test]
@@ -1160,6 +1169,10 @@ mod tests {
         assert_eq!(all.count, setup.ops);
         assert_eq!(all.count, r.metrics.counter_value("ops_total", &[]));
         let executed: u64 = r.timeline.windows().map(|(_, w)| w.ops).sum();
-        assert!(executed < all.count, "{executed} of {} ops executed", all.count);
+        assert!(
+            executed < all.count,
+            "{executed} of {} ops executed",
+            all.count
+        );
     }
 }
