@@ -222,4 +222,129 @@ mod tests {
             assert!(*d > 0 && *d < l, "{name}");
         }
     }
+
+    // `Histogram` is `obs::LatencyHist`: quantiles are the inclusive upper
+    // bound of the selected bucket, at most 12.5 % above the sample.
+    fn within_a_bucket(q: u64, v: u64) -> bool {
+        q >= v && (q - v) as f64 <= 0.125 * v as f64
+    }
+
+    #[test]
+    fn histogram_quantiles_monotone() {
+        let mut h = Histogram::new();
+        for i in 1..=10_000u64 {
+            h.record(i * 100);
+        }
+        assert_eq!(h.count(), 10_000);
+        let p50 = h.quantile(0.5);
+        let p99 = h.quantile(0.99);
+        assert!(p50 < p99);
+        assert!(within_a_bucket(p50, 500_000), "{p50}");
+        assert!(within_a_bucket(p99, 990_000), "{p99}");
+    }
+
+    #[test]
+    fn histogram_mean_and_bounds() {
+        let mut h = Histogram::new();
+        h.record(100);
+        h.record(300);
+        assert_eq!(h.summary().mean_ns, 200);
+        assert!(within_a_bucket(h.quantile(0.0), 100), "{}", h.quantile(0.0));
+        assert!(within_a_bucket(h.quantile(1.0), 300), "{}", h.quantile(1.0));
+    }
+
+    #[test]
+    fn histogram_merge() {
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
+        for i in 0..100 {
+            a.record(1_000 + i);
+            b.record(2_000 + i);
+        }
+        a.merge(&b);
+        assert_eq!(a.count(), 200);
+        assert!(a.quantile(0.99) >= 2_000);
+        assert!(a.quantile(0.5) < 2_000);
+    }
+
+    #[test]
+    fn empty_histogram() {
+        let h = Histogram::new();
+        assert_eq!(h.summary().mean_ns, 0);
+        assert_eq!(h.quantile(0.5), 0);
+    }
+
+    #[test]
+    fn single_sample_histogram() {
+        let mut h = Histogram::new();
+        h.record(777);
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.summary().mean_ns, 777);
+        // Every quantile of a single sample is that sample's bucket bound.
+        let q = h.quantile(0.5);
+        assert!(within_a_bucket(q, 777), "{q}");
+        assert_eq!(h.quantile(0.0), q);
+        assert_eq!(h.quantile(1.0), q);
+    }
+
+    #[test]
+    fn saturating_bucket_clamps_to_max() {
+        // The top bucket's bound is u64::MAX itself: no sample reports above
+        // the largest value a u64 holds.
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        assert_eq!(h.count(), 1);
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(h.quantile(q), u64::MAX);
+        }
+        assert_eq!(h.summary().max_ns, u64::MAX);
+    }
+
+    #[test]
+    fn merge_with_empty_is_identity() {
+        let mut a = Histogram::new();
+        for i in 0..50 {
+            a.record(1_000 + i);
+        }
+        let before = a.clone();
+        a.merge(&Histogram::new());
+        assert_eq!(a, before);
+        assert_eq!(a.summary(), before.summary());
+
+        // Merging into an empty histogram adopts the other side's samples.
+        let mut e = Histogram::new();
+        e.merge(&a);
+        assert_eq!(e, a);
+        assert_eq!(e.count(), 50);
+        assert_eq!(e.quantile(0.0), a.quantile(0.0));
+        assert_eq!(e.quantile(1.0), a.quantile(1.0));
+    }
+
+    #[test]
+    fn quantiles_of_empty_and_single_sample_histograms() {
+        let empty = Histogram::new();
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(empty.quantile(q), 0);
+        }
+        assert_eq!(empty.summary().max_ns, 0);
+
+        let mut one = Histogram::new();
+        one.record(4_242);
+        let bound = one.quantile(0.5);
+        assert!(within_a_bucket(bound, 4_242), "{bound}");
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(one.quantile(q), bound);
+        }
+        assert_eq!(one.summary().max_ns, bound);
+    }
+
+    #[test]
+    fn merge_two_empties_stays_empty() {
+        let mut a = Histogram::new();
+        a.merge(&Histogram::new());
+        assert_eq!(a, Histogram::new());
+        assert_eq!(a.count(), 0);
+        assert_eq!(a.summary().mean_ns, 0);
+        assert_eq!(a.quantile(0.99), 0);
+    }
 }
