@@ -6,7 +6,9 @@
 //!
 //! * [`region::Region`] — registered memory with the 64-byte line atomicity
 //!   real RNICs exhibit (reads may tear between lines, never within one),
-//!   zero-page-backed until written;
+//!   resident only where written;
+//! * [`pages::Pages`] — kernel-zeroed anonymous mappings, which back every
+//!   region and every `sched` lane stack;
 //! * [`verbs::Endpoint`] — per-client verb issue with doorbell batching,
 //!   traffic counters and a virtual clock;
 //! * [`net::NetConfig`] — the analytic network model converting counted
@@ -37,6 +39,7 @@ pub mod indirect;
 pub mod locktable;
 pub mod net;
 pub mod node;
+pub mod pages;
 pub mod qp;
 pub mod region;
 pub mod stats;

@@ -13,43 +13,45 @@
 //! if the sequence number changed. Data is copied with volatile accesses, the
 //! standard systems-code discipline for seqlock-protected memory.
 
-use core::cell::UnsafeCell;
 use core::sync::atomic::{fence, AtomicU32, Ordering};
+
+use crate::pages::Pages;
 
 /// Size of the hardware atomicity unit (one cache line).
 pub const LINE: usize = 64;
 
 /// A seqlock-protected byte region, shared by all clients of a memory node.
 pub struct Region {
-    /// Backing storage, kept as `u64` words to guarantee 8-byte alignment.
-    buf: Box<[UnsafeCell<u64>]>,
-    /// One sequence lock per 64-byte line. Odd = a writer is in the line.
-    seq: Box<[AtomicU32]>,
+    /// The `len` data bytes; page-aligned, so every `u64` word is aligned.
+    buf: Pages,
+    /// One `AtomicU32` sequence lock per 64-byte line. Odd = a writer is in
+    /// the line.
+    seq: Pages,
     len: usize,
 }
 
 // SAFETY: all mutable access to `buf` happens through the per-line seqlocks
 // (writers hold the odd state exclusively; readers detect and retry torn
-// reads), so `Region` can be shared across threads.
+// reads), `seq` is accessed only as atomics, and `len` is immutable, so
+// `Region` can be shared across threads.
 unsafe impl Sync for Region {}
-// SAFETY: the region owns its storage; moving it between threads is fine.
+// SAFETY: the region owns both mappings; moving it between threads is fine.
 unsafe impl Send for Region {}
 
 impl Region {
     /// Allocates a zeroed region of `len` bytes (rounded up to a whole line).
+    ///
+    /// Both the data and the sequence words are fresh anonymous mappings
+    /// ([`Pages`]), so a region is resident only where it was written, and
+    /// every sequence word starts at zero (even: no writer). Allocator
+    /// memory would not do: once an earlier region of the same size was
+    /// freed, glibc serves the next large `calloc` from its heap and zeroes
+    /// all of it by hand, making it resident.
     pub fn new(len: usize) -> Self {
         let len = len.div_ceil(LINE) * LINE;
-        // `vec![0; n]` is one `alloc_zeroed` call: the OS hands back untouched
-        // anonymous pages, so a region is resident only where it was written.
-        let buf = Box::into_raw(vec![0u64; len / 8].into_boxed_slice());
-        let seq = Box::into_raw(vec![0u32; len / LINE].into_boxed_slice());
         Region {
-            // SAFETY: `UnsafeCell<u64>` is `repr(transparent)` over `u64`, so
-            // the slice keeps its layout and the box its allocation.
-            buf: unsafe { Box::from_raw(buf as *mut [UnsafeCell<u64>]) },
-            // SAFETY: `AtomicU32` is documented to have the same size, alignment
-            // and bit validity as `u32`.
-            seq: unsafe { Box::from_raw(seq as *mut [AtomicU32]) },
+            buf: Pages::new(len),
+            seq: Pages::new(len / LINE * size_of::<AtomicU32>()),
             len,
         }
     }
@@ -68,7 +70,16 @@ impl Region {
 
     #[inline]
     fn base(&self) -> *mut u8 {
-        self.buf.as_ptr() as *mut u8
+        self.buf.as_ptr()
+    }
+
+    /// The sequence lock of every line.
+    #[inline]
+    fn seqs(&self) -> &[AtomicU32] {
+        // SAFETY: `seq` maps at least `len / LINE` initialised, 4-aligned
+        // `u32`s (zeroed by the kernel; any `u32` is a valid `AtomicU32`),
+        // which live as long as `self` and are only accessed as atomics.
+        unsafe { core::slice::from_raw_parts(self.seq.as_ptr().cast(), self.len / LINE) }
     }
 
     /// Reads `dst.len()` bytes starting at byte offset `off`.
@@ -95,7 +106,7 @@ impl Region {
 
     /// Reads a sub-range of one line under its seqlock.
     fn read_line(&self, line: usize, off: usize, dst: &mut [u8]) {
-        let seq = &self.seq[line];
+        let seq = &self.seqs()[line];
         let mut spins = 0u32;
         loop {
             let s1 = seq.load(Ordering::Acquire);
@@ -161,7 +172,7 @@ impl Region {
     /// Acquires the seqlock of `line` (leaves it odd) and returns the even
     /// sequence value observed before acquisition.
     fn lock_line(&self, line: usize) -> u32 {
-        let seq = &self.seq[line];
+        let seq = &self.seqs()[line];
         let mut spins = 0u32;
         loop {
             let s = seq.load(Ordering::Relaxed);
@@ -183,7 +194,7 @@ impl Region {
 
     #[inline]
     fn unlock_line(&self, line: usize, prev: u32) {
-        self.seq[line].store(prev.wrapping_add(2), Ordering::Release);
+        self.seqs()[line].store(prev.wrapping_add(2), Ordering::Release);
     }
 
     /// Runs `f` on the aligned `u64` word at byte offset `off`, atomically
@@ -202,8 +213,8 @@ impl Region {
         assert!(off + 8 <= self.len, "atomic out of bounds");
         let line = off / LINE;
         let s = self.lock_line(line);
-        // SAFETY: `off` is 8-aligned and in bounds; the base pointer comes
-        // from a `u64` allocation so the access is aligned. We hold the line
+        // SAFETY: `off` is 8-aligned and in bounds; the base pointer is
+        // page-aligned so the access is aligned. We hold the line
         // seqlock, excluding all concurrent writers.
         let p = unsafe { self.base().add(off) } as *mut u64;
         // SAFETY: see above; volatile keeps the compiler from caching across

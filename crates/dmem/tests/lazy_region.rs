@@ -1,6 +1,7 @@
 //! A memory node costs what it touches: a pool's capacity is address space,
-//! and only the pages the index writes become resident. One test in its own
-//! binary, so no sibling test perturbs the process's RSS.
+//! and only the pages the index writes become resident — also for a node
+//! built after another of its size was freed. One test in its own binary,
+//! so no sibling test perturbs the process's RSS.
 
 #![cfg(target_os = "linux")]
 
@@ -47,4 +48,30 @@ fn capacity_is_not_resident_until_written() {
     let mut back = vec![0u8; MIB];
     region.read(capacity / 2, &mut back);
     assert_eq!(back, data);
+    drop(pool);
+
+    // A benchmark runs one deployment after another in a process: a
+    // 256 MiB node, and the index's and clients' heap blocks beside it.
+    // Every node's 16 MiB of seqlock words must start untouched. Allocator
+    // memory would not: once the free of a node raised glibc's mmap
+    // threshold past that size, the next node's `calloc` comes from heap
+    // pages an earlier deployment used, and is zeroed by hand.
+    let capacity = 256 * MIB;
+    for deployment in 0..3 {
+        let before = rss();
+        let pool = Pool::with_defaults(1, capacity);
+        let built = rss().saturating_sub(before);
+        assert!(
+            built < 4 * MIB,
+            "the 256 MiB pool of deployment {deployment} made {} KiB resident before its first write",
+            built >> 10
+        );
+        let region = pool.mn(0).region();
+        let mut line = [0xFFu8; 64];
+        region.read(capacity / 2, &mut line);
+        assert_eq!(line, [0u8; 64], "the pool of deployment {deployment} is not zero");
+        region.write(capacity / 2, &data);
+        let heap: Vec<Vec<u8>> = (0..128).map(|_| vec![0x5A; 256 << 10]).collect();
+        drop(heap);
+    }
 }

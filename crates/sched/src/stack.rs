@@ -1,4 +1,4 @@
-//! Stackful lanes: each lane runs on its own `mmap`ed stack, and switching
+//! Stackful lanes: each lane runs on its own mapped stack, and switching
 //! saves six callee-saved registers and swaps `rsp` on the calling thread.
 //! All of the crate's unsafe code is here.
 //!
@@ -36,40 +36,26 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr;
 use std::rc::Rc;
 
+use dmem::pages::{Pages, PAGE};
+
 /// Usable bytes per lane stack: std's default thread stack, so a lane body
 /// gets as much stack as it had on a thread of its own. Only touched pages
 /// become resident.
 const STACK_BYTES: usize = 2 << 20;
 
-/// The x86_64 base page, mapped `PROT_NONE` below each stack.
-const GUARD_BYTES: usize = 4096;
+/// One base page, made inaccessible below each stack.
+const GUARD_BYTES: usize = PAGE;
 
 /// Most stacks a thread keeps for reuse: every lane of a 64-lane engine
 /// starts without a `mmap`. Stacks keep only the pages their lanes touched
 /// resident.
 pub(crate) const POOLED_STACKS: usize = 64;
 
-// The Linux x86_64 values of the `mmap` flags used below.
-const PROT_NONE: i32 = 0;
-const PROT_READ: i32 = 1;
-const PROT_WRITE: i32 = 2;
-const MAP_PRIVATE: i32 = 0x02;
-const MAP_ANONYMOUS: i32 = 0x20;
-const MAP_NORESERVE: i32 = 0x4000;
-const MAP_STACK: i32 = 0x2_0000;
-
-extern "C" {
-    fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
-    fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
-    fn munmap(addr: *mut u8, len: usize) -> i32;
-}
-
-/// One lane stack: [`GUARD_BYTES`] of `PROT_NONE` below [`STACK_BYTES`] of
-/// read-write memory, so an overflow faults instead of writing into
-/// whatever lies below.
-struct Stack {
-    base: *mut u8,
-}
+/// One lane stack: [`GUARD_BYTES`] of inaccessible memory below
+/// [`STACK_BYTES`] of read-write memory, so an overflow faults instead of
+/// writing into whatever lies below. Dropping it unmaps both, so `Lane`'s
+/// drop gives a `Stack` up only once no frame on it runs again.
+struct Stack(Pages);
 
 impl Stack {
     /// A stack from this thread's free list, else a freshly mapped one.
@@ -89,41 +75,20 @@ impl Stack {
     }
 
     fn map() -> Stack {
-        let len = GUARD_BYTES + STACK_BYTES;
-        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK;
-        // SAFETY: an anonymous private mapping at an address of the
-        // kernel's choosing aliases no existing memory.
-        let base = unsafe { mmap(ptr::null_mut(), len, PROT_READ | PROT_WRITE, flags, -1, 0) };
-        assert!(
-            base as isize != -1,
-            "mmap of a {len}-byte lane stack failed"
-        );
-        // SAFETY: `base` starts the mapping made above, which is at least
-        // `GUARD_BYTES` long and page-aligned.
-        let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
-        assert_eq!(rc, 0, "mprotect of a lane stack's guard page failed");
-        Stack { base }
+        let mut pages = Pages::new(GUARD_BYTES + STACK_BYTES);
+        pages.guard_low(GUARD_BYTES);
+        Stack(pages)
     }
 
     /// The usable bytes, as addresses.
     #[cfg(test)]
     fn usable(&self) -> std::ops::Range<usize> {
-        self.base as usize + GUARD_BYTES..self.top() as usize
+        self.0.as_ptr() as usize + GUARD_BYTES..self.top() as usize
     }
 
     /// One past the highest usable byte; page-aligned, so 16-aligned.
     fn top(&self) -> *mut u8 {
-        self.base.wrapping_add(GUARD_BYTES + STACK_BYTES)
-    }
-}
-
-impl Drop for Stack {
-    fn drop(&mut self) {
-        // SAFETY: `base` and the length are exactly what `Stack::map`
-        // mapped, and `Lane`'s drop gives a `Stack` up only once no frame on
-        // it runs again.
-        let rc = unsafe { munmap(self.base, GUARD_BYTES + STACK_BYTES) };
-        debug_assert_eq!(rc, 0, "munmap of a lane stack failed");
+        self.0.as_ptr().wrapping_add(GUARD_BYTES + STACK_BYTES)
     }
 }
 

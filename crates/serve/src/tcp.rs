@@ -176,7 +176,9 @@ impl Server {
 
 /// Memory-node capacity for `preload` keys of `value_size` bytes: four times
 /// what ~70 %-full leaves need (room for later SETs), at least 256 MiB.
-/// Untouched capacity is not resident, so generous is free.
+/// Untouched capacity is not resident (a region's words are fresh kernel
+/// mappings, [`dmem::pages::Pages`], not allocator memory that an earlier
+/// free may have left dirty), so generous is free.
 fn pool_capacity(preload: u64, value_size: usize) -> usize {
     let keys = usize::try_from(preload).unwrap_or(usize::MAX);
     keys.saturating_mul(value_size.saturating_add(24)).saturating_mul(4).max(256 << 20)
