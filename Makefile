@@ -55,9 +55,9 @@ ifndef OLD
 endif
 	$(CARGO) run --release -p bench --bin explain -- $(or $(OLD),target/smoke.base.json) $(NEW)
 
-# Every table and figure at its published scale into results/ (≈ 500 s on
-# a 2-vCPU box: fig_scale's two 10 M-key loads ≈ 185 s, fig18 ≈ 90 s,
-# fig12 ≈ 80 s), the paper's claims judged over them. `figs` exits 1 on a claim that fails without
+# Every table and figure at its published scale into results/ (≈ 270–330 s
+# on a 2-vCPU box, of which fig_scale, with its two 10 M-key loads, takes
+# ≈ 60–70 s), the paper's claims judged over them. `figs` exits 1 on a claim that fails without
 # being a documented deviation, or on a documented deviation that starts
 # passing. The tracked verdicts (results/claims.json) and the smoke
 # figure's flat metrics (results/smoke.json, exact per seed) must not move

@@ -187,6 +187,9 @@ pub struct Deployment {
     cache_probe: Vec<CacheProbe>,
     /// Routing/migration counters (partitioned deployments only).
     router_probe: Option<Arc<part::RouterStats>>,
+    /// The workload state whose Zipfian constants every run's state shares
+    /// ([`WorkloadState::fresh`]), so no run re-sums them.
+    workload: Arc<WorkloadState>,
 }
 
 /// Handles per CN: one per logical client, times K lanes in pipelined runs.
@@ -241,6 +244,7 @@ pub fn deploy(setup: &BenchSetup) -> Deployment {
         hotspot_probe: None,
         cache_probe: Vec::new(),
         router_probe: None,
+        workload: WorkloadState::new(setup.preload),
     };
     match &setup.kind {
         IndexKind::Chime(cfg) => {
@@ -357,7 +361,7 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
     if setup.coroutines > 1 {
         return run_pipelined(setup, dep);
     }
-    let state = WorkloadState::new(setup.preload);
+    let state = dep.workload.fresh(setup.preload);
     let value = vec![0xCDu8; setup.value_size];
     let num_cns = dep.cns.len();
     let ops_per_cn = setup.ops / num_cns as u64;
@@ -569,7 +573,7 @@ fn probe_router(dep: &Deployment) -> RouterSnap {
 /// completion, and same-quantum verbs to one MN share a doorbell.
 fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
     let k = setup.coroutines;
-    let state = WorkloadState::new(setup.preload);
+    let state = dep.workload.fresh(setup.preload);
     let value = vec![0xCDu8; setup.value_size];
     let num_cns = dep.cns.len();
     let ops_per_cn = setup.ops / num_cns as u64;

@@ -6,14 +6,34 @@
 //! entry-level versions and write the range back. Splits reuse the same code
 //! through [`build_table`], which fills a whole-span window from scratch.
 //!
+//! Cyclic index math never divides: every index and distance is below the
+//! span, so wrapping it is one conditional add or subtract.
+//!
 //! Key 0 is the reserved empty sentinel (asserted at the public API).
 
 use dmem::hash::home_entry;
 
-/// Cyclic distance from `a` forward to `b` in a table of `span` entries.
+/// Cyclic distance from `a` forward to `b` in a table of `span` entries
+/// (both indices below `span`).
 #[inline]
 pub fn cyc_dist(a: usize, b: usize, span: usize) -> usize {
-    (b + span - a) % span
+    debug_assert!(a < span && b < span);
+    if b >= a {
+        b - a
+    } else {
+        b + span - a
+    }
+}
+
+/// Index `i` (below `2 * span`) wrapped into a table of `span` entries.
+#[inline]
+pub(crate) fn wrap(i: usize, span: usize) -> usize {
+    debug_assert!(i < 2 * span);
+    if i >= span {
+        i - span
+    } else {
+        i
+    }
 }
 
 /// One covered entry: key (0 = empty), hopscotch bitmap, the entry-level
@@ -27,8 +47,9 @@ struct Slot {
 }
 
 /// A local, mutable view of a cyclic range of leaf entries: the one
-/// in-memory form of leaf content on the write path.
-#[derive(Debug, Clone)]
+/// in-memory form of leaf content on the write path. A writer keeps one and
+/// [`reset`](Self::reset)s it for each write, so its buffers outlive it.
+#[derive(Debug, Clone, Default)]
 pub struct Window {
     span: usize,
     h: usize,
@@ -37,6 +58,8 @@ pub struct Window {
     slots: Vec<Slot>,
     /// The stored values, `value_size` bytes per covered slot.
     values: Vec<u8>,
+    /// The moves of the last hop plan ([`Self::insert`]).
+    plan: Vec<(usize, usize)>,
 }
 
 impl Window {
@@ -44,15 +67,20 @@ impl Window {
     /// `start` (cyclic), in a table of `span` entries with neighborhood `h`
     /// whose entries store `value_size` value bytes.
     pub fn new(span: usize, h: usize, value_size: usize, start: usize, len: usize) -> Self {
+        let mut w = Window::default();
+        w.reset(span, h, value_size, start, len);
+        w
+    }
+
+    /// Empties the window and aims it as [`Self::new`] would, keeping its
+    /// buffers.
+    pub fn reset(&mut self, span: usize, h: usize, value_size: usize, start: usize, len: usize) {
         assert!(len <= span && start < span);
-        Window {
-            span,
-            h,
-            value_size,
-            start,
-            slots: vec![Slot::default(); len],
-            values: vec![0; len * value_size],
-        }
+        (self.span, self.h, self.value_size, self.start) = (span, h, value_size, start);
+        self.slots.clear();
+        self.slots.resize(len, Slot::default());
+        self.values.clear();
+        self.values.resize(len * value_size, 0);
     }
 
     /// Number of entries covered.
@@ -75,16 +103,17 @@ impl Window {
         self.span
     }
 
-    /// Converts an absolute entry index to a window-relative one.
+    /// Converts an absolute entry index (below the span) to a
+    /// window-relative one.
     ///
     /// Returns `None` when the index is not covered.
     pub fn rel(&self, abs: usize) -> Option<usize> {
-        let d = cyc_dist(self.start, abs % self.span, self.span);
+        let d = cyc_dist(self.start, abs, self.span);
         (d < self.len()).then_some(d)
     }
 
     fn abs(&self, rel: usize) -> usize {
-        (self.start + rel) % self.span
+        wrap(self.start + rel, self.span)
     }
 
     fn covered(&self, abs: usize) -> usize {
@@ -110,6 +139,11 @@ impl Window {
     /// Loads the content of one covered slot as read from the leaf, clean.
     pub fn set_slot(&mut self, abs: usize, key: u64, value: &[u8], bitmap: u16, ev: u8) {
         let r = self.covered(abs);
+        self.set_rel(r, key, value, bitmap, ev);
+    }
+
+    /// [`Self::set_slot`] at window-relative index `r`.
+    pub(crate) fn set_rel(&mut self, r: usize, key: u64, value: &[u8], bitmap: u16, ev: u8) {
         self.slots[r] = Slot { key, bitmap, ev, dirty: false };
         self.store(r, value);
     }
@@ -133,11 +167,10 @@ impl Window {
     }
 
     /// The `(key, value)` pairs held by the covered slots, in window order.
-    pub fn occupied(&self) -> Vec<(u64, Vec<u8>)> {
+    pub fn occupied(&self) -> impl Iterator<Item = (u64, &[u8])> {
         (0..self.len())
             .filter(|&r| self.slots[r].key != 0)
-            .map(|r| (self.slots[r].key, self.value(r).to_vec()))
-            .collect()
+            .map(|r| (self.slots[r].key, self.value(r)))
     }
 
     /// The largest key the covered slots hold, if any.
@@ -166,7 +199,7 @@ impl Window {
         let (_, _, bm) = self.slot(home);
         (0..self.h)
             .filter(|&d| bm & (1 << d) != 0)
-            .map(|d| (home + d) % self.span)
+            .map(|d| wrap(home + d, self.span))
             .find(|&p| self.slot(p).0 == key)
     }
 
@@ -211,8 +244,13 @@ impl Window {
         let home = home_entry(key, self.span);
         debug_assert!(self.rel(home).is_some(), "home entry not covered");
         debug_assert!(self.slot_empty(empty), "target slot not empty");
-        // Plan on a copy of the occupancy so failure leaves us untouched.
-        let plan = self.plan_hops(home, empty)?;
+        // Plan first, so failure leaves the window untouched; the plan is
+        // kept in the window's own buffer.
+        let mut plan = std::mem::take(&mut self.plan);
+        if let Err(e) = self.plan_hops(home, empty, &mut plan) {
+            self.plan = plan;
+            return Err(e);
+        }
         // Execute the plan: each move shifts a key (and value) into the
         // current empty slot and vacates its old position.
         for &(from, to) in &plan {
@@ -235,18 +273,19 @@ impl Window {
         self.slots[fr].dirty = true;
         self.store(fr, value);
         self.set_bit(home, final_slot, true);
+        self.plan = plan;
         Ok(final_slot)
     }
 
-    /// Computes the hop plan (a sequence of `(from, to)` moves) that frees a
-    /// slot within `home`'s neighborhood, starting from `empty`.
-    fn plan_hops(&self, home: usize, mut empty: usize) -> Result<Vec<(usize, usize)>, NeedSplit> {
-        let mut plan = Vec::new();
+    /// Computes into `plan` the hop plan (a sequence of `(from, to)` moves)
+    /// that frees a slot within `home`'s neighborhood, starting from `empty`.
+    fn plan_hops(&self, home: usize, mut empty: usize, plan: &mut Vec<(usize, usize)>) -> Result<(), NeedSplit> {
+        plan.clear();
         'outer: while cyc_dist(home, empty, self.span) >= self.h {
             // Candidates, farthest-swappable first: positions empty-H+1 ..
             // empty-1 (cyclic).
             for d in (1..self.h).rev() {
-                let cand = (empty + self.span - d) % self.span;
+                let cand = wrap(empty + self.span - d, self.span);
                 let Some(cr) = self.rel(cand) else {
                     return Err(NeedSplit);
                 };
@@ -268,7 +307,7 @@ impl Window {
             }
             return Err(NeedSplit);
         }
-        Ok(plan)
+        Ok(())
     }
 }
 
@@ -279,13 +318,14 @@ pub struct NeedSplit;
 /// Builds a full hopscotch table of `span` entries from `items`.
 ///
 /// Returns `None` when some item cannot be placed (the caller splits
-/// further). Used by node splits to rebuild both halves locally.
-pub fn build_table(span: usize, h: usize, value_size: usize, items: &[(u64, Vec<u8>)]) -> Option<Window> {
+/// further). Used by node splits to rebuild both halves locally, from
+/// values borrowed from the split node's window.
+pub fn build_table<V: AsRef<[u8]>>(span: usize, h: usize, value_size: usize, items: &[(u64, V)]) -> Option<Window> {
     let mut w = Window::new(span, h, value_size, 0, span);
     for (k, v) in items {
         let home = home_entry(*k, span);
         let empty = find_empty(&w, home)?;
-        w.insert(*k, v, empty).ok()?;
+        w.insert(*k, v.as_ref(), empty).ok()?;
     }
     Some(w)
 }
@@ -294,7 +334,7 @@ pub fn build_table(span: usize, h: usize, value_size: usize, items: &[(u64, Vec<
 fn find_empty(w: &Window, home: usize) -> Option<usize> {
     let span = w.span();
     (0..span)
-        .map(|d| (home + d) % span)
+        .map(|d| wrap(home + d, span))
         .find(|&i| w.slot_empty(i))
 }
 
@@ -345,6 +385,32 @@ mod tests {
         assert_eq!(cyc_dist(5, 7, 16), 2);
         assert_eq!(cyc_dist(7, 5, 16), 14);
         assert_eq!(cyc_dist(3, 3, 16), 0);
+    }
+
+    #[test]
+    fn index_math_matches_the_modulo_reference() {
+        for (span, h) in crate::leaf::tests::geometries() {
+            for a in 0..span {
+                for b in 0..span {
+                    assert_eq!(cyc_dist(a, b, span), (b + span - a) % span, "span {span}");
+                }
+            }
+            // Windows of every start, wrapping ones and full-span ones
+            // included.
+            for start in 0..span {
+                for len in [1, h - 1, h, 2 * h + 1, span - 1, span] {
+                    let len = len.clamp(1, span);
+                    let w = Window::new(span, h, 8, start, len);
+                    for abs in 0..span {
+                        let d = (abs + span - start) % span;
+                        assert_eq!(w.rel(abs), (d < len).then_some(d), "span {span} [{start}; {len}]");
+                    }
+                    for rel in 0..len {
+                        assert_eq!(w.abs(rel), (start + rel) % span, "span {span} [{start}; {len}]");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

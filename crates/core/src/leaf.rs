@@ -17,10 +17,14 @@
 //! Lock-free reads then answer from the fetched slices ([`LeafSnapshot`],
 //! its keys and bitmaps decoded once); whole-leaf reads borrow their buffers
 //! from a `LeafReads`, which a scanning client keeps, so its warm scans
-//! allocate nothing. Locked reads copy the covered entries once into a
-//! [`Window`], the only mutable form of leaf content, which carries each
-//! slot's EV and dirty mark. Every write — dirty hop range, new node, node
-//! rewrite — leaves through `encode`, straight into its outgoing buffer.
+//! allocate nothing. Locked reads copy the covered entries once into the
+//! [`Window`] of a [`LockedRead`], the only mutable form of leaf content,
+//! which carries each slot's EV and dirty mark. A writing client keeps one
+//! `LockedRead` — window, READ buffers and outgoing images — and every
+//! locked read refills it, so its warm writes allocate none of them; entry
+//! offsets are walked and cyclic indices wrapped without a division. Every
+//! write — dirty hop range, new node, node rewrite — leaves through
+//! `encode`, straight into its outgoing buffer.
 //!
 //! Both crash points ([`CRASH_LEAF_LOCKED`], [`CRASH_LEAF_WRITE_BACK`]) sit
 //! before any publish: content and unlock land in one doorbell, so a crash
@@ -32,7 +36,7 @@ use dmem::versioned::{self, bump, ev, pack_ver, Fetched, LINE_PAYLOAD, MAX_RANGE
 use dmem::{Endpoint, GlobalAddr};
 
 use crate::backoff::Backoff;
-use crate::hopscotch::{cyc_dist, Window};
+use crate::hopscotch::{cyc_dist, wrap, Window};
 use crate::layout::{entry_field, replica_field, LeafLayout};
 use crate::lockword::{try_acquire, LockWord, VacancyMap, ARGMAX_NONE};
 
@@ -46,7 +50,7 @@ pub const CRASH_LEAF_LOCKED: &str = "leaf.lock.acquired";
 pub const CRASH_LEAF_WRITE_BACK: &str = "leaf.write_back";
 
 /// Leaf metadata carried by every replica (Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LeafMeta {
     /// Right sibling leaf.
     pub sibling: GlobalAddr,
@@ -226,15 +230,22 @@ fn covered<'a>(l: &'a LeafLayout, pieces: &'a [Fetched]) -> impl Iterator<Item =
     pieces.iter().flat_map(entries)
 }
 
-/// Copies every entry of `pieces` that `w` covers into it.
+/// Copies every entry of `pieces` that `w` covers into it, walking each
+/// piece's entry offsets.
 fn load(l: &LeafLayout, pieces: &[Fetched], w: &mut Window) {
-    for (i, p) in covered(l, pieces) {
-        if w.rel(i).is_some() {
-            let (key, bitmap) = (entry_key(l, p, i), entry_bitmap(l, p, i));
-            w.set_slot(i, key, entry_value(l, p, i), bitmap, entry_ev(l, p, i));
+    let (value, esize) = (entry_field::KEY + l.key_size, l.entry_size());
+    for p in pieces {
+        let entries = l.entries_in(p.lstart(), p.lend());
+        for (i, off) in entries.clone().zip(l.entry_offsets(entries)) {
+            let Some(r) = w.rel(i) else { continue };
+            let e = p.bytes(off, esize);
+            let key = u64::from_le_bytes(e[entry_field::KEY..][..8].try_into().expect("8 bytes"));
+            let bitmap = u16::from_le_bytes(e[entry_field::BITMAP..][..2].try_into().expect("2 bytes"));
+            w.set_rel(r, key, &e[value..], bitmap, ev(e[entry_field::VER]));
         }
     }
 }
+
 
 /// Bitmaps and occupancy are a bijection: the stored bitmaps equal the
 /// ones rebuilt from each occupied slot's home. Every key lies under `h`
@@ -286,8 +297,12 @@ fn entry_ev(l: &LeafLayout, f: &Fetched, i: usize) -> u8 {
     ev(f.get(l.entry_off(i)))
 }
 
-/// A window read performed while holding the node lock.
-#[derive(Debug)]
+/// A window read performed while holding the node lock, with the buffers
+/// it is read and written back through. A writer keeps one and every
+/// locked read refills it, so once its buffers have grown to the largest
+/// window a warm write allocates for neither its READs, its window nor
+/// its outgoing images.
+#[derive(Debug, Default)]
 pub struct LockedRead {
     /// The covered entries as a mutable hopscotch window.
     pub w: Window,
@@ -308,6 +323,23 @@ pub struct LockedRead {
     pub max_key: Option<u64>,
     /// The argmax slot neither the window nor its doorbell covered.
     pub max_unread: Option<usize>,
+    /// The pieces of the last READ, and spare READ buffers.
+    pieces: Vec<Fetched>,
+    spare: Vec<Vec<u8>>,
+    /// The outgoing images of the last write-back, one per run.
+    images: [Vec<u8>; 2],
+}
+
+impl LockedRead {
+    /// READs logical `ranges` of the leaf at `addr` into the pieces, with
+    /// one doorbell batch.
+    fn fetch(&mut self, ep: &mut Endpoint, l: &LeafLayout, addr: GlobalAddr, ranges: &[(usize, usize)]) {
+        let kept = l.versioned().fetch_into(addr, ranges, &mut self.pieces, &mut self.spare, |reqs| {
+            ep.read_batch(reqs);
+            true
+        });
+        debug_assert!(kept);
+    }
 }
 
 /// Remote leaf operations for one leaf geometry.
@@ -452,10 +484,10 @@ impl LeafOps {
     }
 
     /// Encodes the replicas and entries inside logical `[lstart, lend)`
-    /// into their physical image — the one place leaf bytes are written.
-    /// An entry write (`entry_write`) bumps the EV of `w`'s dirty slots and
-    /// rewrites clean ones byte-identically; a node write restarts every EV
-    /// at 0 under the new `nv`. Returns the image's physical offset too.
+    /// into their physical image in `buf` — the one place leaf bytes are
+    /// written. An entry write (`entry_write`) bumps the EV of `w`'s dirty
+    /// slots and rewrites clean ones byte-identically; a node write restarts
+    /// every EV at 0 under the new `nv`. Returns the image's physical offset.
     fn encode(
         &self,
         w: &Window,
@@ -463,7 +495,8 @@ impl LeafOps {
         nv: u8,
         meta: &LeafMeta,
         entry_write: bool,
-    ) -> (usize, Vec<u8>) {
+        buf: &mut Vec<u8>,
+    ) -> usize {
         let l = &self.layout;
         let ver = |i: usize| match (entry_write, w.version(i)) {
             (false, _) => pack_ver(nv, 0),
@@ -471,7 +504,8 @@ impl LeafOps {
         };
         let put = |b: &mut [u8], at: usize, bytes: &[u8]| b[at..at + bytes.len()].copy_from_slice(bytes);
         let (pstart, pend) = l.versioned().phys_range(lstart, lend);
-        let mut buf = Vec::with_capacity(pend - pstart);
+        buf.clear();
+        buf.reserve(pend - pstart);
         buf.resize(lend - lstart, 0);
         for k in l.replicas_in(lstart, lend) {
             let b = &mut buf[l.replica_off(k) - lstart..][..l.replica_size()];
@@ -495,8 +529,8 @@ impl LeafOps {
         }
         // A line version belongs to the object its first payload byte is in.
         let line_ver = |p| l.entry_at(p).map_or(pack_ver(nv, 0), ver);
-        l.versioned().stripe(lstart, &mut buf, line_ver);
-        (pstart, buf)
+        l.versioned().stripe(lstart, buf, line_ver);
+        pstart
     }
 
     // ----- lock-free reads -------------------------------------------------
@@ -668,14 +702,15 @@ impl LeafOps {
     /// epoch while keeping the lock bit set, transferring ownership to us.
     ///
     /// Every attempt posts the READs of `ranges` behind its CAS in one
-    /// doorbell; the winning attempt returns their pieces, a failed
-    /// attempt's are dropped. A takeover's CAS carries no READs: `None`.
+    /// doorbell; the winning attempt leaves their pieces in `lr`, a failed
+    /// attempt's are dropped. A takeover's CAS carries no READs: `false`.
     fn acquire(
         &self,
         ep: &mut Endpoint,
         addr: GlobalAddr,
         ranges: &[(usize, usize)],
-    ) -> (LockWord, Option<Vec<Fetched>>) {
+        lr: &mut LockedRead,
+    ) -> (LockWord, bool) {
         let lock_addr = addr.add(self.layout.lock_off() as u64);
         let mut spins = 0u32;
         let mut backoff = Backoff::new(ep.client_id() as u64 ^ lock_addr.raw());
@@ -683,13 +718,14 @@ impl LeafOps {
         let mut unchanged = 0u32;
         loop {
             let mut old = 0;
-            let pieces = self.layout.versioned().fetch_with(addr, ranges, |reqs| {
+            let layout = self.layout.versioned();
+            let locked = layout.fetch_into(addr, ranges, &mut lr.pieces, &mut lr.spare, |reqs| {
                 old = try_acquire(ep, lock_addr, 0, reqs);
                 old & 1 == 0
             });
-            if pieces.is_some() {
+            if locked {
                 ep.crash_point(CRASH_LEAF_LOCKED);
-                return (LockWord(old), pieces);
+                return (LockWord(old), true);
             }
             ep.note_lock_retry();
             if self.lease_spins > 0 {
@@ -709,7 +745,7 @@ impl LeafOps {
                     if ep.cas(lock_addr, old, next.0) == old {
                         ep.note_stale_lock_reclaimed();
                         ep.crash_point(CRASH_LEAF_LOCKED);
-                        return (next, None);
+                        return (next, false);
                     }
                     unchanged = 0;
                 }
@@ -724,7 +760,7 @@ impl LeafOps {
     /// (vacancy bitmap + argmax). With piggybacking disabled this costs an
     /// extra READ for the separate vacancy word.
     pub fn lock(&self, ep: &mut Endpoint, addr: GlobalAddr) -> LockWord {
-        let (word, _) = self.acquire(ep, addr, &[]);
+        let (word, _) = self.acquire(ep, addr, &[], &mut LockedRead::default());
         if self.layout.piggyback {
             return word;
         }
@@ -747,11 +783,11 @@ impl LeafOps {
         (addr.add(self.layout.lock_off() as u64), bytes, len)
     }
 
-    /// Acquires the leaf lock and reads cyclic entries `[a, e]` in the same
-    /// doorbell. A window whose address does not depend on the lock word
-    /// rides behind the CAS, and the pair costs one round trip; the separate
-    /// vacancy word of the no-piggyback layout is never fetched. The argmax
-    /// entry is not in the batch — the CAS is what names it — see
+    /// Acquires the leaf lock and reads cyclic entries `[a, e]` into `lr` in
+    /// the same doorbell. A window whose address does not depend on the lock
+    /// word rides behind the CAS, and the pair costs one round trip; the
+    /// separate vacancy word of the no-piggyback layout is never fetched.
+    /// The argmax entry is not in the batch — the CAS is what names it — see
     /// [`LockedRead::max_key`].
     pub fn lock_window(
         &self,
@@ -759,26 +795,31 @@ impl LeafOps {
         addr: GlobalAddr,
         a: usize,
         e: usize,
-    ) -> (LockWord, LockedRead) {
+        lr: &mut LockedRead,
+    ) -> LockWord {
         let (ranges, n) = self.window_ranges(a, e, None);
         let ranges = &ranges[..n];
-        let (word, pieces) = self.acquire(ep, addr, ranges);
-        // A takeover reads after its full-word CAS.
-        let pieces =
-            pieces.unwrap_or_else(|| self.layout.versioned().fetch_many(ep, addr, ranges));
-        let lr = self.load_locked(&pieces, (a, e), word);
-        (word, lr)
+        let (word, fetched) = self.acquire(ep, addr, ranges, lr);
+        if !fetched {
+            // A takeover reads after its full-word CAS.
+            lr.fetch(ep, &self.layout, addr, ranges);
+        }
+        self.load_locked(lr, (a, e), word);
+        word
     }
 
     /// Acquires the leaf lock and reads the neighborhood window of `home`
-    /// in the same doorbell ([`Self::lock_window`]; updates and deletes).
+    /// into `lr` in the same doorbell ([`Self::lock_window`]; updates and
+    /// deletes).
     pub fn lock_nbh_window(
         &self,
         ep: &mut Endpoint,
         addr: GlobalAddr,
         home: usize,
-    ) -> (LockWord, LockedRead) {
-        self.lock_window(ep, addr, home, (home + self.layout.h - 1) % self.layout.span)
+        lr: &mut LockedRead,
+    ) -> LockWord {
+        let span = self.layout.span;
+        self.lock_window(ep, addr, home, wrap(home + self.layout.h - 1, span), lr)
     }
 
     /// Releases the lock immediately (abort paths).
@@ -789,23 +830,27 @@ impl LeafOps {
 
     // ----- hop-range access (under lock) ------------------------------------
 
-    /// Reads the group-aligned hop window for inserting a key with home
-    /// entry `home`, given the piggybacked lock word. The window covers the
-    /// hop candidates before `home`, the whole neighborhood (duplicate
-    /// check) and everything up to the end of the first vacant group; the
-    /// argmax entry rides along in the same doorbell batch. Returns `None`
-    /// when the vacancy bitmap shows a full node.
+    /// Reads into `lr` the group-aligned hop window for inserting a key
+    /// with home entry `home`, given the piggybacked lock word. The window
+    /// covers the hop candidates before `home`, the whole neighborhood
+    /// (duplicate check) and everything up to the end of the first vacant
+    /// group; the argmax entry rides along in the same doorbell batch.
+    /// Returns `false`, reading nothing, when the vacancy bitmap shows a
+    /// full node.
     pub fn read_hop_window(
         &self,
         ep: &mut Endpoint,
         addr: GlobalAddr,
         home: usize,
         word: LockWord,
-    ) -> Option<LockedRead> {
+        lr: &mut LockedRead,
+    ) -> bool {
         let span = self.layout.span;
         let h = self.layout.h;
-        let g = self.vm.first_vacant_group(word, home)?;
-        let a0 = (home + span - (h - 1)) % span;
+        let Some(g) = self.vm.first_vacant_group(word, home) else {
+            return false;
+        };
+        let a0 = wrap(home + span - (h - 1), span);
         let (_, ge) = self.vm.group_range(g);
         // Forward distance from home to the vacant group's end; always cover
         // the whole neighborhood (duplicate check).
@@ -816,33 +861,35 @@ impl LeafOps {
         let (a, e) = if needed >= span {
             (0, span - 1)
         } else {
-            self.vm.align_to_groups(a0, (home + d_e) % span)
+            self.vm.align_to_groups(a0, wrap(home + d_e, span))
         };
-        Some(self.locked_read(ep, addr, a, e, word))
+        self.locked_read(ep, addr, a, e, word, lr);
+        true
     }
 
-    /// Reads the neighborhood window of `home` under a lock already held
-    /// (CHIME-Learned's synonym leaves, guarded by their owner's lock),
-    /// argmax entry included.
+    /// Reads the neighborhood window of `home` into `lr` under a lock
+    /// already held (CHIME-Learned's synonym leaves, guarded by their
+    /// owner's lock), argmax entry included.
     pub fn read_nbh_window(
         &self,
         ep: &mut Endpoint,
         addr: GlobalAddr,
         home: usize,
         word: LockWord,
-    ) -> LockedRead {
-        let span = self.layout.span;
-        let e = (home + self.layout.h - 1) % span;
-        self.locked_read(ep, addr, home, e, word)
+        lr: &mut LockedRead,
+    ) {
+        let e = wrap(home + self.layout.h - 1, self.layout.span);
+        self.locked_read(ep, addr, home, e, word, lr);
     }
 
-    /// Reads the whole node under the lock (delete-of-max, split prep).
-    pub fn read_full_locked(&self, ep: &mut Endpoint, addr: GlobalAddr, word: LockWord) -> LockedRead {
-        self.locked_read(ep, addr, 0, self.layout.span - 1, word)
+    /// Reads the whole node into `lr` under the lock (delete-of-max, split
+    /// prep).
+    pub fn read_full_locked(&self, ep: &mut Endpoint, addr: GlobalAddr, word: LockWord, lr: &mut LockedRead) {
+        self.locked_read(ep, addr, 0, self.layout.span - 1, word, lr);
     }
 
-    /// Reads cyclic entries `[a, e]` plus the argmax entry into a window
-    /// (under lock; one doorbell batch).
+    /// Reads cyclic entries `[a, e]` plus the argmax entry into `lr`'s
+    /// window (under lock; one doorbell batch).
     pub fn locked_read(
         &self,
         ep: &mut Endpoint,
@@ -850,7 +897,8 @@ impl LeafOps {
         a: usize,
         e: usize,
         word: LockWord,
-    ) -> LockedRead {
+        lr: &mut LockedRead,
+    ) {
         let l = &self.layout;
         // Piggyback the argmax entry when it is outside the window.
         let argmax = (word.argmax() != ARGMAX_NONE).then(|| word.argmax() as usize % l.span);
@@ -858,8 +906,8 @@ impl LeafOps {
             .filter(|&i| cyc_dist(a, i, l.span) > cyc_dist(a, e, l.span))
             .map(|i| (l.entry_off(i), l.entry_off(i) + l.entry_size()));
         let (ranges, n) = self.window_ranges(a, e, argmax_extra);
-        let pieces = l.versioned().fetch_many(ep, addr, &ranges[..n]);
-        self.load_locked(&pieces, (a, e), word)
+        lr.fetch(ep, l, addr, &ranges[..n]);
+        self.load_locked(lr, (a, e), word);
     }
 
     /// The READ ranges of cyclic entries `[a, e]`: one or two runs, the
@@ -876,18 +924,19 @@ impl LeafOps {
         pack_ranges(first, [wrap, header, extra])
     }
 
-    /// Loads the pieces of a locked read of cyclic entries `[a, e]` into a
-    /// window, with the node's maximum key if they cover it.
-    fn load_locked(&self, pieces: &[Fetched], (a, e): (usize, usize), word: LockWord) -> LockedRead {
+    /// Loads the pieces of a locked read of cyclic entries `[a, e]` into
+    /// `lr`'s window, with the node's maximum key if they cover it.
+    fn load_locked(&self, lr: &mut LockedRead, (a, e): (usize, usize), word: LockWord) {
         let l = &self.layout;
         let len = cyc_dist(a, e, l.span) + 1;
         // Under the lock no writer races us; the checks are sanity asserts.
         let (nv, meta) = self
-            .validate(pieces)
+            .validate(&lr.pieces)
             .expect("locked leaf read observed a torn image");
-        let mut w = l.window(a, len);
-        load(l, pieces, &mut w);
-        let (max_key, max_unread) = if len == l.span {
+        lr.w.reset(l.span, l.h, l.value_size, a, len);
+        load(l, &lr.pieces, &mut lr.w);
+        let w = &lr.w;
+        (lr.max_key, lr.max_unread) = if len == l.span {
             // Whole node: bitmaps must describe the occupancy, and the true
             // maximum is at hand (also covers the no-piggyback mode, where
             // argmax is unavailable).
@@ -901,18 +950,15 @@ impl LeafOps {
         } else {
             // In the window, or in the argmax entry the doorbell carried.
             let i = word.argmax() as usize % l.span;
-            match covered(l, pieces).find(|&(j, _)| j == i) {
-                Some((_, p)) => (Some(entry_key(l, p, i)), None),
+            let (off, esize) = (l.entry_off(i), l.entry_size());
+            let holds = |p: &&Fetched| p.lstart() <= off && off + esize <= p.lend();
+            match lr.pieces.iter().find(holds) {
+                Some(p) => (Some(entry_key(l, p, i)), None),
                 None => (None, Some(i)),
             }
         };
-        LockedRead {
-            w,
-            nv,
-            meta: meta.expect("no replica in hop range"),
-            max_key,
-            max_unread,
-        }
+        lr.nv = nv;
+        lr.meta = meta.expect("no replica in hop range");
     }
 
     /// The node's maximum key: [`LockedRead::max_key`], after reading the
@@ -921,10 +967,10 @@ impl LeafOps {
         if let Some(i) = lr.max_unread.take() {
             let l = &self.layout;
             let off = l.entry_off(i);
-            let f = l.versioned().fetch(ep, addr, off, off + l.entry_size());
-            self.validate(std::slice::from_ref(&f))
+            lr.fetch(ep, l, addr, &[(off, off + l.entry_size())]);
+            self.validate(&lr.pieces)
                 .expect("locked leaf read observed a torn image");
-            lr.max_key = Some(entry_key(l, &f, i));
+            lr.max_key = Some(entry_key(l, &lr.pieces[0], i));
         }
         lr.max_key
     }
@@ -934,17 +980,21 @@ impl LeafOps {
     /// The lock word describing window `w` (vacancy + argmax), unlocked.
     pub fn word_for(&self, w: &Window) -> LockWord {
         assert_eq!(w.len(), self.layout.span);
-        let mut word = LockWord(0);
+        // One pass over the slots, group by group.
+        let (mut word, mut max) = (LockWord(0), None);
         for g in 0..self.vm.groups() {
             let (s, t) = self.vm.group_range(g);
-            word = word.with_vacancy_bit(g, (s..=t).any(|i| w.slot_empty(i)));
+            let mut vacant = false;
+            for i in s..=t {
+                match w.slot(i).0 {
+                    0 => vacant = true,
+                    k if max.is_none_or(|(m, _)| k > m) => max = Some((k, i)),
+                    _ => {}
+                }
+            }
+            word = word.with_vacancy_bit(g, vacant);
         }
-        let argmax = (0..self.layout.span)
-            .filter(|&i| !w.slot_empty(i))
-            .max_by_key(|&i| w.slot(i).0)
-            .map(|i| i as u16)
-            .unwrap_or(ARGMAX_NONE);
-        word.with_argmax(argmax)
+        word.with_argmax(max.map_or(ARGMAX_NONE, |(_, i)| i as u16))
     }
 
     /// Writes the full-span window `w` as the whole node at version `nv`
@@ -952,7 +1002,8 @@ impl LeafOps {
     /// round-trip.
     fn write_whole(&self, ep: &mut Endpoint, addr: GlobalAddr, w: &Window, nv: u8, meta: &LeafMeta) {
         assert_eq!((w.start(), w.len()), (0, self.layout.span));
-        let (pstart, image) = self.encode(w, (0, self.layout.payload_len()), nv, meta, false);
+        let mut image = Vec::new();
+        let pstart = self.encode(w, (0, self.layout.payload_len()), nv, meta, false, &mut image);
         let (lock_addr, unlock, len) = self.unlock_writes(addr, self.word_for(w));
         ep.write_batch(&[(addr.add(pstart as u64), &image), (lock_addr, &unlock[..len])]);
     }
@@ -986,7 +1037,7 @@ impl LockedRead {
     /// The write covers the contiguous (cyclic) range from the first to the
     /// last dirty slot: dirty entries get their EV bumped, clean entries
     /// in between are rewritten byte-identically.
-    pub fn write_back(&self, ops: &LeafOps, ep: &mut Endpoint, addr: GlobalAddr, word: LockWord) {
+    pub fn write_back(&mut self, ops: &LeafOps, ep: &mut Endpoint, addr: GlobalAddr, word: LockWord) {
         ep.crash_point(CRASH_LEAF_WRITE_BACK);
         let l = &ops.layout;
         // One image per contiguous run of the cyclic range from the first
@@ -997,21 +1048,21 @@ impl LockedRead {
             Some((first, wrap)) => [Some(first), wrap],
             None => [None, None],
         };
-        let images = runs.map(|run| {
-            let (s, t) = run?;
+        let mut starts = [0; 2];
+        let mut n = 0;
+        for ((s, t), image) in runs.into_iter().flatten().zip(&mut self.images) {
             let range = (l.entry_off(s), l.entry_off(t) + l.entry_size());
-            Some(ops.encode(&self.w, range, self.nv, &self.meta, true))
-        });
+            starts[n] = ops.encode(&self.w, range, self.nv, &self.meta, true, image);
+            n += 1;
+        }
         let (lock_addr, unlock, len) = ops.unlock_writes(addr, word);
         let mut batch = [(lock_addr, &unlock[..len]); 3];
-        let mut n = 0;
-        for (pstart, image) in images.iter().flatten() {
-            batch[n] = (addr.add(*pstart as u64), image);
-            n += 1;
+        for (i, (pstart, image)) in starts.iter().zip(&self.images).take(n).enumerate() {
+            batch[i] = (addr.add(*pstart as u64), image);
         }
         ep.write_batch(&batch[..=n]);
     }
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -89,9 +89,8 @@ fn hop_insert_roundtrip() {
     let key = 424_242u64;
     let home = home_entry(key, 64);
     let word = ops.lock(&mut ep, addr);
-    let mut lr = ops
-        .read_hop_window(&mut ep, addr, home, word)
-        .expect("node not full");
+    let mut lr = LockedRead::default();
+    assert!(ops.read_hop_window(&mut ep, addr, home, word, &mut lr), "node not full");
     assert_eq!(lr.max_key, Some(30 * 7), "argmax entry piggybacked");
     let empty = lr.w.first_empty_from(home).expect("space available");
     let pos = lr.w.insert(key, &[9u8; 8], empty).unwrap();
@@ -430,7 +429,8 @@ fn random_image(rng: &mut SmallRng, ops: &LeafOps) -> Vec<u8> {
         let (k, v, bm) = w.slot(i);
         read.set_slot(i, k, v, bm, rng.gen_range(0..16u8));
     }
-    let (_, phys) = ops.encode(&read, (0, l.payload_len()), nv, &meta, true);
+    let mut phys = Vec::new();
+    ops.encode(&read, (0, l.payload_len()), nv, &meta, true, &mut phys);
     phys
 }
 
@@ -614,4 +614,129 @@ fn unified_decoder_matches_the_per_byte_decoder() {
     }
     // The generator must exercise both outcomes.
     assert!(accepted > 100 && rejected > 100, "{accepted} accepted, {rejected} rejected");
+}
+
+// ----- division-free index math vs a modulo reference ------------------------
+
+/// The geometries the division-free index math must be exact for:
+/// power-of-two spans, and spans that are only a multiple of H, which
+/// `ChimeConfig` allows.
+pub(crate) fn geometries() -> Vec<(usize, usize)> {
+    let pow2 = [16, 64, 256].into_iter().flat_map(|span| [2, 4, 8, 16].map(|h| (span, h)));
+    pow2.chain([(6, 2), (24, 8), (40, 4), (48, 16)]).collect()
+}
+
+/// The image of logical `[lstart, lend)` as `encode` writes it for an entry
+/// write, built the plain way: every field at `entry_off(i)`, every line
+/// version through `entry_at`, and `src` read at absolute indices (its
+/// window starts at 0, so they are its relative ones too).
+fn reference_image(l: &LeafLayout, src: &Window, (lstart, lend): (usize, usize), nv: u8, meta: &LeafMeta) -> Vec<u8> {
+    assert_eq!((src.start(), src.len()), (0, l.span));
+    let ver = |i: usize| match src.version(i) {
+        (ev, true) => pack_ver(nv, bump(ev)),
+        (ev, false) => pack_ver(nv, ev),
+    };
+    let mut logical = vec![0u8; lend - lstart];
+    let inside = |off: usize, len: usize| lstart <= off && off + len <= lend;
+    let blocks = if l.replication { l.span / l.h } else { 1 };
+    for k in (0..blocks).filter(|&k| inside(l.replica_off(k), l.replica_size())) {
+        let b = &mut logical[l.replica_off(k) - lstart..];
+        b[replica_field::VER] = pack_ver(nv, 0);
+        b[replica_field::SIBLING..][..8].copy_from_slice(&meta.sibling.raw().to_le_bytes());
+        b[replica_field::VALID] = meta.valid as u8;
+    }
+    for i in (0..l.span).filter(|&i| inside(l.entry_off(i), l.entry_size())) {
+        let (key, value, bitmap) = src.slot(i);
+        let b = &mut logical[l.entry_off(i) - lstart..];
+        b[entry_field::VER] = ver(i);
+        b[entry_field::BITMAP..][..2].copy_from_slice(&bitmap.to_le_bytes());
+        b[entry_field::KEY..][..8].copy_from_slice(&key.to_le_bytes());
+        b[entry_field::KEY + l.key_size..][..l.value_size].copy_from_slice(value);
+    }
+    let line_ver = |p: usize| l.entry_at(p).map_or(pack_ver(nv, 0), ver);
+    l.versioned().build_phys(lstart, &logical, line_ver).1
+}
+
+/// `load` and `encode` walk entry offsets and wrap cyclic indices without
+/// dividing; over every geometry of the index-math test, with and without
+/// replicas, both must agree with the plain per-entry reference on windows
+/// that wrap, full-span windows at a non-zero start included.
+#[test]
+fn load_and_encode_match_the_modulo_reference() {
+    for (g, (span, h)) in geometries().into_iter().enumerate() {
+        let mut rng = SmallRng::seed_from_u64(g as u64);
+        let ops = LeafOps::new(LeafLayout {
+            span,
+            h,
+            key_size: 8,
+            value_size: 8,
+            replication: g % 2 == 0,
+            fences: false,
+            piggyback: true,
+        });
+        let l = ops.layout;
+        let mut items: Vec<(u64, Vec<u8>)> =
+            (0..span * 3 / 4).map(|_| (rng.gen_range(1..u64::MAX), rng.gen::<u64>().to_le_bytes().to_vec())).collect();
+        let table = loop {
+            match build_table(span, h, 8, &items) {
+                Some(w) => break w,
+                None => items.truncate(items.len() / 2),
+            }
+        };
+        // The table as read with random EVs, some slots dirtied since.
+        let mut src = l.window(0, span);
+        for i in 0..span {
+            let (k, v, bm) = table.slot(i);
+            src.set_slot(i, k, v, bm, rng.gen_range(0..16u8));
+        }
+        let dirty: Vec<bool> = (0..span).map(|_| rng.gen_bool(0.3)).collect();
+        for i in (0..span).filter(|&i| dirty[i]) {
+            let v = src.slot(i).1.to_vec();
+            src.set_value(i, &v);
+        }
+        let (nv, meta) = (rng.gen_range(0..16u8), ops.meta(GlobalAddr::new(0, 4096), true, (0, u64::MAX)));
+        let whole = (0, l.payload_len());
+        let image = reference_image(&l, &src, whole, nv, &meta);
+        let mut buf = Vec::new();
+        assert_eq!(ops.encode(&src, whole, nv, &meta, true, &mut buf), 0);
+        assert_eq!(buf, image, "span {span}, H {h}: whole image");
+        for len in [1, h, rng.gen_range(1..=span), span, span] {
+            let a = rng.gen_range(1..span);
+            let e = (a + len - 1) % span;
+            let at = |r: usize| (a + r) % span;
+            // The window as a writer holds it.
+            let mut w = l.window(a, len);
+            for abs in (0..len).map(at) {
+                let ((k, v, bm), (ev, _)) = (src.slot(abs), src.version(abs));
+                w.set_slot(abs, k, v, bm, ev);
+                if dirty[abs] {
+                    w.set_value(abs, v);
+                }
+            }
+            let (first, wrap) = l.cyclic_split(a, e);
+            for (s, t) in std::iter::once(first).chain(wrap) {
+                let range = (l.entry_off(s), l.entry_off(t) + l.entry_size());
+                let pstart = ops.encode(&w, range, nv, &meta, true, &mut buf);
+                assert_eq!(pstart, l.versioned().phys_range(range.0, range.1).0);
+                assert_eq!(buf, reference_image(&l, &src, range, nv, &meta), "span {span}, H {h}: [{a}, {e}]");
+            }
+            // The window as a locked read loads it from the image.
+            let (first, wrap) = l.hop_ranges(a, e);
+            let pieces: Vec<Fetched> = std::iter::once(first)
+                .chain(wrap)
+                .map(|(ls, le)| {
+                    let (ps, pe) = l.versioned().phys_range(ls, le);
+                    l.versioned().from_raw(ls, le, image[ps..pe].to_vec())
+                })
+                .collect();
+            let mut read = l.window(a, len);
+            load(&l, &pieces, &mut read);
+            for abs in (0..len).map(at) {
+                let (ev, was_dirty) = src.version(abs);
+                let want = if was_dirty { bump(ev) } else { ev };
+                assert_eq!(read.slot(abs), src.slot(abs), "span {span}, H {h}: slot {abs} of [{a}, {e}]");
+                assert_eq!(read.version(abs), (want, false), "span {span}, H {h}: slot {abs} of [{a}, {e}]");
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@
 use dmem::{GlobalAddr, IndexError, Phase, RangeIndex};
 
 use super::{ChimeClient, TreeBinding};
-use crate::leaf::LeafMeta;
+use crate::leaf::{LeafMeta, LockedRead};
 use crate::skeleton::SkeletonClient;
 
 impl ChimeClient {
@@ -97,16 +97,17 @@ impl ChimeClient {
     ) -> Result<Option<u64>, IndexError> {
         let _lk = self.local_lock(addr);
         let word = self.in_phase(Phase::LockAcquire, |me| me.leaf().lock(&mut me.ep, addr));
-        let lr = self.read_whole(addr, word);
+        let mut lr = LockedRead::default();
+        self.read_whole(addr, word, &mut lr);
         if !lr.meta.valid {
             self.unlock(&[(addr, word)]);
             return Ok(None);
         }
-        let mut items = lr.w.occupied();
-        items.sort_by_key(|&(k, _)| k);
+        let mut items: Vec<(u64, &[u8])> = lr.w.occupied().collect();
+        items.sort_unstable_by_key(|&(k, _)| k);
         let mut moved = 0u64;
         for (k, stored) in items {
-            let v = self.resolve_value(stored);
+            let v = self.resolve_value(stored.to_vec());
             if let Err(e) = dst.insert(k, &v) {
                 // Abort without tombstoning: the source leaf stays live and
                 // authoritative; the half-built destination is abandoned.

@@ -17,10 +17,10 @@
 //!
 //! | file | holds | step helpers (frame) |
 //! |---|---|---|
-//! | `mod.rs` | [`Chime`] / [`CnState`] / [`ChimeClient`] / [`TreeBinding`], the [`dmem::RangeIndex`] entry points, indirect-value store/resolve | `on_op_conflict` (retry + `retry_backoff`); `read_whole` (`leaf_read`); `write_back`, `unlock`, `rewrite` (`write_back`) |
+//! | `mod.rs` | [`Chime`] / [`CnState`] / [`ChimeClient`] / [`TreeBinding`], the [`dmem::RangeIndex`] entry points, indirect-value store/resolve | `on_op_conflict` (retry + `retry_backoff`); `with_locked_read` lends each write the client's kept [`LockedRead`] (window, READ buffers, outgoing images); `read_whole` (`leaf_read`); `write_back`, `unlock`, `rewrite` (`write_back`) |
 //! | `traverse.rs` | CHIME's [`SkeletonClient`] impl (left lean, backoff, forwarding override), leaf location | `reroute` — drop cached parent + refresh root + stale-route retry; `on_invalid_leaf`; `locate_leaf` (`traversal`) with `first_child_of` |
 //! | `point.rs` | search, speculative read, sibling/fence chases; insert / update / delete | `lock_owner` — the one write preamble: locate-or-detour → CN-local slot → `lock_window` (lock + window READ, one doorbell: the neighborhood for updates and deletes, the group-aligned neighborhood for inserts, the whole leaf without piggybacking) → at most one more READ for an insert (whole leaf on a full bitmap, hop window when the neighborhood can take neither an upsert nor the key) → invalid-leaf and `owns_key` handling (a window key ≥ the key proves ownership), retried until the owner is held; `place` (window, whole-node fallback, split; the argmax entry only when no window key exceeds the key) |
-//! | `smo.rs` | `split_leaf` (pivots up through the skeleton's `insert_into_parent`), `try_merge` | — |
+//! | `smo.rs` | `split_leaf` (both halves rebuilt from the locked window's values, sorted by key as borrowed slices; pivots up through the skeleton's `insert_into_parent`), `try_merge` | — |
 //! | `scan.rs` | `scan_impl` (behind `RangeIndex::scan_rows`), `check_integrity` | `Gathered` — the client's reused scan buffers: leaf snapshots (their READ buffers recycled through a `LeafReads`), and each row packed as a `u128` of (key, leaf, value offset), so one `select_nth_unstable` + `sort_unstable` orders rows by key, ties in gather order, and values are copied once, into the caller's `Rows`; `scan_from` (parent-guided batch reads, `leaf_read`; the next parent through the CN cache, `traversal`); `batch_len` — a doorbell takes leaves until the rows expected from their pivot ranges (the first one's above `start`) times the client's key density cover the rows missing to within one Poisson σ, ¾-full leaves before the first observation; `observe_density` — the density (`ChimeClient::scan_density`) over the interior leaves a client's scans read, 1 % decay per leaf; `walk_chain` — the one sibling-chain walker (gap bridge and tail drain, `scan_chain`); the one stale-parent reaction sits in `scan_impl` |
 //! | `migrate.rs` | what `crates/part` needs: `rebind`, `leaf_addrs_under`, `move_leaf_into`, clock/alloc hooks | — |
 //!
@@ -145,6 +145,8 @@ pub struct ChimeClient {
     scan_density: (f64, f64),
     /// What scans gather, kept between scans for its buffers.
     scan_buffers: scan::Gathered,
+    /// What writes lock and read, kept between writes for its buffers.
+    locked: LockedRead,
 }
 
 impl Chime {
@@ -225,6 +227,7 @@ impl Chime {
             forward: None,
             scan_density: (0.0, 0.0),
             scan_buffers: scan::Gathered::default(),
+            locked: LockedRead::default(),
         }
     }
 
@@ -301,19 +304,28 @@ impl ChimeClient {
         self.in_phase(Phase::RetryBackoff, |me| me.retry_backoff.wait(&mut me.ep));
     }
 
+    /// Runs `f` with the client's [`LockedRead`], whose buffers every locked
+    /// read of a write refills, and keeps it for the next write.
+    fn with_locked_read<R>(&mut self, f: impl FnOnce(&mut Self, &mut LockedRead) -> R) -> R {
+        let mut lr = std::mem::take(&mut self.locked);
+        let r = f(self, &mut lr);
+        self.locked = lr;
+        r
+    }
+
     // Step helpers: each owns exactly one phase frame.
 
-    /// Reads the whole leaf under its lock (split prep, delete-of-max, the
-    /// placement fallback).
-    fn read_whole(&mut self, addr: GlobalAddr, word: LockWord) -> LockedRead {
+    /// Reads the whole leaf into `lr` under its lock (split prep,
+    /// delete-of-max, the placement fallback).
+    fn read_whole(&mut self, addr: GlobalAddr, word: LockWord, lr: &mut LockedRead) {
         self.in_phase(Phase::LeafRead, |me| {
-            me.leaf().read_full_locked(&mut me.ep, addr, word)
-        })
+            me.leaf().read_full_locked(&mut me.ep, addr, word, lr)
+        });
     }
 
     /// Writes the dirty part of the window back and releases the leaf lock
     /// with `word` as the new lock word (vacancy + argmax).
-    fn write_back(&mut self, addr: GlobalAddr, lr: &LockedRead, word: LockWord) {
+    fn write_back(&mut self, addr: GlobalAddr, lr: &mut LockedRead, word: LockWord) {
         self.in_phase(Phase::WriteBack, |me| {
             lr.write_back(&me.leaf(), &mut me.ep, addr, word)
         });

@@ -9,6 +9,7 @@ use dmem::hash::{fingerprint16, home_entry};
 use dmem::{GlobalAddr, IndexError, LocalLockGuard, Phase, RetryCause};
 
 use super::{ChimeClient, OP_RETRY_LIMIT};
+use crate::hopscotch::wrap;
 use crate::leaf::{LockedRead, SpecRead};
 use crate::lockword::{LockWord, ARGMAX_NONE};
 use crate::skeleton::SkeletonClient;
@@ -34,12 +35,12 @@ enum Intent {
     Modify,
 }
 
-/// The locked leaf that owns the key of a write, with its window read.
+/// The locked leaf that owns the key of a write, its window read into the
+/// write's [`LockedRead`].
 struct Held {
     addr: GlobalAddr,
     word: LockWord,
-    lr: LockedRead,
-    /// `lr` is a whole-node read (see [`Intent::Insert`]).
+    /// The window is a whole-node read (see [`Intent::Insert`]).
     whole: bool,
     /// The CN-local slot for `addr`, held until the write completes.
     slot: LocalLockGuard,
@@ -209,16 +210,17 @@ impl ChimeClient {
     // ------------------------------------------------------------------
 
     /// The preamble of every write: locates the leaf for `key`, queues on
-    /// its CN-local slot, locks it, reads the window `intent` needs and
-    /// checks that the leaf is live and still owns `key` — retrying until
-    /// it does. `None` means the key's chain ended: it is in no leaf.
+    /// its CN-local slot, locks it, reads the window `intent` needs into
+    /// `lr` and checks that the leaf is live and still owns `key` —
+    /// retrying until it does. `None` means the key's chain ended: it is in
+    /// no leaf.
     ///
     /// On an ownership miss, updates and deletes detour to the sibling
     /// (presence checks along the chain are sound). Inserts do that only
     /// under fence keys; under sibling validation they must not trust the
     /// rightward heuristic (unsound under deletes) — they drop the cached
     /// parent and re-traverse until the pending split has propagated.
-    fn lock_owner(&mut self, key: u64, home: usize, intent: Intent) -> Option<Held> {
+    fn lock_owner(&mut self, key: u64, home: usize, intent: Intent, lr: &mut LockedRead) -> Option<Held> {
         let piggyback = self.shared.cfg.vacancy_piggyback;
         let (span, h, vm) = (self.span(), self.h(), self.leaf().vm);
         let mut detour: Option<GlobalAddr> = None;
@@ -234,35 +236,39 @@ impl ChimeClient {
             // Every window's address is known before the lock word: it
             // rides in the CAS's doorbell.
             let (a, e) = match intent {
-                Intent::Modify => (home, (home + h - 1) % span),
+                Intent::Modify => (home, wrap(home + h - 1, span)),
                 // Without the vacancy bitmap the insert cannot identify the
                 // hop range remotely: fetch the entire leaf (the paper's
                 // pre-piggybacking baseline).
                 Intent::Insert if !piggyback => (0, span - 1),
-                Intent::Insert => vm.align_to_groups(home, (home + h - 1) % span),
+                Intent::Insert => vm.align_to_groups(home, wrap(home + h - 1, span)),
             };
-            let (word, lr) = self.in_phase(Phase::LockAcquire, |me| {
-                me.leaf().lock_window(&mut me.ep, addr, a, e)
+            let word = self.in_phase(Phase::LockAcquire, |me| {
+                me.leaf().lock_window(&mut me.ep, addr, a, e, lr)
             });
-            let (mut lr, whole) = match intent {
-                Intent::Modify => (lr, false),
-                Intent::Insert if !piggyback => (lr, true),
+            let whole = match intent {
+                Intent::Modify => false,
+                Intent::Insert if !piggyback => true,
                 Intent::Insert => match vm.first_vacant_group(word, home) {
                     // Vacancy bitmap shows a full node: read everything.
-                    None => (self.read_whole(addr, word), true),
+                    None => {
+                        self.read_whole(addr, word, lr);
+                        true
+                    }
                     // An upsert, or room at or after `home`: the slot
                     // `place` picks in the window is the hop window's.
                     Some(_)
                         if lr.w.find_in_neighborhood(key).is_some()
                             || lr.w.first_empty_from(home).is_some() =>
                     {
-                        (lr, false)
+                        false
                     }
                     Some(_) => {
-                        let hop = self.in_phase(Phase::LeafRead, |me| {
-                            me.leaf().read_hop_window(&mut me.ep, addr, home, word)
+                        let room = self.in_phase(Phase::LeafRead, |me| {
+                            me.leaf().read_hop_window(&mut me.ep, addr, home, word, lr)
                         });
-                        (hop.expect("the vacancy bitmap shows room"), false)
+                        assert!(room, "the vacancy bitmap shows room");
+                        false
                     }
                 },
             };
@@ -272,11 +278,10 @@ impl ChimeClient {
                 self.on_invalid_leaf(parent, lr.meta.sibling, intent == Intent::Modify);
                 continue;
             }
-            let Some(next) = self.owns_key(key, expected, addr, &mut lr) else {
+            let Some(next) = self.owns_key(key, expected, addr, lr) else {
                 return Some(Held {
                     addr,
                     word,
-                    lr,
                     whole,
                     slot,
                 });
@@ -354,70 +359,72 @@ impl ChimeClient {
         self.retry_backoff.reset();
         let stored = self.store_value(key, value)?;
         let home = home_entry(key, self.span());
-        for _ in 0..OP_RETRY_LIMIT {
-            let held = self
-                .lock_owner(key, home, Intent::Insert)
-                .expect("inserts re-traverse instead of running off the chain");
-            if held.whole && self.shared.cfg.vacancy_piggyback {
-                // The vacancy bitmap showed a full node: split, then retry.
-                self.split_leaf(held.addr, held.lr)?;
-            } else if self.place(held, key, home, &stored)? {
-                return Ok(());
+        self.with_locked_read(|me, lr| {
+            for _ in 0..OP_RETRY_LIMIT {
+                let held = me
+                    .lock_owner(key, home, Intent::Insert, lr)
+                    .expect("inserts re-traverse instead of running off the chain");
+                if held.whole && me.shared.cfg.vacancy_piggyback {
+                    // The vacancy bitmap showed a full node: split, then retry.
+                    me.split_leaf(held.addr, lr)?;
+                } else if me.place(held, key, home, &stored, lr)? {
+                    return Ok(());
+                }
             }
-        }
-        panic!("insert retry limit for key {key}");
+            panic!("insert retry limit for key {key}");
+        })
     }
 
-    /// Places `key` into the locked window and writes it back; `Ok(false)`
-    /// means the leaf was split instead (and unlocked) and the insert must
-    /// retry. A hop window that cannot take the key falls back to the whole
-    /// node before deciding to split.
+    /// Places `key` into the locked window `lr` and writes it back;
+    /// `Ok(false)` means the leaf was split instead (and unlocked) and the
+    /// insert must retry. A hop window that cannot take the key falls back
+    /// to the whole node before deciding to split.
     fn place(
         &mut self,
         mut held: Held,
         key: u64,
         home: usize,
         stored: &[u8],
+        lr: &mut LockedRead,
     ) -> Result<bool, IndexError> {
         let (addr, word, span) = (held.addr, held.word, self.span());
-        let w = &mut held.lr.w;
         // Duplicate: update in place.
-        if let Some(pos) = w.find_in_neighborhood(key) {
-            w.set_value(pos, stored);
-            self.write_back(addr, &held.lr, word);
+        if let Some(pos) = lr.w.find_in_neighborhood(key) {
+            lr.w.set_value(pos, stored);
+            self.write_back(addr, lr, word);
             return Ok(true);
         }
         // The true first empty slot at/after home in the window.
         let empty = if held.whole {
             (0..span)
-                .map(|d| (home + d) % span)
-                .find(|&i| w.slot_empty(i))
+                .map(|d| wrap(home + d, span))
+                .find(|&i| lr.w.slot_empty(i))
         } else {
-            w.first_empty_from(home)
+            lr.w.first_empty_from(home)
         };
         if let Some(empty) = empty {
-            if let Ok(pos) = w.insert(key, stored, empty) {
+            if let Ok(pos) = lr.w.insert(key, stored, empty) {
                 // Without a window key above `key` the new key may be the
                 // maximum: argmax needs the node's.
-                if held.lr.w.max_key() == Some(key) {
-                    self.max_key(addr, &mut held.lr);
+                if lr.w.max_key() == Some(key) {
+                    self.max_key(addr, lr);
                 }
-                let new_word = self.word_after_insert(&held.lr, word, key, pos, empty);
-                self.write_back(addr, &held.lr, new_word);
+                let new_word = self.word_after_insert(lr, word, key, pos, empty);
+                self.write_back(addr, lr, new_word);
                 return Ok(true);
             }
         } else if !held.whole {
             // The vacant group's empties sat before `home` (conservative
             // bitmap): fall back to a full-node window.
-            held.lr = self.read_whole(addr, word);
+            self.read_whole(addr, word, lr);
             held.whole = true;
-            return self.place(held, key, home, stored);
+            return self.place(held, key, home, stored, lr);
         }
         // No room, or no feasible hopping: split the whole node.
         if !held.whole {
-            held.lr = self.read_whole(addr, word);
+            self.read_whole(addr, word, lr);
         }
-        self.split_leaf(addr, held.lr)?;
+        self.split_leaf(addr, lr)?;
         Ok(false)
     }
 
@@ -469,62 +476,60 @@ impl ChimeClient {
         self.retry_backoff.reset();
         let stored = self.store_value(key, value)?;
         let home = home_entry(key, self.span());
-        let Some(mut held) = self.lock_owner(key, home, Intent::Modify) else {
-            return Ok(false);
-        };
-        let Some(pos) = held.lr.w.find_in_neighborhood(key) else {
-            self.unlock(&[(held.addr, held.word)]);
-            return Ok(false);
-        };
-        held.lr.w.set_value(pos, &stored);
-        self.write_back(held.addr, &held.lr, held.word);
-        Ok(true)
+        self.with_locked_read(|me, lr| {
+            let Some(held) = me.lock_owner(key, home, Intent::Modify, lr) else {
+                return Ok(false);
+            };
+            let Some(pos) = lr.w.find_in_neighborhood(key) else {
+                me.unlock(&[(held.addr, held.word)]);
+                return Ok(false);
+            };
+            lr.w.set_value(pos, &stored);
+            me.write_back(held.addr, lr, held.word);
+            Ok(true)
+        })
     }
 
     pub(super) fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
         self.retry_backoff.reset();
         let span = self.span();
         let home = home_entry(key, span);
-        let Some(Held {
-            addr,
-            word,
-            mut lr,
-            slot,
-            ..
-        }) = self.lock_owner(key, home, Intent::Modify)
-        else {
-            return Ok(false);
-        };
-        let Some(pos) = lr.w.find_in_neighborhood(key) else {
-            self.unlock(&[(addr, word)]);
-            return Ok(false);
-        };
-        // Deleting the maximum key (the slot the lock word names) requires
-        // recomputing argmax from the whole node.
-        let deleting_max = usize::from(word.argmax()) == pos;
-        if deleting_max {
-            lr = self.read_whole(addr, word);
-        }
-        lr.w.remove(pos);
-        let vm = self.leaf().vm;
-        let mut new_word = word.with_vacancy_bit(vm.group_of(pos), true);
-        let left = || (0..span).filter(|&i| !lr.w.slot_empty(i));
-        if deleting_max {
-            let am = left().max_by_key(|&i| lr.w.slot(i).0);
-            new_word = new_word.with_argmax(am.map(|i| i as u16).unwrap_or(ARGMAX_NONE));
-        }
-        // Underflow check (§4.4 Delete): when the whole node was in
-        // hand and it dropped below a quarter full, attempt a merge
-        // with the right sibling after the delete completes.
-        let underflow = deleting_max && left().count() <= span / 4;
-        self.write_back(addr, &lr, new_word);
-        if underflow {
-            // Best-effort merge; drop the local guard first so the
-            // merge can take locks in parent-first order.
-            drop(slot);
-            let probe = left().map(|i| lr.w.slot(i).0).next().unwrap_or(key);
-            self.try_merge(addr, probe);
-        }
-        Ok(true)
+        self.with_locked_read(|me, lr| {
+            let Some(Held { addr, word, slot, .. }) = me.lock_owner(key, home, Intent::Modify, lr) else {
+                return Ok(false);
+            };
+            let Some(pos) = lr.w.find_in_neighborhood(key) else {
+                me.unlock(&[(addr, word)]);
+                return Ok(false);
+            };
+            // Deleting the maximum key (the slot the lock word names)
+            // requires recomputing argmax from the whole node.
+            let deleting_max = usize::from(word.argmax()) == pos;
+            if deleting_max {
+                me.read_whole(addr, word, lr);
+            }
+            lr.w.remove(pos);
+            let vm = me.leaf().vm;
+            let mut new_word = word.with_vacancy_bit(vm.group_of(pos), true);
+            if deleting_max {
+                let am = (0..span)
+                    .filter(|&i| !lr.w.slot_empty(i))
+                    .max_by_key(|&i| lr.w.slot(i).0);
+                new_word = new_word.with_argmax(am.map(|i| i as u16).unwrap_or(ARGMAX_NONE));
+            }
+            // Underflow check (§4.4 Delete): when the whole node was in
+            // hand and it dropped below a quarter full, attempt a merge
+            // with the right sibling after the delete completes.
+            let underflow = deleting_max && lr.w.occupied().count() <= span / 4;
+            me.write_back(addr, lr, new_word);
+            if underflow {
+                // Best-effort merge; drop the local guard first so the
+                // merge can take locks in parent-first order.
+                drop(slot);
+                let probe = lr.w.occupied().next().map_or(key, |(k, _)| k);
+                me.try_merge(addr, probe);
+            }
+            Ok(true)
+        })
     }
 }

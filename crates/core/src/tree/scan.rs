@@ -279,7 +279,10 @@ impl ChimeClient {
             let word = self.leaf().lock(&mut self.ep, addr);
             let named = word.argmax() != ARGMAX_NONE;
             let locked_max = match true_max {
-                Some(_) if named => self.read_whole(addr, word).max_key,
+                Some(_) if named => self.with_locked_read(|me, lr| {
+                    me.read_whole(addr, word, lr);
+                    lr.max_key
+                }),
                 _ => None,
             };
             self.unlock(&[(addr, word)]);

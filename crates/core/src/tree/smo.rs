@@ -10,47 +10,47 @@ use crate::layout::LeafLayout;
 use crate::leaf::LockedRead;
 use crate::skeleton::SkeletonClient;
 
-/// One built leaf chunk: its hopscotch window plus the items it holds.
-type Chunk = (Window, Vec<(u64, Vec<u8>)>);
+/// One built leaf chunk: its hopscotch window and its largest key.
+type Chunk = (Window, u64);
 
-/// Recursively builds hopscotch tables for `items`, splitting chunks that
-/// do not fit. Returns `(window, sorted items)` per chunk, in key order.
-fn build_chunks(l: &LeafLayout, items: &[(u64, Vec<u8>)]) -> Vec<Chunk> {
+/// Recursively builds hopscotch tables for `items` (sorted by key) into
+/// `out`, splitting chunks that do not fit, in key order.
+fn build_chunks(l: &LeafLayout, items: &[(u64, &[u8])], out: &mut Vec<Chunk>) {
     if let Some(w) = build_table(l.span, l.h, l.value_size, items) {
-        return vec![(w, items.to_vec())];
+        return out.push((w, items.last().expect("chunk cannot be empty").0));
     }
     assert!(items.len() >= 2, "cannot split a single unfittable item");
     let mid = items.len() / 2;
-    let mut out = build_chunks(l, &items[..mid]);
-    out.extend(build_chunks(l, &items[mid..]));
-    out
+    build_chunks(l, &items[..mid], out);
+    build_chunks(l, &items[mid..], out);
 }
 
 impl ChimeClient {
     /// Splits the locked leaf `addr` (whose full content is in `lr`),
-    /// releases its lock and up-propagates the new pivots.
+    /// releases its lock and up-propagates the new pivots. The halves are
+    /// rebuilt from `lr`'s window: its items are sorted by key as borrowed
+    /// slices, and each value is copied once, into its new table.
     pub(super) fn split_leaf(
         &mut self,
         addr: GlobalAddr,
-        lr: LockedRead,
+        lr: &LockedRead,
     ) -> Result<(), IndexError> {
         self.counters.splits += 1;
-        let mut items = lr.w.occupied();
-        items.sort_by_key(|&(k, _)| k);
+        let mut items = Vec::with_capacity(lr.w.len());
+        items.extend(lr.w.occupied());
+        items.sort_unstable_by_key(|&(k, _)| k);
         assert!(items.len() >= 2, "splitting a near-empty node");
         let mid = items.len() / 2;
         // Build chains (usually exactly one chunk per half).
-        let chunks = {
-            let mut c = build_chunks(&self.leaf().layout, &items[..mid]);
-            c.extend(build_chunks(&self.leaf().layout, &items[mid..]));
-            c
-        };
+        let layout = self.leaf().layout;
+        let mut chunks = Vec::with_capacity(2);
+        build_chunks(&layout, &items[..mid], &mut chunks);
+        build_chunks(&layout, &items[mid..], &mut chunks);
         assert!(chunks.len() >= 2);
         // Boundary pivots: max of previous chunk + 1 (argmax-corner rule).
         let mut pivots = Vec::with_capacity(chunks.len());
         pivots.push(0u64); // unused for chunk 0 (keeps the old low bound)
-        for pair in chunks.windows(2) {
-            let prev_max = pair[0].1.last().expect("chunk cannot be empty").0;
+        for (_, prev_max) in &chunks[..chunks.len() - 1] {
             pivots.push(prev_max + 1);
         }
         // Allocate the new nodes (all but chunk 0, which reuses `addr`).
@@ -115,15 +115,16 @@ impl ChimeClient {
         };
         // Lock and re-validate the left leaf.
         let xword = self.in_phase(Phase::LockAcquire, |me| me.leaf().lock(&mut me.ep, addr));
-        let xlr = self.read_whole(addr, xword);
-        let mut items = xlr.w.occupied();
+        let (mut xlr, mut slr) = (LockedRead::default(), LockedRead::default());
+        self.read_whole(addr, xword, &mut xlr);
+        let mut items: Vec<(u64, &[u8])> = xlr.w.occupied().collect();
         if !xlr.meta.valid || xlr.meta.sibling != sib || items.len() > span / 4 {
             self.unlock(&[(addr, xword)]);
             return self.unlock_internal(parent_addr);
         }
         // Lock the right leaf and check the combined fit.
         let sword = self.in_phase(Phase::LockAcquire, |me| me.leaf().lock(&mut me.ep, sib));
-        let slr = self.read_whole(sib, sword);
+        self.read_whole(sib, sword, &mut slr);
         items.extend(slr.w.occupied());
         let merged = if !slr.meta.valid || items.len() > (span * 2) / 3 {
             None

@@ -680,7 +680,8 @@ fn a_failed_lock_attempts_read_is_never_used() {
     let (key, addr, word, mut lr, pos) = (1..=200u64)
         .find_map(|k| {
             let (addr, home) = (b.locate_leaf(k).addr, dmem::hash::home_entry(k, b.span()));
-            let (word, lr) = leaf.lock_nbh_window(&mut b.ep, addr, home);
+            let mut lr = LockedRead::default();
+            let word = leaf.lock_nbh_window(&mut b.ep, addr, home, &mut lr);
             let pos = lr.w.find_in_neighborhood(k).expect("preloaded key");
             if usize::from(word.argmax()) == pos {
                 leaf.unlock(&mut b.ep, addr, word);
@@ -985,7 +986,8 @@ fn an_insert_without_room_in_its_window_reads_the_hop_window() {
     let home = dmem::hash::home_entry(key, c.span());
     let word = leaf.lock(&mut c.ep, addr);
     let s0 = c.ep.stats().clone();
-    let mut lr = leaf.read_hop_window(&mut c.ep, addr, home, word).expect("room");
+    let mut lr = LockedRead::default();
+    assert!(leaf.read_hop_window(&mut c.ep, addr, home, word, &mut lr), "room");
     let hop_bytes = c.ep.stats().since(&s0).wire_bytes;
     let empty = lr.w.first_empty_from(home).expect("room at or after home");
     let want = lr.w.insert(key, &v(key), empty).expect("a feasible hop");

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use chime::hopscotch::{build_table, check_invariants, cyc_dist, Window};
 use chime::layout::LeafLayout;
-use chime::leaf::{LeafMeta, LeafOps};
+use chime::leaf::{LeafMeta, LeafOps, LockedRead};
 use chime::lockword::{LockWord, VacancyMap};
 use chime::{Chime, ChimeConfig};
 use dmem::hash::home_entry;
@@ -185,10 +185,12 @@ proptest! {
         let mut fresh = 1u64 << 40; // values no slot has held before
         // Each round is one locked write: a full-span window from a random
         // start (so the dirty range may wrap around), a few operations, one
-        // write-back.
+        // write-back. The rounds share one `LockedRead`, as a client's
+        // writes do.
+        let mut lr = LockedRead::default();
         for (start, ops) in rounds {
             let word = leaf.lock(&mut ep, addr);
-            let mut lr = leaf.locked_read(&mut ep, addr, start, (start + SPAN - 1) % SPAN, word);
+            leaf.locked_read(&mut ep, addr, start, (start + SPAN - 1) % SPAN, word, &mut lr);
             let content = |w: &Window| -> Vec<(u64, Vec<u8>, u16)> {
                 (0..SPAN).map(|i| { let (k, val, bm) = w.slot(i); (k, val.to_vec(), bm) }).collect()
             };

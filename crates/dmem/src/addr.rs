@@ -14,8 +14,9 @@ const OFFSET_MASK: u64 = (1 << OFFSET_BITS) - 1;
 ///
 /// Bit layout: `[63:48]` memory-node id, `[47:0]` byte offset. The all-zero
 /// value is reserved as the null pointer (memory nodes never hand out offset
-/// 0; the first allocatable byte is at [`crate::node::RESERVED_BYTES`]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// 0; the first allocatable byte is at [`crate::node::RESERVED_BYTES`]),
+/// which is also the default.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GlobalAddr(u64);
 
 impl GlobalAddr {

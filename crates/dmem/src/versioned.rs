@@ -196,31 +196,43 @@ impl Layout {
         ranges: &[(usize, usize)],
     ) -> Vec<Fetched> {
         assert!(!ranges.is_empty());
-        let fetched = self.fetch_with(node, ranges, |reqs| {
+        let mut pieces = Vec::with_capacity(ranges.len());
+        let kept = self.fetch_into(node, ranges, &mut pieces, &mut Vec::new(), |reqs| {
             ep.read_batch(reqs);
             true
         });
-        fetched.expect("the READs were kept")
+        assert!(kept, "the READs were kept");
+        pieces
     }
 
     /// The READs of up to [`MAX_RANGES`] logical ranges (none is allowed),
     /// handed to `post` to issue — alone or behind another verb of the same
-    /// doorbell batch. `post` returns whether the contents are wanted: the
-    /// buffers are de-striped into [`Fetched`] views if so and dropped if
-    /// not (`None`).
-    pub fn fetch_with(
+    /// doorbell batch. `post` returns whether the contents are wanted: if
+    /// so, the buffers are de-striped into [`Fetched`] views that replace
+    /// `pieces`; if not, they are dropped (`false`).
+    ///
+    /// The buffers are the caller's: each READ takes one from `spare` (a new
+    /// one when it runs out), `pieces`' buffers go back to `spare` first,
+    /// and so do a dropped fetch's. A caller that keeps both vectors fetches
+    /// without allocating once they have grown to its largest fetch.
+    pub fn fetch_into(
         &self,
         node: GlobalAddr,
         ranges: &[(usize, usize)],
+        pieces: &mut Vec<Fetched>,
+        spare: &mut Vec<Vec<u8>>,
         post: impl FnOnce(&mut [(GlobalAddr, &mut [u8])]) -> bool,
-    ) -> Option<Vec<Fetched>> {
+    ) -> bool {
         assert!(ranges.len() <= MAX_RANGES);
-        // Buffers and work requests sit on the stack; unused slots stay
-        // empty and are not posted.
+        spare.extend(pieces.drain(..).map(Fetched::into_buf));
+        // Work requests sit on the stack; unused slots stay empty and are
+        // not posted. A READ overwrites its whole buffer, so a reused one
+        // is only resized.
         let mut bufs: [Vec<u8>; MAX_RANGES] = Default::default();
         for (buf, &(ls, le)) in bufs.iter_mut().zip(ranges) {
             let (ps, pe) = self.phys_range(ls, le);
-            *buf = vec![0u8; pe - ps];
+            *buf = spare.pop().unwrap_or_default();
+            buf.resize(pe - ps, 0);
         }
         let mut slots = bufs.iter_mut();
         let mut reqs: [(GlobalAddr, &mut [u8]); MAX_RANGES] = std::array::from_fn(|i| {
@@ -228,13 +240,14 @@ impl Layout {
             let buf = slots.next().expect("MAX_RANGES buffers");
             (node.add(self.phys_start(ls) as u64), &mut buf[..])
         });
-        post(&mut reqs[..ranges.len()]).then(|| {
-            ranges
-                .iter()
-                .zip(bufs)
-                .map(|(&(ls, le), buf)| self.from_raw(ls, le, buf))
-                .collect()
-        })
+        let kept = post(&mut reqs[..ranges.len()]);
+        let bufs = bufs.into_iter().take(ranges.len());
+        if kept {
+            pieces.extend(ranges.iter().zip(bufs).map(|(&(ls, le), buf)| self.from_raw(ls, le, buf)));
+        } else {
+            spare.extend(bufs);
+        }
+        kept
     }
 
     /// Builds the physical image of logical range `[lstart, lend)`.

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use chime::hopscotch::{build_table, Window};
 use chime::layout::LeafLayout;
-use chime::leaf::{LeafMeta, LeafOps, LeafSnapshot};
+use chime::leaf::{LeafMeta, LeafOps, LeafSnapshot, LockedRead};
 use chime::lockword::LockWord;
 use dmem::hash::home_entry;
 use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
@@ -95,17 +95,18 @@ impl ChimeLearnedClient {
         let owner = self.dir.leaf_addr(owner_idx);
         let word = leaf.lock(&mut self.ep, owner);
         // Try the owner leaf first.
-        let Some(mut lr) = leaf.read_hop_window(&mut self.ep, owner, home, word) else {
+        let mut lr = LockedRead::default();
+        if !leaf.read_hop_window(&mut self.ep, owner, home, word, &mut lr) {
             // Owner full per vacancy bitmap; a duplicate may still live in
             // it, else the chain.
-            let mut lr = leaf.read_full_locked(&mut self.ep, owner, word);
+            leaf.read_full_locked(&mut self.ep, owner, word, &mut lr);
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
                 lr.w.set_value(pos, &stored);
                 lr.write_back(&leaf, &mut self.ep, owner, word);
                 return Ok(());
             }
             return self.insert_into_chain(owner, lr.meta, key, &stored, word);
-        };
+        }
         if let Some(pos) = lr.w.find_in_neighborhood(key) {
             lr.w.set_value(pos, &stored);
             lr.write_back(&leaf, &mut self.ep, owner, word);
@@ -153,7 +154,8 @@ impl ChimeLearnedClient {
             return false;
         }
         let owner = self.dir.leaf_addr(owner_idx);
-        let (word, mut lr) = leaf.lock_nbh_window(&mut self.ep, owner, home);
+        let mut lr = LockedRead::default();
+        let word = leaf.lock_nbh_window(&mut self.ep, owner, home, &mut lr);
         let mut addr = owner;
         loop {
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
@@ -169,7 +171,7 @@ impl ChimeLearnedClient {
                 return false;
             }
             addr = lr.meta.sibling;
-            lr = leaf.read_nbh_window(&mut self.ep, addr, home, word);
+            leaf.read_nbh_window(&mut self.ep, addr, home, word, &mut lr);
         }
     }
 
@@ -254,9 +256,10 @@ impl ChimeLearnedClient {
         let leaf = self.dir.leaf;
         let home = home_entry(key, leaf.layout.span);
         let mut addr = head;
+        let mut lr = LockedRead::default();
         while !addr.is_null() {
             let syn_word = LockWord::initial(leaf.vm.groups());
-            let mut lr = leaf.read_nbh_window(&mut self.ep, addr, home, syn_word);
+            leaf.read_nbh_window(&mut self.ep, addr, home, syn_word, &mut lr);
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
                 lr.w.set_value(pos, stored);
                 lr.write_back(&leaf, &mut self.ep, addr, syn_word);
@@ -285,11 +288,12 @@ impl ChimeLearnedClient {
         let mut addr = owner_meta.sibling;
         let mut last_meta = owner_meta;
         let mut last_addr = owner;
+        let mut lr = LockedRead::default();
         while !addr.is_null() {
             // Synonym lock words are unused (the owner lock guards the
             // chain); read with a neutral word and write back in place.
             let syn_word = LockWord::initial(leaf.vm.groups());
-            if let Some(mut lr) = leaf.read_hop_window(&mut self.ep, addr, home, syn_word) {
+            if leaf.read_hop_window(&mut self.ep, addr, home, syn_word, &mut lr) {
                 if let Some(pos) = lr.w.find_in_neighborhood(key) {
                     lr.w.set_value(pos, stored);
                     lr.write_back(&leaf, &mut self.ep, addr, syn_word);
@@ -324,13 +328,13 @@ impl ChimeLearnedClient {
         // replicas via a full rewrite.
         if last_addr == owner {
             // Rewrite owner replicas with the new sibling and unlock.
-            let lr = leaf.read_full_locked(&mut self.ep, owner, word);
+            leaf.read_full_locked(&mut self.ep, owner, word, &mut lr);
             let mut m = lr.meta;
             m.sibling = syn_addr;
             leaf.rewrite_and_unlock(&mut self.ep, owner, &lr.w, lr.nv, &m);
         } else {
             let syn_word = LockWord::initial(leaf.vm.groups());
-            let lr = leaf.read_full_locked(&mut self.ep, last_addr, syn_word);
+            leaf.read_full_locked(&mut self.ep, last_addr, syn_word, &mut lr);
             let mut m = lr.meta;
             m.sibling = syn_addr;
             leaf.rewrite_and_unlock(&mut self.ep, last_addr, &lr.w, lr.nv, &m);

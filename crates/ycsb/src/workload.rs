@@ -100,8 +100,9 @@ impl Workload {
 pub struct WorkloadState {
     /// Number of keys present (loaded + inserted so far).
     pub count: AtomicU64,
-    /// Per skew asked for so far (by its bits): `(n, zeta(n, theta))`.
-    zetas: Mutex<BTreeMap<u64, (u64, f64)>>,
+    /// Per skew asked for so far (by its bits): `(n, zeta(n, theta))`;
+    /// shared by the states [`Self::fresh`] makes.
+    zetas: Arc<Mutex<BTreeMap<u64, (u64, f64)>>>,
 }
 
 impl WorkloadState {
@@ -109,7 +110,18 @@ impl WorkloadState {
     pub fn new(loaded: u64) -> Arc<Self> {
         Arc::new(WorkloadState {
             count: AtomicU64::new(loaded),
-            zetas: Mutex::default(),
+            zetas: Arc::default(),
+        })
+    }
+
+    /// State for another run over a store preloaded with `loaded` keys: a
+    /// fresh insert counter, and this state's Zipfian constants, so a
+    /// run at a skew and size seen before sums none. Its generators draw
+    /// the ops a [`Self::new`] state's would.
+    pub fn fresh(&self, loaded: u64) -> Arc<Self> {
+        Arc::new(WorkloadState {
+            count: AtomicU64::new(loaded),
+            zetas: Arc::clone(&self.zetas),
         })
     }
 
@@ -341,6 +353,30 @@ mod tests {
         let before = ZETA_TERMS.get();
         OpGen::with_theta(Workload::A, Arc::clone(&state), 3, 0.5);
         assert_eq!(ZETA_TERMS.get() - before, 2 * 37 + fixed);
+    }
+
+    #[test]
+    fn a_fresh_state_keeps_the_memo_and_draws_the_same_ops() {
+        use crate::dist::ZETA_TERMS;
+        const LOADED: u64 = 100_000;
+        let ops = |state: Arc<WorkloadState>| {
+            let mut g = OpGen::with_theta(Workload::D, state, 11, 0.8);
+            (0..1_000).map(|_| g.next_op()).collect::<Vec<_>>()
+        };
+        let kept = WorkloadState::new(LOADED);
+        let first = ops(Arc::clone(&kept));
+        assert!(kept.count.load(Ordering::Relaxed) > LOADED, "no insert drawn");
+        // A state on the kept memo starts its counter at `loaded` again
+        // and sums no zeta term beyond the `zeta(2, theta)` of each Zipfian.
+        let (before, fresh) = (ZETA_TERMS.get(), kept.fresh(LOADED));
+        let again = ops(Arc::clone(&fresh));
+        assert_eq!(ZETA_TERMS.get() - before, 2 * 2, "the kept memo was re-summed");
+        assert_eq!(again, first);
+        assert_eq!(again, ops(WorkloadState::new(LOADED)));
+        for theta in [0.8, ZIPFIAN_CONSTANT] {
+            let (kept, scratch) = (fresh.zeta(LOADED, theta), zeta_from_scratch(LOADED, theta));
+            assert_eq!(kept.to_bits(), scratch.to_bits(), "theta={theta}");
+        }
     }
 
     #[test]
