@@ -159,8 +159,10 @@ pub struct BenchResult {
     /// and the op-latency histogram. Deterministic for a fixed seed.
     pub metrics: MetricsSnapshot,
     /// Windowed time series of the measured phase, merged over every
-    /// participating client (shared virtual time base; all client clocks
-    /// start at zero).
+    /// participating client. Each client's series is opened at its clock
+    /// when the phase starts, so time 0 is every client's phase start —
+    /// also on a reused deployment, whose older handles' clocks carry on
+    /// from earlier runs.
     pub timeline: TimeSeries,
     /// Anomalies the in-run detector found in [`Self::timeline`].
     pub anomalies: Vec<Anomaly>,
@@ -387,7 +389,10 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                 )
             })
             .collect();
-        let before: Vec<HandleSnap> = clients.iter().map(|c| HandleSnap::of(c.as_ref())).collect();
+        let before: Vec<HandleSnap> = clients
+            .iter_mut()
+            .map(|c| HandleSnap::start(c.as_mut()))
+            .collect();
         for (i, c) in clients.iter_mut().enumerate() {
             let gid = (cn_id * active_per_cn + i) as u32;
             if (gid as usize) < setup.trace_clients {
@@ -446,20 +451,21 @@ struct LaneAgg {
 
 /// A handle's cumulative sources at the start of a measured phase.
 /// Deployments are reused across sweep points, so every cumulative source
-/// is snapshotted before and diffed after.
+/// is snapshotted before and diffed after; the time series is not
+/// cumulative: it is opened here and taken by [`Agg::collect`].
 struct HandleSnap {
     stats: ClientStats,
     profile: OpProfile,
-    series: TimeSeries,
 }
 
 impl HandleSnap {
-    fn of(c: &dyn RangeIndex) -> Self {
-        let ep = c.endpoint();
+    /// Snapshots `c`'s counters and profile and opens its time series.
+    fn start(c: &mut dyn RangeIndex) -> Self {
+        let ep = c.endpoint_mut();
+        ep.open_series();
         HandleSnap {
             stats: ep.stats().clone(),
             profile: ep.profile().clone(),
-            series: ep.sink().series.clone(),
         }
     }
 }
@@ -516,20 +522,20 @@ impl Agg {
     }
 
     /// Folds a handle's measured-phase deltas in — verb counters, phase
-    /// profile, time series — plus, when `traced`, its tracer. Returns the
-    /// counter and profile deltas.
+    /// profile — and takes its time series, plus, when `traced`, its
+    /// tracer. Returns the counter and profile deltas.
     fn collect(
         &mut self,
         c: &mut dyn RangeIndex,
         before: &HandleSnap,
         traced: bool,
     ) -> (ClientStats, OpProfile) {
-        let ep = c.endpoint();
+        let ep = c.endpoint_mut();
         let stats = ep.stats().since(&before.stats);
         let profile = ep.profile().since(&before.profile);
         self.stats_delta.merge(&stats);
         self.profile_delta.merge(&profile);
-        self.timeline.merge(&ep.sink().series.since(&before.series));
+        self.timeline.merge(&ep.take_series());
         if traced {
             self.tracers.extend(c.take_tracer());
         }
@@ -597,7 +603,7 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
             // (op, latency) samples it measured and its busy time.
             let mut bodies = Vec::with_capacity(k);
             for (l, handle) in handles.iter_mut().enumerate() {
-                before.push(HandleSnap::of(handle.as_ref()));
+                before.push(HandleSnap::start(handle.as_mut()));
                 if traced {
                     handle.set_tracer(Tracer::new((gci * k + l) as u32, 1 << 16));
                 }

@@ -100,7 +100,8 @@ fn driven(k: usize, faulted: bool) -> Image {
     let state = WorkloadState::new(PRELOAD);
     let mut clients: Vec<ChimeClient> = (0..CLIENTS * k)
         .map(|id| {
-            let ep = Endpoint::with_faults(Arc::clone(&pool), Arc::clone(&session), id as u32);
+            let mut ep = Endpoint::with_faults(Arc::clone(&pool), Arc::clone(&session), id as u32);
+            ep.open_series();
             let mut c = tree.client_with_endpoint(&cn, ep);
             if id < TRACED * k {
                 c.set_tracer(Tracer::new(id as u32, 1 << 16));
@@ -151,8 +152,8 @@ fn driven(k: usize, faulted: bool) -> Image {
     }
     let mut series = TimeSeries::default();
     let mut flight = String::new();
-    for c in &clients {
-        series.merge(&c.endpoint().sink().series);
+    for c in &mut clients {
+        series.merge(&c.endpoint_mut().take_series());
         flight.push_str(&flight_text(c.endpoint()));
     }
     let tracers: Vec<Tracer> = clients.iter_mut().filter_map(|c| c.take_tracer()).collect();

@@ -6,9 +6,11 @@
 //!   byte-identical across identical-seed runs;
 //! * a fault-injected throughput cliff is flagged by the in-run anomaly
 //!   detector at the window the timeline itself says collapsed, and
-//!   `explain`'s citation loader reproduces the finding verbatim.
+//!   `explain`'s citation loader reproduces the finding verbatim;
+//! * a sweep that reuses one deployment gets timelines on the phase's own
+//!   time base: no idle gap between clients that ran before and new ones.
 
-use bench::driver::{run, BenchSetup};
+use bench::driver::{deploy, run, run_deployed, BenchSetup};
 use bench::figs::{chime, scaleout_setup, Scale};
 use bench::explain::{cite_anomalies, load_citations};
 use bench::report::Report;
@@ -63,6 +65,37 @@ fn migration_run_timeline_shows_the_lock_copy_publish_interval() {
     let doc = rep.timeline_json();
     assert!(doc.contains("migrate.locked"), "timeline doc must carry the events");
     assert!(doc.contains("migrate.published"));
+}
+
+#[test]
+fn a_reused_deployment_times_each_phase_from_its_start() {
+    let setup = |clients: usize, ops: u64| BenchSetup {
+        kind: chime(),
+        num_cns: 2,
+        clients,
+        preload: 5_000,
+        ops,
+        mn_capacity: 256 << 20,
+        workload: Workload::A,
+        rdwc: false,
+        seed: 3,
+        ..Default::default()
+    };
+    let mut dep = deploy(&setup(64, 0));
+    // 16 clients run ≈ 30 windows ahead of the 48 handles that are new to
+    // the second point.
+    let first = run_deployed(&setup(16, 16_000), &mut dep);
+    assert!(first.timeline.windows().count() > 10);
+    let r = run_deployed(&setup(64, 6_400), &mut dep);
+    let ts = &r.timeline;
+    assert_eq!(ts.total_ops(), r.metrics.counter_value("ops_total", &[]));
+    assert_eq!(ts.total_ops(), 6_400);
+    let ks: Vec<u64> = ts.windows().map(|(k, _)| k).collect();
+    assert_eq!(ks.first(), Some(&0), "every client's phase starts at time 0");
+    let idle: Vec<u64> = (0..=*ks.last().unwrap())
+        .filter(|&k| ts.window(k).is_none_or(|w| w.ops == 0))
+        .collect();
+    assert!(idle.is_empty(), "idle windows {idle:?} in {ks:?}");
 }
 
 #[test]

@@ -80,13 +80,13 @@ fn a_scan_is_one_ok_span_keyed_by_its_start() {
 #[test]
 fn each_operation_is_one_operation_on_the_time_series() {
     let (_t, mut c) = traced();
-    let ops0 = c.endpoint().sink().series.total_ops();
+    c.endpoint_mut().open_series();
     c.insert(60, &v(60)).unwrap();
     let _ = c.search(60);
     let _ = c.update(60, &v(61));
     let _ = c.delete(60);
     c.scan(1, 10, &mut Vec::new());
-    assert_eq!(c.endpoint().sink().series.total_ops() - ops0, 5);
+    assert_eq!(c.endpoint_mut().take_series().total_ops(), 5);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use obs::{Event, OpProfile, Phase, RetryCause, Sink, Tracer};
+use obs::{Event, OpProfile, Phase, RetryCause, Sink, TimeSeries, Tracer};
 
 use crate::addr::GlobalAddr;
 use crate::fault::{FaultClient, FaultSession, VerbFaults, VerbKind};
@@ -89,12 +89,15 @@ pub struct PhaseFrame {
 ///
 /// ```
 /// let mut ep = dmem::Endpoint::new(dmem::Pool::with_defaults(1, 1 << 20));
+/// ep.open_series();
 /// let op = ep.span_begin("update", 7);
 /// let lookup = ep.span_begin("search", 7);
 /// ep.span_end(lookup, true);
-/// assert_eq!(ep.sink().series.total_ops(), 0, "the operation is still open");
+/// let ops = |ep: &dmem::Endpoint| ep.sink().series.as_ref().unwrap().total_ops();
+/// assert_eq!(ops(&ep), 0, "the operation is still open");
 /// ep.span_end(op, false);
-/// assert_eq!(ep.sink().series.total_ops(), 1);
+/// assert_eq!(ops(&ep), 1);
+/// assert_eq!(ep.take_series().total_ops(), 1);
 /// ```
 ///
 /// A span ends once:
@@ -211,10 +214,23 @@ impl Endpoint {
         self.sink.tracer.take().map(|t| *t)
     }
 
+    /// Opens a fresh time series whose window 0 begins at this endpoint's
+    /// clock; the sink folds every later op-level observation into it until
+    /// [`Self::take_series`]. A series still open is dropped.
+    pub fn open_series(&mut self) {
+        self.sink.series = Some(TimeSeries::starting_at(self.clock_ns));
+    }
+
+    /// Returns the open time series (an empty one if none is open) and
+    /// leaves none open.
+    pub fn take_series(&mut self) -> TimeSeries {
+        self.sink.series.take().unwrap_or_default()
+    }
+
     /// Opens an operation span. The outermost span of a nest marks an
-    /// operation boundary for the always-on telemetry: the flight recorder
-    /// logs the begin and the time series counts the completion, tracer or
-    /// not.
+    /// operation boundary for the op-level telemetry: the flight recorder
+    /// logs the begin and an open time series counts the completion, tracer
+    /// or not.
     pub fn span_begin(&mut self, op: &'static str, key: u64) -> Span {
         let (now, trace) = (self.clock_ns, self.trace_id);
         self.emit(now, Event::OpBegin { op, key, trace });

@@ -4,7 +4,10 @@
 //! [`OpProfile`] (per-phase totals), the [`TimeSeries`] (the same totals per
 //! window), the [`FlightRecorder`] (coarse events) and the optional
 //! [`Tracer`] (span, verb, phase and fault events) — the last two in the
-//! one bounded [`Ring`] type.
+//! one bounded [`Ring`] type. The profile and the flight ring are always
+//! on; the time series and the tracer are folded only while their reader
+//! has one open, so an endpoint nobody measures (a preload loader, a
+//! verification client, a migrator's control endpoint) keeps no history.
 //!
 //! `dmem::Endpoint::emit` is the one call that records: the client counters
 //! (`ClientStats::record`) and every view fold the same event. Nested spans
@@ -185,8 +188,10 @@ impl<T> Ring<T> {
 pub struct Sink {
     /// Per-phase time, verbs and episodes, and retries by cause.
     pub profile: OpProfile,
-    /// The same totals per window of virtual time, plus ops and notes.
-    pub series: TimeSeries,
+    /// The same totals per window of virtual time, plus ops and notes;
+    /// `None` (folding nothing) until a reader opens one with
+    /// `dmem::Endpoint::open_series`, and again after it takes it.
+    pub series: Option<TimeSeries>,
     /// The always-on black box.
     pub flight: FlightRecorder,
     /// The opt-in span/verb tracer.
@@ -215,7 +220,9 @@ impl Sink {
         };
         if op_level {
             self.profile.fold(ev);
-            self.series.fold(t_ns, ev);
+            if let Some(s) = self.series.as_mut() {
+                s.fold(t_ns, ev);
+            }
             self.flight.fold(t_ns, ev);
         }
         if let Some(t) = self.tracer.as_mut() {
@@ -236,6 +243,7 @@ mod tests {
     #[test]
     fn only_outermost_spans_reach_the_op_level_folds() {
         let mut s = Sink {
+            series: Some(TimeSeries::default()),
             tracer: Some(Box::new(Tracer::new(0, 64))),
             ..Sink::default()
         };
@@ -254,12 +262,44 @@ mod tests {
                 &Event::OpEnd { ok: true, dur_ns: 40 },
             ]
         );
-        assert_eq!(s.series.total_ops(), 1);
+        assert_eq!(s.series.as_ref().unwrap().total_ops(), 1);
         assert_eq!(s.profile.phase(Phase::Traversal).ns, 40);
         assert_eq!(s.tracer.as_ref().unwrap().spans().len(), 2);
         // An unbalanced end reaches nothing.
         s.emit(50, &Event::OpEnd { ok: true, dur_ns: 0 });
-        assert_eq!((s.series.total_ops(), s.flight.len()), (1, 2));
+        assert_eq!((s.series.as_ref().unwrap().total_ops(), s.flight.len()), (1, 2));
+    }
+
+    /// One operation of `dur` ns ending at `t`, as an endpoint emits it.
+    fn op(s: &mut Sink, t: u64, dur: u64) {
+        s.emit(t - dur, &Event::OpBegin { op: "search", key: 1, trace: 0 });
+        s.emit(t - dur, &Event::Time { phase: Phase::LeafRead, ns: dur });
+        s.emit(t, &Event::OpEnd { ok: true, dur_ns: dur });
+    }
+
+    #[test]
+    fn a_series_folds_only_what_happens_while_it_is_open() {
+        let mut s = Sink::default();
+        op(&mut s, 500_000, 2_000);
+        assert!(s.series.is_none(), "no series is open by default");
+        assert_eq!(s.profile.phase(Phase::LeafRead).ns, 2_000, "the profile is always on");
+
+        // Open at t = 600 000 (what `Endpoint::open_series` does at its
+        // clock), run three ops, take the series.
+        s.series = Some(TimeSeries::starting_at(600_000));
+        op(&mut s, 603_000, 3_000);
+        op(&mut s, 650_000, 1_000);
+        op(&mut s, 720_000, 4_000);
+        let ts = s.series.take().expect("open");
+        assert_eq!(ts.total_ops(), 3);
+        let ops: Vec<(u64, u64)> = ts.windows().map(|(k, w)| (k, w.ops)).collect();
+        assert_eq!(ops, [(0, 2), (1, 1)], "windowed from the open time");
+        let leaf: u64 = ts.windows().map(|(_, w)| w.phase_ns[Phase::LeafRead as usize]).sum();
+        assert_eq!(leaf, 8_000, "only the open interval's time");
+
+        // Taken, the sink folds nothing again.
+        op(&mut s, 800_000, 1_000);
+        assert!(s.series.is_none());
     }
 
     #[test]

@@ -17,15 +17,21 @@
 //! is a `None` that the iteration, the JSON and `len` skip, exactly as if it
 //! were absent.
 //!
-//! Every endpoint's sink folds one series from its event stream. The bench
-//! driver snapshots each client's series before the measured phase and
-//! merges the [`TimeSeries::since`] deltas onto one time base (every client
-//! clock starts at zero), so one document covers the whole run; sparse
-//! windows are omitted. The migrator's `migrate.locked`, `migrate.copied`
-//! and `migrate.published` events (with `part=`/`dst=` args) put a
-//! migration on the same axis as the throughput it displaced. `merge` and
-//! `since` are exact, so the export is byte-identical per seed
-//! (`crates/bench/tests/timeline.rs`, plus a two-run `cmp` in CI).
+//! A series exists only while someone will read it. An endpoint's sink
+//! folds none until its reader opens one at the start of what it measures
+//! (`dmem::Endpoint::open_series`); window 0 then begins at that
+//! endpoint's clock ([`TimeSeries::starting_at`]), and the reader moves the
+//! series out when it is done (`take_series`), leaving none open. The bench
+//! driver opens every participating handle's series when the measured
+//! phase starts and merges what it takes, so one document covers the whole
+//! run on one time base — the phase start of every client is time 0, even
+//! when a sweep reuses a deployment whose older handles ran before — and
+//! warm-up, preload and verification ops are never windowed. Sparse windows
+//! are omitted. The migrator's `migrate.locked`, `migrate.copied` and
+//! `migrate.published` events (with `part=`/`dst=` args) put a migration on
+//! the same axis as the throughput it displaced. `merge` is exact, so the
+//! export is byte-identical per seed (`crates/bench/tests/timeline.rs`, plus
+//! a two-run `cmp` in CI).
 
 use crate::event::Event;
 use crate::json::Json;
@@ -83,38 +89,6 @@ impl Window {
         self.cq_depth_max = self.cq_depth_max.max(o.cq_depth_max);
     }
 
-    /// Counter-wise subtraction for the boundary window shared between two
-    /// snapshots. The two maxima are not subtractable; the delta keeps the
-    /// later snapshot's value (documented approximation — a boundary window
-    /// straddling two measurement phases attributes its maximum to the
-    /// later phase).
-    fn since(&self, prev: &Window) -> Window {
-        let mut w = Window {
-            ops: self.ops - prev.ops,
-            oks: self.oks - prev.oks,
-            lat_sum_ns: self.lat_sum_ns - prev.lat_sum_ns,
-            lat_max_ns: self.lat_max_ns,
-            verbs: self.verbs - prev.verbs,
-            rtts: self.rtts - prev.rtts,
-            wire_bytes: self.wire_bytes - prev.wire_bytes,
-            shed: self.shed - prev.shed,
-            served: self.served - prev.served,
-            cq_depth_max: self.cq_depth_max,
-            ..Window::default()
-        };
-        for i in 0..NUM_PHASES {
-            w.phase_ns[i] = self.phase_ns[i] - prev.phase_ns[i];
-        }
-        for i in 0..NUM_RETRY_CAUSES {
-            w.retries[i] = self.retries[i] - prev.retries[i];
-        }
-        w
-    }
-
-    fn is_zero(&self) -> bool {
-        *self == Window::default()
-    }
-
     fn to_json(&self, idx: u64, window_ns: u64) -> Json {
         let mut pairs = vec![
             ("w", Json::from(idx)),
@@ -159,17 +133,21 @@ pub struct TsEvent {
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     window_ns: u64,
+    /// The virtual time window 0 begins at.
+    origin_ns: u64,
     /// Index of `windows[0]`.
     first: u64,
     /// Windows `first..`; `None` where nothing was recorded.
     windows: Vec<Option<Window>>,
-    /// The index and start of the window the last observation fell in:
-    /// the next one usually falls there too, and then needs no division.
+    /// The index and (absolute) start of the window the last observation
+    /// fell in: the next one usually falls there too, and then needs no
+    /// division.
     last: (u64, u64),
     events: Vec<TsEvent>,
 }
 
-/// Equal when the widths, the recorded windows and the events are.
+/// Equal when the widths, the recorded windows and the events are (both
+/// relative to each series' window 0).
 impl PartialEq for TimeSeries {
     fn eq(&self, o: &TimeSeries) -> bool {
         self.window_ns == o.window_ns && self.events == o.events && self.windows().eq(o.windows())
@@ -183,14 +161,29 @@ impl Default for TimeSeries {
 }
 
 impl TimeSeries {
-    /// Creates an empty series with the given window width (ns, min 1).
+    /// Creates an empty series with the given window width (ns, min 1)
+    /// whose window 0 begins at virtual time 0.
     pub fn new(window_ns: u64) -> Self {
         TimeSeries {
             window_ns: window_ns.max(1),
+            origin_ns: 0,
             first: 0,
             windows: Vec::new(),
             last: (0, 0),
             events: Vec::new(),
+        }
+    }
+
+    /// Creates an empty series of the default width whose window 0 begins
+    /// at virtual time `origin_ns`: an observation at `t` lands in window
+    /// `(t - origin_ns) / width`, and an event is kept at `t - origin_ns`.
+    /// Series that start at their own clocks' phase start merge on that
+    /// shared base. (Observations before `origin_ns` count as window 0.)
+    pub fn starting_at(origin_ns: u64) -> Self {
+        TimeSeries {
+            origin_ns,
+            last: (0, origin_ns),
+            ..TimeSeries::default()
         }
     }
 
@@ -233,12 +226,13 @@ impl TimeSeries {
         self.at(k)
     }
 
-    /// The index of the window `t_ns` falls in, and that window's end.
+    /// The index of the window `t_ns` falls in, and that window's
+    /// (absolute) end.
     #[inline]
     fn window_of(&mut self, t_ns: u64) -> (u64, u64) {
         if t_ns.wrapping_sub(self.last.1) >= self.window_ns {
-            let k = t_ns / self.window_ns;
-            self.last = (k, k * self.window_ns);
+            let k = t_ns.saturating_sub(self.origin_ns) / self.window_ns;
+            self.last = (k, self.origin_ns + k * self.window_ns);
         }
         (self.last.0, self.last.1.saturating_add(self.window_ns))
     }
@@ -308,7 +302,7 @@ impl TimeSeries {
                 w.cq_depth_max = w.cq_depth_max.max(*depth);
             }
             Event::Note { label } => self.events.push(TsEvent {
-                t_ns,
+                t_ns: t_ns.saturating_sub(self.origin_ns),
                 label: label.clone(),
             }),
             _ => {}
@@ -324,8 +318,9 @@ impl TimeSeries {
         w.lat_max_ns = w.lat_max_ns.max(dur_ns);
     }
 
-    /// Adds another series into this one. Windows align on the shared
-    /// virtual time base (both series must use the same window width);
+    /// Adds another series into this one. Windows align by index, each
+    /// relative to its own series' window 0 (both series must use the same
+    /// window width);
     /// events concatenate and re-sort by timestamp (stable, so the merge
     /// order of equal-timestamp events is the caller's iteration order).
     pub fn merge(&mut self, other: &TimeSeries) {
@@ -335,25 +330,6 @@ impl TimeSeries {
         }
         self.events.extend(other.events.iter().cloned());
         self.events.sort_by_key(|e| e.t_ns);
-    }
-
-    /// What accumulated since `prev` — an earlier snapshot of this series.
-    /// Windows subtract counter-wise; `prev`'s events must be a prefix of
-    /// this series' events.
-    pub fn since(&self, prev: &TimeSeries) -> TimeSeries {
-        assert_eq!(self.window_ns, prev.window_ns, "window width mismatch");
-        let mut out = TimeSeries::new(self.window_ns);
-        for (k, w) in self.windows() {
-            let d = match prev.window(k) {
-                Some(p) => w.since(p),
-                None => w.clone(),
-            };
-            if !d.is_zero() {
-                *out.at(k) = d;
-            }
-        }
-        out.events = self.events[prev.events.len()..].to_vec();
-        out
     }
 
     /// Total operations completed across all windows.
@@ -432,26 +408,42 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_since_compose() {
+    fn merge_adds_windows_and_orders_events() {
         let mut a = TimeSeries::new(100);
         a.record_op(50, 10, true);
-        a.fold(60, &Event::Note { label: "setup".into() });
-        let snap = a.clone();
-        a.record_op(150, 30, true);
-        a.record_op(55, 20, false); // boundary window 0 gains post-snapshot data
         a.fold(170, &Event::Note { label: "migrate.locked part=0 dst=1".into() });
+        let mut b = TimeSeries::new(100);
+        b.record_op(55, 20, false);
+        b.record_op(150, 30, true);
+        b.fold(60, &Event::Note { label: "setup".into() });
 
-        let d = a.since(&snap);
-        assert_eq!(d.total_ops(), 2);
-        assert_eq!(d.window(0).unwrap().ops, 1);
-        assert_eq!(d.window(1).unwrap().ops, 1);
-        assert_eq!(d.events().len(), 1);
-        assert_eq!(d.events()[0].label, "migrate.locked part=0 dst=1");
+        a.merge(&b);
+        assert_eq!(a.total_ops(), 3);
+        let w0 = a.window(0).unwrap();
+        assert_eq!((w0.ops, w0.oks, w0.lat_sum_ns, w0.lat_max_ns), (2, 1, 30, 20));
+        assert_eq!(a.window(1).unwrap().ops, 1);
+        let labels: Vec<&str> = a.events().iter().map(|e| e.label.as_str()).collect();
+        assert_eq!(labels, ["setup", "migrate.locked part=0 dst=1"]);
+    }
 
-        let mut m = snap.clone();
-        m.merge(&d);
-        assert_eq!(m.total_ops(), a.total_ops());
-        assert_eq!(m.events().len(), 2);
+    #[test]
+    fn a_series_started_mid_run_windows_from_its_start() {
+        let t0 = 1_234_567;
+        let mut late = TimeSeries::starting_at(t0);
+        late.record_op(t0 + 10, 10, true);
+        late.fold(t0 + DEFAULT_WINDOW_NS - 5, &Event::Time { phase: Phase::Traversal, ns: 10 });
+        late.fold(t0 + DEFAULT_WINDOW_NS + 7, &Event::Note { label: "n".into() });
+        late.record_op(t0 + 2 * DEFAULT_WINDOW_NS, 10, true);
+        // The same observations made by a series started at 0.
+        let mut fresh = TimeSeries::default();
+        fresh.record_op(10, 10, true);
+        fresh.fold(DEFAULT_WINDOW_NS - 5, &Event::Time { phase: Phase::Traversal, ns: 10 });
+        fresh.fold(DEFAULT_WINDOW_NS + 7, &Event::Note { label: "n".into() });
+        fresh.record_op(2 * DEFAULT_WINDOW_NS, 10, true);
+        assert_eq!(late, fresh);
+        assert_eq!(late.windows().map(|(k, _)| k).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(late.window(1).unwrap().phase_ns[Phase::Traversal as usize], 5);
+        assert_eq!(late.events()[0].t_ns, DEFAULT_WINDOW_NS + 7);
     }
 
     #[test]

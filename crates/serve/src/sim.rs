@@ -184,8 +184,9 @@ pub struct ConnSummary {
     pub end_ns: u64,
     /// Trace JSONL (when tracing is enabled).
     pub trace_jsonl: Option<String>,
-    /// Windowed timeline of this connection's endpoint (fresh per
-    /// connection, so the whole series is the connection's activity).
+    /// Windowed timeline of this connection's endpoint, opened when the
+    /// endpoint is built and taken when the connection ends: the whole
+    /// series is the connection's activity.
     pub timeline: TimeSeries,
 }
 
@@ -345,7 +346,7 @@ fn run_conn(
             profile: client.endpoint().profile().clone(),
             hist,
             end_ns: client.clock_ns(),
-            timeline: client.endpoint().sink().series.clone(),
+            timeline: client.endpoint_mut().take_series(),
             trace_jsonl: client.take_tracer().map(|t| t.to_jsonl()),
         };
     }
@@ -434,7 +435,7 @@ fn run_conn(
         profile: client.endpoint().profile().clone(),
         hist,
         end_ns: client.clock_ns(),
-        timeline: client.endpoint().sink().series.clone(),
+        timeline: client.endpoint_mut().take_series(),
         trace_jsonl: client.take_tracer().map(|t| t.to_jsonl()),
     }
 }
@@ -538,6 +539,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             let id = next_id;
             next_id += 1;
             let mut ep = Endpoint::with_faults(Arc::clone(&pool), Arc::clone(&session), id);
+            ep.open_series();
             if cfg.trace_events > 0 {
                 ep.set_tracer(Tracer::new(id, cfg.trace_events));
             }
