@@ -36,6 +36,7 @@ mod traverse;
 #[cfg(test)]
 mod tests;
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -353,17 +354,23 @@ impl ChimeClient {
     // Indirect values (§4.5)
     // ------------------------------------------------------------------
 
-    /// Converts an application value into the stored leaf-entry bytes
-    /// (inline value, or a pointer to a freshly written value block).
-    fn store_value(&mut self, key: u64, value: &[u8]) -> Result<Vec<u8>, IndexError> {
+    /// Converts an application value into the stored leaf-entry bytes: the
+    /// value itself, borrowed (the window zero-pads or cuts it to
+    /// `value_size` as it stores it), or a pointer to a freshly written
+    /// value block.
+    fn store_value<'v>(
+        &mut self,
+        key: u64,
+        value: &'v [u8],
+    ) -> Result<Cow<'v, [u8]>, IndexError> {
         let cfg = self.shared.cfg;
         if !cfg.indirect_values {
-            return Ok(indirect::inline(value, cfg.value_size));
+            return Ok(Cow::Borrowed(value));
         }
         let addr = self.alloc_remote(indirect::block_len(cfg.value_size))?;
         let block = indirect::encode(key, value, cfg.value_size);
         self.in_phase(Phase::WriteBack, |me| me.ep.write(addr, &block));
-        Ok(indirect::pointer(addr))
+        Ok(Cow::Owned(indirect::pointer(addr)))
     }
 
     /// Converts stored leaf-entry bytes back into the application value.
