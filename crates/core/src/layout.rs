@@ -212,34 +212,24 @@ impl LeafLayout {
         Some(block * self.h + body / self.entry_size())
     }
 
-    /// Block indices whose replica is fully covered by logical `[a, b)`.
-    pub fn replicas_in(&self, a: usize, b: usize) -> Range<usize> {
-        if !self.replication {
-            return 0..usize::from(a == 0 && b >= self.replica_size());
+    /// The covered-object math of this geometry, its divisors inverted
+    /// once: build it with the layout, not per lookup.
+    pub fn locator(&self) -> LeafLocator {
+        // Every offset it is asked about (plus a block, in `replicas_in`)
+        // must stay inside `Divisor`'s exact range.
+        assert!(
+            self.payload_len() + self.block_size() < 1 << 32,
+            "leaf too large: {self:?}"
+        );
+        LeafLocator {
+            span: self.span,
+            h: self.h,
+            entry_size: self.entry_size(),
+            replica_size: self.replica_size(),
+            replication: self.replication,
+            block: Divisor::new(self.block_size()),
+            entry: Divisor::new(self.entry_size()),
         }
-        let first = a.div_ceil(self.block_size());
-        let end = (b + self.h * self.entry_size()) / self.block_size();
-        first..end.max(first)
-    }
-
-    /// Indices of the entries fully covered by logical `[a, b)`.
-    pub fn entries_in(&self, a: usize, b: usize) -> Range<usize> {
-        // How many entries end at or before `l`, and whether the next one
-        // starts at or after `l` (`l` is not strictly inside an entry).
-        let locate = |l: usize| {
-            let (blocks, within) = if self.replication {
-                (l / self.block_size(), l % self.block_size())
-            } else {
-                (0, l)
-            };
-            let body = within.saturating_sub(self.replica_size());
-            let ended = (blocks * self.h + body / self.entry_size()).min(self.span);
-            (ended, body.is_multiple_of(self.entry_size()))
-        };
-        let (ended, on_boundary) = locate(a);
-        let first = if on_boundary { ended } else { ended + 1 };
-        let end = locate(b).0;
-        first.min(end)..end
     }
 
     /// Metadata bytes per node (everything that is not key/value payload),
@@ -255,6 +245,85 @@ impl LeafLayout {
         // Cache-line version bytes.
         let line_bytes = self.versioned().lines();
         replicas + per_entry + line_bytes + 8
+    }
+}
+
+/// `n / d` and `n % d` for a divisor `d` fixed at construction, by
+/// widening multiplies instead of a division: with `m = ⌊(2⁶⁴ − 1) / d⌋ + 1`,
+/// `⌊n / d⌋ = ⌊m·n / 2⁶⁴⌋` for every `n < 2³²` (Lemire, Kaser and Kurz,
+/// "Faster remainder by direct computation", 2019).
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: usize,
+    m: u64,
+}
+
+impl Divisor {
+    fn new(d: usize) -> Self {
+        assert!((2..1 << 32).contains(&d), "divisor {d} out of range");
+        Divisor {
+            d,
+            m: u64::MAX / d as u64 + 1,
+        }
+    }
+
+    #[inline]
+    fn div_rem(self, n: usize) -> (usize, usize) {
+        debug_assert!(n < 1 << 32);
+        let q = ((u128::from(self.m) * n as u128) >> 64) as usize;
+        (q, n - q * self.d)
+    }
+}
+
+/// Which entries and replicas of a [`LeafLayout`] a logical byte range
+/// fully covers ([`LeafLayout::locator`]). Every fetched piece asks this
+/// once or twice, so the two divisors of the math — the block and the
+/// entry size — are inverted when the locator is built and each query
+/// multiplies.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafLocator {
+    span: usize,
+    h: usize,
+    entry_size: usize,
+    replica_size: usize,
+    replication: bool,
+    block: Divisor,
+    entry: Divisor,
+}
+
+impl LeafLocator {
+    /// How many entries end at or before logical `l`, and whether `l` is
+    /// not strictly inside an entry (the next one starts at or after it).
+    #[inline]
+    fn locate(&self, l: usize) -> (usize, bool) {
+        let (blocks, within) = if self.replication {
+            self.block.div_rem(l)
+        } else {
+            (0, l)
+        };
+        let (entries, into) = self.entry.div_rem(within.saturating_sub(self.replica_size));
+        ((blocks * self.h + entries).min(self.span), into == 0)
+    }
+
+    /// Indices of the entries fully covered by logical `[a, b)`.
+    #[inline]
+    pub fn entries_in(&self, a: usize, b: usize) -> Range<usize> {
+        let (ended, on_boundary) = self.locate(a);
+        let first = if on_boundary { ended } else { ended + 1 };
+        let end = self.locate(b).0;
+        first.min(end)..end
+    }
+
+    /// Block indices whose replica is fully covered by logical `[a, b)`.
+    #[inline]
+    pub fn replicas_in(&self, a: usize, b: usize) -> Range<usize> {
+        if !self.replication {
+            return 0..usize::from(a == 0 && b >= self.replica_size);
+        }
+        let (q, r) = self.block.div_rem(a);
+        let first = q + usize::from(r > 0);
+        let end = self.block.div_rem(b + self.h * self.entry_size).0;
+        first..end.max(first)
     }
 }
 
@@ -392,8 +461,20 @@ mod tests {
             assert!(total >= l.h * l.entry_size() + l.replica_size());
             assert!(total <= l.h * l.entry_size() + 2 * l.replica_size());
             // Exactly one replica must be fully covered per read.
-            let covered: usize = ranges.iter().map(|&(a, b)| l.replicas_in(a, b).len()).sum();
+            let loc = l.locator();
+            let covered: usize = ranges.iter().map(|&(a, b)| loc.replicas_in(a, b).len()).sum();
             assert!(covered >= 1, "home {home} covers no replica");
+        }
+    }
+
+    #[test]
+    fn divisor_divides_exactly() {
+        let ns = (0..3_000).chain([1 << 20, (1 << 31) + 12_345, (1 << 32) - 1]);
+        for d in (2..700).chain([4_095, 65_537, (1 << 31) + 1]) {
+            let div = Divisor::new(d);
+            for n in ns.clone() {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
+            }
         }
     }
 
@@ -410,6 +491,7 @@ mod tests {
             LeafLayout { fences: true, ..small },
         ] {
             let blocks = if l.replication { l.span / l.h } else { 1 };
+            let loc = l.locator();
             for i in 0..l.span {
                 let bytes = l.entry_off(i)..l.entry_off(i) + l.entry_size();
                 assert!(bytes.clone().all(|at| l.entry_at(at) == Some(i)));
@@ -423,11 +505,11 @@ mod tests {
                     let entries: Vec<usize> = (0..l.span)
                         .filter(|&i| l.entry_off(i) >= a && l.entry_off(i) + l.entry_size() <= b)
                         .collect();
-                    assert_eq!(l.entries_in(a, b).collect::<Vec<_>>(), entries, "[{a}, {b})");
+                    assert_eq!(loc.entries_in(a, b).collect::<Vec<_>>(), entries, "[{a}, {b})");
                     let replicas: Vec<usize> = (0..blocks)
                         .filter(|&k| l.replica_off(k) >= a && l.replica_off(k) + l.replica_size() <= b)
                         .collect();
-                    assert_eq!(l.replicas_in(a, b).collect::<Vec<_>>(), replicas, "[{a}, {b})");
+                    assert_eq!(loc.replicas_in(a, b).collect::<Vec<_>>(), replicas, "[{a}, {b})");
                 }
             }
         }
@@ -461,7 +543,8 @@ mod tests {
                 }
                 i = (i + 1) % l.span;
             }
-            let covered: usize = ranges.iter().map(|&(s, t)| l.replicas_in(s, t).len()).sum();
+            let loc = l.locator();
+            let covered: usize = ranges.iter().map(|&(s, t)| loc.replicas_in(s, t).len()).sum();
             assert!(covered >= 1, "hop range [{a},{e}] covers no replica");
         }
     }
@@ -477,7 +560,7 @@ mod tests {
         assert_eq!(l.payload_len(), 10 + 64 * 19);
         // Most neighborhoods cover no replica.
         let ranges = l.neighborhood_ranges(20);
-        assert!(l.replicas_in(ranges[0].0, ranges[0].1).is_empty());
+        assert!(l.locator().replicas_in(ranges[0].0, ranges[0].1).is_empty());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use dmem::{Endpoint, GlobalAddr};
 
 use crate::backoff::Backoff;
 use crate::hopscotch::{cyc_dist, wrap, Window};
-use crate::layout::{entry_field, replica_field, LeafLayout};
+use crate::layout::{entry_field, replica_field, LeafLayout, LeafLocator};
 use crate::lockword::{try_acquire, LockWord, VacancyMap, ARGMAX_NONE};
 
 /// Crash-point label hit immediately after a leaf lock is acquired (the
@@ -169,7 +169,7 @@ impl LeafSnapshot {
     pub fn into_window(self) -> Window {
         let l = &self.layout;
         let mut w = l.window(0, l.span);
-        load(l, std::slice::from_ref(&self.image), &mut w);
+        load(l, &l.locator(), std::slice::from_ref(&self.image), &mut w);
         w
     }
 }
@@ -225,17 +225,17 @@ fn pack_ranges(
 }
 
 /// Every entry `pieces` cover, with the piece holding it.
-fn covered<'a>(l: &'a LeafLayout, pieces: &'a [Fetched]) -> impl Iterator<Item = (usize, &'a Fetched)> {
-    let entries = |p: &'a Fetched| l.entries_in(p.lstart(), p.lend()).map(move |i| (i, p));
+fn covered<'a>(loc: &'a LeafLocator, pieces: &'a [Fetched]) -> impl Iterator<Item = (usize, &'a Fetched)> {
+    let entries = |p: &'a Fetched| loc.entries_in(p.lstart(), p.lend()).map(move |i| (i, p));
     pieces.iter().flat_map(entries)
 }
 
 /// Copies every entry of `pieces` that `w` covers into it, walking each
 /// piece's entry offsets.
-fn load(l: &LeafLayout, pieces: &[Fetched], w: &mut Window) {
+fn load(l: &LeafLayout, loc: &LeafLocator, pieces: &[Fetched], w: &mut Window) {
     let (value, esize) = (entry_field::KEY + l.key_size, l.entry_size());
     for p in pieces {
-        let entries = l.entries_in(p.lstart(), p.lend());
+        let entries = loc.entries_in(p.lstart(), p.lend());
         for (i, off) in entries.clone().zip(l.entry_offsets(entries)) {
             let Some(r) = w.rel(i) else { continue };
             let e = p.bytes(off, esize);
@@ -353,6 +353,8 @@ pub struct LeafOps {
     /// word before the waiter reclaims the lock via the lease epoch
     /// (0 = never reclaim). See [`crate::config::ChimeConfig::lock_lease_spins`].
     pub lease_spins: u32,
+    /// `layout`'s covered-object math.
+    locator: LeafLocator,
 }
 
 impl LeafOps {
@@ -362,6 +364,7 @@ impl LeafOps {
             layout,
             vm: VacancyMap::new(layout.span),
             lease_spins: 0,
+            locator: layout.locator(),
         }
     }
 
@@ -413,8 +416,8 @@ impl LeafOps {
             let ((first_line, slots), (a, b)) = (p.line_slots(), (p.lstart(), p.lend()));
             let payload = p.bytes(a, b - a);
             let ver = |off: usize| payload[off - a];
-            let entries = || l.entry_offsets(l.entries_in(a, b));
-            let replicas = l.replicas_in(a, b).map(|k| l.replica_off(k));
+            let entries = || l.entry_offsets(self.locator.entries_in(a, b));
+            let replicas = self.locator.replicas_in(a, b).map(|k| l.replica_off(k));
             // The NV to match: the piece's first line slot, else its first
             // lead; a piece without a version byte is no read.
             let first = slots
@@ -507,7 +510,7 @@ impl LeafOps {
         buf.clear();
         buf.reserve(pend - pstart);
         buf.resize(lend - lstart, 0);
-        for k in l.replicas_in(lstart, lend) {
+        for k in self.locator.replicas_in(lstart, lend) {
             let b = &mut buf[l.replica_off(k) - lstart..][..l.replica_size()];
             b[replica_field::VER] = pack_ver(nv, 0);
             put(b, replica_field::SIBLING, &meta.sibling.raw().to_le_bytes());
@@ -518,7 +521,7 @@ impl LeafOps {
                 put(b, replica_field::FENCE_LOW + l.key_size, &hi.to_le_bytes());
             }
         }
-        let entries = l.entries_in(lstart, lend);
+        let entries = self.locator.entries_in(lstart, lend);
         for (i, off) in entries.clone().zip(l.entry_offsets(entries)) {
             let (key, value, bitmap) = w.slot(i);
             let b = &mut buf[off - lstart..][..l.entry_size()];
@@ -559,7 +562,7 @@ impl LeafOps {
                 // the first range) must name a key homed there.
                 let bm = entry_bitmap(&self.layout, &pieces[0], home);
                 let mut found = None;
-                for (pos, p) in covered(&self.layout, &pieces) {
+                for (pos, p) in covered(&self.locator, &pieces) {
                     let d = cyc_dist(home, pos, span);
                     if d >= h || bm & (1 << d) == 0 {
                         continue;
@@ -934,7 +937,7 @@ impl LeafOps {
             .validate(&lr.pieces)
             .expect("locked leaf read observed a torn image");
         lr.w.reset(l.span, l.h, l.value_size, a, len);
-        load(l, &lr.pieces, &mut lr.w);
+        load(l, &self.locator, &lr.pieces, &mut lr.w);
         let w = &lr.w;
         (lr.max_key, lr.max_unread) = if len == l.span {
             // Whole node: bitmaps must describe the occupancy, and the true

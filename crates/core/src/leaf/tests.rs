@@ -600,13 +600,13 @@ fn unified_decoder_matches_the_per_byte_decoder() {
             let verdict = oracle::pieces_nv(&l, &old).filter(|_| oracle::pieces_ev(&l, &old));
             assert_eq!(ops.validate(&new).map(|(nv, _)| nv), verdict, "seed {seed}: {ranges:?}");
             for (n, (o, &(a, b))) in new.iter().zip(old.iter().zip(&ranges)) {
-                assert_eq!(l.entries_in(a, b).collect::<Vec<_>>(), oracle::entries_in(&l, a, b));
-                for i in l.entries_in(a, b) {
+                assert_eq!(ops.locator.entries_in(a, b).collect::<Vec<_>>(), oracle::entries_in(&l, a, b));
+                for i in ops.locator.entries_in(a, b) {
                     let got = (entry_key(&l, n, i), entry_value(&l, n, i).to_vec(), entry_bitmap(&l, n, i), entry_ev(&l, n, i));
                     assert_eq!(got, oracle::entry(&l, o, i), "seed {seed}: entry {i} of {ranges:?}");
                 }
-                assert_eq!(l.replicas_in(a, b).collect::<Vec<_>>(), oracle::replicas_in(&l, a, b));
-                for k in l.replicas_in(a, b) {
+                assert_eq!(ops.locator.replicas_in(a, b).collect::<Vec<_>>(), oracle::replicas_in(&l, a, b));
+                for k in ops.locator.replicas_in(a, b) {
                     assert_eq!(ops.parse_meta(n, l.replica_off(k)), oracle::parse_meta(&l, o, l.replica_off(k)));
                 }
             }
@@ -624,6 +624,61 @@ fn unified_decoder_matches_the_per_byte_decoder() {
 pub(crate) fn geometries() -> Vec<(usize, usize)> {
     let pow2 = [16, 64, 256].into_iter().flat_map(|span| [2, 4, 8, 16].map(|h| (span, h)));
     pow2.chain([(6, 2), (24, 8), (40, 4), (48, 16)]).collect()
+}
+
+/// What [`LeafLocator::entries_in`] answers, computed the plain way: two
+/// divisions (by the block and the entry size) per end of the range.
+fn divided_entries_in(l: &LeafLayout, a: usize, b: usize) -> std::ops::Range<usize> {
+    let block = l.replica_size() + l.h * l.entry_size();
+    let locate = |at: usize| {
+        let (blocks, within) = if l.replication { (at / block, at % block) } else { (0, at) };
+        let body = within.saturating_sub(l.replica_size());
+        ((blocks * l.h + body / l.entry_size()).min(l.span), body % l.entry_size() == 0)
+    };
+    let (ended, on_boundary) = locate(a);
+    let first = if on_boundary { ended } else { ended + 1 };
+    let end = locate(b).0;
+    first.min(end)..end
+}
+
+/// What [`LeafLocator::replicas_in`] answers, computed with divisions.
+fn divided_replicas_in(l: &LeafLayout, a: usize, b: usize) -> std::ops::Range<usize> {
+    if !l.replication {
+        return 0..usize::from(a == 0 && b >= l.replica_size());
+    }
+    let block = l.replica_size() + l.h * l.entry_size();
+    let first = a.div_ceil(block);
+    first..((b + l.h * l.entry_size()) / block).max(first)
+}
+
+/// The locator inverts its divisors once and multiplies per query; over
+/// every geometry of the index-math test, with and without replicas and
+/// fences and at two entry sizes, it must answer exactly what dividing
+/// does, for every start and end of a range and for random ranges.
+#[test]
+fn locator_matches_the_division_reference() {
+    let mut rng = SmallRng::seed_from_u64(7);
+    for (span, h) in geometries() {
+        for (replication, fences, key_size, value_size) in
+            [(true, false, 8, 8), (false, false, 8, 8), (true, true, 16, 57), (false, true, 16, 57)]
+        {
+            let l = LeafLayout { span, h, key_size, value_size, replication, fences, piggyback: true };
+            let loc = l.locator();
+            let check = |a: usize, b: usize| {
+                assert_eq!(loc.entries_in(a, b), divided_entries_in(&l, a, b), "{l:?} [{a}, {b})");
+                assert_eq!(loc.replicas_in(a, b), divided_replicas_in(&l, a, b), "{l:?} [{a}, {b})");
+            };
+            let end = l.payload_len();
+            for at in 0..=end {
+                check(at, end);
+                check(0, at);
+            }
+            for _ in 0..end {
+                let a = rng.gen_range(0..=end);
+                check(a, rng.gen_range(a..=end));
+            }
+        }
+    }
 }
 
 /// The image of logical `[lstart, lend)` as `encode` writes it for an entry
@@ -730,7 +785,7 @@ fn load_and_encode_match_the_modulo_reference() {
                 })
                 .collect();
             let mut read = l.window(a, len);
-            load(&l, &pieces, &mut read);
+            load(&l, &ops.locator, &pieces, &mut read);
             for abs in (0..len).map(at) {
                 let (ev, was_dirty) = src.version(abs);
                 let want = if was_dirty { bump(ev) } else { ev };
