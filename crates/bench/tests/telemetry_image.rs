@@ -5,10 +5,10 @@
 //! `Delay` rule (so a verb's trace slice starts before its injected delay
 //! while the time series places it after). Each run's exported artifacts —
 //! the tracers' JSONL, the Perfetto document, the merged time series with
-//! its anomalies, every client's flight ring and, for the bench-driver runs,
-//! the flat metrics — are pinned by FNV-1a hashes. A change to how the
-//! endpoint records an observation (a moved timestamp, a lost or doubled
-//! event, a reordered ring) changes a constant below.
+//! its anomalies and, for the bench-driver runs, the flat metrics — are
+//! pinned by FNV-1a hashes. A change to how the endpoint records an
+//! observation (a moved timestamp, a lost or doubled event, a reordered
+//! ring) changes a constant below.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ use bench::driver::{deploy, run_deployed, BenchSetup, IndexKind};
 use bench::report::Report;
 use chime::{Chime, ChimeClient, ChimeConfig};
 use dmem::{Endpoint, FaultAction, FaultPlan, FaultRule, FaultSession, Pool, RangeIndex};
-use obs::{Event, TimeSeries, Tracer};
+use obs::{TimeSeries, Tracer};
 use sched::{Engine, EngineConfig, LaneBody};
 use serve::sim::{run_sim, SimConfig};
 use ycsb::{KeySpace, Op, OpGen, Workload, WorkloadState};
@@ -32,26 +32,6 @@ fn fnv(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
     })
-}
-
-/// One line per flight event, then the ring's drop count.
-fn flight_text(ep: &Endpoint) -> String {
-    let flight = &ep.sink().flight;
-    let mut s = String::new();
-    for e in flight.iter() {
-        let line = match &e.kind {
-            Event::OpBegin { op, key, trace } => format!("op_begin {op} {key} {trace}"),
-            Event::OpEnd { ok, dur_ns } => format!("op_end {ok} {dur_ns}"),
-            Event::Retry { cause, op: true } => format!("retry {}", cause.as_str()),
-            Event::Fault { action, label } => format!("fault {action} {label}"),
-            Event::CrashPoint { label } => format!("crash {label}"),
-            Event::Note { label } => format!("note {label}"),
-            other => panic!("a flight ring keeps no {other:?}"),
-        };
-        s.push_str(&format!("{} {line}\n", e.t_ns));
-    }
-    s.push_str(&format!("dropped {}\n", flight.dropped()));
-    s
 }
 
 fn series_text(ts: &TimeSeries) -> String {
@@ -151,10 +131,8 @@ fn driven(k: usize, faulted: bool) -> Image {
         clients = back;
     }
     let mut series = TimeSeries::default();
-    let mut flight = String::new();
     for c in &mut clients {
         series.merge(&c.endpoint_mut().take_series());
-        flight.push_str(&flight_text(c.endpoint()));
     }
     let tracers: Vec<Tracer> = clients.iter_mut().filter_map(|c| c.take_tracer()).collect();
     let jsonl: String = tracers.iter().map(Tracer::to_jsonl).collect();
@@ -163,13 +141,11 @@ fn driven(k: usize, faulted: bool) -> Image {
         ("jsonl", fnv(jsonl.as_bytes())),
         ("perfetto", fnv(perfetto.as_bytes())),
         ("series", fnv(series_text(&series).as_bytes())),
-        ("flight", fnv(flight.as_bytes())),
     ])
 }
 
 /// A bench-driver run (RDWC off) of the same mix: its Perfetto document,
-/// timeline with anomalies, flat metrics, and the flight ring of every
-/// handle it deployed.
+/// timeline with anomalies and flat metrics.
 fn bench(k: usize) -> Image {
     let setup = BenchSetup {
         kind: IndexKind::Chime(ChimeConfig::default()),
@@ -185,17 +161,10 @@ fn bench(k: usize) -> Image {
         seed: SEED,
         ..BenchSetup::default()
     };
-    let mut dep = deploy(&setup);
-    let r = run_deployed(&setup, &mut dep);
+    let r = run_deployed(&setup, &mut deploy(&setup));
     let flat: String = Report::flat_metrics(&r)
         .iter()
         .map(|(k, v)| format!("{k}={v:?}\n"))
-        .collect();
-    let flight: String = dep
-        .cns
-        .iter()
-        .flatten()
-        .map(|c| flight_text(c.endpoint()))
         .collect();
     BTreeMap::from([
         (
@@ -204,7 +173,6 @@ fn bench(k: usize) -> Image {
         ),
         ("series", fnv(series_text(&r.timeline).as_bytes())),
         ("flat", fnv(flat.as_bytes())),
-        ("flight", fnv(flight.as_bytes())),
     ])
 }
 
@@ -248,7 +216,6 @@ fn check(name: &str, got: Image, want: &[(&'static str, u64)]) {
 #[test]
 fn driven_k1_image() {
     let want = [
-        ("flight", 0xa6a1230a9b8d091a),
         ("jsonl", 0xde426e80a5657e59),
         ("perfetto", 0x57a29d4761f9eccb),
         ("series", 0x5b5b858babace59e),
@@ -259,7 +226,6 @@ fn driven_k1_image() {
 #[test]
 fn driven_k1_delayed_image() {
     let want = [
-        ("flight", 0x5840b88e83f8afcd),
         ("jsonl", 0x028daa2ffee2b475),
         ("perfetto", 0x73172543daf6f1c8),
         ("series", 0xb4fa3dec3065fe24),
@@ -270,7 +236,6 @@ fn driven_k1_delayed_image() {
 #[test]
 fn driven_k4_image() {
     let want = [
-        ("flight", 0x8c5e18ce035f2ded),
         ("jsonl", 0xf4bd9edba53382a4),
         ("perfetto", 0xfd7e7e5469a0476c),
         ("series", 0xc047aa589c153a14),
@@ -281,7 +246,6 @@ fn driven_k4_image() {
 #[test]
 fn driven_k4_delayed_image() {
     let want = [
-        ("flight", 0x7ce1e87f6aab2abb),
         ("jsonl", 0x278221e73857c42c),
         ("perfetto", 0x99189204b3602fac),
         ("series", 0x5236fb4c012bf8ff),
@@ -293,7 +257,6 @@ fn driven_k4_delayed_image() {
 fn bench_k1_image() {
     let want = [
         ("flat", 0x140f3e09da236380),
-        ("flight", 0xd00d6013e7a6a44c),
         ("perfetto", 0x418c33b1c01a7b93),
         ("series", 0x9a3427f8e9b17dae),
     ];
@@ -304,7 +267,6 @@ fn bench_k1_image() {
 fn bench_k4_image() {
     let want = [
         ("flat", 0xda2987181661a195),
-        ("flight", 0x966db36df36e95ab),
         ("perfetto", 0xfd7e7e5469a0476c),
         ("series", 0x298575579c5d3cd9),
     ];

@@ -187,8 +187,7 @@ pub trait RangeIndex {
 /// Implements [`RangeIndex`]'s five operations (inside its `impl` block;
 /// the scan is [`RangeIndex::scan_rows`]) over the type's inherent
 /// `insert_impl` … `scan_impl`, each in one endpoint span: what puts an
-/// operation on the timeline, the flight ring and the tracer, whichever
-/// index runs it.
+/// operation on the timeline and the tracer, whichever index runs it.
 #[macro_export]
 macro_rules! span_ops {
     () => {

@@ -59,8 +59,6 @@ pub use qp::{
     install_lane_hook, lane_active, uninstall_lane_hook, CountHist, LaneHook, Qp, QpStats,
     WqeOutcome, WqeTicket,
 };
-pub use obs::{
-    Event, FlightRecorder, LatencyHist, OpProfile, Phase, RetryCause, Sink, TimeSeries, Tracer,
-};
+pub use obs::{Event, LatencyHist, OpProfile, Phase, RetryCause, TimeSeries, Tracer};
 pub use stats::{ClientStats, Histogram};
 pub use verbs::{Endpoint, PhaseFrame, Span};

@@ -12,7 +12,7 @@
 //! `(conn + 1) << 32 | request` — pure functions of loop order. The entry
 //! point stamps it with [`Endpoint::set_trace_id`] (a `part::RouterClient`
 //! hands out its tree client's endpoint), and the endpoint stamps it on
-//! every tracer event, flight-recorder op record and posted WQE
+//! every op begin, tracer event and posted WQE
 //! ([`crate::qp::WqeTicket::trace`]) until the next mint. Layers below the
 //! entry point never mint: that would split one op's verbs across two ids.
 
@@ -93,11 +93,8 @@ pub struct PhaseFrame {
 /// let op = ep.span_begin("update", 7);
 /// let lookup = ep.span_begin("search", 7);
 /// ep.span_end(lookup, true);
-/// let ops = |ep: &dmem::Endpoint| ep.sink().series.as_ref().unwrap().total_ops();
-/// assert_eq!(ops(&ep), 0, "the operation is still open");
 /// ep.span_end(op, false);
-/// assert_eq!(ops(&ep), 1);
-/// assert_eq!(ep.take_series().total_ops(), 1);
+/// assert_eq!(ep.take_series().total_ops(), 1, "one operation, not two");
 /// ```
 ///
 /// A span ends once:
@@ -188,16 +185,6 @@ impl Endpoint {
         self.sink.emit(t_ns, &ev);
     }
 
-    /// The folds of this endpoint's event stream, read-only.
-    pub fn sink(&self) -> &Sink {
-        &self.sink
-    }
-
-    /// Replaces the sink (to reconfigure a fold), returning the old one.
-    pub fn set_sink(&mut self, sink: Sink) -> Sink {
-        std::mem::replace(&mut *self.sink, sink)
-    }
-
     /// Attaches a span/event tracer; every subsequent verb (and injected
     /// fault) records an event on the virtual clock.
     pub fn set_tracer(&mut self, tracer: Tracer) {
@@ -228,9 +215,8 @@ impl Endpoint {
     }
 
     /// Opens an operation span. The outermost span of a nest marks an
-    /// operation boundary for the op-level telemetry: the flight recorder
-    /// logs the begin and an open time series counts the completion, tracer
-    /// or not.
+    /// operation boundary for the op-level telemetry: an open time series
+    /// counts its completion, tracer or not.
     pub fn span_begin(&mut self, op: &'static str, key: u64) -> Span {
         let (now, trace) = (self.clock_ns, self.trace_id);
         self.emit(now, Event::OpBegin { op, key, trace });
@@ -311,7 +297,6 @@ impl Endpoint {
     /// the label kills this client here (panicking with
     /// [`crate::fault::CrashSignal`]). A no-op without a fault session.
     pub fn crash_point(&mut self, label: &'static str) {
-        self.emit(self.clock_ns, Event::CrashPoint { label });
         if let Some(fc) = self.fault.as_mut() {
             fc.on_crash_point(label);
         }
@@ -933,23 +918,79 @@ mod tests {
         e.set_trace_id(2);
     }
 
+    /// The index of `ev`'s variant, below [`VARIANTS`]. No wildcard: a new
+    /// [`Event`] variant does not compile until it has an arm here, and
+    /// `every_event_reaches_a_reader` fails until it has an example there.
+    fn variant(ev: &Event) -> usize {
+        match ev {
+            Event::OpBegin { .. } => 0,
+            Event::OpEnd { .. } => 1,
+            Event::Verb { .. } => 2,
+            Event::Time { .. } => 3,
+            Event::PhaseBegin { .. } => 4,
+            Event::PhaseEnd { .. } => 5,
+            Event::Retry { .. } => 6,
+            Event::Fault { .. } => 7,
+            Event::Note { .. } => 8,
+            Event::Shed => 9,
+            Event::Served => 10,
+            Event::CqDepth { .. } => 11,
+        }
+    }
+    const VARIANTS: usize = 12;
+
+    /// Everything a reader of an endpoint can see: its counters, its
+    /// profile, its time series and its tracer's export.
+    fn readings(mut e: Endpoint) -> (ClientStats, OpProfile, String, String) {
+        let trace = e.take_tracer().expect("attached").to_jsonl();
+        let series = e.take_series().to_json().to_pretty();
+        (e.stats().clone(), e.profile().clone(), series, trace)
+    }
+
     #[test]
-    fn only_the_outermost_span_is_logged_as_an_operation() {
-        let mut e = ep();
-        e.set_trace_id(5);
-        let op = e.span_begin("update", 3);
-        let inner = e.span_begin("search", 3);
-        e.advance_clock(40);
-        e.span_end(inner, false);
-        e.span_end(op, true);
-        let log: Vec<_> = e.sink().flight.iter().map(|ev| ev.kind.clone()).collect();
-        assert_eq!(
-            log,
-            [
-                Event::OpBegin { op: "update", key: 3, trace: 5 },
-                Event::OpEnd { ok: true, dur_ns: 40 },
-            ]
-        );
+    fn every_event_reaches_a_reader() {
+        let examples = [
+            Event::OpBegin { op: "search", key: 2, trace: 0 },
+            Event::OpEnd { ok: true, dur_ns: 10 },
+            Event::Verb {
+                verb: "read",
+                mn: 0,
+                addr: RESERVED_BYTES,
+                msgs: 1,
+                rtts: 1,
+                wire_bytes: 72,
+                dur_ns: 5,
+                delay_ns: 0,
+                phase: Phase::LeafRead,
+            },
+            Event::Time { phase: Phase::Traversal, ns: 5 },
+            Event::PhaseBegin { phase: Phase::Traversal },
+            Event::PhaseEnd { phase: Phase::Traversal, dur_ns: 5 },
+            Event::Retry { cause: RetryCause::LockConflict, op: false },
+            Event::Fault { action: "delay", label: "spike".into() },
+            Event::Note { label: "migrate.locked part=0 dst=1".into() },
+            Event::Shed,
+            Event::Served,
+            Event::CqDepth { depth: 3 },
+        ];
+        let mut seen: Vec<usize> = examples.iter().map(variant).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..VARIANTS).collect::<Vec<_>>(), "one example per variant");
+        // A series open, a tracer attached, and the event inside an op.
+        let observed = || {
+            let mut e = ep();
+            e.open_series();
+            e.set_tracer(obs::Tracer::new(0, 64));
+            let op = e.span_begin("update", 1);
+            e.advance_clock(10);
+            (e, op)
+        };
+        for ev in examples {
+            let (quiet, _op) = observed();
+            let (mut e, _op) = observed();
+            e.emit(e.clock_ns(), ev.clone());
+            assert_ne!(readings(e), readings(quiet), "{ev:?} reached no reader");
+        }
     }
 
     #[test]

@@ -2,18 +2,18 @@
 //! and hands it to its [`Sink`] as one [`Event`] stamped with a
 //! virtual-clock time. Every view is a fold of that stream: the
 //! [`OpProfile`] (per-phase totals), the [`TimeSeries`] (the same totals per
-//! window), the [`FlightRecorder`] (coarse events) and the optional
-//! [`Tracer`] (span, verb, phase and fault events) — the last two in the
-//! one bounded [`Ring`] type. The profile and the flight ring are always
-//! on; the time series and the tracer are folded only while their reader
-//! has one open, so an endpoint nobody measures (a preload loader, a
-//! verification client, a migrator's control endpoint) keeps no history.
+//! window) and the optional [`Tracer`] (span, verb, phase and fault events,
+//! in a bounded [`Ring`]). The profile is always on; the time series and
+//! the tracer are folded only while their reader has one open, so an
+//! endpoint nobody measures (a preload loader, a verification client, a
+//! migrator's control endpoint) keeps no history. Every variant reaches at
+//! least one view or a client counter; `dmem::verbs` tests each.
 //!
 //! `dmem::Endpoint::emit` is the one call that records: the client counters
 //! (`ClientStats::record`) and every view fold the same event. Nested spans
 //! reach only the tracer; the other views count operations (outermost
-//! spans). The endpoint hands its sink out read-only, so no layer writes a
-//! view directly: the serve simulation emits `Shed`/`Served`/`CqDepth`, the
+//! spans). The endpoint keeps its sink private, so no layer writes a view
+//! directly: the serve simulation emits `Shed`/`Served`/`CqDepth`, the
 //! migrator emits `Note`s. A new view (a replay log, a history recorder) is
 //! one more fold.
 //!
@@ -31,7 +31,6 @@
 
 use std::collections::VecDeque;
 
-use crate::flight::FlightRecorder;
 use crate::phase::{OpProfile, Phase, RetryCause};
 use crate::timeseries::TimeSeries;
 use crate::trace::Tracer;
@@ -112,11 +111,6 @@ pub enum Event {
         /// Label of the rule that fired.
         label: String,
     },
-    /// A labeled crash point was passed (or triggered).
-    CrashPoint {
-        /// The crash-point label.
-        label: &'static str,
-    },
     /// A control-plane note (migration steps).
     Note {
         /// The note text, e.g. `migrate.locked part=3 dst=1`.
@@ -183,7 +177,7 @@ impl<T> Ring<T> {
 }
 
 /// The folds of one endpoint's event stream. Only [`Sink::emit`] writes
-/// them; an endpoint hands out the sink read-only.
+/// them; an endpoint keeps its sink private.
 #[derive(Debug, Default)]
 pub struct Sink {
     /// Per-phase time, verbs and episodes, and retries by cause.
@@ -192,8 +186,6 @@ pub struct Sink {
     /// `None` (folding nothing) until a reader opens one with
     /// `dmem::Endpoint::open_series`, and again after it takes it.
     pub series: Option<TimeSeries>,
-    /// The always-on black box.
-    pub flight: FlightRecorder,
     /// The opt-in span/verb tracer.
     pub tracer: Option<Box<Tracer>>,
     /// Open spans; the op-level folds see only the outermost.
@@ -223,7 +215,6 @@ impl Sink {
             if let Some(s) = self.series.as_mut() {
                 s.fold(t_ns, ev);
             }
-            self.flight.fold(t_ns, ev);
         }
         if let Some(t) = self.tracer.as_mut() {
             t.fold(t_ns, ev);
@@ -254,20 +245,12 @@ mod tests {
         assert!(s.in_op());
         s.emit(40, &Event::OpEnd { ok: true, dur_ns: 40 });
         assert!(!s.in_op());
-        let flight: Vec<&Event> = s.flight.iter().map(|e| &e.kind).collect();
-        assert_eq!(
-            flight,
-            [
-                &Event::OpBegin { op: "update", key: 3, trace: 5 },
-                &Event::OpEnd { ok: true, dur_ns: 40 },
-            ]
-        );
         assert_eq!(s.series.as_ref().unwrap().total_ops(), 1);
         assert_eq!(s.profile.phase(Phase::Traversal).ns, 40);
         assert_eq!(s.tracer.as_ref().unwrap().spans().len(), 2);
         // An unbalanced end reaches nothing.
         s.emit(50, &Event::OpEnd { ok: true, dur_ns: 0 });
-        assert_eq!((s.series.as_ref().unwrap().total_ops(), s.flight.len()), (1, 2));
+        assert_eq!(s.series.as_ref().unwrap().total_ops(), 1);
     }
 
     /// One operation of `dur` ns ending at `t`, as an endpoint emits it.

@@ -7,8 +7,8 @@
 //!
 //! * [`event`] — the one telemetry stream: typed [`Event`]s, the [`Sink`]
 //!   an endpoint feeds with one `emit` per observation, and the bounded
-//!   [`event::Ring`] both rings below keep events in; every other view is a
-//!   fold of the stream;
+//!   [`event::Ring`] the tracer keeps events in; every other view is a fold
+//!   of the stream;
 //! * [`trace`] — span/event tracing on the virtual clock: each index
 //!   operation opens a span, every verb and injected fault records an event
 //!   in a bounded per-client ring buffer, exportable as JSONL;
@@ -24,8 +24,8 @@
 //!   windows ([`timeseries::TimeSeries`]) accumulating per-window
 //!   throughput, per-phase time, retries, CQ depth and shed/served counts,
 //!   plus timestamped control-plane events;
-//! * [`flight`] — the always-on black-box [`flight::FlightRecorder`]: a
-//!   bounded ring of each client's last moments;
+//! * [`flight`] — [`flight::FlightRecorder`], a ring pushed by hand that
+//!   only the benchmark harness's host-cost probe uses;
 //! * [`anomaly`] — in-run anomaly detection over a time series (throughput
 //!   cliffs, latency bursts, CQ saturation, over-budget migrations);
 //! * [`perfetto`] — the Chrome trace-event exporter turning tracer rings

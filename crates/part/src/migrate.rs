@@ -110,17 +110,14 @@ pub enum RecoveryOutcome {
     Finished,
 }
 
-/// Emits a control-plane note on both the control endpoint (at its clock)
-/// and the source client (at the later of the two clocks, since the copy
-/// advances `src` while `ctl` stands still): each lands in that endpoint's
-/// time series and flight ring. The anomaly detector pairs
-/// `migrate.locked` / `migrate.published` notes to measure each
+/// Emits a control-plane note on the source client, at the later of the
+/// two clocks (the copy advances `src` while `ctl` stands still): it lands
+/// in that client's time series, if one is open. The anomaly detector
+/// pairs `migrate.locked` / `migrate.published` notes to measure each
 /// migration's lock-to-publish interval.
-fn note_step(ctl: &mut Endpoint, src: &mut ChimeClient, label: &str) {
-    let note = || Event::Note { label: label.to_string() };
-    ctl.emit(ctl.clock_ns(), note());
+fn note_step(ctl: &Endpoint, src: &mut ChimeClient, label: &str) {
     let t = ctl.clock_ns().max(src.clock_ns());
-    src.endpoint_mut().emit(t, note());
+    src.endpoint_mut().emit(t, Event::Note { label: label.to_string() });
 }
 
 /// The migration journal: a 32-byte record in MN 0's reserved region.
