@@ -994,6 +994,23 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_point_without_a_fault_session_changes_no_reader() {
+        let observed = || {
+            let mut e = ep();
+            e.open_series();
+            e.set_tracer(obs::Tracer::new(0, 64));
+            let op = e.span_begin("update", 1);
+            e.advance_clock(10);
+            (e, op)
+        };
+        let (quiet, _op) = observed();
+        let (mut e, _op) = observed();
+        e.crash_point("leaf.lock.acquired");
+        assert_eq!(e.clock_ns(), 10);
+        assert_eq!(readings(e), readings(quiet));
+    }
+
+    #[test]
     fn each_span_token_closes_its_own_tracer_span() {
         let mut e = ep();
         e.set_tracer(obs::Tracer::new(0, 64));

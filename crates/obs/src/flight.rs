@@ -49,4 +49,15 @@ mod tests {
         assert_eq!(r.dropped(), 7);
         assert_eq!(r.iter().next().unwrap().t_ns, 7);
     }
+
+    #[test]
+    fn default_ring_keeps_the_newest_64_events() {
+        let mut r = FlightRecorder::default();
+        for i in 0..100u64 {
+            r.push(i, FlightKind::Shed);
+        }
+        assert_eq!((r.len(), r.dropped()), (64, 36));
+        let kept: Vec<u64> = r.iter().map(|ev| ev.t_ns).collect();
+        assert_eq!(kept, (36..100).collect::<Vec<_>>());
+    }
 }
