@@ -335,14 +335,22 @@ fn op_disc(op: &Op) -> u8 {
     }
 }
 
+/// The buffers a loop's ops read into, reused from op to op: a search's
+/// value and a scan's rows.
+#[derive(Default)]
+struct OpBufs {
+    value: Vec<u8>,
+    rows: Rows,
+}
+
 /// Dispatches one op on `c` under causal trace id `trace` and returns its
 /// latency on the client's virtual clock.
-fn exec_op(c: &mut dyn RangeIndex, op: Op, value: &[u8], scan_buf: &mut Rows, trace: u64) -> u64 {
+fn exec_op(c: &mut dyn RangeIndex, op: Op, value: &[u8], bufs: &mut OpBufs, trace: u64) -> u64 {
     c.endpoint_mut().set_trace_id(trace);
     let t0 = c.clock_ns();
     match op {
         Op::Read(k) => {
-            let _ = c.search(k);
+            c.search_into(k, &mut bufs.value);
         }
         Op::Update(k) => {
             let _ = c.update(k, value).expect("update");
@@ -351,8 +359,8 @@ fn exec_op(c: &mut dyn RangeIndex, op: Op, value: &[u8], scan_buf: &mut Rows, tr
             c.insert(k, value).expect("insert");
         }
         Op::Scan(k, n) => {
-            scan_buf.clear();
-            c.scan_rows(k, n, scan_buf);
+            bufs.rows.clear();
+            c.scan_rows(k, n, &mut bufs.rows);
         }
     }
     c.clock_ns() - t0
@@ -400,7 +408,7 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
             }
         }
         let mut done = 0u64;
-        let mut scan_buf = Rows::new();
+        let mut bufs = OpBufs::default();
         // RDWC: the reads/updates in flight in the current round.
         let mut combined: HashMap<(u8, u64), u64, FixedState> = HashMap::default();
         while done < ops_per_cn {
@@ -421,7 +429,7 @@ pub fn run_deployed(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                         continue;
                     }
                 }
-                let lat = exec_op(c.as_mut(), op, &value, &mut scan_buf, next_trace);
+                let lat = exec_op(c.as_mut(), op, &value, &mut bufs, next_trace);
                 next_trace += 1;
                 agg.record(disc, lat);
                 if setup.rdwc && disc <= 1 {
@@ -622,12 +630,11 @@ fn run_pipelined(setup: &BenchSetup, dep: &mut Deployment) -> BenchResult {
                 bodies.push(move || {
                     let t_start = handle.clock_ns();
                     let mut lats: Vec<(u8, u64)> = Vec::with_capacity(lane_ops as usize);
-                    let mut scan_buf = Rows::new();
+                    let mut bufs = OpBufs::default();
                     for opno in 0..lane_ops {
                         let op = gen.next_op();
                         let disc = op_disc(&op);
-                        let lat =
-                            exec_op(handle.as_mut(), op, value, &mut scan_buf, trace_base | opno);
+                        let lat = exec_op(handle.as_mut(), op, value, &mut bufs, trace_base | opno);
                         lats.push((disc, lat));
                     }
                     let busy = handle.clock_ns() - t_start;

@@ -239,3 +239,26 @@ fn rolex_concurrent_overflow_inserts() {
         assert_eq!(c.search(k), Some(v(k)), "lost overflow insert {k}");
     }
 }
+
+/// A compute node belongs to the thread that created it: a client of one,
+/// moved to another thread, panics at its first cache access instead of
+/// racing the clients left on the owner thread — CHIME, Sherman and SMART
+/// alike.
+#[test]
+fn a_cn_is_reached_only_from_the_thread_that_created_it() {
+    let pool = Pool::with_defaults(1, 64 << 20);
+    let chime = chime::Chime::create(&pool, chime::ChimeConfig::default(), 0);
+    let sherman = sherman::Sherman::create(&pool, sherman::ShermanConfig::default(), 1);
+    let smart = smart::Smart::create(&pool, smart::SmartConfig::default(), 2);
+    let clients: Vec<Box<dyn RangeIndex + Send>> = vec![
+        Box::new(chime.client(&chime.new_cn())),
+        Box::new(sherman.client(&sherman.new_cn())),
+        Box::new(smart.client(&smart.new_cn())),
+    ];
+    for mut c in clients {
+        c.insert(7, &v(7)).unwrap();
+        assert_eq!(c.search(7), Some(v(7)));
+        let moved = std::thread::spawn(move || c.search(7)).join();
+        assert!(moved.is_err(), "a client off its CN's thread must panic");
+    }
+}

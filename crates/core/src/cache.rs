@@ -11,7 +11,7 @@
 //! [`NodeCache`], over its own [`Cached`] node type.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dmem::hash::FixedState;
 use dmem::GlobalAddr;
@@ -186,11 +186,12 @@ impl Cached for Route {
 }
 
 /// An LRU cache of nodes (internal-node routes unless `N` says otherwise)
-/// with a byte budget.
+/// with a byte budget. It lives in a CN's [`dmem::CnCell`], on one thread,
+/// so a hit shares its node through a plain `Rc`.
 pub struct NodeCache<N = Route> {
     map: HashMap<u64, u32, FixedState>,
     /// `None` only in released slab nodes.
-    nodes: Slab<Option<Arc<N>>>,
+    nodes: Slab<Option<Rc<N>>>,
     /// Every cached node, least recently touched first.
     lru: List,
     bytes: u64,
@@ -215,7 +216,7 @@ impl<N: Cached> NodeCache<N> {
 
     /// Looks up the node at `addr`, refreshing its recency. A hit shares
     /// the cached node instead of copying it.
-    pub fn get(&mut self, addr: GlobalAddr) -> Option<Arc<N>> {
+    pub fn get(&mut self, addr: GlobalAddr) -> Option<Rc<N>> {
         let Some(&i) = self.map.get(&addr.raw()) else {
             self.misses += 1;
             return None;
@@ -227,7 +228,7 @@ impl<N: Cached> NodeCache<N> {
     }
 
     /// Inserts (or replaces) a node, evicting LRU victims over budget.
-    pub fn insert(&mut self, node: Arc<N>) {
+    pub fn insert(&mut self, node: Rc<N>) {
         let key = node.addr().raw();
         let sz = node.cached_bytes();
         if sz > self.budget {
@@ -286,8 +287,8 @@ mod tests {
     use super::*;
     use crate::slablist::NIL;
 
-    fn node(off: u64, entries: usize) -> Arc<Route> {
-        Arc::new(Route::new(&InternalNode {
+    fn node(off: u64, entries: usize) -> Rc<Route> {
+        Rc::new(Route::new(&InternalNode {
             addr: GlobalAddr::new(0, off),
             level: 1,
             valid: true,

@@ -65,15 +65,16 @@ pub struct LeafMeta {
 pub struct NbhRead {
     /// Leaf metadata from the covered replica.
     pub meta: LeafMeta,
-    /// `(entry index, value)` when the key was found.
-    pub found: Option<(usize, Vec<u8>)>,
+    /// The entry index when the key was found; its stored value is then in
+    /// the caller's buffer.
+    pub found: Option<usize>,
 }
 
 /// What a speculative single-entry read found in the slot.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SpecRead {
-    /// The key, with its value.
-    Hit(Vec<u8>),
+    /// The key; its stored value is in the caller's buffer.
+    Hit,
     /// Another key (0: the slot is empty) — the description that pointed
     /// here is stale.
     Occupant(u64),
@@ -210,7 +211,7 @@ fn reuse<'b>(v: Vec<(GlobalAddr, &mut [u8])>) -> Vec<(GlobalAddr, &'b mut [u8])>
 }
 
 /// `first` and whichever of `rest` are present, packed to the front for
-/// `fetch_many`, with their count.
+/// one fetch, with their count.
 fn pack_ranges(
     first: (usize, usize),
     rest: [Option<(usize, usize)>; MAX_RANGES - 1],
@@ -297,6 +298,47 @@ fn entry_ev(l: &LeafLayout, f: &Fetched, i: usize) -> u8 {
     ev(f.get(l.entry_off(i)))
 }
 
+/// The READ buffers a client keeps for its leaf reads: the pieces of its
+/// last fetch and spare buffers for the next, so once they have grown to
+/// its largest fetch, a fetch allocates nothing.
+#[derive(Debug, Default)]
+pub struct Fetches {
+    pieces: Vec<Fetched>,
+    spare: Vec<Vec<u8>>,
+}
+
+impl Fetches {
+    /// READs logical `ranges` of the leaf at `addr` with one doorbell
+    /// batch; the pieces replace the last fetch's.
+    fn fetch(
+        &mut self,
+        ep: &mut Endpoint,
+        l: &LeafLayout,
+        addr: GlobalAddr,
+        ranges: &[(usize, usize)],
+    ) -> &[Fetched] {
+        let kept = self.post(l, addr, ranges, |reqs| {
+            ep.read_batch(reqs);
+            true
+        });
+        debug_assert!(kept);
+        &self.pieces
+    }
+
+    /// [`dmem::versioned::Layout::fetch_into`] over these buffers: `post`
+    /// issues the READs and says whether their pieces are kept.
+    fn post(
+        &mut self,
+        l: &LeafLayout,
+        addr: GlobalAddr,
+        ranges: &[(usize, usize)],
+        post: impl FnOnce(&mut [(GlobalAddr, &mut [u8])]) -> bool,
+    ) -> bool {
+        let (pieces, spare) = (&mut self.pieces, &mut self.spare);
+        l.versioned().fetch_into(addr, ranges, pieces, spare, post)
+    }
+}
+
 /// A window read performed while holding the node lock, with the buffers
 /// it is read and written back through. A writer keeps one and every
 /// locked read refills it, so once its buffers have grown to the largest
@@ -323,23 +365,10 @@ pub struct LockedRead {
     pub max_key: Option<u64>,
     /// The argmax slot neither the window nor its doorbell covered.
     pub max_unread: Option<usize>,
-    /// The pieces of the last READ, and spare READ buffers.
-    pieces: Vec<Fetched>,
-    spare: Vec<Vec<u8>>,
+    /// The READ buffers.
+    reads: Fetches,
     /// The outgoing images of the last write-back, one per run.
     images: [Vec<u8>; 2],
-}
-
-impl LockedRead {
-    /// READs logical `ranges` of the leaf at `addr` into the pieces, with
-    /// one doorbell batch.
-    fn fetch(&mut self, ep: &mut Endpoint, l: &LeafLayout, addr: GlobalAddr, ranges: &[(usize, usize)]) {
-        let kept = l.versioned().fetch_into(addr, ranges, &mut self.pieces, &mut self.spare, |reqs| {
-            ep.read_batch(reqs);
-            true
-        });
-        debug_assert!(kept);
-    }
 }
 
 /// Remote leaf operations for one leaf geometry.
@@ -538,11 +567,20 @@ impl LeafOps {
 
     // ----- lock-free reads -------------------------------------------------
 
-    /// Validated neighborhood read for `key` (the paper's search fast path).
+    /// Validated neighborhood read for `key` (the paper's search fast path),
+    /// through the caller's READ buffers `reads`; a found key's stored value
+    /// replaces the contents of `value`.
     ///
     /// Retries internally on torn reads or observed intermediate hop states
     /// (third-level bitmap check).
-    pub fn read_neighborhood(&self, ep: &mut Endpoint, addr: GlobalAddr, key: u64) -> NbhRead {
+    pub fn read_neighborhood(
+        &self,
+        ep: &mut Endpoint,
+        addr: GlobalAddr,
+        key: u64,
+        reads: &mut Fetches,
+        value: &mut Vec<u8>,
+    ) -> NbhRead {
         let span = self.layout.span;
         let h = self.layout.h;
         let home = home_entry(key, span);
@@ -556,13 +594,13 @@ impl LeafOps {
         loop {
             spins += 1;
             assert!(spins < 1_000_000, "neighborhood read livelock at {addr:?}");
-            let pieces = self.layout.versioned().fetch_many(ep, addr, ranges);
-            let checked = self.validate(&pieces).and_then(|(_, meta)| {
+            let pieces = reads.fetch(ep, &self.layout, addr, ranges);
+            let checked = self.validate(pieces).and_then(|(_, meta)| {
                 // Third level: every bit of the home bitmap (`home` leads
                 // the first range) must name a key homed there.
                 let bm = entry_bitmap(&self.layout, &pieces[0], home);
                 let mut found = None;
-                for (pos, p) in covered(&self.locator, &pieces) {
+                for (pos, p) in covered(&self.locator, pieces) {
                     let d = cyc_dist(home, pos, span);
                     if d >= h || bm & (1 << d) == 0 {
                         continue;
@@ -572,7 +610,7 @@ impl LeafOps {
                         return None;
                     }
                     if k == key {
-                        found = Some((pos, entry_value(&self.layout, p, pos).to_vec()));
+                        found = Some((pos, p));
                     }
                 }
                 Some((meta.expect("no replica covered"), found))
@@ -582,26 +620,42 @@ impl LeafOps {
                 backoff.wait(ep);
                 continue;
             };
-            return NbhRead { meta, found };
+            if let Some((pos, p)) = found {
+                entry_value(&self.layout, p, pos).clone_into(value);
+            }
+            return NbhRead {
+                meta,
+                found: found.map(|(pos, _)| pos),
+            };
         }
     }
 
     /// Speculative single-entry read (§4.3): what the slot at `idx` holds,
-    /// once it is EV-consistent. Anything but a hit sends the caller down
-    /// the normal neighborhood path.
-    pub fn spec_read(&self, ep: &mut Endpoint, addr: GlobalAddr, idx: usize, key: u64) -> SpecRead {
-        let off = self.layout.entry_off(idx);
+    /// once it is EV-consistent, read through the caller's buffers `reads`;
+    /// a hit's stored value replaces the contents of `value`. Anything but
+    /// a hit sends the caller down the normal neighborhood path.
+    pub fn spec_read(
+        &self,
+        ep: &mut Endpoint,
+        addr: GlobalAddr,
+        idx: usize,
+        key: u64,
+        reads: &mut Fetches,
+        value: &mut Vec<u8>,
+    ) -> SpecRead {
+        let l = &self.layout;
+        let off = l.entry_off(idx);
         for _ in 0..3 {
-            let f =
-                self.layout
-                    .versioned()
-                    .fetch(ep, addr, off, off + self.layout.entry_size());
-            if self.validate(std::slice::from_ref(&f)).is_none() {
+            let pieces = reads.fetch(ep, l, addr, &[(off, off + l.entry_size())]);
+            if self.validate(pieces).is_none() {
                 ep.note_torn_read();
                 continue;
             }
-            return match entry_key(&self.layout, &f, idx) {
-                k if k == key => SpecRead::Hit(entry_value(&self.layout, &f, idx).to_vec()),
+            return match entry_key(l, &pieces[0], idx) {
+                k if k == key => {
+                    entry_value(l, &pieces[0], idx).clone_into(value);
+                    SpecRead::Hit
+                }
                 k => SpecRead::Occupant(k),
             };
         }
@@ -721,8 +775,7 @@ impl LeafOps {
         let mut unchanged = 0u32;
         loop {
             let mut old = 0;
-            let layout = self.layout.versioned();
-            let locked = layout.fetch_into(addr, ranges, &mut lr.pieces, &mut lr.spare, |reqs| {
+            let locked = lr.reads.post(&self.layout, addr, ranges, |reqs| {
                 old = try_acquire(ep, lock_addr, 0, reqs);
                 old & 1 == 0
             });
@@ -805,7 +858,7 @@ impl LeafOps {
         let (word, fetched) = self.acquire(ep, addr, ranges, lr);
         if !fetched {
             // A takeover reads after its full-word CAS.
-            lr.fetch(ep, &self.layout, addr, ranges);
+            lr.reads.fetch(ep, &self.layout, addr, ranges);
         }
         self.load_locked(lr, (a, e), word);
         word
@@ -909,7 +962,7 @@ impl LeafOps {
             .filter(|&i| cyc_dist(a, i, l.span) > cyc_dist(a, e, l.span))
             .map(|i| (l.entry_off(i), l.entry_off(i) + l.entry_size()));
         let (ranges, n) = self.window_ranges(a, e, argmax_extra);
-        lr.fetch(ep, l, addr, &ranges[..n]);
+        lr.reads.fetch(ep, l, addr, &ranges[..n]);
         self.load_locked(lr, (a, e), word);
     }
 
@@ -934,10 +987,10 @@ impl LeafOps {
         let len = cyc_dist(a, e, l.span) + 1;
         // Under the lock no writer races us; the checks are sanity asserts.
         let (nv, meta) = self
-            .validate(&lr.pieces)
+            .validate(&lr.reads.pieces)
             .expect("locked leaf read observed a torn image");
         lr.w.reset(l.span, l.h, l.value_size, a, len);
-        load(l, &self.locator, &lr.pieces, &mut lr.w);
+        load(l, &self.locator, &lr.reads.pieces, &mut lr.w);
         let w = &lr.w;
         (lr.max_key, lr.max_unread) = if len == l.span {
             // Whole node: bitmaps must describe the occupancy, and the true
@@ -955,7 +1008,7 @@ impl LeafOps {
             let i = word.argmax() as usize % l.span;
             let (off, esize) = (l.entry_off(i), l.entry_size());
             let holds = |p: &&Fetched| p.lstart() <= off && off + esize <= p.lend();
-            match lr.pieces.iter().find(holds) {
+            match lr.reads.pieces.iter().find(holds) {
                 Some(p) => (Some(entry_key(l, p, i)), None),
                 None => (None, Some(i)),
             }
@@ -970,10 +1023,10 @@ impl LeafOps {
         if let Some(i) = lr.max_unread.take() {
             let l = &self.layout;
             let off = l.entry_off(i);
-            lr.fetch(ep, l, addr, &[(off, off + l.entry_size())]);
-            self.validate(&lr.pieces)
+            let pieces = lr.reads.fetch(ep, l, addr, &[(off, off + l.entry_size())]);
+            self.validate(pieces)
                 .expect("locked leaf read observed a torn image");
-            lr.max_key = Some(entry_key(l, &lr.pieces[0], i));
+            lr.max_key = Some(entry_key(l, &pieces[0], i));
         }
         lr.max_key
     }

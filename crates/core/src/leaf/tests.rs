@@ -37,19 +37,32 @@ fn populated(ep: &mut Endpoint, ops: &LeafOps, addr: GlobalAddr, n: u64) -> Vec<
     items
 }
 
+/// A neighborhood read through fresh buffers: the metadata, and the found
+/// entry's index with its stored value.
+fn read_nbh(
+    ops: &LeafOps,
+    ep: &mut Endpoint,
+    addr: GlobalAddr,
+    key: u64,
+) -> (LeafMeta, Option<(usize, Vec<u8>)>) {
+    let mut value = Vec::new();
+    let r = ops.read_neighborhood(ep, addr, key, &mut Fetches::default(), &mut value);
+    (r.meta, r.found.map(|i| (i, value)))
+}
+
 #[test]
 fn write_new_then_neighborhood_reads() {
     let (mut ep, ops, addr) = setup();
     let items = populated(&mut ep, &ops, addr, 40);
     for (k, v) in &items {
-        let r = ops.read_neighborhood(&mut ep, addr, *k);
-        let (_, got) = r.found.expect("key must be found");
+        let (meta, found) = read_nbh(&ops, &mut ep, addr, *k);
+        let (_, got) = found.expect("key must be found");
         assert_eq!(&got, v);
-        assert_eq!(r.meta.sibling.offset(), 0xBEEF00);
-        assert!(r.meta.valid);
+        assert_eq!(meta.sibling.offset(), 0xBEEF00);
+        assert!(meta.valid);
     }
     // Absent keys miss cleanly.
-    assert!(ops.read_neighborhood(&mut ep, addr, 999_999).found.is_none());
+    assert!(read_nbh(&ops, &mut ep, addr, 999_999).1.is_none());
 }
 
 #[test]
@@ -104,11 +117,11 @@ fn hop_insert_roundtrip() {
             word.argmax()
         });
     lr.write_back(&ops, &mut ep, addr, new_word);
-    let r = ops.read_neighborhood(&mut ep, addr, key);
-    assert_eq!(r.found.expect("inserted key readable").1, vec![9u8; 8]);
+    let (_, found) = read_nbh(&ops, &mut ep, addr, key);
+    assert_eq!(found.expect("inserted key readable").1, vec![9u8; 8]);
     // All earlier keys are still readable.
     for k in 1..=30u64 {
-        assert!(ops.read_neighborhood(&mut ep, addr, k * 7).found.is_some());
+        assert!(read_nbh(&ops, &mut ep, addr, k * 7).1.is_some());
     }
 }
 
@@ -119,13 +132,19 @@ fn spec_read_hit_and_miss() {
     let (k, v) = &items[3];
     let snap = ops.read_full(&mut ep, addr);
     let (idx, _) = snap.find(*k).unwrap();
-    assert_eq!(ops.spec_read(&mut ep, addr, idx, *k), SpecRead::Hit(v.clone()));
+    let (mut reads, mut got) = (Fetches::default(), Vec::new());
+    let hit = ops.spec_read(&mut ep, addr, idx, *k, &mut reads, &mut got);
+    assert_eq!(hit, SpecRead::Hit);
+    assert_eq!(&got, v);
     // Wrong slot: speculation fails, no false positive, and says what the
     // slot holds instead (0 when it is empty).
     let wrong = (idx + 1) % 64;
     let (occupant, ..) = snap.into_window().slot(wrong);
     assert_ne!(occupant, *k);
-    assert_eq!(ops.spec_read(&mut ep, addr, wrong, *k), SpecRead::Occupant(occupant));
+    assert_eq!(
+        ops.spec_read(&mut ep, addr, wrong, *k, &mut reads, &mut got),
+        SpecRead::Occupant(occupant)
+    );
 }
 
 #[test]

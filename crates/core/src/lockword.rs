@@ -255,11 +255,17 @@ impl VacancyMap {
     /// First group, scanning cyclically from the group of `from`, whose
     /// vacancy bit is set. Returns `None` when the node is full.
     pub fn first_vacant_group(&self, word: LockWord, from: usize) -> Option<usize> {
-        let g0 = self.group_of(from);
-        let n = self.groups();
-        (0..n)
-            .map(|d| (g0 + d) % n)
-            .find(|&g| word.vacancy_bit(g))
+        let (g0, n) = (self.group_of(from), self.groups());
+        let mask = (1u64 << n) - 1;
+        let bits = (word.0 >> VACANCY_SHIFT) & mask;
+        // The groups' bits rotated right by `g0` within `n` bits: bit `d`
+        // is group `g0 + d`, cyclically.
+        let rotated = (bits >> g0 | bits << (n - g0)) & mask;
+        if rotated == 0 {
+            return None;
+        }
+        let g = g0 + rotated.trailing_zeros() as usize;
+        Some(if g >= n { g - n } else { g })
     }
 
     /// Recomputes the vacancy bit of each group overlapping cyclic entry
@@ -380,6 +386,32 @@ mod tests {
         // From entry 60 (group 30), the scan wraps to group 3.
         assert_eq!(vm.first_vacant_group(w, 60), Some(3));
         assert_eq!(vm.first_vacant_group(LockWord(0), 0), None);
+    }
+
+    proptest::proptest! {
+        /// Against the cyclic scan the rotation replaced, kept here as the
+        /// reference: the same group for every span, start entry and
+        /// word, dense or with at most two vacant groups.
+        #[test]
+        fn first_vacant_group_matches_the_cyclic_scan(
+            span in 1usize..=1023,
+            from in proptest::prelude::any::<usize>(),
+            noise in proptest::prelude::any::<u64>(),
+            vacant in proptest::collection::vec(0usize..VACANCY_BITS, 0..3),
+            dense in 0u8..2,
+        ) {
+            let vm = VacancyMap::new(span);
+            let from = from % span;
+            let word = if dense == 1 {
+                LockWord(noise)
+            } else {
+                let other = LockWord(noise & !VACANCY_FIELD);
+                vacant.iter().fold(other, |w, &g| w.with_vacancy_bit(g, true))
+            };
+            let (g0, n) = (vm.group_of(from), vm.groups());
+            let reference = (0..n).map(|d| (g0 + d) % n).find(|&g| word.vacancy_bit(g));
+            proptest::prop_assert_eq!(vm.first_vacant_group(word, from), reference);
+        }
     }
 
     #[test]

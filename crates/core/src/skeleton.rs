@@ -45,12 +45,14 @@
 //! node); ROLEX and CHIME-Learned share `rolex::learned` and the value path
 //! `dmem::indirect::Values`. Each baseline crate's docs say what it keeps.
 
+use std::cell::RefMut;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
-
-use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, LocalLockGuard, LocalLockTable, Phase};
+use dmem::{
+    ChunkAlloc, CnCell, Endpoint, GlobalAddr, IndexError, LocalLockGuard, LocalLockTable, Phase,
+};
 
 use crate::cache::{Hop, Lean, NodeCache, Route};
 use crate::internal::{InternalNode, InternalOps};
@@ -113,8 +115,9 @@ impl Skeleton {
 }
 
 /// One compute node's route state, shared by all its clients of one tree.
+/// The cache belongs to the thread that created it ([`CnCell`]).
 pub struct Routes {
-    cache: Mutex<NodeCache>,
+    cache: CnCell<NodeCache>,
     /// The raw address of the root as this CN last saw it; 0 for none.
     /// Stored with `Release` and loaded with `Acquire`: a client that takes
     /// the hint also sees what the client that stored it did before.
@@ -126,15 +129,15 @@ impl Routes {
     /// Empty route state with a `cache_bytes` internal-node cache budget.
     pub fn new(cache_bytes: u64) -> Self {
         Routes {
-            cache: Mutex::new(NodeCache::new(cache_bytes)),
+            cache: CnCell::new(NodeCache::new(cache_bytes)),
             root_hint: AtomicU64::new(GlobalAddr::NULL.raw()),
             lock_table: Arc::new(LocalLockTable::new()),
         }
     }
 
     /// The internal-node cache.
-    pub fn cache(&self) -> MutexGuard<'_, NodeCache> {
-        self.cache.lock()
+    pub fn cache(&self) -> RefMut<'_, NodeCache> {
+        self.cache.borrow_mut()
     }
 
     /// Bytes of compute-side memory the internal-node cache holds.
@@ -262,7 +265,7 @@ pub trait SkeletonClient: Sized {
         &mut self,
         addr: GlobalAddr,
         key: u64,
-    ) -> (Arc<Route>, Option<Hop>, bool) {
+    ) -> (Rc<Route>, Option<Hop>, bool) {
         let hit = self.in_phase(Phase::CacheLookup, |me| {
             me.parts()
                 .routes
@@ -277,9 +280,9 @@ pub trait SkeletonClient: Sized {
         let p = self.parts();
         let node = p.skeleton.internal.read(p.ep, addr);
         let hop = (node.valid && node.covers(key)).then(|| node.select(key));
-        let route = Arc::new(Route::new(&node));
+        let route = Rc::new(Route::new(&node));
         if node.valid {
-            p.routes.cache().insert(Arc::clone(&route));
+            p.routes.cache().insert(Rc::clone(&route));
         }
         (route, hop, false)
     }
@@ -289,7 +292,7 @@ pub trait SkeletonClient: Sized {
     /// restarting from a fresh root when the route proves stale. Returns
     /// the node, the hop it gives `key` and whether it came from the CN
     /// cache. Runs inside the caller's traversal frame.
-    fn descend(&mut self, key: u64) -> (Arc<Route>, Hop, bool) {
+    fn descend(&mut self, key: u64) -> (Rc<Route>, Hop, bool) {
         let mut addr = self.descent_origin();
         let mut from = GlobalAddr::NULL;
         for _ in 0..OP_RETRY_LIMIT {
@@ -320,7 +323,7 @@ pub trait SkeletonClient: Sized {
     /// The level-1 node covering `key` and the index of the child `key`
     /// routes to (scans batch-read consecutive leaves from there; merges
     /// lock the parent).
-    fn locate_parent(&mut self, key: u64) -> (Arc<Route>, usize) {
+    fn locate_parent(&mut self, key: u64) -> (Rc<Route>, usize) {
         self.in_phase(Phase::Traversal, |me| {
             let (route, (child, _), _) = me.descend(key);
             let at = route.children().iter().position(|&c| c == child);

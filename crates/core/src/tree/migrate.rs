@@ -107,7 +107,8 @@ impl ChimeClient {
         items.sort_unstable_by_key(|&(k, _)| k);
         let mut moved = 0u64;
         for (k, stored) in items {
-            let v = self.resolve_value(stored.to_vec());
+            let mut v = stored.to_vec();
+            self.resolve_in_place(&mut v);
             if let Err(e) = dst.insert(k, &v) {
                 // Abort without tombstoning: the source leaf stays live and
                 // authoritative; the half-built destination is abandoned.

@@ -39,10 +39,8 @@ mod tests;
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dmem::{
-    indirect, ChunkAlloc, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex, RetryCause,
+    indirect, ChunkAlloc, CnCell, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex, RetryCause,
     Rows,
 };
 
@@ -51,7 +49,7 @@ use crate::config::{ChimeConfig, KEY_SIZE};
 use crate::hopscotch::Window;
 use crate::hotspot::HotspotBuffer;
 use crate::layout::LeafLayout;
-use crate::leaf::{LeafMeta, LeafOps, LockedRead};
+use crate::leaf::{Fetches, LeafMeta, LeafOps, LockedRead};
 use crate::lockword::LockWord;
 use crate::skeleton::{Routes, Skeleton, SkeletonClient, OP_RETRY_LIMIT};
 
@@ -87,21 +85,22 @@ pub struct Chime {
 
 /// Per-compute-node shared state: the route state (internal-node cache,
 /// root hint, local lock table) and the hotspot buffer, shared by all
-/// clients of that CN.
+/// clients of that CN. Both caches belong to the thread that called
+/// [`Chime::new_cn`] ([`CnCell`]): every client of the CN runs there.
 pub struct CnState {
     routes: Routes,
-    hotspot: Mutex<HotspotBuffer>,
+    hotspot: CnCell<HotspotBuffer>,
 }
 
 impl CnState {
     /// Bytes of compute-side memory this CN spends on the index.
     pub fn cache_bytes(&self) -> u64 {
-        self.routes.cache_bytes() + self.hotspot.lock().bytes()
+        self.routes.cache_bytes() + self.hotspot.borrow_mut().bytes()
     }
 
     /// `(hits, lookups)` of the hotspot buffer.
     pub fn hotspot_stats(&self) -> (u64, u64) {
-        self.hotspot.lock().hit_stats()
+        self.hotspot.borrow_mut().hit_stats()
     }
 
     /// `(hits, misses)` of the internal-node cache.
@@ -148,6 +147,9 @@ pub struct ChimeClient {
     scan_buffers: scan::Gathered,
     /// What writes lock and read, kept between writes for its buffers.
     locked: LockedRead,
+    /// The READ buffers of lock-free point reads (neighborhood and
+    /// speculative reads), kept between searches.
+    point_reads: Fetches,
 }
 
 impl Chime {
@@ -197,7 +199,7 @@ impl Chime {
     pub fn new_cn(&self) -> Arc<CnState> {
         Arc::new(CnState {
             routes: Routes::new(self.shared.cfg.cache_bytes),
-            hotspot: Mutex::new(HotspotBuffer::new(self.shared.cfg.hotspot_bytes)),
+            hotspot: CnCell::new(HotspotBuffer::new(self.shared.cfg.hotspot_bytes)),
         })
     }
 
@@ -229,6 +231,7 @@ impl Chime {
             scan_density: (0.0, 0.0),
             scan_buffers: scan::Gathered::default(),
             locked: LockedRead::default(),
+            point_reads: Fetches::default(),
         }
     }
 
@@ -373,19 +376,20 @@ impl ChimeClient {
         Ok(Cow::Owned(indirect::pointer(addr)))
     }
 
-    /// Converts stored leaf-entry bytes back into the application value.
-    fn resolve_value(&mut self, stored: Vec<u8>) -> Vec<u8> {
+    /// Converts the stored leaf-entry bytes in `value` into the application
+    /// value, in place: an indirect value's block is read over its pointer.
+    fn resolve_in_place(&mut self, value: &mut Vec<u8>) {
         let cfg = self.shared.cfg;
         if !cfg.indirect_values {
-            return stored;
+            return;
         }
         self.in_phase(Phase::LeafRead, |me| {
-            indirect::load(&mut me.ep, &stored, cfg.value_size)
-        })
+            indirect::load_in_place(&mut me.ep, value, cfg.value_size)
+        });
     }
 
-    /// Appends the row of `key` to `rows`: [`Self::resolve_value`] of
-    /// `stored`, written into the arena.
+    /// Appends the row of `key` to `rows`: the application value of
+    /// `stored` ([`Self::resolve_in_place`]), written into the arena.
     fn push_row(&mut self, key: u64, stored: &[u8], rows: &mut Rows) {
         let cfg = self.shared.cfg;
         if !cfg.indirect_values {

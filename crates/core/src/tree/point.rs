@@ -14,10 +14,11 @@ use crate::leaf::{LockedRead, SpecRead};
 use crate::lockword::{LockWord, ARGMAX_NONE};
 use crate::skeleton::SkeletonClient;
 
-/// Result of a sibling chase: either the operation finished, or the chase hit
-/// an invalidated node and the whole operation must restart from the root.
+/// Result of a sibling chase: either the operation finished (finding the
+/// key or not), or the chase hit an invalidated node and the whole
+/// operation must restart from the root.
 enum ChaseOutcome {
-    Done(Option<Vec<u8>>),
+    Done(bool),
     Restart,
 }
 
@@ -51,20 +52,21 @@ impl ChimeClient {
     // Search
     // ------------------------------------------------------------------
 
-    pub(super) fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
+    /// Writes the value of `key` into `value`, through the client's READ
+    /// buffers, and returns whether it was found.
+    pub(super) fn search_impl(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
         self.retry_backoff.reset();
         let cfg = self.shared.cfg;
         let fp = fingerprint16(key);
         for attempt in 0..OP_RETRY_LIMIT {
             let loc = self.locate_leaf(key);
             // Hotness-aware speculative read (§4.3).
-            if cfg.hotspot_bytes > 0 {
-                if let Some(v) = self.try_speculative_read(loc.addr, key, fp) {
-                    return Some(v);
-                }
+            if cfg.hotspot_bytes > 0 && self.try_speculative_read(loc.addr, key, fp, value) {
+                return true;
             }
             let r = self.in_phase(Phase::LeafRead, |me| {
-                me.leaf().read_neighborhood(&mut me.ep, loc.addr, key)
+                me.leaf()
+                    .read_neighborhood(&mut me.ep, loc.addr, key, &mut me.point_reads, value)
             });
             if !r.meta.valid {
                 self.on_invalid_leaf(loc.parent, r.meta.sibling, true);
@@ -79,25 +81,27 @@ impl ChimeClient {
                 if !dmem::hash::in_range(key, lo, hi) {
                     self.counters.chases += 1;
                     self.cn.routes.cache().invalidate(loc.parent);
-                    let out =
-                        self.in_phase(Phase::Validate, |me| me.chase_fences(r.meta.sibling, key));
-                    return self.finish_chase(out, key);
+                    let out = self.in_phase(Phase::Validate, |me| {
+                        me.chase_fences(r.meta.sibling, key, value)
+                    });
+                    return self.finish_chase(out, key, value);
                 }
             }
-            if let Some((idx, v)) = r.found {
+            if let Some(idx) = r.found {
                 self.ep.note_app_bytes(cfg.value_size as u64 + 8);
                 if cfg.hotspot_bytes > 0 {
-                    self.cn.hotspot.lock().on_access(loc.addr, idx as u16, fp);
+                    self.cn.hotspot.borrow_mut().on_access(loc.addr, idx as u16, fp);
                 }
-                return Some(self.resolve_value(v));
+                self.resolve_in_place(value);
+                return true;
             }
             if r.meta.fences.is_some() {
-                return None; // fences proved ownership; the key is absent
+                return false; // fences proved ownership; the key is absent
             }
             // Sibling-based validation (§4.2.3).
             match loc.expected {
-                Some(e) if r.meta.sibling == e => return None,
-                None if r.meta.sibling.is_null() => return None,
+                Some(e) if r.meta.sibling == e => return false,
+                None if r.meta.sibling.is_null() => return false,
                 _ => {
                     if loc.via_cache && attempt == 0 {
                         // Cache validation: refresh the parent and retry.
@@ -108,8 +112,8 @@ impl ChimeClient {
                     }
                     // Half-split window: chase the sibling chain.
                     self.counters.chases += 1;
-                    let out = self.in_phase(Phase::Validate, |me| me.chase(loc.addr, key));
-                    return self.finish_chase(out, key);
+                    let out = self.in_phase(Phase::Validate, |me| me.chase(loc.addr, key, value));
+                    return self.finish_chase(out, key, value);
                 }
             }
         }
@@ -119,62 +123,76 @@ impl ChimeClient {
     /// Ends a search on its chase result. A restart re-runs the whole
     /// operation outside the validate phase, so it is attributed to its
     /// own phases.
-    fn finish_chase(&mut self, out: ChaseOutcome, key: u64) -> Option<Vec<u8>> {
+    fn finish_chase(&mut self, out: ChaseOutcome, key: u64, value: &mut Vec<u8>) -> bool {
         match out {
-            ChaseOutcome::Done(v) => v,
-            ChaseOutcome::Restart => self.search_impl(key),
+            ChaseOutcome::Done(found) => found,
+            ChaseOutcome::Restart => self.search_impl(key, value),
         }
     }
 
     /// Reads the slot the hotspot buffer predicts for `key`, if any,
-    /// directly (the speculative read), returning the value on a hit. A
-    /// miss corrects the description it trusted, so a deleted or displaced
-    /// hot key costs one wasted READ, not one per search.
-    fn try_speculative_read(&mut self, addr: GlobalAddr, key: u64, fp: u16) -> Option<Vec<u8>> {
+    /// directly (the speculative read), writing the value into `value` on a
+    /// hit. A miss corrects the description it trusted, so a deleted or
+    /// displaced hot key costs one wasted READ, not one per search.
+    fn try_speculative_read(
+        &mut self,
+        addr: GlobalAddr,
+        key: u64,
+        fp: u16,
+        value: &mut Vec<u8>,
+    ) -> bool {
         let (span, h) = (self.span(), self.h());
         let home = home_entry(key, span);
         let nbh = home..home + h;
-        let hot = self.cn.hotspot.lock().lookup(addr, nbh, span, fp)?;
+        let Some(hot) = self.cn.hotspot.borrow_mut().lookup(addr, nbh, span, fp) else {
+            return false;
+        };
         self.in_phase(Phase::SpeculativeRead, |me| {
             me.counters.spec_attempts += 1;
-            match me.leaf().spec_read(&mut me.ep, addr, hot.idx as usize, key) {
-                SpecRead::Hit(v) => {
+            let idx = hot.idx as usize;
+            match me
+                .leaf()
+                .spec_read(&mut me.ep, addr, idx, key, &mut me.point_reads, value)
+            {
+                SpecRead::Hit => {
                     me.counters.spec_hits += 1;
                     me.ep.note_app_bytes(me.shared.cfg.value_size as u64 + 8);
-                    me.cn.hotspot.lock().on_access_at(addr, hot, fp);
-                    return Some(me.resolve_value(v));
+                    me.cn.hotspot.borrow_mut().on_access_at(addr, hot, fp);
+                    me.resolve_in_place(value);
+                    return true;
                 }
-                SpecRead::Occupant(0) => me.cn.hotspot.lock().remove(addr, hot.idx),
+                SpecRead::Occupant(0) => me.cn.hotspot.borrow_mut().remove(addr, hot.idx),
                 SpecRead::Occupant(other) => {
                     // A new key moved in, unless it is a true 16-bit collision.
                     let moved_in = fingerprint16(other);
                     if moved_in != fp {
-                        me.cn.hotspot.lock().on_access_at(addr, hot, moved_in);
+                        me.cn.hotspot.borrow_mut().on_access_at(addr, hot, moved_in);
                     }
                 }
                 SpecRead::Torn => {}
             }
-            None
+            false
         })
     }
 
     /// Sibling chase with whole-node reads (sibling-validation mode).
-    fn chase(&mut self, mut addr: GlobalAddr, key: u64) -> ChaseOutcome {
+    fn chase(&mut self, mut addr: GlobalAddr, key: u64, value: &mut Vec<u8>) -> ChaseOutcome {
         for _ in 0..OP_RETRY_LIMIT {
             let snap = self.leaf().read_full(&mut self.ep, addr);
             if !snap.meta.valid {
                 return ChaseOutcome::Restart;
             }
             if let Some((_, v)) = snap.find(key) {
-                let v = v.to_vec();
-                return ChaseOutcome::Done(Some(self.resolve_value(v)));
+                v.clone_into(value);
+                self.resolve_in_place(value);
+                return ChaseOutcome::Done(true);
             }
             match snap.max_key() {
-                Some(mx) if mx >= key => return ChaseOutcome::Done(None),
+                Some(mx) if mx >= key => return ChaseOutcome::Done(false),
                 _ => {}
             }
             if snap.meta.sibling.is_null() {
-                return ChaseOutcome::Done(None);
+                return ChaseOutcome::Done(false);
             }
             addr = snap.meta.sibling;
         }
@@ -182,12 +200,23 @@ impl ChimeClient {
     }
 
     /// Sibling chase guided by fence keys (fence mode).
-    fn chase_fences(&mut self, mut addr: GlobalAddr, key: u64) -> ChaseOutcome {
+    fn chase_fences(
+        &mut self,
+        mut addr: GlobalAddr,
+        key: u64,
+        value: &mut Vec<u8>,
+    ) -> ChaseOutcome {
         for _ in 0..OP_RETRY_LIMIT {
             if addr.is_null() {
-                return ChaseOutcome::Done(None);
+                return ChaseOutcome::Done(false);
             }
-            let r = self.leaf().read_neighborhood(&mut self.ep, addr, key);
+            let r = self.leaf().read_neighborhood(
+                &mut self.ep,
+                addr,
+                key,
+                &mut self.point_reads,
+                value,
+            );
             if !r.meta.valid {
                 return ChaseOutcome::Restart;
             }
@@ -199,8 +228,10 @@ impl ChimeClient {
                 addr = r.meta.sibling;
                 continue;
             }
-            let v = r.found.map(|(_, v)| v).map(|v| self.resolve_value(v));
-            return ChaseOutcome::Done(v);
+            if r.found.is_some() {
+                self.resolve_in_place(value);
+            }
+            return ChaseOutcome::Done(r.found.is_some());
         }
         panic!("fence chase retry limit for key {key}");
     }

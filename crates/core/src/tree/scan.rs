@@ -1,6 +1,6 @@
 //! Range scan over the leaf level, and the whole-tree integrity walk.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dmem::{GlobalAddr, Phase, Rows};
 
@@ -101,7 +101,7 @@ impl ChimeClient {
     /// matches the leaf level.
     fn scan_from(
         &mut self,
-        parent: &mut Arc<Route>,
+        parent: &mut Rc<Route>,
         mut idx: usize,
         start: u64,
         count: usize,

@@ -1034,10 +1034,13 @@ fn an_insert_never_places_by_a_failed_lock_attempts_read() {
             Some((mine, theirs, addr, slot))
         })
         .expect("two fresh keys sharing a first empty slot");
-    let word = b.leaf().lock(&mut b.ep, addr);
+    let (leaf, other) = (b.leaf(), t.clone());
+    let word = leaf.lock(&mut b.ep, addr);
     let insert = Box::new(move || {
-        b.leaf().unlock(&mut b.ep, addr, word);
-        b.insert(theirs, &v(theirs)).unwrap();
+        leaf.unlock(&mut b.ep, addr, word);
+        // A CN belongs to the thread that made it: this thread's insert
+        // runs on a CN of its own.
+        other.client(&other.new_cn()).insert(theirs, &v(theirs)).unwrap();
     });
     dmem::install_lane_hook(Box::new(AtFirstBackoff {
         net: *pool.net(),

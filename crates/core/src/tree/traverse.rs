@@ -2,7 +2,7 @@
 //! backoff on a stale route, the migration forward as descent origin),
 //! stale-route reactions and leaf location with its validation context.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dmem::{GlobalAddr, Phase, RetryCause};
 
@@ -119,7 +119,7 @@ impl ChimeClient {
         if !node.valid {
             return None;
         }
-        self.cn.routes.cache().insert(Arc::new(Route::new(&node)));
+        self.cn.routes.cache().insert(Rc::new(Route::new(&node)));
         node.entries.first().map(|e| e.1)
     }
 }

@@ -3,9 +3,10 @@
 //! Host wall time is too noisy for `cargo test`; the number of heap
 //! allocations an operation makes is not. A fixed-seed tree and this
 //! binary's own counting allocator pin the budgets the de-striped fetch,
-//! the slice-based leaf decoder and the single write-side codec bought:
-//! what is left per search is the fetch buffer(s), their container and the
-//! returned `Vec<u8>`; a scan into a reused `Rows` arena allocates nothing;
+//! the slice-based leaf decoder and the single write-side codec bought: a
+//! search into a reused value buffer allocates nothing (its READ buffers
+//! are the client's), and the allocating `search` only the returned
+//! `Vec<u8>`; a scan into a reused `Rows` arena allocates nothing;
 //! a write reads, holds and encodes its window in buffers the client keeps
 //! and stores an inline value straight from the caller's slice, so a warm
 //! update or non-splitting insert allocates nothing.
@@ -120,6 +121,23 @@ fn read_paths_stay_within_their_allocation_budgets() {
         probes.len() as u64 + probes.iter().filter(|&&k| wraps(k)).count() as u64,
         "every probe must be a cache hit: leaf READs only"
     );
+    // `search_into` a reused buffer: nothing, on a hit or on an absent key
+    // (above the preloaded ones, so in the rightmost leaf, or between them
+    // once a key is deleted).
+    let mut value = Vec::new();
+    assert!(client.search_into(probes[0], &mut value));
+    for &k in &probes {
+        let (n, found) = allocs(|| client.search_into(k, &mut value));
+        assert!(found && value == k.to_le_bytes(), "search_into of {k}");
+        assert_eq!(n, 0, "cache-hit search_into of {k} allocated {n} times");
+    }
+    assert!(client.delete(probes[1]).unwrap());
+    for k in [probes[1], KEYS + 1, KEYS + 1_000_000] {
+        let (n, found) = allocs(|| client.search_into(k, &mut value));
+        assert!(!found, "absent {k} found");
+        assert_eq!(n, 0, "search_into of absent {k} allocated {n} times");
+    }
+    client.insert(probes[1], &probes[1].to_le_bytes()).unwrap();
 
     // The allocating `scan` is `scan_rows` into a fresh arena: the returned
     // rows' values, the arena's key and value-end vectors, and the doublings
@@ -190,6 +208,15 @@ fn read_paths_stay_within_their_allocation_budgets() {
         assert_eq!(v.as_deref(), Some(&k.to_le_bytes()[..]));
         assert_eq!(client.counters.spec_hits, hits + 1, "search of {k} did not speculate");
         assert!(n <= 2, "speculative-read hit on {k} allocated {n} times");
+    }
+    // The same hits into a reused buffer allocate nothing.
+    let mut value = Vec::with_capacity(8);
+    for &k in hot.iter().cycle().take(1_000) {
+        let hits = client.counters.spec_hits;
+        let (n, found) = allocs(|| client.search_into(k, &mut value));
+        assert!(found && value == k.to_le_bytes(), "search_into of {k}");
+        assert_eq!(client.counters.spec_hits, hits + 1, "{k} did not speculate");
+        assert_eq!(n, 0, "speculative-read hit on {k} allocated {n} times");
     }
 }
 

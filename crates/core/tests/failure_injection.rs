@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use chime::hopscotch::build_table;
 use chime::layout::LeafLayout;
-use chime::leaf::{LeafMeta, LeafOps, SpecRead};
+use chime::leaf::{Fetches, LeafMeta, LeafOps, SpecRead};
 use dmem::node::RESERVED_BYTES;
 use dmem::versioned::{pack_ver, Layout};
 use dmem::{Endpoint, GlobalAddr, Pool};
@@ -78,13 +78,15 @@ fn reader_waits_out_torn_nv_and_returns_correct_value() {
         let healed = Arc::clone(&healed);
         std::thread::spawn(move || {
             let mut ep = Endpoint::new(pool);
-            let r = ops.read_neighborhood(&mut ep, addr, target_key);
+            let (mut reads, mut value) = (Fetches::default(), Vec::new());
+            let r = ops.read_neighborhood(&mut ep, addr, target_key, &mut reads, &mut value);
             // By the time the read validates, the state must be healed.
             assert!(
                 healed.load(Ordering::SeqCst),
                 "reader returned from a torn state"
             );
-            r.found.expect("key present").1
+            r.found.expect("key present");
+            value
         })
     };
     // Let the reader spin on the torn state, then heal it.
@@ -122,12 +124,14 @@ fn reader_rejects_intermediate_hop_state() {
         let healed = Arc::clone(&healed);
         std::thread::spawn(move || {
             let mut ep = Endpoint::new(pool);
-            let r = ops.read_neighborhood(&mut ep, addr, target_key);
+            let (mut reads, mut value) = (Fetches::default(), Vec::new());
+            let r = ops.read_neighborhood(&mut ep, addr, target_key, &mut reads, &mut value);
             assert!(
                 healed.load(Ordering::SeqCst),
                 "reader accepted a half-hopped state"
             );
-            r.found.expect("key present after heal").1
+            r.found.expect("key present after heal");
+            value
         })
     };
     std::thread::sleep(std::time::Duration::from_millis(100));
@@ -162,8 +166,9 @@ fn speculative_read_fails_closed_on_torn_entry() {
         return;
     }
     ep.write(addr.add(p as u64), &[pack_ver(0, 0x7)]);
+    let (mut reads, mut value) = (Fetches::default(), Vec::new());
     assert_eq!(
-        ops.spec_read(&mut ep, addr, idx, target_key),
+        ops.spec_read(&mut ep, addr, idx, target_key, &mut reads, &mut value),
         SpecRead::Torn,
         "speculation must fail closed on EV mismatch"
     );

@@ -7,10 +7,11 @@
 //! operations plus that endpoint: everything measured about a client
 //! (clock, counters, profile, traces, telemetry) is read off the endpoint.
 //!
-//! A scan has one implementation per index, [`RangeIndex::scan_rows`], which
-//! appends to a caller-owned [`Rows`] arena: a caller that reuses its arena
-//! pays no allocation per returned row. [`RangeIndex::scan`] is the
-//! `Vec<(key, value)>` form, provided over it.
+//! A point read and a scan each have one implementation per index, into
+//! buffers the caller owns and reuses: [`RangeIndex::search_into`] writes
+//! the value into a `Vec<u8>`, and [`RangeIndex::scan_rows`] appends to a
+//! [`Rows`] arena. [`RangeIndex::search`] and [`RangeIndex::scan`] are the
+//! allocating forms, provided over them.
 
 use crate::alloc::OutOfMemory;
 use crate::stats::ClientStats;
@@ -122,8 +123,18 @@ pub trait RangeIndex {
     /// Inserts `key` with `value`, overwriting any existing value.
     fn insert(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError>;
 
-    /// Returns the value of `key`, or `None` if absent.
-    fn search(&mut self, key: u64) -> Option<Vec<u8>>;
+    /// Replaces the contents of `value` with the value of `key` and returns
+    /// `true`, or returns `false` if `key` is absent (and leaves `value`
+    /// holding unspecified bytes). The one point read of an index: a caller
+    /// that reuses `value` allocates nothing for it.
+    fn search_into(&mut self, key: u64, value: &mut Vec<u8>) -> bool;
+
+    /// Returns the value of `key`, or `None` if absent:
+    /// [`Self::search_into`] into a fresh vector.
+    fn search(&mut self, key: u64) -> Option<Vec<u8>> {
+        let mut value = Vec::new();
+        self.search_into(key, &mut value).then_some(value)
+    }
 
     /// Updates an existing key in place; returns `false` if absent.
     fn update(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError>;
@@ -185,17 +196,18 @@ pub trait RangeIndex {
 }
 
 /// Implements [`RangeIndex`]'s five operations (inside its `impl` block;
-/// the scan is [`RangeIndex::scan_rows`]) over the type's inherent
-/// `insert_impl` … `scan_impl`, each in one endpoint span: what puts an
-/// operation on the timeline and the tracer, whichever index runs it.
+/// the search is [`RangeIndex::search_into`], the scan
+/// [`RangeIndex::scan_rows`]) over the type's inherent `insert_impl` …
+/// `scan_impl`, each in one endpoint span: what puts an operation on the
+/// timeline and the tracer, whichever index runs it.
 #[macro_export]
 macro_rules! span_ops {
     () => {
         fn insert(&mut self, key: u64, value: &[u8]) -> Result<(), $crate::IndexError> {
             $crate::span_ops!(self, "insert", key, insert_impl(key, value), Result::is_ok)
         }
-        fn search(&mut self, key: u64) -> Option<Vec<u8>> {
-            $crate::span_ops!(self, "search", key, search_impl(key), Option::is_some)
+        fn search_into(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
+            $crate::span_ops!(self, "search", key, search_impl(key, value), |found: &bool| *found)
         }
         fn update(&mut self, key: u64, value: &[u8]) -> Result<bool, $crate::IndexError> {
             $crate::span_ops!(self, "update", key, update_impl(key, value), |r: &_| matches!(r, Ok(true)))

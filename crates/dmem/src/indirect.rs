@@ -98,17 +98,16 @@ impl Values {
         Ok(pointer(addr))
     }
 
-    /// The value a leaf entry holds: the entry itself, or the block it
-    /// points at, read here.
-    pub fn resolve(self, ep: &mut Endpoint, stored: Vec<u8>) -> Vec<u8> {
+    /// Turns the leaf entry held in `value` into the value in place: the
+    /// entry itself, or the block it points at ([`load_in_place`]).
+    pub fn resolve_in_place(self, ep: &mut Endpoint, value: &mut Vec<u8>) {
         if self.indirect {
-            load(ep, &stored, self.value_size)
-        } else {
-            stored
+            load_in_place(ep, value, self.value_size);
         }
     }
 
-    /// [`Self::resolve`], appending the value to `out`.
+    /// Appends the value the leaf entry `stored` holds to `out`: the entry
+    /// itself, or the block it points at ([`load_into`]).
     pub fn resolve_into(self, ep: &mut Endpoint, stored: &[u8], out: &mut Vec<u8>) {
         if self.indirect {
             load_into(ep, stored, self.value_size, out);
@@ -118,15 +117,17 @@ impl Values {
     }
 }
 
-/// Reads the block the leaf entry `stored` points at and returns its value.
-pub fn load(ep: &mut Endpoint, stored: &[u8], value_size: usize) -> Vec<u8> {
-    let mut value = Vec::new();
-    load_into(ep, stored, value_size, &mut value);
-    value
+/// Replaces the pointer entry held in `value` with the value it points at,
+/// reusing `value`'s buffer.
+pub fn load_in_place(ep: &mut Endpoint, value: &mut Vec<u8>, value_size: usize) {
+    let stored: [u8; 8] = value[..8].try_into().expect("pointer entry");
+    value.clear();
+    load_into(ep, &stored, value_size, value);
 }
 
-/// [`load`], appending the value to `out`: the block is read into `out`'s
-/// tail and its header closed up, so nothing else is allocated.
+/// Reads the block the leaf entry `stored` points at and appends its value
+/// to `out`: the block is read into `out`'s tail and its header closed up,
+/// so nothing else is allocated.
 pub fn load_into(ep: &mut Endpoint, stored: &[u8], value_size: usize, out: &mut Vec<u8>) {
     let at = out.len();
     out.resize(at + block_len(value_size), 0);

@@ -18,6 +18,8 @@
 //! * [`alloc::ChunkAlloc`] — RPC chunk allocation with client-side bumping;
 //! * [`qp`] — the queue-pair model pipelined lanes post through;
 //! * [`index::RangeIndex`] — the interface every evaluated index implements;
+//! * [`cn::CnCell`] — compute-node state owned by the thread that created
+//!   it, borrowed without a lock;
 //! * [`indirect`] — the out-of-line value block format (§4.5) they share:
 //!   [`indirect::Values`] is the whole store/resolve path of Sherman, ROLEX
 //!   and CHIME-Learned, and CHIME frames the same calls in its own phases;
@@ -32,6 +34,7 @@
 
 pub mod addr;
 pub mod alloc;
+pub mod cn;
 pub mod fault;
 pub mod hash;
 pub mod index;
@@ -48,6 +51,7 @@ pub mod versioned;
 
 pub use addr::GlobalAddr;
 pub use alloc::{ChunkAlloc, OutOfMemory};
+pub use cn::CnCell;
 pub use fault::{
     CrashRule, CrashSignal, FaultAction, FaultEvent, FaultPlan, FaultRule, FaultSession, VerbKind,
 };

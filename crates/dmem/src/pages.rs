@@ -6,6 +6,9 @@
 //! such promise: glibc serves a large `calloc` from the heap once the free
 //! of an earlier block that size has raised its mmap threshold, and then
 //! zeroes — so makes resident — every byte of it by hand.
+//!
+//! [`poll`] is declared here too: the one other system call the workspace
+//! makes by hand.
 
 use core::ptr::{self, NonNull};
 
@@ -27,6 +30,53 @@ extern "C" {
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, off: i64) -> *mut u8;
     fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;
     fn munmap(addr: *mut u8, len: usize) -> i32;
+    #[link_name = "poll"]
+    fn sys_poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
+}
+
+/// One descriptor of a [`poll`] set (Linux `struct pollfd`).
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct PollFd {
+    /// The file descriptor.
+    pub fd: i32,
+    /// The events waited for ([`POLLIN`], [`POLLOUT`]).
+    pub events: i16,
+    /// The events that happened; [`POLLERR`] and [`POLLHUP`] are reported
+    /// whether asked for or not.
+    pub revents: i16,
+}
+
+/// Readable (or, on a listener, a connection to accept).
+pub const POLLIN: i16 = 0x001;
+/// Writable without blocking.
+pub const POLLOUT: i16 = 0x004;
+/// An error is pending on the descriptor.
+pub const POLLERR: i16 = 0x008;
+/// The peer hung up.
+pub const POLLHUP: i16 = 0x010;
+
+/// Waits until one of `fds` is ready or `timeout_ms` milliseconds pass
+/// (`-1`: no limit), and returns how many are ready; an interrupted wait
+/// returns 0. The TCP server's readiness loop runs on it.
+///
+/// # Errors
+///
+/// Whatever `poll(2)` fails with, other than `EINTR`.
+pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+    // SAFETY: `fds` is an exclusively borrowed array of `fds.len()`
+    // `pollfd`s (`PollFd` is `repr(C)` with its layout); the kernel writes
+    // only their `revents`.
+    let ready = unsafe { sys_poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
+    if ready >= 0 {
+        return Ok(ready as usize);
+    }
+    let e = std::io::Error::last_os_error();
+    if e.kind() == std::io::ErrorKind::Interrupted {
+        Ok(0)
+    } else {
+        Err(e)
+    }
 }
 
 /// An owned, page-aligned, read-write anonymous mapping that starts zeroed

@@ -188,23 +188,6 @@ impl Layout {
         }
     }
 
-    /// Fetches up to [`MAX_RANGES`] logical ranges with one doorbell batch.
-    pub fn fetch_many(
-        &self,
-        ep: &mut Endpoint,
-        node: GlobalAddr,
-        ranges: &[(usize, usize)],
-    ) -> Vec<Fetched> {
-        assert!(!ranges.is_empty());
-        let mut pieces = Vec::with_capacity(ranges.len());
-        let kept = self.fetch_into(node, ranges, &mut pieces, &mut Vec::new(), |reqs| {
-            ep.read_batch(reqs);
-            true
-        });
-        assert!(kept, "the READs were kept");
-        pieces
-    }
-
     /// The READs of up to [`MAX_RANGES`] logical ranges (none is allowed),
     /// handed to `post` to issue — alone or behind another verb of the same
     /// doorbell batch. `post` returns whether the contents are wanted: if
@@ -304,7 +287,7 @@ impl Layout {
     }
 }
 
-/// Most ranges one [`Layout::fetch_many`] doorbell batch takes (a wrapped
+/// Most ranges one [`Layout::fetch_into`] doorbell batch takes (a wrapped
 /// hop window, the leaf header and the argmax entry), and most READs
 /// [`Endpoint::masked_cas_read`] posts behind its atomic.
 pub const MAX_RANGES: usize = 4;
@@ -522,14 +505,19 @@ mod tests {
     }
 
     #[test]
-    fn fetch_many_is_one_doorbell() {
+    fn fetch_into_is_one_doorbell() {
         let mut e = ep();
         let node = GlobalAddr::new(0, RESERVED_BYTES);
         let layout = Layout::new(300);
         layout.write(&mut e, node, 0, &[9u8; 20], |_| 0);
         layout.write(&mut e, node, 200, &[8u8; 20], |_| 0);
         let before = e.stats().rtts;
-        let f = layout.fetch_many(&mut e, node, &[(0, 20), (200, 220)]);
+        let (ranges, mut f) = ([(0, 20), (200, 220)], Vec::new());
+        let kept = layout.fetch_into(node, &ranges, &mut f, &mut Vec::new(), |reqs| {
+            e.read_batch(reqs);
+            true
+        });
+        assert!(kept);
         assert_eq!(e.stats().rtts, before + 1);
         assert_eq!(f[0].copy(0, 20), vec![9u8; 20]);
         assert_eq!(f[1].copy(200, 20), vec![8u8; 20]);

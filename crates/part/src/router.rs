@@ -430,8 +430,8 @@ impl RangeIndex for RouterClient {
         self.routed(key, |c| c.insert(key, value))
     }
 
-    fn search(&mut self, key: u64) -> Option<Vec<u8>> {
-        self.routed(key, |c| c.search(key))
+    fn search_into(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
+        self.routed(key, |c| c.search_into(key, value))
     }
 
     fn update(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {

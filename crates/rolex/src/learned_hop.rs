@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use chime::hopscotch::{build_table, Window};
 use chime::layout::LeafLayout;
-use chime::leaf::{LeafMeta, LeafOps, LeafSnapshot, LockedRead};
+use chime::leaf::{Fetches, LeafMeta, LeafOps, LeafSnapshot, LockedRead};
 use chime::lockword::LockWord;
 use dmem::hash::home_entry;
 use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
@@ -61,26 +61,27 @@ impl ChimeLearned {
 impl ChimeLearnedClient {
     /// Finds the owner leaf index by probing candidate neighborhoods:
     /// one neighborhood READ per candidate leaf (the CHIME-Learned cost).
-    /// Returns `(owner index, search result within its chain)`.
-    fn probe(&mut self, key: u64) -> (usize, Option<Vec<u8>>) {
+    /// Returns the owner index and whether its chain holds `key`, whose
+    /// stored value then replaces the contents of `value`.
+    fn probe(&mut self, key: u64, value: &mut Vec<u8>) -> (usize, bool) {
         let leaf = self.dir.leaf;
+        let mut reads = Fetches::default();
         for widen in 0..OP_RETRY_LIMIT {
             let (lo, hi) = self.dir.candidates(key, widen);
             for i in lo..=hi {
-                let mut r = leaf.read_neighborhood(&mut self.ep, self.dir.leaf_addr(i), key);
+                let addr = self.dir.leaf_addr(i);
+                let mut r = leaf.read_neighborhood(&mut self.ep, addr, key, &mut reads, value);
                 let (flo, fhi) = r.meta.fences.expect("fence mode");
                 if !dmem::hash::in_range(key, flo, fhi) {
                     continue;
                 }
                 // The owner, then its overflow chain.
                 loop {
-                    if let Some((_, v)) = r.found {
-                        return (i, Some(v));
+                    if r.found.is_some() || r.meta.sibling.is_null() {
+                        return (i, r.found.is_some());
                     }
-                    if r.meta.sibling.is_null() {
-                        return (i, None);
-                    }
-                    r = leaf.read_neighborhood(&mut self.ep, r.meta.sibling, key);
+                    let next = r.meta.sibling;
+                    r = leaf.read_neighborhood(&mut self.ep, next, key, &mut reads, value);
                 }
             }
         }
@@ -91,7 +92,7 @@ impl ChimeLearnedClient {
         let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let leaf = self.dir.leaf;
         let home = home_entry(key, leaf.layout.span);
-        let (owner_idx, _) = self.probe(key);
+        let (owner_idx, _) = self.probe(key, &mut Vec::new());
         let owner = self.dir.leaf_addr(owner_idx);
         let word = leaf.lock(&mut self.ep, owner);
         // Try the owner leaf first.
@@ -135,10 +136,13 @@ impl ChimeLearnedClient {
         self.insert_into_chain(owner, lr.meta, key, &stored, word)
     }
 
-    fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
+    fn search_impl(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
         self.ep.note_app_bytes(self.dir.cfg.value_size as u64 + 8);
-        let (_, v) = self.probe(key);
-        Some(self.dir.values.resolve(&mut self.ep, v?))
+        let (_, found) = self.probe(key, value);
+        if found {
+            self.dir.values.resolve_in_place(&mut self.ep, value);
+        }
+        found
     }
 
     /// Locks `key`'s owner, reading its neighborhood window in the lock's
@@ -149,8 +153,8 @@ impl ChimeLearnedClient {
     fn edit_locked(&mut self, key: u64, edit: impl FnOnce(&mut Window, usize, LockWord) -> LockWord) -> bool {
         let leaf = self.dir.leaf;
         let home = home_entry(key, leaf.layout.span);
-        let (owner_idx, found) = self.probe(key);
-        if found.is_none() {
+        let (owner_idx, found) = self.probe(key, &mut Vec::new());
+        if !found {
             return false;
         }
         let owner = self.dir.leaf_addr(owner_idx);
@@ -196,7 +200,7 @@ impl ChimeLearnedClient {
             return;
         }
         let leaf = self.dir.leaf;
-        let (mut idx, _) = self.probe(start);
+        let (mut idx, _) = self.probe(start, &mut Vec::new());
         // Every leaf read, and a `(key, leaf, value offset)` per row `>= start`.
         let mut leaves: Vec<LeafSnapshot> = Vec::new();
         let mut collected: Vec<(u64, u32, u32)> = Vec::new();

@@ -172,18 +172,24 @@ impl RolexClient {
         panic!("rolex insert retry limit for key {key}");
     }
 
-    fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
+    fn search_impl(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
         let (_, snap) = self.read_owner(key);
         self.ep.note_app_bytes(self.dir.cfg.value_size as u64 + 8);
-        let v = match snap.find(key) {
-            Some((_, v)) => v.to_vec(),
+        let chain;
+        let stored = match snap.find(key) {
+            Some((_, v)) => v,
             // Overflow chain.
             None => {
-                let chain = self.chain(snap.sibling);
-                chain.iter().find_map(|(_, s)| s.find(key).map(|(_, v)| v.to_vec()))?
+                chain = self.chain(snap.sibling);
+                match chain.iter().find_map(|(_, s)| s.find(key)) {
+                    Some((_, v)) => v,
+                    None => return false,
+                }
             }
         };
-        Some(self.dir.values.resolve(&mut self.ep, v))
+        value.clear();
+        self.dir.values.resolve_into(&mut self.ep, stored, value);
+        true
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {

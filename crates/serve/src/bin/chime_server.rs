@@ -10,14 +10,19 @@
 //! [`obs::MetricsSnapshot`] document at `PATH.json`.
 //!
 //! `--smoke` starts the server on a free port, drives an in-process load
-//! generator against it, checks the responses (including that a requested
-//! metrics file came out non-empty), and exits — the self-test behind
-//! `make serve-smoke`.
+//! generator over 64 connections against it — the default admission limit,
+//! all served by the server's one thread — checks the responses (including
+//! that a requested metrics file came out non-empty), and exits: the
+//! self-test behind `make serve-smoke`.
 
 use std::sync::atomic::Ordering;
 
 use obs::MetricsSnapshot;
 use serve::tcp::{run_load, Server, TcpCounters, TcpConfig};
+
+/// Connections the smoke run drives: as many as `--admit` admits by
+/// default.
+const SMOKE_CONNS: usize = 64;
 
 /// Snapshots the live counters into the unified metrics registry.
 fn snapshot(counters: &TcpCounters) -> MetricsSnapshot {
@@ -91,7 +96,7 @@ fn main() {
 
     if smoke {
         let addr = server.addr().to_string();
-        let rep = run_load(&addr, 4, 500, 42, preload).expect("loadgen");
+        let rep = run_load(&addr, SMOKE_CONNS, 500, 42, preload).expect("loadgen");
         println!(
             "smoke: sent={} ok={} busy={} err={} elapsed_us={}",
             rep.sent, rep.ok, rep.busy, rep.errors, rep.elapsed_us
@@ -99,7 +104,7 @@ fn main() {
         let served = server.counters().requests.load(Ordering::Relaxed);
         let m = snapshot(server.counters());
         server.stop();
-        assert_eq!(rep.sent, 4 * 500, "every request sent");
+        assert_eq!(rep.sent, SMOKE_CONNS as u64 * 500, "every request sent");
         assert_eq!(rep.ok + rep.busy + rep.errors, rep.sent, "every request answered");
         assert!(rep.ok > 0, "some requests must succeed");
         assert_eq!(served, rep.sent, "server saw every request");

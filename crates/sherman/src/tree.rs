@@ -1,6 +1,7 @@
 //! The Sherman B+ tree: operations over sorted leaves with fence-key
 //! validation, under the internal levels of [`chime::skeleton`].
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use chime::cache::{Lean, Route};
@@ -266,12 +267,16 @@ impl ShermanClient {
         }
     }
 
-    fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
+    fn search_impl(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
         let (_, snap) = self.read_owner(key);
         self.ep
             .note_app_bytes(self.shared.cfg.value_size as u64 + 8);
-        let v = snap.find(key).map(|(_, v)| v.to_vec())?;
-        Some(self.shared.values.resolve(&mut self.ep, v))
+        let Some((_, v)) = snap.find(key) else {
+            return false;
+        };
+        value.clear();
+        self.shared.values.resolve_into(&mut self.ep, v, value);
+        true
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
@@ -345,7 +350,7 @@ impl ShermanClient {
                     break;
                 }
                 let node = self.read_internal(parent.sibling);
-                parent = Arc::new(Route::new(&node));
+                parent = Rc::new(Route::new(&node));
                 if !parent.valid {
                     break;
                 }

@@ -1,11 +1,11 @@
 //! The SMART tree: ART operations over disaggregated memory.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use chime::cache::NodeCache;
-use parking_lot::Mutex;
 
-use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
+use dmem::{ChunkAlloc, CnCell, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
 
 use crate::node::{ArtNode, ArtOps, Child, NodeType};
 
@@ -47,20 +47,21 @@ pub struct Smart {
     shared: Arc<Shared>,
 }
 
-/// Per-CN shared state: an LRU cache of ART nodes under a byte budget.
+/// Per-CN shared state: an LRU cache of ART nodes under a byte budget,
+/// owned by the thread that called [`Smart::new_cn`] ([`CnCell`]).
 pub struct CnState {
-    cache: Mutex<NodeCache<ArtNode>>,
+    cache: CnCell<NodeCache<ArtNode>>,
 }
 
 impl CnState {
     /// Compute-side cache footprint in bytes.
     pub fn cache_bytes(&self) -> u64 {
-        self.cache.lock().bytes()
+        self.cache.borrow_mut().bytes()
     }
 
     /// `(hits, misses)` of the node cache.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.lock().hit_stats()
+        self.cache.borrow_mut().hit_stats()
     }
 }
 
@@ -97,7 +98,7 @@ impl Smart {
     /// Creates the shared state for one compute node.
     pub fn new_cn(&self) -> Arc<CnState> {
         Arc::new(CnState {
-            cache: Mutex::new(NodeCache::new(self.shared.cfg.cache_bytes)),
+            cache: CnCell::new(NodeCache::new(self.shared.cfg.cache_bytes)),
         })
     }
 
@@ -137,17 +138,17 @@ impl SmartClient {
         ty: NodeType,
         use_cache: bool,
         from_cache: &mut bool,
-    ) -> Arc<ArtNode> {
+    ) -> Rc<ArtNode> {
         if use_cache {
-            if let Some(n) = self.cn.cache.lock().get(addr) {
+            if let Some(n) = self.cn.cache.borrow_mut().get(addr) {
                 *from_cache = true;
                 return n;
             }
         }
         *from_cache = false;
-        let n = Arc::new(self.ops().read_node(&mut self.ep, addr, ty));
+        let n = Rc::new(self.ops().read_node(&mut self.ep, addr, ty));
         if !n.obsolete {
-            self.cn.cache.lock().insert(Arc::clone(&n));
+            self.cn.cache.borrow_mut().insert(Rc::clone(&n));
         }
         n
     }
@@ -191,7 +192,7 @@ impl SmartClient {
     }
 
     fn invalidate_path(&mut self, path: &[GlobalAddr]) {
-        let mut c = self.cn.cache.lock();
+        let mut c = self.cn.cache.borrow_mut();
         for a in path {
             c.invalidate(*a);
         }
@@ -236,7 +237,7 @@ impl SmartClient {
                 }
                 if node.obsolete {
                     self.invalidate_path(&path);
-                    self.cn.cache.lock().invalidate(addr);
+                    self.cn.cache.borrow_mut().invalidate(addr);
                     continue 'restart;
                 }
                 let p = common_len(&node.prefix, &kb[depth..]);
@@ -255,7 +256,7 @@ impl SmartClient {
                             return Ok(());
                         }
                         self.invalidate_path(&path);
-                        self.cn.cache.lock().invalidate(addr);
+                        self.cn.cache.borrow_mut().invalidate(addr);
                         continue 'restart;
                     }
                     Child::Leaf(laddr) => {
@@ -268,7 +269,7 @@ impl SmartClient {
                             return Ok(());
                         }
                         self.invalidate_path(&path);
-                        self.cn.cache.lock().invalidate(addr);
+                        self.cn.cache.borrow_mut().invalidate(addr);
                         continue 'restart;
                     }
                     Child::Node(a, t) => {
@@ -310,7 +311,7 @@ impl SmartClient {
             Child::Leaf(leaf_addr).encode(),
         ) {
             crate::node::SlotOutcome::Inserted => {
-                self.cn.cache.lock().invalidate(addr);
+                self.cn.cache.borrow_mut().invalidate(addr);
                 return Ok(true);
             }
             crate::node::SlotOutcome::Occupied => return Ok(false),
@@ -348,7 +349,7 @@ impl SmartClient {
         ops.write_slot(&mut self.ep, &mut pfresh, pbyte, tagged);
         ops.retire_node(&mut self.ep, addr, ty);
         ops.unlock_node(&mut self.ep, paddr, pty);
-        let mut c = self.cn.cache.lock();
+        let mut c = self.cn.cache.borrow_mut();
         c.invalidate(addr);
         c.invalidate(paddr);
         Ok(true)
@@ -392,7 +393,7 @@ impl SmartClient {
         let tagged = ops.write_node(&mut self.ep, baddr, NodeType::N4, &kb[d2..d2 + cl], &kids);
         ops.write_slot(&mut self.ep, &mut fresh, byte, tagged);
         ops.unlock_node(&mut self.ep, addr, ty);
-        self.cn.cache.lock().invalidate(addr);
+        self.cn.cache.borrow_mut().invalidate(addr);
         Ok(true)
     }
 
@@ -443,7 +444,7 @@ impl SmartClient {
         ops.write_slot(&mut self.ep, &mut pfresh, pbyte, tagged);
         ops.retire_node(&mut self.ep, node.addr, node.ty);
         ops.unlock_node(&mut self.ep, paddr, pty);
-        let mut c = self.cn.cache.lock();
+        let mut c = self.cn.cache.borrow_mut();
         c.invalidate(node.addr);
         c.invalidate(paddr);
         Ok(true)
@@ -499,11 +500,14 @@ impl SmartClient {
         out
     }
 
-    fn search_impl(&mut self, key: u64) -> Option<Vec<u8>> {
-        let (_, v, _) = self.find_leaf(key)?;
+    fn search_impl(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
+        let Some((_, v, _)) = self.find_leaf(key) else {
+            return false;
+        };
         self.ep
             .note_app_bytes(self.shared.cfg.value_size as u64 + 8);
-        Some(v)
+        *value = v;
+        true
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
@@ -532,7 +536,7 @@ impl SmartClient {
             }
             ops.clear_slot(&mut self.ep, &mut fresh, byte);
             ops.unlock_node(&mut self.ep, naddr, nty);
-            self.cn.cache.lock().invalidate(naddr);
+            self.cn.cache.borrow_mut().invalidate(naddr);
             return Ok(true);
         }
         panic!("smart delete retry limit for key {key}");

@@ -35,19 +35,20 @@ fn main() {
     println!("loaded {preload} keys ({} MB remote)", pool.allocated_bytes() >> 20);
 
     // Run a YCSB-A mix from `clients` clients spread over the CNs, using
-    // real threads (one per CN) so writers actually contend.
+    // real threads (one per CN) so writers actually contend. A CN belongs
+    // to the thread that creates it, so each thread makes its own.
     let state = WorkloadState::new(preload);
-    let cns: Vec<_> = (0..num_cns).map(|_| tree.new_cn()).collect();
     let per_cn = clients / num_cns;
-    let totals = std::thread::scope(|s| {
+    let (totals, hotspot) = std::thread::scope(|s| {
         let mut handles = Vec::new();
-        for (cn_id, cn) in cns.iter().enumerate() {
+        for cn_id in 0..num_cns {
             let tree = tree.clone();
             let state = Arc::clone(&state);
             handles.push(s.spawn(move || {
+                let cn = tree.new_cn();
                 let mut sum = (0u64, 0u64, 0u64); // (msgs, wire, latency)
                 for i in 0..per_cn {
-                    let mut c = tree.client(cn);
+                    let mut c = tree.client(&cn);
                     let mut gen = OpGen::new(Workload::A, Arc::clone(&state), (cn_id * 1000 + i) as u64);
                     for _ in 0..ops_per_client {
                         match gen.next_op() {
@@ -69,13 +70,14 @@ fn main() {
                     sum.1 += st.wire_bytes;
                     sum.2 += c.clock_ns();
                 }
-                sum
+                (sum, cn.hotspot_stats())
             }));
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2))
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let totals = results
+            .iter()
+            .fold((0, 0, 0), |a, (b, _)| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
+        (totals, results[0].1)
     });
 
     let ops = clients as u64 * ops_per_client;
@@ -94,7 +96,7 @@ fn main() {
     println!("  modeled throughput : {:.2} Mops ({:?}-bound)", est.mops, est.bound);
     println!("  avg latency        : {:.1} us", est.avg_latency_ns / 1e3);
     println!("  traffic            : {:.0} B/op, {:.2} msgs/op", est.bytes_per_op, est.msgs_per_op);
-    let (hits, lookups) = cns[0].hotspot_stats();
+    let (hits, lookups) = hotspot;
     if lookups > 0 {
         println!("  hotspot hit ratio  : {:.1}%", hits as f64 / lookups as f64 * 100.0);
     }
