@@ -15,6 +15,14 @@
 //! * [`tcp`] — the **real-TCP mode** behind the `chime-server` /
 //!   `chime-loadgen` binaries, for manual runs against actual sockets.
 //!
+//! A warm request allocates only the value a `SET` owns: the decoder
+//! borrows its words from its own buffer, both encoders write digits
+//! straight into the output, and [`conn::execute_with`] searches a GET into
+//! a spare buffer that each connection keeps and takes back from the
+//! encoded `Value` reply ([`Conn::serve`], which both transports call).
+//! [`execute`] is the adapter over it with a fresh buffer
+//! (`tests/allocs.rs` pins the counts).
+//!
 //! The split mirrors the rest of the repo: the protocol, admission and
 //! backpressure logic is exercised (and gated) deterministically; the
 //! wall-clock transport is a thin shell around the same functions. For a

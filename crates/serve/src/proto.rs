@@ -16,9 +16,18 @@
 //!   field beyond the fixed limits, poisons the stream (there is no safe
 //!   resync point); the server answers `-ERR ...` once and closes.
 //!
-//! Keys are decimal `u64`; values are opaque byte strings. The decoder is
-//! chunk-transparent — byte-at-a-time feeding decodes exactly as one-shot
-//! feeding — and never panics on arbitrary bytes; `tests/props.rs` pins both.
+//! Keys are decimal `u64`, parsed as `u64::from_str` parses them; values are
+//! opaque byte strings. The decoder is chunk-transparent — byte-at-a-time
+//! feeding decodes exactly as one-shot feeding — and never panics on
+//! arbitrary bytes; `tests/props.rs` pins both.
+//!
+//! A warm request allocates only the value a [`Request::Set`] owns: the
+//! decoder splits a line or an array frame into words borrowed from its
+//! buffer, and both encoders append decimal digits straight into `out`
+//! (only an `-ERR` detail is formatted). `tests/props.rs` checks their bytes
+//! against the `format!` encoders they replaced; `tests/allocs.rs` pins the
+//! counts. On the server side, [`crate::conn::execute`] is the adapter over
+//! [`crate::conn::execute_with`], which answers a GET from a spare buffer.
 
 use std::fmt;
 
@@ -50,29 +59,32 @@ impl Request {
     /// Encodes this request as an inline command line (where the value
     /// payload permits) or as an array frame otherwise.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        let mut digits = [0u8; 20];
         match self {
             Request::Get(k) => {
-                out.extend_from_slice(format!("GET {k}\r\n").as_bytes());
+                out.extend_from_slice(b"GET ");
+                out.extend_from_slice(decimal(*k, &mut digits));
             }
             Request::Del(k) => {
-                out.extend_from_slice(format!("DEL {k}\r\n").as_bytes());
+                out.extend_from_slice(b"DEL ");
+                out.extend_from_slice(decimal(*k, &mut digits));
             }
             Request::Scan(start, count) => {
-                out.extend_from_slice(format!("SCAN {start} {count}\r\n").as_bytes());
+                out.extend_from_slice(b"SCAN ");
+                out.extend_from_slice(decimal(*start, &mut digits));
+                out.push(b' ');
+                out.extend_from_slice(decimal(*count as u64, &mut digits));
             }
-            Request::Ping => out.extend_from_slice(b"PING\r\n"),
+            Request::Ping => out.extend_from_slice(b"PING"),
             Request::Set(k, v) => {
                 // Array form: the value is opaque bytes.
-                let key = k.to_string();
                 out.extend_from_slice(b"*3\r\n$3\r\nSET\r\n");
-                out.extend_from_slice(format!("${}\r\n", key.len()).as_bytes());
-                out.extend_from_slice(key.as_bytes());
-                out.extend_from_slice(b"\r\n");
-                out.extend_from_slice(format!("${}\r\n", v.len()).as_bytes());
-                out.extend_from_slice(v);
-                out.extend_from_slice(b"\r\n");
+                put_bulk(out, decimal(*k, &mut digits));
+                put_bulk(out, v);
+                return;
             }
         }
+        out.extend_from_slice(b"\r\n");
     }
 }
 
@@ -102,26 +114,27 @@ impl Response {
     /// number of bytes written.
     pub fn encode(&self, out: &mut Vec<u8>) -> usize {
         let before = out.len();
+        let mut digits = [0u8; 20];
         match self {
             Response::Ok => out.extend_from_slice(b"+OK\r\n"),
             Response::Pong => out.extend_from_slice(b"+PONG\r\n"),
             Response::Nil => out.extend_from_slice(b"$-1\r\n"),
-            Response::Int(n) => out.extend_from_slice(format!(":{n}\r\n").as_bytes()),
-            Response::Value(v) => {
-                out.extend_from_slice(format!("${}\r\n", v.len()).as_bytes());
-                out.extend_from_slice(v);
+            Response::Int(n) => {
+                out.push(b':');
+                if *n < 0 {
+                    out.push(b'-');
+                }
+                out.extend_from_slice(decimal(n.unsigned_abs(), &mut digits));
                 out.extend_from_slice(b"\r\n");
             }
+            Response::Value(v) => put_bulk(out, v),
             Response::Pairs(items) => {
-                out.extend_from_slice(format!("*{}\r\n", items.len() * 2).as_bytes());
+                out.push(b'*');
+                out.extend_from_slice(decimal(items.len() as u64 * 2, &mut digits));
+                out.extend_from_slice(b"\r\n");
                 for (k, v) in items {
-                    let key = k.to_string();
-                    out.extend_from_slice(format!("${}\r\n", key.len()).as_bytes());
-                    out.extend_from_slice(key.as_bytes());
-                    out.extend_from_slice(b"\r\n");
-                    out.extend_from_slice(format!("${}\r\n", v.len()).as_bytes());
-                    out.extend_from_slice(v);
-                    out.extend_from_slice(b"\r\n");
+                    put_bulk(out, decimal(*k, &mut digits));
+                    put_bulk(out, v);
                 }
             }
             Response::Err(msg) => {
@@ -133,6 +146,29 @@ impl Response {
         }
         out.len() - before
     }
+}
+
+/// The decimal digits of `n`, written into the tail of `buf`.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &buf[at..];
+        }
+    }
+}
+
+/// Appends `bytes` as a bulk string: `$<len>\r\n<bytes>\r\n`.
+fn put_bulk(out: &mut Vec<u8>, bytes: &[u8]) {
+    let mut digits = [0u8; 20];
+    out.push(b'$');
+    out.extend_from_slice(decimal(bytes.len() as u64, &mut digits));
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(bytes);
+    out.extend_from_slice(b"\r\n");
 }
 
 /// Why a frame failed to decode.
@@ -244,22 +280,26 @@ impl Decoder {
                     "inline line of {eol} bytes exceeds {MAX_INLINE}"
                 )));
             }
-            let line = rest[..eol].to_vec();
+            let line = self.pos..self.pos + eol;
             self.pos += eol + 2;
+            let line = &self.buf[line];
             if line.iter().all(|b| b.is_ascii_whitespace()) {
                 continue; // empty line between pipelined commands
             }
-            let parts: Vec<&[u8]> = line
+            // Every word is counted; the first `MAX_ARGS` are kept.
+            let mut words: [&[u8]; MAX_ARGS] = [&[]; MAX_ARGS];
+            let mut count = 0usize;
+            for word in line
                 .split(|&b| b == b' ' || b == b'\t')
-                .filter(|p| !p.is_empty())
-                .collect();
-            match parse_command(&parts) {
-                Ok(req) => return Ok(Some(req)),
-                Err(msg) => {
-                    self.resyncs += 1;
-                    return Err(ProtoError::BadCommand(msg));
+                .filter(|w| !w.is_empty())
+            {
+                if let Some(slot) = words.get_mut(count) {
+                    *slot = word;
                 }
+                count += 1;
             }
+            let parsed = parse_command(&words[..count.min(MAX_ARGS)], count);
+            return self.resync_on_error(parsed);
         }
     }
 
@@ -278,8 +318,9 @@ impl Decoder {
             )));
         }
         cur += eol + 2;
-        let mut args: Vec<Vec<u8>> = Vec::with_capacity(n as usize);
-        for _ in 0..n {
+        let n = n as usize;
+        let mut words: [&[u8]; MAX_ARGS] = [&[]; MAX_ARGS];
+        for word in &mut words[..n] {
             let Some(eol) = find_crlf(&rest[cur..]) else {
                 return Ok(None);
             };
@@ -301,18 +342,23 @@ impl Decoder {
             if &rest[cur + len..cur + len + 2] != b"\r\n" {
                 return Err(ProtoError::BadFrame("bulk string not CRLF-terminated".into()));
             }
-            args.push(rest[cur..cur + len].to_vec());
+            *word = &rest[cur..cur + len];
             cur += len + 2;
         }
+        let parsed = parse_command(&words[..n], n);
         self.pos += cur;
-        let parts: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-        match parse_command(&parts) {
-            Ok(req) => Ok(Some(req)),
-            Err(msg) => {
-                self.resyncs += 1;
-                Err(ProtoError::BadCommand(msg))
-            }
-        }
+        self.resync_on_error(parsed)
+    }
+
+    /// Passes a consumed command on; a rejected one counts as a resync.
+    fn resync_on_error(
+        &mut self,
+        parsed: Result<Request, String>,
+    ) -> Result<Option<Request>, ProtoError> {
+        parsed.map(Some).map_err(|msg| {
+            self.resyncs += 1;
+            ProtoError::BadCommand(msg)
+        })
     }
 }
 
@@ -340,34 +386,55 @@ fn ascii_int(b: &[u8]) -> Option<i64> {
     Some(if neg { -v } else { v })
 }
 
-fn parse_key(b: &[u8]) -> Result<u64, String> {
-    std::str::from_utf8(b)
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| format!("bad key {:?}", String::from_utf8_lossy(b)))
+/// Parses an unsigned ASCII decimal, accepting exactly what `u64::from_str`
+/// accepts: an optional leading `+`, then one or more digits that fit.
+fn ascii_u64(b: &[u8]) -> Option<u64> {
+    let digits = b.strip_prefix(b"+").unwrap_or(b);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |v, &c| {
+        let d = c.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v.checked_mul(10)?.checked_add(u64::from(d))
+    })
 }
 
-/// Maps a split command (inline words or array args) to a [`Request`].
-fn parse_command(parts: &[&[u8]]) -> Result<Request, String> {
-    let cmd = parts.first().copied().unwrap_or(b"");
-    let upper: Vec<u8> = cmd.iter().map(|b| b.to_ascii_uppercase()).collect();
-    match (upper.as_slice(), parts.len()) {
+fn parse_key(b: &[u8]) -> Result<u64, String> {
+    ascii_u64(b).ok_or_else(|| format!("bad key {:?}", String::from_utf8_lossy(b)))
+}
+
+/// Maps a split command to a [`Request`]: `words` are the first words
+/// (inline) or the arguments (array frame), `count` how many there were.
+fn parse_command(words: &[&[u8]], count: usize) -> Result<Request, String> {
+    let cmd = words.first().copied().unwrap_or(b"");
+    // Uppercased on the stack; a word longer than every verb matches none.
+    let mut upper = [0u8; 4];
+    let verb: &[u8] = match upper.get_mut(..cmd.len()) {
+        Some(verb) => {
+            verb.copy_from_slice(cmd);
+            verb.make_ascii_uppercase();
+            verb
+        }
+        None => b"",
+    };
+    match (verb, count) {
         (b"PING", 1) => Ok(Request::Ping),
-        (b"GET", 2) => Ok(Request::Get(parse_key(parts[1])?)),
-        (b"DEL", 2) => Ok(Request::Del(parse_key(parts[1])?)),
-        (b"SET", 3) => Ok(Request::Set(parse_key(parts[1])?, parts[2].to_vec())),
+        (b"GET", 2) => Ok(Request::Get(parse_key(words[1])?)),
+        (b"DEL", 2) => Ok(Request::Del(parse_key(words[1])?)),
+        (b"SET", 3) => Ok(Request::Set(parse_key(words[1])?, words[2].to_vec())),
         (b"SCAN", 3) => {
-            let start = parse_key(parts[1])?;
-            let count = std::str::from_utf8(parts[2])
-                .ok()
-                .and_then(|s| s.parse::<usize>().ok())
+            let start = parse_key(words[1])?;
+            let count = ascii_u64(words[2])
+                .and_then(|c| usize::try_from(c).ok())
                 .ok_or_else(|| "bad scan count".to_string())?;
             Ok(Request::Scan(start, count.min(MAX_SCAN)))
         }
         _ => Err(format!(
-            "unknown command {:?}/{}",
-            String::from_utf8_lossy(cmd),
-            parts.len()
+            "unknown command {:?}/{count}",
+            String::from_utf8_lossy(cmd)
         )),
     }
 }

@@ -372,7 +372,7 @@ fn run_conn(
         };
         client.advance_phase(Phase::Other, gap);
         if !stall {
-            conn.drain();
+            conn.out.clear();
         } else if conn.out.len() > cfg.chaos.out_limit {
             aborted = true;
             break 'conn;
@@ -421,7 +421,6 @@ fn run_conn(
             }
         }
     }
-    conn.drain();
     admission.release();
     ConnSummary {
         id,
@@ -481,8 +480,7 @@ fn serve_one(
         return;
     }
 
-    let resp = crate::conn::execute(client, req, cfg.value_size);
-    conn.respond(&resp);
+    conn.serve(client, req, cfg.value_size);
     client.advance_phase(Phase::Respond, RESPOND_NS);
     hist.record(client.clock_ns() - t0);
     *served += 1;

@@ -29,7 +29,7 @@ use dmem::{Pool, RangeIndex};
 use ycsb::KeySpace;
 
 use crate::admission::Admission;
-use crate::conn::{execute, Conn};
+use crate::conn::Conn;
 use crate::proto::{Request, Response};
 
 /// Unsent reply bytes past which a connection is not read.
@@ -310,8 +310,7 @@ impl Open {
         let mut next = self.conn.next_request();
         while let Ok(Some(req)) = next {
             counters.requests.fetch_add(1, Ordering::Relaxed);
-            let resp = execute(&mut self.client, &req, value_size);
-            self.conn.respond(&resp);
+            self.conn.serve(&mut self.client, &req, value_size);
             next = self.conn.next_request();
         }
         self.reading &= next.is_ok();

@@ -1,9 +1,12 @@
-//! Property tests for the frame parser: arbitrary garbage, truncation,
-//! pipelining and chunking must never panic, and must either resync or
-//! close deterministically.
+//! Property tests for the frame parser and the encoders: arbitrary
+//! garbage, truncation, pipelining and chunking must never panic, and must
+//! either resync or close deterministically; the encoders write the bytes
+//! the `format!`-based ones they replaced wrote; keys and counts parse as
+//! `u64::from_str` does.
 
 use proptest::prelude::*;
-use serve::proto::{Decoder, Request, MAX_ARGS, MAX_BULK};
+use serve::proto::{Decoder, ProtoError, Request, Response, MAX_ARGS, MAX_BULK, MAX_SCAN};
+use serve::Conn;
 
 /// Drains a decoder, returning (requests, recoverable errors, fatal?).
 fn drain(d: &mut Decoder) -> (Vec<Request>, usize, bool) {
@@ -39,7 +42,221 @@ fn req_of(kind: u8, key: u64, len: usize) -> Request {
     }
 }
 
+/// The `format!` encoder of requests that `Request::encode` replaced, kept
+/// as the reference its bytes must equal.
+fn reference_request(r: &Request, out: &mut Vec<u8>) {
+    match r {
+        Request::Get(k) => out.extend_from_slice(format!("GET {k}\r\n").as_bytes()),
+        Request::Del(k) => out.extend_from_slice(format!("DEL {k}\r\n").as_bytes()),
+        Request::Scan(start, count) => {
+            out.extend_from_slice(format!("SCAN {start} {count}\r\n").as_bytes());
+        }
+        Request::Ping => out.extend_from_slice(b"PING\r\n"),
+        Request::Set(k, v) => {
+            let key = k.to_string();
+            out.extend_from_slice(b"*3\r\n$3\r\nSET\r\n");
+            out.extend_from_slice(format!("${}\r\n", key.len()).as_bytes());
+            out.extend_from_slice(key.as_bytes());
+            out.extend_from_slice(b"\r\n");
+            out.extend_from_slice(format!("${}\r\n", v.len()).as_bytes());
+            out.extend_from_slice(v);
+            out.extend_from_slice(b"\r\n");
+        }
+    }
+}
+
+/// The `format!` encoder of responses that `Response::encode` replaced.
+fn reference_response(r: &Response, out: &mut Vec<u8>) {
+    match r {
+        Response::Ok => out.extend_from_slice(b"+OK\r\n"),
+        Response::Pong => out.extend_from_slice(b"+PONG\r\n"),
+        Response::Nil => out.extend_from_slice(b"$-1\r\n"),
+        Response::Int(n) => out.extend_from_slice(format!(":{n}\r\n").as_bytes()),
+        Response::Value(v) => {
+            out.extend_from_slice(format!("${}\r\n", v.len()).as_bytes());
+            out.extend_from_slice(v);
+            out.extend_from_slice(b"\r\n");
+        }
+        Response::Pairs(items) => {
+            out.extend_from_slice(format!("*{}\r\n", items.len() * 2).as_bytes());
+            for (k, v) in items {
+                let key = k.to_string();
+                out.extend_from_slice(format!("${}\r\n", key.len()).as_bytes());
+                out.extend_from_slice(key.as_bytes());
+                out.extend_from_slice(b"\r\n");
+                out.extend_from_slice(format!("${}\r\n", v.len()).as_bytes());
+                out.extend_from_slice(v);
+                out.extend_from_slice(b"\r\n");
+            }
+        }
+        Response::Err(msg) => {
+            out.extend_from_slice(b"-ERR ");
+            out.extend_from_slice(msg.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+        Response::Busy => out.extend_from_slice(b"-BUSY server overloaded\r\n"),
+    }
+}
+
+/// Checks both encoders against their references, appending to a buffer
+/// that already holds bytes.
+fn encodes_as_reference(reqs: &[Request], resps: &[Response]) -> Result<(), TestCaseError> {
+    let (mut got, mut want) = (b"prefix".to_vec(), b"prefix".to_vec());
+    for r in reqs {
+        r.encode(&mut got);
+        reference_request(r, &mut want);
+        prop_assert_eq!(&got, &want, "{:?}", r);
+    }
+    for r in resps {
+        let before = got.len();
+        let wrote = r.encode(&mut got);
+        prop_assert_eq!(wrote, got.len() - before);
+        reference_response(r, &mut want);
+        prop_assert_eq!(&got, &want, "{:?}", r);
+    }
+    Ok(())
+}
+
+/// A number of any digit count: `a` shifted right by `shift`, or, for a
+/// shift of 64 or more, one of the three largest `u64`s.
+fn number(a: u64, shift: u32) -> u64 {
+    if shift < 64 {
+        a >> shift
+    } else {
+        u64::MAX - a % 3
+    }
+}
+
+/// Derives a response from raw draws.
+fn resp_of(kind: u8, a: u64, shift: u32, len: usize) -> Response {
+    match kind % 8 {
+        0 => Response::Ok,
+        1 => Response::Value(vec![0xC3; len]),
+        2 => Response::Nil,
+        3 if shift >= 64 => Response::Int(i64::MIN + (a % 2) as i64),
+        3 => Response::Int(number(a, shift) as i64),
+        4 => Response::Pairs(
+            (0..len % 6)
+                .map(|i| {
+                    (
+                        number(a.rotate_left(i as u32 * 11), shift),
+                        vec![b'v'; i * 7],
+                    )
+                })
+                .collect(),
+        ),
+        5 => Response::Err("x".repeat(len % 40)),
+        6 => Response::Busy,
+        _ => Response::Pong,
+    }
+}
+
+/// The characters of a drawn key token: mostly digits, sometimes a sign
+/// or a letter.
+fn token_of(sign: u8, chars: &[u8]) -> Vec<u8> {
+    let lead: &[u8] = match sign {
+        0 => b"+",
+        1 => b"-",
+        _ => b"",
+    };
+    let body = chars.iter().map(|&c| match c {
+        0 => b'+',
+        1 => b'x',
+        2 => 0xFF,
+        c => b'0' + c % 10,
+    });
+    lead.iter().copied().chain(body).collect()
+}
+
+/// Decodes one inline line, which must be consumed whole.
+fn decode_line(line: &[u8]) -> Result<Request, ProtoError> {
+    let mut d = Decoder::new();
+    d.feed(line);
+    let got = d.try_next().map(|r| r.expect("a whole line"));
+    assert_eq!(d.pending_bytes(), 0);
+    got
+}
+
+#[test]
+fn encoders_match_the_reference_at_the_edges() {
+    let reqs = [
+        Request::Get(0),
+        Request::Get(u64::MAX),
+        Request::Del(u64::MAX),
+        Request::Set(u64::MAX, Vec::new()),
+        Request::Set(0, vec![7; 100_000]),
+        Request::Scan(u64::MAX, usize::MAX),
+        Request::Scan(0, 0),
+        Request::Ping,
+    ];
+    let resps = [
+        Response::Int(i64::MIN),
+        Response::Int(i64::MAX),
+        Response::Int(-1),
+        Response::Int(0),
+        Response::Value(Vec::new()),
+        Response::Pairs(Vec::new()),
+        Response::Pairs(vec![(u64::MAX, Vec::new()), (0, b"x".to_vec())]),
+        Response::Err(String::new()),
+    ];
+    encodes_as_reference(&reqs, &resps).unwrap();
+}
+
+#[test]
+fn an_inline_line_past_max_args_words_names_every_word_in_its_error() {
+    let mut c = Conn::new(0);
+    c.feed(b"GET 1 2 3 4 5 6 7 8 9 10 11\r\nPING\r\n");
+    assert_eq!(c.next_request().unwrap(), Some(Request::Ping));
+    assert_eq!(c.out, b"-ERR unknown command \"GET\"/12\r\n");
+}
+
 proptest! {
+    /// The digit-writing encoders write exactly the bytes of the `format!`
+    /// ones, for every request and response.
+    #[test]
+    fn encoders_write_the_reference_bytes(
+        draws in proptest::collection::vec((any::<u8>(), any::<u64>(), 0u32..70, 0usize..300), 1..12),
+    ) {
+        let reqs: Vec<Request> = draws
+            .iter()
+            .map(|&(k, a, shift, len)| match k % 5 {
+                0 => Request::Get(number(a, shift)),
+                1 => Request::Set(number(a, shift), vec![0x5A; len]),
+                2 => Request::Del(number(a, shift)),
+                3 => Request::Scan(number(a, shift), number(a.rotate_left(17), shift) as usize),
+                _ => Request::Ping,
+            })
+            .collect();
+        let resps: Vec<Response> =
+            draws.iter().map(|&(k, a, shift, len)| resp_of(k, a, shift, len)).collect();
+        encodes_as_reference(&reqs, &resps)?;
+    }
+
+    /// A key and a SCAN count parse exactly when `u64::from_str` accepts
+    /// them, to the same number; the rest answer the same error details.
+    #[test]
+    fn keys_and_counts_parse_as_from_str_does(
+        sign in 0u8..4,
+        chars in proptest::collection::vec(0u8..64, 1..25),
+    ) {
+        let token = token_of(sign, &chars);
+        let text = String::from_utf8_lossy(&token).into_owned();
+        let parsed = std::str::from_utf8(&token).ok().and_then(|s| s.parse::<u64>().ok());
+        let line = |prefix: &[u8]| [prefix, &token[..], b"\r\n"].concat();
+        let get = decode_line(&line(b"GET "));
+        let scan = decode_line(&line(b"SCAN 5 "));
+        match parsed {
+            Some(k) => {
+                prop_assert_eq!(get, Ok(Request::Get(k)));
+                prop_assert_eq!(scan, Ok(Request::Scan(5, (k as usize).min(MAX_SCAN))));
+            }
+            None => {
+                prop_assert_eq!(get, Err(ProtoError::BadCommand(format!("bad key {text:?}"))));
+                prop_assert_eq!(scan, Err(ProtoError::BadCommand("bad scan count".into())));
+            }
+        }
+    }
+
     /// Arbitrary garbage never panics the decoder, and a fatal error is
     /// sticky per drain (the stream is closed, not re-interpreted).
     #[test]

@@ -14,7 +14,7 @@
 
 use chime::cache::Cached;
 use chime::lockword;
-use dmem::versioned::{bump, pack_ver, Layout};
+use dmem::versioned::{bump, pack_ver, Fetched, Layout};
 use dmem::{Endpoint, GlobalAddr};
 
 /// The obsolete bit of a node's lock word, beside the lock bit.
@@ -201,6 +201,14 @@ pub enum SlotOutcome {
     Full,
 }
 
+/// A client's leaf-READ buffers, reused by every
+/// [`ArtOps::read_leaf_into`] ([`Layout::fetch_into`]).
+#[derive(Debug, Default)]
+pub struct LeafBufs {
+    pieces: Vec<Fetched>,
+    spare: Vec<Vec<u8>>,
+}
+
 /// Remote ART node/leaf operations for one value size.
 #[derive(Debug, Clone, Copy)]
 pub struct ArtOps {
@@ -230,9 +238,17 @@ impl ArtOps {
         ep.write(addr.add(ps as u64), &phys);
     }
 
-    /// Reads a leaf, retrying torn large-value updates.
-    pub fn read_leaf(&self, ep: &mut Endpoint, addr: GlobalAddr) -> (u64, Vec<u8>) {
+    /// Reads a leaf into `bufs`, retrying torn large-value updates: returns
+    /// its key and copies its value into `value`.
+    pub fn read_leaf_into(
+        &self,
+        ep: &mut Endpoint,
+        addr: GlobalAddr,
+        bufs: &mut LeafBufs,
+        value: &mut Vec<u8>,
+    ) -> u64 {
         let l = self.leaf_layout();
+        let end = 9 + self.value_size;
         let mut spins = 0u32;
         loop {
             spins += 1;
@@ -240,12 +256,18 @@ impl ArtOps {
                 std::thread::yield_now();
             }
             assert!(spins < 1_000_000, "leaf read livelock");
-            let f = l.fetch(ep, addr, 0, 9 + self.value_size);
-            if f.check_nv([0]).is_none() || !f.check_ev(0, 9 + self.value_size) {
+            let LeafBufs { pieces, spare } = bufs;
+            l.fetch_into(addr, &[(0, end)], pieces, spare, |reqs| {
+                ep.read_batch(reqs);
+                true
+            });
+            let f = &pieces[0];
+            if f.check_nv([0]).is_none() || !f.check_ev(0, end) {
                 continue;
             }
-            let key = f.u64_at(1);
-            return (key, f.copy(9, self.value_size));
+            value.clear();
+            value.extend_from_slice(f.bytes(9, self.value_size));
+            return f.u64_at(1);
         }
     }
 
@@ -630,6 +652,13 @@ mod tests {
         )
     }
 
+    /// The leaf's key and value, read into fresh buffers.
+    fn read_leaf(ops: &ArtOps, ep: &mut Endpoint, addr: GlobalAddr) -> (u64, Vec<u8>) {
+        let mut value = Vec::new();
+        let key = ops.read_leaf_into(ep, addr, &mut LeafBufs::default(), &mut value);
+        (key, value)
+    }
+
     #[test]
     fn child_tagging_roundtrip() {
         let a = GlobalAddr::new(3, 0x1234);
@@ -657,9 +686,9 @@ mod tests {
         let (mut ep, ops) = setup();
         let addr = GlobalAddr::new(0, RESERVED_BYTES);
         ops.write_leaf(&mut ep, addr, 42, &7u64.to_le_bytes());
-        assert_eq!(ops.read_leaf(&mut ep, addr), (42, 7u64.to_le_bytes().to_vec()));
+        assert_eq!(read_leaf(&ops, &mut ep, addr), (42, 7u64.to_le_bytes().to_vec()));
         ops.update_leaf(&mut ep, addr, &9u64.to_le_bytes());
-        assert_eq!(ops.read_leaf(&mut ep, addr), (42, 9u64.to_le_bytes().to_vec()));
+        assert_eq!(read_leaf(&ops, &mut ep, addr), (42, 9u64.to_le_bytes().to_vec()));
     }
 
     #[test]
@@ -670,7 +699,7 @@ mod tests {
         let addr = GlobalAddr::new(0, RESERVED_BYTES);
         ops.write_leaf(&mut ep, addr, 5, &[1u8; 256]);
         ops.update_leaf(&mut ep, addr, &[2u8; 256]);
-        let (k, v) = ops.read_leaf(&mut ep, addr);
+        let (k, v) = read_leaf(&ops, &mut ep, addr);
         assert_eq!(k, 5);
         assert_eq!(v, vec![2u8; 256]);
     }
@@ -777,7 +806,7 @@ mod tests {
         ops.write_leaf(&mut ep, addr, 5, &[1u8; 64]);
         ops.update_leaf(&mut ep, addr, &[2u8; 64]);
         assert_eq!(ep.stats().lock_retries, 2);
-        assert_eq!(ops.read_leaf(&mut ep, addr), (5, vec![2u8; 64]));
+        assert_eq!(read_leaf(&ops, &mut ep, addr), (5, vec![2u8; 64]));
     }
 
     #[test]

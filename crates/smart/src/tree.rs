@@ -7,7 +7,7 @@ use chime::cache::NodeCache;
 
 use dmem::{ChunkAlloc, CnCell, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
 
-use crate::node::{ArtNode, ArtOps, Child, NodeType};
+use crate::node::{ArtNode, ArtOps, Child, LeafBufs, NodeType};
 
 const OP_RETRY_LIMIT: usize = 100_000;
 
@@ -71,6 +71,10 @@ pub struct SmartClient {
     cn: Arc<CnState>,
     ep: Endpoint,
     alloc: ChunkAlloc,
+    /// Leaf-READ buffers, reused by every leaf read.
+    leaf: LeafBufs,
+    /// The cached nodes of the last search's descent.
+    path: Vec<GlobalAddr>,
 }
 
 impl Smart {
@@ -109,6 +113,8 @@ impl Smart {
             cn: Arc::clone(cn),
             ep: Endpoint::new(Arc::clone(&self.shared.pool)),
             alloc: ChunkAlloc::sim_scaled(),
+            leaf: LeafBufs::default(),
+            path: Vec::new(),
         }
     }
 
@@ -198,24 +204,28 @@ impl SmartClient {
         }
     }
 
-    /// Finds `key`'s leaf (and its value) with cache-miss retry;
-    /// `None` = truly absent.
-    fn find_leaf(&mut self, key: u64) -> Option<(GlobalAddr, Vec<u8>, ParentSlot)> {
-        let mut path = Vec::new();
-        if let Some(hit) = self.descend(key, true, &mut path) {
-            let (k, v) = self.ops().read_leaf(&mut self.ep, hit.0);
-            if k == key {
-                return Some((hit.0, v, hit.1));
-            }
+    /// Finds `key`'s leaf with cache-miss retry, copying its value into
+    /// `value`; `None` = truly absent.
+    fn find_leaf(&mut self, key: u64, value: &mut Vec<u8>) -> Option<(GlobalAddr, ParentSlot)> {
+        let ops = self.ops();
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        let found = self.descend(key, true, &mut path).filter(|&(leaf, _)| {
+            ops.read_leaf_into(&mut self.ep, leaf, &mut self.leaf, value) == key
+        });
+        // A fully remote miss is authoritative; a cached path may be stale.
+        let stale = found.is_none() && !path.is_empty();
+        if stale {
+            self.invalidate_path(&path);
         }
-        if path.is_empty() {
-            return None; // fully remote miss is authoritative
+        self.path = path;
+        if !stale {
+            return found;
         }
-        // The cached path may be stale: invalidate and re-descend remotely.
-        self.invalidate_path(&path);
-        let hit = self.descend(key, false, &mut Vec::new())?;
-        let (k, v) = self.ops().read_leaf(&mut self.ep, hit.0);
-        (k == key).then_some((hit.0, v, hit.1))
+        // Re-descend remotely.
+        let (leaf, slot) = self.descend(key, false, &mut Vec::new())?;
+        (ops.read_leaf_into(&mut self.ep, leaf, &mut self.leaf, value) == key)
+            .then_some((leaf, slot))
     }
 
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
@@ -260,7 +270,12 @@ impl SmartClient {
                         continue 'restart;
                     }
                     Child::Leaf(laddr) => {
-                        let (k2, _) = ops.read_leaf(&mut self.ep, laddr);
+                        let k2 = ops.read_leaf_into(
+                            &mut self.ep,
+                            laddr,
+                            &mut self.leaf,
+                            &mut Vec::new(),
+                        );
                         if k2 == key {
                             ops.update_leaf(&mut self.ep, laddr, value);
                             return Ok(());
@@ -501,18 +516,17 @@ impl SmartClient {
     }
 
     fn search_impl(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
-        let Some((_, v, _)) = self.find_leaf(key) else {
+        if self.find_leaf(key, value).is_none() {
             return false;
-        };
+        }
         self.ep
             .note_app_bytes(self.shared.cfg.value_size as u64 + 8);
-        *value = v;
         true
     }
 
     fn update_impl(&mut self, key: u64, value: &[u8]) -> Result<bool, IndexError> {
-        match self.find_leaf(key) {
-            Some((leaf, _, _)) => {
+        match self.find_leaf(key, &mut Vec::new()) {
+            Some((leaf, _)) => {
                 self.ops().update_leaf(&mut self.ep, leaf, value);
                 Ok(true)
             }
@@ -523,7 +537,7 @@ impl SmartClient {
     fn delete_impl(&mut self, key: u64) -> Result<bool, IndexError> {
         let ops = self.ops();
         for _ in 0..OP_RETRY_LIMIT {
-            let Some((leaf, _, (naddr, nty, byte))) = self.find_leaf(key) else {
+            let Some((leaf, (naddr, nty, byte))) = self.find_leaf(key, &mut Vec::new()) else {
                 return Ok(false);
             };
             if !ops.lock_node(&mut self.ep, naddr, nty) {
