@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify build test lint chaos serve serve-smoke explain figs bench-harness loc clean
+.PHONY: verify build test lint chaos serve serve-smoke explain figs bench-harness pairs loc clean
 
 # Tier-1 gate (build + tests) plus the clippy lint wall (with clippy.toml's
 # determinism and masked-CAS rules) and a warning-free rustdoc build, a
@@ -72,6 +72,17 @@ figs:
 # a refactor that breaks that surface fails here, not in the benchmark.
 bench-harness:
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
+
+# Host-speed pairs: alternating `--trace 0` passes of one benchmark workload,
+# BASE (built from `git archive` under target/pairs/ with its own target
+# dir) against the working tree, e.g. `make pairs BASE=HEAD~1
+# WORKLOAD=scan_insert N=10 ARGS="--seed 7"`. Prints each end-to-end
+# metric's two medians, their ratio and in how many pairs the change was
+# ahead; see tools/pairs.sh.
+WORKLOAD ?= scan_insert
+N ?= 10
+pairs:
+	tools/pairs.sh $(BASE) $(WORKLOAD) $(N) $(ARGS)
 
 # Non-test Rust lines per crate: src/ and benches/ of every crate and
 # vendored shim, minus `tests.rs` files and everything from an inline

@@ -16,13 +16,14 @@
 //! followed by `span` pivot entries and the lock word.
 
 use std::ops::Range;
+use std::sync::Mutex;
 
-use dmem::versioned::Layout;
+use dmem::versioned::{Layout, LINE_PAYLOAD};
 
 use crate::hopscotch::Window;
 
 /// Geometry of a hopscotch leaf node.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeafLayout {
     /// Entries per node.
     pub span: usize,
@@ -102,24 +103,6 @@ impl LeafLayout {
         } else {
             self.replica_size() + i * self.entry_size()
         }
-    }
-
-    /// Logical offsets of the entries `r` in order, without the division
-    /// per entry [`Self::entry_off`] pays.
-    pub fn entry_offsets(&self, r: Range<usize>) -> impl Iterator<Item = usize> + use<> {
-        let run = if self.replication { self.h } else { self.span };
-        let first = r.start.min(self.span - 1);
-        let (mut off, mut j) = (self.entry_off(first), first % run);
-        let (entry, replica) = (self.entry_size(), self.replica_size());
-        r.map(move |_| {
-            let here = off;
-            off += entry;
-            j += 1;
-            if j == run {
-                (off, j) = (off + replica, 0);
-            }
-            here
-        })
     }
 
     /// Logical offset of the metadata replica of block `b`.
@@ -212,23 +195,40 @@ impl LeafLayout {
         Some(block * self.h + body / self.entry_size())
     }
 
-    /// The covered-object math of this geometry, its divisors inverted
-    /// once: build it with the layout, not per lookup.
+    /// This geometry's plan: its covered-object math, divisors inverted,
+    /// and its offset and slot-owner tables. A plan is built once per
+    /// geometry and kept for the life of the process, so every tree and
+    /// snapshot of one geometry shares it: take it with the ops, not per
+    /// lookup.
     pub fn locator(&self) -> LeafLocator {
+        static PLANS: Mutex<Vec<&'static Plan>> = Mutex::new(Vec::new());
+        // A panic while building a plan pushes nothing: a poisoned list is
+        // still whole.
+        let mut plans = PLANS.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(&plan) = plans.iter().find(|p| p.layout == *self) {
+            return LeafLocator(plan);
+        }
+        let plan: &'static Plan = Box::leak(Box::new(self.plan()));
+        plans.push(plan);
+        LeafLocator(plan)
+    }
+
+    fn plan(&self) -> Plan {
         // Every offset it is asked about (plus a block, in `replicas_in`)
         // must stay inside `Divisor`'s exact range.
         assert!(
             self.payload_len() + self.block_size() < 1 << 32,
             "leaf too large: {self:?}"
         );
-        LeafLocator {
-            span: self.span,
-            h: self.h,
-            entry_size: self.entry_size(),
-            replica_size: self.replica_size(),
-            replication: self.replication,
+        let blocks = if self.replication { self.span / self.h } else { 1 };
+        let owner = |line: usize| self.entry_at(line * LINE_PAYLOAD).map_or(NO_ENTRY, |i| i as u32);
+        Plan {
+            layout: *self,
             block: Divisor::new(self.block_size()),
             entry: Divisor::new(self.entry_size()),
+            entries: (0..self.span).map(|i| self.entry_off(i) as u32).collect(),
+            replicas: (0..blocks).map(|k| self.replica_off(k) as u32).collect(),
+            owners: (0..self.versioned().lines()).map(owner).collect(),
         }
     }
 
@@ -275,20 +275,28 @@ impl Divisor {
     }
 }
 
-/// Which entries and replicas of a [`LeafLayout`] a logical byte range
-/// fully covers ([`LeafLayout::locator`]). Every fetched piece asks this
-/// once or twice, so the two divisors of the math — the block and the
-/// entry size — are inverted when the locator is built and each query
-/// multiplies.
+/// The slot owner of a line whose version slot falls inside a replica.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The plan of a [`LeafLayout`] ([`LeafLayout::locator`]): which entries
+/// and replicas a logical byte range fully covers, each entry's and each
+/// replica's logical offset, and which entry owns each line-version slot.
+/// Every fetched piece asks the covered-object math once or twice, so its
+/// two divisors — the block and the entry size — are inverted when the
+/// plan is built and each query multiplies; every codec pass walks the
+/// offset tables instead of dividing per entry.
 #[derive(Debug, Clone, Copy)]
-pub struct LeafLocator {
-    span: usize,
-    h: usize,
-    entry_size: usize,
-    replica_size: usize,
-    replication: bool,
+pub struct LeafLocator(&'static Plan);
+
+/// What a [`LeafLocator`] names, one per geometry.
+#[derive(Debug)]
+struct Plan {
+    layout: LeafLayout,
     block: Divisor,
     entry: Divisor,
+    entries: Box<[u32]>,
+    replicas: Box<[u32]>,
+    owners: Box<[u32]>,
 }
 
 impl LeafLocator {
@@ -296,13 +304,14 @@ impl LeafLocator {
     /// not strictly inside an entry (the next one starts at or after it).
     #[inline]
     fn locate(&self, l: usize) -> (usize, bool) {
-        let (blocks, within) = if self.replication {
-            self.block.div_rem(l)
+        let g = self.layout();
+        let (blocks, within) = if g.replication {
+            self.0.block.div_rem(l)
         } else {
             (0, l)
         };
-        let (entries, into) = self.entry.div_rem(within.saturating_sub(self.replica_size));
-        ((blocks * self.h + entries).min(self.span), into == 0)
+        let (entries, into) = self.0.entry.div_rem(within.saturating_sub(g.replica_size()));
+        ((blocks * g.h + entries).min(g.span), into == 0)
     }
 
     /// Indices of the entries fully covered by logical `[a, b)`.
@@ -317,13 +326,50 @@ impl LeafLocator {
     /// Block indices whose replica is fully covered by logical `[a, b)`.
     #[inline]
     pub fn replicas_in(&self, a: usize, b: usize) -> Range<usize> {
-        if !self.replication {
-            return 0..usize::from(a == 0 && b >= self.replica_size);
+        let g = self.layout();
+        if !g.replication {
+            return 0..usize::from(a == 0 && b >= g.replica_size());
         }
-        let (q, r) = self.block.div_rem(a);
+        let (q, r) = self.0.block.div_rem(a);
         let first = q + usize::from(r > 0);
-        let end = self.block.div_rem(b + self.h * self.entry_size).0;
+        let end = self.0.block.div_rem(b + g.h * g.entry_size()).0;
         first..end.max(first)
+    }
+
+    /// The geometry this plan is of.
+    #[inline]
+    pub fn layout(&self) -> &'static LeafLayout {
+        &self.0.layout
+    }
+
+    /// Logical offset of every entry, in entry order.
+    #[inline]
+    pub fn entry_offs(&self) -> &'static [u32] {
+        &self.0.entries
+    }
+
+    /// Logical offset of every replica (the single header without
+    /// replication), in block order.
+    #[inline]
+    pub fn replica_offs(&self) -> &'static [u32] {
+        &self.0.replicas
+    }
+
+    /// The entry whose lead byte line `line`'s version slot carries: the
+    /// entry holding the slot's logical offset `line * 63`, the first byte
+    /// of the line's payload ([`LeafLayout::entry_at`]); `None` inside a
+    /// replica.
+    #[inline]
+    pub fn owner(&self, line: usize) -> Option<usize> {
+        let i = self.0.owners[line];
+        (i != NO_ENTRY).then_some(i as usize)
+    }
+
+    /// [`Self::owner`] of lines `first..first + n` at once, each as its
+    /// entry index or an index past every entry.
+    #[inline]
+    pub(crate) fn owners(&self, first: usize, n: usize) -> &'static [u32] {
+        &self.0.owners[first..first + n]
     }
 }
 
@@ -435,9 +481,10 @@ mod tests {
     #[test]
     fn entry_offsets_monotone_and_disjoint() {
         let l = default_leaf();
-        assert!(l.entry_offsets(0..l.span).eq((0..l.span).map(|i| l.entry_off(i))));
-        assert!(l.entry_offsets(5..23).eq((5..23).map(|i| l.entry_off(i))));
-        assert_eq!(l.entry_offsets(l.span..l.span).count(), 0);
+        let plan = l.locator();
+        assert!(plan.entry_offs().iter().map(|&o| o as usize).eq((0..l.span).map(|i| l.entry_off(i))));
+        assert!(plan.replica_offs().iter().map(|&o| o as usize).eq((0..l.span / l.h).map(|k| l.replica_off(k))));
+        assert!(std::ptr::eq(plan.entry_offs(), l.locator().entry_offs()), "one table per geometry");
         let mut prev_end = 0;
         for i in 0..l.span {
             if i % l.h == 0 {
@@ -510,6 +557,52 @@ mod tests {
                         .filter(|&k| l.replica_off(k) >= a && l.replica_off(k) + l.replica_size() <= b)
                         .collect();
                     assert_eq!(loc.replicas_in(a, b).collect::<Vec<_>>(), replicas, "[{a}, {b})");
+                }
+            }
+        }
+    }
+
+    /// Each line-version slot's owner as the validator used to find it:
+    /// walking the entries in order beside the slots (one per 63 payload
+    /// bytes), a slot belongs to the entry whose bytes `[off, off +
+    /// entry_size)` hold its offset, and a slot in front of or between
+    /// entries to none.
+    fn walked_owners(l: &LeafLayout) -> Vec<Option<usize>> {
+        let mut owners = vec![None; l.versioned().lines()];
+        let mut next = 0;
+        for i in 0..l.span {
+            let off = l.entry_off(i);
+            while next < off + l.entry_size() {
+                if next >= off {
+                    owners[next / LINE_PAYLOAD] = Some(i);
+                }
+                next += LINE_PAYLOAD;
+            }
+        }
+        owners
+    }
+
+    /// The plan states the slot rule once; on every geometry the figures
+    /// use — spans 16 to 512, H 2 to 16, replicas and fences on or off,
+    /// values of 8 B to 8 KiB — its owners are `entry_at`'s and the walk's,
+    /// and its offset tables are `entry_off`'s and `replica_off`'s.
+    #[test]
+    fn plan_slot_owners_follow_the_line_rule() {
+        for span in [16, 32, 64, 128, 256, 512] {
+            for h in [2, 4, 8, 16] {
+                for value_size in [8, 64, 200, 1024, 8192] {
+                    for (replication, fences) in [(true, false), (false, false), (true, true), (false, true)] {
+                        let l = LeafLayout { span, h, key_size: 8, value_size, replication, fences, piggyback: true };
+                        let plan = l.locator();
+                        let owners: Vec<Option<usize>> = (0..l.versioned().lines()).map(|j| plan.owner(j)).collect();
+                        let by_entry_at: Vec<Option<usize>> =
+                            (0..l.versioned().lines()).map(|j| l.entry_at(j * LINE_PAYLOAD)).collect();
+                        assert_eq!(owners, by_entry_at, "{l:?}");
+                        assert_eq!(owners, walked_owners(&l), "{l:?}");
+                        assert!(plan.entry_offs().iter().enumerate().all(|(i, &o)| o as usize == l.entry_off(i)));
+                        let blocks = if replication { span / h } else { 1 };
+                        assert!(plan.replica_offs().iter().map(|&o| o as usize).eq((0..blocks).map(|k| l.replica_off(k))));
+                    }
                 }
             }
         }

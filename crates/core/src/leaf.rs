@@ -9,11 +9,14 @@
 //! minimal dirty-range write-back, and whole-node reads/writes for splits
 //! and sibling chases.
 //!
-//! One codec serves all of them. Whatever was fetched — an entry, a
+//! One codec serves all of them, over the geometry's leaf plan
+//! ([`crate::layout::LeafLocator`]: every entry's and replica's offset and
+//! each line slot's owner). Whatever was fetched — an entry, a
 //! neighborhood, a hop range, a whole node — passes `validate` once, one
-//! pass over each piece's line slots and entry leads; a whole image
-//! additionally passes the bitmap/occupancy bijection, which compares the
-//! stored bitmaps with those rebuilt from each occupied slot's home.
+//! fold over each piece's version bytes; a whole image extracts its keys
+//! and bitmaps in the same fold and additionally passes the
+//! bitmap/occupancy bijection, which compares the stored bitmaps with those
+//! rebuilt from each occupied slot's home.
 //! Lock-free reads then answer from the fetched slices ([`LeafSnapshot`],
 //! its keys and bitmaps decoded once); whole-leaf reads borrow their buffers
 //! from a `LeafReads`, which a scanning client keeps, so its warm scans
@@ -22,7 +25,8 @@
 //! which carries each slot's EV and dirty mark. A writing client keeps one
 //! `LockedRead` — window, READ buffers and outgoing images — and every
 //! locked read refills it, so its warm writes allocate none of them; entry
-//! offsets are walked and cyclic indices wrapped without a division. Every
+//! offsets come from the plan and cyclic indices are wrapped without a
+//! division. Every
 //! write — dirty hop range, new node, node rewrite — leaves through
 //! `encode`, straight into its outgoing buffer.
 //!
@@ -30,6 +34,8 @@
 //! before any publish: content and unlock land in one doorbell, so a crash
 //! at either leaves the content untouched and only the lock word stale. A
 //! crashed operation is a logical no-op, which keeps the chaos oracle exact.
+
+use std::ops::Range;
 
 use dmem::hash::home_entry;
 use dmem::versioned::{self, bump, ev, pack_ver, Fetched, LINE_PAYLOAD, MAX_RANGES};
@@ -92,15 +98,22 @@ pub struct LeafSnapshot {
     pub nv: u8,
     /// Leaf metadata.
     pub meta: LeafMeta,
+    occupied: usize,
     bitmaps: Vec<u16>,
-    layout: LeafLayout,
+    plan: LeafLocator,
     image: Fetched,
 }
 
 impl LeafSnapshot {
     /// Stored value bytes of entry `i`.
     pub fn value(&self, i: usize) -> &[u8] {
-        entry_value(&self.layout, &self.image, i)
+        let l = self.plan.layout();
+        self.value_at(self.plan.entry_offs()[i] as usize + entry_field::KEY + l.key_size)
+    }
+
+    /// How many slots hold a key.
+    pub fn occupied(&self) -> usize {
+        self.occupied
     }
 
     /// Hopscotch bitmap of entry `i`.
@@ -110,7 +123,7 @@ impl LeafSnapshot {
 
     /// Entry-level version of entry `i`.
     pub fn ev(&self, i: usize) -> u8 {
-        entry_ev(&self.layout, &self.image, i)
+        entry_ev(self.plan.layout(), &self.image, i)
     }
 
     /// Looks `key` up via its home entry's bitmap.
@@ -118,7 +131,7 @@ impl LeafSnapshot {
         let span = self.keys.len();
         let home = home_entry(key, span);
         let bm = self.bitmap(home);
-        (0..self.layout.h)
+        (0..self.plan.layout().h)
             .filter(|&d| bm & (1 << d) != 0)
             .map(|d| (home + d) % span)
             .find(|&p| self.keys[p] == key)
@@ -144,17 +157,14 @@ impl LeafSnapshot {
     /// Every slot in order, as its key (0 when empty) with the logical
     /// offset of its stored value ([`Self::value_at`]).
     pub fn slots(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        let l = &self.layout;
-        let value = entry_field::KEY + l.key_size;
-        self.keys
-            .iter()
-            .copied()
-            .zip(l.entry_offsets(0..l.span).map(move |off| off + value))
+        let value = entry_field::KEY + self.plan.layout().key_size;
+        let offs = self.plan.entry_offs().iter();
+        self.keys.iter().copied().zip(offs.map(move |&off| off as usize + value))
     }
 
     /// The stored value at the logical offset [`Self::slots`] gave.
     pub fn value_at(&self, off: usize) -> &[u8] {
-        self.image.bytes(off, self.layout.value_size)
+        self.image.bytes(off, self.plan.layout().value_size)
     }
 
     /// All `(key, value)` items in slot order (unsorted by key).
@@ -168,9 +178,9 @@ impl LeafSnapshot {
 
     /// Converts the snapshot into a full-span hopscotch window.
     pub fn into_window(self) -> Window {
-        let l = &self.layout;
+        let l = self.plan.layout();
         let mut w = l.window(0, l.span);
-        load(l, &l.locator(), std::slice::from_ref(&self.image), &mut w);
+        load(l, &self.plan, std::slice::from_ref(&self.image), &mut w);
         w
     }
 }
@@ -225,61 +235,87 @@ fn pack_ranges(
     (ranges, n)
 }
 
-/// Every entry `pieces` cover, with the piece holding it.
-fn covered<'a>(loc: &'a LeafLocator, pieces: &'a [Fetched]) -> impl Iterator<Item = (usize, &'a Fetched)> {
-    let entries = |p: &'a Fetched| loc.entries_in(p.lstart(), p.lend()).map(move |i| (i, p));
+/// Every entry `pieces` cover, with its logical offset and the piece
+/// holding it.
+fn covered<'a>(loc: &'a LeafLocator, pieces: &'a [Fetched]) -> impl Iterator<Item = (usize, usize, &'a Fetched)> {
+    let entries = |p: &'a Fetched| {
+        let covered = loc.entries_in(p.lstart(), p.lend());
+        let offs = &loc.entry_offs()[covered.clone()];
+        covered.zip(offs).map(move |(i, &off)| (i, off as usize, p))
+    };
     pieces.iter().flat_map(entries)
 }
 
-/// Copies every entry of `pieces` that `w` covers into it, walking each
-/// piece's entry offsets.
+/// Copies every entry of `pieces` that `w` covers into it, walking the
+/// plan's entry offsets.
 fn load(l: &LeafLayout, loc: &LeafLocator, pieces: &[Fetched], w: &mut Window) {
     let (value, esize) = (entry_field::KEY + l.key_size, l.entry_size());
-    for p in pieces {
-        let entries = loc.entries_in(p.lstart(), p.lend());
-        for (i, off) in entries.clone().zip(l.entry_offsets(entries)) {
-            let Some(r) = w.rel(i) else { continue };
-            let e = p.bytes(off, esize);
-            let key = u64::from_le_bytes(e[entry_field::KEY..][..8].try_into().expect("8 bytes"));
-            let bitmap = u16::from_le_bytes(e[entry_field::BITMAP..][..2].try_into().expect("2 bytes"));
-            w.set_rel(r, key, &e[value..], bitmap, ev(e[entry_field::VER]));
-        }
+    for (i, off, p) in covered(loc, pieces) {
+        let Some(r) = w.rel(i) else { continue };
+        let e = p.bytes(off, esize);
+        w.set_rel(r, entry_key_of(e), &e[value..], entry_bitmap_of(e), ev(e[entry_field::VER]));
     }
 }
 
+/// The key of an entry's bytes.
+fn entry_key_of(e: &[u8]) -> u64 {
+    u64::from_le_bytes(e[entry_field::KEY..][..8].try_into().expect("8 bytes"))
+}
+
+/// The hopscotch bitmap of an entry's bytes.
+fn entry_bitmap_of(e: &[u8]) -> u16 {
+    u16::from_le_bytes(e[entry_field::BITMAP..][..2].try_into().expect("2 bytes"))
+}
 
 /// Bitmaps and occupancy are a bijection: the stored bitmaps equal the
 /// ones rebuilt from each occupied slot's home. Every key lies under `h`
 /// slots from its home and its bit is stored, so the rebuilt bits are a
 /// subset of the stored ones; equal counts leave no stored bit over (a bit
-/// at or above `h`, or one naming an empty or foreign slot).
-fn bijective(
-    span: usize,
-    h: usize,
-    key: impl Fn(usize) -> u64,
-    bitmap: impl Fn(usize) -> u16,
-) -> bool {
+/// at or above `h`, or one naming an empty or foreign slot). Returns the
+/// number of occupied slots when they are a bijection.
+///
+/// Every slot is folded the same way, empty or not, so the pass takes no
+/// branch per slot: an empty slot's home is computed and its verdict masked.
+fn bijective(h: usize, keys: &[u64], bitmaps: &[u16]) -> Option<usize> {
+    let span = keys.len();
+    let bitmaps = &bitmaps[..span];
     // Four bitmaps to a word: a quarter of the bit counts.
-    let word = |i: usize| (i..(i + 4).min(span)).fold(0u64, |w, j| w << 16 | u64::from(bitmap(j)));
-    let bits: u32 = (0..span).step_by(4).map(|i| word(i).count_ones()).sum();
-    let mut keys = 0;
-    for pos in 0..span {
-        let k = key(pos);
-        if k == 0 {
-            continue;
-        }
+    let mut words = bitmaps.chunks_exact(4);
+    let word = |w: &[u16]| w.iter().fold(0u64, |acc, &b| acc << 16 | u64::from(b)).count_ones();
+    let bits: u32 = words.by_ref().map(word).sum::<u32>() + word(words.remainder());
+    let (mut occupied, mut unnamed) = (0, 0);
+    for (pos, &k) in keys.iter().enumerate() {
         let home = home_entry(k, span);
-        let d = if pos >= home {
-            pos - home
-        } else {
-            pos + span - home
-        };
-        if d >= h || bitmap(home) & (1 << d) == 0 {
-            return false;
-        }
-        keys += 1;
+        let d = pos + span * usize::from(pos < home) - home;
+        // A bit at `d & 15` counts only below `h` (at most 16).
+        let named = u32::from(bitmaps[home]) >> (d & 15) & u32::from(d < h);
+        let full = u32::from(k != 0);
+        occupied += full;
+        unnamed |= full & !named;
     }
-    keys == bits
+    (unnamed & 1 == 0 && occupied == bits).then_some(occupied as usize)
+}
+
+/// The fold of every version byte one read covers: their AND and OR (the
+/// NVs agree exactly when `(and ^ or) >> 4 == 0`) and the OR of every owned
+/// slot's difference from its owner's lead byte (zero when every covered
+/// entry is EV-consistent).
+#[derive(Debug, Clone, Copy)]
+struct Versions {
+    and: u8,
+    or: u8,
+    torn: u8,
+}
+
+impl Versions {
+    /// The fold of no byte.
+    const NONE: Versions = Versions { and: 0xFF, or: 0, torn: 0 };
+
+    /// The NV every byte carries, when the read is consistent.
+    fn nv(self) -> Option<u8> {
+        let agree = (self.and ^ self.or) >> 4 == 0 && self.torn == 0;
+        agree.then_some(versioned::nv(self.or))
+    }
 }
 
 fn entry_key(l: &LeafLayout, f: &Fetched, i: usize) -> u64 {
@@ -367,6 +403,8 @@ pub struct LockedRead {
     pub max_unread: Option<usize>,
     /// The READ buffers.
     reads: Fetches,
+    /// The keys and bitmaps of a whole-node window, for its bijection check.
+    fields: (Vec<u64>, Vec<u16>),
     /// The outgoing images of the last write-back, one per run.
     images: [Vec<u8>; 2],
 }
@@ -382,7 +420,7 @@ pub struct LeafOps {
     /// word before the waiter reclaims the lock via the lease epoch
     /// (0 = never reclaim). See [`crate::config::ChimeConfig::lock_lease_spins`].
     pub lease_spins: u32,
-    /// `layout`'s covered-object math.
+    /// `layout`'s plan, shared by every leaf of this geometry.
     locator: LeafLocator,
 }
 
@@ -433,84 +471,76 @@ impl LeafOps {
     /// entry and replica leads) carries one NV and every covered entry is
     /// EV-consistent. Returns that NV with the metadata of the first covered
     /// replica; `None` is a torn read.
-    ///
-    /// One pass per piece walks its entries and line slots together: a
-    /// line's slot at logical `line * 63` belongs to the entry whose bytes
-    /// `[off, off + entry_size)` hold that offset (the slot in front of an
-    /// entry that starts on a payload boundary is the entry's own).
     fn validate(&self, pieces: &[Fetched]) -> Option<(u8, Option<LeafMeta>)> {
-        let l = &self.layout;
-        let (mut nv, mut meta) = (None, None);
+        let (mut v, mut meta) = (Versions::NONE, None);
         for p in pieces {
-            let ((first_line, slots), (a, b)) = (p.line_slots(), (p.lstart(), p.lend()));
-            let payload = p.bytes(a, b - a);
-            let ver = |off: usize| payload[off - a];
-            let entries = || l.entry_offsets(self.locator.entries_in(a, b));
-            let replicas = self.locator.replicas_in(a, b).map(|k| l.replica_off(k));
-            // The NV to match: the piece's first line slot, else its first
-            // lead; a piece without a version byte is no read.
-            let first = slots
-                .first()
-                .copied()
-                .or_else(|| entries().chain(replicas.clone()).next().map(ver))?;
-            let piece_nv = *nv.get_or_insert(versioned::nv(first));
-            let (mut next, esize) = (first_line * LINE_PAYLOAD, l.entry_size());
-            let mut slots = slots.iter();
-            for off in entries() {
-                let lead = ver(off);
-                if versioned::nv(lead) != piece_nv {
-                    return None;
-                }
-                // The slots before the entry carry the NV, those inside it
-                // the whole lead byte (NV and EV).
-                while next < off + esize {
-                    let Some(&v) = slots.next() else { break };
-                    let carried = if next < off {
-                        versioned::nv(v) == piece_nv
-                    } else {
-                        v == lead
-                    };
-                    if !carried {
-                        return None;
-                    }
-                    next += LINE_PAYLOAD;
-                }
-            }
-            if slots.any(|&v| versioned::nv(v) != piece_nv) {
-                return None;
-            }
-            for off in replicas {
-                if versioned::nv(ver(off)) != piece_nv {
-                    return None;
-                }
-                meta = meta.or_else(|| Some(self.parse_meta(p, off)));
+            let replicas = self.fold(p, &mut v, |_| {});
+            if meta.is_none() {
+                let first = self.locator.replica_offs()[replicas].first();
+                meta = first.map(|&off| self.parse_meta(p, off as usize));
             }
         }
-        Some((nv?, meta))
+        Some((v.nv()?, meta))
+    }
+
+    /// The validation pass over piece `p`, folded into `v`: one walk over
+    /// the plan's offsets of its covered entries and replicas, then one
+    /// over its line slots. A slot a covered entry owns must equal that
+    /// entry's lead byte (NV and EV); any other carries the NV only.
+    /// `entry` sees each covered entry's bytes on the way. Returns the
+    /// covered replicas.
+    fn fold(&self, p: &Fetched, v: &mut Versions, mut entry: impl FnMut(&[u8])) -> Range<usize> {
+        let loc = &self.locator;
+        let (a, b) = (p.lstart(), p.lend());
+        let payload = p.bytes(a, b - a);
+        let (entries, replicas) = (loc.entries_in(a, b), loc.replicas_in(a, b));
+        let (first_line, slots) = p.line_slots();
+        let (offs, esize) = (loc.entry_offs(), self.layout.entry_size());
+        let (mut and, mut or, mut torn) = (v.and, v.or, v.torn);
+        for &off in &offs[entries.clone()] {
+            let e = &payload[off as usize - a..][..esize];
+            (and, or) = (and & e[entry_field::VER], or | e[entry_field::VER]);
+            entry(e);
+        }
+        for &off in &loc.replica_offs()[replicas.clone()] {
+            let lead = payload[off as usize - a + replica_field::VER];
+            (and, or) = (and & lead, or | lead);
+        }
+        for (&slot, &owner) in slots.iter().zip(loc.owners(first_line, slots.len())) {
+            (and, or) = (and & slot, or | slot);
+            if entries.contains(&(owner as usize)) {
+                torn |= slot ^ payload[offs[owner as usize] as usize - a];
+            }
+        }
+        *v = Versions { and, or, torn };
+        replicas
     }
 
     /// Validates a whole-leaf image and decodes its keys and bitmaps into
-    /// the vectors of `spare`: [`Self::validate`] plus the bitmap/occupancy
-    /// bijection. `None` is a torn or intermediate image.
+    /// the vectors of `spare`, in the one pass of [`Self::validate`], then
+    /// checks the bitmap/occupancy bijection over them. `None` is a torn or
+    /// intermediate image.
     fn decode(&self, image: Fetched, (_, mut keys, mut bitmaps): Spare) -> Option<LeafSnapshot> {
         let l = &self.layout;
         debug_assert_eq!((image.lstart(), image.lend()), (0, l.payload_len()));
-        let (nv, meta) = self.validate(std::slice::from_ref(&image))?;
         keys.clear();
-        keys.resize(l.span, 0);
+        keys.reserve(l.span);
         bitmaps.clear();
-        bitmaps.resize(l.span, 0);
-        let fields = keys.iter_mut().zip(&mut bitmaps);
-        for ((key, bitmap), off) in fields.zip(l.entry_offsets(0..l.span)) {
-            *key = image.u64_at(off + entry_field::KEY);
-            *bitmap = image.u16_at(off + entry_field::BITMAP);
-        }
-        bijective(l.span, l.h, |i| keys[i], |i| bitmaps[i]).then(|| LeafSnapshot {
+        bitmaps.reserve(l.span);
+        let mut v = Versions::NONE;
+        self.fold(&image, &mut v, |e| {
+            keys.push(entry_key_of(e));
+            bitmaps.push(entry_bitmap_of(e));
+        });
+        let nv = v.nv()?;
+        let occupied = bijective(l.h, &keys, &bitmaps)?;
+        Some(LeafSnapshot {
             nv,
-            meta: meta.expect("a whole image holds replica 0"),
+            occupied,
+            meta: self.parse_meta(&image, self.locator.replica_offs()[0] as usize),
             keys,
             bitmaps,
-            layout: *l,
+            plan: self.locator,
             image,
         })
     }
@@ -539,8 +569,9 @@ impl LeafOps {
         buf.clear();
         buf.reserve(pend - pstart);
         buf.resize(lend - lstart, 0);
-        for k in self.locator.replicas_in(lstart, lend) {
-            let b = &mut buf[l.replica_off(k) - lstart..][..l.replica_size()];
+        let loc = &self.locator;
+        for &off in &loc.replica_offs()[loc.replicas_in(lstart, lend)] {
+            let b = &mut buf[off as usize - lstart..][..l.replica_size()];
             b[replica_field::VER] = pack_ver(nv, 0);
             put(b, replica_field::SIBLING, &meta.sibling.raw().to_le_bytes());
             b[replica_field::VALID] = meta.valid as u8;
@@ -550,17 +581,18 @@ impl LeafOps {
                 put(b, replica_field::FENCE_LOW + l.key_size, &hi.to_le_bytes());
             }
         }
-        let entries = self.locator.entries_in(lstart, lend);
-        for (i, off) in entries.clone().zip(l.entry_offsets(entries)) {
+        let entries = loc.entries_in(lstart, lend);
+        for (i, &off) in entries.clone().zip(&loc.entry_offs()[entries]) {
             let (key, value, bitmap) = w.slot(i);
-            let b = &mut buf[off - lstart..][..l.entry_size()];
+            let b = &mut buf[off as usize - lstart..][..l.entry_size()];
             b[entry_field::VER] = ver(i);
             put(b, entry_field::BITMAP, &bitmap.to_le_bytes());
             put(b, entry_field::KEY, &key.to_le_bytes());
             put(b, entry_field::KEY + l.key_size, &value[..l.value_size]);
         }
-        // A line version belongs to the object its first payload byte is in.
-        let line_ver = |p| l.entry_at(p).map_or(pack_ver(nv, 0), ver);
+        // A line version belongs to the object its first payload byte is
+        // in: the plan's slot owner.
+        let line_ver = |p: usize| loc.owner(p / LINE_PAYLOAD).map_or(pack_ver(nv, 0), ver);
         l.versioned().stripe(lstart, buf, line_ver);
         pstart
     }
@@ -600,17 +632,17 @@ impl LeafOps {
                 // the first range) must name a key homed there.
                 let bm = entry_bitmap(&self.layout, &pieces[0], home);
                 let mut found = None;
-                for (pos, p) in covered(&self.locator, pieces) {
+                for (pos, off, p) in covered(&self.locator, pieces) {
                     let d = cyc_dist(home, pos, span);
                     if d >= h || bm & (1 << d) == 0 {
                         continue;
                     }
-                    let k = entry_key(&self.layout, p, pos);
+                    let k = p.u64_at(off + entry_field::KEY);
                     if k == 0 || home_entry(k, span) != home {
                         return None;
                     }
                     if k == key {
-                        found = Some((pos, p));
+                        found = Some((pos, off, p));
                     }
                 }
                 Some((meta.expect("no replica covered"), found))
@@ -620,12 +652,13 @@ impl LeafOps {
                 backoff.wait(ep);
                 continue;
             };
-            if let Some((pos, p)) = found {
-                entry_value(&self.layout, p, pos).clone_into(value);
+            if let Some((_, off, p)) = found {
+                let l = &self.layout;
+                p.bytes(off + entry_field::KEY + l.key_size, l.value_size).clone_into(value);
             }
             return NbhRead {
                 meta,
-                found: found.map(|(pos, _)| pos),
+                found: found.map(|(pos, ..)| pos),
             };
         }
     }
@@ -996,8 +1029,15 @@ impl LeafOps {
             // Whole node: bitmaps must describe the occupancy, and the true
             // maximum is at hand (also covers the no-piggyback mode, where
             // argmax is unavailable).
+            let (keys, bitmaps) = &mut lr.fields;
+            keys.clear();
+            bitmaps.clear();
+            for (key, _, bitmap) in (0..l.span).map(|i| w.slot(i)) {
+                keys.push(key);
+                bitmaps.push(bitmap);
+            }
             assert!(
-                bijective(l.span, l.h, |i| w.slot(i).0, |i| w.slot(i).2),
+                bijective(l.h, keys, bitmaps).is_some(),
                 "locked leaf read observed a torn image"
             );
             (w.max_key(), None)

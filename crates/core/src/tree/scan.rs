@@ -16,45 +16,141 @@ use crate::skeleton::SkeletonClient;
 const SCAN_BRIDGE_LIMIT: usize = 64;
 
 /// A scan's working set, held by its client and reused across scans: the
-/// leaf snapshots one attempt read, every row with a key `>= start` packed
-/// as a `u128` of `(key, leaf, value offset)` (unsorted; sorting the packed
-/// values orders rows by key, ties in gather order), the doorbell in hand
-/// and the buffers of the whole-leaf reads. Values stay in the snapshots
-/// until the rows to return are known.
-#[derive(Default)]
+/// leaf snapshots one attempt read, how many of their rows have a key
+/// `>= start` with the OR and the AND of those keys, the ranks that order
+/// the rows ([`order`]), the doorbell in hand and the buffers of the
+/// whole-leaf reads. A row is named by its leaf and slot, and its key and
+/// value stay in the snapshot until the rows to return are known.
 pub(super) struct Gathered {
     leaves: Vec<LeafSnapshot>,
-    rows: Vec<u128>,
+    rows: usize,
+    or: u64,
+    and: u64,
+    ranks: Vec<u64>,
     batch: Vec<LeafSnapshot>,
     reads: LeafReads,
+}
+
+impl Default for Gathered {
+    fn default() -> Self {
+        Gathered {
+            leaves: Vec::new(),
+            rows: 0,
+            or: 0,
+            and: u64::MAX,
+            ranks: Vec::new(),
+            batch: Vec::new(),
+            reads: LeafReads::default(),
+        }
+    }
 }
 
 impl Gathered {
     fn push(&mut self, leaf: LeafSnapshot, start: u64) {
         self.leaves.push(leaf);
-        self.index_last(start);
+        self.count_last(start);
     }
 
-    /// Packs the rows of the last leaf read: every slot is written, and
-    /// kept when its key is `>= start` (an empty slot's 0 never is).
-    fn index_last(&mut self, start: u64) {
-        let (at, rows) = (self.leaves.len() - 1, &mut self.rows);
-        let (leaf, tag) = (&self.leaves[at], (at as u128) << 32);
-        let mut kept = rows.len();
-        rows.resize(kept + leaf.keys.len(), 0);
-        for (k, off) in leaf.slots() {
-            rows[kept] = u128::from(k) << 64 | tag | off as u128;
-            kept += usize::from(k >= start);
+    /// Folds the rows of the last leaf read into the count and the key
+    /// bits: every slot is folded, and counts when its key is `>= start`
+    /// (an empty slot's 0 never is).
+    fn count_last(&mut self, start: u64) {
+        for &k in &self.leaves.last().expect("a leaf").keys {
+            let kept = 0u64.wrapping_sub(u64::from(k >= start));
+            (self.or, self.and) = (self.or | k & kept, self.and & (k | !kept));
+            self.rows += usize::from(k >= start);
         }
-        rows.truncate(kept);
+    }
+
+    /// The first `count` rows, in key order with ties in gather order:
+    /// ranks every row `>= start` by its key and its index, leaf by leaf
+    /// and slot by slot (`leaf << bits | slot`), then orders them.
+    fn order(&mut self, start: u64, count: usize) -> impl Iterator<Item = (u64, &[u8])> {
+        let span = self.leaves.first().map_or(1, |l| l.keys.len());
+        let bits = span.next_power_of_two().trailing_zeros();
+        let rank = Rank::new(self.or ^ self.and, (self.leaves.len() as u64) << bits);
+        let ranks = &mut self.ranks;
+        ranks.resize(self.leaves.len() * span, 0);
+        let mut n = 0;
+        for (j, leaf) in self.leaves.iter().enumerate() {
+            for (slot, &k) in leaf.keys.iter().enumerate() {
+                ranks[n] = rank.of(k, (j << bits | slot) as u64);
+                n += usize::from(k >= start);
+            }
+        }
+        ranks.truncate(n);
+        let (leaves, mask) = (&self.leaves, (1 << bits) - 1);
+        order(rank, ranks, count, |i| leaves[i >> bits].keys[i & mask]);
+        ranks.iter().map(move |&i| {
+            let (leaf, slot) = (&leaves[i as usize >> bits], i as usize & mask);
+            (leaf.keys[slot], leaf.value(slot))
+        })
     }
 
     /// Drops the attempt's rows and hands its leaves' buffers back.
     fn reset(&mut self) {
-        self.rows.clear();
+        (self.rows, self.or, self.and) = (0, 0, u64::MAX);
         for leaf in self.leaves.drain(..) {
             self.reads.recycle(leaf);
         }
+    }
+}
+
+/// How [`order`] ranks rows: a row's rank is its key's high bits with the
+/// row's index in the low bits that every index needs. The bits every key
+/// shares carry no order and are shifted out first, so clustered keys keep
+/// as many distinguishing bits as random ones.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Rank {
+    shift: u32,
+    low: u64,
+}
+
+impl Rank {
+    /// The ranking of rows whose keys differ in the bits `varying`, with
+    /// indices below `n`.
+    pub(super) fn new(varying: u64, n: u64) -> Self {
+        Rank {
+            shift: varying.leading_zeros().min(63),
+            low: n.next_power_of_two() - 1,
+        }
+    }
+
+    /// The rank of the row at `index` with key `key`.
+    pub(super) fn of(self, key: u64, index: u64) -> u64 {
+        (key << self.shift) & !self.low | index
+    }
+}
+
+/// Leaves in `ranks`, which hold the ranks of some rows, the indices of
+/// the `count` rows that come first in `(key, index)` order, in that
+/// order; `key(i)` is the key of the row at index `i`. The selection and
+/// the sort run on the `u64` ranks, and only rows whose ranks share their
+/// high bits are settled by the full `(key, index)`.
+pub(super) fn order(rank: Rank, ranks: &mut Vec<u64>, count: usize, key: impl Fn(usize) -> u64) {
+    let (low, n) = (rank.low, ranks.len());
+    let high = |r: &u64| r & !low;
+    if n > count {
+        ranks.select_nth_unstable(count);
+        // Every row that shares the cut's high bits may belong in front
+        // of it by its full key: bring them all in.
+        let cut = high(&ranks[count]);
+        let mut end = count;
+        for j in count..n {
+            if high(&ranks[j]) == cut {
+                ranks.swap(end, j);
+                end += 1;
+            }
+        }
+        ranks.truncate(end);
+    }
+    ranks.sort_unstable();
+    for run in ranks.chunk_by_mut(|a, b| high(a) == high(b)).filter(|run| run.len() > 1) {
+        run.sort_unstable_by_key(|&r| (key((r & low) as usize), r));
+    }
+    ranks.truncate(count);
+    for r in ranks.iter_mut() {
+        *r &= low;
     }
 }
 
@@ -69,15 +165,7 @@ impl ChimeClient {
             let (mut parent, idx) = self.locate_parent(start);
             got.reset();
             if self.scan_from(&mut parent, idx, start, count, &mut got) {
-                let rows = &mut got.rows;
-                if rows.len() > count {
-                    rows.select_nth_unstable(count);
-                    rows.truncate(count);
-                }
-                rows.sort_unstable();
-                for &row in &got.rows {
-                    let (k, leaf, off) = ((row >> 64) as u64, (row >> 32) as u32, row as u32);
-                    let stored = got.leaves[leaf as usize].value_at(off as usize);
+                for (k, stored) in got.order(start, count) {
                     self.push_row(k, stored, out);
                 }
                 got.reset();
@@ -115,7 +203,7 @@ impl ChimeClient {
         let mut chain: Option<GlobalAddr> = None;
         loop {
             // Batch-read the next group of candidate leaves in one RTT.
-            let take = self.batch_len(parent, idx, start, count.saturating_sub(got.rows.len()));
+            let take = self.batch_len(parent, idx, start, count.saturating_sub(got.rows));
             let addrs = &parent.children()[idx..idx + take];
             let mut batch = std::mem::take(&mut got.batch);
             self.in_phase(Phase::LeafRead, |me| {
@@ -137,7 +225,7 @@ impl ChimeClient {
             }
             got.batch = batch;
             idx += take;
-            if got.rows.len() >= count {
+            if got.rows >= count {
                 return true;
             }
             if idx >= parent.children().len() {
@@ -164,7 +252,7 @@ impl ChimeClient {
     /// ones by 1 %; edge leaves (ranges to 0 or `u64::MAX`) stay out.
     fn observe_density(&mut self, (lo, hi): (u64, u64), leaf: &LeafSnapshot) {
         if lo != 0 && hi != u64::MAX {
-            let keys = leaf.keys.iter().filter(|&&k| k != 0).count() as f64;
+            let keys = leaf.occupied() as f64;
             let (k, w) = self.scan_density;
             self.scan_density = (k * 0.99 + keys, w * 0.99 + (hi - lo) as f64);
         }
@@ -206,7 +294,7 @@ impl ChimeClient {
         for hops in 0.. {
             let arrived = match target {
                 Some(t) => c == t,
-                None => c.is_null() || got.rows.len() >= count,
+                None => c.is_null() || got.rows >= count,
             };
             if arrived {
                 break;
@@ -223,7 +311,7 @@ impl ChimeClient {
                 return false;
             }
             c = meta.sibling;
-            got.index_last(start);
+            got.count_last(start);
         }
         true
     }

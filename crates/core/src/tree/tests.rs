@@ -1222,3 +1222,68 @@ fn a_key_sharing_a_pivots_bucket_costs_one_cache_miss() {
     assert_eq!(rows.iter().map(|r| r.0).collect::<Vec<_>>(), [above, max + (1 << 40)]);
     assert_eq!(c.check_integrity().unwrap(), 301);
 }
+
+// ----- the u64 scan ranks vs the u128 sort they replaced ---------------------
+
+/// The first `count` row indices of `keys` as the scan ordered them before
+/// ranks: `key << 64 | index` as a `u128`, sorted.
+fn u128_order(keys: &[u64], count: usize) -> Vec<u64> {
+    let mut rows: Vec<u128> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| u128::from(k) << 64 | i as u128)
+        .collect();
+    rows.sort_unstable();
+    rows.iter().take(count).map(|&r| r as u64).collect()
+}
+
+/// The first `count` row indices of `keys` through the scan's ranks.
+fn ranked_order(keys: &[u64], count: usize) -> Vec<u64> {
+    let (or, and) = keys.iter().fold((0, u64::MAX), |(o, a), &k| (o | k, a & k));
+    let rank = scan::Rank::new(or ^ and, keys.len() as u64);
+    let mut ranks: Vec<u64> = keys.iter().enumerate().map(|(i, &k)| rank.of(k, i as u64)).collect();
+    scan::order(rank, &mut ranks, count, |i| keys[i]);
+    ranks
+}
+
+proptest::proptest! {
+    /// Ranking rows by `u64`s orders them exactly as the `u128` sort did:
+    /// random keys; clusters that differ only in the bits the index takes
+    /// (with keys far apart beside them, so no shared prefix is shifted
+    /// out); keys repeated across leaves; counts that cut a tie run, and
+    /// counts at or past the number of rows.
+    #[test]
+    fn ranked_rows_come_out_in_the_u128_order(
+        picks in proptest::collection::vec((0u8..5, proptest::prelude::any::<u64>(), 0u64..1024), 0..400),
+        base0 in proptest::prelude::any::<u64>(),
+        base1 in proptest::prelude::any::<u64>(),
+        cut in 0usize..500,
+    ) {
+        let keys: Vec<u64> = picks
+            .iter()
+            .map(|&(kind, r, small)| match kind {
+                0 => r,
+                1 => base0 & !1023 | small,
+                2 => base1.wrapping_add(small % 8),
+                3 => small % 4,
+                _ => u64::MAX - small % 2,
+            })
+            .collect();
+        for count in [cut, keys.len(), keys.len() + 1, cut % (keys.len() + 1)] {
+            proptest::prop_assert_eq!(ranked_order(&keys, count), u128_order(&keys, count), "count {}", count);
+        }
+    }
+}
+
+#[test]
+fn ranked_rows_settle_ties_by_key_then_gather_order() {
+    // Three copies of key 5 (one per "leaf"), keys that share every bit
+    // but the last two, and 0 beside u64::MAX so no prefix is shared.
+    let keys = [5, u64::MAX, 0b110, 5, 0, 0b101, 5, 0b111, 0b100];
+    for count in 0..=keys.len() + 1 {
+        assert_eq!(ranked_order(&keys, count), u128_order(&keys, count), "count {count}");
+    }
+    // One key everywhere: every row ties, and gather order decides.
+    assert_eq!(ranked_order(&[9; 5], 3), [0, 1, 2]);
+    assert!(ranked_order(&[], 3).is_empty());
+}

@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use chime::leaf::Fetches;
 use dmem::indirect::Values;
 use dmem::{ChunkAlloc, Endpoint, GlobalAddr, Pool};
 
@@ -105,12 +106,16 @@ impl<L> Clone for Learned<L> {
     }
 }
 
-/// One client of a learned index: the shared directory, an endpoint and an
-/// allocator for synonym leaves and value blocks.
+/// One client of a learned index: the shared directory, an endpoint, an
+/// allocator for synonym leaves and value blocks, and the buffers its
+/// hopscotch-leaf probes reuse (CHIME-Learned's: the READ buffers and the
+/// value of a probe whose caller wants none).
 pub struct Client<L> {
     pub(crate) dir: Arc<Directory<L>>,
     pub(crate) ep: Endpoint,
     pub(crate) alloc: ChunkAlloc,
+    pub(crate) reads: Fetches,
+    pub(crate) spare: Vec<u8>,
 }
 
 impl<L> Learned<L> {
@@ -171,6 +176,8 @@ impl<L> Learned<L> {
             dir: Arc::clone(&self.dir),
             ep: Endpoint::new(Arc::clone(&self.dir.pool)),
             alloc: ChunkAlloc::sim_scaled(),
+            reads: Fetches::default(),
+            spare: Vec::new(),
         }
     }
 

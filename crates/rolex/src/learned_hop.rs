@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use chime::hopscotch::{build_table, Window};
 use chime::layout::LeafLayout;
-use chime::leaf::{Fetches, LeafMeta, LeafOps, LeafSnapshot, LockedRead};
+use chime::leaf::{LeafMeta, LeafOps, LeafSnapshot, LockedRead};
 use chime::lockword::LockWord;
 use dmem::hash::home_entry;
 use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
@@ -60,17 +60,17 @@ impl ChimeLearned {
 
 impl ChimeLearnedClient {
     /// Finds the owner leaf index by probing candidate neighborhoods:
-    /// one neighborhood READ per candidate leaf (the CHIME-Learned cost).
-    /// Returns the owner index and whether its chain holds `key`, whose
-    /// stored value then replaces the contents of `value`.
+    /// one neighborhood READ per candidate leaf (the CHIME-Learned cost),
+    /// through the client's READ buffers. Returns the owner index and
+    /// whether its chain holds `key`, whose stored value then replaces the
+    /// contents of `value`.
     fn probe(&mut self, key: u64, value: &mut Vec<u8>) -> (usize, bool) {
-        let leaf = self.dir.leaf;
-        let mut reads = Fetches::default();
+        let (leaf, reads) = (self.dir.leaf, &mut self.reads);
         for widen in 0..OP_RETRY_LIMIT {
             let (lo, hi) = self.dir.candidates(key, widen);
             for i in lo..=hi {
                 let addr = self.dir.leaf_addr(i);
-                let mut r = leaf.read_neighborhood(&mut self.ep, addr, key, &mut reads, value);
+                let mut r = leaf.read_neighborhood(&mut self.ep, addr, key, reads, value);
                 let (flo, fhi) = r.meta.fences.expect("fence mode");
                 if !dmem::hash::in_range(key, flo, fhi) {
                     continue;
@@ -81,18 +81,27 @@ impl ChimeLearnedClient {
                         return (i, r.found.is_some());
                     }
                     let next = r.meta.sibling;
-                    r = leaf.read_neighborhood(&mut self.ep, next, key, &mut reads, value);
+                    r = leaf.read_neighborhood(&mut self.ep, next, key, reads, value);
                 }
             }
         }
         panic!("chime-learned owner not found for key {key}");
     }
 
+    /// [`Self::probe`] for the write paths and scans, which want the owner,
+    /// not the value: it lands in the client's spare buffer.
+    fn owner(&mut self, key: u64) -> (usize, bool) {
+        let mut spare = std::mem::take(&mut self.spare);
+        let found = self.probe(key, &mut spare);
+        self.spare = spare;
+        found
+    }
+
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
         let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
         let leaf = self.dir.leaf;
         let home = home_entry(key, leaf.layout.span);
-        let (owner_idx, _) = self.probe(key, &mut Vec::new());
+        let (owner_idx, _) = self.owner(key);
         let owner = self.dir.leaf_addr(owner_idx);
         let word = leaf.lock(&mut self.ep, owner);
         // Try the owner leaf first.
@@ -153,7 +162,7 @@ impl ChimeLearnedClient {
     fn edit_locked(&mut self, key: u64, edit: impl FnOnce(&mut Window, usize, LockWord) -> LockWord) -> bool {
         let leaf = self.dir.leaf;
         let home = home_entry(key, leaf.layout.span);
-        let (owner_idx, found) = self.probe(key, &mut Vec::new());
+        let (owner_idx, found) = self.owner(key);
         if !found {
             return false;
         }
@@ -200,7 +209,7 @@ impl ChimeLearnedClient {
             return;
         }
         let leaf = self.dir.leaf;
-        let (mut idx, _) = self.probe(start, &mut Vec::new());
+        let (mut idx, _) = self.owner(start);
         // Every leaf read, and a `(key, leaf, value offset)` per row `>= start`.
         let mut leaves: Vec<LeafSnapshot> = Vec::new();
         let mut collected: Vec<(u64, u32, u32)> = Vec::new();

@@ -1,0 +1,90 @@
+//! Allocation counts of CHIME-Learned's probes, counted exactly: a probe
+//! reads its candidate neighborhoods through the client's READ buffers, so
+//! a warm search into a reused value buffer allocates nothing.
+//!
+//! Counts are per thread, as in `core/tests/allocs.rs`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dmem::{Pool, RangeIndex};
+use rolex::{ChimeLearned, RolexConfig};
+
+thread_local! {
+    // Per thread, so the test harness's own threads cannot disturb a count;
+    // const-initialised and without a destructor, so touching it from inside
+    // the allocator can neither allocate nor run after teardown.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a thread-local
+// counter increment that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller guarantees `layout` has non-zero size.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: the caller guarantees `ptr` came from this allocator with
+        // `layout`, i.e. from `System`, and that `new_size` is valid.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator with
+        // `layout`, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes.
+fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+#[test]
+fn a_warm_probe_allocates_nothing() {
+    let pool = Pool::with_defaults(1, 256 << 20);
+    let mut keys: Vec<u64> = (1..=5_000u64).map(dmem::hash::mix64).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let items: Vec<(u64, Vec<u8>)> = keys.iter().map(|&k| (k, k.to_le_bytes().to_vec())).collect();
+    let tree = ChimeLearned::create(&pool, RolexConfig::default(), &items);
+    let mut client = tree.client();
+    // The first probes size the client's READ buffers and the value.
+    let mut value = Vec::new();
+    for &k in &keys {
+        assert!(client.search_into(k, &mut value));
+    }
+    for &k in keys.iter().step_by(3) {
+        let (n, found) = allocs(|| client.search_into(k, &mut value));
+        assert!(found && value == k.to_le_bytes(), "search_into of {k:#x}");
+        assert_eq!(n, 0, "a warm probe of {k:#x} allocated {n} times");
+    }
+    // An absent key probes its candidates and finds nothing, allocating
+    // nothing either.
+    let (n, found) = allocs(|| client.search_into(3, &mut value));
+    assert!(!found);
+    assert_eq!(n, 0, "a warm probe of an absent key allocated {n} times");
+}

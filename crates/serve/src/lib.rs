@@ -19,9 +19,11 @@
 //! borrows its words from its own buffer, both encoders write digits
 //! straight into the output, and [`conn::execute_with`] searches a GET into
 //! a spare buffer that each connection keeps and takes back from the
-//! encoded `Value` reply ([`Conn::serve`], which both transports call).
+//! encoded `Value` reply ([`Conn::serve`], which both transports call, and
+//! which encodes a SCAN reply from a row arena the connection keeps).
 //! [`execute`] is the adapter over it with a fresh buffer
-//! (`tests/allocs.rs` pins the counts).
+//! (`tests/allocs.rs` pins the counts). Key 0, which every index reserves,
+//! is answered without reaching the index.
 //!
 //! The split mirrors the rest of the repo: the protocol, admission and
 //! backpressure logic is exercised (and gated) deterministically; the

@@ -128,15 +128,7 @@ impl Response {
                 out.extend_from_slice(b"\r\n");
             }
             Response::Value(v) => put_bulk(out, v),
-            Response::Pairs(items) => {
-                out.push(b'*');
-                out.extend_from_slice(decimal(items.len() as u64 * 2, &mut digits));
-                out.extend_from_slice(b"\r\n");
-                for (k, v) in items {
-                    put_bulk(out, decimal(*k, &mut digits));
-                    put_bulk(out, v);
-                }
-            }
+            Response::Pairs(items) => encode_pairs(items.len(), items.iter().map(|(k, v)| (*k, &v[..])), out),
             Response::Err(msg) => {
                 out.extend_from_slice(b"-ERR ");
                 out.extend_from_slice(msg.as_bytes());
@@ -158,6 +150,19 @@ fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
         if n == 0 {
             return &buf[at..];
         }
+    }
+}
+
+/// Appends the [`Response::Pairs`] frame of `n` rows, given as `(key,
+/// value)` pairs: `*<2n>` and then each key and value as a bulk string.
+pub fn encode_pairs<'a>(n: usize, rows: impl IntoIterator<Item = (u64, &'a [u8])>, out: &mut Vec<u8>) {
+    let mut digits = [0u8; 20];
+    out.push(b'*');
+    out.extend_from_slice(decimal(n as u64 * 2, &mut digits));
+    out.extend_from_slice(b"\r\n");
+    for (k, v) in rows {
+        put_bulk(out, decimal(k, &mut digits));
+        put_bulk(out, v);
     }
 }
 

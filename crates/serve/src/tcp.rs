@@ -573,6 +573,39 @@ mod tests {
     }
 
     #[test]
+    fn requests_for_the_reserved_key_0_are_answered_and_the_server_keeps_serving() {
+        let server = start(100, 8, 64);
+        let (mut zero, mut other) = (connect(&server), connect(&server));
+        let replies: [(&[u8], &[u8]); 3] = [
+            (b"GET 0\r\n", b"$-1\r\n"),
+            (b"DEL 0\r\n", b":0\r\n"),
+            (b"SET 0 v\r\n", b"-ERR key 0 is reserved\r\n"),
+        ];
+        for (req, reply) in replies {
+            zero.write_all(req).unwrap();
+            let mut got = vec![0u8; reply.len()];
+            zero.read_exact(&mut got).unwrap();
+            assert_eq!(got, reply, "{}", String::from_utf8_lossy(req));
+            assert!(pongs(&mut other), "a second connection is answered after {req:?}");
+        }
+        // A scan from 0 starts at key 1: one row, the smallest key.
+        zero.write_all(b"SCAN 0 1\r\n").unwrap();
+        let mut rd = BufReader::new(&mut zero);
+        let mut lines = [(); 5].map(|_| Vec::new());
+        for line in &mut lines {
+            read_line(&mut rd, line).unwrap();
+        }
+        assert_eq!((&lines[0][..], &lines[3][..]), (&b"*2"[..], &b"$8"[..]));
+        assert!(std::str::from_utf8(&lines[2]).unwrap().parse::<u64>().unwrap() >= 1);
+        assert!(rd.buffer().is_empty(), "nothing follows the reply");
+        drop(rd);
+        assert!(pongs(&mut other), "a second connection is answered after a scan from 0");
+        assert!(pongs(&mut zero));
+        drop((zero, other));
+        server.stop();
+    }
+
+    #[test]
     fn a_connection_beyond_the_admit_limit_gets_busy() {
         let server = start(100, 8, 2);
         let mut admitted: Vec<TcpStream> = (0..2).map(|_| connect(&server)).collect();

@@ -5,7 +5,8 @@
 //! both encoders write digits straight into the output, and
 //! `execute_with` searches a GET into the connection's spare buffer and
 //! stores a SET of the index's value width from the request as is; a
-//! connection takes its spare back from each reply (`Conn::serve`).
+//! connection takes its spare back from each reply (`Conn::serve`), and
+//! scans into its row arena and encodes the SCAN reply from there.
 //!
 //! Counts are per thread, as in `core/tests/allocs.rs`.
 
@@ -205,4 +206,30 @@ fn executing_a_warm_get_or_set_allocates_nothing() {
         client.counters.splits, splits,
         "no SET of a present key splits"
     );
+}
+
+#[test]
+fn serving_a_warm_scan_allocates_nothing() {
+    let pool = Pool::with_defaults(1, 64 << 20);
+    let tree = Chime::create(&pool, ChimeConfig::default(), 0);
+    let mut client = tree.client(&tree.new_cn());
+    for k in 1..=KEYS {
+        client.insert(k, &k.to_le_bytes()).unwrap();
+    }
+    let scans: Vec<Request> = (0..200u64)
+        .map(|i| Request::Scan(1 + i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % KEYS, 1 + (i as usize * 7) % 100))
+        .collect();
+    // The first pass sizes the arena, the output and the client's scan
+    // buffers; a repeat of each scan then allocates nothing.
+    let mut conn = Conn::new(0);
+    for req in &scans {
+        conn.serve(&mut client, req, VALUE_SIZE);
+        conn.out.clear();
+    }
+    for req in &scans {
+        let (n, ()) = allocs(|| conn.serve(&mut client, req, VALUE_SIZE));
+        assert!(conn.out.starts_with(b"*"), "{req:?}");
+        assert_eq!(n, 0, "serving {req:?} allocated {n} times");
+        conn.out.clear();
+    }
 }

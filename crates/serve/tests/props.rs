@@ -382,3 +382,49 @@ proptest! {
         prop_assert_eq!(ra, rb);
     }
 }
+
+proptest! {
+    /// A SCAN reply encoded from a row arena is byte for byte the
+    /// `Response::Pairs` of the same rows: empty rows and values, keys of
+    /// every digit count and the top `u64`s.
+    #[test]
+    fn pairs_from_a_row_arena_encode_as_response_pairs(
+        rows in proptest::collection::vec((any::<u64>(), 0u32..70, 0usize..40), 0..20),
+    ) {
+        let pairs: Vec<(u64, Vec<u8>)> =
+            rows.iter().map(|&(a, shift, len)| (number(a, shift), vec![a as u8; len])).collect();
+        let mut arena = dmem::Rows::new();
+        for (k, v) in &pairs {
+            arena.push(*k, v);
+        }
+        let (mut from_arena, mut reference) = (Vec::new(), Vec::new());
+        serve::proto::encode_pairs(arena.len(), arena.iter(), &mut from_arena);
+        Response::Pairs(pairs).encode(&mut reference);
+        prop_assert_eq!(from_arena, reference);
+    }
+}
+
+/// `Conn::serve` answers a SCAN from its arena with the bytes `execute`'s
+/// `Response::Pairs` encodes to, for scans from the reserved key 0, from
+/// between keys and past the last one, of no row and of more rows than
+/// there are.
+#[test]
+fn a_served_scan_writes_the_bytes_of_the_executed_one() {
+    use dmem::RangeIndex;
+    let pool = dmem::Pool::with_defaults(1, 64 << 20);
+    let tree = chime::Chime::create(&pool, chime::ChimeConfig::default(), 0);
+    let mut client = tree.client(&tree.new_cn());
+    for k in (1..=3_000u64).map(|i| i * 3) {
+        client.insert(k, &k.to_le_bytes()).unwrap();
+    }
+    let mut conn = Conn::new(0);
+    let mut reference = Vec::new();
+    for (start, count) in [(0, 5), (1, 0), (2, 1), (4_000, 37), (8_990, 100), (9_001, 3), (1, 4_000)] {
+        let req = Request::Scan(start, count);
+        conn.out.clear();
+        conn.serve(&mut client, &req, 8);
+        reference.clear();
+        serve::conn::execute(&mut client, &req, 8).encode(&mut reference);
+        assert_eq!(conn.out, reference, "SCAN {start} {count}");
+    }
+}
