@@ -70,8 +70,12 @@ figs:
 # The out-of-tree benchmark harness (benchmark/, its own workspace) links
 # the crates through their public items only: build it and run its tests so
 # a refactor that breaks that surface fails here, not in the benchmark.
+# Building it rewrites its stale lock file: a clean one is checked out again.
 bench-harness:
-	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
+	@lock_clean=$$(git diff --quiet -- benchmark/Cargo.lock && echo 1); \
+	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml; status=$$?; \
+	if [ -n "$$lock_clean" ]; then git checkout --quiet -- benchmark/Cargo.lock; fi; \
+	exit $$status
 
 # Host-speed pairs: alternating `--trace 0` passes of one benchmark workload,
 # BASE (built from `git archive` under target/pairs/ with its own target

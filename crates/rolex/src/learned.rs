@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use chime::leaf::Fetches;
+use chime::leaf::{Fetches, LockedRead};
 use dmem::indirect::Values;
 use dmem::{ChunkAlloc, Endpoint, GlobalAddr, Pool};
 
@@ -108,14 +108,18 @@ impl<L> Clone for Learned<L> {
 
 /// One client of a learned index: the shared directory, an endpoint, an
 /// allocator for synonym leaves and value blocks, and the buffers its
-/// hopscotch-leaf probes reuse (CHIME-Learned's: the READ buffers and the
-/// value of a probe whose caller wants none).
+/// hopscotch leaves reuse (CHIME-Learned's: the READ buffers and the value
+/// of a probe whose caller wants none, and the locked windows of a write).
 pub struct Client<L> {
     pub(crate) dir: Arc<Directory<L>>,
     pub(crate) ep: Endpoint,
     pub(crate) alloc: ChunkAlloc,
     pub(crate) reads: Fetches,
     pub(crate) spare: Vec<u8>,
+    /// The owner leaf's locked window.
+    pub(crate) owner_read: LockedRead,
+    /// A synonym leaf's window, read while the owner's stays in use.
+    pub(crate) chain_read: LockedRead,
 }
 
 impl<L> Learned<L> {
@@ -178,6 +182,8 @@ impl<L> Learned<L> {
             alloc: ChunkAlloc::sim_scaled(),
             reads: Fetches::default(),
             spare: Vec::new(),
+            owner_read: LockedRead::default(),
+            chain_read: LockedRead::default(),
         }
     }
 

@@ -99,36 +99,53 @@ impl ChimeLearnedClient {
 
     fn insert_impl(&mut self, key: u64, value: &[u8]) -> Result<(), IndexError> {
         let stored = self.dir.values.store(&mut self.ep, &mut self.alloc, key, value)?;
-        let leaf = self.dir.leaf;
-        let home = home_entry(key, leaf.layout.span);
         let (owner_idx, _) = self.owner(key);
         let owner = self.dir.leaf_addr(owner_idx);
-        let word = leaf.lock(&mut self.ep, owner);
+        let word = self.dir.leaf.lock(&mut self.ep, owner);
+        // The owner's window is out of the client while the write runs, so
+        // that the chain steps may borrow the client beside it.
+        let mut lr = std::mem::take(&mut self.owner_read);
+        let done = self.insert_locked(owner, word, key, &stored, &mut lr);
+        self.owner_read = lr;
+        done
+    }
+
+    /// Inserts `key` under the owner's lock `word`: into the owner leaf,
+    /// whose window `lr` reads, else into its synonym chain.
+    fn insert_locked(
+        &mut self,
+        owner: GlobalAddr,
+        word: LockWord,
+        key: u64,
+        stored: &[u8],
+        lr: &mut LockedRead,
+    ) -> Result<(), IndexError> {
+        let leaf = self.dir.leaf;
+        let home = home_entry(key, leaf.layout.span);
         // Try the owner leaf first.
-        let mut lr = LockedRead::default();
-        if !leaf.read_hop_window(&mut self.ep, owner, home, word, &mut lr) {
+        if !leaf.read_hop_window(&mut self.ep, owner, home, word, lr) {
             // Owner full per vacancy bitmap; a duplicate may still live in
             // it, else the chain.
-            leaf.read_full_locked(&mut self.ep, owner, word, &mut lr);
+            leaf.read_full_locked(&mut self.ep, owner, word, lr);
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
-                lr.w.set_value(pos, &stored);
+                lr.w.set_value(pos, stored);
                 lr.write_back(&leaf, &mut self.ep, owner, word);
                 return Ok(());
             }
-            return self.insert_into_chain(owner, lr.meta, key, &stored, word);
+            return self.insert_into_chain(owner, lr.meta, key, stored, word);
         }
         if let Some(pos) = lr.w.find_in_neighborhood(key) {
-            lr.w.set_value(pos, &stored);
+            lr.w.set_value(pos, stored);
             lr.write_back(&leaf, &mut self.ep, owner, word);
             return Ok(());
         }
         // Duplicate in the synonym chain? (A key that overflowed while the
         // owner was full stays there even after owner space frees up.)
-        if !lr.meta.sibling.is_null() && self.update_in_chain(owner, lr.meta.sibling, key, &stored, word) {
+        if !lr.meta.sibling.is_null() && self.update_in_chain(owner, lr.meta.sibling, key, stored, word) {
             return Ok(());
         }
         if let Some(empty) = lr.w.first_empty_from(home) {
-            if let Ok(pos) = lr.w.insert(key, &stored, empty) {
+            if let Ok(pos) = lr.w.insert(key, stored, empty) {
                 let vm = leaf.vm;
                 let g = vm.group_of(empty);
                 let (gs, ge) = vm.group_range(g);
@@ -142,7 +159,7 @@ impl ChimeLearnedClient {
             }
         }
         // No room/hop in the owner: the chain.
-        self.insert_into_chain(owner, lr.meta, key, &stored, word)
+        self.insert_into_chain(owner, lr.meta, key, stored, word)
     }
 
     fn search_impl(&mut self, key: u64, value: &mut Vec<u8>) -> bool {
@@ -167,8 +184,8 @@ impl ChimeLearnedClient {
             return false;
         }
         let owner = self.dir.leaf_addr(owner_idx);
-        let mut lr = LockedRead::default();
-        let word = leaf.lock_nbh_window(&mut self.ep, owner, home, &mut lr);
+        let lr = &mut self.owner_read;
+        let word = leaf.lock_nbh_window(&mut self.ep, owner, home, lr);
         let mut addr = owner;
         loop {
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
@@ -184,7 +201,7 @@ impl ChimeLearnedClient {
                 return false;
             }
             addr = lr.meta.sibling;
-            leaf.read_nbh_window(&mut self.ep, addr, home, word, &mut lr);
+            leaf.read_nbh_window(&mut self.ep, addr, home, word, lr);
         }
     }
 
@@ -269,10 +286,10 @@ impl ChimeLearnedClient {
         let leaf = self.dir.leaf;
         let home = home_entry(key, leaf.layout.span);
         let mut addr = head;
-        let mut lr = LockedRead::default();
+        let lr = &mut self.chain_read;
         while !addr.is_null() {
             let syn_word = LockWord::initial(leaf.vm.groups());
-            leaf.read_nbh_window(&mut self.ep, addr, home, syn_word, &mut lr);
+            leaf.read_nbh_window(&mut self.ep, addr, home, syn_word, lr);
             if let Some(pos) = lr.w.find_in_neighborhood(key) {
                 lr.w.set_value(pos, stored);
                 lr.write_back(&leaf, &mut self.ep, addr, syn_word);
@@ -301,12 +318,12 @@ impl ChimeLearnedClient {
         let mut addr = owner_meta.sibling;
         let mut last_meta = owner_meta;
         let mut last_addr = owner;
-        let mut lr = LockedRead::default();
+        let lr = &mut self.chain_read;
         while !addr.is_null() {
             // Synonym lock words are unused (the owner lock guards the
             // chain); read with a neutral word and write back in place.
             let syn_word = LockWord::initial(leaf.vm.groups());
-            if leaf.read_hop_window(&mut self.ep, addr, home, syn_word, &mut lr) {
+            if leaf.read_hop_window(&mut self.ep, addr, home, syn_word, lr) {
                 if let Some(pos) = lr.w.find_in_neighborhood(key) {
                     lr.w.set_value(pos, stored);
                     lr.write_back(&leaf, &mut self.ep, addr, syn_word);
@@ -341,13 +358,13 @@ impl ChimeLearnedClient {
         // replicas via a full rewrite.
         if last_addr == owner {
             // Rewrite owner replicas with the new sibling and unlock.
-            leaf.read_full_locked(&mut self.ep, owner, word, &mut lr);
+            leaf.read_full_locked(&mut self.ep, owner, word, lr);
             let mut m = lr.meta;
             m.sibling = syn_addr;
             leaf.rewrite_and_unlock(&mut self.ep, owner, &lr.w, lr.nv, &m);
         } else {
             let syn_word = LockWord::initial(leaf.vm.groups());
-            leaf.read_full_locked(&mut self.ep, last_addr, syn_word, &mut lr);
+            leaf.read_full_locked(&mut self.ep, last_addr, syn_word, lr);
             let mut m = lr.meta;
             m.sibling = syn_addr;
             leaf.rewrite_and_unlock(&mut self.ep, last_addr, &lr.w, lr.nv, &m);

@@ -1,6 +1,8 @@
-//! Allocation counts of CHIME-Learned's probes, counted exactly: a probe
-//! reads its candidate neighborhoods through the client's READ buffers, so
-//! a warm search into a reused value buffer allocates nothing.
+//! Allocation counts of CHIME-Learned's probes and updates, counted
+//! exactly: a probe reads its candidate neighborhoods through the client's
+//! READ buffers, so a warm search into a reused value buffer allocates
+//! nothing, and an update locks and writes back through the client's
+//! locked window, so a warm one allocates only the entry it stores.
 //!
 //! Counts are per thread, as in `core/tests/allocs.rs`.
 
@@ -63,14 +65,19 @@ fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(Cell::get) - before, r)
 }
 
-#[test]
-fn a_warm_probe_allocates_nothing() {
-    let pool = Pool::with_defaults(1, 256 << 20);
+/// A loaded CHIME-Learned index and its sorted keys.
+fn loaded(pool: &std::sync::Arc<Pool>) -> (ChimeLearned, Vec<u64>) {
     let mut keys: Vec<u64> = (1..=5_000u64).map(dmem::hash::mix64).collect();
     keys.sort_unstable();
     keys.dedup();
     let items: Vec<(u64, Vec<u8>)> = keys.iter().map(|&k| (k, k.to_le_bytes().to_vec())).collect();
-    let tree = ChimeLearned::create(&pool, RolexConfig::default(), &items);
+    (ChimeLearned::create(pool, RolexConfig::default(), &items), keys)
+}
+
+#[test]
+fn a_warm_probe_allocates_nothing() {
+    let pool = Pool::with_defaults(1, 256 << 20);
+    let (tree, keys) = loaded(&pool);
     let mut client = tree.client();
     // The first probes size the client's READ buffers and the value.
     let mut value = Vec::new();
@@ -87,4 +94,24 @@ fn a_warm_probe_allocates_nothing() {
     let (n, found) = allocs(|| client.search_into(3, &mut value));
     assert!(!found);
     assert_eq!(n, 0, "a warm probe of an absent key allocated {n} times");
+}
+
+#[test]
+fn a_warm_update_allocates_only_the_stored_entry() {
+    let pool = Pool::with_defaults(1, 256 << 20);
+    let (tree, keys) = loaded(&pool);
+    let mut client = tree.client();
+    // The first updates size the client's READ buffers and locked window.
+    for &k in &keys {
+        assert!(client.update(k, &(k + 1).to_le_bytes()).unwrap());
+    }
+    for &k in keys.iter().step_by(3) {
+        let (n, updated) = allocs(|| client.update(k, &(k + 2).to_le_bytes()));
+        assert!(updated.unwrap(), "update of {k:#x}");
+        assert_eq!(n, 1, "a warm update of {k:#x} allocated {n} times");
+    }
+    let mut value = Vec::new();
+    for &k in keys.iter().step_by(3) {
+        assert!(client.search_into(k, &mut value) && value == (k + 2).to_le_bytes());
+    }
 }

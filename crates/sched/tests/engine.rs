@@ -2,7 +2,8 @@
 //! interleaving, determinism, lane-death isolation, the CQ depth a lane
 //! reads, and the configured lane count; and the execution model: lanes
 //! run on the caller's thread, on stacks as deep as a thread's, that a
-//! backtrace can walk, and never reach the local lock table's condvar.
+//! backtrace can walk, and wait in virtual time for a local lock slot a
+//! sibling lane holds.
 
 mod common;
 
@@ -363,23 +364,35 @@ fn a_backtrace_taken_on_a_lane_ends_at_its_stack() {
 }
 
 #[test]
-fn a_lane_that_blocks_on_the_local_lock_table_fails_loudly() {
+fn a_lane_waits_in_virtual_time_for_a_local_slot_its_sibling_holds() {
     let pool = Pool::with_defaults(1, 1 << 20);
     let engine = Engine::new(EngineConfig { lanes: 2 });
-    let table = Arc::new(dmem::LocalLockTable::new());
-    let mut bodies = vec![reader(Arc::clone(&pool), 1)];
-    bodies.push(Box::new(move || {
-        drop(table.acquire(RESERVED_BYTES));
-        (0, 0)
-    }));
     let net = *pool.net();
-    let run = watchdog(move || engine.run_client(net, 1, bodies));
-    assert!(run.lanes[0].is_ok());
-    let payload = run.lanes[1].as_ref().expect_err("acquire panics on a lane");
-    assert_eq!(
-        payload.downcast_ref::<&str>(),
-        Some(
-            &"LocalLockTable::acquire blocks the thread all lanes share: a lane takes acquire_with"
-        )
+    let [(taken0, released), (taken1, _)]: [(u64, u64); 2] = watchdog(move || {
+        // The table belongs to the thread that runs its lanes.
+        let table = Arc::new(dmem::LocalLockTable::new());
+        let bodies: Vec<LaneBody<(u64, u64)>> = (0..2)
+            .map(|_| {
+                let (pool, table) = (Arc::clone(&pool), Arc::clone(&table));
+                Box::new(move || {
+                    let mut ep = Endpoint::new(pool);
+                    let slot = table.acquire_with(RESERVED_BYTES, &mut ep);
+                    let taken = ep.clock_ns();
+                    // Hold the slot across a parked read.
+                    ep.read(GlobalAddr::new(0, RESERVED_BYTES), &mut [0u8; 8]);
+                    drop(slot);
+                    (taken, ep.clock_ns())
+                }) as LaneBody<(u64, u64)>
+            })
+            .collect();
+        engine.run_client(net, 1, bodies).into_results()
+    })
+    .try_into()
+    .unwrap();
+    assert_eq!(taken0, 0, "the first lane takes a free slot at once");
+    assert!(released > 0, "the first lane holds the slot across a round trip");
+    assert!(
+        taken1 >= released,
+        "the second lane took the slot at {taken1} ns, before its release at {released} ns"
     );
 }
