@@ -78,11 +78,11 @@ bench-harness:
 	exit $$status
 
 # Host-speed pairs: alternating `--trace 0` passes of one benchmark workload,
-# BASE (built from `git archive` under target/pairs/ with its own target
-# dir) against the working tree, e.g. `make pairs BASE=HEAD~1
-# WORKLOAD=scan_insert N=10 ARGS="--seed 7"`. Prints each end-to-end
-# metric's two medians, their ratio and in how many pairs the change was
-# ahead; see tools/pairs.sh.
+# BASE against the working tree, each exported with `git archive` under
+# target/pairs/<sha> and built there with its own target dir, e.g. `make
+# pairs BASE=HEAD~1 WORKLOAD=scan_insert N=10 ARGS="--seed 7"`. Prints each
+# end-to-end metric's quartiles and median per side, the medians' ratio and
+# in how many pairs the change was ahead; see tools/pairs.sh.
 WORKLOAD ?= scan_insert
 N ?= 10
 pairs:

@@ -1,4 +1,5 @@
-//! Bounded exponential backoff with seeded jitter for optimistic retries.
+//! Bounded exponential backoff with seeded jitter for optimistic retries,
+//! and the one retry loop of every lock-free versioned read.
 //!
 //! Every retry loop in the tree (lock acquisition, torn-read revalidation,
 //! whole-operation restarts) previously spun immediately. Under contention
@@ -11,13 +12,33 @@
 //! (`lock_retries`, `op_retries`, `torn_reads_detected`,
 //! `stale_locks_reclaimed`, `faults_injected`).
 //!
+//! A reader that fetched a torn image (versions that disagree, or a bitmap
+//! or count a writer left half-way) retries in [`until_consistent`]: it
+//! counts the image ([`dmem::Endpoint::note_torn_read`]), waits on a backoff
+//! seeded by its client and the read's site, and stops only at one livelock
+//! bound. [`read_nodes`] (one doorbell per round) and [`read_node`] (its
+//! batch of one) are the whole-node reads over it, generic over the decoder
+//! and reading through a [`dmem::versioned::Fetches`] the reader keeps.
+//! Every index reads this way: CHIME's leaves ([`crate::leaf::LeafOps`]'s
+//! `read_snapshot`, `read_snapshots` and, ranged, `read_neighborhood`), the
+//! internal nodes CHIME and Sherman share
+//! ([`crate::internal::InternalOps::read_with`]), Sherman's and ROLEX's
+//! leaves (`sherman::leaf::ShermanLeafOps::{read, read_batch}`), SMART's
+//! (`smart::node::ArtOps::read_leaf_into`), and CHIME-Learned's probes and
+//! scans.
+//!
 //! The delay is charged to the endpoint's *virtual* clock
 //! ([`dmem::Endpoint::advance_clock`]); no wall-clock sleeping happens, so
 //! simulations stay instant and, given the same seed, bit-identical. In
 //! multi-threaded runs the waiter additionally yields the OS thread so a
-//! same-core lock holder can make real progress.
+//! same-core lock holder (or a writer healing a torn image) can make real
+//! progress.
 
-use dmem::Endpoint;
+use dmem::versioned::{Fetched, Fetches, Layout};
+use dmem::{Endpoint, GlobalAddr};
+
+/// Most rounds a torn-read loop runs before it declares a livelock.
+const TORN_ROUND_LIMIT: u32 = 1_000_000;
 
 /// Default first-retry delay in virtual nanoseconds (≈ half an RTT).
 pub const DEFAULT_BASE_NS: u64 = 256;
@@ -89,6 +110,63 @@ impl Backoff {
             std::thread::yield_now();
         }
     }
+}
+
+/// Runs `round` until it returns `Ok`: the retry loop of every lock-free
+/// versioned read. A round that fetched torn images returns how many
+/// (`Err`); each counts as a torn read, and the loop waits on a [`Backoff`]
+/// seeded by the client and `site` before the next round. Panics after a
+/// million torn rounds (a livelock).
+pub fn until_consistent<R>(ep: &mut Endpoint, site: u64, mut round: impl FnMut(&mut Endpoint) -> Result<R, usize>) -> R {
+    let mut backoff = None;
+    for _ in 0..TORN_ROUND_LIMIT {
+        let torn = match round(ep) {
+            Ok(r) => return r,
+            Err(torn) => torn,
+        };
+        (0..torn).for_each(|_| ep.note_torn_read());
+        backoff.get_or_insert_with(|| Backoff::new(u64::from(ep.client_id()) ^ site)).wait(ep);
+    }
+    panic!("torn-read livelock at site {site:#x}");
+}
+
+/// Whole-node reads of the nodes at `addrs` through `reads`' buffers, one
+/// doorbell batch per round ([`Fetches::read_round`]): `decode` accepts a
+/// consistent image or rejects a torn one, which the next round re-reads.
+/// The nodes are appended to `out` in `addrs` order; `site` seeds the
+/// backoff.
+pub fn read_nodes<S: Default, T>(
+    ep: &mut Endpoint,
+    layout: &Layout,
+    addrs: &[GlobalAddr],
+    site: u64,
+    reads: &mut Fetches<S>,
+    out: &mut Vec<T>,
+    mut decode: impl FnMut(&mut Fetched, &mut S) -> Option<T>,
+) {
+    let mut first = true;
+    until_consistent(ep, site, |ep| match reads.read_round(ep, layout, addrs, std::mem::take(&mut first), out, &mut decode) {
+        0 => Ok(()),
+        torn => Err(torn),
+    });
+}
+
+/// The whole-node read of the node at `addr`: [`read_nodes`]' batch of
+/// one, its site the address.
+pub fn read_node<S: Default, T>(
+    ep: &mut Endpoint,
+    layout: &Layout,
+    addr: GlobalAddr,
+    reads: &mut Fetches<S>,
+    mut decode: impl FnMut(&mut Fetched, &mut S) -> Option<T>,
+) -> T {
+    // The node leaves through the closure, so the batch collects `()`s,
+    // which take no memory.
+    let mut node = None;
+    read_nodes(ep, layout, &[addr], addr.raw(), reads, &mut Vec::new(), |f, s| {
+        decode(f, s).map(|t| node = Some(t))
+    });
+    node.expect("a decoded node")
 }
 
 trait SaturatingShl {

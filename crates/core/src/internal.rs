@@ -5,11 +5,12 @@
 //! entries, and a lock word. Internal nodes are modified rarely (only by
 //! structure-modifying operations), so writers rewrite the whole node with
 //! the node-level version bumped; readers fetch the whole node and check NV
-//! consistency.
+//! consistency, retrying a torn image through [`crate::backoff::read_node`].
 
-use dmem::versioned::{bump, pack_ver, Fetched};
+use dmem::versioned::{bump, pack_ver, Fetched, Fetches};
 use dmem::{Endpoint, GlobalAddr};
 
+use crate::backoff::read_node;
 use crate::layout::{internal_field as f, InternalLayout};
 use crate::lockword;
 
@@ -141,23 +142,17 @@ pub struct InternalOps {
 }
 
 impl InternalOps {
-    /// Reads and parses an internal node, retrying torn reads.
+    /// Reads and parses an internal node, retrying torn reads, through
+    /// the client's READ buffers `reads`.
+    pub fn read_with(&self, ep: &mut Endpoint, addr: GlobalAddr, reads: &mut Fetches) -> InternalNode {
+        read_node(ep, &self.layout.versioned(), addr, reads, |f, _| {
+            InternalNode::parse(&self.layout, addr, f)
+        })
+    }
+
+    /// [`Self::read_with`] through fresh buffers (tools and tests).
     pub fn read(&self, ep: &mut Endpoint, addr: GlobalAddr) -> InternalNode {
-        let mut spins = 0u32;
-        loop {
-            let fetch = self
-                .layout
-                .versioned()
-                .fetch(ep, addr, 0, self.layout.payload_len());
-            if let Some(n) = InternalNode::parse(&self.layout, addr, &fetch) {
-                return n;
-            }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            }
-            assert!(spins < 1_000_000, "internal read livelock at {addr:?}");
-        }
+        self.read_with(ep, addr, &mut Fetches::default())
     }
 
     /// Acquires the node's lock (bit 0) with [`lockword::acquire`]; the

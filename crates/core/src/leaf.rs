@@ -18,9 +18,11 @@
 //! bitmap/occupancy bijection, which compares the stored bitmaps with those
 //! rebuilt from each occupied slot's home.
 //! Lock-free reads then answer from the fetched slices ([`LeafSnapshot`],
-//! its keys and bitmaps decoded once); whole-leaf reads borrow their buffers
-//! from a `LeafReads`, which a scanning client keeps, so its warm scans
-//! allocate nothing. Locked reads copy the covered entries once into the
+//! its keys and bitmaps decoded once), and retry a torn image through
+//! [`crate::backoff::until_consistent`]; they borrow their buffers from a
+//! [`Fetches`] the client keeps (a scanning client's also recycles its
+//! snapshots' keys and bitmaps, [`LeafFields`]), so its warm searches and
+//! scans allocate nothing. Locked reads copy the covered entries once into the
 //! [`Window`] of a [`LockedRead`], the only mutable form of leaf content,
 //! which carries each slot's EV and dirty mark. A writing client keeps one
 //! `LockedRead` — window, READ buffers and outgoing images — and every
@@ -38,10 +40,10 @@
 use std::ops::Range;
 
 use dmem::hash::home_entry;
-use dmem::versioned::{self, bump, ev, pack_ver, Fetched, LINE_PAYLOAD, MAX_RANGES};
+use dmem::versioned::{self, bump, ev, pack_ver, Fetched, Fetches, LINE_PAYLOAD, MAX_RANGES};
 use dmem::{Endpoint, GlobalAddr};
 
-use crate::backoff::Backoff;
+use crate::backoff::{read_node, read_nodes, until_consistent, Backoff};
 use crate::hopscotch::{cyc_dist, wrap, Window};
 use crate::layout::{entry_field, replica_field, LeafLayout, LeafLocator};
 use crate::lockword::{try_acquire, LockWord, VacancyMap, ARGMAX_NONE};
@@ -176,6 +178,12 @@ impl LeafSnapshot {
             .map(|(i, &k)| (k, self.value(i)))
     }
 
+    /// Hands the snapshot's image, keys and bitmaps back to `reads` for
+    /// later whole-leaf reads.
+    pub fn recycle(self, reads: &mut Fetches<LeafFields>) {
+        reads.recycle(self.image, (self.keys, self.bitmaps));
+    }
+
     /// Converts the snapshot into a full-span hopscotch window.
     pub fn into_window(self) -> Window {
         let l = self.plan.layout();
@@ -185,40 +193,9 @@ impl LeafSnapshot {
     }
 }
 
-/// A snapshot's buffers: its READ image, keys and bitmaps.
-type Spare = (Vec<u8>, Vec<u64>, Vec<u16>);
-
-/// The buffers whole-leaf reads reuse: the image, key and bitmap vectors of
-/// snapshots handed back (`recycle`), and each round's
-/// bookkeeping. A scanning client keeps one, so a warm scan allocates for
-/// neither.
-#[derive(Debug, Default)]
-pub(crate) struct LeafReads {
-    spare: Vec<Spare>,
-    decoded: Vec<Option<LeafSnapshot>>,
-    pending: Vec<(usize, Spare)>,
-    reqs: Vec<(GlobalAddr, &'static mut [u8])>,
-}
-
-impl LeafReads {
-    /// Takes back `snap`'s buffers for later reads.
-    pub(crate) fn recycle(&mut self, snap: LeafSnapshot) {
-        self.spare
-            .push((snap.image.into_buf(), snap.keys, snap.bitmaps));
-    }
-}
-
-/// `v`'s allocation, re-typed to hold borrows of another lifetime. `v` is
-/// empty, and a vector's in-place `collect` keeps the buffer of the vector
-/// it consumes when the element layouts agree, as they do for two
-/// lifetimes of one type: the work requests of each doorbell reuse one
-/// buffer.
-fn reuse<'b>(v: Vec<(GlobalAddr, &mut [u8])>) -> Vec<(GlobalAddr, &'b mut [u8])> {
-    debug_assert!(v.is_empty());
-    v.into_iter()
-        .map(|_| unreachable!("the vector is empty"))
-        .collect()
-}
+/// A whole-leaf read's side table: the snapshot's keys and bitmaps, which
+/// a reader's [`Fetches`] recycles beside the images.
+pub type LeafFields = (Vec<u64>, Vec<u16>);
 
 /// `first` and whichever of `rest` are present, packed to the front for
 /// one fetch, with their count.
@@ -332,47 +309,6 @@ fn entry_value<'a>(l: &LeafLayout, f: &'a Fetched, i: usize) -> &'a [u8] {
 
 fn entry_ev(l: &LeafLayout, f: &Fetched, i: usize) -> u8 {
     ev(f.get(l.entry_off(i)))
-}
-
-/// The READ buffers a client keeps for its leaf reads: the pieces of its
-/// last fetch and spare buffers for the next, so once they have grown to
-/// its largest fetch, a fetch allocates nothing.
-#[derive(Debug, Default)]
-pub struct Fetches {
-    pieces: Vec<Fetched>,
-    spare: Vec<Vec<u8>>,
-}
-
-impl Fetches {
-    /// READs logical `ranges` of the leaf at `addr` with one doorbell
-    /// batch; the pieces replace the last fetch's.
-    fn fetch(
-        &mut self,
-        ep: &mut Endpoint,
-        l: &LeafLayout,
-        addr: GlobalAddr,
-        ranges: &[(usize, usize)],
-    ) -> &[Fetched] {
-        let kept = self.post(l, addr, ranges, |reqs| {
-            ep.read_batch(reqs);
-            true
-        });
-        debug_assert!(kept);
-        &self.pieces
-    }
-
-    /// [`dmem::versioned::Layout::fetch_into`] over these buffers: `post`
-    /// issues the READs and says whether their pieces are kept.
-    fn post(
-        &mut self,
-        l: &LeafLayout,
-        addr: GlobalAddr,
-        ranges: &[(usize, usize)],
-        post: impl FnOnce(&mut [(GlobalAddr, &mut [u8])]) -> bool,
-    ) -> bool {
-        let (pieces, spare) = (&mut self.pieces, &mut self.spare);
-        l.versioned().fetch_into(addr, ranges, pieces, spare, post)
-    }
 }
 
 /// A window read performed while holding the node lock, with the buffers
@@ -517,10 +453,11 @@ impl LeafOps {
     }
 
     /// Validates a whole-leaf image and decodes its keys and bitmaps into
-    /// the vectors of `spare`, in the one pass of [`Self::validate`], then
-    /// checks the bitmap/occupancy bijection over them. `None` is a torn or
-    /// intermediate image.
-    fn decode(&self, image: Fetched, (_, mut keys, mut bitmaps): Spare) -> Option<LeafSnapshot> {
+    /// `fields`, in the one pass of [`Self::validate`], then checks the
+    /// bitmap/occupancy bijection over them. A consistent image becomes a
+    /// snapshot that takes the image and the fields; `None` is a torn or
+    /// intermediate image, left in place.
+    fn decode(&self, image: &mut Fetched, (keys, bitmaps): &mut LeafFields) -> Option<LeafSnapshot> {
         let l = &self.layout;
         debug_assert_eq!((image.lstart(), image.lend()), (0, l.payload_len()));
         keys.clear();
@@ -528,20 +465,20 @@ impl LeafOps {
         bitmaps.clear();
         bitmaps.reserve(l.span);
         let mut v = Versions::NONE;
-        self.fold(&image, &mut v, |e| {
+        self.fold(image, &mut v, |e| {
             keys.push(entry_key_of(e));
             bitmaps.push(entry_bitmap_of(e));
         });
         let nv = v.nv()?;
-        let occupied = bijective(l.h, &keys, &bitmaps)?;
+        let occupied = bijective(l.h, keys, bitmaps)?;
         Some(LeafSnapshot {
             nv,
             occupied,
-            meta: self.parse_meta(&image, self.locator.replica_offs()[0] as usize),
-            keys,
-            bitmaps,
+            meta: self.parse_meta(image, self.locator.replica_offs()[0] as usize),
+            keys: std::mem::take(keys),
+            bitmaps: std::mem::take(bitmaps),
             plan: self.locator,
-            image,
+            image: std::mem::take(image),
         })
     }
 
@@ -621,13 +558,10 @@ impl LeafOps {
         let header = (!self.layout.replication).then(|| (0, self.layout.replica_size()));
         let (ranges, n) = pack_ranges(first, [wrap, header, None]);
         let ranges = &ranges[..n];
-        let mut spins = 0u32;
-        let mut backoff = Backoff::new(ep.client_id() as u64 ^ addr.raw());
-        loop {
-            spins += 1;
-            assert!(spins < 1_000_000, "neighborhood read livelock at {addr:?}");
-            let pieces = reads.fetch(ep, &self.layout, addr, ranges);
-            let checked = self.validate(pieces).and_then(|(_, meta)| {
+        let layout = self.layout.versioned();
+        until_consistent(ep, addr.raw(), |ep| {
+            let pieces = reads.fetch(ep, &layout, addr, ranges);
+            let (meta, found) = self.validate(pieces).and_then(|(_, meta)| {
                 // Third level: every bit of the home bitmap (`home` leads
                 // the first range) must name a key homed there.
                 let bm = entry_bitmap(&self.layout, &pieces[0], home);
@@ -646,21 +580,16 @@ impl LeafOps {
                     }
                 }
                 Some((meta.expect("no replica covered"), found))
-            });
-            let Some((meta, found)) = checked else {
-                ep.note_torn_read();
-                backoff.wait(ep);
-                continue;
-            };
+            }).ok_or(1usize)?;
             if let Some((_, off, p)) = found {
                 let l = &self.layout;
                 p.bytes(off + entry_field::KEY + l.key_size, l.value_size).clone_into(value);
             }
-            return NbhRead {
+            Ok(NbhRead {
                 meta,
                 found: found.map(|(pos, ..)| pos),
-            };
-        }
+            })
+        })
     }
 
     /// Speculative single-entry read (§4.3): what the slot at `idx` holds,
@@ -679,7 +608,7 @@ impl LeafOps {
         let l = &self.layout;
         let off = l.entry_off(idx);
         for _ in 0..3 {
-            let pieces = reads.fetch(ep, l, addr, &[(off, off + l.entry_size())]);
+            let pieces = reads.fetch(ep, &l.versioned(), addr, &[(off, off + l.entry_size())]);
             if self.validate(pieces).is_none() {
                 ep.note_torn_read();
                 continue;
@@ -695,92 +624,24 @@ impl LeafOps {
         SpecRead::Torn
     }
 
-    /// Whole-leaf read with full validation (chases).
-    pub fn read_full(&self, ep: &mut Endpoint, addr: GlobalAddr) -> LeafSnapshot {
-        let mut snaps = Vec::with_capacity(1);
-        self.read_full_rounds(
-            ep,
-            &[addr],
-            addr.raw(),
-            &mut LeafReads::default(),
-            &mut snaps,
-        );
-        snaps.pop().expect("one snapshot per address")
+    /// Whole-leaf read with full validation (chases), through `reads`'
+    /// buffers: [`LeafSnapshot::recycle`] hands them back.
+    pub fn read_snapshot(&self, ep: &mut Endpoint, addr: GlobalAddr, reads: &mut Fetches<LeafFields>) -> LeafSnapshot {
+        read_node(ep, &self.layout.versioned(), addr, reads, |f, fields| self.decode(f, fields))
     }
 
     /// Whole-leaf reads of several nodes with one doorbell batch per round,
     /// appended to `out` in `addrs` order; torn leaves are re-fetched in
     /// follow-up rounds (scans). `reads` lends the buffers.
-    pub(crate) fn read_full_batch(
+    pub fn read_snapshots(
         &self,
         ep: &mut Endpoint,
         addrs: &[GlobalAddr],
-        reads: &mut LeafReads,
-        out: &mut Vec<LeafSnapshot>,
-    ) {
-        self.read_full_rounds(ep, addrs, addrs.len() as u64, reads, out);
-    }
-
-    /// The whole-leaf read loop: each round READs every still-pending leaf
-    /// in one doorbell batch and keeps the images that decode; `site`
-    /// seeds the backoff between rounds.
-    fn read_full_rounds(
-        &self,
-        ep: &mut Endpoint,
-        addrs: &[GlobalAddr],
-        site: u64,
-        reads: &mut LeafReads,
+        reads: &mut Fetches<LeafFields>,
         out: &mut Vec<LeafSnapshot>,
     ) {
         let layout = self.layout.versioned();
-        let (pstart, pend) = layout.phys_range(0, layout.payload_len());
-        let LeafReads {
-            spare,
-            decoded,
-            pending,
-            reqs,
-        } = reads;
-        decoded.clear();
-        decoded.resize_with(addrs.len(), || None);
-        let mut backoff = Backoff::new(ep.client_id() as u64 ^ site);
-        for round in 0.. {
-            assert!(round < 1_000_000, "full leaf read livelock at {addrs:?}");
-            // The leaves still without a snapshot, each with a READ buffer.
-            pending.clear();
-            for (i, _) in decoded
-                .iter()
-                .enumerate()
-                .filter(|(_, snap)| snap.is_none())
-            {
-                let mut buffers: Spare = spare.pop().unwrap_or_default();
-                buffers.0.resize(pend - pstart, 0);
-                pending.push((i, buffers));
-            }
-            if pending.is_empty() {
-                break;
-            }
-            if round > 0 {
-                backoff.wait(ep);
-            }
-            let mut batch = reuse(std::mem::take(reqs));
-            batch.extend(
-                pending
-                    .iter_mut()
-                    .map(|(i, (image, ..))| (addrs[*i].add(pstart as u64), &mut image[..])),
-            );
-            ep.read_batch(&mut batch);
-            batch.clear();
-            *reqs = reuse(batch);
-            for (i, mut buffers) in pending.drain(..) {
-                let image =
-                    layout.from_raw(0, layout.payload_len(), std::mem::take(&mut buffers.0));
-                decoded[i] = self.decode(image, buffers);
-                if decoded[i].is_none() {
-                    ep.note_torn_read();
-                }
-            }
-        }
-        out.extend(decoded.drain(..).map(|s| s.expect("every leaf decoded")));
+        read_nodes(ep, &layout, addrs, addrs.len() as u64, reads, out, |f, fields| self.decode(f, fields));
     }
 
     // ----- locking ---------------------------------------------------------
@@ -808,7 +669,7 @@ impl LeafOps {
         let mut unchanged = 0u32;
         loop {
             let mut old = 0;
-            let locked = lr.reads.post(&self.layout, addr, ranges, |reqs| {
+            let locked = lr.reads.post(&self.layout.versioned(), addr, ranges, |reqs| {
                 old = try_acquire(ep, lock_addr, 0, reqs);
                 old & 1 == 0
             });
@@ -891,7 +752,7 @@ impl LeafOps {
         let (word, fetched) = self.acquire(ep, addr, ranges, lr);
         if !fetched {
             // A takeover reads after its full-word CAS.
-            lr.reads.fetch(ep, &self.layout, addr, ranges);
+            lr.reads.fetch(ep, &self.layout.versioned(), addr, ranges);
         }
         self.load_locked(lr, (a, e), word);
         word
@@ -995,7 +856,7 @@ impl LeafOps {
             .filter(|&i| cyc_dist(a, i, l.span) > cyc_dist(a, e, l.span))
             .map(|i| (l.entry_off(i), l.entry_off(i) + l.entry_size()));
         let (ranges, n) = self.window_ranges(a, e, argmax_extra);
-        lr.reads.fetch(ep, l, addr, &ranges[..n]);
+        lr.reads.fetch(ep, &l.versioned(), addr, &ranges[..n]);
         self.load_locked(lr, (a, e), word);
     }
 
@@ -1020,10 +881,10 @@ impl LeafOps {
         let len = cyc_dist(a, e, l.span) + 1;
         // Under the lock no writer races us; the checks are sanity asserts.
         let (nv, meta) = self
-            .validate(&lr.reads.pieces)
+            .validate(lr.reads.pieces())
             .expect("locked leaf read observed a torn image");
         lr.w.reset(l.span, l.h, l.value_size, a, len);
-        load(l, &self.locator, &lr.reads.pieces, &mut lr.w);
+        load(l, &self.locator, lr.reads.pieces(), &mut lr.w);
         let w = &lr.w;
         (lr.max_key, lr.max_unread) = if len == l.span {
             // Whole node: bitmaps must describe the occupancy, and the true
@@ -1048,7 +909,7 @@ impl LeafOps {
             let i = word.argmax() as usize % l.span;
             let (off, esize) = (l.entry_off(i), l.entry_size());
             let holds = |p: &&Fetched| p.lstart() <= off && off + esize <= p.lend();
-            match lr.reads.pieces.iter().find(holds) {
+            match lr.reads.pieces().iter().find(holds) {
                 Some(p) => (Some(entry_key(l, p, i)), None),
                 None => (None, Some(i)),
             }
@@ -1063,7 +924,7 @@ impl LeafOps {
         if let Some(i) = lr.max_unread.take() {
             let l = &self.layout;
             let off = l.entry_off(i);
-            let pieces = lr.reads.fetch(ep, l, addr, &[(off, off + l.entry_size())]);
+            let pieces = lr.reads.fetch(ep, &l.versioned(), addr, &[(off, off + l.entry_size())]);
             self.validate(pieces)
                 .expect("locked leaf read observed a torn image");
             lr.max_key = Some(entry_key(l, &pieces[0], i));

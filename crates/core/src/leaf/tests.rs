@@ -69,7 +69,7 @@ fn write_new_then_neighborhood_reads() {
 fn full_read_matches_items() {
     let (mut ep, ops, addr) = setup();
     let items = populated(&mut ep, &ops, addr, 40);
-    let snap = ops.read_full(&mut ep, addr);
+    let snap = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
     let mut got: Vec<(u64, Vec<u8>)> = snap.items().map(|(k, v)| (k, v.to_vec())).collect();
     got.sort();
     let mut want = items.clone();
@@ -87,7 +87,7 @@ fn lock_piggybacks_vacancy_and_argmax() {
     // 30 of 64 entries used: every group must still report vacancy in
     // aggregate, and argmax must point at the true maximum.
     assert!(ops.vm.first_vacant_group(word, 0).is_some());
-    let snap = ops.read_full(&mut ep, addr);
+    let snap = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
     assert_eq!(word.argmax(), snap.argmax());
     ops.unlock(&mut ep, addr, word);
     // Lock can be re-acquired after release.
@@ -130,7 +130,7 @@ fn spec_read_hit_and_miss() {
     let (mut ep, ops, addr) = setup();
     let items = populated(&mut ep, &ops, addr, 40);
     let (k, v) = &items[3];
-    let snap = ops.read_full(&mut ep, addr);
+    let snap = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
     let (idx, _) = snap.find(*k).unwrap();
     let (mut reads, mut got) = (Fetches::default(), Vec::new());
     let hit = ops.spec_read(&mut ep, addr, idx, *k, &mut reads, &mut got);
@@ -151,12 +151,12 @@ fn spec_read_hit_and_miss() {
 fn rewrite_bumps_nv_and_preserves_content() {
     let (mut ep, ops, addr) = setup();
     let items = populated(&mut ep, &ops, addr, 20);
-    let snap0 = ops.read_full(&mut ep, addr);
+    let snap0 = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
     let word = ops.lock(&mut ep, addr);
     let _ = word;
-    let w = ops.read_full(&mut ep, addr).into_window();
+    let w = ops.read_snapshot(&mut ep, addr, &mut Fetches::default()).into_window();
     ops.rewrite_and_unlock(&mut ep, addr, &w, snap0.nv, &meta());
-    let snap1 = ops.read_full(&mut ep, addr);
+    let snap1 = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
     assert_eq!(snap1.nv, bump(snap0.nv));
     let mut got: Vec<(u64, Vec<u8>)> = snap1.items().map(|(k, v)| (k, v.to_vec())).collect();
     got.sort();
@@ -389,7 +389,7 @@ mod oracle {
         true
     }
 
-    /// `read_full`'s accept/reject decision and result on one whole-leaf image.
+    /// A whole-leaf read's accept/reject decision and result on one image.
     pub fn decode(l: &LeafLayout, f: Fetched) -> Option<Snapshot> {
         let pieces = [f];
         let nv = pieces_nv(l, &pieces)?;
@@ -585,7 +585,7 @@ fn unified_decoder_matches_the_per_byte_decoder() {
 
         // Whole leaf: same decision, same snapshot.
         let (mut new, mut old) = pieces_of(&[(0, l.payload_len())]);
-        let new = ops.decode(new.pop().unwrap(), Default::default());
+        let new = ops.decode(&mut new.pop().unwrap(), &mut Default::default());
         let old = oracle::decode(&l, old.pop().unwrap());
         assert!(
             !mid_hop || new.is_none(),

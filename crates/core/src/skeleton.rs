@@ -50,6 +50,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use dmem::versioned::Fetches;
 use dmem::{
     ChunkAlloc, CnCell, Endpoint, GlobalAddr, IndexError, LocalLockGuard, LocalLockTable, Phase,
 };
@@ -169,6 +170,8 @@ pub struct Parts<'a> {
     pub skeleton: &'a Skeleton,
     /// The client's compute-node route state.
     pub routes: &'a Routes,
+    /// The client's READ buffers for internal nodes.
+    pub reads: &'a mut Fetches,
 }
 
 /// A client of a B+ tree whose internal levels are a [`Skeleton`]: the
@@ -243,7 +246,7 @@ pub trait SkeletonClient: Sized {
     fn read_internal(&mut self, addr: GlobalAddr) -> InternalNode {
         self.in_phase(Phase::Traversal, |me| {
             let p = me.parts();
-            p.skeleton.internal.read(p.ep, addr)
+            p.skeleton.internal.read_with(p.ep, addr, p.reads)
         })
     }
 
@@ -278,7 +281,7 @@ pub trait SkeletonClient: Sized {
             return (r, Some(hop), true);
         }
         let p = self.parts();
-        let node = p.skeleton.internal.read(p.ep, addr);
+        let node = p.skeleton.internal.read_with(p.ep, addr, p.reads);
         let hop = (node.valid && node.covers(key)).then(|| node.select(key));
         let route = Rc::new(Route::new(&node));
         if node.valid {

@@ -21,7 +21,7 @@
 //! | `traverse.rs` | CHIME's [`SkeletonClient`] impl (left lean, backoff, forwarding override), leaf location | `reroute` — drop cached parent + refresh root + stale-route retry; `on_invalid_leaf`; `locate_leaf` (`traversal`) with `first_child_of` |
 //! | `point.rs` | search, speculative read, sibling/fence chases; insert / update / delete | `lock_owner` — the one write preamble: locate-or-detour → CN-local slot → `lock_window` (lock + window READ, one doorbell: the neighborhood for updates and deletes, the group-aligned neighborhood for inserts, the whole leaf without piggybacking) → at most one more READ for an insert (whole leaf on a full bitmap, hop window when the neighborhood can take neither an upsert nor the key) → invalid-leaf and `owns_key` handling (a window key ≥ the key proves ownership), retried until the owner is held; `place` (window, whole-node fallback, split; the argmax entry only when no window key exceeds the key) |
 //! | `smo.rs` | `split_leaf` (both halves rebuilt from the locked window's values, sorted by key as borrowed slices; pivots up through the skeleton's `insert_into_parent`), `try_merge` | — |
-//! | `scan.rs` | `scan_impl` (behind `RangeIndex::scan_rows`), `check_integrity` | `Gathered` — the client's reused scan buffers: leaf snapshots (their READ buffers recycled through a `LeafReads`), and each row ranked as a `u64` (`Rank::of`: the key's varying high bits over the row's leaf and slot), so `order`'s one `select_nth_unstable` + `sort_unstable` orders rows by key, ties in gather order, and values are copied once, into the caller's `Rows`; `scan_from` (parent-guided batch reads, `leaf_read`; the next parent through the CN cache, `traversal`); `batch_len` — a doorbell takes leaves until the rows expected from their pivot ranges (the first one's above `start`) times the client's key density cover the rows missing to within one Poisson σ, ¾-full leaves before the first observation; `observe_density` — the density (`ChimeClient::scan_density`) over the interior leaves a client's scans read, 1 % decay per leaf; `walk_chain` — the one sibling-chain walker (gap bridge and tail drain, `scan_chain`); the one stale-parent reaction sits in `scan_impl` |
+//! | `scan.rs` | `scan_impl` (behind `RangeIndex::scan_rows`), `check_integrity` | `Gathered` — the client's reused scan buffers: leaf snapshots (their READ buffers, keys and bitmaps recycled into the client's `leaf_reads`), and each row ranked as a `u64` (`Rank::of`: the key's varying high bits over the row's leaf and slot), so `order`'s one `select_nth_unstable` + `sort_unstable` orders rows by key, ties in gather order, and values are copied once, into the caller's `Rows`; `scan_from` (parent-guided batch reads, `leaf_read`; the next parent through the CN cache, `traversal`); `batch_len` — a doorbell takes leaves until the rows expected from their pivot ranges (the first one's above `start`) times the client's key density cover the rows missing to within one Poisson σ, ¾-full leaves before the first observation; `observe_density` — the density (`ChimeClient::scan_density`) over the interior leaves a client's scans read, 1 % decay per leaf; `walk_chain` — the one sibling-chain walker (gap bridge and tail drain, `scan_chain`); the one stale-parent reaction sits in `scan_impl` |
 //! | `migrate.rs` | what `crates/part` needs: `rebind`, `leaf_addrs_under`, `move_leaf_into`, clock/alloc hooks | — |
 //!
 //! `crates/core/tests/op_shape.rs` pins, per operation kind and per Fig. 15
@@ -39,6 +39,7 @@ mod tests;
 use std::borrow::Cow;
 use std::sync::Arc;
 
+use dmem::versioned::Fetches;
 use dmem::{
     indirect, ChunkAlloc, CnCell, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex, RetryCause,
     Rows,
@@ -49,7 +50,7 @@ use crate::config::{ChimeConfig, KEY_SIZE};
 use crate::hopscotch::Window;
 use crate::hotspot::HotspotBuffer;
 use crate::layout::LeafLayout;
-use crate::leaf::{Fetches, LeafMeta, LeafOps, LockedRead};
+use crate::leaf::{LeafFields, LeafMeta, LeafOps, LockedRead};
 use crate::lockword::LockWord;
 use crate::skeleton::{Routes, Skeleton, SkeletonClient, OP_RETRY_LIMIT};
 
@@ -148,8 +149,11 @@ pub struct ChimeClient {
     /// What writes lock and read, kept between writes for its buffers.
     locked: LockedRead,
     /// The READ buffers of lock-free point reads (neighborhood and
-    /// speculative reads), kept between searches.
-    point_reads: Fetches,
+    /// speculative reads) and of internal nodes, kept between operations.
+    reads: Fetches,
+    /// The READ buffers of whole-leaf reads (scans, chases), with the keys
+    /// and bitmaps of the snapshots handed back.
+    leaf_reads: Fetches<LeafFields>,
 }
 
 impl Chime {
@@ -231,7 +235,8 @@ impl Chime {
             scan_density: (0.0, 0.0),
             scan_buffers: scan::Gathered::default(),
             locked: LockedRead::default(),
-            point_reads: Fetches::default(),
+            reads: Fetches::default(),
+            leaf_reads: Fetches::default(),
         }
     }
 

@@ -66,7 +66,7 @@ impl ChimeClient {
             }
             let r = self.in_phase(Phase::LeafRead, |me| {
                 me.leaf()
-                    .read_neighborhood(&mut me.ep, loc.addr, key, &mut me.point_reads, value)
+                    .read_neighborhood(&mut me.ep, loc.addr, key, &mut me.reads, value)
             });
             if !r.meta.valid {
                 self.on_invalid_leaf(loc.parent, r.meta.sibling, true);
@@ -152,7 +152,7 @@ impl ChimeClient {
             let idx = hot.idx as usize;
             match me
                 .leaf()
-                .spec_read(&mut me.ep, addr, idx, key, &mut me.point_reads, value)
+                .spec_read(&mut me.ep, addr, idx, key, &mut me.reads, value)
             {
                 SpecRead::Hit => {
                     me.counters.spec_hits += 1;
@@ -178,23 +178,21 @@ impl ChimeClient {
     /// Sibling chase with whole-node reads (sibling-validation mode).
     fn chase(&mut self, mut addr: GlobalAddr, key: u64, value: &mut Vec<u8>) -> ChaseOutcome {
         for _ in 0..OP_RETRY_LIMIT {
-            let snap = self.leaf().read_full(&mut self.ep, addr);
-            if !snap.meta.valid {
+            let snap = self.leaf().read_snapshot(&mut self.ep, addr, &mut self.leaf_reads);
+            let (meta, max) = (snap.meta, snap.max_key());
+            let found = meta.valid && snap.find(key).map(|(_, v)| v.clone_into(value)).is_some();
+            snap.recycle(&mut self.leaf_reads);
+            if !meta.valid {
                 return ChaseOutcome::Restart;
             }
-            if let Some((_, v)) = snap.find(key) {
-                v.clone_into(value);
+            if found {
                 self.resolve_in_place(value);
                 return ChaseOutcome::Done(true);
             }
-            match snap.max_key() {
-                Some(mx) if mx >= key => return ChaseOutcome::Done(false),
-                _ => {}
-            }
-            if snap.meta.sibling.is_null() {
+            if max.is_some_and(|mx| mx >= key) || meta.sibling.is_null() {
                 return ChaseOutcome::Done(false);
             }
-            addr = snap.meta.sibling;
+            addr = meta.sibling;
         }
         panic!("chase retry limit for key {key}");
     }
@@ -214,7 +212,7 @@ impl ChimeClient {
                 &mut self.ep,
                 addr,
                 key,
-                &mut self.point_reads,
+                &mut self.reads,
                 value,
             );
             if !r.meta.valid {

@@ -2,12 +2,13 @@
 
 use std::rc::Rc;
 
+use dmem::versioned::Fetches;
 use dmem::{GlobalAddr, Phase, Rows};
 
 use super::{ChimeClient, OP_RETRY_LIMIT};
 use crate::cache::Route;
 use crate::internal::InternalNode;
-use crate::leaf::{LeafReads, LeafSnapshot};
+use crate::leaf::{LeafFields, LeafSnapshot};
 use crate::lockword::ARGMAX_NONE;
 use crate::skeleton::SkeletonClient;
 
@@ -18,9 +19,10 @@ const SCAN_BRIDGE_LIMIT: usize = 64;
 /// A scan's working set, held by its client and reused across scans: the
 /// leaf snapshots one attempt read, how many of their rows have a key
 /// `>= start` with the OR and the AND of those keys, the ranks that order
-/// the rows ([`order`]), the doorbell in hand and the buffers of the
-/// whole-leaf reads. A row is named by its leaf and slot, and its key and
-/// value stay in the snapshot until the rows to return are known.
+/// the rows ([`order`]) and the doorbell in hand; the leaves' buffers go
+/// back to the client's whole-leaf READ buffers. A row is named by its leaf
+/// and slot, and its key and value stay in the snapshot until the rows to
+/// return are known.
 pub(super) struct Gathered {
     leaves: Vec<LeafSnapshot>,
     rows: usize,
@@ -28,7 +30,6 @@ pub(super) struct Gathered {
     and: u64,
     ranks: Vec<u64>,
     batch: Vec<LeafSnapshot>,
-    reads: LeafReads,
 }
 
 impl Default for Gathered {
@@ -40,7 +41,6 @@ impl Default for Gathered {
             and: u64::MAX,
             ranks: Vec::new(),
             batch: Vec::new(),
-            reads: LeafReads::default(),
         }
     }
 }
@@ -87,11 +87,12 @@ impl Gathered {
         })
     }
 
-    /// Drops the attempt's rows and hands its leaves' buffers back.
-    fn reset(&mut self) {
+    /// Drops the attempt's rows and hands its leaves' buffers back to
+    /// `reads`.
+    fn reset(&mut self, reads: &mut Fetches<LeafFields>) {
         (self.rows, self.or, self.and) = (0, 0, u64::MAX);
         for leaf in self.leaves.drain(..) {
-            self.reads.recycle(leaf);
+            leaf.recycle(reads);
         }
     }
 }
@@ -163,12 +164,12 @@ impl ChimeClient {
         let mut got = std::mem::take(&mut self.scan_buffers);
         for _ in 0..OP_RETRY_LIMIT {
             let (mut parent, idx) = self.locate_parent(start);
-            got.reset();
+            got.reset(&mut self.leaf_reads);
             if self.scan_from(&mut parent, idx, start, count, &mut got) {
                 for (k, stored) in got.order(start, count) {
                     self.push_row(k, stored, out);
                 }
-                got.reset();
+                got.reset(&mut self.leaf_reads);
                 self.scan_buffers = got;
                 return;
             }
@@ -208,7 +209,7 @@ impl ChimeClient {
             let mut batch = std::mem::take(&mut got.batch);
             self.in_phase(Phase::LeafRead, |me| {
                 me.leaf()
-                    .read_full_batch(&mut me.ep, addrs, &mut got.reads, &mut batch)
+                    .read_snapshots(&mut me.ep, addrs, &mut me.leaf_reads, &mut batch)
             });
             for (i, snap) in batch.drain(..).enumerate() {
                 if !snap.meta.valid {
@@ -304,7 +305,7 @@ impl ChimeClient {
             }
             self.in_phase(Phase::ScanChain, |me| {
                 me.leaf()
-                    .read_full_batch(&mut me.ep, &[c], &mut got.reads, &mut got.leaves)
+                    .read_snapshots(&mut me.ep, &[c], &mut me.leaf_reads, &mut got.leaves)
             });
             let meta = got.leaves.last().expect("one snapshot per address").meta;
             if !meta.valid {
@@ -347,7 +348,7 @@ impl ChimeClient {
             if !seen.insert(addr.raw()) {
                 return Err(format!("leaf chain cycle at {addr:?}"));
             }
-            let snap = self.leaf().read_full(&mut self.ep, addr);
+            let snap = self.leaf().read_snapshot(&mut self.ep, addr, &mut self.leaf_reads);
             if !snap.meta.valid {
                 return Err(format!("invalid leaf {addr:?} in chain"));
             }

@@ -483,7 +483,7 @@ fn leaf_addrs_under_enumerates_every_leaf() {
     let mut total = 0u64;
     let mut prev_max = 0u64;
     for addr in &leaves {
-        let snap = c.leaf().read_full(&mut c.ep, *addr);
+        let snap = c.leaf().read_snapshot(&mut c.ep, *addr, &mut Fetches::default());
         assert!(snap.meta.valid);
         let min = snap.items().map(|(k, _)| k).min().unwrap();
         assert!(min > prev_max, "leaves out of order");
@@ -732,7 +732,7 @@ fn an_unpropagated_split_reads_the_argmax_entry_then_detours() {
             let (left, right) = (parent.entries[i - 1].1, parent.entries[i].1);
             let am_left = usize::from(lock_word(&mut c, left).argmax());
             let am_right = usize::from(lock_word(&mut c, right).argmax());
-            let snap = c.leaf().read_full(&mut c.ep, right);
+            let snap = c.leaf().read_snapshot(&mut c.ep, right, &mut Fetches::default());
             let mut keys = snap.items().map(|(k, _)| k);
             let key = keys.find(|&k| !in_window(&c, k, am_left) && !in_window(&c, k, am_right))?;
             Some((parent.entries[i].0, left, key))
@@ -768,7 +768,7 @@ fn delete_of_max_is_the_delete_at_the_argmax_slot() {
     let root = c.current_root();
     // A leaf with a key whose window misses its argmax slot and, after its
     // maximum is gone, a non-maximal key whose window holds the new one.
-    let snap_of = |c: &mut ChimeClient, addr| c.leaf().read_full(&mut c.ep, addr);
+    let snap_of = |c: &mut ChimeClient, addr| c.leaf().read_snapshot(&mut c.ep, addr, &mut Fetches::default());
     let leaves = c.leaf_addrs_under(root);
     let (addr, outside) = leaves
         .iter()
@@ -873,7 +873,7 @@ fn find_key(
         .find_map(|k| {
             let (addr, home) = (c.locate_leaf(k).addr, dmem::hash::home_entry(k, span));
             vm.first_vacant_group(lock_word(c, addr), home)?;
-            let snap = c.leaf().read_full(&mut c.ep, addr);
+            let snap = c.leaf().read_snapshot(&mut c.ep, addr, &mut Fetches::default());
             let (a, e) = vm.align_to_groups(home, (home + h - 1) % span);
             let window: Vec<usize> =
                 (0..=crate::hopscotch::cyc_dist(a, e, span)).map(|d| (a + d) % span).collect();
@@ -996,7 +996,7 @@ fn an_insert_without_room_in_its_window_reads_the_hop_window() {
     assert_eq!(s.rtts, 3);
     assert_eq!(names(&verbs), ["masked_cas_read", "read", "write"]);
     assert_eq!(verbs[1].1, hop_bytes, "the hop window's READ");
-    let snap = c.leaf().read_full(&mut c.ep, addr);
+    let snap = c.leaf().read_snapshot(&mut c.ep, addr, &mut Fetches::default());
     assert_eq!(snap.find(key).map(|(i, _)| i), Some(want));
     assert_eq!(c.check_integrity().unwrap(), 201);
 }
@@ -1026,7 +1026,7 @@ fn an_insert_never_places_by_a_failed_lock_attempts_read() {
         .step_by(2)
         .find_map(|mine| {
             let addr = a.locate_leaf(mine).addr;
-            let snap = a.leaf().read_full(&mut a.ep, addr);
+            let snap = a.leaf().read_snapshot(&mut a.ep, addr, &mut Fetches::default());
             let slot = first_empty(&snap, mine)?;
             let theirs = (1..400u64).step_by(2).find(|&k| {
                 k != mine && first_empty(&snap, k) == Some(slot) && a.locate_leaf(k).addr == addr
@@ -1051,7 +1051,7 @@ fn an_insert_never_places_by_a_failed_lock_attempts_read() {
     dmem::uninstall_lane_hook();
     r.unwrap();
     assert_eq!(a.ep.stats().lock_retries - retries, 1, "exactly one failed lock attempt");
-    let snap = a.leaf().read_full(&mut a.ep, addr);
+    let snap = a.leaf().read_snapshot(&mut a.ep, addr, &mut Fetches::default());
     assert_eq!(snap.find(theirs).map(|(i, _)| i), Some(slot), "their key took the slot");
     assert_ne!(snap.find(mine).map(|(i, _)| i), Some(slot));
     assert_eq!(a.search(mine), Some(v(mine)));

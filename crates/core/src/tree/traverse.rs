@@ -31,6 +31,7 @@ impl SkeletonClient for ChimeClient {
             alloc: &mut self.alloc,
             skeleton: &self.shared.skeleton,
             routes: &self.cn.routes,
+            reads: &mut self.reads,
         }
     }
 
@@ -115,7 +116,7 @@ impl ChimeClient {
         if let Some(r) = self.cn.routes.cache().get(addr) {
             return r.children().first().copied();
         }
-        let node = self.shared.skeleton.internal.read(&mut self.ep, addr);
+        let node = self.shared.skeleton.internal.read_with(&mut self.ep, addr, &mut self.reads);
         if !node.valid {
             return None;
         }

@@ -13,10 +13,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use chime::hopscotch::build_table;
-use chime::layout::LeafLayout;
-use chime::leaf::{Fetches, LeafMeta, LeafOps, SpecRead};
+use chime::internal::{InternalNode, InternalOps};
+use chime::layout::{InternalLayout, LeafLayout};
+use chime::leaf::{LeafMeta, LeafOps, SpecRead};
 use dmem::node::RESERVED_BYTES;
-use dmem::versioned::{pack_ver, Layout};
+use dmem::versioned::{pack_ver, Fetches, Layout};
 use dmem::{Endpoint, GlobalAddr, Pool};
 
 fn ops() -> LeafOps {
@@ -68,7 +69,7 @@ fn reader_waits_out_torn_nv_and_returns_correct_value() {
     let (target_key, target_val) = items[10].clone();
     // Find the entry index so we can tear exactly the fetched range.
     let mut ep = Endpoint::new(Arc::clone(&pool));
-    let snap = ops.read_full(&mut ep, addr);
+    let snap = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
     let (idx, _) = snap.find(target_key).unwrap();
     // Tear the entry: a stalled node write bumped this NV only.
     let orig = tear_nv(&pool, &ops, addr, idx);
@@ -107,7 +108,7 @@ fn reader_rejects_intermediate_hop_state() {
     let (pool, ops, addr, items) = setup(40);
     let (target_key, target_val) = items[5].clone();
     let mut ep = Endpoint::new(Arc::clone(&pool));
-    let snap = ops.read_full(&mut ep, addr);
+    let snap = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
     let (idx, _) = snap.find(target_key).unwrap();
     let home = dmem::hash::home_entry(target_key, 64);
     // Simulate: the key moved out of `idx` (zeroed) but the home bitmap
@@ -149,7 +150,7 @@ fn speculative_read_fails_closed_on_torn_entry() {
     let (pool, ops, addr, items) = setup(40);
     let (target_key, _) = items[3];
     let mut ep = Endpoint::new(Arc::clone(&pool));
-    let snap = ops.read_full(&mut ep, addr);
+    let snap = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
     let (idx, _) = snap.find(target_key).unwrap();
     // Tear the entry's EV (lead byte bumped, line slots not).
     let layout = ops.layout.versioned();
@@ -200,7 +201,7 @@ fn whole_leaf_read_retries_on_a_displacement_bit_beyond_h() {
         let healed = Arc::clone(&healed);
         std::thread::spawn(move || {
             let mut ep = Endpoint::new(pool);
-            let snap = ops.read_full(&mut ep, addr);
+            let snap = ops.read_snapshot(&mut ep, addr, &mut Fetches::default());
             assert!(
                 healed.load(Ordering::SeqCst),
                 "reader accepted a bitmap bit beyond H"
@@ -216,5 +217,47 @@ fn whole_leaf_read_retries_on_a_displacement_bit_beyond_h() {
     ops.rewrite_and_unlock(&mut ep, addr, &build_table(64, 8, 8, &items).unwrap(), 0, &meta);
     let (count, torn_reads) = reader.join().unwrap();
     assert_eq!(count, items.len());
+    assert!(torn_reads > 0, "the retries must be counted as torn reads");
+}
+
+/// An internal node torn by a stalled rewrite — its second line already on
+/// the next node version, the rest still on the old one — holds its reader
+/// in the retry loop, which counts each torn image, until the rewrite
+/// completes; the reader then returns the rewritten node.
+#[test]
+fn internal_node_read_retries_a_torn_image_until_healed() {
+    let pool = Pool::with_defaults(1, 4 << 20);
+    let ops = || InternalOps {
+        layout: InternalLayout { span: 8 },
+    };
+    let addr = GlobalAddr::new(0, RESERVED_BYTES);
+    let node = |children: u64| {
+        let entries = (0..children).map(|i| (i * 100, GlobalAddr::new(0, 0x10000 * (i + 1))));
+        InternalNode::fresh(addr, 1, (0, u64::MAX), GlobalAddr::NULL, entries.collect())
+    };
+    let mut ep = Endpoint::new(Arc::clone(&pool));
+    ops().write_new(&mut ep, &node(3));
+    let image = node(5).serialize(&ops().layout, 1);
+    ops()
+        .layout
+        .versioned()
+        .write(&mut ep, addr, 63, &image[63..126], |_| pack_ver(1, 0));
+    let healed = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let pool = Arc::clone(&pool);
+        let healed = Arc::clone(&healed);
+        std::thread::spawn(move || {
+            let mut ep = Endpoint::new(pool);
+            let got = ops().read(&mut ep, addr);
+            assert!(healed.load(Ordering::SeqCst), "reader accepted a torn internal node");
+            (got, ep.stats().torn_reads_detected)
+        })
+    };
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    assert!(!reader.is_finished(), "the torn node must force retries");
+    healed.store(true, Ordering::SeqCst);
+    ops().write_and_unlock(&mut ep, &node(5));
+    let (got, torn_reads) = reader.join().unwrap();
+    assert_eq!((got.entries, got.nv), (node(5).entries, 1));
     assert!(torn_reads > 0, "the retries must be counted as torn reads");
 }

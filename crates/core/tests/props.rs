@@ -9,7 +9,7 @@ use chime::leaf::{LeafMeta, LeafOps, LockedRead};
 use chime::lockword::{LockWord, VacancyMap};
 use chime::{Chime, ChimeConfig};
 use dmem::hash::home_entry;
-use dmem::versioned::bump;
+use dmem::versioned::{bump, Fetches};
 use dmem::{Endpoint, GlobalAddr, Pool, RangeIndex};
 use proptest::prelude::*;
 
@@ -227,7 +227,7 @@ proptest! {
             }
             check_invariants(&lr.w).unwrap();
             lr.write_back(&leaf, &mut ep, addr, leaf.word_for(&lr.w));
-            let snap = leaf.read_full(&mut ep, addr);
+            let snap = leaf.read_snapshot(&mut ep, addr, &mut Fetches::default());
             for i in 0..SPAN {
                 let want = if dirty[i] { bump(old_evs[i]) } else { old_evs[i] };
                 prop_assert_eq!(snap.ev(i), want, "EV of slot {} (dirty: {})", i, dirty[i]);

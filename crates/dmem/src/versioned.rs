@@ -188,51 +188,6 @@ impl Layout {
         }
     }
 
-    /// The READs of up to [`MAX_RANGES`] logical ranges (none is allowed),
-    /// handed to `post` to issue — alone or behind another verb of the same
-    /// doorbell batch. `post` returns whether the contents are wanted: if
-    /// so, the buffers are de-striped into [`Fetched`] views that replace
-    /// `pieces`; if not, they are dropped (`false`).
-    ///
-    /// The buffers are the caller's: each READ takes one from `spare` (a new
-    /// one when it runs out), `pieces`' buffers go back to `spare` first,
-    /// and so do a dropped fetch's. A caller that keeps both vectors fetches
-    /// without allocating once they have grown to its largest fetch.
-    pub fn fetch_into(
-        &self,
-        node: GlobalAddr,
-        ranges: &[(usize, usize)],
-        pieces: &mut Vec<Fetched>,
-        spare: &mut Vec<Vec<u8>>,
-        post: impl FnOnce(&mut [(GlobalAddr, &mut [u8])]) -> bool,
-    ) -> bool {
-        assert!(ranges.len() <= MAX_RANGES);
-        spare.extend(pieces.drain(..).map(Fetched::into_buf));
-        // Work requests sit on the stack; unused slots stay empty and are
-        // not posted. A READ overwrites its whole buffer, so a reused one
-        // is only resized.
-        let mut bufs: [Vec<u8>; MAX_RANGES] = Default::default();
-        for (buf, &(ls, le)) in bufs.iter_mut().zip(ranges) {
-            let (ps, pe) = self.phys_range(ls, le);
-            *buf = spare.pop().unwrap_or_default();
-            buf.resize(pe - ps, 0);
-        }
-        let mut slots = bufs.iter_mut();
-        let mut reqs: [(GlobalAddr, &mut [u8]); MAX_RANGES] = std::array::from_fn(|i| {
-            let ls = ranges.get(i).map_or(0, |r| r.0);
-            let buf = slots.next().expect("MAX_RANGES buffers");
-            (node.add(self.phys_start(ls) as u64), &mut buf[..])
-        });
-        let kept = post(&mut reqs[..ranges.len()]);
-        let bufs = bufs.into_iter().take(ranges.len());
-        if kept {
-            pieces.extend(ranges.iter().zip(bufs).map(|(&(ls, le), buf)| self.from_raw(ls, le, buf)));
-        } else {
-            spare.extend(bufs);
-        }
-        kept
-    }
-
     /// Builds the physical image of logical range `[lstart, lend)`.
     ///
     /// `data` supplies the logical bytes; `line_ver` is called with the
@@ -287,16 +242,157 @@ impl Layout {
     }
 }
 
-/// Most ranges one [`Layout::fetch_into`] doorbell batch takes (a wrapped
-/// hop window, the leaf header and the argmax entry), and most READs
+/// Most ranges one [`Fetches::post`] doorbell batch takes (a wrapped hop
+/// window, the leaf header and the argmax entry), and most READs
 /// [`Endpoint::masked_cas_read`] posts behind its atomic.
 pub const MAX_RANGES: usize = 4;
+
+/// The READ buffers a reader keeps between versioned reads, so that once
+/// they have grown to its largest fetch a read allocates nothing: the
+/// pieces of its last ranged fetch, spare READ buffers, the side tables `S`
+/// a whole-node decoder fills beside an image (a CHIME leaf's keys and
+/// bitmaps), and a whole-node read's pending nodes and work requests.
+#[derive(Debug, Default)]
+pub struct Fetches<S = ()> {
+    pieces: Vec<Fetched>,
+    spare: Vec<Vec<u8>>,
+    side: Vec<S>,
+    pending: Vec<(usize, Vec<u8>)>,
+    reqs: Vec<(GlobalAddr, &'static mut [u8])>,
+}
+
+/// `v`'s allocation, re-typed to hold borrows of another lifetime. `v` is
+/// empty, and a vector's in-place `collect` keeps the buffer of the vector
+/// it consumes when the element layouts agree, as they do for two
+/// lifetimes of one type: the work requests of each doorbell reuse one
+/// buffer.
+fn reuse<'b>(v: Vec<(GlobalAddr, &mut [u8])>) -> Vec<(GlobalAddr, &'b mut [u8])> {
+    debug_assert!(v.is_empty());
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
+}
+
+impl<S> Fetches<S> {
+    /// The pieces of the last ranged fetch, in range order.
+    pub fn pieces(&self) -> &[Fetched] {
+        &self.pieces
+    }
+
+    /// READs logical `ranges` of the node at `node` with one doorbell
+    /// batch; the pieces replace the last fetch's.
+    pub fn fetch(&mut self, ep: &mut Endpoint, layout: &Layout, node: GlobalAddr, ranges: &[(usize, usize)]) -> &[Fetched] {
+        self.post(layout, node, ranges, |reqs| {
+            ep.read_batch(reqs);
+            true
+        });
+        &self.pieces
+    }
+
+    /// The READs of up to [`MAX_RANGES`] logical ranges (none is allowed),
+    /// handed to `post` to issue — alone or behind another verb of the same
+    /// doorbell batch. `post` returns whether the contents are wanted: if
+    /// so, the buffers are de-striped into [`Fetched`] views that replace
+    /// the last fetch's pieces; if not, they go back to the spares
+    /// (`false`).
+    pub fn post(
+        &mut self,
+        layout: &Layout,
+        node: GlobalAddr,
+        ranges: &[(usize, usize)],
+        post: impl FnOnce(&mut [(GlobalAddr, &mut [u8])]) -> bool,
+    ) -> bool {
+        assert!(ranges.len() <= MAX_RANGES);
+        let (pieces, spare) = (&mut self.pieces, &mut self.spare);
+        spare.extend(pieces.drain(..).map(Fetched::into_buf));
+        // Work requests sit on the stack; unused slots stay empty and are
+        // not posted. A READ overwrites its whole buffer, so a reused one
+        // is only resized.
+        let mut bufs: [Vec<u8>; MAX_RANGES] = Default::default();
+        for (buf, &(ls, le)) in bufs.iter_mut().zip(ranges) {
+            let (ps, pe) = layout.phys_range(ls, le);
+            *buf = spare.pop().unwrap_or_default();
+            buf.resize(pe - ps, 0);
+        }
+        let mut slots = bufs.iter_mut();
+        let mut reqs: [(GlobalAddr, &mut [u8]); MAX_RANGES] = std::array::from_fn(|i| {
+            let ls = ranges.get(i).map_or(0, |r| r.0);
+            let buf = slots.next().expect("MAX_RANGES buffers");
+            (node.add(layout.phys_start(ls) as u64), &mut buf[..])
+        });
+        let kept = post(&mut reqs[..ranges.len()]);
+        let bufs = bufs.into_iter().take(ranges.len());
+        if kept {
+            pieces.extend(ranges.iter().zip(bufs).map(|(&(ls, le), buf)| layout.from_raw(ls, le, buf)));
+        } else {
+            spare.extend(bufs);
+        }
+        kept
+    }
+
+    /// Takes back a whole-node image and its side table for later reads.
+    pub fn recycle(&mut self, image: Fetched, side: S) {
+        self.spare.push(image.into_buf());
+        self.side.push(side);
+    }
+
+    /// One round of a whole-node read of `addrs`: READs every node still
+    /// pending (in the `first` round, all) in one doorbell batch and hands
+    /// each image with a side table to `decode`, which keeps what it takes
+    /// of them. An accepted node goes into `out` at its place in `addrs`
+    /// order, behind what `out` held before the read; a rejected (torn)
+    /// one stays pending. Returns how many were rejected.
+    pub fn read_round<T>(
+        &mut self,
+        ep: &mut Endpoint,
+        layout: &Layout,
+        addrs: &[GlobalAddr],
+        first: bool,
+        out: &mut Vec<T>,
+        mut decode: impl FnMut(&mut Fetched, &mut S) -> Option<T>,
+    ) -> usize
+    where
+        S: Default,
+    {
+        let Fetches { spare, side, pending, reqs, .. } = self;
+        if first {
+            pending.clear();
+            pending.extend((0..addrs.len()).map(|i| (i, spare.pop().unwrap_or_default())));
+        }
+        let (pstart, pend) = layout.phys_range(0, layout.payload_len);
+        let mut batch = reuse(std::mem::take(reqs));
+        batch.extend(pending.iter_mut().map(|(i, buf)| {
+            buf.resize(pend - pstart, 0);
+            (addrs[*i].add(pstart as u64), &mut buf[..])
+        }));
+        ep.read_batch(&mut batch);
+        batch.clear();
+        *reqs = reuse(batch);
+        // Pending nodes go in `addrs` order, so the ones before node `i`
+        // that are still missing are the ones this round rejected so far.
+        let (base, mut torn) = (out.len() + pending.len() - addrs.len(), 0);
+        pending.retain_mut(|(i, buf)| {
+            let mut image = layout.from_raw(0, layout.payload_len, std::mem::take(buf));
+            let mut table = side.pop().unwrap_or_default();
+            let Some(node) = decode(&mut image, &mut table) else {
+                (torn, *buf) = (torn + 1, image.into_buf());
+                side.push(table);
+                return true;
+            };
+            out.insert(base + *i - torn, node);
+            // A decoder that kept the image left an empty one.
+            spare.extend(Some(image.into_buf()).filter(|b| b.capacity() > 0));
+            false
+        });
+        torn
+    }
+}
 
 /// The result of a versioned fetch, de-striped once on arrival: the logical
 /// payload bytes of `[lstart, lend)` as one contiguous slice, followed in
 /// the same buffer by the version bytes of the covered line slots
-/// ([`Layout::slot_lines`]) in line order.
-#[derive(Debug)]
+/// ([`Layout::slot_lines`]) in line order. The default view is empty.
+#[derive(Debug, Default)]
 pub struct Fetched {
     lstart: usize,
     /// Payload length; `buf[len..]` holds the line versions.
@@ -505,22 +601,61 @@ mod tests {
     }
 
     #[test]
-    fn fetch_into_is_one_doorbell() {
+    fn a_ranged_fetch_is_one_doorbell() {
         let mut e = ep();
         let node = GlobalAddr::new(0, RESERVED_BYTES);
         let layout = Layout::new(300);
         layout.write(&mut e, node, 0, &[9u8; 20], |_| 0);
         layout.write(&mut e, node, 200, &[8u8; 20], |_| 0);
         let before = e.stats().rtts;
-        let (ranges, mut f) = ([(0, 20), (200, 220)], Vec::new());
-        let kept = layout.fetch_into(node, &ranges, &mut f, &mut Vec::new(), |reqs| {
-            e.read_batch(reqs);
-            true
-        });
-        assert!(kept);
+        let mut reads = Fetches::<()>::default();
+        let f = reads.fetch(&mut e, &layout, node, &[(0, 20), (200, 220)]);
         assert_eq!(e.stats().rtts, before + 1);
         assert_eq!(f[0].copy(0, 20), vec![9u8; 20]);
         assert_eq!(f[1].copy(200, 20), vec![8u8; 20]);
+    }
+
+    /// A node whose image is rejected stays pending and alone is read
+    /// again; every node lands at its place in `addrs` order, behind what
+    /// `out` held before, and the buffers come back for the next read.
+    #[test]
+    fn whole_node_rounds_keep_addrs_order_and_reread_only_the_rejected() {
+        let mut e = ep();
+        let layout = Layout::new(100);
+        let addrs: Vec<GlobalAddr> = (0..4u8)
+            .map(|i| {
+                let node = GlobalAddr::new(0, RESERVED_BYTES + 256 * u64::from(i));
+                layout.write(&mut e, node, 0, &[i; 100], |_| 0);
+                node
+            })
+            .collect();
+        let (mut reads, mut out) = (Fetches::<Vec<u8>>::default(), vec![9u8]);
+        // Nodes 1 and 3 are rejected once, node 3 a second time.
+        let mut rejections = vec![1u8, 3, 3];
+        let mut decode = |f: &mut Fetched, seen: &mut Vec<u8>| {
+            let id = f.get(0);
+            seen.push(id);
+            match rejections.iter().position(|&r| r == id) {
+                Some(at) => {
+                    rejections.remove(at);
+                    None
+                }
+                None => Some(id),
+            }
+        };
+        let reads_of = |e: &Endpoint| e.stats().reads;
+        let before = reads_of(&e);
+        assert_eq!(reads.read_round(&mut e, &layout, &addrs, true, &mut out, &mut decode), 2);
+        assert_eq!(out, [9, 0, 2]);
+        assert_eq!(reads.read_round(&mut e, &layout, &addrs, false, &mut out, &mut decode), 1);
+        assert_eq!(out, [9, 0, 1, 2]);
+        assert_eq!(reads.read_round(&mut e, &layout, &addrs, false, &mut out, &mut decode), 0);
+        assert_eq!(out, [9, 0, 1, 2, 3]);
+        assert_eq!(reads_of(&e) - before, 4 + 2 + 1);
+        // Every buffer is back: a new read of all four takes no new one.
+        assert_eq!(reads.spare.len(), 4);
+        assert!(reads.pending.is_empty());
+        assert!(reads.side.is_empty(), "an accepted image's side table stays with its decoder");
     }
 
     /// The per-byte view this module used to serve every access through:

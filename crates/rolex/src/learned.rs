@@ -10,8 +10,9 @@
 
 use std::sync::Arc;
 
-use chime::leaf::{Fetches, LockedRead};
+use chime::leaf::{LeafFields, LeafSnapshot, LockedRead};
 use dmem::indirect::Values;
+use dmem::versioned::Fetches;
 use dmem::{ChunkAlloc, Endpoint, GlobalAddr, Pool};
 
 use crate::plr::PlrModel;
@@ -107,19 +108,26 @@ impl<L> Clone for Learned<L> {
 }
 
 /// One client of a learned index: the shared directory, an endpoint, an
-/// allocator for synonym leaves and value blocks, and the buffers its
-/// hopscotch leaves reuse (CHIME-Learned's: the READ buffers and the value
-/// of a probe whose caller wants none, and the locked windows of a write).
+/// allocator for synonym leaves and value blocks, its READ buffers, and the
+/// buffers its hopscotch leaves reuse (CHIME-Learned's: the value of a
+/// probe whose caller wants none, the locked windows of a write, and a
+/// scan's leaves and rows).
 pub struct Client<L> {
     pub(crate) dir: Arc<Directory<L>>,
     pub(crate) ep: Endpoint,
     pub(crate) alloc: ChunkAlloc,
+    /// READ buffers for leaf probes and reads (ROLEX's whole leaves,
+    /// CHIME-Learned's neighborhoods).
     pub(crate) reads: Fetches,
     pub(crate) spare: Vec<u8>,
     /// The owner leaf's locked window.
     pub(crate) owner_read: LockedRead,
     /// A synonym leaf's window, read while the owner's stays in use.
     pub(crate) chain_read: LockedRead,
+    /// READ buffers for a scan's whole-leaf reads.
+    pub(crate) leaf_reads: Fetches<LeafFields>,
+    /// A scan's leaves, and a `(key, leaf, value offset)` per row.
+    pub(crate) scanned: (Vec<LeafSnapshot>, Vec<(u64, u32, u32)>),
 }
 
 impl<L> Learned<L> {
@@ -184,6 +192,8 @@ impl<L> Learned<L> {
             spare: Vec::new(),
             owner_read: LockedRead::default(),
             chain_read: LockedRead::default(),
+            leaf_reads: Fetches::default(),
+            scanned: Default::default(),
         }
     }
 

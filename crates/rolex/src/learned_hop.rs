@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use chime::hopscotch::{build_table, Window};
 use chime::layout::LeafLayout;
-use chime::leaf::{LeafMeta, LeafOps, LeafSnapshot, LockedRead};
+use chime::leaf::{LeafMeta, LeafOps, LockedRead};
 use chime::lockword::LockWord;
 use dmem::hash::home_entry;
 use dmem::{Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
@@ -227,14 +227,14 @@ impl ChimeLearnedClient {
         }
         let leaf = self.dir.leaf;
         let (mut idx, _) = self.owner(start);
-        // Every leaf read, and a `(key, leaf, value offset)` per row `>= start`.
-        let mut leaves: Vec<LeafSnapshot> = Vec::new();
-        let mut collected: Vec<(u64, u32, u32)> = Vec::new();
+        // Every leaf read, and a row per key `>= start`, in buffers the
+        // client keeps.
+        let (leaves, collected) = &mut self.scanned;
         while idx < self.dir.num_leaves {
             // The leaf, then its synonym chain.
             let mut addr = self.dir.leaf_addr(idx);
             while !addr.is_null() {
-                let s = leaf.read_full(&mut self.ep, addr);
+                let s = leaf.read_snapshot(&mut self.ep, addr, &mut self.leaf_reads);
                 let at = leaves.len() as u32;
                 let rows = s.slots().filter(|&(k, _)| k >= start);
                 collected.extend(rows.map(|(k, off)| (k, at, off as u32)));
@@ -249,9 +249,12 @@ impl ChimeLearnedClient {
         collected.sort_unstable();
         collected.truncate(count);
         let values = self.dir.values;
-        for (k, at, off) in collected {
+        for (k, at, off) in collected.drain(..) {
             let stored = leaves[at as usize].value_at(off as usize);
             out.push_with(k, |bytes| values.resolve_into(&mut self.ep, stored, bytes));
+        }
+        for s in leaves.drain(..) {
+            s.recycle(&mut self.leaf_reads);
         }
     }
 }

@@ -48,7 +48,7 @@ impl RolexClient {
         for widen in 0..OP_RETRY_LIMIT {
             let (lo, hi) = self.dir.candidates(key, widen);
             let addrs: Vec<GlobalAddr> = (lo..=hi).map(|i| self.dir.leaf_addr(i)).collect();
-            let snaps = self.dir.leaf.read_batch(&mut self.ep, &addrs);
+            let snaps = self.dir.leaf.read_batch(&mut self.ep, &addrs, &mut self.reads);
             for (i, snap) in snaps.into_iter().enumerate() {
                 if dmem::hash::in_range(key, snap.fences.0, snap.fences.1) {
                     return (lo + i, snap);
@@ -63,7 +63,7 @@ impl RolexClient {
         let mut out = Vec::new();
         let mut addr = head;
         while !addr.is_null() {
-            let snap = self.dir.leaf.read(&mut self.ep, addr);
+            let snap = self.dir.leaf.read(&mut self.ep, addr, &mut self.reads);
             let next = snap.sibling;
             out.push((addr, snap));
             addr = next;
@@ -85,7 +85,7 @@ impl RolexClient {
                 chain.into_iter().find(|(_, s)| s.find(key).is_some())?.0
             };
             leaf.lock(&mut self.ep, addr);
-            let snap = leaf.read(&mut self.ep, addr);
+            let snap = leaf.read(&mut self.ep, addr, &mut self.reads);
             if let Some((i, _)) = snap.find(key) {
                 return Some((addr, snap, i));
             }
@@ -102,7 +102,7 @@ impl RolexClient {
             let (owner_idx, _) = self.read_owner(key);
             let owner_addr = self.dir.leaf_addr(owner_idx);
             leaf.lock(&mut self.ep, owner_addr);
-            let snap = leaf.read(&mut self.ep, owner_addr);
+            let snap = leaf.read(&mut self.ep, owner_addr, &mut self.reads);
             if !dmem::hash::in_range(key, snap.fences.0, snap.fences.1) {
                 leaf.unlock(&mut self.ep, owner_addr);
                 continue;
@@ -222,7 +222,7 @@ impl RolexClient {
             let need = count.saturating_sub(collected.len());
             let take = need.div_ceil(per_leaf).max(1).min(num_leaves - idx);
             let addrs: Vec<GlobalAddr> = (idx..idx + take).map(|i| self.dir.leaf_addr(i)).collect();
-            let snaps = self.dir.leaf.read_batch(&mut self.ep, &addrs);
+            let snaps = self.dir.leaf.read_batch(&mut self.ep, &addrs, &mut self.reads);
             for snap in snaps {
                 let chain = self.chain(snap.sibling);
                 for s in std::iter::once(snap).chain(chain.into_iter().map(|(_, s)| s)) {

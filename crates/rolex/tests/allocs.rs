@@ -1,8 +1,10 @@
-//! Allocation counts of CHIME-Learned's probes and updates, counted
+//! Allocation counts of CHIME-Learned's probes, updates and scans, counted
 //! exactly: a probe reads its candidate neighborhoods through the client's
 //! READ buffers, so a warm search into a reused value buffer allocates
-//! nothing, and an update locks and writes back through the client's
-//! locked window, so a warm one allocates only the entry it stores.
+//! nothing; an update locks and writes back through the client's locked
+//! window, so a warm one allocates only the entry it stores; and a scan
+//! reads its leaves through the client's whole-leaf buffers into leaf and
+//! row vectors the client keeps, so a warm one allocates nothing.
 //!
 //! Counts are per thread, as in `core/tests/allocs.rs`.
 
@@ -113,5 +115,34 @@ fn a_warm_update_allocates_only_the_stored_entry() {
     let mut value = Vec::new();
     for &k in keys.iter().step_by(3) {
         assert!(client.search_into(k, &mut value) && value == (k + 2).to_le_bytes());
+    }
+}
+
+#[test]
+fn a_warm_scan_allocates_nothing_per_leaf() {
+    let pool = Pool::with_defaults(1, 256 << 20);
+    let (tree, keys) = loaded(&pool);
+    let mut client = tree.client();
+    let mut rows = dmem::Rows::new();
+    let starts: Vec<u64> = keys.iter().step_by(97).copied().collect();
+    // The first scans size the client's buffers and the arena.
+    for n in [1, 50, 200] {
+        for &k in &starts {
+            rows.clear();
+            client.scan_rows(k, n, &mut rows);
+        }
+    }
+    for n in [1, 50, 200] {
+        for &k in &starts {
+            rows.clear();
+            let reads = client.stats().reads;
+            let (allocs, ()) = allocs(|| client.scan_rows(k, n, &mut rows));
+            let reads = client.stats().reads - reads;
+            assert!(rows.len() == n || k >= keys[keys.len() - n], "scan of {n} from {k:#x}");
+            assert_eq!(
+                allocs, 0,
+                "a warm scan of {n} rows from {k:#x} ({reads} READs) allocated {allocs} times"
+            );
+        }
     }
 }

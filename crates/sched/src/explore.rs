@@ -2,8 +2,9 @@
 //! and the depth-first search over schedules (see the crate docs).
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use crate::{Engine, EngineConfig};
 
@@ -23,7 +24,7 @@ pub struct Exploration {
 }
 
 /// What a scenario asks to be checked at every resume.
-type Watch = Box<dyn FnMut() -> Result<(), String> + Send>;
+type Watch = Box<dyn FnMut() -> Result<(), String>>;
 
 /// One decision point as a run met it.
 struct Decision {
@@ -104,7 +105,7 @@ fn run_once<S>(
 where
     S: FnMut(&Engine) -> Result<(), String>,
 {
-    let cursor = Arc::new(Mutex::new(Cursor {
+    let cursor = Rc::new(RefCell::new(Cursor {
         schedule: schedule.clone(),
         trace: Vec::new(),
         resumes: 0,
@@ -114,12 +115,11 @@ where
     }));
     let engine = Engine {
         cfg: EngineConfig { lanes },
-        cursor: Some(Arc::clone(&cursor)),
+        cursor: Some(Rc::clone(&cursor)),
     };
     let verdict = catch_unwind(AssertUnwindSafe(|| scenario(&engine)));
     drop(engine);
-    // A watch that panicked poisoned the lock; every field is whole anyway.
-    let mut cursor = cursor.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cursor = cursor.borrow_mut();
     let verdict = match (cursor.stop.take(), verdict) {
         (Some(why), _) => Err(why),
         (None, Ok(verdict)) => verdict,

@@ -61,7 +61,9 @@
 //! else the default, and counts every resume against the run's budget. An
 //! engine from [`Engine::new`] has no cursor and makes the default pick
 //! every time, so a [`Schedule`] with no deviations is exactly what
-//! [`Engine::run_client`] does.
+//! [`Engine::run_client`] does. The cursor, and the check a scenario
+//! registers with [`Engine::watch`], live on the exploring thread: an
+//! engine, like its lanes, runs on the thread that built it.
 //!
 //! The search is depth first over the recorded decision points: after each
 //! run, the deepest point that still has an untried lane within the bound
@@ -84,7 +86,6 @@ use std::any::Any;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 use dmem::qp::{self, LaneHook, WqeOutcome, WqeTicket};
 use dmem::{NetConfig, Qp, QpStats};
@@ -175,7 +176,7 @@ struct Sched {
     /// Lanes `0..started` have been given their first turn.
     started: usize,
     /// Under [`explore`], what picks the lane at each decision point.
-    cursor: Option<Arc<Mutex<Cursor>>>,
+    cursor: Option<Rc<RefCell<Cursor>>>,
 }
 
 impl Sched {
@@ -201,7 +202,7 @@ impl Sched {
         let parked = parked.filter_map(|(lane, p)| p.as_ref().map(|&(t, _)| (t, lane)));
         let lane = match &self.cursor {
             None => parked.min()?.1,
-            Some(cursor) => cursor.lock().expect("cursor").pick(parked)?,
+            Some(cursor) => cursor.borrow_mut().pick(parked)?,
         };
         let (t, ticket) = self.pending[lane].take().expect("chosen lane is parked");
         let resume = ticket.map(|ticket| self.qp.poll_wqe(ticket));
@@ -215,7 +216,7 @@ impl Sched {
     /// parks now unwinds instead.
     fn stopping(&self) -> bool {
         let cursor = self.cursor.as_ref();
-        cursor.is_some_and(|c| c.lock().expect("cursor").stopping())
+        cursor.is_some_and(|c| c.borrow().stopping())
     }
 }
 
@@ -296,7 +297,7 @@ pub struct Engine {
     cfg: EngineConfig,
     /// Set only on the engine [`explore`] hands its scenario: every run of
     /// the scenario's clients picks lanes through it.
-    cursor: Option<Arc<Mutex<Cursor>>>,
+    cursor: Option<Rc<RefCell<Cursor>>>,
 }
 
 impl Engine {
@@ -312,9 +313,9 @@ impl Engine {
     ///
     /// Panics unless the engine is the one [`explore`] or [`replay`] hands
     /// its scenario.
-    pub fn watch(&self, check: impl FnMut() -> Result<(), String> + Send + 'static) {
+    pub fn watch(&self, check: impl FnMut() -> Result<(), String> + 'static) {
         let cursor = self.cursor.as_ref().expect("an exploring engine");
-        cursor.lock().expect("cursor").set_watch(Box::new(check));
+        cursor.borrow_mut().set_watch(Box::new(check));
     }
 
     /// Drives one client's lane bodies to completion over a shared QP
@@ -410,6 +411,7 @@ mod tests {
     use super::*;
     use dmem::{Endpoint, Pool};
     use std::ops::Range;
+    use std::sync::Arc;
 
     /// An address in the calling frame: which stack a lane body runs on.
     fn here() -> usize {

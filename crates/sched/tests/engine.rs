@@ -32,10 +32,10 @@ fn reader(pool: Arc<Pool>, ops: usize) -> LaneBody<(u64, u64)> {
 
 fn run(k: usize, ops: usize) -> (Vec<(u64, u64)>, dmem::QpStats) {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: k });
+    let cfg = EngineConfig { lanes: k };
     let bodies = (0..k).map(|_| reader(Arc::clone(&pool), ops)).collect();
     let net = *pool.net();
-    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    let run = watchdog(move || Engine::new(cfg).run_client(net, 1, bodies));
     let qp = run.qp.clone();
     (run.into_results(), qp)
 }
@@ -44,9 +44,9 @@ fn run(k: usize, ops: usize) -> (Vec<(u64, u64)>, dmem::QpStats) {
 #[should_panic(expected = "lane bodies must match the engine's lanes")]
 fn a_lane_count_mismatch_panics() {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let cfg = EngineConfig { lanes: 2 };
     let bodies = (0..3).map(|_| reader(Arc::clone(&pool), 1)).collect();
-    engine.run_client(*pool.net(), 1, bodies);
+    Engine::new(cfg).run_client(*pool.net(), 1, bodies);
 }
 
 #[test]
@@ -105,7 +105,7 @@ fn identical_runs_are_identical() {
 #[test]
 fn a_dead_lane_does_not_poison_the_others() {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 3 });
+    let cfg = EngineConfig { lanes: 3 };
     let mut bodies: Vec<LaneBody<(u64, u64)>> = Vec::new();
     bodies.push(reader(Arc::clone(&pool), OPS));
     let p2 = Arc::clone(&pool);
@@ -118,7 +118,7 @@ fn a_dead_lane_does_not_poison_the_others() {
     }));
     bodies.push(reader(Arc::clone(&pool), OPS));
     let net = *pool.net();
-    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    let run = watchdog(move || Engine::new(cfg).run_client(net, 1, bodies));
     assert!(run.lanes[0].is_ok());
     assert!(run.lanes[1].is_err(), "panic captured as the lane result");
     assert!(run.lanes[2].is_ok());
@@ -132,7 +132,7 @@ fn every_posted_wqe_is_reaped_by_the_end_of_a_run() {
     // Lanes of different lengths, one of which also waits on a timer: the
     // scheduler polls every ticket it posts, so the CQ drains to empty.
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 3 });
+    let cfg = EngineConfig { lanes: 3 };
     // Each lane ends by reading the CQ depth; the longest lane (1) ends
     // last, after every sibling's WQE has been reaped.
     let then_depth = |body: LaneBody<(u64, u64)>| -> LaneBody<u64> {
@@ -154,7 +154,7 @@ fn every_posted_wqe_is_reaped_by_the_end_of_a_run() {
         (ep.clock_ns(), ep.stats().rtts)
     })));
     let net = *pool.net();
-    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    let run = watchdog(move || Engine::new(cfg).run_client(net, 1, bodies));
     assert_eq!(run.qp.posted, 3 + OPS as u64 + 1);
     assert!(run.qp.depth_hist.max() >= 2, "completions overlapped");
     assert_eq!(run.into_results()[1], 0, "nothing left in the CQ");
@@ -166,7 +166,7 @@ fn a_lane_reads_its_queue_pairs_depth() {
     // same virtual instant, with both completions still pending. After a
     // timer past them, its resume has expired them.
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 3 });
+    let cfg = EngineConfig { lanes: 3 };
     let mut bodies: Vec<LaneBody<(u64, u64)>> =
         vec![reader(Arc::clone(&pool), 1), reader(Arc::clone(&pool), 1)];
     let p = Arc::clone(&pool);
@@ -177,7 +177,7 @@ fn a_lane_reads_its_queue_pairs_depth() {
         (beside_siblings, dmem::qp::lane_cq_depth())
     }));
     let net = *pool.net();
-    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    let run = watchdog(move || Engine::new(cfg).run_client(net, 1, bodies));
     let (beside_siblings, drained) = run.into_results()[2];
     assert!(
         beside_siblings >= 2,
@@ -191,7 +191,7 @@ fn lanes_progress_in_completion_order() {
     // Two lanes on different MNs: no doorbell sharing, but strict
     // earliest-completion scheduling still interleaves them 1:1.
     let pool = Pool::with_defaults(2, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let cfg = EngineConfig { lanes: 2 };
     let mk = |mn: u16| -> LaneBody<(u64, u64)> {
         let pool = Arc::clone(&pool);
         Box::new(move || {
@@ -206,7 +206,7 @@ fn lanes_progress_in_completion_order() {
     };
     let net = *pool.net();
     let bodies = vec![mk(0), mk(1)];
-    let run = watchdog(move || engine.run_client(net, 2, bodies));
+    let run = watchdog(move || Engine::new(cfg).run_client(net, 2, bodies));
     let lanes = run.into_results();
     assert_eq!(lanes[0], lanes[1], "symmetric lanes end identically");
 }
@@ -218,7 +218,7 @@ fn a_masked_cas_with_reads_is_one_doorbell() {
     // batching window. Each lane's three work requests ring one doorbell
     // and cost one round trip.
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let cfg = EngineConfig { lanes: 2 };
     let mk = |lane: u64| -> LaneBody<(u64, u64)> {
         let pool = Arc::clone(&pool);
         Box::new(move || {
@@ -235,7 +235,7 @@ fn a_masked_cas_with_reads_is_one_doorbell() {
     };
     let net = *pool.net();
     let bodies = vec![mk(0), mk(1)];
-    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    let run = watchdog(move || Engine::new(cfg).run_client(net, 1, bodies));
     let qp = run.qp.clone();
     assert_eq!(run.into_results(), [(1, 3), (1, 3)]);
     assert_eq!((qp.posted, qp.doorbells, qp.batched_wqes), (6, 2, 0));
@@ -248,7 +248,7 @@ fn symmetric_lanes_take_turns() {
     // `(lane, step)` after every read.
     const STEPS: usize = 8;
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 3 });
+    let cfg = EngineConfig { lanes: 3 };
     let log = Arc::new(Mutex::new(Vec::new()));
     let mk = |lane: usize| -> LaneBody<()> {
         let (pool, log) = (Arc::clone(&pool), Arc::clone(&log));
@@ -263,7 +263,7 @@ fn symmetric_lanes_take_turns() {
     };
     let bodies = (0..3).map(mk).collect();
     let net = *pool.net();
-    watchdog(move || engine.run_client(net, 1, bodies)).into_results();
+    watchdog(move || Engine::new(cfg).run_client(net, 1, bodies)).into_results();
     let log = Arc::try_unwrap(log).unwrap().into_inner().unwrap();
     assert_eq!(log.len(), 3 * STEPS);
     // Somewhere in the middle of lane 1's run another lane gets scheduled
@@ -315,7 +315,7 @@ fn park_deep(ep: &mut Endpoint) -> usize {
 #[test]
 fn lanes_run_on_the_callers_thread() {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 4 });
+    let cfg = EngineConfig { lanes: 4 };
     let bodies = lanes_of(&pool, 4, |ep| {
         ep.read(GlobalAddr::new(0, RESERVED_BYTES), &mut [0u8; 8]);
         std::thread::current().id()
@@ -323,7 +323,7 @@ fn lanes_run_on_the_callers_thread() {
     let net = *pool.net();
     let (caller, lanes) = watchdog(move || {
         let caller = std::thread::current().id();
-        (caller, engine.run_client(net, 1, bodies).into_results())
+        (caller, Engine::new(cfg).run_client(net, 1, bodies).into_results())
     });
     assert_eq!(lanes, vec![caller; 4]);
 }
@@ -333,10 +333,10 @@ fn a_lane_may_use_a_mebibyte_of_stack() {
     // Both lanes park with over 1 MiB of their stacks in use, and find it
     // intact when they resume.
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let cfg = EngineConfig { lanes: 2 };
     let bodies = lanes_of(&pool, 2, park_deep);
     let net = *pool.net();
-    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    let run = watchdog(move || Engine::new(cfg).run_client(net, 1, bodies));
     // The read overwrote the first page's first byte with the pool's zeroes.
     assert_eq!(run.into_results(), vec![DEEP_BYTES / 4096 - 1; 2]);
 }
@@ -351,10 +351,10 @@ fn backtrace_from_a_lane(ep: &mut Endpoint) -> String {
 #[test]
 fn a_backtrace_taken_on_a_lane_ends_at_its_stack() {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let cfg = EngineConfig { lanes: 2 };
     let bodies = lanes_of(&pool, 2, backtrace_from_a_lane);
     let net = *pool.net();
-    let run = watchdog(move || engine.run_client(net, 1, bodies));
+    let run = watchdog(move || Engine::new(cfg).run_client(net, 1, bodies));
     for trace in run.into_results() {
         assert!(
             trace.contains("backtrace_from_a_lane"),
@@ -366,7 +366,7 @@ fn a_backtrace_taken_on_a_lane_ends_at_its_stack() {
 #[test]
 fn a_lane_waits_in_virtual_time_for_a_local_slot_its_sibling_holds() {
     let pool = Pool::with_defaults(1, 1 << 20);
-    let engine = Engine::new(EngineConfig { lanes: 2 });
+    let cfg = EngineConfig { lanes: 2 };
     let net = *pool.net();
     let [(taken0, released), (taken1, _)]: [(u64, u64); 2] = watchdog(move || {
         // The table belongs to the thread that runs its lanes.
@@ -385,7 +385,7 @@ fn a_lane_waits_in_virtual_time_for_a_local_slot_its_sibling_holds() {
                 }) as LaneBody<(u64, u64)>
             })
             .collect();
-        engine.run_client(net, 1, bodies).into_results()
+        Engine::new(cfg).run_client(net, 1, bodies).into_results()
     })
     .try_into()
     .unwrap();

@@ -12,8 +12,9 @@
 //! write back only the changed region plus the header (Sherman's
 //! fine-grained write optimization); updates write a single entry.
 
+use chime::backoff::{read_node, read_nodes};
 use chime::lockword;
-use dmem::versioned::{bump, ev, pack_ver, Fetched, Layout};
+use dmem::versioned::{bump, ev, pack_ver, Fetched, Fetches, Layout};
 use dmem::{Endpoint, GlobalAddr};
 
 /// Byte offsets inside the leaf header.
@@ -159,60 +160,19 @@ impl ShermanLeafOps {
         })
     }
 
-    /// Reads and validates the whole leaf (the Sherman search path).
-    pub fn read(&self, ep: &mut Endpoint, addr: GlobalAddr) -> LeafSnapshot {
-        let mut spins = 0u32;
-        loop {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            }
-            assert!(spins < 1_000_000, "sherman leaf read livelock");
-            let f = self
-                .layout
-                .versioned()
-                .fetch(ep, addr, 0, self.layout.payload_len());
-            if let Some(s) = self.parse(&f) {
-                return s;
-            }
-        }
+    /// Reads and validates the whole leaf (the Sherman search path)
+    /// through the client's READ buffers `reads`, retrying a torn image.
+    pub fn read(&self, ep: &mut Endpoint, addr: GlobalAddr, reads: &mut Fetches) -> LeafSnapshot {
+        read_node(ep, &self.layout.versioned(), addr, reads, |f, _| self.parse(f))
     }
 
-    /// Batched whole-leaf reads (scans): one doorbell round per retry wave.
-    pub fn read_batch(&self, ep: &mut Endpoint, addrs: &[GlobalAddr]) -> Vec<LeafSnapshot> {
-        let n = addrs.len();
-        let mut out: Vec<Option<LeafSnapshot>> = (0..n).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..n).collect();
+    /// Batched whole-leaf reads (scans): one doorbell per round, a round
+    /// re-reading only the torn leaves.
+    pub fn read_batch(&self, ep: &mut Endpoint, addrs: &[GlobalAddr], reads: &mut Fetches) -> Vec<LeafSnapshot> {
+        let mut out = Vec::with_capacity(addrs.len());
         let layout = self.layout.versioned();
-        let mut spins = 0u32;
-        while !pending.is_empty() {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            }
-            assert!(spins < 1_000_000, "sherman batch read livelock");
-            let ps = layout.phys_start(0);
-            let pe = layout.phys_of(self.layout.payload_len() - 1) + 1;
-            let mut raw: Vec<(GlobalAddr, Vec<u8>)> = pending
-                .iter()
-                .map(|&i| (addrs[i].add(ps as u64), vec![0u8; pe - ps]))
-                .collect();
-            {
-                let mut reqs: Vec<(GlobalAddr, &mut [u8])> =
-                    raw.iter_mut().map(|(a, b)| (*a, &mut b[..])).collect();
-                ep.read_batch(&mut reqs);
-            }
-            let mut still = Vec::new();
-            for (&slot, (_, buf)) in pending.iter().zip(raw) {
-                let f = layout.from_raw(0, self.layout.payload_len(), buf);
-                match self.parse(&f) {
-                    Some(s) => out[slot] = Some(s),
-                    None => still.push(slot),
-                }
-            }
-            pending = still;
-        }
-        out.into_iter().map(|s| s.unwrap()).collect()
+        read_nodes(ep, &layout, addrs, addrs.len() as u64, reads, &mut out, |f, _| self.parse(f));
+        out
     }
 
     /// Acquires the leaf lock with [`chime::lockword::acquire`].
@@ -437,7 +397,7 @@ mod tests {
             (0, u64::MAX),
             false,
         );
-        let snap = ops.read(&mut ep, addr);
+        let snap = ops.read(&mut ep, addr, &mut Fetches::default());
         assert_eq!(snap.keys, keys);
         assert_eq!(snap.values, values);
         assert!(snap.valid);
@@ -452,10 +412,10 @@ mod tests {
         let keys: Vec<u64> = (1..=10).collect();
         let values: Vec<Vec<u8>> = keys.iter().map(|&k| v(k)).collect();
         ops.write_full(&mut ep, addr, 0, &keys, &values, GlobalAddr::NULL, (0, u64::MAX), false);
-        let snap = ops.read(&mut ep, addr);
+        let snap = ops.read(&mut ep, addr, &mut Fetches::default());
         ops.lock(&mut ep, addr);
         ops.write_entry_and_unlock(&mut ep, addr, &snap, 3, &v(999));
-        let snap2 = ops.read(&mut ep, addr);
+        let snap2 = ops.read(&mut ep, addr, &mut Fetches::default());
         assert_eq!(snap2.nv, snap.nv, "entry write must not bump NV");
         assert_eq!(snap2.evs[3], bump(snap.evs[3]));
         assert_eq!(snap2.values[3], v(999));
@@ -468,11 +428,11 @@ mod tests {
         let keys: Vec<u64> = vec![10, 20, 30, 40];
         let values: Vec<Vec<u8>> = keys.iter().map(|&k| v(k)).collect();
         ops.write_full(&mut ep, addr, 0, &keys, &values, GlobalAddr::NULL, (0, u64::MAX), false);
-        let snap = ops.read(&mut ep, addr);
+        let snap = ops.read(&mut ep, addr, &mut Fetches::default());
         // Insert 25 at position 2.
         ops.lock(&mut ep, addr);
         ops.splice_and_unlock(&mut ep, addr, &snap, 2, Some((25, v(25))));
-        let snap2 = ops.read(&mut ep, addr);
+        let snap2 = ops.read(&mut ep, addr, &mut Fetches::default());
         assert_eq!(snap2.keys, vec![10, 20, 25, 30, 40]);
         assert_eq!(snap2.values[2], v(25));
         assert_eq!(snap2.values[4], v(40));
@@ -484,10 +444,10 @@ mod tests {
         let keys: Vec<u64> = vec![10, 20, 30, 40];
         let values: Vec<Vec<u8>> = keys.iter().map(|&k| v(k)).collect();
         ops.write_full(&mut ep, addr, 0, &keys, &values, GlobalAddr::NULL, (0, u64::MAX), false);
-        let snap = ops.read(&mut ep, addr);
+        let snap = ops.read(&mut ep, addr, &mut Fetches::default());
         ops.lock(&mut ep, addr);
         ops.splice_and_unlock(&mut ep, addr, &snap, 1, None);
-        let snap2 = ops.read(&mut ep, addr);
+        let snap2 = ops.read(&mut ep, addr, &mut Fetches::default());
         assert_eq!(snap2.keys, vec![10, 30, 40]);
     }
 
@@ -501,7 +461,7 @@ mod tests {
             ops.write_full(&mut ep, a, 0, &keys, &values, GlobalAddr::NULL, (0, u64::MAX), false);
         }
         let before = ep.stats().rtts;
-        let snaps = ops.read_batch(&mut ep, &[addr, addr2]);
+        let snaps = ops.read_batch(&mut ep, &[addr, addr2], &mut Fetches::default());
         assert_eq!(ep.stats().rtts, before + 1);
         assert_eq!(snaps[0].keys[0], 11);
         assert_eq!(snaps[1].keys[0], 101);
@@ -541,5 +501,43 @@ mod tests {
         assert_eq!((ep.stats().lock_retries, ep.stats().atomics), (2, 3));
         let lock_addr = addr.add(ops.layout.lock_off() as u64);
         assert_eq!(lockword::try_acquire(&mut ep, lock_addr, 0, &mut []) & 1, 1, "held");
+    }
+
+    /// A leaf torn by a stalled node write — its second line already on the
+    /// next node version — holds its reader in the retry loop, which counts
+    /// each torn image, until the write completes; the reader then returns
+    /// the written leaf.
+    #[test]
+    #[allow(clippy::disallowed_methods, reason = "the reader must spin on a real stall")]
+    fn read_retries_a_torn_leaf_until_healed() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let (mut ep, ops, addr) = setup();
+        let (old, new): (Vec<u64>, Vec<u64>) = ((1..=4).collect(), (11..=16).collect());
+        let values = |keys: &[u64]| keys.iter().map(|&k| v(k)).collect::<Vec<_>>();
+        let fences = (0, u64::MAX);
+        ops.write_full(&mut ep, addr, 0, &old, &values(&old), GlobalAddr::NULL, fences, false);
+        ops.layout
+            .versioned()
+            .write(&mut ep, addr, 63, &[0xAB; 63], |_| pack_ver(1, 0));
+        let healed = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let pool = Arc::clone(ep.pool());
+            let healed = Arc::clone(&healed);
+            std::thread::spawn(move || {
+                let mut ep = Endpoint::new(pool);
+                let snap = ops.read(&mut ep, addr, &mut Fetches::default());
+                assert!(healed.load(Ordering::SeqCst), "reader accepted a torn leaf");
+                (snap.keys, ep.stats().torn_reads_detected)
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(!reader.is_finished(), "the torn leaf must force retries");
+        healed.store(true, Ordering::SeqCst);
+        ops.write_full(&mut ep, addr, 1, &new, &values(&new), GlobalAddr::NULL, fences, false);
+        let (keys, torn_reads) = reader.join().unwrap();
+        assert_eq!(keys, new);
+        assert!(torn_reads > 0, "the retries must be counted as torn reads");
     }
 }

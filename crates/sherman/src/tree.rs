@@ -7,6 +7,7 @@ use std::sync::Arc;
 use chime::cache::{Lean, Route};
 use chime::skeleton::{Parts, Routes, Skeleton, SkeletonClient};
 use dmem::indirect::Values;
+use dmem::versioned::Fetches;
 use dmem::{ChunkAlloc, Endpoint, GlobalAddr, IndexError, Phase, Pool, RangeIndex, Rows};
 
 use crate::leaf::{LeafSnapshot, ShermanLeafLayout, ShermanLeafOps};
@@ -64,6 +65,8 @@ pub struct ShermanClient {
     cn: Arc<CnState>,
     ep: Endpoint,
     alloc: ChunkAlloc,
+    /// READ buffers for leaves and internal nodes, kept between operations.
+    reads: Fetches,
 }
 
 impl Sherman {
@@ -110,6 +113,7 @@ impl Sherman {
             cn: Arc::clone(cn),
             ep: Endpoint::new(Arc::clone(&self.shared.pool)),
             alloc: ChunkAlloc::sim_scaled(),
+            reads: Fetches::default(),
         }
     }
 
@@ -130,6 +134,7 @@ impl SkeletonClient for ShermanClient {
             alloc: &mut self.alloc,
             skeleton: &self.shared.skeleton,
             routes: &self.cn,
+            reads: &mut self.reads,
         }
     }
 
@@ -147,7 +152,7 @@ impl ShermanClient {
     fn read_owner(&mut self, key: u64) -> (GlobalAddr, LeafSnapshot) {
         let (mut addr, parent) = self.locate_leaf(key);
         for _ in 0..OP_RETRY_LIMIT {
-            let snap = self.shared.leaf.read(&mut self.ep, addr);
+            let snap = self.shared.leaf.read(&mut self.ep, addr, &mut self.reads);
             if !snap.valid {
                 self.cn.cache().invalidate(parent);
                 let (a, _) = self.locate_leaf(key);
@@ -178,7 +183,7 @@ impl ShermanClient {
         for _ in 0..OP_RETRY_LIMIT {
             let _lk = self.local_lock(addr);
             self.shared.leaf.lock(&mut self.ep, addr);
-            let snap = self.shared.leaf.read(&mut self.ep, addr);
+            let snap = self.shared.leaf.read(&mut self.ep, addr, &mut self.reads);
             if !snap.valid || key < snap.fences.0 {
                 self.shared.leaf.unlock(&mut self.ep, addr);
                 if key < snap.fences.0 {
@@ -327,7 +332,7 @@ impl ShermanClient {
                 .max(1)
                 .min(parent.children().len() - idx);
             let addrs = &parent.children()[idx..idx + take];
-            let snaps = self.shared.leaf.read_batch(&mut self.ep, addrs);
+            let snaps = self.shared.leaf.read_batch(&mut self.ep, addrs, &mut self.reads);
             if std::mem::take(&mut first) && snaps[0].fences.0 > start {
                 // The cached parent leaned right past a pivot: re-read it.
                 self.cn.cache().invalidate(parent.addr);

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 
 use dmem::node::RESERVED_BYTES;
+use dmem::versioned::Fetches;
 use dmem::{Endpoint, GlobalAddr, Pool, RangeIndex};
 use proptest::prelude::*;
 use sherman::leaf::{ShermanLeafLayout, ShermanLeafOps};
@@ -33,7 +34,7 @@ proptest! {
             b
         }).collect();
         ops.write_full(&mut ep, addr, 0, &keys, &values, GlobalAddr::NULL, (0, u64::MAX), false);
-        let snap = ops.read(&mut ep, addr);
+        let snap = ops.read(&mut ep, addr, &mut Fetches::default());
         prop_assert_eq!(&snap.keys, &keys);
         prop_assert_eq!(&snap.values, &values);
         for &k in &keys {

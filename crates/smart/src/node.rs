@@ -12,9 +12,10 @@
 //! large values can be updated in place under the leaf lock while readers
 //! validate EVs; 8-byte values are updated with one atomic-width WRITE.
 
+use chime::backoff::read_node;
 use chime::cache::Cached;
 use chime::lockword;
-use dmem::versioned::{bump, pack_ver, Fetched, Layout};
+use dmem::versioned::{bump, pack_ver, Fetches, Layout};
 use dmem::{Endpoint, GlobalAddr};
 
 /// The obsolete bit of a node's lock word, beside the lock bit.
@@ -201,14 +202,6 @@ pub enum SlotOutcome {
     Full,
 }
 
-/// A client's leaf-READ buffers, reused by every
-/// [`ArtOps::read_leaf_into`] ([`Layout::fetch_into`]).
-#[derive(Debug, Default)]
-pub struct LeafBufs {
-    pieces: Vec<Fetched>,
-    spare: Vec<Vec<u8>>,
-}
-
 /// Remote ART node/leaf operations for one value size.
 #[derive(Debug, Clone, Copy)]
 pub struct ArtOps {
@@ -238,37 +231,18 @@ impl ArtOps {
         ep.write(addr.add(ps as u64), &phys);
     }
 
-    /// Reads a leaf into `bufs`, retrying torn large-value updates: returns
-    /// its key and copies its value into `value`.
-    pub fn read_leaf_into(
-        &self,
-        ep: &mut Endpoint,
-        addr: GlobalAddr,
-        bufs: &mut LeafBufs,
-        value: &mut Vec<u8>,
-    ) -> u64 {
-        let l = self.leaf_layout();
+    /// Reads a leaf through the client's READ buffers `reads`, retrying
+    /// torn large-value updates: returns its key and copies its value into
+    /// `value`.
+    pub fn read_leaf_into(&self, ep: &mut Endpoint, addr: GlobalAddr, reads: &mut Fetches, value: &mut Vec<u8>) -> u64 {
         let end = 9 + self.value_size;
-        let mut spins = 0u32;
-        loop {
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            }
-            assert!(spins < 1_000_000, "leaf read livelock");
-            let LeafBufs { pieces, spare } = bufs;
-            l.fetch_into(addr, &[(0, end)], pieces, spare, |reqs| {
-                ep.read_batch(reqs);
-                true
-            });
-            let f = &pieces[0];
-            if f.check_nv([0]).is_none() || !f.check_ev(0, end) {
-                continue;
-            }
-            value.clear();
-            value.extend_from_slice(f.bytes(9, self.value_size));
-            return f.u64_at(1);
-        }
+        read_node(ep, &self.leaf_layout(), addr, reads, |f, _| {
+            (f.check_nv([0]).is_some() && f.check_ev(0, end)).then(|| {
+                value.clear();
+                value.extend_from_slice(f.bytes(9, self.value_size));
+                f.u64_at(1)
+            })
+        })
     }
 
     /// Updates a leaf value in place.
@@ -655,7 +629,7 @@ mod tests {
     /// The leaf's key and value, read into fresh buffers.
     fn read_leaf(ops: &ArtOps, ep: &mut Endpoint, addr: GlobalAddr) -> (u64, Vec<u8>) {
         let mut value = Vec::new();
-        let key = ops.read_leaf_into(ep, addr, &mut LeafBufs::default(), &mut value);
+        let key = ops.read_leaf_into(ep, addr, &mut Fetches::default(), &mut value);
         (key, value)
     }
 
@@ -702,6 +676,41 @@ mod tests {
         let (k, v) = read_leaf(&ops, &mut ep, addr);
         assert_eq!(k, 5);
         assert_eq!(v, vec![2u8; 256]);
+    }
+
+    /// A large-value leaf torn by a stalled update — its second line already
+    /// on the next entry version — holds its reader in the retry loop, which
+    /// counts each torn image, until an update completes; the reader then
+    /// returns the updated value.
+    #[test]
+    #[allow(clippy::disallowed_methods, reason = "the reader must spin on a real stall")]
+    fn leaf_read_retries_a_torn_leaf_until_healed() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let pool = Pool::with_defaults(1, 16 << 20);
+        let mut ep = Endpoint::new(Arc::clone(&pool));
+        let ops = ArtOps { value_size: 256 };
+        let addr = GlobalAddr::new(0, RESERVED_BYTES);
+        ops.write_leaf(&mut ep, addr, 5, &[1u8; 256]);
+        ops.leaf_layout().write(&mut ep, addr, 63, &[2u8; 63], |_| pack_ver(0, 1));
+        let healed = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let healed = Arc::clone(&healed);
+            std::thread::spawn(move || {
+                let mut ep = Endpoint::new(pool);
+                let got = read_leaf(&ops, &mut ep, addr);
+                assert!(healed.load(Ordering::SeqCst), "reader accepted a torn leaf");
+                (got, ep.stats().torn_reads_detected)
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(!reader.is_finished(), "the torn leaf must force retries");
+        healed.store(true, Ordering::SeqCst);
+        ops.update_leaf(&mut ep, addr, &[3u8; 256]);
+        let (got, torn_reads) = reader.join().unwrap();
+        assert_eq!(got, (5, vec![3u8; 256]));
+        assert!(torn_reads > 0, "the retries must be counted as torn reads");
     }
 
     #[test]

@@ -5,9 +5,10 @@ use std::sync::Arc;
 
 use chime::cache::NodeCache;
 
+use dmem::versioned::Fetches;
 use dmem::{ChunkAlloc, CnCell, Endpoint, GlobalAddr, IndexError, Pool, RangeIndex, Rows};
 
-use crate::node::{ArtNode, ArtOps, Child, LeafBufs, NodeType};
+use crate::node::{ArtNode, ArtOps, Child, NodeType};
 
 const OP_RETRY_LIMIT: usize = 100_000;
 
@@ -72,7 +73,7 @@ pub struct SmartClient {
     ep: Endpoint,
     alloc: ChunkAlloc,
     /// Leaf-READ buffers, reused by every leaf read.
-    leaf: LeafBufs,
+    leaf: Fetches,
     /// The cached nodes of the last search's descent.
     path: Vec<GlobalAddr>,
 }
@@ -113,7 +114,7 @@ impl Smart {
             cn: Arc::clone(cn),
             ep: Endpoint::new(Arc::clone(&self.shared.pool)),
             alloc: ChunkAlloc::sim_scaled(),
-            leaf: LeafBufs::default(),
+            leaf: Fetches::default(),
             path: Vec::new(),
         }
     }
